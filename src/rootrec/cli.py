@@ -22,8 +22,7 @@ from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
                      recon_lower, recon_upper, thm2_general_bound,
                      wilson_interval)
 from .ctmc import (CtmcError, Distribution, RateMatrix, jukes_cantor,
-                   load_rate_matrix, row_distribution, transition_matrix,
-                   two_state_symmetric)
+                   load_rate_matrix, two_state_symmetric)
 from .estimators import (EstimatorError, RowTable, frequency_estimate,
                          lambda_epsilon, majority_estimate, map_estimate,
                          uniform_chain_estimate)
@@ -35,6 +34,10 @@ from .treechain import exact_leaf_law, simulate
 __all__ = ["main", "run_trials", "validate_config"]
 
 EXIT_OK, EXIT_CONFIG, EXIT_GUARD = 0, 2, 3
+
+# figure1 attaches leaf j at depth 2^-j; from j = 1075 on that underflows
+# to 0 and the first spine edge has length 0
+FIGURE1_MAX_K = 1074
 
 
 class ConfigError(ValueError):
@@ -60,6 +63,10 @@ def _require(cfg: dict, key: str):
 def _build_family(spec: dict) -> NestedFamily:
     kind = _require(spec, "kind")
     params = {k: v for k, v in spec.items() if k not in ("kind", "seed")}
+    k = int(params.get("k", params.get("m", 1)))
+    if kind == "figure1" and k > FIGURE1_MAX_K:
+        raise ConfigError(f"figure1 k must be at most {FIGURE1_MAX_K}: "
+                          "deeper attachment depths 2^-k underflow to 0")
     return generate_family(kind, params, int(spec.get("seed", 0)))
 
 
@@ -105,6 +112,11 @@ def _estimator_lam(cfg: dict, Q: RateMatrix):
     return list(lambda_epsilon(_uniform_prior(Q), float(eps)))
 
 
+def _h_star_rows(Q: RateMatrix, h_star: float) -> RowTable:
+    """Time-h* rows of every state, from the chain's transition cache."""
+    return RowTable({i: Q.process.row(i, h_star) for i in Q.states})
+
+
 def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix):
     """Returns observed, rng -> (estimate, fallback flag)."""
     est = _require(cfg, "estimator")
@@ -119,8 +131,7 @@ def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix):
     if s <= 0:
         raise ConfigError("estimator s must be positive")
     h_star = float(_require(est, "h_star"))
-    P = transition_matrix(Q, h_star)
-    all_rows = RowTable({i: row_distribution(P, i) for i in Q.states})
+    all_rows = _h_star_rows(Q, h_star)
     if kind == "frequency":
         lam = _estimator_lam(cfg, Q)
 
@@ -149,8 +160,7 @@ def _bound_value(cfg: dict, tree: Tree, Q: RateMatrix):
     s = float(_require(est, "s"))
     h_star = float(_require(est, "h_star"))
     m = len(chosen_leaves(tree, s))
-    P = transition_matrix(Q, h_star)
-    table = RowTable({i: row_distribution(P, i) for i in Q.states})
+    table = _h_star_rows(Q, h_star)
     if kind == "frequency":
         lam = _estimator_lam(cfg, Q)
         eps = float(est.get("epsilon", 0.0))
@@ -177,11 +187,17 @@ def _draw_root(cfg: dict, Q: RateMatrix, rng) -> int:
     return int(root)
 
 
-def _trial_range(cfg: dict, lo: int, hi: int) -> list:
+def _finite_chain_setup(cfg: dict) -> tuple:
+    """The tree and rate matrix of an estimate/experiment config."""
     tree = _build_tree(cfg)
     Q = _build_process(cfg)
     if not isinstance(Q, RateMatrix):
         raise ConfigError("estimate/experiment need a finite-chain process")
+    return tree, Q
+
+
+def _trial_range(cfg: dict, lo: int, hi: int, setup=None) -> list:
+    tree, Q = setup or _finite_chain_setup(cfg)
     est = _build_estimator(cfg, tree, Q)
     seed = int(_require(cfg, "seed"))
     out = []
@@ -198,18 +214,21 @@ def _chunk_worker(args):
     return _trial_range(*args)
 
 
-def run_trials(cfg: dict, workers: int = 1) -> list:
+def run_trials(cfg: dict, workers: int = 1, setup=None) -> list:
     """All trials of a finite-chain experiment, ordered by trial index.
 
     Trials are independent substreams, so any partition across workers
-    yields the same merged result.
+    yields the same merged result.  ``setup`` is the config's (tree, rate
+    matrix) pair when the caller has built it, so that one process builds
+    the tree and uniformizes each duration once; worker processes build
+    their own.
     """
     trials = int(_require(cfg, "trials"))
     if trials < 1:
         raise ConfigError("trials must be at least 1")
     workers = max(1, min(workers, trials))
     if workers == 1:
-        return _trial_range(cfg, 0, trials)
+        return _trial_range(cfg, 0, trials, setup)
     bounds_ = [trials * w // workers for w in range(workers + 1)]
     chunks = [(cfg, bounds_[w], bounds_[w + 1]) for w in range(workers)]
     rows = []
@@ -294,12 +313,9 @@ def _cmd_estimate(cfg: dict, workers: int) -> int:
 
 
 def _cmd_experiment(cfg: dict, workers: int) -> int:
-    tree = _build_tree(cfg)
-    Q = _build_process(cfg)
-    if not isinstance(Q, RateMatrix):
-        raise ConfigError("experiment needs a finite-chain process")
-    bound = _bound_value(cfg, tree, Q)
-    rows = run_trials(cfg, workers)
+    setup = _finite_chain_setup(cfg)
+    bound = _bound_value(cfg, *setup)
+    rows = run_trials(cfg, workers, setup)
     _emit(cfg, ".trials.csv" if cfg.get("output") else "",
           lambda fh: _write_trials_csv(rows, fh))
     _emit(cfg, ".summary.csv" if cfg.get("output") else "",

@@ -8,7 +8,10 @@ States of a finite chain are labelled 1..n.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import weakref
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -73,6 +76,12 @@ class RateMatrix:
         """max_i (q_i or 1)."""
         return float(max(self.exit_rates.max(), 1.0))
 
+    @functools.cached_property
+    def process(self) -> FiniteChainProcess:
+        """This chain's one FiniteChainProcess, and so its one cache of
+        transition matrices."""
+        return FiniteChainProcess(self)
+
     def __repr__(self):
         return f"RateMatrix(n={self.n})"
 
@@ -104,9 +113,6 @@ class Distribution:
     @property
     def support(self):
         return self._m.keys()
-
-    def mass_of_set(self, states) -> float:
-        return sum(self._m[s] for s in self._m if s in states)
 
     def sample(self, rng) -> object:
         states = list(self._m)
@@ -140,11 +146,20 @@ class GenerativeProcess(Protocol):
     def row(self, state, t: float): ...
 
 
+# Largest uniformization rate lambda = rate * t summed directly.  Longer
+# times are halved k times to get below it and the result squared k times
+# (P(t) = P(t / 2^k)^(2^k)): exp(-lambda) underflows to 0 near 745, where
+# the Poisson tail test could never pass.
+UNIFORMIZATION_CAP = 16.0
+
+
 def transition_matrix(Q: RateMatrix, t: float, tol: float = 1e-12) -> np.ndarray:
-    """Row-stochastic exp(tQ) by uniformization.
+    """Row-stochastic exp(tQ) by uniformization with scaling and squaring.
 
     The Poissonized jump-chain series is truncated when the remaining
-    Poisson tail mass drops below ``tol``; rows are renormalized.
+    Poisson tail mass drops below ``tol``; rows are renormalized.  When
+    rate * t exceeds ``UNIFORMIZATION_CAP`` the series is summed at
+    t / 2^k and squared k times.
     """
     if t < 0:
         raise CtmcError("time must be nonnegative")
@@ -152,8 +167,12 @@ def transition_matrix(Q: RateMatrix, t: float, tol: float = 1e-12) -> np.ndarray
     rate = float(Q.exit_rates.max())
     if t == 0 or rate == 0.0:
         return np.eye(n)
-    R = np.eye(n) + Q.q / rate
     lam = rate * t
+    squarings = 0
+    while lam > UNIFORMIZATION_CAP:
+        lam /= 2.0
+        squarings += 1
+    R = np.eye(n) + Q.q / rate
     term = math.exp(-lam)
     acc = term
     P = term * np.eye(n)
@@ -168,7 +187,11 @@ def transition_matrix(Q: RateMatrix, t: float, tol: float = 1e-12) -> np.ndarray
     sums = P.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > max(tol, 1e-9) * 10):
         raise CtmcError("uniformization failed to produce stochastic rows")
-    return P / sums[:, None]
+    P = P / sums[:, None]
+    for _ in range(squarings):
+        P = P @ P
+        P /= P.sum(axis=1)[:, None]
+    return P
 
 
 def row_distribution(P: np.ndarray, i: int) -> Distribution:
@@ -277,36 +300,46 @@ def sample_endpoint(Q: RateMatrix, start: int, t: float, rng) -> int:
 class FiniteChainProcess:
     """GenerativeProcess view of a finite rate matrix, with exact rows.
 
-    Transition matrices are cached per duration, so repeated sampling over
-    the handful of distinct edge lengths of a tree stays cheap.
+    The package's one transition-matrix cache: matrices and their
+    cumulative rows are kept per duration, so sampling over the handful of
+    distinct edge lengths of a tree uniformizes each length once.
+    ``RateMatrix.process`` holds one instance per rate matrix.
     """
 
     def __init__(self, Q: RateMatrix):
         self.Q = Q
         self._rows: dict[float, np.ndarray] = {}
-        self._cum: dict[float, np.ndarray] = {}
+        self._cum: dict[float, list] = {}
+        # per-tree compiled forms built by treechain.simulate
+        self.compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    def _matrix(self, t: float) -> np.ndarray:
+    def matrix(self, t: float) -> np.ndarray:
+        """exp(tQ), computed once per duration; read-only, as it is shared."""
         P = self._rows.get(t)
         if P is None:
             P = transition_matrix(self.Q, t)
+            P.setflags(write=False)
             self._rows[t] = P
         return P
+
+    def cum_rows(self, t: float) -> list:
+        """Cumulative sums of the rows of exp(tQ) as lists of floats, for
+        inverse-cdf draws with ``bisect.bisect_right``."""
+        c = self._cum.get(t)
+        if c is None:
+            c = np.cumsum(self.matrix(t), axis=1).tolist()
+            self._cum[t] = c
+        return c
 
     def sample(self, state, duration, rng):
         if duration == 0.0:
             return state
-        c = self._cum.get(duration)
-        if c is None:
-            c = np.cumsum(self._matrix(duration), axis=1)
-            self._cum[duration] = c
-        # inverse-cdf draw from cached cumulative rows; much cheaper than
-        # a weighted choice per call
-        j = int(np.searchsorted(c[state - 1], rng.random(), side="right"))
+        j = bisect.bisect_right(self.cum_rows(duration)[state - 1],
+                                rng.random())
         return min(j, self.Q.n - 1) + 1
 
     def row(self, state, t):
-        return row_distribution(self._matrix(t), state)
+        return row_distribution(self.matrix(t), state)
 
 
 def star_norm(v) -> float:

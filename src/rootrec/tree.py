@@ -11,6 +11,7 @@ Newick I/O.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -63,17 +64,6 @@ class Tree:
             length[v] = float(ln)
             children.setdefault(u, []).append(v)
             children.setdefault(v, [])
-        for v in parent:
-            # walk to the root to reject disconnected pieces / cycles
-            seen = set()
-            u = v
-            while u != root:
-                if u in seen:
-                    raise TreeError("cycle detected")
-                seen.add(u)
-                if u not in parent:
-                    raise TreeError(f"vertex {u} is not connected to the root")
-                u = parent[u]
         self.parent = parent
         self.length = length
         self.children = {u: tuple(sorted(cs)) for u, cs in children.items()}
@@ -87,16 +77,18 @@ class Tree:
                 depth[c] = depth[u] + length[c]
                 order.append(c)
                 stack.append(c)
+        if len(order) < len(self.vertices):
+            # every vertex but the root has one parent, so what the search
+            # from the root misses lies on a cycle or in a detached piece
+            lost = min(self.vertices - set(order))
+            raise TreeError(f"vertex {lost} is not connected to the root "
+                            "(cycle or disconnected piece)")
         self.depth = depth
         self.topo_order = tuple(order)
         self.leaves = tuple(sorted(v for v in self.vertices
                                    if not self.children[v] and v != root)
                             or ([root] if not self.children[root] else []))
         self.height = max((depth[x] for x in self.leaves), default=0.0)
-
-    def edge_list(self):
-        """Edges as sorted (parent, child, length) triples."""
-        return sorted((self.parent[v], v, self.length[v]) for v in self.parent)
 
     def subtree_leaves(self, v: str) -> tuple[str, ...]:
         """Leaves at or below vertex v, sorted."""
@@ -143,16 +135,6 @@ class TreePoint:
     vertex: str
     offset: float
 
-    def is_vertex_of(self, tree: Tree) -> bool:
-        if self.vertex == tree.root:
-            return True
-        return abs(self.offset - tree.length[self.vertex]) <= DEPTH_TOL
-
-    def depth_in(self, tree: Tree) -> float:
-        if self.vertex == tree.root:
-            return 0.0
-        return tree.depth[tree.parent[self.vertex]] + self.offset
-
 
 def _lca_depth(tree: Tree, x: str, y: str) -> float:
     """Depth of the lowest common ancestor of two vertices."""
@@ -181,15 +163,27 @@ def shared_path_length(tree: Tree, x: str, y: str) -> float:
 
 def spread(tree: Tree) -> float:
     """Average of min(shared path length, 1) over ordered pairs of
-    distinct leaves."""
-    leaves = tree.leaves
-    n = len(leaves)
+    distinct leaves.
+
+    A pair's shared path ends at its lowest common ancestor u.  With k_u
+    leaves below u, k_u^2 - sum over children c of k_c^2 ordered pairs
+    have their ancestor at u, so one bottom-up pass over the leaf counts
+    sums every pair.
+    """
+    n = len(tree.leaves)
     if n < 2:
         raise TreeError("spread requires at least 2 leaves")
+    below: dict[str, int] = {}
     total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += 2.0 * min(_lca_depth(tree, leaves[i], leaves[j]), 1.0)
+    for u in reversed(tree.topo_order):
+        cs = tree.children[u]
+        if not cs:
+            below[u] = 1
+            continue
+        k = sum(below[c] for c in cs)
+        below[u] = k
+        total += (min(tree.depth[u], 1.0)
+                  * (k * k - sum(below[c] ** 2 for c in cs)))
     return total / (n * (n - 1))
 
 
@@ -242,19 +236,20 @@ def restrict(tree: Tree, leaf_subset) -> Tree:
                      for u in kept}
     selected = set(subset)
     edges = []
-
-    def attach(parent_kept: str, v: str, acc: float):
+    # depth-first with an explicit stack, so deep trees do not exhaust
+    # the interpreter's recursion limit
+    stack = [(tree.root, c, tree.length[c])
+             for c in reversed(kept_children[tree.root])]
+    while stack:
+        parent_kept, v, acc = stack.pop()
         # follow chains of suppressed degree-2 vertices
         while len(kept_children[v]) == 1 and v not in selected:
             (w,) = kept_children[v]
             acc += tree.length[w]
             v = w
         edges.append((parent_kept, v, acc))
-        for c in kept_children[v]:
-            attach(v, c, tree.length[c])
-
-    for c in kept_children[tree.root]:
-        attach(tree.root, c, tree.length[c])
+        stack.extend((v, c, tree.length[c])
+                     for c in reversed(kept_children[v]))
     return Tree(tree.root, edges)
 
 
@@ -285,12 +280,32 @@ def stretch_to_height(tree: Tree, h_star: float) -> Tree:
     return Tree(tree.root, edges)
 
 
+class _LazyMembers(Sequence):
+    """Members 1..k of a family, each built on first access and then kept,
+    so a command that needs one member of a large family builds one."""
+
+    def __init__(self, k: int, build):
+        self._k = k
+        self._build = build
+        self._built: dict[int, Tree] = {}
+
+    def __len__(self):
+        return self._k
+
+    def __getitem__(self, i):
+        i = range(self._k)[i]
+        tree = self._built.get(i)
+        if tree is None:
+            tree = self._built[i] = self._build(i + 1)
+        return tree
+
+
 @dataclass
 class NestedFamily:
-    """An ordered list of trees sharing a root, each obtained from the
+    """An ordered sequence of trees sharing a root, each obtained from the
     previous by adding one leaf edge."""
 
-    trees: list[Tree] = field(default_factory=list)
+    trees: Sequence[Tree] = field(default_factory=list)
 
     def __len__(self):
         return len(self.trees)
@@ -343,22 +358,16 @@ def big_bang_profile(family: NestedFamily, s_grid) -> dict:
 
 
 def _star_family(k: int, h: float) -> NestedFamily:
-    trees = []
-    for n in range(1, k + 1):
-        trees.append(Tree("rho", [("rho", f"L{i:04d}", h)
-                                  for i in range(1, n + 1)]))
-    return NestedFamily(trees)
+    return NestedFamily(_LazyMembers(k, lambda n: Tree(
+        "rho", [("rho", f"L{i:04d}", h) for i in range(1, n + 1)])))
 
 
 def _pinched_star_family(m: int, s: float, h: float) -> NestedFamily:
     if not 0 < s < h:
         raise TreeError("pinched star needs 0 < s < h")
-    trees = []
-    for n in range(1, m + 1):
-        edges = [("rho", "pinch", s)]
-        edges += [("pinch", f"L{i:04d}", h - s) for i in range(1, n + 1)]
-        trees.append(Tree("rho", edges))
-    return NestedFamily(trees)
+    return NestedFamily(_LazyMembers(m, lambda n: Tree(
+        "rho", [("rho", "pinch", s)]
+        + [("pinch", f"L{i:04d}", h - s) for i in range(1, n + 1)])))
 
 
 def _figure1_edges(k: int, h: float):
@@ -378,8 +387,8 @@ def _figure1_edges(k: int, h: float):
 
 
 def _figure1_family(k: int, h: float) -> NestedFamily:
-    return NestedFamily([Tree("rho", _figure1_edges(n, h))
-                         for n in range(1, k + 1)])
+    return NestedFamily(_LazyMembers(
+        k, lambda n: Tree("rho", _figure1_edges(n, h))))
 
 
 def _figure2_family(k: int, n_spine: int, h: float) -> NestedFamily:
@@ -387,11 +396,9 @@ def _figure2_family(k: int, n_spine: int, h: float) -> NestedFamily:
     the deepest spine vertex: the truncation near the root is eventually
     constant while the leaf count grows."""
     base = _figure1_edges(n_spine, h)
-    trees = []
-    for n in range(1, k + 1):
-        extra = [("v0001", f"K{i:04d}", h - 0.5) for i in range(1, n + 1)]
-        trees.append(Tree("rho", base + extra))
-    return NestedFamily(trees)
+    return NestedFamily(_LazyMembers(k, lambda n: Tree(
+        "rho", base + [("v0001", f"K{i:04d}", h - 0.5)
+                       for i in range(1, n + 1)])))
 
 
 def _random_ultrametric_family(k: int, h: float, seed: int) -> NestedFamily:

@@ -7,12 +7,13 @@ computation on small trees, which serves as the brute-force oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ctmc import (CtmcError, Distribution, FiniteChainProcess, RateMatrix,
-                   total_variation, transition_matrix)
+                   total_variation)
 from .tree import Tree
 
 __all__ = [
@@ -51,17 +52,56 @@ class LeafLaw:
 
 
 def _as_process(process):
+    """The generative process for ``process``: a rate matrix's one cached
+    FiniteChainProcess, or the process itself."""
     if isinstance(process, RateMatrix):
-        return FiniteChainProcess(process)
+        return process.process
     return process
+
+
+@dataclass(frozen=True)
+class _CompiledTree:
+    """A tree laid out for one finite chain: edges in topological order,
+    each edge's parent as an index into that order (the root is 0, edge
+    e's child is e + 1), each edge's cumulative transition rows, and the
+    leaves with their indices."""
+
+    parents: list
+    cum: list
+    leaves: list
+
+
+def _compile(tree: Tree, proc: FiniteChainProcess) -> _CompiledTree:
+    c = proc.compiled.get(tree)
+    if c is None:
+        index = {v: i for i, v in enumerate(tree.topo_order)}
+        edges = tree.topo_order[1:]
+        c = _CompiledTree(
+            parents=[index[tree.parent[v]] for v in edges],
+            cum=[proc.cum_rows(tree.length[v]) for v in edges],
+            leaves=[(x, index[x]) for x in tree.leaves])
+        proc.compiled[tree] = c
+    return c
 
 
 def simulate(tree: Tree, process, root_state, rng) -> dict:
     """One realization of the chain on the tree; returns leaf id -> state.
 
-    Sibling subtrees evolve independently given the parent state.
+    Sibling subtrees evolve independently given the parent state.  Each
+    edge in topological order draws one uniform from ``rng``; a finite
+    chain draws them all at once and inverts its cached cumulative rows,
+    which consumes the stream exactly as the per-edge loop does.
     """
     proc = _as_process(process)
+    if isinstance(proc, FiniteChainProcess):
+        c = _compile(tree, proc)
+        last = proc.Q.n - 1
+        states = [root_state]
+        for p, rows, u in zip(c.parents, c.cum,
+                              rng.random(len(c.parents)).tolist()):
+            j = bisect_right(rows[states[p] - 1], u)
+            states.append((j if j < last else last) + 1)
+        return {x: states[i] for x, i in c.leaves}
     states = {tree.root: root_state}
     for v in tree.topo_order:
         if v == tree.root:
@@ -75,23 +115,15 @@ def simulate_batch(tree: Tree, Q: RateMatrix, root_state: int, n: int,
     """``n`` independent realizations of a finite chain on the tree.
 
     Returns an (n, len(leaves)) int array in ``tree.leaves`` order.  Edge
-    transitions are drawn from cached transition-matrix rows, vectorized
-    over trials, so large trial counts stay cheap.
+    transitions are drawn from the chain's cached cumulative rows,
+    vectorized over trials, so large trial counts stay cheap.
     """
-    cum = {}
-
-    def cum_rows(t):
-        c = cum.get(t)
-        if c is None:
-            c = np.cumsum(transition_matrix(Q, t), axis=1)
-            cum[t] = c
-        return c
-
+    proc = _as_process(Q)
     states = {tree.root: np.full(n, root_state, dtype=np.int64)}
     for v in tree.topo_order:
         if v == tree.root:
             continue
-        c = cum_rows(tree.length[v])
+        c = proc.cum_rows(tree.length[v])
         parent = states[tree.parent[v]]
         u = rng.random(n)
         out = np.empty(n, dtype=np.int64)
@@ -109,15 +141,7 @@ def exact_leaf_law(tree: Tree, Q: RateMatrix, root_state: int) -> LeafLaw:
     if n_out > SIZE_GUARD:
         raise CtmcError(
             f"{Q.n}^{len(tree.leaves)} outcomes exceeds the size guard")
-    P = {}
-
-    def trans(t):
-        m = P.get(t)
-        if m is None:
-            m = transition_matrix(Q, t)
-            P[t] = m
-        return m
-
+    trans = _as_process(Q).matrix
     cache: dict = {}
 
     def law_below(v: str, state: int) -> dict:

@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
-from rootrec.cli import (EXIT_CONFIG, EXIT_OK, main, run_trials,
-                         validate_config)
+from rootrec.cli import (EXIT_CONFIG, EXIT_OK, _build_tree, main,
+                         run_trials, validate_config)
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -127,6 +128,30 @@ class TestValidateCommand:
                              estimator={"kind": "frequency", "s": 0.0,
                                         "h_star": 1.0})
         assert "estimator s must be positive" in validate_config(cfg)
+
+    @pytest.mark.parametrize("size", [{"k": 1075}, {"k": 10 ** 6},
+                                      {"m": 10 ** 6}])
+    def test_underflowing_figure1_rejected_quickly(self, tmp_path, capsys,
+                                                   size):
+        cfg = experiment_cfg(tmp_path,
+                             family={"kind": "figure1", "h": 1.0, **size})
+        start = time.perf_counter()
+        problems = validate_config(cfg)
+        assert time.perf_counter() - start < 2.0
+        assert len(problems) == 1 and "figure1 k" in problems[0]
+        path = write_cfg(tmp_path, "v.json", cfg)
+        assert main(["validate", path]) == EXIT_CONFIG
+        assert main(["experiment", path]) == EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_deepest_figure1_runs(self, tmp_path):
+        cfg = experiment_cfg(tmp_path, trials=2,
+                             family={"kind": "figure1", "k": 1074, "h": 1.0})
+        tree = _build_tree(cfg)
+        assert len(tree.leaves) == 1075
+        assert min(tree.length.values()) == 2.0 ** -1074
+        path = write_cfg(tmp_path, "e.json", cfg)
+        assert main(["experiment", path]) == EXIT_OK
 
     def test_bad_family_flagged(self):
         cfg = {"process": {"kind": "two_state"},

@@ -115,6 +115,29 @@ class TestTransitionMatrix:
         with pytest.raises(CtmcError):
             transition_matrix(two_state_symmetric(), -0.1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.integers(2, 5),
+           st.floats(-3.0, 4.0))
+    def test_matches_expm_up_to_long_times(self, seed, n, log_rate_time):
+        # rate * t from 1e-3 to 1e4, far past the ~745 where exp(-rate t)
+        # underflows; sparse rows make some chains reducible
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(0.0, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.7)
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        Q = RateMatrix(q)
+        rate = float(Q.exit_rates.max())
+        if rate == 0.0:
+            return
+        t = 10.0 ** log_rate_time / rate
+        assert np.abs(transition_matrix(Q, t)
+                      - scipy.linalg.expm(t * Q.q)).max() < 1e-9
+
+    def test_returns_past_exp_underflow(self):
+        # exp(-760) underflows to 0, so unscaled uniformization never ends
+        P = transition_matrix(two_state_symmetric(1.0), 760.0)
+        assert np.abs(P - 0.5).max() < 1e-12
+
 
 class TestTotalVariation:
     def test_basics(self):
@@ -217,6 +240,13 @@ class TestSampling:
         hits = sum(sample_endpoint(Q, 1, 0.5, rng) == 1 for _ in range(n))
         p = (1 + math.exp(-1.0)) / 2
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_one_process_per_rate_matrix(self):
+        Q = jukes_cantor(1.0)
+        assert Q.process is Q.process
+        assert isinstance(Q.process, FiniteChainProcess)
+        assert Q.process.matrix(0.3) is Q.process.matrix(0.3)
+        assert jukes_cantor(1.0).process is not Q.process
 
     def test_process_view_matches_rows(self):
         Q = jukes_cantor(1.0)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from rootrec.tree import (NestedFamily, Tree, TreeError, big_bang_profile,
                           generate_family, parse_newick, restrict,
                           shared_path_length, spread, stretch_to_height,
                           to_newick, truncate)
+from rootrec.tree import _figure1_edges
 
 
 def star3():
@@ -35,6 +37,24 @@ class TestTreeBasics:
     def test_cycle_rejected(self):
         with pytest.raises(TreeError):
             Tree("rho", [("rho", "a", 1.0), ("a", "rho", 1.0)])
+
+    def test_cycle_off_the_root_rejected(self):
+        with pytest.raises(TreeError):
+            Tree("rho", [("rho", "a", 1.0), ("b", "c", 1.0),
+                         ("c", "b", 1.0)])
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(TreeError):
+            Tree("rho", [("rho", "a", 1.0), ("x", "y", 1.0)])
+
+    def test_long_path_builds_in_linear_time(self):
+        # a check walking each vertex to the root is quadratic here
+        edges = [(f"p{i}", f"p{i + 1}", 1.0) for i in range(20000)]
+        start = time.perf_counter()
+        t = Tree("p0", edges)
+        assert time.perf_counter() - start < 2.0
+        assert t.leaves == ("p20000",)
+        assert t.height == 20000.0
 
     def test_two_parents_rejected(self):
         with pytest.raises(TreeError):
@@ -68,7 +88,45 @@ class TestSharedPathLength:
             shared_path_length(star3(), "a", "a")
 
 
+def pairwise_spread(tree):
+    """Test-only oracle: min(shared path length, 1) averaged over ordered
+    pairs of distinct leaves, each pair's ancestor found by walking up."""
+    def ancestors(x):
+        out = [x]
+        while out[-1] != tree.root:
+            out.append(tree.parent[out[-1]])
+        return out
+
+    leaves = tree.leaves
+    total = 0.0
+    for i, x in enumerate(leaves):
+        above_x = set(ancestors(x))
+        for y in leaves[i + 1:]:
+            lca = next(u for u in ancestors(y) if u in above_x)
+            total += 2.0 * min(tree.depth[lca], 1.0)
+    return total / (len(leaves) * (len(leaves) - 1))
+
+
 class TestSpread:
+    TREES = {
+        "star": star3,
+        "pinched": pinched,
+        "caterpillar": caterpillar,
+        "pinched_above_one": lambda: pinched(2.0, h=3.0,
+                                             leaves=("a", "b", "c", "d")),
+        "figure1": lambda: generate_family("figure1", {"k": 12})[11],
+        "figure2": lambda: generate_family("figure2", {"k": 9})[8],
+        "random_ultrametric": lambda: generate_family(
+            "random_ultrametric", {"k": 60}, seed=2)[59],
+        "random_ultrametric_h3": lambda: generate_family(
+            "random_ultrametric", {"k": 60, "h": 3.0}, seed=5)[59],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    def test_matches_pairwise_oracle(self, kind):
+        t = self.TREES[kind]()
+        assert abs(spread(t) - pairwise_spread(t)) <= 1e-12
+
     def test_star_zero(self):
         assert spread(star3()) == 0.0
 
@@ -125,6 +183,17 @@ class TestRestrict:
         t = caterpillar()
         r = restrict(t, ["x", "y"])
         assert restrict(r, ["x", "y"]) == r
+
+    def test_deeper_than_recursion_limit(self):
+        n = 3000
+        edges = [(f"s{i}", f"s{i + 1}", 1.0) for i in range(n)]
+        edges += [(f"s{i}", f"x{i}", 1.0) for i in range(n)]
+        t = Tree("s0", edges)
+        assert restrict(t, t.leaves) == t
+        r = restrict(t, [f"x{n - 1}", f"s{n}"])
+        assert r.parent == {f"s{n - 1}": "s0", f"x{n - 1}": f"s{n - 1}",
+                            f"s{n}": f"s{n - 1}"}
+        assert r.depth[f"s{n}"] == n
 
     def test_unknown_leaf_rejected(self):
         with pytest.raises(TreeError):
@@ -224,6 +293,13 @@ class TestFamilies:
     def test_unknown_kind(self):
         with pytest.raises(TreeError):
             generate_family("nope", {"k": 2})
+
+    def test_members_built_on_demand(self):
+        # only the indexed member is built; all 1000 would cost O(k^3)
+        fam = generate_family("figure1", {"k": 1000, "h": 1.0})
+        assert len(fam) == 1000
+        assert fam[999] == Tree("rho", _figure1_edges(1000, 1.0))
+        assert fam[-1] is fam[999]
 
 
 class TestBigBangProfile:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
-                          total_variation, transition_matrix,
+from rootrec import ctmc
+from rootrec.ctmc import (CtmcError, Distribution, FiniteChainProcess,
+                          RateMatrix, total_variation, transition_matrix,
                           two_state_symmetric, jukes_cantor)
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import (LeafLaw, exact_leaf_law, exact_leaf_tv,
@@ -68,6 +69,65 @@ class TestSimulate:
         for (x, y), c in counts.items():
             expect = P[0, x - 1] * P[0, y - 1]
             assert abs(c / n - expect) < 4 * math.sqrt(expect / n)
+
+
+class PerEdgeChain:
+    """A finite chain seen only through the GenerativeProcess protocol:
+    not a FiniteChainProcess, so simulate takes its per-edge loop."""
+
+    def __init__(self, Q):
+        self._proc = FiniteChainProcess(Q)
+
+    def sample(self, state, duration, rng):
+        return self._proc.sample(state, duration, rng)
+
+    def row(self, state, t):
+        return self._proc.row(state, t)
+
+
+class TestCompiledSimulate:
+    TREES = {
+        "figure1": lambda: generate_family("figure1", {"k": 30})[29],
+        "random_ultrametric": lambda: generate_family(
+            "random_ultrametric", {"k": 25}, seed=4)[24],
+        "pinched_star": lambda: generate_family(
+            "pinched_star", {"m": 9, "s": 0.3})[8],
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    def test_matches_per_edge_loop(self, kind, n):
+        tree = self.TREES[kind]()
+        rng = np.random.default_rng([n, 17])
+        q = rng.uniform(0.0, 3.0, size=(n, n))
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        Q = RateMatrix(q)
+        per_edge = PerEdgeChain(Q)
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            root = seed % n + 1
+            assert simulate(tree, Q, root, a) == simulate(tree, per_edge,
+                                                          root, b)
+            # both consumed the stream identically
+            assert a.random() == b.random()
+
+    def test_second_trial_computes_no_matrix(self, monkeypatch):
+        calls = []
+        real = ctmc.transition_matrix
+
+        def counted(Q, t, *args, **kwargs):
+            calls.append(t)
+            return real(Q, t, *args, **kwargs)
+
+        monkeypatch.setattr(ctmc, "transition_matrix", counted)
+        tree = generate_family("figure1", {"k": 30})[29]
+        Q = two_state_symmetric(1.0)
+        simulate(tree, Q, 1, np.random.default_rng(0))
+        assert len(calls) == len(set(tree.length.values()))
+        calls.clear()
+        simulate(tree, Q, 2, np.random.default_rng(1))
+        assert calls == []
 
 
 class TestSimulateBatch:
