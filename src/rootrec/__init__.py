@@ -1,9 +1,9 @@
 """Root-state reconstruction for Markov chains on edge-weighted trees.
 
 Trees and their truncations, restrictions, and spreads; finite-state
-chain machinery; exact and simulated leaf laws; root estimators with the
-frequency-test family; closed-form error bounds; and an indel sequence
-process over the same interfaces.
+chain machinery; exact and simulated leaf laws and pruned leaf
+likelihoods; root estimators with the frequency-test family; closed-form
+error bounds; and an indel sequence process over the same interfaces.
 """
 
 from .bounds import (BoundInputs, chebyshev_star_bound, clamp,
@@ -21,7 +21,8 @@ from .ctmc import (AchievingSet, CtmcError, Distribution,
 from .estimators import (EstimatorError, EstimatorReport, RowTable,
                          exclusivity_stats, frequency_estimate,
                          lambda_epsilon, majority_estimate, map_estimate,
-                         restricted_map_estimate, uniform_chain_estimate)
+                         pruned_map_estimate, restricted_map_estimate,
+                         uniform_chain_estimate)
 from .tkf91 import (Tkf91Params, Tkf91Process, mc_rows, stationary_pmf,
                     stationary_sample, tkf91_evolve, tkf91_root_experiment,
                     top_states)
@@ -30,7 +31,7 @@ from .tree import (NestedFamily, Tree, TreeError, TreePoint,
                    extract_well_spread_restriction, generate_family,
                    parse_newick, restrict, spread, stretch_to_height,
                    to_newick, truncate)
-from .treechain import (LeafLaw, exact_leaf_law, exact_leaf_tv, simulate,
-                        simulate_batch)
+from .treechain import (LeafLaw, exact_leaf_law, exact_leaf_tv,
+                        leaf_likelihoods, simulate, simulate_batch)
 
 __version__ = "0.1.0"

@@ -24,19 +24,20 @@ from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
 from .ctmc import (CtmcError, Distribution, RateMatrix, jukes_cantor,
                    load_rate_matrix, two_state_symmetric)
 from .estimators import (EstimatorError, RowTable, frequency_estimate,
-                         lambda_epsilon, majority_estimate, map_estimate,
-                         uniform_chain_estimate)
+                         lambda_epsilon, majority_estimate,
+                         pruned_map_estimate, uniform_chain_estimate)
 from .tkf91 import Tkf91Params, tkf91_root_experiment, write_experiment_csv
 from .tree import (NestedFamily, Tree, TreeError, chosen_leaves,
                    generate_family, parse_newick)
-from .treechain import exact_leaf_law, simulate
+from .treechain import simulate
 
 __all__ = ["main", "run_trials", "validate_config"]
 
 EXIT_OK, EXIT_CONFIG, EXIT_GUARD = 0, 2, 3
 
 # figure1 attaches leaf j at depth 2^-j; from j = 1075 on that underflows
-# to 0 and the first spine edge has length 0
+# to 0 and the first spine edge has length 0.  figure2 builds on the
+# figure1 spine of n_spine vertices, so the same limit holds for it.
 FIGURE1_MAX_K = 1074
 
 
@@ -63,10 +64,14 @@ def _require(cfg: dict, key: str):
 def _build_family(spec: dict) -> NestedFamily:
     kind = _require(spec, "kind")
     params = {k: v for k, v in spec.items() if k not in ("kind", "seed")}
-    k = int(params.get("k", params.get("m", 1)))
-    if kind == "figure1" and k > FIGURE1_MAX_K:
-        raise ConfigError(f"figure1 k must be at most {FIGURE1_MAX_K}: "
-                          "deeper attachment depths 2^-k underflow to 0")
+    spines = {"figure1": ("k", params.get("k", params.get("m", 1))),
+              "figure2": ("n_spine", params.get("n_spine", 3))}
+    if kind in spines:
+        name, size = spines[kind]
+        if int(size) > FIGURE1_MAX_K:
+            raise ConfigError(f"{kind} {name} must be at most "
+                              f"{FIGURE1_MAX_K}: deeper spine depths "
+                              f"2^-{name} underflow to 0")
     return generate_family(kind, params, int(spec.get("seed", 0)))
 
 
@@ -124,9 +129,8 @@ def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix):
     if kind == "majority":
         return lambda obs, rng: (majority_estimate(obs), 0)
     if kind == "map":
-        laws = {i: exact_leaf_law(tree, Q, i) for i in Q.states}
         prior = _uniform_prior(Q)
-        return lambda obs, rng: (map_estimate(laws, prior, obs), 0)
+        return lambda obs, rng: (pruned_map_estimate(tree, Q, prior, obs), 0)
     s = float(_require(est, "s"))
     if s <= 0:
         raise ConfigError("estimator s must be positive")

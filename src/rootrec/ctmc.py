@@ -161,8 +161,8 @@ def transition_matrix(Q: RateMatrix, t: float, tol: float = 1e-12) -> np.ndarray
     rate * t exceeds ``UNIFORMIZATION_CAP`` the series is summed at
     t / 2^k and squared k times.
     """
-    if t < 0:
-        raise CtmcError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise CtmcError(f"time must be nonnegative and finite, got {t}")
     n = Q.n
     rate = float(Q.exit_rates.max())
     if t == 0 or rate == 0.0:

@@ -12,15 +12,19 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .ctmc import Distribution, total_variation, tv_achieving_set, _label_key
+import numpy as np
+
+from .ctmc import (Distribution, RateMatrix, total_variation,
+                   tv_achieving_set, _label_key)
 from .tree import Tree, chosen_leaves, restrict, spread
-from .treechain import _as_process
+from .treechain import _as_process, leaf_likelihoods
 
 __all__ = [
     "EstimatorError",
     "EstimatorReport",
     "RowTable",
     "map_estimate",
+    "pruned_map_estimate",
     "restricted_map_estimate",
     "frequency_estimate",
     "uniform_chain_estimate",
@@ -30,6 +34,8 @@ __all__ = [
 ]
 
 DURATION_TOL = 1e-12
+
+_IMPOSSIBLE = "observation impossible under every root state"
 
 # suite-wide tally of frequency-test invocations and of violations of the
 # at-most-one-passing-state guarantee (expected to stay at zero)
@@ -126,7 +132,7 @@ def _posterior_argmax(laws: dict, prior: Distribution, observed: dict,
         if w > best_w:
             best_state, best_w = i, w
     if best_w <= 0.0 and not allow_zero:
-        raise EstimatorError("observation impossible under every root state")
+        raise EstimatorError(_IMPOSSIBLE)
     return best_state
 
 
@@ -134,6 +140,20 @@ def map_estimate(laws: dict, prior: Distribution, observed: dict) -> object:
     """Posterior argmax over root states; ties go to the smallest label."""
     return _posterior_argmax(laws, prior, observed, laws.keys(),
                              allow_zero=False)
+
+
+def pruned_map_estimate(tree: Tree, Q: RateMatrix, prior: Distribution,
+                        observed: dict) -> int:
+    """``map_estimate`` over every root state of a finite chain, with the
+    leaf likelihoods from Felsenstein pruning in place of enumerated leaf
+    laws, so it runs on trees of any size.  Ties go to the smallest
+    label."""
+    post = np.array([prior.mass(i) for i in Q.states]) * \
+        leaf_likelihoods(tree, Q, observed)
+    best = int(np.argmax(post))
+    if not post[best] > 0.0:
+        raise EstimatorError(_IMPOSSIBLE)
+    return Q.states[best]
 
 
 def restricted_map_estimate(laws: dict, prior: Distribution, observed: dict,

@@ -8,8 +8,10 @@ The stationary length law is geometric with ratio lambda/mu.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +72,18 @@ class Tkf91Params:
     def ratio(self) -> float:
         return self.lam / self.mu
 
+    @functools.cached_property
+    def letter_cdf(self) -> list:
+        """Cumulative letter frequencies, normalized to end at 1, exactly
+        as ``Generator.choice(4, p=freqs)`` computes them."""
+        cdf = np.cumsum(self.freqs)
+        cdf /= cdf[-1]
+        return cdf.tolist()
+
 
 def _draw_letter(params: Tkf91Params, rng) -> str:
-    return ALPHABET[rng.choice(4, p=params.freqs)]
+    # the letter rng.choice(4, p=freqs) draws, from the same one uniform
+    return ALPHABET[bisect_right(params.letter_cdf, rng.random())]
 
 
 def tkf91_evolve(params: Tkf91Params, seq: str, t: float, rng) -> str:
@@ -206,7 +217,7 @@ def tkf91_root_experiment(family, params: Tkf91Params, s: float,
     dedicated substream).  Returns one summary dict per k.
     """
     from .bounds import wilson_interval
-    from .estimators import frequency_estimate
+    from .estimators import RowTable, frequency_estimate
     from .treechain import simulate
 
     if trials < 1:
@@ -214,8 +225,8 @@ def tkf91_root_experiment(family, params: Tkf91Params, s: float,
     ks = list(ks) if ks is not None else list(range(1, len(family) + 1))
     lam_set = top_states(params, epsilon)
     proc = Tkf91Process(params)
-    rows = mc_rows(params, lam_set, h_star, row_samples,
-                   np.random.default_rng([master_seed, 10 ** 9]))
+    rows = RowTable(mc_rows(params, lam_set, h_star, row_samples,
+                            np.random.default_rng([master_seed, 10 ** 9])))
     results = []
     for k in ks:
         tree = family[k - 1]

@@ -56,8 +56,9 @@ class Tree:
         length: dict[str, float] = {}
         children: dict[str, list[str]] = {root: []}
         for u, v, ln in edges:
-            if ln <= 0:
-                raise TreeError(f"edge {u}->{v} has non-positive length {ln}")
+            if not 0 < ln < math.inf:
+                raise TreeError(f"edge {u}->{v} has length {ln}; lengths "
+                                "must be positive and finite")
             if v in parent or v == root:
                 raise TreeError(f"vertex {v} has more than one parent")
             parent[v] = u
@@ -110,6 +111,9 @@ class Tree:
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
+        # caches keyed by tree compare a tree with itself on every lookup
+        if self is other:
+            return True
         if self.root != other.root or self.parent.keys() != other.parent.keys():
             return False
         return all(self.parent[v] == other.parent[v]

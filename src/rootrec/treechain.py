@@ -1,7 +1,8 @@
 """The Markov chain propagated down a tree.
 
 Forward simulation of leaf states (single realization for any generative
-process, vectorized batches for finite chains) and exact leaf-distribution
+process, vectorized batches for finite chains), leaf likelihoods of one
+observation by Felsenstein pruning, and exact leaf-distribution
 computation on small trees, which serves as the brute-force oracle.
 """
 
@@ -20,11 +21,13 @@ __all__ = [
     "LeafLaw",
     "simulate",
     "simulate_batch",
+    "leaf_likelihoods",
     "exact_leaf_law",
     "exact_leaf_tv",
     "write_assignment_csv",
 ]
 
+# largest outcome count the enumerating oracle exact_leaf_law builds
 SIZE_GUARD = 10 ** 6
 
 
@@ -63,11 +66,14 @@ def _as_process(process):
 class _CompiledTree:
     """A tree laid out for one finite chain: edges in topological order,
     each edge's parent as an index into that order (the root is 0, edge
-    e's child is e + 1), each edge's cumulative transition rows, and the
-    leaves with their indices."""
+    e's child is e + 1), each edge's transition matrix and cumulative
+    rows, each edge's child if it is a leaf (else None), and the leaves
+    with their indices."""
 
     parents: list
+    mats: list
     cum: list
+    leaf_of: list
     leaves: list
 
 
@@ -78,7 +84,9 @@ def _compile(tree: Tree, proc: FiniteChainProcess) -> _CompiledTree:
         edges = tree.topo_order[1:]
         c = _CompiledTree(
             parents=[index[tree.parent[v]] for v in edges],
+            mats=[proc.matrix(tree.length[v]) for v in edges],
             cum=[proc.cum_rows(tree.length[v]) for v in edges],
+            leaf_of=[None if tree.children[v] else v for v in edges],
             leaves=[(x, index[x]) for x in tree.leaves])
         proc.compiled[tree] = c
     return c
@@ -134,9 +142,41 @@ def simulate_batch(tree: Tree, Q: RateMatrix, root_state: int, n: int,
     return np.column_stack([states[x] for x in tree.leaves])
 
 
+def leaf_likelihoods(tree: Tree, Q: RateMatrix, observed: dict) -> np.ndarray:
+    """P(leaves = observed | root = i) for i = 1..n, up to one common
+    positive factor, by Felsenstein pruning.
+
+    One pass over the edges in reverse topological order multiplies each
+    child's message into its parent's vector: a leaf sends the column
+    of its edge's transition matrix at its observed state, an inner
+    vertex the matrix times its own vector.  Every product is rescaled
+    by its maximum, so deep or wide trees do not underflow.  All zeros
+    means the observation is impossible under every root state.
+    """
+    proc = _as_process(Q)
+    c = _compile(tree, proc)
+    vecs: list = [None] * (len(c.parents) + 1)
+    for e in range(len(c.parents) - 1, -1, -1):
+        x = c.leaf_of[e]
+        if x is None:
+            msg = c.mats[e] @ vecs[e + 1]
+        else:
+            msg = c.mats[e][:, observed[x] - 1]
+        p = c.parents[e]
+        acc = msg if vecs[p] is None else vecs[p] * msg
+        # on vectors of a few states the builtin max beats ndarray.max
+        top = max(acc.tolist())
+        vecs[p] = acc / top if top > 0.0 else acc
+    if vecs[0] is None:
+        # a single-vertex tree: its root is its one leaf
+        return np.eye(proc.Q.n)[observed[tree.root] - 1]
+    return vecs[0]
+
+
 def exact_leaf_law(tree: Tree, Q: RateMatrix, root_state: int) -> LeafLaw:
     """Exact joint leaf distribution by dynamic programming over the tree:
-    sum over internal states, product over edges."""
+    sum over internal states, product over edges.  It enumerates every
+    leaf outcome, so it serves as the oracle for ``leaf_likelihoods``."""
     n_out = Q.n ** len(tree.leaves)
     if n_out > SIZE_GUARD:
         raise CtmcError(

@@ -1,10 +1,14 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
-from rootrec.cli import (EXIT_CONFIG, EXIT_OK, _build_tree, main,
-                         run_trials, validate_config)
+from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _build_estimator,
+                         _build_tree, _draw_root, _finite_chain_setup,
+                         _uniform_prior, main, run_trials, validate_config)
+from rootrec.estimators import EstimatorError, map_estimate
+from rootrec.treechain import exact_leaf_law, simulate
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -110,6 +114,61 @@ class TestEstimateCommand:
         assert len(out.read_text().splitlines()) == 21
 
 
+class TestMapEstimator:
+    SMALL_MAP = {
+        "family": {"kind": "random_ultrametric", "k": 10, "h": 1.0,
+                   "seed": 3},
+        "process": {"kind": "uniform", "rate": 1.0, "n": 3},
+        "estimator": {"kind": "map"},
+        "trials": 2000,
+        "seed": 12,
+    }
+
+    def test_pruning_agrees_with_enumerated_laws(self):
+        cfg = self.SMALL_MAP
+        tree, Q = _finite_chain_setup(cfg)
+        laws = {i: exact_leaf_law(tree, Q, i) for i in Q.states}
+        prior = _uniform_prior(Q)
+        rows = run_trials(cfg)
+        assert len(rows) == cfg["trials"]
+        for t, truth, state, _ in rows:
+            rng = np.random.default_rng([cfg["seed"], t])
+            assert _draw_root(cfg, Q, rng) == truth
+            obs = simulate(tree, Q, truth, rng)
+            expected = map_estimate(laws, prior, obs)
+            if state != expected:
+                # only a tie between the two best root states may differ
+                post = sorted(prior.mass(i) * laws[i].mass(
+                    laws[i].outcome_of(obs)) for i in Q.states)
+                assert post[-2] >= post[-1] * (1 - 1e-12), t
+
+    def test_impossible_observation_rejected(self, tmp_path):
+        # state 1 jumps to the absorbing state 2; state 3 is absorbing too
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("-1 1 0\n0 0 0\n0 0 0\n")
+        cfg = {"family": {"kind": "star", "k": 2, "h": 1.0},
+               "process": {"kind": "matrix_file", "path": str(qfile)},
+               "estimator": {"kind": "map"}}
+        tree, Q = _finite_chain_setup(cfg)
+        obs = {"L0001": 1, "L0002": 3}
+        est = _build_estimator(cfg, tree, Q)
+        with pytest.raises(EstimatorError, match="impossible"):
+            est(obs, np.random.default_rng(0))
+        laws = {i: exact_leaf_law(tree, Q, i) for i in Q.states}
+        with pytest.raises(EstimatorError, match="impossible"):
+            map_estimate(laws, _uniform_prior(Q), obs)
+
+    def test_runs_past_the_enumeration_guard(self, tmp_path):
+        # 2^201 leaf outcomes: enumerating the leaf laws is out of reach
+        cfg = experiment_cfg(tmp_path, trials=20,
+                             family={"kind": "figure1", "k": 200, "h": 1.0},
+                             estimator={"kind": "map"})
+        path = write_cfg(tmp_path, "e.json", cfg)
+        assert main(["experiment", path]) == EXIT_OK
+        summary = (tmp_path / "out.summary.csv").read_text().splitlines()
+        assert summary[1].startswith("20,")
+
+
 class TestValidateCommand:
     def test_valid_config_empty_report(self, tmp_path):
         cfg = experiment_cfg(tmp_path)
@@ -143,6 +202,31 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_CONFIG
         assert main(["experiment", path]) == EXIT_CONFIG
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_underflowing_figure2_spine_rejected_quickly(self, tmp_path,
+                                                         capsys):
+        cfg = experiment_cfg(tmp_path, family={"kind": "figure2", "k": 5,
+                                               "n_spine": 1075})
+        start = time.perf_counter()
+        problems = validate_config(cfg)
+        assert len(problems) == 1 and "figure2 n_spine" in problems[0]
+        path = write_cfg(tmp_path, "v.json", cfg)
+        assert main(["validate", path]) == EXIT_CONFIG
+        assert main(["experiment", path]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 2.0
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("length", ["inf", "nan"])
+    def test_non_finite_edge_length_rejected_quickly(self, tmp_path, capsys,
+                                                     length):
+        cfg = experiment_cfg(
+            tmp_path, family={"newick": f"(a:{length},b:1,c:1);"})
+        path = write_cfg(tmp_path, "e.json", cfg)
+        start = time.perf_counter()
+        assert main(["experiment", path]) == EXIT_GUARD
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0]
 
     def test_deepest_figure1_runs(self, tmp_path):
         cfg = experiment_cfg(tmp_path, trials=2,

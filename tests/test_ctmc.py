@@ -115,6 +115,12 @@ class TestTransitionMatrix:
         with pytest.raises(CtmcError):
             transition_matrix(two_state_symmetric(), -0.1)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        # at t = inf the halving below the uniformization cap never ends
+        with pytest.raises(CtmcError):
+            transition_matrix(two_state_symmetric(), t)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9), st.integers(2, 5),
            st.floats(-3.0, 4.0))

@@ -9,7 +9,7 @@ from rootrec.tkf91 import (ALPHABET, Tkf91Params, Tkf91Process, mc_rows,
                            stationary_length_pmf, stationary_pmf,
                            stationary_sample, tkf91_evolve,
                            tkf91_root_experiment, top_states,
-                           write_experiment_csv)
+                           write_experiment_csv, _draw_letter)
 from rootrec.tree import generate_family
 from rootrec.treechain import simulate
 
@@ -70,6 +70,20 @@ class TestEvolve:
         for ch, f in zip(ALPHABET, p.freqs):
             assert abs(letters[ch] / total - f) < 4 * math.sqrt(
                 f * (1 - f) / total)
+
+
+class TestDrawLetter:
+    @pytest.mark.parametrize("freqs", [
+        (0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4),
+        (0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 1.0)])
+    def test_same_letter_as_generator_choice(self, freqs):
+        p = Tkf91Params(nu=1.0, lam=1.0, mu=2.0,
+                        **dict(zip(("pi_A", "pi_T", "pi_C", "pi_G"), freqs)))
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(100_000):
+            assert _draw_letter(p, a) == ALPHABET[b.choice(4, p=p.freqs)]
+        # both consumed the stream identically
+        assert a.random() == b.random()
 
 
 class TestStationaryLaw:
@@ -177,6 +191,28 @@ class TestRootExperiment:
             obs = simulate(t, proc, truth, rng)
             rep = frequency_estimate(t, proc, obs, 0.5, 1.0, lam, rows, rng)
             assert rep.state == truth
+
+    def test_row_tables_built_once(self, monkeypatch):
+        # pairwise TVs of the plug-in rows are computed once per run, not
+        # once per trial
+        from rootrec import estimators
+        calls = []
+        real = estimators.total_variation
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(estimators, "total_variation", counted)
+        fam = generate_family("figure1", {"k": 5, "h": 1.0})
+        counts = []
+        for trials in (2, 6):
+            calls.clear()
+            tkf91_root_experiment(fam, STD, s=0.05, h_star=1.0,
+                                  trials=trials, master_seed=3,
+                                  epsilon=0.3, row_samples=50, ks=[3, 5])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_csv_shape(self, tmp_path):
         rows = [{"k": 10, "trials": 5, "errors": 1, "rate": 0.2,

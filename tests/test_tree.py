@@ -34,6 +34,11 @@ class TestTreeBasics:
         with pytest.raises(TreeError):
             Tree("rho", [("rho", "a", -1.0)])
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_finite_lengths_required(self, length):
+        with pytest.raises(TreeError):
+            Tree("rho", [("rho", "a", 1.0), ("rho", "b", length)])
+
     def test_cycle_rejected(self):
         with pytest.raises(TreeError):
             Tree("rho", [("rho", "a", 1.0), ("a", "rho", 1.0)])

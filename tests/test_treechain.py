@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from rootrec import ctmc
 from rootrec.ctmc import (CtmcError, Distribution, FiniteChainProcess,
                           RateMatrix, total_variation, transition_matrix,
                           two_state_symmetric, jukes_cantor)
+from rootrec import tree as tree_module
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import (LeafLaw, exact_leaf_law, exact_leaf_tv,
-                               simulate, simulate_batch,
+                               leaf_likelihoods, simulate, simulate_batch,
                                write_assignment_csv)
 
 
@@ -129,6 +131,19 @@ class TestCompiledSimulate:
         simulate(tree, Q, 2, np.random.default_rng(1))
         assert calls == []
 
+    def test_cache_lookup_skips_edge_comparison(self, monkeypatch):
+        # the compiled-tree cache finds a tree by comparing it with itself
+        tree = generate_family("figure1", {"k": 30})[29]
+        Q = two_state_symmetric(1.0)
+        simulate(tree, Q, 1, np.random.default_rng(0))
+
+        def compared(*args, **kwargs):
+            raise AssertionError("edge-by-edge tree comparison")
+
+        monkeypatch.setattr(tree_module, "math",
+                            SimpleNamespace(isclose=compared))
+        simulate(tree, Q, 2, np.random.default_rng(1))
+
 
 class TestSimulateBatch:
     def test_matches_single_trial_law(self):
@@ -221,6 +236,67 @@ class TestExactLeafLaw:
         tv = 0.5 * sum(abs(emp.get(k, 0) / n - p)
                        for k, p in law.probs.items())
         assert tv < 0.02
+
+
+def random_rate_matrix(rng, n):
+    q = rng.uniform(0.1, 2.0, size=(n, n))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return RateMatrix(q)
+
+
+def caterpillar(depth, length=0.5):
+    """A spine of ``depth`` edges with one pendant leaf per spine vertex."""
+    edges = [(f"s{i}", f"s{i + 1}", length) for i in range(depth)]
+    edges += [(f"s{i}", f"x{i}", length) for i in range(1, depth)]
+    return Tree("s0", edges)
+
+
+class TestLeafLikelihoods:
+    TREES = {
+        "single_vertex": lambda: Tree("a", []),
+        "single_edge": lambda: Tree("rho", [("rho", "x", 0.8)]),
+        "star": lambda: generate_family("star", {"k": 5})[4],
+        "pinched": lambda: pinched2(),
+        "caterpillar": lambda: Tree("rho", [
+            ("rho", "a", 0.2), ("a", "b", 0.3), ("a", "x", 0.8),
+            ("b", "y", 0.5), ("b", "z", 0.5)]),
+        "caterpillar_6": lambda: caterpillar(6),
+        "figure1": lambda: generate_family("figure1", {"k": 6})[5],
+        "random_ultrametric": lambda: generate_family(
+            "random_ultrametric", {"k": 8}, seed=7)[7],
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    def test_matches_enumeration(self, kind, n):
+        tree = self.TREES[kind]()
+        rng = np.random.default_rng([n, len(tree.leaves)])
+        Q = random_rate_matrix(rng, n)
+        laws = [exact_leaf_law(tree, Q, i) for i in Q.states]
+        for _ in range(20):
+            obs = dict(zip(tree.leaves,
+                           rng.integers(1, n + 1, len(tree.leaves)).tolist()))
+            enum = np.array([law.mass(law.outcome_of(obs)) for law in laws])
+            lik = leaf_likelihoods(tree, Q, obs)
+            assert np.abs(lik / lik.sum() - enum / enum.sum()).max() < 1e-12
+
+    def test_impossible_observation_is_all_zero(self):
+        Q = RateMatrix(np.zeros((2, 2)))
+        tree = pinched2()
+        assert not leaf_likelihoods(tree, Q, {"a": 1, "b": 2}).any()
+
+    def test_deep_caterpillar_neither_recurses_nor_underflows(self):
+        # 3000 pendant leaves: the unscaled product is below 1e-900
+        tree = caterpillar(3000)
+        Q = two_state_symmetric(1.0)
+        rng = np.random.default_rng(3)
+        obs = simulate(tree, Q, 1, rng)
+        lik = leaf_likelihoods(tree, Q, obs)
+        assert np.isfinite(lik).all() and lik.max() == 1.0
+        # every leaf in state 1 favours root state 1
+        lik = leaf_likelihoods(tree, Q, {x: 1 for x in tree.leaves})
+        assert lik[0] == 1.0 and 0.0 <= lik[1] < 1.0
 
 
 class TestExactLeafTv:
