@@ -32,6 +32,7 @@ from .tree import (NestedFamily, Tree, TreeError, TreePoint,
                    parse_newick, restrict, spread, stretch_to_height,
                    to_newick, truncate)
 from .treechain import (LeafLaw, exact_leaf_law, exact_leaf_tv,
-                        leaf_likelihoods, simulate, simulate_batch)
+                        leaf_likelihoods, simulate, simulate_batch,
+                        simulated_trials)
 
 __version__ = "0.1.0"

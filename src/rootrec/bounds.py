@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ctmc import Distribution, total_variation
+from .treechain import simulated_trials
 
 __all__ = [
     "BoundInputs",
@@ -189,27 +188,21 @@ def wilson_interval(errors: int, trials: int,
 
 
 def monte_carlo_error(estimate, tree, process, root, trials: int,
-                      master_seed: int, simulate_fn=None) -> dict:
+                      master_seed: int) -> dict:
     """Empirical error rate of an estimator over independent trials.
 
     ``root`` is either a fixed root state or a Distribution to draw from.
-    ``estimate`` maps (leaf assignment, rng) to a state.  Each trial uses
-    the substream seeded by (master_seed, trial index), so results do not
-    depend on execution order.  ``simulate_fn`` overrides the default
-    single-trial tree simulation (used for batch-accelerated paths).
+    ``estimate`` maps (leaf assignment, rng) to a state.  The trials are
+    ``simulated_trials`` keyed by (master_seed,), so trial t uses the
+    substream seeded by (master_seed, t) and results do not depend on
+    execution order.
     """
-    from .treechain import simulate
-
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    sim = simulate_fn or simulate
-    errors = 0
-    for t in range(trials):
-        rng = np.random.default_rng([master_seed, t])
-        truth = root.sample(rng) if isinstance(root, Distribution) else root
-        observed = sim(tree, process, truth, rng)
-        if estimate(observed, rng) != truth:
-            errors += 1
+    draw = root.sample if isinstance(root, Distribution) else lambda rng: root
+    errors = sum(1 for _, truth, observed, rng in simulated_trials(
+        tree, process, draw, (master_seed,), trials)
+        if estimate(observed, rng) != truth)
     lo, hi = wilson_interval(errors, trials)
     return {"errors": errors, "trials": trials, "rate": errors / trials,
             "ci99": (lo, hi)}

@@ -15,8 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
+from functools import partial
 
 from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
                      recon_lower, recon_upper, thm2_general_bound,
@@ -26,10 +25,11 @@ from .ctmc import (CtmcError, Distribution, RateMatrix, jukes_cantor,
 from .estimators import (EstimatorError, RowTable, frequency_estimate,
                          lambda_epsilon, majority_estimate,
                          pruned_map_estimate, uniform_chain_estimate)
-from .tkf91 import Tkf91Params, tkf91_root_experiment, write_experiment_csv
+from .tkf91 import (Tkf91Params, Tkf91Process, stationary_sample,
+                    tkf91_root_experiment, write_experiment_csv)
 from .tree import (NestedFamily, Tree, TreeError, chosen_leaves,
                    generate_family, parse_newick)
-from .treechain import simulate
+from .treechain import simulated_trials
 
 __all__ = ["main", "run_trials", "validate_config"]
 
@@ -184,11 +184,17 @@ def _bound_value(cfg: dict, tree: Tree, Q: RateMatrix):
     return clamp(prop54_uniform_bound(inp))
 
 
-def _draw_root(cfg: dict, Q: RateMatrix, rng) -> int:
+def _root_draw(cfg: dict, Q: RateMatrix):
+    """rng -> root state: uniform over the chain's states, or the config's
+    fixed "root", checked here once rather than on every trial."""
     root = cfg.get("root", "uniform")
     if root == "uniform":
-        return int(rng.integers(Q.n)) + 1
-    return int(root)
+        return lambda rng: int(rng.integers(Q.n)) + 1
+    if root not in Q.states:
+        raise ConfigError(f'root must be "uniform" or a state 1..{Q.n}, '
+                          f"got {root!r}")
+    root = int(root)
+    return lambda rng: root
 
 
 def _finite_chain_setup(cfg: dict) -> tuple:
@@ -201,21 +207,13 @@ def _finite_chain_setup(cfg: dict) -> tuple:
 
 
 def _trial_range(cfg: dict, lo: int, hi: int, setup=None) -> list:
+    """Rows (trial, truth, estimate, fallback) of trials lo to hi - 1."""
     tree, Q = setup or _finite_chain_setup(cfg)
     est = _build_estimator(cfg, tree, Q)
-    seed = int(_require(cfg, "seed"))
-    out = []
-    for t in range(lo, hi):
-        rng = np.random.default_rng([seed, t])
-        truth = _draw_root(cfg, Q, rng)
-        observed = simulate(tree, Q, truth, rng)
-        state, fallback = est(observed, rng)
-        out.append((t, truth, state, fallback))
-    return out
-
-
-def _chunk_worker(args):
-    return _trial_range(*args)
+    trials = simulated_trials(tree, Q, _root_draw(cfg, Q),
+                              (int(_require(cfg, "seed")),), hi, start=lo)
+    return [(t, truth, *est(observed, rng))
+            for t, truth, observed, rng in trials]
 
 
 def run_trials(cfg: dict, workers: int = 1, setup=None) -> list:
@@ -233,14 +231,10 @@ def run_trials(cfg: dict, workers: int = 1, setup=None) -> list:
     workers = max(1, min(workers, trials))
     if workers == 1:
         return _trial_range(cfg, 0, trials, setup)
-    bounds_ = [trials * w // workers for w in range(workers + 1)]
-    chunks = [(cfg, bounds_[w], bounds_[w + 1]) for w in range(workers)]
-    rows = []
+    cuts = [trials * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_chunk_worker, chunks):
-            rows.extend(part)
-    rows.sort(key=lambda r: r[0])
-    return rows
+        parts = pool.map(_trial_range, [cfg] * workers, cuts[:-1], cuts[1:])
+        return [row for part in parts for row in part]
 
 
 def _write_trials_csv(rows, fh) -> None:
@@ -289,20 +283,16 @@ def _emit(cfg, suffix, write_fn) -> None:
 def _cmd_simulate(cfg: dict, workers: int) -> int:
     tree = _build_tree(cfg)
     Q = _build_process(cfg)
-    trials = int(cfg.get("trials", 1))
-    seed = int(_require(cfg, "seed"))
     if isinstance(Q, RateMatrix):
-        proc, draw = Q, lambda rng: _draw_root(cfg, Q, rng)
+        proc, draw = Q, _root_draw(cfg, Q)
     else:
-        from .tkf91 import Tkf91Process, stationary_sample
-        proc, draw = Tkf91Process(Q), lambda rng: stationary_sample(Q, rng)
+        proc, draw = Tkf91Process(Q), partial(stationary_sample, Q)
+    trials = simulated_trials(tree, proc, draw, (int(_require(cfg, "seed")),),
+                              int(cfg.get("trials", 1)))
 
     def write(fh):
         fh.write("trial,root,leaf,state\n")
-        for t in range(trials):
-            rng = np.random.default_rng([seed, t])
-            truth = draw(rng)
-            observed = simulate(tree, proc, truth, rng)
+        for t, truth, observed, _ in trials:
             for leaf in tree.leaves:
                 fh.write(f"{t},{truth},{leaf},{observed[leaf]}\n")
 
@@ -374,16 +364,9 @@ def validate_config(cfg: dict) -> list:
     """All invariant violations, without running anything."""
     problems = []
     try:
-        spec = _require(cfg, "process")
-        kind = _require(spec, "kind")
-        if kind == "tkf91":
-            lam, mu = float(spec.get("lam", 0)), float(spec.get("mu", 0))
-            if not lam < mu:
-                problems.append("lambda must be < mu")
-            else:
-                _build_process(cfg)
-        else:
-            _build_process(cfg)
+        Q = _build_process(cfg)
+        if isinstance(Q, RateMatrix):
+            _root_draw(cfg, Q)
     except (ConfigError, CtmcError) as e:
         problems.append(str(e))
     if "estimator" in cfg:
@@ -401,8 +384,8 @@ def validate_config(cfg: dict) -> list:
                 problems.extend(family.validate())
         except (ConfigError, TreeError) as e:
             problems.append(str(e))
-    if "seed" in cfg and not -2 ** 63 <= int(cfg["seed"]) < 2 ** 64:
-        problems.append("seed must be a 64-bit integer")
+    if "seed" in cfg and not 0 <= int(cfg["seed"]) < 2 ** 64:
+        problems.append("seed must be a non-negative 64-bit integer")
     return problems
 
 

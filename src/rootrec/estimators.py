@@ -240,7 +240,7 @@ def _run_tests(plan: _StretchPlan, counts: Counter, lam, table: RowTable,
     margins: dict = {}
     _EXCLUSIVITY["invocations"] += 1
     for i in lam:
-        ok = True
+        row_margins = {}
         for j in lam:
             if j == i:
                 continue
@@ -248,17 +248,11 @@ def _run_tests(plan: _StretchPlan, counts: Counter, lam, table: RowTable,
             freq = sum(c for st, c in counts.items() if st in aset) / m
             margin = freq - (table.threshold_mass(i, j) - delta / 2.0)
             if margin <= 0.0:
-                ok = False
                 break
-        if ok:
+            row_margins[(i, j)] = margin
+        else:
             passed.append(i)
-            for j in lam:
-                if j == i:
-                    continue
-                aset = table.achieving(i, j)
-                freq = sum(c for st, c in counts.items() if st in aset) / m
-                margins[(i, j)] = freq - (table.threshold_mass(i, j)
-                                          - delta / 2.0)
+            margins.update(row_margins)
     if len(passed) > 1:
         _EXCLUSIVITY["violations"] += 1
         raise AssertionError(
@@ -324,12 +318,3 @@ def majority_estimate(observed: dict) -> int:
         raise EstimatorError(f"majority vote is two-state only, got {bad}")
     n1 = sum(1 for v in observed.values() if v == 1)
     return 1 if n1 > m / 2 else 2
-
-
-def write_report_csv(reports, fh) -> None:
-    """Per-trial estimator reports: trial id, truth, estimate, fallback,
-    worst margin."""
-    fh.write("trial,true_root,estimate,fallback,min_margin\n")
-    for t, (truth, rep) in enumerate(reports):
-        margin = min(rep.margins.values()) if rep.margins else ""
-        fh.write(f"{t},{truth},{rep.state},{int(rep.fallback)},{margin}\n")

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import wilson_interval
 from .ctmc import CtmcError, Distribution
+from .estimators import RowTable, frequency_estimate
+from .treechain import simulated_trials
 
 __all__ = [
     "Tkf91Params",
@@ -213,32 +216,30 @@ def tkf91_root_experiment(family, params: Tkf91Params, s: float,
     ``ks`` selects 1-based family members (default: all).  The root is
     drawn from the stationary law, leaves are simulated down the tree, and
     the frequency-test estimator runs over the high-mass candidate set
-    with Monte Carlo plug-in rows (shared across members, drawn from a
-    dedicated substream).  Returns one summary dict per k.
+    with Monte Carlo plug-in rows (shared across members, drawn from the
+    dedicated substream [master_seed, 10**9]).  Member k's trials are
+    ``simulated_trials`` keyed by (master_seed, k).  Returns one summary
+    dict per k.
     """
-    from .bounds import wilson_interval
-    from .estimators import RowTable, frequency_estimate
-    from .treechain import simulate
-
     if trials < 1:
         raise CtmcError("trials must be at least 1")
     ks = list(ks) if ks is not None else list(range(1, len(family) + 1))
+    for k in ks:
+        if not 1 <= k <= len(family):
+            raise ValueError(f"family member k={k} out of range "
+                             f"1..{len(family)}")
     lam_set = top_states(params, epsilon)
     proc = Tkf91Process(params)
     rows = RowTable(mc_rows(params, lam_set, h_star, row_samples,
                             np.random.default_rng([master_seed, 10 ** 9])))
+    draw = functools.partial(stationary_sample, params)
     results = []
     for k in ks:
         tree = family[k - 1]
-        errors = 0
-        for t in range(trials):
-            rng = np.random.default_rng([master_seed, k, t])
-            truth = stationary_sample(params, rng)
-            observed = simulate(tree, proc, truth, rng)
-            rep = frequency_estimate(tree, proc, observed, s, h_star,
-                                     lam_set, rows, rng)
-            if rep.state != truth:
-                errors += 1
+        errors = sum(1 for _, truth, observed, rng in simulated_trials(
+            tree, proc, draw, (master_seed, k), trials)
+            if frequency_estimate(tree, proc, observed, s, h_star, lam_set,
+                                  rows, rng).state != truth)
         lo, hi = wilson_interval(errors, trials)
         results.append({"k": k, "trials": trials, "errors": errors,
                         "rate": errors / trials, "ci_low": lo, "ci_high": hi})

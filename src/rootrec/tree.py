@@ -471,30 +471,23 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> NestedFamily:
 
 def parse_newick(text: str) -> Tree:
     """Parse a Newick string with branch lengths.  Leaf names are required;
-    unnamed internal vertices get generated ids."""
+    unnamed internal vertices get generated ids.  The parse keeps its open
+    clades on an explicit stack, so deep trees do not exhaust the
+    interpreter's recursion limit."""
     text = text.strip()
     if text.endswith(";"):
         text = text[:-1]
     pos = 0
     counter = 0
-
-    def parse_clade():
-        # returns (name, length or None, list of child clades)
-        nonlocal pos, counter
-        kids = []
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            while True:
-                kids.append(parse_clade())
-                if pos >= len(text):
-                    raise TreeError("unbalanced parentheses in newick input")
-                if text[pos] == ",":
-                    pos += 1
-                    continue
-                if text[pos] == ")":
-                    pos += 1
-                    break
-                raise TreeError(f"newick parse error at offset {pos}")
+    # clades are (name, length or None, list of child clades)
+    open_kids: list = []  # child lists of the clades whose ")" is to come
+    kids: list = []       # children of the clade whose label comes next
+    fresh = True          # whether that clade may still open with "("
+    while True:
+        if fresh:
+            while pos < len(text) and text[pos] == "(":
+                open_kids.append([])
+                pos += 1
         start = pos
         while pos < len(text) and text[pos] not in ":,()":
             pos += 1
@@ -511,32 +504,51 @@ def parse_newick(text: str) -> Tree:
             while pos < len(text) and text[pos] not in ",()":
                 pos += 1
             ln = float(text[start:pos])
-        return name, ln, kids
-
-    top = parse_clade()
+        clade = (name, ln, kids)
+        if not open_kids:
+            break
+        open_kids[-1].append(clade)
+        if pos >= len(text):
+            raise TreeError("unbalanced parentheses in newick input")
+        if text[pos] == ",":
+            kids, fresh = [], True
+        elif text[pos] == ")":
+            kids, fresh = open_kids.pop(), False
+        else:
+            raise TreeError(f"newick parse error at offset {pos}")
+        pos += 1
     if pos != len(text):
         raise TreeError(f"trailing newick input at offset {pos}")
     edges = []
-
-    def collect(node):
-        name, _, kids = node
-        for kid in kids:
-            if kid[1] is None:
-                raise TreeError(f"missing branch length for {kid[0]}")
-            edges.append((name, kid[0], kid[1]))
-            collect(kid)
-
-    collect(top)
-    return Tree(top[0], edges)
+    # (parent name, clade) in preorder
+    stack = [(clade[0], kid) for kid in reversed(clade[2])]
+    while stack:
+        parent, (name, ln, kids) = stack.pop()
+        if ln is None:
+            raise TreeError(f"missing branch length for {name}")
+        edges.append((parent, name, ln))
+        stack.extend((name, kid) for kid in reversed(kids))
+    return Tree(clade[0], edges)
 
 
 def to_newick(tree: Tree) -> str:
-    def fmt(v):
+    out = []
+    # vertices still to write, as 1-tuples, interleaved with the text that
+    # follows them; an explicit stack, as in parse_newick
+    stack: list = [";", (tree.root,)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        (v,) = item
         cs = tree.children[v]
-        label = v
-        if cs:
-            inner = ",".join(f"{fmt(c)}:{tree.length[c]:.17g}" for c in cs)
-            return f"({inner}){label}"
-        return label
-
-    return fmt(tree.root) + ";"
+        if not cs:
+            out.append(v)
+            continue
+        out.append("(")
+        stack.append(f"){v}")
+        for i, c in enumerate(reversed(cs)):
+            stack.append(f":{tree.length[c]:.17g}" + ("," if i else ""))
+            stack.append((c,))
+    return "".join(out)

@@ -1,7 +1,8 @@
 """The Markov chain propagated down a tree.
 
 Forward simulation of leaf states (single realization for any generative
-process, vectorized batches for finite chains), leaf likelihoods of one
+process, vectorized batches for finite chains), the seeded trial loop
+that every experiment draws its trials from, leaf likelihoods of one
 observation by Felsenstein pruning, and exact leaf-distribution
 computation on small trees, which serves as the brute-force oracle.
 """
@@ -20,11 +21,11 @@ from .tree import Tree
 __all__ = [
     "LeafLaw",
     "simulate",
+    "simulated_trials",
     "simulate_batch",
     "leaf_likelihoods",
     "exact_leaf_law",
     "exact_leaf_tv",
-    "write_assignment_csv",
 ]
 
 # largest outcome count the enumerating oracle exact_leaf_law builds
@@ -116,6 +117,22 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
             continue
         states[v] = proc.sample(states[tree.parent[v]], tree.length[v], rng)
     return {x: states[x] for x in tree.leaves}
+
+
+def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
+                     start: int = 0):
+    """The trials ``start`` to ``stop - 1`` of one experiment.
+
+    Trial t seeds its own substream from ``[*key, t]``, draws its
+    root with ``draw_root(rng)`` and its leaves with ``simulate``, and
+    yields ``(t, root, leaves, rng)``; the caller's estimator continues
+    that stream.  Trials depend only on their key and index, so any split
+    of the index range yields the same trials.
+    """
+    for t in range(start, stop):
+        rng = np.random.default_rng([*key, t])
+        root = draw_root(rng)
+        yield t, root, simulate(tree, process, root, rng), rng
 
 
 def simulate_batch(tree: Tree, Q: RateMatrix, root_state: int, n: int,
@@ -237,9 +254,3 @@ def exact_leaf_tv(tree: Tree, Q: RateMatrix, i: int, j: int) -> float:
     a = exact_leaf_law(tree, Q, i)
     b = exact_leaf_law(tree, Q, j)
     return total_variation(a.as_distribution(), b.as_distribution())
-
-
-def write_assignment_csv(assignment: dict, fh) -> None:
-    fh.write("leaf,state\n")
-    for leaf in sorted(assignment):
-        fh.write(f"{leaf},{assignment[leaf]}\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _build_estimator,
-                         _build_tree, _draw_root, _finite_chain_setup,
+                         _build_tree, _finite_chain_setup, _root_draw,
                          _uniform_prior, main, run_trials, validate_config)
 from rootrec.estimators import EstimatorError, map_estimate
 from rootrec.treechain import exact_leaf_law, simulate
@@ -133,7 +133,7 @@ class TestMapEstimator:
         assert len(rows) == cfg["trials"]
         for t, truth, state, _ in rows:
             rng = np.random.default_rng([cfg["seed"], t])
-            assert _draw_root(cfg, Q, rng) == truth
+            assert _root_draw(cfg, Q)(rng) == truth
             obs = simulate(tree, Q, truth, rng)
             expected = map_estimate(laws, prior, obs)
             if state != expected:
@@ -241,6 +241,59 @@ class TestValidateCommand:
         cfg = {"process": {"kind": "two_state"},
                "family": {"kind": "nope", "k": 2}}
         assert any("nope" in p for p in validate_config(cfg))
+
+
+class TestTrialInputs:
+    TKF91 = {"family": {"kind": "figure1", "k": 2, "h": 1.0},
+             "process": {"kind": "tkf91", "nu": 1.0, "lam": 0.5, "mu": 1.0},
+             "estimator": {"s": 0.05, "h_star": 1.0, "row_samples": 10},
+             "trials": 2, "seed": 1}
+
+    @pytest.mark.parametrize("root", [0, 7, "x", None])
+    def test_root_outside_the_chain_rejected(self, tmp_path, capsys, root):
+        cfg = experiment_cfg(tmp_path, root=root)
+        assert validate_config(cfg) == [
+            f'root must be "uniform" or a state 1..2, got {root!r}']
+        path = write_cfg(tmp_path, "e.json", cfg)
+        start = time.perf_counter()
+        assert main(["validate", path]) == EXIT_CONFIG
+        for command in ("experiment", "simulate"):
+            assert main([command, path, "--workers", "2"]) == EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "root must be" in err[0]
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_tkf91_member_outside_the_family_rejected(self, tmp_path, capsys,
+                                                      k):
+        path = write_cfg(tmp_path, "t.json", {**self.TKF91, "ks": [k]})
+        start = time.perf_counter()
+        assert main(["tkf91", path]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: family member k={k} out of range "
+                       f"1..2"]
+
+    @pytest.mark.parametrize("seed", [-5, 2 ** 64])
+    def test_seed_outside_numpy_range_rejected(self, tmp_path, seed):
+        cfg = experiment_cfg(tmp_path, seed=seed)
+        assert validate_config(cfg) == [
+            "seed must be a non-negative 64-bit integer"]
+        assert main(["validate", write_cfg(tmp_path, "v.json", cfg)]) == \
+            EXIT_CONFIG
+
+    def test_newick_deeper_than_recursion_limit(self, tmp_path):
+        depth = 5000
+        newick = ("(" * depth + "L0:1"
+                  + ":1".join(f",L{i}:1)" for i in range(1, depth + 1))
+                  + ";")
+        cfg = experiment_cfg(tmp_path, trials=3, family={"newick": newick},
+                             estimator={"kind": "map"})
+        path = write_cfg(tmp_path, "e.json", cfg)
+        assert main(["validate", path]) == EXIT_OK
+        assert main(["experiment", path]) == EXIT_OK
+        summary = (tmp_path / "out.summary.csv").read_text().splitlines()
+        assert summary[1].startswith("3,")
 
 
 class TestErrorPaths:

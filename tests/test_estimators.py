@@ -12,7 +12,7 @@ from rootrec.estimators import (EstimatorError, RowTable, exclusivity_stats,
                                 frequency_estimate, lambda_epsilon,
                                 majority_estimate, map_estimate,
                                 restricted_map_estimate,
-                                uniform_chain_estimate, write_report_csv)
+                                uniform_chain_estimate)
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import exact_leaf_law, simulate
 
@@ -189,6 +189,43 @@ class TestFrequencyEstimate:
         if rep.passed:
             assert all(v > 0 for v in rep.margins.values())
 
+    @pytest.mark.parametrize("Q,m", [(jukes_cantor(1.0), 31),
+                                     (two_state_symmetric(1.0), 8)])
+    def test_margins_are_the_passing_states_full_row(self, Q, m):
+        # the report keeps every margin of the state that passed and none
+        # of a fallback; at s above the pinch every leaf is chosen and sits
+        # at depth h*, so the test counts are the leaves' own
+        t = pinched(m, s=0.02)
+        table = rows_at(Q, 1.0)
+        delta = table.delta(Q.states)
+        rng = np.random.default_rng(23)
+        passes = 0
+        for _ in range(200):
+            obs = simulate(t, Q, int(rng.integers(Q.n)) + 1, rng)
+            rep = frequency_estimate(t, Q, obs, 0.03, 1.0, Q.states, table,
+                                     rng)
+            if rep.fallback:
+                assert rep.margins == {}
+                continue
+            passes += 1
+            assert rep.m == m
+            i = rep.state
+            counts = {st: list(obs.values()).count(st) for st in Q.states}
+            expect = {}
+            for j in Q.states:
+                if j != i:
+                    aset = table.achieving(i, j)
+                    freq = sum(c for st, c in counts.items()
+                               if st in aset) / m
+                    expect[(i, j)] = freq - (table.threshold_mass(i, j)
+                                             - delta / 2.0)
+            assert rep.margins == pytest.approx(expect, abs=1e-12)
+            assert all(v > 0 for v in rep.margins.values())
+        assert passes > 0
+        if Q.n == 2:
+            # 4-4 ties make the two-state star fall back at times
+            assert passes < 200
+
     def test_deterministic_given_stream(self):
         t = pinched(21)
         Q = two_state_symmetric(1.0)
@@ -293,17 +330,3 @@ class TestMajorityEstimate:
                     err += 0.5 * p
         assert err == pytest.approx(
             pinched_star_majority_error(3, 1.0, 0.05, 1.0), abs=1e-12)
-
-
-class TestReportCsv:
-    def test_columns(self, tmp_path):
-        from rootrec.estimators import EstimatorReport
-        rep = EstimatorReport(state=1, fallback=False, s=0.05, m=3,
-                              spread=0.0, lam=(1, 2), passed=(1,),
-                              margins={(1, 2): 0.25})
-        p = tmp_path / "r.csv"
-        with open(p, "w") as fh:
-            write_report_csv([(1, rep)], fh)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "trial,true_root,estimate,fallback,min_margin"
-        assert lines[1].startswith("0,1,1,0,")

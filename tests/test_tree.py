@@ -358,6 +358,13 @@ class TestNewick:
         with pytest.raises(TreeError):
             parse_newick("((a:1.0;")
 
+    def test_roundtrip_deeper_than_recursion_limit(self):
+        depth = 5000
+        edges = [(f"s{i}", f"s{i + 1}", 0.5) for i in range(depth)]
+        edges += [(f"s{i}", f"x{i}", 0.25) for i in range(1, depth)]
+        t = Tree("s0", edges)
+        assert parse_newick(to_newick(t)) == t
+
 
 class TestChosenLeaves:
     def test_deterministic_smallest_label(self):

@@ -13,7 +13,7 @@ from rootrec import tree as tree_module
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import (LeafLaw, exact_leaf_law, exact_leaf_tv,
                                leaf_likelihoods, simulate, simulate_batch,
-                               write_assignment_csv)
+                               simulated_trials)
 
 
 def naive_leaf_law(tree, Q, root_state):
@@ -326,9 +326,27 @@ class TestExactLeafTv:
         assert joint >= marginal - 1e-12
 
 
-class TestCsv:
-    def test_assignment_csv(self, tmp_path):
-        p = tmp_path / "a.csv"
-        with open(p, "w") as fh:
-            write_assignment_csv({"b": 2, "a": 1}, fh)
-        assert p.read_text() == "leaf,state\na,1\nb,2\n"
+class TestSimulatedTrials:
+    @staticmethod
+    def run(key, stop, start=0):
+        t = generate_family("figure1", {"k": 8, "h": 1.0})[7]
+        Q = jukes_cantor(1.0)
+        # the last entry is where the estimator would continue the stream
+        return [(i, root, leaves, rng.random())
+                for i, root, leaves, rng in simulated_trials(
+                    t, Q, lambda rng: int(rng.integers(4)) + 1, key, stop,
+                    start)]
+
+    def test_split_range_yields_the_same_trials(self):
+        whole = self.run((5,), 30)
+        assert [row[0] for row in whole] == list(range(30))
+        assert self.run((5,), 11) + self.run((5,), 30, start=11) == whole
+
+    def test_trial_t_reads_the_substream_key_then_t(self):
+        t = generate_family("figure1", {"k": 8, "h": 1.0})[7]
+        Q = jukes_cantor(1.0)
+        for i, root, leaves, after in self.run((5, 3), 4):
+            rng = np.random.default_rng([5, 3, i])
+            assert root == int(rng.integers(4)) + 1
+            assert leaves == simulate(t, Q, root, rng)
+            assert after == rng.random()
