@@ -1,10 +1,11 @@
 """Command line interface and experiment orchestration.
 
-Subcommands: simulate, estimate, bounds, experiment, tkf91, validate.
-Each takes a JSON config file.  Exit codes: 0 success, 2 config error,
-3 runtime guard violation.  Trials are seeded as (master seed, trial
-index) substreams and merged by trial index, so results are identical
-for any worker count (ROOTREC_WORKERS or --workers).
+Subcommands simulate, estimate, bounds, experiment, tkf91 and validate
+each read a JSON config through the same section readers.  Exit codes: 0
+success; 2 the config is wrong, found at set-up (reading it and building
+the tree, chain, root draw and estimator) before any trial; 3 a guard
+fired during the trials.  Trials are (master seed, trial index) substreams
+merged by index, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -15,20 +16,20 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 
 from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
                      recon_lower, recon_upper, thm2_general_bound,
                      wilson_interval)
-from .ctmc import (CtmcError, Distribution, RateMatrix, jukes_cantor,
-                   load_rate_matrix, two_state_symmetric)
-from .estimators import (EstimatorError, RowTable, frequency_estimate,
+from .ctmc import (Distribution, RateMatrix, jukes_cantor, load_rate_matrix,
+                   two_state_symmetric)
+from .estimators import (RowTable, _stretch_plan, frequency_estimate,
                          lambda_epsilon, majority_estimate,
                          pruned_map_estimate, uniform_chain_estimate)
 from .tkf91 import (Tkf91Params, Tkf91Process, stationary_sample,
                     tkf91_root_experiment, write_experiment_csv)
-from .tree import (NestedFamily, Tree, TreeError, chosen_leaves,
-                   generate_family, parse_newick)
+from .tree import NestedFamily, Tree, generate_family, parse_newick
 from .treechain import simulated_trials
 
 __all__ = ["main", "run_trials", "validate_config"]
@@ -40,6 +41,11 @@ EXIT_OK, EXIT_CONFIG, EXIT_GUARD = 0, 2, 3
 # figure1 spine of n_spine vertices, so the same limit holds for it.
 FIGURE1_MAX_K = 1074
 
+_REQUIRED = object()
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               list: "a list", dict: "an object"}
+_FAMILY_KEYS = {"k": int, "m": int, "h": float, "s": float, "n_spine": int}
+
 
 class ConfigError(ValueError):
     pass
@@ -48,186 +54,206 @@ class ConfigError(ValueError):
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _typed("config", json.load(fh), dict)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
+def _typed(name: str, value, kind):
+    """``value`` if it has the JSON type ``kind``: a bool is no number, an
+    integer field refuses 2.7, and a number field refuses NaN and ±inf."""
+    if kind is float and type(value) is int and abs(value) < 1e308:
+        value = float(value)
+    if type(value) is not kind or kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, "
+                          f"got {value!r}")
+    return value
+
+
+def _get(spec: dict, key: str, kind, default=_REQUIRED):
+    if key in spec:
+        return _typed(key, spec[key], kind)
+    if default is _REQUIRED:
         raise ConfigError(f"missing config key: {key}")
-    return cfg[key]
+    return default
 
 
-def _build_family(spec: dict) -> NestedFamily:
-    kind = _require(spec, "kind")
-    params = {k: v for k, v in spec.items() if k not in ("kind", "seed")}
+def _positive(name: str, value):
+    if not value > 0:
+        raise ConfigError(f"{name} must be positive")
+    return value
+
+
+def _build_family(cfg: dict) -> NestedFamily:
+    spec = _get(cfg, "family", dict)
+    kind = _get(spec, "kind", str)
+    params = {key: _get(spec, key, t) for key, t in _FAMILY_KEYS.items()
+              if key in spec}
     spines = {"figure1": ("k", params.get("k", params.get("m", 1))),
               "figure2": ("n_spine", params.get("n_spine", 3))}
     if kind in spines:
         name, size = spines[kind]
-        if int(size) > FIGURE1_MAX_K:
+        if size > FIGURE1_MAX_K:
             raise ConfigError(f"{kind} {name} must be at most "
                               f"{FIGURE1_MAX_K}: deeper spine depths "
                               f"2^-{name} underflow to 0")
-    return generate_family(kind, params, int(spec.get("seed", 0)))
+    return generate_family(kind, params, _get(spec, "seed", int, 0))
 
 
 def _build_tree(cfg: dict) -> Tree:
-    spec = _require(cfg, "family")
+    spec = _get(cfg, "family", dict)
     if "newick" in spec:
-        return parse_newick(spec["newick"])
-    family = _build_family(spec)
-    member = int(spec.get("member", len(family)))
+        return parse_newick(_get(spec, "newick", str))
+    family = _build_family(cfg)
+    member = _get(spec, "member", int, len(family))
     if not 1 <= member <= len(family):
         raise ConfigError(f"family member {member} out of range")
     return family[member - 1]
 
 
 def _build_process(cfg: dict):
-    spec = _require(cfg, "process")
-    kind = _require(spec, "kind")
+    spec = _get(cfg, "process", dict)
+    kind = _get(spec, "kind", str)
     if kind == "two_state":
-        return two_state_symmetric(float(spec.get("q", 1.0)))
+        return two_state_symmetric(_get(spec, "q", float, 1.0))
     if kind == "uniform":
-        return jukes_cantor(float(spec.get("rate", 1.0)),
-                            int(spec.get("n", 4)))
+        return jukes_cantor(_get(spec, "rate", float, 1.0),
+                            _get(spec, "n", int, 4))
     if kind == "matrix_file":
-        return load_rate_matrix(_require(spec, "path"))
+        try:
+            return load_rate_matrix(_get(spec, "path", str))
+        except OSError as e:
+            raise ConfigError(f"cannot read rate matrix: {e}") from e
     if kind == "tkf91":
-        return Tkf91Params(nu=float(_require(spec, "nu")),
-                           lam=float(_require(spec, "lam")),
-                           mu=float(_require(spec, "mu")),
-                           **{f"pi_{b}": float(spec.get(f"pi_{b}", 0.25))
-                              for b in "ATCG"})
-    raise ConfigError(f"unknown process kind {spec['kind']!r}")
+        return Tkf91Params(
+            *(_get(spec, key, float) for key in ("nu", "lam", "mu")),
+            **{f"pi_{b}": _get(spec, f"pi_{b}", float, 0.25)
+               for b in "ATCG"})
+    raise ConfigError(f"unknown process kind {kind!r}")
 
 
 def _uniform_prior(Q: RateMatrix) -> Distribution:
     return Distribution({i: 1.0 / Q.n for i in Q.states})
 
 
-def _estimator_lam(cfg: dict, Q: RateMatrix):
-    est = _require(cfg, "estimator")
-    eps = est.get("epsilon")
-    if eps is None:
-        return list(Q.states)
-    return list(lambda_epsilon(_uniform_prior(Q), float(eps)))
+def _test_inputs(est: dict, epsilon) -> tuple:
+    """s, h* and epsilon; above 1, epsilon would leave no candidate."""
+    eps = _get(est, "epsilon", float, epsilon)
+    if eps is not None and not 0 < eps <= 1:
+        raise ConfigError(f"epsilon must lie in (0, 1], got {eps!r}")
+    return (_positive("estimator s", _get(est, "s", float)),
+            _get(est, "h_star", float), eps)
 
 
-def _h_star_rows(Q: RateMatrix, h_star: float) -> RowTable:
-    """Time-h* rows of every state, from the chain's transition cache."""
-    return RowTable({i: Q.process.row(i, h_star) for i in Q.states})
-
-
-def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix):
-    """Returns observed, rng -> (estimate, fallback flag)."""
-    est = _require(cfg, "estimator")
-    kind = _require(est, "kind")
+def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
+    """The estimator, observed, rng -> (estimate, fallback flag), and its
+    bound or None; an h* above a leaf is found here, before any trial."""
+    if not isinstance(Q, RateMatrix):
+        raise ConfigError("the estimator needs a finite-chain process")
+    est = _get(cfg, "estimator", dict)
+    kind = _get(est, "kind", str)
     if kind == "majority":
-        return lambda obs, rng: (majority_estimate(obs), 0)
+        return (lambda obs, rng: (majority_estimate(obs), 0)), None
     if kind == "map":
         prior = _uniform_prior(Q)
-        return lambda obs, rng: (pruned_map_estimate(tree, Q, prior, obs), 0)
-    s = float(_require(est, "s"))
-    if s <= 0:
-        raise ConfigError("estimator s must be positive")
-    h_star = float(_require(est, "h_star"))
-    all_rows = _h_star_rows(Q, h_star)
-    if kind == "frequency":
-        lam = _estimator_lam(cfg, Q)
-
-        def run(obs, rng):
-            rep = frequency_estimate(tree, Q, obs, s, h_star, lam,
-                                     all_rows, rng)
-            return rep.state, int(rep.fallback)
-        return run
-    if kind == "uniform":
-        q_star = Q.q_star
-
-        def run(obs, rng):
-            rep = uniform_chain_estimate(tree, Q, obs, s, h_star, q_star,
-                                         lambda lam_hat: all_rows, rng)
-            return rep.state, int(rep.fallback)
-        return run
-    raise ConfigError(f"unknown estimator kind {kind!r}")
-
-
-def _bound_value(cfg: dict, tree: Tree, Q: RateMatrix):
-    """Matching theoretical bound for the configured estimator, or None."""
-    est = _require(cfg, "estimator")
-    kind = _require(est, "kind")
+        return (lambda obs, rng: (pruned_map_estimate(tree, Q, prior, obs),
+                                  0)), None
     if kind not in ("frequency", "uniform"):
-        return None
-    s = float(_require(est, "s"))
-    h_star = float(_require(est, "h_star"))
-    m = len(chosen_leaves(tree, s))
-    table = _h_star_rows(Q, h_star)
-    if kind == "frequency":
-        lam = _estimator_lam(cfg, Q)
-        eps = float(est.get("epsilon", 0.0))
+        raise ConfigError(f"unknown estimator kind {kind!r}")
+    s, h_star, eps = _test_inputs(est, None)
+    m = _stretch_plan(tree, s, h_star).m
+    table = RowTable({i: Q.process.row(i, h_star) for i in Q.states})
+    # the estimators differ in one argument: q* or the candidate states
+    if kind == "uniform":
+        estimate, arg = uniform_chain_estimate, Q.q_star
+        bound = clamp(prop54_uniform_bound(BoundInputs(
+            f_star=math.exp(-Q.q_star * h_star), q_star=Q.q_star, s=s, m=m,
+            delta_q_hstar=min(table.delta(Q.states), 1.0))))
+    else:
+        lam = list(Q.states if eps is None
+                   else lambda_epsilon(_uniform_prior(Q), eps))
+        estimate, arg = frequency_estimate, lam
         delta = table.delta(lam)
-        if not math.isfinite(delta):
-            return None
-        inp = BoundInputs(epsilon=eps, n_epsilon=len(lam),
-                          delta_epsilon=delta,
-                          q_star_epsilon=max(
-                              max(Q.exit_rates[i - 1] for i in lam), 1.0),
-                          s=s, m=m)
-        return clamp(thm2_general_bound(inp))
-    delta = table.delta(list(Q.states))
-    inp = BoundInputs(f_star=math.exp(-Q.q_star * h_star),
-                      delta_q_hstar=min(delta, 1.0),
-                      q_star=Q.q_star, s=s, m=m)
-    return clamp(prop54_uniform_bound(inp))
+        bound = clamp(thm2_general_bound(BoundInputs(
+            epsilon=eps or 0.0, n_epsilon=len(lam), delta_epsilon=delta,
+            q_star_epsilon=max(max(Q.exit_rates[i - 1] for i in lam), 1.0),
+            s=s, m=m))) if math.isfinite(delta) else None
+
+    def run(obs, rng):
+        rep = estimate(tree, Q, obs, s, h_star, arg, table, rng)
+        return rep.state, int(rep.fallback)
+    return run, bound
 
 
 def _root_draw(cfg: dict, Q: RateMatrix):
     """rng -> root state: uniform over the chain's states, or the config's
-    fixed "root", checked here once rather than on every trial."""
+    fixed "root", the one key of two JSON types."""
     root = cfg.get("root", "uniform")
     if root == "uniform":
         return lambda rng: int(rng.integers(Q.n)) + 1
-    if root not in Q.states:
+    if type(root) is not int or not 1 <= root <= Q.n:
         raise ConfigError(f'root must be "uniform" or a state 1..{Q.n}, '
                           f"got {root!r}")
-    root = int(root)
     return lambda rng: root
 
 
-def _finite_chain_setup(cfg: dict) -> tuple:
-    """The tree and rate matrix of an estimate/experiment config."""
-    tree = _build_tree(cfg)
-    Q = _build_process(cfg)
-    if not isinstance(Q, RateMatrix):
-        raise ConfigError("estimate/experiment need a finite-chain process")
-    return tree, Q
+def _trials(cfg: dict, default=_REQUIRED) -> int:
+    return _positive("trials", _get(cfg, "trials", int, default))
+
+
+def _seed(cfg: dict) -> int:
+    seed = _get(cfg, "seed", int)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError("seed must be a non-negative 64-bit integer")
+    return seed
+
+
+def _tkf91_inputs(cfg: dict, family: NestedFamily) -> dict:
+    """The estimator keywords and "ks" of ``tkf91_root_experiment``."""
+    est = _get(cfg, "estimator", dict)
+    s, h_star, eps = _test_inputs(est, 0.3)
+    ks = _get(cfg, "ks", list, None)
+    for i, k in enumerate(ks or ()):
+        if not 1 <= _typed(f"ks[{i}]", k, int) <= len(family):
+            raise ConfigError(f"family member k={k} out of range "
+                              f"1..{len(family)}")
+    return {"s": s, "h_star": h_star, "epsilon": eps, "ks": ks, "row_samples":
+            _positive("row_samples", _get(est, "row_samples", int, 4000))}
+
+
+def _output(cfg: dict):
+    path = _get(cfg, "output", str, None)
+    head, tail = os.path.split("stdout" if path is None else path)
+    if not tail or not os.path.isdir(head or "."):
+        raise ConfigError(f"output {path!r} names no file in a directory")
+    return path
+
+
+def _trial_setup(cfg: dict) -> tuple:
+    """(tree, Q, estimator, bound, root draw, seed, trials) of a config."""
+    tree, Q = _build_tree(cfg), _build_process(cfg)
+    return (tree, Q, *_build_estimator(cfg, tree, Q), _root_draw(cfg, Q),
+            _seed(cfg), _trials(cfg))
 
 
 def _trial_range(cfg: dict, lo: int, hi: int, setup=None) -> list:
     """Rows (trial, truth, estimate, fallback) of trials lo to hi - 1."""
-    tree, Q = setup or _finite_chain_setup(cfg)
-    est = _build_estimator(cfg, tree, Q)
-    trials = simulated_trials(tree, Q, _root_draw(cfg, Q),
-                              (int(_require(cfg, "seed")),), hi, start=lo)
-    return [(t, truth, *est(observed, rng))
-            for t, truth, observed, rng in trials]
+    tree, Q, est, _, draw, seed, _ = setup or _trial_setup(cfg)
+    return [(t, truth, *est(observed, rng)) for t, truth, observed, rng
+            in simulated_trials(tree, Q, draw, (seed,), hi, start=lo)]
 
 
 def run_trials(cfg: dict, workers: int = 1, setup=None) -> list:
     """All trials of a finite-chain experiment, ordered by trial index.
 
     Trials are independent substreams, so any partition across workers
-    yields the same merged result.  ``setup`` is the config's (tree, rate
-    matrix) pair when the caller has built it, so that one process builds
-    the tree and uniformizes each duration once; worker processes build
-    their own.
+    yields the same merged result.  ``setup`` is the config's
+    ``_trial_setup``, if built; workers build their own.
     """
-    trials = int(_require(cfg, "trials"))
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
+    setup = setup or _trial_setup(cfg)
+    trials = setup[-1]
     workers = max(1, min(workers, trials))
     if workers == 1:
         return _trial_range(cfg, 0, trials, setup)
@@ -243,7 +269,7 @@ def _write_trials_csv(rows, fh) -> None:
         fh.write(f"{t},{truth},{state},{fallback}\n")
 
 
-def _write_summary_csv(cfg, rows, bound, fh) -> None:
+def _write_summary_csv(rows, bound, fh) -> None:
     errors = sum(1 for _, truth, state, _ in rows if state != truth)
     trials = len(rows)
     lo, hi = wilson_interval(errors, trials)
@@ -260,140 +286,130 @@ def _write_summary_csv(cfg, rows, bound, fh) -> None:
              f"{bound_s},{ok}\n")
 
 
-def _out_stream(cfg: dict, suffix: str = ""):
-    path = cfg.get("output")
-    if path is None:
-        return sys.stdout, False
-    return open(path + suffix, "w"), True
-
-
-def _emit(cfg, suffix, write_fn) -> None:
-    fh, close = _out_stream(cfg, suffix)
-    try:
+def _emit(path, suffix: str, write_fn) -> int:
+    with (nullcontext(sys.stdout) if path is None
+          else open(path + suffix, "w")) as fh:
         write_fn(fh)
-    finally:
-        if close:
-            fh.close()
+    return EXIT_OK
+
+
+def _distribution(masses: dict) -> Distribution:
+    return Distribution({int(k): _typed(f"mass of {k}", p, float)
+                         for k, p in masses.items()})
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads and builds all it needs, then returns its run
 
 
-def _cmd_simulate(cfg: dict, workers: int) -> int:
-    tree = _build_tree(cfg)
-    Q = _build_process(cfg)
-    if isinstance(Q, RateMatrix):
-        proc, draw = Q, _root_draw(cfg, Q)
+def _cmd_simulate(cfg: dict, workers: int):
+    tree, proc = _build_tree(cfg), _build_process(cfg)
+    if isinstance(proc, RateMatrix):
+        draw = _root_draw(cfg, proc)
     else:
-        proc, draw = Tkf91Process(Q), partial(stationary_sample, Q)
-    trials = simulated_trials(tree, proc, draw, (int(_require(cfg, "seed")),),
-                              int(cfg.get("trials", 1)))
+        proc, draw = Tkf91Process(proc), partial(stationary_sample, proc)
+    key, trials, out = (_seed(cfg),), _trials(cfg, 1), _output(cfg)
 
     def write(fh):
         fh.write("trial,root,leaf,state\n")
-        for t, truth, observed, _ in trials:
+        for t, truth, observed, _ in simulated_trials(tree, proc, draw, key,
+                                                      trials):
             for leaf in tree.leaves:
                 fh.write(f"{t},{truth},{leaf},{observed[leaf]}\n")
-
-    _emit(cfg, "", write)
-    return EXIT_OK
+    return partial(_emit, out, "", write)
 
 
-def _cmd_estimate(cfg: dict, workers: int) -> int:
-    rows = run_trials(cfg, workers)
-    _emit(cfg, "", lambda fh: _write_trials_csv(rows, fh))
-    return EXIT_OK
+def _cmd_estimate(cfg: dict, workers: int):
+    setup, out = _trial_setup(cfg), _output(cfg)
+    return lambda: _emit(out, "", partial(_write_trials_csv,
+                                          run_trials(cfg, workers, setup)))
 
 
-def _cmd_experiment(cfg: dict, workers: int) -> int:
-    setup = _finite_chain_setup(cfg)
-    bound = _bound_value(cfg, *setup)
-    rows = run_trials(cfg, workers, setup)
-    _emit(cfg, ".trials.csv" if cfg.get("output") else "",
-          lambda fh: _write_trials_csv(rows, fh))
-    _emit(cfg, ".summary.csv" if cfg.get("output") else "",
-          lambda fh: _write_summary_csv(cfg, rows, bound, fh))
-    return EXIT_OK
+def _cmd_experiment(cfg: dict, workers: int):
+    setup, out = _trial_setup(cfg), _output(cfg)
+
+    def run():
+        rows = run_trials(cfg, workers, setup)
+        _emit(out, ".trials.csv", partial(_write_trials_csv, rows))
+        return _emit(out, ".summary.csv",
+                     partial(_write_summary_csv, rows, setup[3]))
+    return run
 
 
-def _cmd_bounds(cfg: dict, workers: int) -> int:
+def _cmd_bounds(cfg: dict, workers: int):
     lines = []
     if "recon" in cfg:
-        spec = cfg["recon"]
-        prior = Distribution({int(k): v
-                              for k, v in _require(spec, "prior").items()})
-        conds = {int(k): Distribution({int(s): p for s, p in d.items()})
-                 for k, d in _require(spec, "conditionals").items()}
+        spec = _get(cfg, "recon", dict)
+        prior = _distribution(_get(spec, "prior", dict))
+        conds = {int(k): _distribution(_typed(f"conditionals[{k}]", d, dict))
+                 for k, d in _get(spec, "conditionals", dict).items()}
+        if set(prior.support) - set(conds):
+            raise ConfigError("conditionals must cover every prior state")
         lines.append(f"recon_upper,{recon_upper(prior, conds):.10g}")
         lines.append(
             f"recon_lower,{recon_lower(prior, conds, prior.support):.10g}")
-    if "estimator" in cfg and "process" in cfg and "family" in cfg:
-        tree = _build_tree(cfg)
-        Q = _build_process(cfg)
-        if isinstance(Q, RateMatrix):
-            bound = _bound_value(cfg, tree, Q)
-            if bound is not None:
-                lines.append(f"estimator_bound,{bound:.10g}")
+    if "estimator" in cfg:
+        bound = _build_estimator(cfg, _build_tree(cfg),
+                                 _build_process(cfg))[1]
+        if bound is not None:
+            lines.append(f"estimator_bound,{bound:.10g}")
     if not lines:
         raise ConfigError("nothing to bound: give recon and/or estimator")
-    _emit(cfg, "", lambda fh: fh.write("".join(ln + "\n" for ln in lines)))
-    return EXIT_OK
+    text = "".join(ln + "\n" for ln in lines)
+    return partial(_emit, _output(cfg), "", lambda fh: fh.write(text))
 
 
-def _cmd_tkf91(cfg: dict, workers: int) -> int:
-    family = _build_family(_require(cfg, "family"))
-    params = _build_process(cfg)
+def _cmd_tkf91(cfg: dict, workers: int):
+    family, params = _build_family(cfg), _build_process(cfg)
     if not isinstance(params, Tkf91Params):
         raise ConfigError("tkf91 subcommand needs a tkf91 process")
-    est = _require(cfg, "estimator")
-    results = tkf91_root_experiment(
-        family, params,
-        s=float(_require(est, "s")),
-        h_star=float(_require(est, "h_star")),
-        trials=int(_require(cfg, "trials")),
-        master_seed=int(_require(cfg, "seed")),
-        epsilon=float(est.get("epsilon", 0.3)),
-        row_samples=int(est.get("row_samples", 4000)),
-        ks=cfg.get("ks"))
-    _emit(cfg, "", lambda fh: write_experiment_csv(results, fh))
-    return EXIT_OK
+    inputs = _tkf91_inputs(cfg, family)
+    trials, seed, out = _trials(cfg), _seed(cfg), _output(cfg)
+
+    def run():
+        results = tkf91_root_experiment(family, params, trials=trials,
+                                        master_seed=seed, **inputs)
+        return _emit(out, "", partial(write_experiment_csv, results))
+    return run
 
 
 def validate_config(cfg: dict) -> list:
-    """All invariant violations, without running anything."""
+    """What the commands' readers raise on the sections the config has."""
     problems = []
-    try:
-        Q = _build_process(cfg)
-        if isinstance(Q, RateMatrix):
-            _root_draw(cfg, Q)
-    except (ConfigError, CtmcError) as e:
-        problems.append(str(e))
-    if "estimator" in cfg:
-        est = cfg["estimator"]
-        if est.get("kind") in ("frequency", "uniform"):
-            if float(est.get("s", 0)) <= 0:
-                problems.append("estimator s must be positive")
-    if "family" in cfg:
+
+    def read(reader, *args):
+        # a reader whose input could not be read has nothing to check
+        if any(arg is None for arg in args):
+            return None
         try:
-            spec = cfg["family"]
-            if "newick" in spec:
-                parse_newick(spec["newick"])
-            else:
-                family = _build_family(spec)
-                problems.extend(family.validate())
-        except (ConfigError, TreeError) as e:
+            return reader(cfg, *args)
+        except ValueError as e:
             problems.append(str(e))
-    if "seed" in cfg and not 0 <= int(cfg["seed"]) < 2 ** 64:
-        problems.append("seed must be a non-negative 64-bit integer")
+
+    Q = read(_build_process) if "process" in cfg else None
+    if isinstance(Q, RateMatrix):
+        read(_root_draw, Q)
+    if isinstance(Q, Tkf91Params) and "estimator" in cfg:
+        read(_tkf91_inputs, read(_build_family))
+    elif "family" in cfg:
+        tree = read(_build_tree)
+        if isinstance(Q, RateMatrix) and "estimator" in cfg:
+            read(_build_estimator, tree, Q)
+    for key, reader in (("trials", _trials), ("seed", _seed),
+                        ("output", _output)):
+        if key in cfg:
+            read(reader)
     return problems
 
 
-def _cmd_validate(cfg: dict, workers: int) -> int:
+def _cmd_validate(cfg: dict, workers: int):
     problems = validate_config(cfg)
-    for p in problems:
-        print(f"violation: {p}")
-    return EXIT_CONFIG if problems else EXIT_OK
+
+    def run():
+        for p in problems:
+            print(f"violation: {p}")
+        return EXIT_CONFIG if problems else EXIT_OK
+    return run
 
 
 _COMMANDS = {
@@ -415,16 +431,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int,
                         default=int(os.environ.get("ROOTREC_WORKERS", "1")))
     args = parser.parse_args(argv)
+    # ConfigError, CtmcError, TreeError and EstimatorError are ValueErrors
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, max(1, args.workers))
-    except (ConfigError, ValueError) as e:
-        if isinstance(e, (CtmcError, TreeError, EstimatorError)):
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_GUARD
+        run = _COMMANDS[args.command](_load_config(args.config),
+                                      max(1, args.workers))
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except AssertionError as e:
+    try:
+        return run()
+    except (ValueError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_GUARD
 

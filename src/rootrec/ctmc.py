@@ -362,6 +362,8 @@ def two_state_symmetric(q: float = 1.0) -> RateMatrix:
 
 def jukes_cantor(total_rate: float = 1.0, n: int = 4) -> RateMatrix:
     """Uniform n-state chain with exit rate ``total_rate`` from every state."""
+    if n < 2:
+        raise CtmcError(f"a uniform chain needs at least 2 states, got {n}")
     r = total_rate / (n - 1)
     q = np.full((n, n), r)
     np.fill_diagonal(q, -total_rate)

@@ -286,11 +286,12 @@ def frequency_estimate(tree: Tree, process, observed: dict, s: float,
 
 
 def uniform_chain_estimate(tree: Tree, process, observed: dict, s: float,
-                           h_star: float, q_star: float, rows_provider,
+                           h_star: float, q_star: float, rows,
                            rng) -> EstimatorReport:
     """Frequency-test estimate with the data-driven candidate set for
     chains whose rates are bounded by ``q_star``: candidates are the states
-    whose stretched-restriction frequency reaches half of e^(-q* h*)."""
+    whose stretched-restriction frequency reaches half of e^(-q* h*), and
+    ``rows``, as in ``frequency_estimate``, must cover them."""
     if q_star < 1.0:
         raise EstimatorError("q_star must be at least 1")
     f_star = math.exp(-q_star * h_star)
@@ -303,8 +304,7 @@ def uniform_chain_estimate(tree: Tree, process, observed: dict, s: float,
         choice = observed_states[rng.integers(len(observed_states))]
         return EstimatorReport(state=choice, fallback=True, s=s, m=plan.m,
                                spread=plan.spread, lam=(), passed=())
-    table = _as_row_table(rows_provider(lam_hat))
-    return _run_tests(plan, counts, lam_hat, table, rng)
+    return _run_tests(plan, counts, lam_hat, _as_row_table(rows), rng)
 
 
 def majority_estimate(observed: dict) -> int:

@@ -333,7 +333,8 @@ class NestedFamily:
             if not set(prev.leaves) <= set(cur.leaves):
                 problems.append(f"tree {k}: leaf set not nested")
                 continue
-            if restrict(cur, prev.leaves) != prev:
+            # restriction suppresses degree-2 vertices such as the pinch
+            if restrict(cur, prev.leaves) != restrict(prev, prev.leaves):
                 problems.append(f"tree {k}: restriction to tree {k - 1} "
                                 "leaves differs from it")
         return problems

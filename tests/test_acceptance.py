@@ -22,7 +22,8 @@ import pytest
 
 from rootrec.bounds import (BoundInputs, prop54_uniform_bound, recon_lower,
                             recon_upper, variance_bound, wilson_interval)
-from rootrec.cli import _bound_value, _build_process, _build_tree, run_trials
+from rootrec.cli import (_build_estimator, _build_process, _build_tree,
+                         run_trials)
 from rootrec.ctmc import (Distribution, RateMatrix, identifiability_margin,
                           jukes_cantor, row_distribution, total_variation,
                           transition_matrix, two_state_symmetric)
@@ -196,7 +197,8 @@ def _deep_family_bound(k):
     """The Theorem 2 bound that `rootrec experiment` reports for member k
     of the figure1 family in the c07 configuration."""
     cfg = _deep_family_config(k)
-    return _bound_value(cfg, _build_tree(cfg), _build_process(cfg))
+    _, bound = _build_estimator(cfg, _build_tree(cfg), _build_process(cfg))
+    return bound
 
 
 def test_c07a_deep_family_error_below_bound():
@@ -243,7 +245,7 @@ def test_c08_uniform_chain_minimax():
             rng = np.random.default_rng([108, truth, trial])
             obs = simulate(t, Q, truth, rng)
             rep = uniform_chain_estimate(t, Q, obs, s, h_star, Q.q_star,
-                                         lambda lam: table, rng)
+                                         table, rng)
             errors += rep.state != truth
         rate = errors / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)

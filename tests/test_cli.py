@@ -1,11 +1,19 @@
+import copy
+import importlib.util
 import json
+import re
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import test_substreams
 from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _build_estimator,
-                         _build_tree, _finite_chain_setup, _root_draw,
+                         _build_process, _build_tree, _root_draw,
                          _uniform_prior, main, run_trials, validate_config)
 from rootrec.estimators import EstimatorError, map_estimate
 from rootrec.treechain import exact_leaf_law, simulate
@@ -126,7 +134,7 @@ class TestMapEstimator:
 
     def test_pruning_agrees_with_enumerated_laws(self):
         cfg = self.SMALL_MAP
-        tree, Q = _finite_chain_setup(cfg)
+        tree, Q = _build_tree(cfg), _build_process(cfg)
         laws = {i: exact_leaf_law(tree, Q, i) for i in Q.states}
         prior = _uniform_prior(Q)
         rows = run_trials(cfg)
@@ -149,9 +157,9 @@ class TestMapEstimator:
         cfg = {"family": {"kind": "star", "k": 2, "h": 1.0},
                "process": {"kind": "matrix_file", "path": str(qfile)},
                "estimator": {"kind": "map"}}
-        tree, Q = _finite_chain_setup(cfg)
+        tree, Q = _build_tree(cfg), _build_process(cfg)
         obs = {"L0001": 1, "L0002": 3}
-        est = _build_estimator(cfg, tree, Q)
+        est, _ = _build_estimator(cfg, tree, Q)
         with pytest.raises(EstimatorError, match="impossible"):
             est(obs, np.random.default_rng(0))
         laws = {i: exact_leaf_law(tree, Q, i) for i in Q.states}
@@ -223,7 +231,7 @@ class TestValidateCommand:
             tmp_path, family={"newick": f"(a:{length},b:1,c:1);"})
         path = write_cfg(tmp_path, "e.json", cfg)
         start = time.perf_counter()
-        assert main(["experiment", path]) == EXIT_GUARD
+        assert main(["experiment", path]) == EXIT_CONFIG
         assert time.perf_counter() - start < 2.0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "finite" in err[0]
@@ -235,6 +243,9 @@ class TestValidateCommand:
         assert len(tree.leaves) == 1075
         assert min(tree.length.values()) == 2.0 ** -1074
         path = write_cfg(tmp_path, "e.json", cfg)
+        start = time.perf_counter()
+        assert main(["validate", path]) == EXIT_OK
+        assert time.perf_counter() - start < 2.0
         assert main(["experiment", path]) == EXIT_OK
 
     def test_bad_family_flagged(self):
@@ -310,3 +321,149 @@ class TestErrorPaths:
                          {"family": {"kind": "star", "k": 2}})
         assert main(["simulate", path]) == EXIT_CONFIG
         assert "process" in capsys.readouterr().err
+
+
+def replaced(cfg, path, value):
+    """A copy of ``cfg`` with the value at ``path`` (a key sequence; empty
+    for the whole config) replaced."""
+    if not path:
+        return value
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+BASES = {"experiment": experiment_cfg,
+         "tkf91": lambda tmp_path: {**test_substreams.TKF91,
+                                    "output": str(tmp_path / "out")}}
+
+# (base config, path, value, command): each config is wrong, so validate
+# and the command both end in exit 2 before any trial
+BAD_CONFIGS = {
+    "trials-null": ("experiment", ("trials",), None, "experiment"),
+    "trials-2.7": ("experiment", ("trials",), 2.7, "experiment"),
+    "seed-1.5": ("experiment", ("seed",), 1.5, "experiment"),
+    "family-int": ("experiment", ("family",), 5, "experiment"),
+    "config-null": ("experiment", (), None, "experiment"),
+    "estimator-text": ("experiment", ("estimator",), "map", "experiment"),
+    "estimator-kind": ("experiment", ("estimator",), {"kind": "nope"},
+                       "experiment"),
+    "no-h-star": ("experiment", ("estimator",),
+                  {"kind": "frequency", "s": 0.05}, "experiment"),
+    "member-0": ("experiment", ("family", "member"), 0, "experiment"),
+    "q-negative": ("experiment", ("process", "q"), -1, "experiment"),
+    "h-negative": ("experiment", ("family", "h"), -1, "experiment"),
+    "pinch-above-h": ("experiment", ("family",),
+                      {"kind": "pinched_star", "m": 3, "s": 2, "h": 1},
+                      "experiment"),
+    "newick-inf": ("experiment", ("family",),
+                   {"newick": "(a:inf,b:1,c:1);"}, "experiment"),
+    "epsilon-negative": ("experiment", ("estimator", "epsilon"), -1,
+                         "experiment"),
+    "h-star-above-leaves": ("experiment", ("estimator", "h_star"), 0.5,
+                            "experiment"),
+    "output-dir-missing": ("experiment", ("output",), "no-such-dir/out",
+                           "experiment"),
+    "ks-text": ("tkf91", ("ks",), ["a"], "tkf91"),
+    "ks-int": ("tkf91", ("ks",), 5, "tkf91"),
+    "ks-float": ("tkf91", ("ks",), [1.5], "tkf91"),
+    "row-samples-0": ("tkf91", ("estimator", "row_samples"), 0, "tkf91"),
+}
+
+
+@pytest.mark.parametrize("base,path,value,command",
+                         list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
+def test_bad_config_is_exit_2_from_every_command(tmp_path, capsys, base,
+                                                 path, value, command):
+    cfg = replaced(BASES[base](tmp_path), path, value)
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["validate", path]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert main([command, path]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def paths(node, prefix=()):
+    """Every key path in a JSON value, the empty path included."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from paths(child, prefix + (key,))
+
+
+def json_values(ints):
+    scalars = (st.none() | st.booleans() | ints | st.floats()
+               | st.text(max_size=6))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=6), inner,
+                                         max_size=3)),
+        max_leaves=6)
+
+
+SMALL_INTS = st.integers(-3, 60)
+# validate runs nothing, so it also meets sizes that no run could take
+VALIDATE_INTS = SMALL_INTS | st.sampled_from([1075, 2 ** 63, 2 ** 64])
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("command,ints", [("validate", VALIDATE_INTS),
+                                          ("experiment", SMALL_INTS)])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_value_exits_0_2_or_3(tmp_path, capsys, base, command,
+                                       ints, data):
+    cfg = BASES[base](tmp_path)
+    path = data.draw(st.sampled_from(list(paths(cfg))), label="path")
+    cfg = replaced(cfg, path, data.draw(json_values(ints), label="value"))
+    if isinstance(cfg, dict) and isinstance(cfg.get("output"), str):
+        # keep every file the command writes inside tmp_path
+        cfg["output"] = str(tmp_path / "out")
+    config = write_cfg(tmp_path, "fuzz.json", cfg)
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main([command, config])
+    assert time.perf_counter() - start < 2.0
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GUARD)
+    assert len(capsys.readouterr().err.splitlines()) <= 1
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _bench_workloads() -> dict:
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REPO / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _corpus() -> dict:
+    corpus = {f"bench-{name}": w.config(12, w.trials, "out")
+              for name, w in _bench_workloads().items()}
+    corpus.update((f"substreams-{name}", getattr(test_substreams, name))
+                  for name in ("FREQUENCY", "UNIFORM", "MAP", "TKF91",
+                               "SIMULATE", "SIMULATE_TKF91"))
+    readme = (REPO / "README.md").read_text()
+    example = re.search(r"cat > exp.json <<'EOF'\n(.*?)\nEOF", readme, re.S)
+    corpus["readme-example"] = json.loads(example.group(1))
+    return corpus
+
+
+CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_config_corpus_is_valid(name):
+    # the benchmark's workloads, the pinned-digest runs and the README
+    # example: the readers refuse none of them
+    assert validate_config(CORPUS[name]) == []

@@ -266,14 +266,10 @@ class TestUniformChainEstimate:
         Q = RateMatrix(np.zeros((3, 3)))
         t = pinched(9)
         rng = np.random.default_rng(6)
-
-        def provider(lam_hat):
-            return rows_at(Q, 1.0, lam_hat)
-
         for truth in (1, 2, 3):
             obs = simulate(t, Q, truth, rng)
             rep = uniform_chain_estimate(t, Q, obs, 0.03, 1.0, 1.0,
-                                         provider, rng)
+                                         rows_at(Q, 1.0, Q.states), rng)
             assert rep.state == truth and not rep.fallback
             assert rep.lam == (truth,)
 
@@ -287,7 +283,7 @@ class TestUniformChainEstimate:
         obs = {x: 1 for x in t.leaves}
         obs[t.leaves[0]] = 2  # frequency 0.01
         rep = uniform_chain_estimate(t, Q, obs, 0.02, 1.0, 1.0,
-                                     lambda lam: rows_at(Q, 1.0, lam), rng)
+                                     rows_at(Q, 1.0, Q.states), rng)
         assert rep.lam == (1,)
         assert rep.state == 1
 
@@ -297,8 +293,7 @@ class TestUniformChainEstimate:
         rng = np.random.default_rng(8)
         with pytest.raises(EstimatorError):
             uniform_chain_estimate(t, Q, {x: 1 for x in t.leaves}, 0.03,
-                                   1.0, 0.5, lambda lam: rows_at(Q, 1.0, lam),
-                                   rng)
+                                   1.0, 0.5, rows_at(Q, 1.0, Q.states), rng)
 
 
 class TestMajorityEstimate:

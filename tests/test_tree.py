@@ -283,11 +283,18 @@ class TestFamilies:
         assert spread(t) == pytest.approx(0.05)
 
     def test_families_nested(self):
-        for kind, params in [("figure1", {"k": 6, "h": 1.0}),
+        for kind, params in [("star", {"k": 6, "h": 1.0}),
+                             ("pinched_star", {"m": 6, "s": 0.1, "h": 1.0}),
+                             ("figure1", {"k": 6, "h": 1.0}),
                              ("figure2", {"k": 6, "n_spine": 3, "h": 1.0}),
                              ("random_ultrametric", {"k": 8, "h": 1.0})]:
             fam = generate_family(kind, params, seed=3)
             assert fam.validate() == [], kind
+        moved = NestedFamily([Tree("rho", [("rho", "a", 1.0)]),
+                              Tree("rho", [("rho", "a", 2.0),
+                                           ("rho", "b", 2.0)])])
+        assert moved.validate() == [
+            "tree 1: restriction to tree 0 leaves differs from it"]
 
     def test_random_ultrametric_is_ultrametric(self):
         fam = generate_family("random_ultrametric", {"k": 10, "h": 2.0},
