@@ -1,9 +1,9 @@
 """Root-state reconstruction for Markov chains on edge-weighted trees.
 
 Trees and their truncations, restrictions, and spreads; finite-state
-chain machinery; exact and simulated leaf laws and pruned leaf
-likelihoods; root estimators with the frequency-test family; closed-form
-error bounds; and an indel sequence process over the same interfaces.
+chain machinery; simulated leaves and pruned leaf likelihoods; root
+estimators with the frequency-test family; closed-form error bounds; and
+an indel sequence process over the same interfaces.
 """
 
 from .bounds import (BoundInputs, chebyshev_star_bound, clamp,
@@ -12,27 +12,23 @@ from .bounds import (BoundInputs, chebyshev_star_bound, clamp,
                      prop54_valid, recon_lower, recon_upper,
                      thm2_general_bound, thm2_valid, variance_bound,
                      wilson_interval)
-from .ctmc import (AchievingSet, CtmcError, Distribution,
-                   FiniteChainProcess, GenerativeProcess, RateMatrix,
-                   identifiability_margin, jukes_cantor, load_rate_matrix,
-                   row_distribution, sample_endpoint, star_norm,
-                   star_norm_diff, total_variation, transition_matrix,
-                   tv_achieving_set, two_state_symmetric)
+from .ctmc import (AchievingSet, CtmcError, Distribution, GenerativeProcess,
+                   RateMatrix, identifiability_margin, jukes_cantor,
+                   load_rate_matrix, row_distribution, sample_endpoint,
+                   star_norm, star_norm_diff, total_variation,
+                   transition_matrix, tv_achieving_set, two_state_symmetric)
 from .estimators import (EstimatorError, EstimatorReport, RowTable,
                          exclusivity_stats, frequency_estimate,
                          lambda_epsilon, majority_estimate, map_estimate,
-                         pruned_map_estimate, restricted_map_estimate,
                          uniform_chain_estimate)
-from .tkf91 import (Tkf91Params, Tkf91Process, mc_rows, stationary_pmf,
-                    stationary_sample, tkf91_evolve, tkf91_root_experiment,
-                    top_states)
+from .tkf91 import (Tkf91Params, mc_rows, stationary_pmf, stationary_sample,
+                    tkf91_evolve, tkf91_root_experiment, top_states)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint,
                    big_bang_profile, chosen_leaves, descendant_leaves,
                    extract_well_spread_restriction, generate_family,
                    parse_newick, restrict, spread, stretch_to_height,
                    to_newick, truncate)
-from .treechain import (LeafLaw, exact_leaf_law, exact_leaf_tv,
-                        leaf_likelihoods, simulate, simulate_batch,
+from .treechain import (leaf_likelihoods, simulate, simulate_batch,
                         simulated_trials)
 
 __version__ = "0.1.0"

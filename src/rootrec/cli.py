@@ -25,10 +25,10 @@ from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
 from .ctmc import (Distribution, RateMatrix, jukes_cantor, load_rate_matrix,
                    two_state_symmetric)
 from .estimators import (RowTable, _stretch_plan, frequency_estimate,
-                         lambda_epsilon, majority_estimate,
-                         pruned_map_estimate, uniform_chain_estimate)
-from .tkf91 import (Tkf91Params, Tkf91Process, stationary_sample,
-                    tkf91_root_experiment, write_experiment_csv)
+                         lambda_epsilon, majority_estimate, map_estimate,
+                         uniform_chain_estimate)
+from .tkf91 import (Tkf91Params, stationary_sample, tkf91_root_experiment,
+                    write_experiment_csv)
 from .tree import NestedFamily, Tree, generate_family, parse_newick
 from .treechain import simulated_trials
 
@@ -45,6 +45,8 @@ _REQUIRED = object()
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                list: "a list", dict: "an object"}
 _FAMILY_KEYS = {"k": int, "m": int, "h": float, "s": float, "n_spine": int}
+# experiment writes output + each suffix; the other commands write output
+_EXPERIMENT_SUFFIXES = (".trials.csv", ".summary.csv")
 
 
 class ConfigError(ValueError):
@@ -158,13 +160,13 @@ def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
         return (lambda obs, rng: (majority_estimate(obs), 0)), None
     if kind == "map":
         prior = _uniform_prior(Q)
-        return (lambda obs, rng: (pruned_map_estimate(tree, Q, prior, obs),
+        return (lambda obs, rng: (map_estimate(tree, Q, prior, obs),
                                   0)), None
     if kind not in ("frequency", "uniform"):
         raise ConfigError(f"unknown estimator kind {kind!r}")
     s, h_star, eps = _test_inputs(est, None)
     m = _stretch_plan(tree, s, h_star).m
-    table = RowTable({i: Q.process.row(i, h_star) for i in Q.states})
+    table = RowTable({i: Q.row(i, h_star) for i in Q.states})
     # the estimators differ in one argument: q* or the candidate states
     if kind == "uniform":
         estimate, arg = uniform_chain_estimate, Q.q_star
@@ -223,11 +225,16 @@ def _tkf91_inputs(cfg: dict, family: NestedFamily) -> dict:
             _positive("row_samples", _get(est, "row_samples", int, 4000))}
 
 
-def _output(cfg: dict):
+def _output(cfg: dict, suffixes=("",)):
+    """The output path, None for stdout; no file it names with one of
+    ``suffixes`` may be an existing directory."""
     path = _get(cfg, "output", str, None)
     head, tail = os.path.split("stdout" if path is None else path)
     if not tail or not os.path.isdir(head or "."):
         raise ConfigError(f"output {path!r} names no file in a directory")
+    for name in () if path is None else (path + s for s in suffixes):
+        if os.path.isdir(name):
+            raise ConfigError(f"output {name!r} is a directory")
     return path
 
 
@@ -304,10 +311,8 @@ def _distribution(masses: dict) -> Distribution:
 
 def _cmd_simulate(cfg: dict, workers: int):
     tree, proc = _build_tree(cfg), _build_process(cfg)
-    if isinstance(proc, RateMatrix):
-        draw = _root_draw(cfg, proc)
-    else:
-        proc, draw = Tkf91Process(proc), partial(stationary_sample, proc)
+    draw = (_root_draw(cfg, proc) if isinstance(proc, RateMatrix)
+            else partial(stationary_sample, proc))
     key, trials, out = (_seed(cfg),), _trials(cfg, 1), _output(cfg)
 
     def write(fh):
@@ -326,7 +331,7 @@ def _cmd_estimate(cfg: dict, workers: int):
 
 
 def _cmd_experiment(cfg: dict, workers: int):
-    setup, out = _trial_setup(cfg), _output(cfg)
+    setup, out = _trial_setup(cfg), _output(cfg, _EXPERIMENT_SUFFIXES)
 
     def run():
         rows = run_trials(cfg, workers, setup)
@@ -395,8 +400,10 @@ def validate_config(cfg: dict) -> list:
         tree = read(_build_tree)
         if isinstance(Q, RateMatrix) and "estimator" in cfg:
             read(_build_estimator, tree, Q)
+    # the command is unknown here, so every file a command may write counts
     for key, reader in (("trials", _trials), ("seed", _seed),
-                        ("output", _output)):
+                        ("output", partial(_output, suffixes=(
+                            "", *_EXPERIMENT_SUFFIXES)))):
         if key in cfg:
             read(reader)
     return problems

@@ -1,15 +1,16 @@
 """Finite-state continuous-time Markov chain machinery.
 
-Rate matrices, tolerance-controlled transition matrices via uniformization,
-endpoint sampling, total variation distance and its achieving sets, pairwise
-identifiability margins, and the weighted norm used by the Chebyshev bound.
-States of a finite chain are labelled 1..n.
+Rate matrices, which are also the finite chains' generative processes
+and hold each chain's one cache of transition matrices;
+tolerance-controlled transition matrices via uniformization, endpoint
+sampling, total variation distance and its achieving sets, pairwise
+identifiability margins, and the weighted norm used by the Chebyshev
+bound.  States of a finite chain are labelled 1..n.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import weakref
 from typing import Protocol, runtime_checkable
@@ -20,7 +21,6 @@ __all__ = [
     "RateMatrix",
     "Distribution",
     "GenerativeProcess",
-    "FiniteChainProcess",
     "CtmcError",
     "AchievingSet",
     "transition_matrix",
@@ -43,10 +43,15 @@ class CtmcError(ValueError):
 
 
 class RateMatrix:
-    """Conservative rate matrix over states 1..n.
+    """Conservative rate matrix over states 1..n, and the generative
+    process of its chain.
 
     Off-diagonal entries are nonnegative rates; each diagonal entry is minus
-    the row's off-diagonal sum.  Immutable after construction.
+    the row's off-diagonal sum.  The rates are immutable after
+    construction.  The package's one transition-matrix cache lives here:
+    matrices and their cumulative rows are kept per duration, so sampling
+    over the handful of distinct edge lengths of a tree uniformizes each
+    length once.
     """
 
     def __init__(self, q):
@@ -65,6 +70,10 @@ class RateMatrix:
         self.n = q.shape[0]
         self.exit_rates = -np.diag(q)
         self.states = tuple(range(1, self.n + 1))
+        self._mats: dict[float, np.ndarray] = {}
+        self._cum: dict[float, list] = {}
+        # per-tree compiled forms built by treechain
+        self.compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @property
     def norm(self) -> float:
@@ -76,11 +85,41 @@ class RateMatrix:
         """max_i (q_i or 1)."""
         return float(max(self.exit_rates.max(), 1.0))
 
-    @functools.cached_property
-    def process(self) -> FiniteChainProcess:
-        """This chain's one FiniteChainProcess, and so its one cache of
-        transition matrices."""
-        return FiniteChainProcess(self)
+    def matrix(self, t: float) -> np.ndarray:
+        """exp(tQ), computed once per duration; read-only, as it is shared."""
+        P = self._mats.get(t)
+        if P is None:
+            P = transition_matrix(self, t)
+            P.setflags(write=False)
+            self._mats[t] = P
+        return P
+
+    def cum_rows(self, t: float) -> list:
+        """Cumulative sums of the rows of exp(tQ) as lists of floats, for
+        inverse-cdf draws with ``bisect.bisect_right``."""
+        c = self._cum.get(t)
+        if c is None:
+            c = np.cumsum(self.matrix(t), axis=1).tolist()
+            self._cum[t] = c
+        return c
+
+    def sample(self, state, duration, rng):
+        """The state after ``duration`` from ``state``, by inverting its
+        cached cumulative row with one uniform from ``rng``."""
+        if duration == 0.0:
+            return state
+        j = bisect.bisect_right(self.cum_rows(duration)[state - 1],
+                                rng.random())
+        return min(j, self.n - 1) + 1
+
+    def row(self, state, t) -> Distribution:
+        """The exact time-t distribution started from ``state``."""
+        return row_distribution(self.matrix(t), state)
+
+    def __reduce__(self):
+        # pickle the rates alone: the caches are rebuilt on demand, and the
+        # per-tree one holds weak references, which do not pickle
+        return RateMatrix, (self.q,)
 
     def __repr__(self):
         return f"RateMatrix(n={self.n})"
@@ -134,16 +173,12 @@ class Distribution:
 
 @runtime_checkable
 class GenerativeProcess(Protocol):
-    """Markov transition sampler over a countable state space.
-
-    ``sample`` runs the process from ``state`` for ``duration`` using the
-    supplied randomness stream.  ``row`` returns the exact time-t
-    distribution started from ``state`` when one is computable, else None.
-    """
+    """Markov transition sampler over a countable state space: ``sample``
+    runs the process from ``state`` for ``duration`` using the supplied
+    randomness stream.  ``RateMatrix`` and ``tkf91.Tkf91Params`` are the
+    package's two."""
 
     def sample(self, state, duration: float, rng): ...
-
-    def row(self, state, t: float): ...
 
 
 # Largest uniformization rate lambda = rate * t summed directly.  Longer
@@ -295,51 +330,6 @@ def sample_endpoint(Q: RateMatrix, start: int, t: float, rng) -> int:
         rates = Q.q[state - 1].copy()
         rates[state - 1] = 0.0
         state = int(rng.choice(Q.n, p=rates / rates.sum())) + 1
-
-
-class FiniteChainProcess:
-    """GenerativeProcess view of a finite rate matrix, with exact rows.
-
-    The package's one transition-matrix cache: matrices and their
-    cumulative rows are kept per duration, so sampling over the handful of
-    distinct edge lengths of a tree uniformizes each length once.
-    ``RateMatrix.process`` holds one instance per rate matrix.
-    """
-
-    def __init__(self, Q: RateMatrix):
-        self.Q = Q
-        self._rows: dict[float, np.ndarray] = {}
-        self._cum: dict[float, list] = {}
-        # per-tree compiled forms built by treechain.simulate
-        self.compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    def matrix(self, t: float) -> np.ndarray:
-        """exp(tQ), computed once per duration; read-only, as it is shared."""
-        P = self._rows.get(t)
-        if P is None:
-            P = transition_matrix(self.Q, t)
-            P.setflags(write=False)
-            self._rows[t] = P
-        return P
-
-    def cum_rows(self, t: float) -> list:
-        """Cumulative sums of the rows of exp(tQ) as lists of floats, for
-        inverse-cdf draws with ``bisect.bisect_right``."""
-        c = self._cum.get(t)
-        if c is None:
-            c = np.cumsum(self.matrix(t), axis=1).tolist()
-            self._cum[t] = c
-        return c
-
-    def sample(self, state, duration, rng):
-        if duration == 0.0:
-            return state
-        j = bisect.bisect_right(self.cum_rows(duration)[state - 1],
-                                rng.random())
-        return min(j, self.Q.n - 1) + 1
-
-    def row(self, state, t):
-        return row_distribution(self.matrix(t), state)
 
 
 def star_norm(v) -> float:

@@ -1,6 +1,7 @@
 """Root-state estimators.
 
-Exact and restricted maximum a posteriori estimation, the frequency-test
+Maximum a posteriori estimation over all root states or a subset of them,
+from leaf likelihoods by Felsenstein pruning; the frequency-test
 estimator on stretched well-spread restrictions, its data-driven variant
 for chains with uniformly bounded rates, and the two-state majority vote.
 """
@@ -17,15 +18,13 @@ import numpy as np
 from .ctmc import (Distribution, RateMatrix, total_variation,
                    tv_achieving_set, _label_key)
 from .tree import Tree, chosen_leaves, restrict, spread
-from .treechain import _as_process, leaf_likelihoods
+from .treechain import leaf_likelihoods
 
 __all__ = [
     "EstimatorError",
     "EstimatorReport",
     "RowTable",
     "map_estimate",
-    "pruned_map_estimate",
-    "restricted_map_estimate",
     "frequency_estimate",
     "uniform_chain_estimate",
     "majority_estimate",
@@ -34,8 +33,6 @@ __all__ = [
 ]
 
 DURATION_TOL = 1e-12
-
-_IMPOSSIBLE = "observation impossible under every root state"
 
 # suite-wide tally of frequency-test invocations and of violations of the
 # at-most-one-passing-state guarantee (expected to stay at zero)
@@ -123,48 +120,23 @@ def _as_row_table(rows) -> RowTable:
 # maximum a posteriori
 
 
-def _posterior_argmax(laws: dict, prior: Distribution, observed: dict,
-                      candidates, allow_zero: bool) -> object:
-    best_state, best_w = None, -1.0
-    for i in sorted(candidates, key=_label_key):
-        law = laws[i]
-        w = prior.mass(i) * law.mass(law.outcome_of(observed))
-        if w > best_w:
-            best_state, best_w = i, w
-    if best_w <= 0.0 and not allow_zero:
-        raise EstimatorError(_IMPOSSIBLE)
-    return best_state
-
-
-def map_estimate(laws: dict, prior: Distribution, observed: dict) -> object:
-    """Posterior argmax over root states; ties go to the smallest label."""
-    return _posterior_argmax(laws, prior, observed, laws.keys(),
-                             allow_zero=False)
-
-
-def pruned_map_estimate(tree: Tree, Q: RateMatrix, prior: Distribution,
-                        observed: dict) -> int:
-    """``map_estimate`` over every root state of a finite chain, with the
-    leaf likelihoods from Felsenstein pruning in place of enumerated leaf
-    laws, so it runs on trees of any size.  Ties go to the smallest
-    label."""
-    post = np.array([prior.mass(i) for i in Q.states]) * \
-        leaf_likelihoods(tree, Q, observed)
-    best = int(np.argmax(post))
-    if not post[best] > 0.0:
-        raise EstimatorError(_IMPOSSIBLE)
-    return Q.states[best]
-
-
-def restricted_map_estimate(laws: dict, prior: Distribution, observed: dict,
-                            lam) -> object:
-    """Posterior argmax restricted to the state subset ``lam``.  When the
-    observation is impossible under all of ``lam`` the smallest label is
-    returned (the restricted argmax is then a free choice)."""
-    lam = list(lam)
-    if not lam:
-        raise EstimatorError("state subset must be nonempty")
-    return _posterior_argmax(laws, prior, observed, lam, allow_zero=True)
+def map_estimate(tree: Tree, Q: RateMatrix, prior: Distribution,
+                 observed: dict, lam=None) -> int:
+    """Posterior argmax over the root states ``lam`` (default: all states
+    of the chain), with the leaf likelihoods from Felsenstein pruning, so
+    it runs on trees of any size.  Ties go to the smallest label.  When
+    the observation is impossible under all of ``lam`` but not under every
+    state, ``lam``'s smallest label is returned (the restricted argmax is
+    then a free choice)."""
+    lam = Q.states if lam is None else sorted(lam)
+    if not lam or not set(lam) <= set(Q.states):
+        raise EstimatorError(f"state subset {lam} is not a nonempty subset "
+                             f"of 1..{Q.n}")
+    post = (np.array([prior.mass(i) for i in Q.states])
+            * leaf_likelihoods(tree, Q, observed)).tolist()
+    if not max(post) > 0.0:
+        raise EstimatorError("observation impossible under every root state")
+    return max(lam, key=lambda i: post[i - 1])
 
 
 def lambda_epsilon(prior: Distribution, epsilon: float) -> tuple:
@@ -217,12 +189,11 @@ def _stretched_counts(plan: _StretchPlan, process, observed: dict,
                       rng) -> Counter:
     """Leaf-state frequencies of the stretched restriction: the selected
     leaves' observed states, each run forward to depth h*."""
-    proc = _as_process(process)
     counts: Counter = Counter()
     for leaf, dur in zip(plan.leaves, plan.durations):
         state = observed[leaf]
         if dur > DURATION_TOL:
-            state = proc.sample(state, dur, rng)
+            state = process.sample(state, dur, rng)
         counts[state] += 1
     return counts
 

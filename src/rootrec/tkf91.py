@@ -3,7 +3,10 @@
 Sequences over {A, T, C, G} are plain strings; "" is the empty sequence
 consisting of the immortal link alone.  The immortal link is implicit as
 position 0: it is never deleted or substituted, but it can give birth.
-The stationary length law is geometric with ratio lambda/mu.
+The stationary length law is geometric with ratio lambda/mu.  The
+parameters ``Tkf91Params`` are the process itself: their ``sample`` runs
+it down a tree edge by exact event simulation.  No exact time-t rows
+exist, so estimators use Monte Carlo plug-in rows (``mc_rows``).
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from .treechain import simulated_trials
 
 __all__ = [
     "Tkf91Params",
-    "Tkf91Process",
     "ALPHABET",
     "LENGTH_CAP",
+    "EVENT_CAP",
     "tkf91_evolve",
     "stationary_sample",
     "stationary_pmf",
@@ -41,6 +44,9 @@ ALPHABET = "ATCG"
 # guard against runaway growth from misconfigured rates; with lambda < mu
 # the length process is positive recurrent and never gets near this
 LENGTH_CAP = 10 ** 4
+# guard against rates too large to simulate event by event: one call to
+# tkf91_evolve stops after this many events (a few seconds)
+EVENT_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,11 @@ class Tkf91Params:
     def ratio(self) -> float:
         return self.lam / self.mu
 
+    def sample(self, state: str, duration: float, rng) -> str:
+        """The sequence after ``duration`` from ``state``, as
+        ``tkf91_evolve`` draws it."""
+        return tkf91_evolve(self, state, duration, rng)
+
     @functools.cached_property
     def letter_cdf(self) -> list:
         """Cumulative letter frequencies, normalized to end at 1, exactly
@@ -96,12 +107,13 @@ def tkf91_evolve(params: Tkf91Params, seq: str, t: float, rng) -> str:
     With current length M the total event rate is M nu + M mu + (M+1) lam:
     every ordinary site can be substituted or deleted, and every site
     including the immortal link can give birth immediately to its right.
+    A run of more than ``EVENT_CAP`` events raises ``CtmcError``.
     """
     if t < 0:
         raise CtmcError("time must be nonnegative")
     sites = list(seq)
     clock = 0.0
-    while True:
+    for _ in range(EVENT_CAP + 1):
         m = len(sites)
         total = m * (params.nu + params.mu) + (m + 1) * params.lam
         clock += rng.exponential(1.0 / total)
@@ -120,6 +132,8 @@ def tkf91_evolve(params: Tkf91Params, seq: str, t: float, rng) -> str:
             if len(sites) > LENGTH_CAP:
                 raise CtmcError(
                     f"sequence length exceeded the cap {LENGTH_CAP}")
+    raise CtmcError(f"more than {EVENT_CAP} events in one run of "
+                    f"duration {t}: the rates are too large to simulate")
 
 
 def stationary_sample(params: Tkf91Params, rng) -> str:
@@ -176,20 +190,6 @@ def top_states(params: Tkf91Params, epsilon: float,
     return tuple(out)
 
 
-class Tkf91Process:
-    """GenerativeProcess over sequence space; exact rows are unavailable
-    (row() returns None), so estimators use Monte Carlo plug-in rows."""
-
-    def __init__(self, params: Tkf91Params):
-        self.params = params
-
-    def sample(self, state, duration, rng):
-        return tkf91_evolve(self.params, state, duration, rng)
-
-    def row(self, state, t):
-        return None
-
-
 def mc_rows(params: Tkf91Params, states, t: float, n_samples: int,
             rng) -> dict:
     """Monte Carlo plug-in time-t rows: empirical endpoint distribution of
@@ -229,7 +229,6 @@ def tkf91_root_experiment(family, params: Tkf91Params, s: float,
             raise ValueError(f"family member k={k} out of range "
                              f"1..{len(family)}")
     lam_set = top_states(params, epsilon)
-    proc = Tkf91Process(params)
     rows = RowTable(mc_rows(params, lam_set, h_star, row_samples,
                             np.random.default_rng([master_seed, 10 ** 9])))
     draw = functools.partial(stationary_sample, params)
@@ -237,9 +236,9 @@ def tkf91_root_experiment(family, params: Tkf91Params, s: float,
     for k in ks:
         tree = family[k - 1]
         errors = sum(1 for _, truth, observed, rng in simulated_trials(
-            tree, proc, draw, (master_seed, k), trials)
-            if frequency_estimate(tree, proc, observed, s, h_star, lam_set,
-                                  rows, rng).state != truth)
+            tree, params, draw, (master_seed, k), trials)
+            if frequency_estimate(tree, params, observed, s, h_star,
+                                  lam_set, rows, rng).state != truth)
         lo, hi = wilson_interval(errors, trials)
         results.append({"k": k, "trials": trials, "errors": errors,
                         "rate": errors / trials, "ci_low": lo, "ci_high": hi})

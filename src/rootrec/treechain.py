@@ -2,9 +2,8 @@
 
 Forward simulation of leaf states (single realization for any generative
 process, vectorized batches for finite chains), the seeded trial loop
-that every experiment draws its trials from, leaf likelihoods of one
-observation by Felsenstein pruning, and exact leaf-distribution
-computation on small trees, which serves as the brute-force oracle.
+that every experiment draws its trials from, and leaf likelihoods of one
+observation by Felsenstein pruning, the package's one likelihood engine.
 """
 
 from __future__ import annotations
@@ -14,53 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import (CtmcError, Distribution, FiniteChainProcess, RateMatrix,
-                   total_variation)
+from .ctmc import RateMatrix
 from .tree import Tree
 
 __all__ = [
-    "LeafLaw",
     "simulate",
     "simulated_trials",
     "simulate_batch",
     "leaf_likelihoods",
-    "exact_leaf_law",
-    "exact_leaf_tv",
 ]
-
-# largest outcome count the enumerating oracle exact_leaf_law builds
-SIZE_GUARD = 10 ** 6
-
-
-@dataclass(frozen=True)
-class LeafLaw:
-    """Sparse joint distribution of the leaf states of one tree.
-
-    Outcomes are tuples of states in ``leaf_order``.
-    """
-
-    leaf_order: tuple
-    probs: dict
-
-    def mass(self, outcome) -> float:
-        return self.probs.get(tuple(outcome), 0.0)
-
-    def outcome_of(self, assignment: dict) -> tuple:
-        return tuple(assignment[x] for x in self.leaf_order)
-
-    def total(self) -> float:
-        return sum(self.probs.values())
-
-    def as_distribution(self) -> Distribution:
-        return Distribution(self.probs)
-
-
-def _as_process(process):
-    """The generative process for ``process``: a rate matrix's one cached
-    FiniteChainProcess, or the process itself."""
-    if isinstance(process, RateMatrix):
-        return process.process
-    return process
 
 
 @dataclass(frozen=True)
@@ -78,18 +39,18 @@ class _CompiledTree:
     leaves: list
 
 
-def _compile(tree: Tree, proc: FiniteChainProcess) -> _CompiledTree:
-    c = proc.compiled.get(tree)
+def _compile(tree: Tree, Q: RateMatrix) -> _CompiledTree:
+    c = Q.compiled.get(tree)
     if c is None:
         index = {v: i for i, v in enumerate(tree.topo_order)}
         edges = tree.topo_order[1:]
         c = _CompiledTree(
             parents=[index[tree.parent[v]] for v in edges],
-            mats=[proc.matrix(tree.length[v]) for v in edges],
-            cum=[proc.cum_rows(tree.length[v]) for v in edges],
+            mats=[Q.matrix(tree.length[v]) for v in edges],
+            cum=[Q.cum_rows(tree.length[v]) for v in edges],
             leaf_of=[None if tree.children[v] else v for v in edges],
             leaves=[(x, index[x]) for x in tree.leaves])
-        proc.compiled[tree] = c
+        Q.compiled[tree] = c
     return c
 
 
@@ -101,10 +62,9 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     chain draws them all at once and inverts its cached cumulative rows,
     which consumes the stream exactly as the per-edge loop does.
     """
-    proc = _as_process(process)
-    if isinstance(proc, FiniteChainProcess):
-        c = _compile(tree, proc)
-        last = proc.Q.n - 1
+    if isinstance(process, RateMatrix):
+        c = _compile(tree, process)
+        last = process.n - 1
         states = [root_state]
         for p, rows, u in zip(c.parents, c.cum,
                               rng.random(len(c.parents)).tolist()):
@@ -115,7 +75,8 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     for v in tree.topo_order:
         if v == tree.root:
             continue
-        states[v] = proc.sample(states[tree.parent[v]], tree.length[v], rng)
+        states[v] = process.sample(states[tree.parent[v]], tree.length[v],
+                                   rng)
     return {x: states[x] for x in tree.leaves}
 
 
@@ -143,12 +104,11 @@ def simulate_batch(tree: Tree, Q: RateMatrix, root_state: int, n: int,
     transitions are drawn from the chain's cached cumulative rows,
     vectorized over trials, so large trial counts stay cheap.
     """
-    proc = _as_process(Q)
     states = {tree.root: np.full(n, root_state, dtype=np.int64)}
     for v in tree.topo_order:
         if v == tree.root:
             continue
-        c = proc.cum_rows(tree.length[v])
+        c = Q.cum_rows(tree.length[v])
         parent = states[tree.parent[v]]
         u = rng.random(n)
         out = np.empty(n, dtype=np.int64)
@@ -170,8 +130,7 @@ def leaf_likelihoods(tree: Tree, Q: RateMatrix, observed: dict) -> np.ndarray:
     by its maximum, so deep or wide trees do not underflow.  All zeros
     means the observation is impossible under every root state.
     """
-    proc = _as_process(Q)
-    c = _compile(tree, proc)
+    c = _compile(tree, Q)
     vecs: list = [None] * (len(c.parents) + 1)
     for e in range(len(c.parents) - 1, -1, -1):
         x = c.leaf_of[e]
@@ -186,71 +145,5 @@ def leaf_likelihoods(tree: Tree, Q: RateMatrix, observed: dict) -> np.ndarray:
         vecs[p] = acc / top if top > 0.0 else acc
     if vecs[0] is None:
         # a single-vertex tree: its root is its one leaf
-        return np.eye(proc.Q.n)[observed[tree.root] - 1]
+        return np.eye(Q.n)[observed[tree.root] - 1]
     return vecs[0]
-
-
-def exact_leaf_law(tree: Tree, Q: RateMatrix, root_state: int) -> LeafLaw:
-    """Exact joint leaf distribution by dynamic programming over the tree:
-    sum over internal states, product over edges.  It enumerates every
-    leaf outcome, so it serves as the oracle for ``leaf_likelihoods``."""
-    n_out = Q.n ** len(tree.leaves)
-    if n_out > SIZE_GUARD:
-        raise CtmcError(
-            f"{Q.n}^{len(tree.leaves)} outcomes exceeds the size guard")
-    trans = _as_process(Q).matrix
-    cache: dict = {}
-
-    def law_below(v: str, state: int) -> dict:
-        # joint law of the leaves under v given state at v, keyed by
-        # tuples over those leaves in DFS order
-        key = (v, state)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if not tree.children[v]:
-            out = {(state,): 1.0}
-        else:
-            out = {(): 1.0}
-            for c in tree.children[v]:
-                row = trans(tree.length[c])[state - 1]
-                mixed: dict = {}
-                for y in range(1, Q.n + 1):
-                    p = row[y - 1]
-                    if p == 0.0:
-                        continue
-                    for tup, pr in law_below(c, y).items():
-                        mixed[tup] = mixed.get(tup, 0.0) + p * pr
-                out = {ta + tb: pa * pb
-                       for ta, pa in out.items()
-                       for tb, pb in mixed.items()}
-        cache[key] = out
-        return out
-
-    def dfs_leaves(v):
-        if not tree.children[v]:
-            return [v]
-        return [x for c in tree.children[v] for x in dfs_leaves(c)]
-
-    raw = law_below(tree.root, root_state)
-    # permute outcomes from DFS order to the sorted global leaf order
-    dfs = dfs_leaves(tree.root)
-    perm = [dfs.index(x) for x in tree.leaves]
-    probs: dict = {}
-    for tup, p in raw.items():
-        if p > 0.0:
-            key = tuple(tup[i] for i in perm)
-            probs[key] = probs.get(key, 0.0) + p
-    law = LeafLaw(tuple(tree.leaves), probs)
-    if abs(law.total() - 1.0) > 1e-10:
-        raise CtmcError(f"leaf law mass {law.total()} drifted from 1")
-    return law
-
-
-def exact_leaf_tv(tree: Tree, Q: RateMatrix, i: int, j: int) -> float:
-    """Total variation between the exact leaf laws for root states i and j."""
-    if i == j:
-        return 0.0
-    a = exact_leaf_law(tree, Q, i)
-    b = exact_leaf_law(tree, Q, j)
-    return total_variation(a.as_distribution(), b.as_distribution())

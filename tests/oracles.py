@@ -1,0 +1,105 @@
+"""Enumerating oracles for the tests: exact joint leaf laws of small trees.
+
+``exact_leaf_law`` lists every leaf outcome with its probability, so it
+only serves small trees; the package itself computes likelihoods by
+pruning (``treechain.leaf_likelihoods``), which these laws cross-check.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from rootrec.ctmc import CtmcError, Distribution, RateMatrix, total_variation
+from rootrec.tree import Tree
+
+# largest outcome count the enumerating oracle exact_leaf_law builds
+SIZE_GUARD = 10 ** 6
+
+
+@dataclass(frozen=True)
+class LeafLaw:
+    """Sparse joint distribution of the leaf states of one tree.
+
+    Outcomes are tuples of states in ``leaf_order``.
+    """
+
+    leaf_order: tuple
+    probs: dict
+
+    def mass(self, outcome) -> float:
+        return self.probs.get(tuple(outcome), 0.0)
+
+    def outcome_of(self, assignment: dict) -> tuple:
+        return tuple(assignment[x] for x in self.leaf_order)
+
+    def total(self) -> float:
+        return sum(self.probs.values())
+
+    def as_distribution(self) -> Distribution:
+        return Distribution(self.probs)
+
+
+def exact_leaf_law(tree: Tree, Q: RateMatrix, root_state: int) -> LeafLaw:
+    """Exact joint leaf distribution by dynamic programming over the tree:
+    sum over internal states, product over edges.  It enumerates every
+    leaf outcome, so it serves as the oracle for ``leaf_likelihoods``."""
+    n_out = Q.n ** len(tree.leaves)
+    if n_out > SIZE_GUARD:
+        raise CtmcError(
+            f"{Q.n}^{len(tree.leaves)} outcomes exceeds the size guard")
+    trans = Q.matrix
+    cache: dict = {}
+
+    def law_below(v: str, state: int) -> dict:
+        # joint law of the leaves under v given state at v, keyed by
+        # tuples over those leaves in DFS order
+        key = (v, state)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        if not tree.children[v]:
+            out = {(state,): 1.0}
+        else:
+            out = {(): 1.0}
+            for c in tree.children[v]:
+                row = trans(tree.length[c])[state - 1]
+                mixed: dict = {}
+                for y in range(1, Q.n + 1):
+                    p = row[y - 1]
+                    if p == 0.0:
+                        continue
+                    for tup, pr in law_below(c, y).items():
+                        mixed[tup] = mixed.get(tup, 0.0) + p * pr
+                out = {ta + tb: pa * pb
+                       for ta, pa in out.items()
+                       for tb, pb in mixed.items()}
+        cache[key] = out
+        return out
+
+    def dfs_leaves(v):
+        if not tree.children[v]:
+            return [v]
+        return [x for c in tree.children[v] for x in dfs_leaves(c)]
+
+    raw = law_below(tree.root, root_state)
+    # permute outcomes from DFS order to the sorted global leaf order
+    dfs = dfs_leaves(tree.root)
+    perm = [dfs.index(x) for x in tree.leaves]
+    probs: dict = {}
+    for tup, p in raw.items():
+        if p > 0.0:
+            key = tuple(tup[i] for i in perm)
+            probs[key] = probs.get(key, 0.0) + p
+    law = LeafLaw(tuple(tree.leaves), probs)
+    if abs(law.total() - 1.0) > 1e-10:
+        raise CtmcError(f"leaf law mass {law.total()} drifted from 1")
+    return law
+
+
+def exact_leaf_tv(tree: Tree, Q: RateMatrix, i: int, j: int) -> float:
+    """Total variation between the exact leaf laws for root states i and j."""
+    if i == j:
+        return 0.0
+    a = exact_leaf_law(tree, Q, i)
+    b = exact_leaf_law(tree, Q, j)
+    return total_variation(a.as_distribution(), b.as_distribution())

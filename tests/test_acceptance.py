@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import exact_leaf_law
 from rootrec.bounds import (BoundInputs, prop54_uniform_bound, recon_lower,
                             recon_upper, variance_bound, wilson_interval)
 from rootrec.cli import (_build_estimator, _build_process, _build_tree,
@@ -34,7 +35,7 @@ from rootrec.tkf91 import (Tkf91Params, stationary_length_pmf,
                            stationary_pmf, stationary_sample, tkf91_evolve,
                            tkf91_root_experiment)
 from rootrec.tree import Tree, chosen_leaves, generate_family, spread
-from rootrec.treechain import exact_leaf_law, simulate, simulate_batch
+from rootrec.treechain import simulate, simulate_batch
 
 
 def random_chain(rng, n):
@@ -113,7 +114,7 @@ def test_c03_map_optimality():
                   for y in outcomes)
         achieved = 0.0
         for y in outcomes:
-            i = map_estimate(laws, prior, dict(zip(laws[1].leaf_order, y)))
+            i = map_estimate(t, Q, prior, dict(zip(laws[1].leaf_order, y)))
             achieved += prior.mass(i) * laws[i].mass(y)
         assert achieved == pytest.approx(opt, abs=1e-12)
     assert time.monotonic() - start < 30.0

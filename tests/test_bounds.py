@@ -11,8 +11,8 @@ from rootrec.bounds import (BoundInputs, chebyshev_star_bound, clamp,
                             recon_upper, thm2_general_bound, thm2_valid,
                             variance_bound, wilson_interval)
 from rootrec.ctmc import Distribution, RateMatrix, two_state_symmetric
+from oracles import exact_leaf_law
 from rootrec.tree import generate_family
-from rootrec.treechain import exact_leaf_law
 from rootrec.estimators import majority_estimate
 
 

@@ -12,11 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_substreams
+from oracles import exact_leaf_law
 from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _build_estimator,
                          _build_process, _build_tree, _root_draw,
                          _uniform_prior, main, run_trials, validate_config)
 from rootrec.estimators import EstimatorError, map_estimate
-from rootrec.treechain import exact_leaf_law, simulate
+from rootrec.treechain import simulate
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -143,12 +144,13 @@ class TestMapEstimator:
             rng = np.random.default_rng([cfg["seed"], t])
             assert _root_draw(cfg, Q)(rng) == truth
             obs = simulate(tree, Q, truth, rng)
-            expected = map_estimate(laws, prior, obs)
+            post = {i: prior.mass(i) * laws[i].mass(laws[i].outcome_of(obs))
+                    for i in Q.states}
+            expected = max(Q.states, key=post.get)
             if state != expected:
                 # only a tie between the two best root states may differ
-                post = sorted(prior.mass(i) * laws[i].mass(
-                    laws[i].outcome_of(obs)) for i in Q.states)
-                assert post[-2] >= post[-1] * (1 - 1e-12), t
+                top = sorted(post.values())
+                assert top[-2] >= top[-1] * (1 - 1e-12), t
 
     def test_impossible_observation_rejected(self, tmp_path):
         # state 1 jumps to the absorbing state 2; state 3 is absorbing too
@@ -162,9 +164,8 @@ class TestMapEstimator:
         est, _ = _build_estimator(cfg, tree, Q)
         with pytest.raises(EstimatorError, match="impossible"):
             est(obs, np.random.default_rng(0))
-        laws = {i: exact_leaf_law(tree, Q, i) for i in Q.states}
         with pytest.raises(EstimatorError, match="impossible"):
-            map_estimate(laws, _uniform_prior(Q), obs)
+            map_estimate(tree, Q, _uniform_prior(Q), obs)
 
     def test_runs_past_the_enumeration_guard(self, tmp_path):
         # 2^201 leaf outcomes: enumerating the leaf laws is out of reach
@@ -285,6 +286,18 @@ class TestTrialInputs:
         assert err == [f"config error: family member k={k} out of range "
                        f"1..2"]
 
+    def test_tkf91_rates_too_large_to_simulate_stop(self, tmp_path, capsys):
+        # about 10^7 events per site and unit time: the event cap ends the
+        # first run in seconds instead of letting it run for hours
+        process = {**self.TKF91["process"], "nu": 1e7}
+        path = write_cfg(tmp_path, "t.json", {**self.TKF91,
+                                              "process": process})
+        start = time.perf_counter()
+        assert main(["tkf91", path]) == EXIT_GUARD
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: more than ")
+
     @pytest.mark.parametrize("seed", [-5, 2 ** 64])
     def test_seed_outside_numpy_range_rejected(self, tmp_path, seed):
         cfg = experiment_cfg(tmp_path, seed=seed)
@@ -336,12 +349,22 @@ def replaced(cfg, path, value):
     return cfg
 
 
+def existing_dir(suffix):
+    """An output value, made from the test's directory, whose file
+    ``output + suffix`` is an existing directory."""
+    def make(tmp_path):
+        (tmp_path / ("out" + suffix)).mkdir()
+        return str(tmp_path / "out")
+    return make
+
+
 BASES = {"experiment": experiment_cfg,
          "tkf91": lambda tmp_path: {**test_substreams.TKF91,
                                     "output": str(tmp_path / "out")}}
 
 # (base config, path, value, command): each config is wrong, so validate
-# and the command both end in exit 2 before any trial
+# and the command both end in exit 2 before any trial; a callable value is
+# made from the test's directory
 BAD_CONFIGS = {
     "trials-null": ("experiment", ("trials",), None, "experiment"),
     "trials-2.7": ("experiment", ("trials",), 2.7, "experiment"),
@@ -367,6 +390,15 @@ BAD_CONFIGS = {
                             "experiment"),
     "output-dir-missing": ("experiment", ("output",), "no-such-dir/out",
                            "experiment"),
+    "output-is-dir-simulate": ("experiment", ("output",), existing_dir(""),
+                               "simulate"),
+    "output-is-dir-estimate": ("experiment", ("output",), existing_dir(""),
+                               "estimate"),
+    "output-is-dir-bounds": ("experiment", ("output",), existing_dir(""),
+                             "bounds"),
+    "output-is-dir-experiment": ("experiment", ("output",),
+                                 existing_dir(".summary.csv"), "experiment"),
+    "output-is-dir-tkf91": ("tkf91", ("output",), existing_dir(""), "tkf91"),
     "ks-text": ("tkf91", ("ks",), ["a"], "tkf91"),
     "ks-int": ("tkf91", ("ks",), 5, "tkf91"),
     "ks-float": ("tkf91", ("ks",), [1.5], "tkf91"),
@@ -378,6 +410,8 @@ BAD_CONFIGS = {
                          list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
 def test_bad_config_is_exit_2_from_every_command(tmp_path, capsys, base,
                                                  path, value, command):
+    if callable(value):
+        value = value(tmp_path)
     cfg = replaced(BASES[base](tmp_path), path, value)
     path = write_cfg(tmp_path, "c.json", cfg)
     assert main(["validate", path]) == EXIT_CONFIG

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootrec.ctmc import (CtmcError, Distribution, FiniteChainProcess,
+from rootrec.ctmc import (CtmcError, Distribution, GenerativeProcess,
                           RateMatrix, identifiability_margin, jukes_cantor,
                           load_rate_matrix, row_distribution,
                           sample_endpoint, star_norm, star_norm_diff,
                           total_variation, transition_matrix,
                           tv_achieving_set, two_state_symmetric)
+from rootrec.tree import Tree
 
 
 def random_rate_matrix(rng, n):
@@ -248,16 +250,24 @@ class TestSampling:
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_one_process_per_rate_matrix(self):
+        # a rate matrix is its chain's process and keeps one matrix cache
         Q = jukes_cantor(1.0)
-        assert Q.process is Q.process
-        assert isinstance(Q.process, FiniteChainProcess)
-        assert Q.process.matrix(0.3) is Q.process.matrix(0.3)
-        assert jukes_cantor(1.0).process is not Q.process
+        assert isinstance(Q, GenerativeProcess)
+        assert Q.matrix(0.3) is Q.matrix(0.3)
+        assert Q.cum_rows(0.3) is Q.cum_rows(0.3)
+        assert jukes_cantor(1.0).matrix(0.3) is not Q.matrix(0.3)
+
+    def test_pickles_without_its_caches(self):
+        Q = jukes_cantor(1.0)
+        Q.matrix(0.3)
+        Q.compiled[Tree("rho", [("rho", "x", 0.3)])] = "compiled"
+        copy = pickle.loads(pickle.dumps(Q))
+        assert np.array_equal(copy.q, Q.q) and not copy.compiled
+        assert np.array_equal(copy.matrix(0.3), Q.matrix(0.3))
 
     def test_process_view_matches_rows(self):
         Q = jukes_cantor(1.0)
-        proc = FiniteChainProcess(Q)
-        row = proc.row(2, 0.7)
+        row = Q.row(2, 0.7)
         P = transition_matrix(Q, 0.7)
         for j in range(1, 5):
             assert row.mass(j) == pytest.approx(P[1, j - 1])

@@ -8,13 +8,13 @@ from rootrec.ctmc import (Distribution, RateMatrix, row_distribution,
                           total_variation, transition_matrix,
                           two_state_symmetric, jukes_cantor)
 from rootrec.bounds import recon_lower
+from oracles import exact_leaf_law
 from rootrec.estimators import (EstimatorError, RowTable, exclusivity_stats,
                                 frequency_estimate, lambda_epsilon,
                                 majority_estimate, map_estimate,
-                                restricted_map_estimate,
                                 uniform_chain_estimate)
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import exact_leaf_law, simulate
+from rootrec.treechain import simulate
 
 
 def pinched(m, s=0.05, h=1.0):
@@ -37,14 +37,14 @@ def best_success(prior, laws):
                for y in outcomes)
 
 
-def map_success(prior, laws):
+def map_success(tree, Q, prior, laws):
     outcomes = set()
     for law in laws.values():
         outcomes |= set(law.probs)
     order = next(iter(laws.values())).leaf_order
     total = 0.0
     for y in outcomes:
-        i = map_estimate(laws, prior, dict(zip(order, y)))
+        i = map_estimate(tree, Q, prior, dict(zip(order, y)))
         total += prior.mass(i) * laws[i].mass(y)
     return total
 
@@ -53,19 +53,17 @@ class TestMapEstimate:
     def test_point_prior_wins_when_feasible(self):
         t = pinched(3)
         Q = two_state_symmetric(1.0)
-        laws = {i: exact_leaf_law(t, Q, i) for i in (1, 2)}
         prior = Distribution({1: 1.0})
         obs = {x: 2 for x in t.leaves}
-        assert map_estimate(laws, prior, obs) == 1
+        assert map_estimate(t, Q, prior, obs) == 1
 
     def test_two_state_pinched_star_is_majority(self):
         t = pinched(5)
         Q = two_state_symmetric(1.0)
-        laws = {i: exact_leaf_law(t, Q, i) for i in (1, 2)}
         prior = Distribution({1: 0.5, 2: 0.5})
         for combo in itertools.product((1, 2), repeat=5):
             obs = dict(zip(t.leaves, combo))
-            assert map_estimate(laws, prior, obs) == majority_estimate(obs)
+            assert map_estimate(t, Q, prior, obs) == majority_estimate(obs)
 
     def test_equals_brute_force_optimum(self):
         rng = np.random.default_rng(21)
@@ -77,37 +75,34 @@ class TestMapEstimate:
             Q = RateMatrix(q)
             prior = Distribution(dict(enumerate(rng.dirichlet(np.ones(3)), 1)))
             laws = {i: exact_leaf_law(t, Q, i) for i in (1, 2, 3)}
-            assert map_success(prior, laws) == pytest.approx(
+            assert map_success(t, Q, prior, laws) == pytest.approx(
                 best_success(prior, laws), abs=1e-12)
 
     def test_impossible_observation_rejected(self):
         t = Tree("rho", [("rho", "a", 1.0)])
         Q = RateMatrix(np.zeros((2, 2)))
-        laws = {i: exact_leaf_law(t, Q, i) for i in (1, 2)}
         prior = Distribution({1: 1.0})
         with pytest.raises(EstimatorError):
-            map_estimate(laws, prior, {"a": 2})
+            map_estimate(t, Q, prior, {"a": 2})
 
 
 class TestRestrictedMap:
     def test_full_set_equals_map(self):
         t = pinched(3)
         Q = jukes_cantor(1.0)
-        laws = {i: exact_leaf_law(t, Q, i) for i in Q.states}
         prior = Distribution({i: 0.25 for i in Q.states})
         rng = np.random.default_rng(2)
         for _ in range(20):
             obs = simulate(t, Q, int(rng.integers(4)) + 1, rng)
-            assert restricted_map_estimate(laws, prior, obs, Q.states) == \
-                map_estimate(laws, prior, obs)
+            assert map_estimate(t, Q, prior, obs, Q.states) == \
+                map_estimate(t, Q, prior, obs)
 
     def test_singleton_is_constant(self):
         t = Tree("rho", [("rho", "a", 1.0)])
         Q = RateMatrix(np.zeros((2, 2)))
-        laws = {i: exact_leaf_law(t, Q, i) for i in (1, 2)}
         prior = Distribution({1: 0.5, 2: 0.5})
-        assert restricted_map_estimate(laws, prior, {"a": 1}, [2]) == 2
-        assert restricted_map_estimate(laws, prior, {"a": 2}, [2]) == 2
+        assert map_estimate(t, Q, prior, {"a": 1}, [2]) == 2
+        assert map_estimate(t, Q, prior, {"a": 2}, [2]) == 2
 
     def test_restricted_success_meets_lower_bound(self):
         rng = np.random.default_rng(22)
@@ -125,14 +120,31 @@ class TestRestrictedMap:
             order = laws[1].leaf_order
             outcomes = set().union(*(set(l.probs) for l in laws.values()))
             for y in outcomes:
-                i = restricted_map_estimate(laws, prior,
-                                            dict(zip(order, y)), lam)
+                i = map_estimate(t, Q, prior, dict(zip(order, y)), lam)
                 success += prior.mass(i) * laws[i].mass(y)
             assert success >= recon_lower(prior, conds, lam) - 1e-12
 
     def test_empty_set_rejected(self):
+        t = Tree("rho", [("rho", "a", 1.0)])
         with pytest.raises(EstimatorError):
-            restricted_map_estimate({}, Distribution({1: 1.0}), {}, [])
+            map_estimate(t, two_state_symmetric(1.0), Distribution({1: 1.0}),
+                         {"a": 1}, [])
+
+    def test_impossible_under_every_state_rejected(self):
+        # the restriction is a free choice only when some state explains
+        # the observation
+        t = Tree("rho", [("rho", "a", 1.0)])
+        Q = RateMatrix(np.zeros((3, 3)))
+        prior = Distribution({1: 0.5, 3: 0.5})
+        for lam in ([1, 2], [2]):
+            with pytest.raises(EstimatorError, match="impossible"):
+                map_estimate(t, Q, prior, {"a": 2}, lam)
+
+    def test_states_outside_the_chain_rejected(self):
+        t = Tree("rho", [("rho", "a", 1.0)])
+        with pytest.raises(EstimatorError, match="subset of 1..2"):
+            map_estimate(t, two_state_symmetric(1.0), Distribution({1: 1.0}),
+                         {"a": 1}, [0, 1])
 
 
 class TestLambdaEpsilon:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from rootrec import tkf91
 from rootrec.ctmc import CtmcError, total_variation, Distribution
-from rootrec.tkf91 import (ALPHABET, Tkf91Params, Tkf91Process, mc_rows,
+from rootrec.tkf91 import (ALPHABET, Tkf91Params, mc_rows,
                            stationary_length_pmf, stationary_pmf,
                            stationary_sample, tkf91_evolve,
                            tkf91_root_experiment, top_states,
@@ -46,6 +47,22 @@ class TestEvolve:
         for _ in range(50):
             out = tkf91_evolve(STD, "ATCG", 0.5, rng)
             assert set(out) <= set(ALPHABET)
+
+    def test_event_cap_stops_a_run(self, monkeypatch):
+        monkeypatch.setattr(tkf91, "EVENT_CAP", 50)
+        p = Tkf91Params(nu=1e6, lam=0.5, mu=1.0)
+        with pytest.raises(CtmcError, match="more than 50 events"):
+            tkf91_evolve(p, "A", 1.0, np.random.default_rng(0))
+        # a run of a few events ends as it would without the cap
+        a, b = np.random.default_rng(1), np.random.default_rng(1)
+        out = tkf91_evolve(STD, "ATCG", 0.5, a)
+        monkeypatch.undo()
+        assert out == tkf91_evolve(STD, "ATCG", 0.5, b)
+
+    def test_sample_is_evolve(self):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        assert STD.sample("ATCG", 0.7, a) == tkf91_evolve(STD, "ATCG", 0.7, b)
+        assert a.random() == b.random()
 
     def test_stationarity_of_length_law(self):
         rng = np.random.default_rng(3)
@@ -142,13 +159,10 @@ class TestTopStates:
 
 
 class TestProcessInterface:
-    def test_row_is_unavailable(self):
-        assert Tkf91Process(STD).row("", 1.0) is None
-
     def test_plugs_into_tree_simulation(self):
         t = generate_family("pinched_star", {"m": 4, "s": 0.1, "h": 0.5})[3]
         rng = np.random.default_rng(7)
-        obs = simulate(t, Tkf91Process(STD), "AT", rng)
+        obs = simulate(t, STD, "AT", rng)
         assert set(obs) == set(t.leaves)
         assert all(isinstance(v, str) for v in obs.values())
 
@@ -186,10 +200,9 @@ class TestRootExperiment:
         lam = top_states(p, 0.3)
         rng = np.random.default_rng(12)
         rows = mc_rows(p, lam, 1.0, 300, rng)
-        proc = Tkf91Process(p)
         for truth in lam:
-            obs = simulate(t, proc, truth, rng)
-            rep = frequency_estimate(t, proc, obs, 0.5, 1.0, lam, rows, rng)
+            obs = simulate(t, p, truth, rng)
+            rep = frequency_estimate(t, p, obs, 0.5, 1.0, lam, rows, rng)
             assert rep.state == truth
 
     def test_row_tables_built_once(self, monkeypatch):

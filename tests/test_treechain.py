@@ -5,14 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import exact_leaf_law, exact_leaf_tv
 from rootrec import ctmc
-from rootrec.ctmc import (CtmcError, Distribution, FiniteChainProcess,
-                          RateMatrix, total_variation, transition_matrix,
-                          two_state_symmetric, jukes_cantor)
+from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
+                          transition_matrix, two_state_symmetric,
+                          jukes_cantor)
+from rootrec.estimators import map_estimate
 from rootrec import tree as tree_module
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import (LeafLaw, exact_leaf_law, exact_leaf_tv,
-                               leaf_likelihoods, simulate, simulate_batch,
+from rootrec.treechain import (leaf_likelihoods, simulate, simulate_batch,
                                simulated_trials)
 
 
@@ -75,16 +76,10 @@ class TestSimulate:
 
 class PerEdgeChain:
     """A finite chain seen only through the GenerativeProcess protocol:
-    not a FiniteChainProcess, so simulate takes its per-edge loop."""
+    not a RateMatrix, so simulate takes its per-edge loop."""
 
     def __init__(self, Q):
-        self._proc = FiniteChainProcess(Q)
-
-    def sample(self, state, duration, rng):
-        return self._proc.sample(state, duration, rng)
-
-    def row(self, state, t):
-        return self._proc.row(state, t)
+        self.sample = Q.sample
 
 
 class TestCompiledSimulate:
@@ -274,12 +269,26 @@ class TestLeafLikelihoods:
         rng = np.random.default_rng([n, len(tree.leaves)])
         Q = random_rate_matrix(rng, n)
         laws = [exact_leaf_law(tree, Q, i) for i in Q.states]
+        # a separate stream for the MAP inputs leaves the observations be
+        map_rng = np.random.default_rng([n, len(tree.leaves), 1])
+        prior = Distribution(dict(zip(Q.states, map_rng.dirichlet(
+            np.ones(n)))))
         for _ in range(20):
             obs = dict(zip(tree.leaves,
                            rng.integers(1, n + 1, len(tree.leaves)).tolist()))
             enum = np.array([law.mass(law.outcome_of(obs)) for law in laws])
             lik = leaf_likelihoods(tree, Q, obs)
             assert np.abs(lik / lik.sum() - enum / enum.sum()).max() < 1e-12
+            lam = map_rng.permutation(Q.states)[
+                :map_rng.integers(1, n + 1)].tolist()
+            post = {i: prior.mass(i) * enum[i - 1] for i in Q.states}
+            for subset in (lam, None):
+                got = map_estimate(tree, Q, prior, obs, subset)
+                # the label-ordered argmax of the enumerated posterior
+                expected = max(sorted(subset or Q.states), key=post.get)
+                # only a tie between the two best root states may differ
+                assert got == expected or post[got] == pytest.approx(
+                    post[expected], rel=1e-12, abs=0.0)
 
     def test_impossible_observation_is_all_zero(self):
         Q = RateMatrix(np.zeros((2, 2)))
