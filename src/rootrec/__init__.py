@@ -18,11 +18,11 @@ from .ctmc import (AchievingSet, CtmcError, Distribution, GenerativeProcess,
                    star_norm, star_norm_diff, total_variation,
                    transition_matrix, tv_achieving_set, two_state_symmetric)
 from .estimators import (EstimatorError, EstimatorReport, RowTable,
-                         exclusivity_stats, frequency_estimate,
+                         StretchPlan, exclusivity_stats, frequency_estimate,
                          lambda_epsilon, majority_estimate, map_estimate,
-                         uniform_chain_estimate)
+                         stretch_plan, uniform_chain_estimate)
 from .tkf91 import (Tkf91Params, mc_rows, stationary_pmf, stationary_sample,
-                    tkf91_evolve, tkf91_root_experiment, top_states)
+                    tkf91_evolve, top_states)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint,
                    big_bang_profile, chosen_leaves, descendant_leaves,
                    extract_well_spread_restriction, generate_family,

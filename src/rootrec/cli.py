@@ -4,8 +4,11 @@ Subcommands simulate, estimate, bounds, experiment, tkf91 and validate
 each read a JSON config through the same section readers.  Exit codes: 0
 success; 2 the config is wrong, found at set-up (reading it and building
 the tree, chain, root draw and estimator) before any trial; 3 a guard
-fired during the trials.  Trials are (master seed, trial index) substreams
-merged by index, so results are identical for any worker count.
+fired during the trials.  ``experiment``, ``estimate`` and ``tkf91`` run
+their trials through ``_trial_range`` on ``Trials`` built once at set-up,
+which workers receive pickled.  Trials are (master seed, trial index)
+substreams merged by index, so results are identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -15,24 +18,27 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
+
+import numpy as np
 
 from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
                      recon_lower, recon_upper, thm2_general_bound,
                      wilson_interval)
 from .ctmc import (Distribution, RateMatrix, jukes_cantor, load_rate_matrix,
                    two_state_symmetric)
-from .estimators import (RowTable, _stretch_plan, frequency_estimate,
+from .estimators import (RowTable, frequency_estimate,
                          lambda_epsilon, majority_estimate, map_estimate,
-                         uniform_chain_estimate)
-from .tkf91 import (Tkf91Params, stationary_sample, tkf91_root_experiment,
+                         stretch_plan, uniform_chain_estimate)
+from .tkf91 import (Tkf91Params, mc_rows, stationary_sample, top_states,
                     write_experiment_csv)
 from .tree import NestedFamily, Tree, generate_family, parse_newick
 from .treechain import simulated_trials
 
-__all__ = ["main", "run_trials", "validate_config"]
+__all__ = ["Trials", "main", "run_trials", "validate_config"]
 
 EXIT_OK, EXIT_CONFIG, EXIT_GUARD = 0, 2, 3
 
@@ -149,30 +155,42 @@ def _test_inputs(est: dict, epsilon) -> tuple:
             _get(est, "h_star", float), eps)
 
 
+def _no_fallback(estimate, *args):
+    """``estimate`` of ``args`` but the trailing rng, with fallback flag 0."""
+    return estimate(*args[:-1]), 0
+
+
+def _frequency_test(estimate, plan, process, arg, rows, observed, rng):
+    """(state, fallback flag) of ``estimate``, a frequency-test estimator
+    whose one own argument ``arg`` is q* or the candidate states."""
+    rep = estimate(plan, process, observed, arg, rows, rng)
+    return rep.state, int(rep.fallback)
+
+
 def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
     """The estimator, observed, rng -> (estimate, fallback flag), and its
-    bound or None; an h* above a leaf is found here, before any trial."""
+    bound or None; an h* above a leaf is found here, before any trial.
+    The estimator is a ``partial``, so it pickles."""
     if not isinstance(Q, RateMatrix):
         raise ConfigError("the estimator needs a finite-chain process")
     est = _get(cfg, "estimator", dict)
     kind = _get(est, "kind", str)
     if kind == "majority":
-        return (lambda obs, rng: (majority_estimate(obs), 0)), None
+        return partial(_no_fallback, majority_estimate), None
     if kind == "map":
-        prior = _uniform_prior(Q)
-        return (lambda obs, rng: (map_estimate(tree, Q, prior, obs),
-                                  0)), None
+        return partial(_no_fallback, map_estimate, tree, Q,
+                       _uniform_prior(Q)), None
     if kind not in ("frequency", "uniform"):
         raise ConfigError(f"unknown estimator kind {kind!r}")
     s, h_star, eps = _test_inputs(est, None)
-    m = _stretch_plan(tree, s, h_star).m
+    plan = stretch_plan(tree, s, h_star)
     table = RowTable({i: Q.row(i, h_star) for i in Q.states})
     # the estimators differ in one argument: q* or the candidate states
     if kind == "uniform":
         estimate, arg = uniform_chain_estimate, Q.q_star
         bound = clamp(prop54_uniform_bound(BoundInputs(
-            f_star=math.exp(-Q.q_star * h_star), q_star=Q.q_star, s=s, m=m,
-            delta_q_hstar=min(table.delta(Q.states), 1.0))))
+            f_star=math.exp(-Q.q_star * h_star), q_star=Q.q_star, s=s,
+            m=plan.m, delta_q_hstar=min(table.delta(Q.states), 1.0))))
     else:
         lam = list(Q.states if eps is None
                    else lambda_epsilon(_uniform_prior(Q), eps))
@@ -181,12 +199,12 @@ def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
         bound = clamp(thm2_general_bound(BoundInputs(
             epsilon=eps or 0.0, n_epsilon=len(lam), delta_epsilon=delta,
             q_star_epsilon=max(max(Q.exit_rates[i - 1] for i in lam), 1.0),
-            s=s, m=m))) if math.isfinite(delta) else None
+            s=s, m=plan.m))) if math.isfinite(delta) else None
+    return partial(_frequency_test, estimate, plan, Q, arg, table), bound
 
-    def run(obs, rng):
-        rep = estimate(tree, Q, obs, s, h_star, arg, table, rng)
-        return rep.state, int(rep.fallback)
-    return run, bound
+
+def _draw_root(n: int, root, rng) -> int:
+    return int(rng.integers(n)) + 1 if root is None else root
 
 
 def _root_draw(cfg: dict, Q: RateMatrix):
@@ -194,11 +212,11 @@ def _root_draw(cfg: dict, Q: RateMatrix):
     fixed "root", the one key of two JSON types."""
     root = cfg.get("root", "uniform")
     if root == "uniform":
-        return lambda rng: int(rng.integers(Q.n)) + 1
+        return partial(_draw_root, Q.n, None)
     if type(root) is not int or not 1 <= root <= Q.n:
         raise ConfigError(f'root must be "uniform" or a state 1..{Q.n}, '
                           f"got {root!r}")
-    return lambda rng: root
+    return partial(_draw_root, Q.n, root)
 
 
 def _trials(cfg: dict, default=_REQUIRED) -> int:
@@ -212,8 +230,8 @@ def _seed(cfg: dict) -> int:
     return seed
 
 
-def _tkf91_inputs(cfg: dict, family: NestedFamily) -> dict:
-    """The estimator keywords and "ks" of ``tkf91_root_experiment``."""
+def _tkf91_inputs(cfg: dict, family: NestedFamily) -> tuple:
+    """s, h*, epsilon, "ks" (None: all members) and "row_samples"."""
     est = _get(cfg, "estimator", dict)
     s, h_star, eps = _test_inputs(est, 0.3)
     ks = _get(cfg, "ks", list, None)
@@ -221,8 +239,8 @@ def _tkf91_inputs(cfg: dict, family: NestedFamily) -> dict:
         if not 1 <= _typed(f"ks[{i}]", k, int) <= len(family):
             raise ConfigError(f"family member k={k} out of range "
                               f"1..{len(family)}")
-    return {"s": s, "h_star": h_star, "epsilon": eps, "ks": ks, "row_samples":
-            _positive("row_samples", _get(est, "row_samples", int, 4000))}
+    return (s, h_star, eps, ks,
+            _positive("row_samples", _get(est, "row_samples", int, 4000)))
 
 
 def _output(cfg: dict, suffixes=("",)):
@@ -238,35 +256,48 @@ def _output(cfg: dict, suffixes=("",)):
     return path
 
 
+# what a run's trials need, built once at set-up and pickled to workers:
+# trial t of ``count`` draws its root with ``draw`` and its leaves on
+# ``tree`` from the substream [*key, t], and ``estimate`` maps
+# (observed, rng) to (estimate, fallback flag)
+Trials = namedtuple("Trials", "tree process estimate draw key count")
+
+
 def _trial_setup(cfg: dict) -> tuple:
-    """(tree, Q, estimator, bound, root draw, seed, trials) of a config."""
+    """The ``Trials`` of a finite-chain config, and its estimator's bound
+    or None."""
     tree, Q = _build_tree(cfg), _build_process(cfg)
-    return (tree, Q, *_build_estimator(cfg, tree, Q), _root_draw(cfg, Q),
-            _seed(cfg), _trials(cfg))
+    estimate, bound = _build_estimator(cfg, tree, Q)
+    return Trials(tree, Q, estimate, _root_draw(cfg, Q), (_seed(cfg),),
+                  _trials(cfg)), bound
 
 
-def _trial_range(cfg: dict, lo: int, hi: int, setup=None) -> list:
+def _trial_range(trials: Trials, lo: int, hi: int) -> list:
     """Rows (trial, truth, estimate, fallback) of trials lo to hi - 1."""
-    tree, Q, est, _, draw, seed, _ = setup or _trial_setup(cfg)
-    return [(t, truth, *est(observed, rng)) for t, truth, observed, rng
-            in simulated_trials(tree, Q, draw, (seed,), hi, start=lo)]
+    tree, process, estimate, draw, key, _ = trials
+    return [(t, truth, *estimate(observed, rng)) for t, truth, observed, rng
+            in simulated_trials(tree, process, draw, key, hi, start=lo)]
 
 
-def run_trials(cfg: dict, workers: int = 1, setup=None) -> list:
-    """All trials of a finite-chain experiment, ordered by trial index.
+def _usable_cpus() -> int:
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def run_trials(trials: Trials, workers: int = 1) -> list:
+    """All of ``trials``, ordered by trial index.
 
     Trials are independent substreams, so any partition across workers
-    yields the same merged result.  ``setup`` is the config's
-    ``_trial_setup``, if built; workers build their own.
+    yields the same merged result.  The pool has at most one process per
+    usable CPU and per trial; each process gets the pickled ``trials``.
     """
-    setup = setup or _trial_setup(cfg)
-    trials = setup[-1]
-    workers = max(1, min(workers, trials))
+    workers = max(1, min(workers, trials.count, _usable_cpus()))
     if workers == 1:
-        return _trial_range(cfg, 0, trials, setup)
-    cuts = [trials * w // workers for w in range(workers + 1)]
+        return _trial_range(trials, 0, trials.count)
+    cuts = [trials.count * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_trial_range, [cfg] * workers, cuts[:-1], cuts[1:])
+        parts = pool.map(_trial_range, [trials] * workers, cuts[:-1],
+                         cuts[1:])
         return [row for part in parts for row in part]
 
 
@@ -276,11 +307,15 @@ def _write_trials_csv(rows, fh) -> None:
         fh.write(f"{t},{truth},{state},{fallback}\n")
 
 
-def _write_summary_csv(rows, bound, fh) -> None:
+def _tally(rows) -> tuple:
+    """(trials, errors, rate, Wilson interval low, high) of trial rows."""
     errors = sum(1 for _, truth, state, _ in rows if state != truth)
-    trials = len(rows)
-    lo, hi = wilson_interval(errors, trials)
-    rate = errors / trials
+    return (len(rows), errors, errors / len(rows),
+            *wilson_interval(errors, len(rows)))
+
+
+def _write_summary_csv(rows, bound, fh) -> None:
+    trials, errors, rate, lo, hi = _tally(rows)
     if bound is None:
         bound_s, ok = "", ""
     else:
@@ -325,19 +360,20 @@ def _cmd_simulate(cfg: dict, workers: int):
 
 
 def _cmd_estimate(cfg: dict, workers: int):
-    setup, out = _trial_setup(cfg), _output(cfg)
+    (trials, _), out = _trial_setup(cfg), _output(cfg)
     return lambda: _emit(out, "", partial(_write_trials_csv,
-                                          run_trials(cfg, workers, setup)))
+                                          run_trials(trials, workers)))
 
 
 def _cmd_experiment(cfg: dict, workers: int):
-    setup, out = _trial_setup(cfg), _output(cfg, _EXPERIMENT_SUFFIXES)
+    (trials, bound), out = (_trial_setup(cfg),
+                            _output(cfg, _EXPERIMENT_SUFFIXES))
 
     def run():
-        rows = run_trials(cfg, workers, setup)
+        rows = run_trials(trials, workers)
         _emit(out, ".trials.csv", partial(_write_trials_csv, rows))
         return _emit(out, ".summary.csv",
-                     partial(_write_summary_csv, rows, setup[3]))
+                     partial(_write_summary_csv, rows, bound))
     return run
 
 
@@ -368,12 +404,26 @@ def _cmd_tkf91(cfg: dict, workers: int):
     family, params = _build_family(cfg), _build_process(cfg)
     if not isinstance(params, Tkf91Params):
         raise ConfigError("tkf91 subcommand needs a tkf91 process")
-    inputs = _tkf91_inputs(cfg, family)
-    trials, seed, out = _trials(cfg), _seed(cfg), _output(cfg)
+    s, h_star, eps, ks, row_samples = _tkf91_inputs(cfg, family)
+    count, seed, out = _trials(cfg), _seed(cfg), _output(cfg)
+    draw = partial(stationary_sample, params)
 
+    # one process whatever ``workers`` says; each member k's trials are
+    # keyed (seed, k), and all members share the plug-in rows
     def run():
-        results = tkf91_root_experiment(family, params, trials=trials,
-                                        master_seed=seed, **inputs)
+        lam = top_states(params, eps)
+        rows = RowTable(mc_rows(params, lam, h_star, row_samples,
+                                np.random.default_rng([seed, 10 ** 9])))
+        results = []
+        for k in range(1, len(family) + 1) if ks is None else ks:
+            tree = family[k - 1]
+            estimate = partial(_frequency_test, frequency_estimate,
+                               stretch_plan(tree, s, h_star), params, lam,
+                               rows)
+            tally = _tally(_trial_range(Trials(tree, params, estimate, draw,
+                                               (seed, k), count), 0, count))
+            results.append(dict(zip(("k", "trials", "errors", "rate",
+                                     "ci_low", "ci_high"), (k, *tally))))
         return _emit(out, "", partial(write_experiment_csv, results))
     return run
 
@@ -435,8 +485,10 @@ def main(argv=None) -> int:
         description="Root-state reconstruction experiments on trees.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("config", help="JSON config file")
+    # argparse converts a string default too, so a bad ROOTREC_WORKERS
+    # is a usage error like a bad --workers
     parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("ROOTREC_WORKERS", "1")))
+                        default=os.environ.get("ROOTREC_WORKERS", "1"))
     args = parser.parse_args(argv)
     # ConfigError, CtmcError, TreeError and EstimatorError are ValueErrors
     try:

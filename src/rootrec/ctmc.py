@@ -306,7 +306,7 @@ def identifiability_margin(Q: RateMatrix, t: float, state_subset=None) -> float:
         raise CtmcError("state subset must be nonempty")
     if len(subset) == 1:
         return math.inf
-    P = transition_matrix(Q, t)
+    P = Q.matrix(t)
     best = math.inf
     for ii, i in enumerate(subset):
         for j in subset[ii + 1:]:

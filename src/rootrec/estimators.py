@@ -4,6 +4,8 @@ Maximum a posteriori estimation over all root states or a subset of them,
 from leaf likelihoods by Felsenstein pruning; the frequency-test
 estimator on stretched well-spread restrictions, its data-driven variant
 for chains with uniformly bounded rates, and the two-state majority vote.
+The frequency-test estimators are handed a run's ``stretch_plan`` and
+``RowTable`` of time-h* rows, which the caller builds once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
     "EstimatorError",
     "EstimatorReport",
     "RowTable",
+    "StretchPlan",
+    "stretch_plan",
     "map_estimate",
     "frequency_estimate",
     "uniform_chain_estimate",
@@ -53,9 +56,7 @@ class EstimatorReport:
 
     state: object
     fallback: bool
-    s: float
-    m: int
-    spread: float
+    plan: StretchPlan
     lam: tuple
     passed: tuple
     margins: dict = field(default_factory=dict)
@@ -70,12 +71,6 @@ class RowTable:
         self._tv: dict = {}
         self._sets: dict = {}
         self._masses: dict = {}
-
-    def states(self):
-        return self.rows.keys()
-
-    def row(self, i) -> Distribution:
-        return self.rows[i]
 
     def tv(self, i, j) -> float:
         key = (i, j) if _label_key(i) < _label_key(j) else (j, i)
@@ -110,10 +105,6 @@ class RowTable:
             v = self.achieving(i, j).mass_under(self.rows[i])
             self._masses[key] = v
         return v
-
-
-def _as_row_table(rows) -> RowTable:
-    return rows if isinstance(rows, RowTable) else RowTable(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +151,11 @@ def lambda_epsilon(prior: Distribution, epsilon: float) -> tuple:
 
 
 @dataclass(frozen=True)
-class _StretchPlan:
+class StretchPlan:
+    """The stretched restriction at scale s: the ``m`` chosen leaves, the
+    spread of their restriction, and each leaf's duration up to depth
+    h*."""
+
     s: float
     h_star: float
     m: int
@@ -169,8 +164,10 @@ class _StretchPlan:
     durations: tuple
 
 
-@lru_cache(maxsize=128)
-def _stretch_plan(tree: Tree, s: float, h_star: float) -> _StretchPlan:
+def stretch_plan(tree: Tree, s: float, h_star: float) -> StretchPlan:
+    """Lay out the stretched restriction of ``tree`` at scale ``s``; an h*
+    above a chosen leaf, or a scale with no boundary points, raises
+    ``EstimatorError``."""
     leaves = chosen_leaves(tree, s)
     m = len(leaves)
     if m == 0:
@@ -182,10 +179,10 @@ def _stretch_plan(tree: Tree, s: float, h_star: float) -> _StretchPlan:
         if d < -DURATION_TOL:
             raise EstimatorError(f"h_star={h_star} below depth of leaf {x}")
         durations.append(max(d, 0.0))
-    return _StretchPlan(s, h_star, m, spr, leaves, tuple(durations))
+    return StretchPlan(s, h_star, m, spr, leaves, tuple(durations))
 
 
-def _stretched_counts(plan: _StretchPlan, process, observed: dict,
+def _stretched_counts(plan: StretchPlan, process, observed: dict,
                       rng) -> Counter:
     """Leaf-state frequencies of the stretched restriction: the selected
     leaves' observed states, each run forward to depth h*."""
@@ -198,14 +195,12 @@ def _stretched_counts(plan: _StretchPlan, process, observed: dict,
     return counts
 
 
-def _run_tests(plan: _StretchPlan, counts: Counter, lam, table: RowTable,
+def _run_tests(plan: StretchPlan, counts: Counter, lam, table: RowTable,
                rng) -> EstimatorReport:
-    lam = sorted(lam, key=_label_key)
-    m = plan.m
+    lam = tuple(sorted(lam, key=_label_key))
     if len(lam) == 1:
-        return EstimatorReport(state=lam[0], fallback=False, s=plan.s, m=m,
-                               spread=plan.spread, lam=tuple(lam),
-                               passed=tuple(lam))
+        return EstimatorReport(state=lam[0], fallback=False, plan=plan,
+                               lam=lam, passed=lam)
     delta = table.delta(lam)
     passed = []
     margins: dict = {}
@@ -216,7 +211,7 @@ def _run_tests(plan: _StretchPlan, counts: Counter, lam, table: RowTable,
             if j == i:
                 continue
             aset = table.achieving(i, j)
-            freq = sum(c for st, c in counts.items() if st in aset) / m
+            freq = sum(c for st, c in counts.items() if st in aset) / plan.m
             margin = freq - (table.threshold_mass(i, j) - delta / 2.0)
             if margin <= 0.0:
                 break
@@ -229,35 +224,32 @@ def _run_tests(plan: _StretchPlan, counts: Counter, lam, table: RowTable,
         raise AssertionError(
             f"multiple states passed the frequency tests: {passed}")
     if passed:
-        return EstimatorReport(state=passed[0], fallback=False, s=plan.s,
-                               m=m, spread=plan.spread, lam=tuple(lam),
-                               passed=tuple(passed), margins=margins)
+        return EstimatorReport(state=passed[0], fallback=False, plan=plan,
+                               lam=lam, passed=tuple(passed),
+                               margins=margins)
     choice = lam[rng.integers(len(lam))]
-    return EstimatorReport(state=choice, fallback=True, s=plan.s, m=m,
-                           spread=plan.spread, lam=tuple(lam), passed=())
+    return EstimatorReport(state=choice, fallback=True, plan=plan, lam=lam,
+                           passed=())
 
 
-def frequency_estimate(tree: Tree, process, observed: dict, s: float,
-                       h_star: float, lam, rows, rng) -> EstimatorReport:
-    """Frequency-test root estimate on the stretched restriction at scale s.
+def frequency_estimate(plan: StretchPlan, process, observed: dict, lam,
+                       rows: RowTable, rng) -> EstimatorReport:
+    """Frequency-test root estimate on the stretched restriction ``plan``.
 
-    ``rows`` maps each state of ``lam`` to its time-h* distribution (exact
+    ``rows`` holds each state of ``lam``'s time-h* distribution (exact
     rows for finite chains, Monte Carlo plug-in rows otherwise).  The unique
     state whose achieving-set frequencies all clear their thresholds is
     returned; absent one, a uniform random member of ``lam`` is returned
     with the fallback flag set.
     """
-    lam = list(lam)
     if not lam:
         raise EstimatorError("state subset must be nonempty")
-    plan = _stretch_plan(tree, s, h_star)
-    table = _as_row_table(rows)
     counts = _stretched_counts(plan, process, observed, rng)
-    return _run_tests(plan, counts, lam, table, rng)
+    return _run_tests(plan, counts, lam, rows, rng)
 
 
-def uniform_chain_estimate(tree: Tree, process, observed: dict, s: float,
-                           h_star: float, q_star: float, rows,
+def uniform_chain_estimate(plan: StretchPlan, process, observed: dict,
+                           q_star: float, rows: RowTable,
                            rng) -> EstimatorReport:
     """Frequency-test estimate with the data-driven candidate set for
     chains whose rates are bounded by ``q_star``: candidates are the states
@@ -265,17 +257,16 @@ def uniform_chain_estimate(tree: Tree, process, observed: dict, s: float,
     ``rows``, as in ``frequency_estimate``, must cover them."""
     if q_star < 1.0:
         raise EstimatorError("q_star must be at least 1")
-    f_star = math.exp(-q_star * h_star)
-    plan = _stretch_plan(tree, s, h_star)
+    f_star = math.exp(-q_star * plan.h_star)
     counts = _stretched_counts(plan, process, observed, rng)
     lam_hat = sorted((st for st, c in counts.items()
                       if c / plan.m >= 0.5 * f_star), key=_label_key)
     if not lam_hat:
         observed_states = sorted(set(counts), key=_label_key)
         choice = observed_states[rng.integers(len(observed_states))]
-        return EstimatorReport(state=choice, fallback=True, s=s, m=plan.m,
-                               spread=plan.spread, lam=(), passed=())
-    return _run_tests(plan, counts, lam_hat, _as_row_table(rows), rng)
+        return EstimatorReport(state=choice, fallback=True, plan=plan,
+                               lam=(), passed=())
+    return _run_tests(plan, counts, lam_hat, rows, rng)
 
 
 def majority_estimate(observed: dict) -> int:

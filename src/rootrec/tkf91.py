@@ -6,23 +6,20 @@ position 0: it is never deleted or substituted, but it can give birth.
 The stationary length law is geometric with ratio lambda/mu.  The
 parameters ``Tkf91Params`` are the process itself: their ``sample`` runs
 it down a tree edge by exact event simulation.  No exact time-t rows
-exist, so estimators use Monte Carlo plug-in rows (``mc_rows``).
+exist, so estimators use Monte Carlo plug-in rows (``mc_rows``).  The
+CLI's ``tkf91`` command runs the reconstruction experiment.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import wilson_interval
-from .ctmc import CtmcError, Distribution
-from .estimators import RowTable, frequency_estimate
-from .treechain import simulated_trials
+from .ctmc import CtmcError, Distribution, _label_key
 
 __all__ = [
     "Tkf91Params",
@@ -35,7 +32,6 @@ __all__ = [
     "stationary_length_pmf",
     "top_states",
     "mc_rows",
-    "tkf91_root_experiment",
     "write_experiment_csv",
 ]
 
@@ -158,10 +154,6 @@ def stationary_pmf(params: Tkf91Params, seq: str) -> float:
     return p
 
 
-def _seq_key(seq: str) -> tuple:
-    return (len(seq), seq)
-
-
 def top_states(params: Tkf91Params, epsilon: float,
                max_states: int = 10 ** 6) -> tuple:
     """Smallest set of highest-stationary-mass sequences whose complement
@@ -174,7 +166,7 @@ def top_states(params: Tkf91Params, epsilon: float,
     """
     if epsilon <= 0:
         raise CtmcError("epsilon must be positive")
-    heap = [(-stationary_pmf(params, ""), _seq_key(""), "")]
+    heap = [(-stationary_pmf(params, ""), _label_key(""), "")]
     out = []
     tail = 1.0
     while tail >= epsilon:
@@ -185,8 +177,8 @@ def top_states(params: Tkf91Params, epsilon: float,
         tail += neg
         for ch in ALPHABET:
             child = seq + ch
-            heapq.heappush(
-                heap, (-stationary_pmf(params, child), _seq_key(child), child))
+            heapq.heappush(heap, (-stationary_pmf(params, child),
+                                  _label_key(child), child))
     return tuple(out)
 
 
@@ -205,44 +197,6 @@ def mc_rows(params: Tkf91Params, states, t: float, n_samples: int,
         rows[state] = Distribution({s: c / n_samples
                                     for s, c in counts.items()})
     return rows
-
-
-def tkf91_root_experiment(family, params: Tkf91Params, s: float,
-                          h_star: float, trials: int, master_seed: int,
-                          epsilon: float = 0.3, row_samples: int = 4000,
-                          ks=None) -> list:
-    """Empirical root-reconstruction error per family member.
-
-    ``ks`` selects 1-based family members (default: all).  The root is
-    drawn from the stationary law, leaves are simulated down the tree, and
-    the frequency-test estimator runs over the high-mass candidate set
-    with Monte Carlo plug-in rows (shared across members, drawn from the
-    dedicated substream [master_seed, 10**9]).  Member k's trials are
-    ``simulated_trials`` keyed by (master_seed, k).  Returns one summary
-    dict per k.
-    """
-    if trials < 1:
-        raise CtmcError("trials must be at least 1")
-    ks = list(ks) if ks is not None else list(range(1, len(family) + 1))
-    for k in ks:
-        if not 1 <= k <= len(family):
-            raise ValueError(f"family member k={k} out of range "
-                             f"1..{len(family)}")
-    lam_set = top_states(params, epsilon)
-    rows = RowTable(mc_rows(params, lam_set, h_star, row_samples,
-                            np.random.default_rng([master_seed, 10 ** 9])))
-    draw = functools.partial(stationary_sample, params)
-    results = []
-    for k in ks:
-        tree = family[k - 1]
-        errors = sum(1 for _, truth, observed, rng in simulated_trials(
-            tree, params, draw, (master_seed, k), trials)
-            if frequency_estimate(tree, params, observed, s, h_star,
-                                  lam_set, rows, rng).state != truth)
-        lo, hi = wilson_interval(errors, trials)
-        results.append({"k": k, "trials": trials, "errors": errors,
-                        "rate": errors / trials, "ci_low": lo, "ci_high": hi})
-    return results
 
 
 def write_experiment_csv(results, fh) -> None:

@@ -24,17 +24,16 @@ from oracles import exact_leaf_law
 from rootrec.bounds import (BoundInputs, prop54_uniform_bound, recon_lower,
                             recon_upper, variance_bound, wilson_interval)
 from rootrec.cli import (_build_estimator, _build_process, _build_tree,
-                         run_trials)
+                         _trial_setup, main, run_trials)
 from rootrec.ctmc import (Distribution, RateMatrix, identifiability_margin,
                           jukes_cantor, row_distribution, total_variation,
                           transition_matrix, two_state_symmetric)
 from rootrec.estimators import (RowTable, exclusivity_stats,
                                 frequency_estimate, map_estimate,
-                                uniform_chain_estimate)
+                                stretch_plan, uniform_chain_estimate)
 from rootrec.tkf91 import (Tkf91Params, stationary_length_pmf,
-                           stationary_pmf, stationary_sample, tkf91_evolve,
-                           tkf91_root_experiment)
-from rootrec.tree import Tree, chosen_leaves, generate_family, spread
+                           stationary_pmf, stationary_sample, tkf91_evolve)
+from rootrec.tree import Tree, generate_family, spread
 from rootrec.treechain import simulate, simulate_batch
 
 
@@ -208,7 +207,8 @@ def test_c07a_deep_family_error_below_bound():
     start = time.monotonic()
     trials = 10 ** 4
     for k in (50, 200):
-        rows = run_trials(_deep_family_config(k, trials, seed=1070 + k))
+        rows = run_trials(
+            _trial_setup(_deep_family_config(k, trials, seed=1070 + k))[0])
         rate = sum(truth != state for _, truth, state, _ in rows) / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
         assert rate - 3 * sigma <= _deep_family_bound(k)
@@ -233,10 +233,10 @@ def test_c08_uniform_chain_minimax():
     s, h_star = 0.005, 0.02
     P = transition_matrix(Q, h_star)
     table = RowTable({i: row_distribution(P, i) for i in Q.states})
-    m = len(chosen_leaves(t, s))
+    plan = stretch_plan(t, s, h_star)
     inp = BoundInputs(f_star=math.exp(-Q.q_star * h_star),
                       delta_q_hstar=min(table.delta(list(Q.states)), 1.0),
-                      q_star=Q.q_star, s=s, m=m)
+                      q_star=Q.q_star, s=s, m=plan.m)
     bound = prop54_uniform_bound(inp)
     assert bound < 1.0  # configuration chosen to make the check non-vacuous
     trials = 10 ** 4
@@ -245,8 +245,7 @@ def test_c08_uniform_chain_minimax():
         for trial in range(trials):
             rng = np.random.default_rng([108, truth, trial])
             obs = simulate(t, Q, truth, rng)
-            rep = uniform_chain_estimate(t, Q, obs, s, h_star, Q.q_star,
-                                         table, rng)
+            rep = uniform_chain_estimate(plan, Q, obs, Q.q_star, table, rng)
             errors += rep.state != truth
         rate = errors / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
@@ -294,18 +293,24 @@ def test_c10_tkf91_stationarity():
     assert time.monotonic() - start < 300.0
 
 
-def test_c11_tkf91_consistency_trend():
-    # empirical reconstruction error strictly decreasing over
-    # k in {10, 50, 200}, with 3 sigma separation between the endpoints
+def test_c11_tkf91_consistency_trend(tmp_path):
+    # empirical reconstruction error of the tkf91 command strictly
+    # decreasing over k in {10, 50, 200}, with 3 sigma separation between
+    # the endpoints
     start = time.monotonic()
-    params = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
-    fam = generate_family("figure1", {"k": 200, "h": 1.0})
     trials = 2000
-    res = tkf91_root_experiment(fam, params, s=0.05, h_star=1.0,
-                                trials=trials, master_seed=111,
-                                epsilon=0.3, row_samples=4000,
-                                ks=[10, 50, 200])
-    rates = [r["rate"] for r in res]
+    cfg = {"family": {"kind": "figure1", "k": 200, "h": 1.0},
+           "ks": [10, 50, 200],
+           "process": {"kind": "tkf91", "nu": 1.0, "lam": 0.5, "mu": 1.0},
+           "estimator": {"s": 0.05, "h_star": 1.0, "epsilon": 0.3,
+                         "row_samples": 4000},
+           "trials": trials, "seed": 111, "output": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["tkf91", str(path)]) == 0
+    lines = (tmp_path / "out").read_text().splitlines()[1:]
+    rates = [float(line.split(",")[3]) for line in lines]
+    assert len(rates) == 3
     assert rates[0] > rates[1] > rates[2]
     sigma = math.sqrt(sum(r * (1 - r) / trials for r in (rates[0], rates[2])))
     assert rates[0] - rates[2] > 3 * sigma
@@ -315,7 +320,6 @@ def test_c11_tkf91_consistency_trend():
 def test_c12_determinism_across_workers(tmp_path):
     # the deep-family experiment config emits byte-identical CSV for
     # repeated runs and for different worker counts
-    from rootrec.cli import main
     cfg = {
         "family": {"kind": "figure1", "k": 50, "h": 1.0},
         "process": {"kind": "two_state", "q": 1.0},
@@ -344,11 +348,12 @@ def test_c06_frequency_test_exclusivity():
     Q = two_state_symmetric(1.0)
     P = transition_matrix(Q, 1.0)
     table = RowTable({i: row_distribution(P, i) for i in Q.states})
+    plan = stretch_plan(t, 0.03, 1.0)
     rng = np.random.default_rng(106)
     needed = 10 ** 5 - exclusivity_stats()["invocations"]
     for _ in range(max(needed, 10 ** 4)):
         obs = {x: int(rng.integers(2)) + 1 for x in t.leaves}
-        frequency_estimate(t, Q, obs, 0.03, 1.0, [1, 2], table, rng)
+        frequency_estimate(plan, Q, obs, [1, 2], table, rng)
     stats = exclusivity_stats()
     assert stats["invocations"] >= 10 ** 5
     assert stats["violations"] == 0

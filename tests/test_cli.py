@@ -1,6 +1,8 @@
 import copy
 import importlib.util
 import json
+import os
+import pickle
 import re
 import sys
 import time
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 
 import test_substreams
 from oracles import exact_leaf_law
+from rootrec import cli
 from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _build_estimator,
                          _build_process, _build_tree, _root_draw,
-                         _uniform_prior, main, run_trials, validate_config)
+                         _trial_range, _trial_setup, _uniform_prior, main,
+                         run_trials, validate_config)
 from rootrec.estimators import EstimatorError, map_estimate
 from rootrec.treechain import simulate
 
@@ -97,9 +101,9 @@ class TestExperimentCommand:
         assert (tmp_path / "out.trials.csv").read_bytes() == first
 
     def test_worker_count_does_not_change_output(self, tmp_path):
-        cfg = experiment_cfg(tmp_path)
-        serial = run_trials(cfg, workers=1)
-        parallel = run_trials(cfg, workers=3)
+        trials, _ = _trial_setup(experiment_cfg(tmp_path))
+        serial = run_trials(trials, workers=1)
+        parallel = run_trials(trials, workers=3)
         assert serial == parallel
 
     def test_tkf91_process_rejected(self, tmp_path):
@@ -107,6 +111,82 @@ class TestExperimentCommand:
             tmp_path, process={"kind": "tkf91", "nu": 1, "lam": 1, "mu": 2})
         path = write_cfg(tmp_path, "e.json", cfg)
         assert main(["experiment", path]) == EXIT_CONFIG
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is
+    asked for and maps in this process, so no process starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestTrialRunner:
+    ESTIMATORS = {
+        "majority": {"kind": "majority"},
+        "map": {"kind": "map"},
+        "frequency": {"kind": "frequency", "s": 0.05, "h_star": 1.0,
+                      "epsilon": 0.01},
+        "uniform": {"kind": "uniform", "s": 0.05, "h_star": 1.0},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    def test_setup_survives_a_pickle_round_trip(self, tmp_path, kind):
+        cfg = experiment_cfg(tmp_path, estimator=self.ESTIMATORS[kind])
+        trials, _ = _trial_setup(cfg)
+        copied = pickle.loads(pickle.dumps(trials))
+        assert copied.tree is not trials.tree
+        assert _trial_range(copied, 0, 30) == _trial_range(trials, 0, 30)
+
+    def test_workers_use_the_parents_setup(self, tmp_path, monkeypatch):
+        # a worker that read the config again would build its tree anew
+        trials, _ = _trial_setup(experiment_cfg(tmp_path))
+        serial = run_trials(trials, workers=1)
+
+        def no_tree(cfg):
+            raise AssertionError("a worker built the tree again")
+
+        monkeypatch.setattr(cli, "_build_tree", no_tree)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        assert run_trials(trials, workers=2) == serial
+
+    def test_pool_capped_at_usable_cpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        trials, _ = _trial_setup(experiment_cfg(tmp_path))
+        serial = run_trials(trials, workers=1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        assert run_trials(trials, workers=5000) == serial
+        assert run_trials(trials._replace(count=2), workers=5000) == \
+            serial[:2]
+        assert RecordingPool.sizes == [3, 2]
+
+    def test_usable_cpus_follow_the_affinity_mask(self):
+        expected = (len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        assert cli._usable_cpus() == expected
+
+    def test_bad_workers_environment_is_a_usage_error(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setenv("ROOTREC_WORKERS", "abc")
+        path = write_cfg(tmp_path, "v.json", experiment_cfg(tmp_path))
+        with pytest.raises(SystemExit) as exit_:
+            main(["validate", path])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        monkeypatch.setenv("ROOTREC_WORKERS", "2")
+        assert main(["validate", path]) == EXIT_OK
 
 
 class TestEstimateCommand:
@@ -138,7 +218,7 @@ class TestMapEstimator:
         tree, Q = _build_tree(cfg), _build_process(cfg)
         laws = {i: exact_leaf_law(tree, Q, i) for i in Q.states}
         prior = _uniform_prior(Q)
-        rows = run_trials(cfg)
+        rows = run_trials(_trial_setup(cfg)[0])
         assert len(rows) == cfg["trials"]
         for t, truth, state, _ in rows:
             rng = np.random.default_rng([cfg["seed"], t])

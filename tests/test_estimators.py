@@ -12,7 +12,7 @@ from oracles import exact_leaf_law
 from rootrec.estimators import (EstimatorError, RowTable, exclusivity_stats,
                                 frequency_estimate, lambda_epsilon,
                                 majority_estimate, map_estimate,
-                                uniform_chain_estimate)
+                                stretch_plan, uniform_chain_estimate)
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import simulate
 
@@ -165,7 +165,7 @@ class TestFrequencyEstimate:
         Q = two_state_symmetric(1.0)
         rng = np.random.default_rng(1)
         obs = simulate(t, Q, 1, rng)
-        rep = frequency_estimate(t, Q, obs, 0.03, 1.0, [2],
+        rep = frequency_estimate(stretch_plan(t, 0.03, 1.0), Q, obs, [2],
                                  rows_at(Q, 1.0), rng)
         assert rep.state == 2 and not rep.fallback
 
@@ -174,18 +174,18 @@ class TestFrequencyEstimate:
         Q = two_state_symmetric(1.0)
         rng = np.random.default_rng(1)
         obs = simulate(t, Q, 1, rng)
-        rep = frequency_estimate(t, Q, obs, 0.2, 1.0, [1, 2],
+        rep = frequency_estimate(stretch_plan(t, 0.2, 1.0), Q, obs, [1, 2],
                                  rows_at(Q, 1.0), rng)
-        assert rep.m == 1
+        assert rep.plan.m == 1
 
     def test_zero_rates_perfect(self):
         Q = RateMatrix(np.zeros((2, 2)))
         t = pinched(9)
-        rows = rows_at(Q, 1.0)
+        plan, rows = stretch_plan(t, 0.03, 1.0), rows_at(Q, 1.0)
         rng = np.random.default_rng(3)
         for truth in (1, 2):
             obs = simulate(t, Q, truth, rng)
-            rep = frequency_estimate(t, Q, obs, 0.03, 1.0, [1, 2], rows, rng)
+            rep = frequency_estimate(plan, Q, obs, [1, 2], rows, rng)
             assert rep.state == truth and not rep.fallback
 
     def test_report_metadata(self):
@@ -193,11 +193,11 @@ class TestFrequencyEstimate:
         Q = two_state_symmetric(1.0)
         rng = np.random.default_rng(4)
         obs = simulate(t, Q, 1, rng)
-        rep = frequency_estimate(t, Q, obs, 0.03, 1.0, [1, 2],
-                                 rows_at(Q, 1.0), rng)
-        assert rep.m == 11
-        assert rep.s == 0.03
-        assert rep.spread == pytest.approx(0.02)
+        plan = stretch_plan(t, 0.03, 1.0)
+        rep = frequency_estimate(plan, Q, obs, [1, 2], rows_at(Q, 1.0), rng)
+        assert rep.plan is plan
+        assert (plan.m, plan.s, plan.h_star) == (11, 0.03, 1.0)
+        assert plan.spread == pytest.approx(0.02)
         if rep.passed:
             assert all(v > 0 for v in rep.margins.values())
 
@@ -208,19 +208,18 @@ class TestFrequencyEstimate:
         # of a fallback; at s above the pinch every leaf is chosen and sits
         # at depth h*, so the test counts are the leaves' own
         t = pinched(m, s=0.02)
-        table = rows_at(Q, 1.0)
+        plan, table = stretch_plan(t, 0.03, 1.0), rows_at(Q, 1.0)
         delta = table.delta(Q.states)
         rng = np.random.default_rng(23)
         passes = 0
         for _ in range(200):
             obs = simulate(t, Q, int(rng.integers(Q.n)) + 1, rng)
-            rep = frequency_estimate(t, Q, obs, 0.03, 1.0, Q.states, table,
-                                     rng)
+            rep = frequency_estimate(plan, Q, obs, Q.states, table, rng)
             if rep.fallback:
                 assert rep.margins == {}
                 continue
             passes += 1
-            assert rep.m == m
+            assert rep.plan.m == m
             i = rep.state
             counts = {st: list(obs.values()).count(st) for st in Q.states}
             expect = {}
@@ -242,10 +241,10 @@ class TestFrequencyEstimate:
         t = pinched(21)
         Q = two_state_symmetric(1.0)
         obs = simulate(t, Q, 1, np.random.default_rng(9))
-        rows = rows_at(Q, 1.0)
-        a = frequency_estimate(t, Q, obs, 0.03, 1.5, [1, 2], rows,
+        plan, rows = stretch_plan(t, 0.03, 1.5), rows_at(Q, 1.0)
+        a = frequency_estimate(plan, Q, obs, [1, 2], rows,
                                np.random.default_rng(42))
-        b = frequency_estimate(t, Q, obs, 0.03, 1.5, [1, 2], rows,
+        b = frequency_estimate(plan, Q, obs, [1, 2], rows,
                                np.random.default_rng(42))
         assert (a.state, a.fallback, a.margins) == \
             (b.state, b.fallback, b.margins)
@@ -255,19 +254,20 @@ class TestFrequencyEstimate:
         Q = two_state_symmetric(1.0)
         rng = np.random.default_rng(0)
         with pytest.raises(EstimatorError):
-            frequency_estimate(t, Q, {x: 1 for x in t.leaves}, 0.03, 1.0,
-                               [], rows_at(Q, 1.0), rng)
+            frequency_estimate(stretch_plan(t, 0.03, 1.0), Q,
+                               {x: 1 for x in t.leaves}, [], rows_at(Q, 1.0),
+                               rng)
 
     def test_exclusivity_never_violated_in_suite(self):
         t = pinched(31)
         Q = jukes_cantor(1.0)
-        rows = rows_at(Q, 1.0)
+        plan, rows = stretch_plan(t, 0.03, 1.0), rows_at(Q, 1.0)
         rng = np.random.default_rng(17)
         before = exclusivity_stats()
         for _ in range(500):
             truth = int(rng.integers(4)) + 1
             obs = simulate(t, Q, truth, rng)
-            frequency_estimate(t, Q, obs, 0.03, 1.0, Q.states, rows, rng)
+            frequency_estimate(plan, Q, obs, Q.states, rows, rng)
         after = exclusivity_stats()
         assert after["invocations"] - before["invocations"] == 500
         assert after["violations"] == 0
@@ -277,11 +277,11 @@ class TestUniformChainEstimate:
     def test_zero_rates_recovers_root(self):
         Q = RateMatrix(np.zeros((3, 3)))
         t = pinched(9)
+        plan, rows = stretch_plan(t, 0.03, 1.0), rows_at(Q, 1.0, Q.states)
         rng = np.random.default_rng(6)
         for truth in (1, 2, 3):
             obs = simulate(t, Q, truth, rng)
-            rep = uniform_chain_estimate(t, Q, obs, 0.03, 1.0, 1.0,
-                                         rows_at(Q, 1.0, Q.states), rng)
+            rep = uniform_chain_estimate(plan, Q, obs, 1.0, rows, rng)
             assert rep.state == truth and not rep.fallback
             assert rep.lam == (truth,)
 
@@ -294,7 +294,7 @@ class TestUniformChainEstimate:
         rng = np.random.default_rng(7)
         obs = {x: 1 for x in t.leaves}
         obs[t.leaves[0]] = 2  # frequency 0.01
-        rep = uniform_chain_estimate(t, Q, obs, 0.02, 1.0, 1.0,
+        rep = uniform_chain_estimate(stretch_plan(t, 0.02, 1.0), Q, obs, 1.0,
                                      rows_at(Q, 1.0, Q.states), rng)
         assert rep.lam == (1,)
         assert rep.state == 1
@@ -304,8 +304,9 @@ class TestUniformChainEstimate:
         Q = two_state_symmetric(1.0)
         rng = np.random.default_rng(8)
         with pytest.raises(EstimatorError):
-            uniform_chain_estimate(t, Q, {x: 1 for x in t.leaves}, 0.03,
-                                   1.0, 0.5, rows_at(Q, 1.0, Q.states), rng)
+            uniform_chain_estimate(stretch_plan(t, 0.03, 1.0), Q,
+                                   {x: 1 for x in t.leaves}, 0.5,
+                                   rows_at(Q, 1.0, Q.states), rng)
 
 
 class TestMajorityEstimate:

@@ -1,15 +1,17 @@
 import collections
+import json
 import math
 
 import numpy as np
 import pytest
 
 from rootrec import tkf91
+from rootrec.cli import EXIT_OK, main
 from rootrec.ctmc import CtmcError, total_variation, Distribution
+from rootrec.estimators import RowTable, frequency_estimate, stretch_plan
 from rootrec.tkf91 import (ALPHABET, Tkf91Params, mc_rows,
                            stationary_length_pmf, stationary_pmf,
-                           stationary_sample, tkf91_evolve,
-                           tkf91_root_experiment, top_states,
+                           stationary_sample, tkf91_evolve, top_states,
                            write_experiment_csv, _draw_letter)
 from rootrec.tree import generate_family
 from rootrec.treechain import simulate
@@ -180,32 +182,48 @@ class TestProcessInterface:
         assert rows["AT"].mass("AT") > 0.9
 
 
+def tkf91_command(tmp_path, family, process, estimator, ks, trials,
+                  seed) -> list:
+    """The rows of the ``tkf91`` command's CSV for this config, each a
+    dict of the CSV's columns."""
+    cfg = {"family": family, "process": {"kind": "tkf91", **process},
+           "estimator": estimator, "ks": ks, "trials": trials,
+           "seed": seed, "output": str(tmp_path / "out.csv")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["tkf91", str(path)]) == EXIT_OK
+    header, *lines = (tmp_path / "out.csv").read_text().splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(","))))
+            for line in lines]
+
+
 class TestRootExperiment:
-    def test_near_zero_rates_error_within_candidate_tail(self):
+    NEAR_ZERO = {"nu": 1e-4, "lam": 1e-4, "mu": 2e-4}
+
+    def test_near_zero_rates_error_within_candidate_tail(self, tmp_path):
         # leaves copy the root, so the only losses are roots outside the
         # epsilon candidate set (stationary tail mass 0.25 here)
-        p = Tkf91Params(nu=1e-4, lam=1e-4, mu=2e-4)
-        fam = generate_family("star", {"k": 9, "h": 1.0})
-        res = tkf91_root_experiment(fam, p, s=0.5, h_star=1.0, trials=100,
-                                    master_seed=11, epsilon=0.3,
-                                    row_samples=300, ks=[9])
+        p = Tkf91Params(**self.NEAR_ZERO)
+        res = tkf91_command(
+            tmp_path, {"kind": "star", "k": 9, "h": 1.0}, self.NEAR_ZERO,
+            {"s": 0.5, "h_star": 1.0, "epsilon": 0.3, "row_samples": 300},
+            ks=[9], trials=100, seed=11)
         tail = 1.0 - sum(stationary_pmf(p, s) for s in top_states(p, 0.3))
         assert res[0]["rate"] <= tail + 3 * math.sqrt(
             tail * (1 - tail) / 100) + 0.01
 
     def test_near_zero_rates_recover_candidate_roots(self):
-        from rootrec.estimators import frequency_estimate
-        p = Tkf91Params(nu=1e-4, lam=1e-4, mu=2e-4)
+        p = Tkf91Params(**self.NEAR_ZERO)
         t = generate_family("star", {"k": 9, "h": 1.0})[8]
-        lam = top_states(p, 0.3)
+        plan, lam = stretch_plan(t, 0.5, 1.0), top_states(p, 0.3)
         rng = np.random.default_rng(12)
-        rows = mc_rows(p, lam, 1.0, 300, rng)
+        rows = RowTable(mc_rows(p, lam, 1.0, 300, rng))
         for truth in lam:
             obs = simulate(t, p, truth, rng)
-            rep = frequency_estimate(t, p, obs, 0.5, 1.0, lam, rows, rng)
+            rep = frequency_estimate(plan, p, obs, lam, rows, rng)
             assert rep.state == truth
 
-    def test_row_tables_built_once(self, monkeypatch):
+    def test_row_tables_built_once(self, monkeypatch, tmp_path):
         # pairwise TVs of the plug-in rows are computed once per run, not
         # once per trial
         from rootrec import estimators
@@ -217,13 +235,14 @@ class TestRootExperiment:
             return real(a, b)
 
         monkeypatch.setattr(estimators, "total_variation", counted)
-        fam = generate_family("figure1", {"k": 5, "h": 1.0})
         counts = []
         for trials in (2, 6):
             calls.clear()
-            tkf91_root_experiment(fam, STD, s=0.05, h_star=1.0,
-                                  trials=trials, master_seed=3,
-                                  epsilon=0.3, row_samples=50, ks=[3, 5])
+            tkf91_command(
+                tmp_path, {"kind": "figure1", "k": 5, "h": 1.0},
+                {"nu": STD.nu, "lam": STD.lam, "mu": STD.mu},
+                {"s": 0.05, "h_star": 1.0, "epsilon": 0.3,
+                 "row_samples": 50}, ks=[3, 5], trials=trials, seed=3)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
