@@ -18,9 +18,11 @@ from .ctmc import (AchievingSet, CtmcError, Distribution, GenerativeProcess,
                    star_norm, star_norm_diff, total_variation,
                    transition_matrix, tv_achieving_set, two_state_symmetric)
 from .estimators import (EstimatorError, EstimatorReport, RowTable,
-                         StretchPlan, exclusivity_stats, frequency_estimate,
-                         lambda_epsilon, majority_estimate, map_estimate,
-                         stretch_plan, uniform_chain_estimate)
+                         StretchPlan, block_counts, exclusivity_stats,
+                         frequency_estimate, frequency_test, lambda_epsilon,
+                         majority_estimate, map_estimate, map_estimates,
+                         stretch_plan, uniform_chain_estimate,
+                         uniform_chain_test)
 from .tkf91 import (Tkf91Params, mc_rows, stationary_pmf, stationary_sample,
                     tkf91_evolve, top_states)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint,
@@ -28,7 +30,7 @@ from .tree import (NestedFamily, Tree, TreeError, TreePoint,
                    extract_well_spread_restriction, generate_family,
                    parse_newick, restrict, spread, stretch_to_height,
                    to_newick, truncate)
-from .treechain import (leaf_likelihoods, simulate, simulate_batch,
-                        simulated_trials)
+from .treechain import (BLOCK, TrialBlock, block_leaf_likelihoods,
+                        leaf_likelihoods, simulate, simulated_trials)
 
 __version__ = "0.1.0"

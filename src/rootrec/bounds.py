@@ -200,9 +200,10 @@ def monte_carlo_error(estimate, tree, process, root, trials: int,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     draw = root.sample if isinstance(root, Distribution) else lambda rng: root
-    errors = sum(1 for _, truth, observed, rng in simulated_trials(
-        tree, process, draw, (master_seed,), trials)
-        if estimate(observed, rng) != truth)
+    errors = sum(1 for block in simulated_trials(tree, process, draw,
+                                                 (master_seed,), trials)
+                 for _, truth, observed, rng in block.trials(tree)
+                 if estimate(observed, rng) != truth)
     lo, hi = wilson_interval(errors, trials)
     return {"errors": errors, "trials": trials, "rate": errors / trials,
             "ci99": (lo, hi)}

@@ -6,9 +6,9 @@ success; 2 the config is wrong, found at set-up (reading it and building
 the tree, chain, root draw and estimator) before any trial; 3 a guard
 fired during the trials.  ``experiment``, ``estimate`` and ``tkf91`` run
 their trials through ``_trial_range`` on ``Trials`` built once at set-up,
-which workers receive pickled.  Trials are (master seed, trial index)
-substreams merged by index, so results are identical for any worker
-count.
+which workers receive pickled; the estimators take a block of trials at
+a time.  Trials are (master seed, trial index) substreams merged by
+index, so results are identical for any worker count and block size.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
                      wilson_interval)
 from .ctmc import (Distribution, RateMatrix, jukes_cantor, load_rate_matrix,
                    two_state_symmetric)
-from .estimators import (RowTable, frequency_estimate,
-                         lambda_epsilon, majority_estimate, map_estimate,
-                         stretch_plan, uniform_chain_estimate)
+from .estimators import (RowTable, block_counts, frequency_estimate,
+                         frequency_test, lambda_epsilon, majority_estimate,
+                         map_estimates, stretch_plan, uniform_chain_test)
 from .tkf91 import (Tkf91Params, mc_rows, stationary_sample, top_states,
                     write_experiment_csv)
 from .tree import NestedFamily, Tree, generate_family, parse_newick
@@ -155,52 +155,70 @@ def _test_inputs(est: dict, epsilon) -> tuple:
             _get(est, "h_star", float), eps)
 
 
-def _no_fallback(estimate, *args):
-    """``estimate`` of ``args`` but the trailing rng, with fallback flag 0."""
-    return estimate(*args[:-1]), 0
+# block estimators: a TrialBlock -> one (estimate, fallback flag) per trial
 
 
-def _frequency_test(estimate, plan, process, arg, rows, observed, rng):
-    """(state, fallback flag) of ``estimate``, a frequency-test estimator
-    whose one own argument ``arg`` is q* or the candidate states."""
-    rep = estimate(plan, process, observed, arg, rows, rng)
+def _each_trial(tree, estimate, block):
+    """``estimate`` of (observed, rng), one trial of ``block`` at a time."""
+    return [estimate(observed, rng)
+            for _, _, observed, rng in block.trials(tree)]
+
+
+def _majority(observed, rng):
+    return majority_estimate(observed), 0
+
+
+def _map(tree, Q, prior, block):
+    return [(state, 0) for state in map_estimates(tree, Q, prior,
+                                                  block.leaves)]
+
+
+def _frequency_tests(test, plan, arg, rows, block):
+    """``test``, a frequency test whose one own argument ``arg`` is q* or
+    the candidate states, on each trial's stretched-state counts."""
+    return [(rep.state, int(rep.fallback)) for rep in (
+        test(plan, counts, arg, rows, rng)
+        for counts, rng in zip(block_counts(block.stretched), block.rngs))]
+
+
+def _frequency_estimate(plan, process, lam, rows, observed, rng):
+    rep = frequency_estimate(plan, process, observed, lam, rows, rng)
     return rep.state, int(rep.fallback)
 
 
 def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
-    """The estimator, observed, rng -> (estimate, fallback flag), and its
-    bound or None; an h* above a leaf is found here, before any trial.
-    The estimator is a ``partial``, so it pickles."""
+    """The block estimator, its stretch plan (None if it stretches no
+    leaves), and its bound or None; an h* above a leaf is found here,
+    before any trial.  The estimator is a ``partial``, so it pickles."""
     if not isinstance(Q, RateMatrix):
         raise ConfigError("the estimator needs a finite-chain process")
     est = _get(cfg, "estimator", dict)
     kind = _get(est, "kind", str)
     if kind == "majority":
-        return partial(_no_fallback, majority_estimate), None
+        return partial(_each_trial, tree, _majority), None, None
     if kind == "map":
-        return partial(_no_fallback, map_estimate, tree, Q,
-                       _uniform_prior(Q)), None
+        return partial(_map, tree, Q, _uniform_prior(Q)), None, None
     if kind not in ("frequency", "uniform"):
         raise ConfigError(f"unknown estimator kind {kind!r}")
     s, h_star, eps = _test_inputs(est, None)
     plan = stretch_plan(tree, s, h_star)
     table = RowTable({i: Q.row(i, h_star) for i in Q.states})
-    # the estimators differ in one argument: q* or the candidate states
+    # the tests differ in one argument: q* or the candidate states
     if kind == "uniform":
-        estimate, arg = uniform_chain_estimate, Q.q_star
+        test, arg = uniform_chain_test, Q.q_star
         bound = clamp(prop54_uniform_bound(BoundInputs(
             f_star=math.exp(-Q.q_star * h_star), q_star=Q.q_star, s=s,
             m=plan.m, delta_q_hstar=min(table.delta(Q.states), 1.0))))
     else:
         lam = list(Q.states if eps is None
                    else lambda_epsilon(_uniform_prior(Q), eps))
-        estimate, arg = frequency_estimate, lam
+        test, arg = frequency_test, lam
         delta = table.delta(lam)
         bound = clamp(thm2_general_bound(BoundInputs(
             epsilon=eps or 0.0, n_epsilon=len(lam), delta_epsilon=delta,
             q_star_epsilon=max(max(Q.exit_rates[i - 1] for i in lam), 1.0),
             s=s, m=plan.m))) if math.isfinite(delta) else None
-    return partial(_frequency_test, estimate, plan, Q, arg, table), bound
+    return partial(_frequency_tests, test, plan, arg, table), plan, bound
 
 
 def _draw_root(n: int, root, rng) -> int:
@@ -231,7 +249,11 @@ def _seed(cfg: dict) -> int:
 
 
 def _tkf91_inputs(cfg: dict, family: NestedFamily) -> tuple:
-    """s, h*, epsilon, "ks" (None: all members) and "row_samples"."""
+    """s, h*, epsilon, "ks" (None: all members), "row_samples", and the
+    stretch plans of the listed members (None without "ks"), so that an
+    h* above a chosen leaf of one of them is found at set-up.  Laying out
+    every member of a family is O(k²), so without "ks" each member's plan
+    is laid out when its trials run."""
     est = _get(cfg, "estimator", dict)
     s, h_star, eps = _test_inputs(est, 0.3)
     ks = _get(cfg, "ks", list, None)
@@ -239,8 +261,11 @@ def _tkf91_inputs(cfg: dict, family: NestedFamily) -> tuple:
         if not 1 <= _typed(f"ks[{i}]", k, int) <= len(family):
             raise ConfigError(f"family member k={k} out of range "
                               f"1..{len(family)}")
+    plans = None if ks is None else {
+        k: stretch_plan(family[k - 1], s, h_star) for k in ks}
     return (s, h_star, eps, ks,
-            _positive("row_samples", _get(est, "row_samples", int, 4000)))
+            _positive("row_samples", _get(est, "row_samples", int, 4000)),
+            plans)
 
 
 def _output(cfg: dict, suffixes=("",)):
@@ -258,25 +283,30 @@ def _output(cfg: dict, suffixes=("",)):
 
 # what a run's trials need, built once at set-up and pickled to workers:
 # trial t of ``count`` draws its root with ``draw`` and its leaves on
-# ``tree`` from the substream [*key, t], and ``estimate`` maps
-# (observed, rng) to (estimate, fallback flag)
-Trials = namedtuple("Trials", "tree process estimate draw key count")
+# ``tree`` from the substream [*key, t], then the leaves of the stretch
+# plan ``stretch`` (or None) run forward; ``estimate`` maps a TrialBlock
+# to one (estimate, fallback flag) per trial
+Trials = namedtuple("Trials", "tree process estimate draw key count stretch")
 
 
 def _trial_setup(cfg: dict) -> tuple:
     """The ``Trials`` of a finite-chain config, and its estimator's bound
     or None."""
     tree, Q = _build_tree(cfg), _build_process(cfg)
-    estimate, bound = _build_estimator(cfg, tree, Q)
+    estimate, stretch, bound = _build_estimator(cfg, tree, Q)
     return Trials(tree, Q, estimate, _root_draw(cfg, Q), (_seed(cfg),),
-                  _trials(cfg)), bound
+                  _trials(cfg), stretch), bound
 
 
 def _trial_range(trials: Trials, lo: int, hi: int) -> list:
     """Rows (trial, truth, estimate, fallback) of trials lo to hi - 1."""
-    tree, process, estimate, draw, key, _ = trials
-    return [(t, truth, *estimate(observed, rng)) for t, truth, observed, rng
-            in simulated_trials(tree, process, draw, key, hi, start=lo)]
+    tree, process, estimate, draw, key, _, stretch = trials
+    return [(t, truth, *row)
+            for block in simulated_trials(tree, process, draw, key, hi, lo,
+                                          stretch)
+            for t, (truth, row) in enumerate(zip(block.roots,
+                                                 estimate(block)),
+                                             block.start)]
 
 
 def _usable_cpus() -> int:
@@ -352,10 +382,10 @@ def _cmd_simulate(cfg: dict, workers: int):
 
     def write(fh):
         fh.write("trial,root,leaf,state\n")
-        for t, truth, observed, _ in simulated_trials(tree, proc, draw, key,
-                                                      trials):
-            for leaf in tree.leaves:
-                fh.write(f"{t},{truth},{leaf},{observed[leaf]}\n")
+        for block in simulated_trials(tree, proc, draw, key, trials):
+            for t, truth, observed, _ in block.trials(tree):
+                for leaf in tree.leaves:
+                    fh.write(f"{t},{truth},{leaf},{observed[leaf]}\n")
     return partial(_emit, out, "", write)
 
 
@@ -391,7 +421,7 @@ def _cmd_bounds(cfg: dict, workers: int):
             f"recon_lower,{recon_lower(prior, conds, prior.support):.10g}")
     if "estimator" in cfg:
         bound = _build_estimator(cfg, _build_tree(cfg),
-                                 _build_process(cfg))[1]
+                                 _build_process(cfg))[2]
         if bound is not None:
             lines.append(f"estimator_bound,{bound:.10g}")
     if not lines:
@@ -404,7 +434,7 @@ def _cmd_tkf91(cfg: dict, workers: int):
     family, params = _build_family(cfg), _build_process(cfg)
     if not isinstance(params, Tkf91Params):
         raise ConfigError("tkf91 subcommand needs a tkf91 process")
-    s, h_star, eps, ks, row_samples = _tkf91_inputs(cfg, family)
+    s, h_star, eps, ks, row_samples, plans = _tkf91_inputs(cfg, family)
     count, seed, out = _trials(cfg), _seed(cfg), _output(cfg)
     draw = partial(stationary_sample, params)
 
@@ -417,11 +447,13 @@ def _cmd_tkf91(cfg: dict, workers: int):
         results = []
         for k in range(1, len(family) + 1) if ks is None else ks:
             tree = family[k - 1]
-            estimate = partial(_frequency_test, frequency_estimate,
-                               stretch_plan(tree, s, h_star), params, lam,
-                               rows)
+            plan = (stretch_plan(tree, s, h_star) if plans is None
+                    else plans[k])
+            estimate = partial(_each_trial, tree, partial(
+                _frequency_estimate, plan, params, lam, rows))
             tally = _tally(_trial_range(Trials(tree, params, estimate, draw,
-                                               (seed, k), count), 0, count))
+                                               (seed, k), count, None),
+                                        0, count))
             results.append(dict(zip(("k", "trials", "errors", "rate",
                                      "ci_low", "ci_high"), (k, *tally))))
         return _emit(out, "", partial(write_experiment_csv, results))

@@ -10,7 +10,6 @@ bound.  States of a finite chain are labelled 1..n.
 
 from __future__ import annotations
 
-import bisect
 import math
 import weakref
 from typing import Protocol, runtime_checkable
@@ -71,7 +70,7 @@ class RateMatrix:
         self.exit_rates = -np.diag(q)
         self.states = tuple(range(1, self.n + 1))
         self._mats: dict[float, np.ndarray] = {}
-        self._cum: dict[float, list] = {}
+        self._cum: dict[float, np.ndarray] = {}
         # per-tree compiled forms built by treechain
         self.compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -94,22 +93,25 @@ class RateMatrix:
             self._mats[t] = P
         return P
 
-    def cum_rows(self, t: float) -> list:
-        """Cumulative sums of the rows of exp(tQ) as lists of floats, for
-        inverse-cdf draws with ``bisect.bisect_right``."""
+    def cum_rows(self, t: float) -> np.ndarray:
+        """Cumulative sums of the rows of exp(tQ), for inverse-cdf draws;
+        read-only, as they are shared."""
         c = self._cum.get(t)
         if c is None:
-            c = np.cumsum(self.matrix(t), axis=1).tolist()
+            c = np.cumsum(self.matrix(t), axis=1)
+            c.setflags(write=False)
             self._cum[t] = c
         return c
 
     def sample(self, state, duration, rng):
         """The state after ``duration`` from ``state``, by inverting its
-        cached cumulative row with one uniform from ``rng``."""
+        cached cumulative row with one uniform from ``rng``: the count of
+        the row's sums at or below the uniform, capped at n - 1, is the
+        0-based state."""
         if duration == 0.0:
             return state
-        j = bisect.bisect_right(self.cum_rows(duration)[state - 1],
-                                rng.random())
+        j = int(np.count_nonzero(self.cum_rows(duration)[state - 1]
+                                 <= rng.random()))
         return min(j, self.n - 1) + 1
 
     def row(self, state, t) -> Distribution:

@@ -5,7 +5,10 @@ from leaf likelihoods by Felsenstein pruning; the frequency-test
 estimator on stretched well-spread restrictions, its data-driven variant
 for chains with uniformly bounded rates, and the two-state majority vote.
 The frequency-test estimators are handed a run's ``stretch_plan`` and
-``RowTable`` of time-h* rows, which the caller builds once.
+``RowTable`` of time-h* rows, which the caller builds once.  The MAP and
+the frequency tests also take a block of trials at once: rows of leaf
+states, or of stretched leaf states as ``treechain.simulated_trials``
+draws them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .ctmc import (Distribution, RateMatrix, total_variation,
                    tv_achieving_set, _label_key)
 from .tree import Tree, chosen_leaves, restrict, spread
-from .treechain import leaf_likelihoods
+from .treechain import DURATION_TOL, block_leaf_likelihoods
 
 __all__ = [
     "EstimatorError",
@@ -28,14 +31,16 @@ __all__ = [
     "StretchPlan",
     "stretch_plan",
     "map_estimate",
+    "map_estimates",
+    "block_counts",
+    "frequency_test",
     "frequency_estimate",
+    "uniform_chain_test",
     "uniform_chain_estimate",
     "majority_estimate",
     "lambda_epsilon",
     "exclusivity_stats",
 ]
-
-DURATION_TOL = 1e-12
 
 # suite-wide tally of frequency-test invocations and of violations of the
 # at-most-one-passing-state guarantee (expected to stay at zero)
@@ -71,6 +76,7 @@ class RowTable:
         self._tv: dict = {}
         self._sets: dict = {}
         self._masses: dict = {}
+        self._deltas: dict = {}
 
     def tv(self, i, j) -> float:
         key = (i, j) if _label_key(i) < _label_key(j) else (j, i)
@@ -82,11 +88,14 @@ class RowTable:
 
     def delta(self, lam) -> float:
         """Minimum pairwise TV over a state subset; +inf for singletons."""
-        lam = list(lam)
-        best = math.inf
-        for a in range(len(lam)):
-            for b in range(a + 1, len(lam)):
-                best = min(best, self.tv(lam[a], lam[b]))
+        lam = tuple(lam)
+        best = self._deltas.get(lam)
+        if best is None:
+            best = math.inf
+            for a in range(len(lam)):
+                for b in range(a + 1, len(lam)):
+                    best = min(best, self.tv(lam[a], lam[b]))
+            self._deltas[lam] = best
         return best
 
     def achieving(self, i, j):
@@ -111,23 +120,33 @@ class RowTable:
 # maximum a posteriori
 
 
-def map_estimate(tree: Tree, Q: RateMatrix, prior: Distribution,
-                 observed: dict, lam=None) -> int:
+def map_estimates(tree: Tree, Q: RateMatrix, prior: Distribution,
+                  leaf_states, lam=None) -> list:
     """Posterior argmax over the root states ``lam`` (default: all states
-    of the chain), with the leaf likelihoods from Felsenstein pruning, so
-    it runs on trees of any size.  Ties go to the smallest label.  When
-    the observation is impossible under all of ``lam`` but not under every
-    state, ``lam``'s smallest label is returned (the restricted argmax is
-    then a free choice)."""
+    of the chain) of each row of ``leaf_states``, an observation in
+    ``tree.leaves`` order, with the leaf likelihoods from Felsenstein
+    pruning, so it runs on trees of any size.  Ties go to the smallest
+    label.  When an observation is impossible under all of ``lam`` but
+    not under every state, ``lam``'s smallest label is returned (the
+    restricted argmax is then a free choice)."""
     lam = Q.states if lam is None else sorted(lam)
     if not lam or not set(lam) <= set(Q.states):
         raise EstimatorError(f"state subset {lam} is not a nonempty subset "
                              f"of 1..{Q.n}")
     post = (np.array([prior.mass(i) for i in Q.states])
-            * leaf_likelihoods(tree, Q, observed)).tolist()
-    if not max(post) > 0.0:
+            * block_leaf_likelihoods(tree, Q, leaf_states))
+    if not (post.max(1) > 0.0).all():
         raise EstimatorError("observation impossible under every root state")
-    return max(lam, key=lambda i: post[i - 1])
+    # argmax takes the first of equal maxima, the smallest label
+    return [lam[j] for j in post[:, np.array(lam) - 1].argmax(1).tolist()]
+
+
+def map_estimate(tree: Tree, Q: RateMatrix, prior: Distribution,
+                 observed: dict, lam=None) -> int:
+    """``map_estimates`` of the one observation ``observed``, leaf id ->
+    state."""
+    return map_estimates(tree, Q, prior, [[observed[x] for x in tree.leaves]],
+                         lam)[0]
 
 
 def lambda_epsilon(prior: Distribution, epsilon: float) -> tuple:
@@ -195,13 +214,33 @@ def _stretched_counts(plan: StretchPlan, process, observed: dict,
     return counts
 
 
-def _run_tests(plan: StretchPlan, counts: Counter, lam, table: RowTable,
-               rng) -> EstimatorReport:
+def block_counts(stretched) -> list:
+    """The stretched-state frequencies of a block of trials: for each row
+    of ``stretched``, a (trials × m) array of finite-chain states, the
+    count of each state the row holds."""
+    labels = np.arange(1, int(stretched.max()) + 1)
+    counts = (stretched[:, :, None] == labels).sum(1).tolist()
+    return [{s: c for s, c in enumerate(row, 1) if c} for row in counts]
+
+
+def frequency_test(plan: StretchPlan, counts: dict, lam, rows: RowTable,
+                   rng) -> EstimatorReport:
+    """The frequency tests on one trial's stretched-state ``counts``
+    (state -> count).
+
+    ``rows`` holds each state of ``lam``'s time-h* distribution (exact
+    rows for finite chains, Monte Carlo plug-in rows otherwise).  The
+    unique state whose achieving-set frequencies all clear their
+    thresholds is returned; absent one, a uniform random member of
+    ``lam``, drawn from ``rng``, is returned with the fallback flag set.
+    """
+    if not lam:
+        raise EstimatorError("state subset must be nonempty")
     lam = tuple(sorted(lam, key=_label_key))
     if len(lam) == 1:
         return EstimatorReport(state=lam[0], fallback=False, plan=plan,
                                lam=lam, passed=lam)
-    delta = table.delta(lam)
+    delta = rows.delta(lam)
     passed = []
     margins: dict = {}
     _EXCLUSIVITY["invocations"] += 1
@@ -210,9 +249,9 @@ def _run_tests(plan: StretchPlan, counts: Counter, lam, table: RowTable,
         for j in lam:
             if j == i:
                 continue
-            aset = table.achieving(i, j)
+            aset = rows.achieving(i, j)
             freq = sum(c for st, c in counts.items() if st in aset) / plan.m
-            margin = freq - (table.threshold_mass(i, j) - delta / 2.0)
+            margin = freq - (rows.threshold_mass(i, j) - delta / 2.0)
             if margin <= 0.0:
                 break
             row_margins[(i, j)] = margin
@@ -234,31 +273,23 @@ def _run_tests(plan: StretchPlan, counts: Counter, lam, table: RowTable,
 
 def frequency_estimate(plan: StretchPlan, process, observed: dict, lam,
                        rows: RowTable, rng) -> EstimatorReport:
-    """Frequency-test root estimate on the stretched restriction ``plan``.
-
-    ``rows`` holds each state of ``lam``'s time-h* distribution (exact
-    rows for finite chains, Monte Carlo plug-in rows otherwise).  The unique
-    state whose achieving-set frequencies all clear their thresholds is
-    returned; absent one, a uniform random member of ``lam`` is returned
-    with the fallback flag set.
-    """
-    if not lam:
-        raise EstimatorError("state subset must be nonempty")
-    counts = _stretched_counts(plan, process, observed, rng)
-    return _run_tests(plan, counts, lam, rows, rng)
+    """Frequency-test root estimate on the stretched restriction ``plan``:
+    ``frequency_test`` on the observed leaves run forward to depth h*
+    with draws from ``rng``."""
+    return frequency_test(plan, _stretched_counts(plan, process, observed,
+                                                  rng), lam, rows, rng)
 
 
-def uniform_chain_estimate(plan: StretchPlan, process, observed: dict,
-                           q_star: float, rows: RowTable,
-                           rng) -> EstimatorReport:
-    """Frequency-test estimate with the data-driven candidate set for
-    chains whose rates are bounded by ``q_star``: candidates are the states
-    whose stretched-restriction frequency reaches half of e^(-q* h*), and
-    ``rows``, as in ``frequency_estimate``, must cover them."""
+def uniform_chain_test(plan: StretchPlan, counts: dict, q_star: float,
+                       rows: RowTable, rng) -> EstimatorReport:
+    """The frequency tests with the data-driven candidate set for chains
+    whose rates are bounded by ``q_star``: candidates are the states
+    whose stretched-restriction frequency in ``counts`` reaches half of
+    e^(-q* h*), and ``rows``, as in ``frequency_test``, must cover
+    them."""
     if q_star < 1.0:
         raise EstimatorError("q_star must be at least 1")
     f_star = math.exp(-q_star * plan.h_star)
-    counts = _stretched_counts(plan, process, observed, rng)
     lam_hat = sorted((st for st, c in counts.items()
                       if c / plan.m >= 0.5 * f_star), key=_label_key)
     if not lam_hat:
@@ -266,7 +297,18 @@ def uniform_chain_estimate(plan: StretchPlan, process, observed: dict,
         choice = observed_states[rng.integers(len(observed_states))]
         return EstimatorReport(state=choice, fallback=True, plan=plan,
                                lam=(), passed=())
-    return _run_tests(plan, counts, lam_hat, rows, rng)
+    return frequency_test(plan, counts, lam_hat, rows, rng)
+
+
+def uniform_chain_estimate(plan: StretchPlan, process, observed: dict,
+                           q_star: float, rows: RowTable,
+                           rng) -> EstimatorReport:
+    """``uniform_chain_test`` on the observed leaves of the stretched
+    restriction ``plan`` run forward to depth h* with draws from
+    ``rng``."""
+    return uniform_chain_test(plan, _stretched_counts(plan, process,
+                                                      observed, rng),
+                              q_star, rows, rng)
 
 
 def majority_estimate(observed: dict) -> int:

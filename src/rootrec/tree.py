@@ -10,6 +10,7 @@ Newick I/O.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -407,42 +408,60 @@ def _figure2_family(k: int, n_spine: int, h: float) -> NestedFamily:
 
 
 def _random_ultrametric_family(k: int, h: float, seed: int) -> NestedFamily:
+    """Member n + 1 hangs a leaf L<n+1> reaching depth h off member n: at
+    a uniform depth d on the path to a uniformly chosen leaf, splitting
+    the path's edge there unless d falls on its lower end.  The growth is
+    drawn once, as each step's removed and added edges; a member replays
+    the steps before it, so building one member is linear in its size."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    edges = [("rho", "L0001", h)]
-    trees = [Tree("rho", list(edges))]
+    parent, length = {"L0001": "rho"}, {"L0001": h}
+    leaves = ["L0001"]      # sorted, as Tree.leaves
+    steps = []              # (removed child or None, added edges)
     counter = 0
     for n in range(2, k + 1):
-        tree = trees[-1]
-        leaf = tree.leaves[rng.integers(len(tree.leaves))]
+        leaf = leaves[rng.integers(len(leaves))]
         d = float(rng.uniform(0.0, h))
-        # locate the edge of the root->leaf path containing depth d and
-        # split it there, attaching a new pendant leaf reaching depth h
-        path = []
-        u = leaf
-        while u != "rho":
-            path.append(u)
-            u = tree.parent[u]
-        path.reverse()
-        new_edges = list(edges)
-        for v in path:
-            du, dv = tree.depth[tree.parent[v]], tree.depth[v]
+        path = [leaf]
+        while parent[path[-1]] != "rho":
+            path.append(parent[path[-1]])
+        # depths summed from the root, as Tree computes them
+        du = 0.0
+        for v in reversed(path):
+            dv = du + length[v]
             if du < d <= dv:
-                if abs(dv - d) <= DEPTH_TOL:
-                    attach = v
-                else:
-                    counter += 1
-                    split = f"u{counter:04d}"
-                    new_edges.remove((tree.parent[v], v, tree.length[v]))
-                    new_edges.append((tree.parent[v], split, d - du))
-                    new_edges.append((split, v, dv - d))
-                    attach = split
-                new_edges.append((attach, f"L{n:04d}", h - d))
                 break
-        edges = new_edges
-        trees.append(Tree("rho", list(edges)))
-    return NestedFamily(trees)
+            du = dv
+        else:
+            steps.append((None, ()))    # d = 0 lies on no edge
+            continue
+        new = f"L{n:04d}"
+        if abs(dv - d) <= DEPTH_TOL:
+            removed, added = None, [(v, new, h - d)]
+            if v == leaf:
+                leaves.remove(v)
+        else:
+            counter += 1
+            split = f"u{counter:04d}"
+            removed, added = v, [(parent[v], split, d - du), (split, v, dv - d),
+                                 (split, new, h - d)]
+        for u, c, ln in added:
+            parent[c], length[c] = u, ln
+        bisect.insort(leaves, new)
+        steps.append((removed, added))
+
+    def build(n: int) -> Tree:
+        # a dict keeps the builder's edge order: a split edge moves last
+        edges = {"L0001": ("rho", h)}
+        for removed, added in steps[:n - 1]:
+            if removed is not None:
+                del edges[removed]
+            for u, v, ln in added:
+                edges[v] = (u, ln)
+        return Tree("rho", [(u, v, ln) for v, (u, ln) in edges.items()])
+
+    return NestedFamily(_LazyMembers(k, build))
 
 
 def generate_family(kind: str, params: dict, seed: int = 0) -> NestedFamily:

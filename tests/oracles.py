@@ -1,16 +1,22 @@
-"""Enumerating oracles for the tests: exact joint leaf laws of small trees.
+"""Oracles for the tests: exact joint leaf laws of small trees, and an
+eager builder of random ultrametric families.
 
 ``exact_leaf_law`` lists every leaf outcome with its probability, so it
 only serves small trees; the package itself computes likelihoods by
 pruning (``treechain.leaf_likelihoods``), which these laws cross-check.
+``eager_random_ultrametric`` builds every member of a family from the
+one before it, as the package first did; the package now replays
+recorded growth steps per member, which it cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from rootrec.ctmc import CtmcError, Distribution, RateMatrix, total_variation
-from rootrec.tree import Tree
+from rootrec.tree import DEPTH_TOL, Tree
 
 # largest outcome count the enumerating oracle exact_leaf_law builds
 SIZE_GUARD = 10 ** 6
@@ -103,3 +109,40 @@ def exact_leaf_tv(tree: Tree, Q: RateMatrix, i: int, j: int) -> float:
     a = exact_leaf_law(tree, Q, i)
     b = exact_leaf_law(tree, Q, j)
     return total_variation(a.as_distribution(), b.as_distribution())
+
+
+def eager_random_ultrametric(k: int, h: float, seed: int) -> list:
+    """Members 1..k of ``generate_family("random_ultrametric", ...)``,
+    each grown from a copy of the edge list of the one before."""
+    rng = np.random.default_rng(seed)
+    edges = [("rho", "L0001", h)]
+    trees = [Tree("rho", list(edges))]
+    counter = 0
+    for n in range(2, k + 1):
+        tree = trees[-1]
+        leaf = tree.leaves[rng.integers(len(tree.leaves))]
+        d = float(rng.uniform(0.0, h))
+        path = []
+        u = leaf
+        while u != "rho":
+            path.append(u)
+            u = tree.parent[u]
+        path.reverse()
+        new_edges = list(edges)
+        for v in path:
+            du, dv = tree.depth[tree.parent[v]], tree.depth[v]
+            if du < d <= dv:
+                if abs(dv - d) <= DEPTH_TOL:
+                    attach = v
+                else:
+                    counter += 1
+                    split = f"u{counter:04d}"
+                    new_edges.remove((tree.parent[v], v, tree.length[v]))
+                    new_edges.append((tree.parent[v], split, d - du))
+                    new_edges.append((split, v, dv - d))
+                    attach = split
+                new_edges.append((attach, f"L{n:04d}", h - d))
+                break
+        edges = new_edges
+        trees.append(Tree("rho", list(edges)))
+    return trees

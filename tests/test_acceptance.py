@@ -28,13 +28,13 @@ from rootrec.cli import (_build_estimator, _build_process, _build_tree,
 from rootrec.ctmc import (Distribution, RateMatrix, identifiability_margin,
                           jukes_cantor, row_distribution, total_variation,
                           transition_matrix, two_state_symmetric)
-from rootrec.estimators import (RowTable, exclusivity_stats,
+from rootrec.estimators import (RowTable, block_counts, exclusivity_stats,
                                 frequency_estimate, map_estimate,
-                                stretch_plan, uniform_chain_estimate)
+                                stretch_plan, uniform_chain_test)
 from rootrec.tkf91 import (Tkf91Params, stationary_length_pmf,
                            stationary_pmf, stationary_sample, tkf91_evolve)
 from rootrec.tree import Tree, generate_family, spread
-from rootrec.treechain import simulate, simulate_batch
+from rootrec.treechain import simulated_trials
 
 
 def random_chain(rng, n):
@@ -130,14 +130,11 @@ def test_c04_pinched_star_example():
     t = generate_family("pinched_star", {"m": m, "s": s, "h": h})[m - 1]
     Q = two_state_symmetric(q)
     n = 10 ** 5
-    rng = np.random.default_rng(104)
-    roots = rng.integers(2, size=n) + 1
     errors = 0
-    for root in (1, 2):
-        count = int((roots == root).sum())
-        batch = simulate_batch(t, Q, root, count, rng)
-        votes = np.where((batch == 1).sum(axis=1) > m / 2, 1, 2)
-        errors += int((votes != root).sum())
+    for block in simulated_trials(t, Q, lambda rng: int(rng.integers(2)) + 1,
+                                  (104,), n):
+        votes = np.where((block.leaves == 1).sum(axis=1) > m / 2, 1, 2)
+        errors += int((votes != np.array(block.roots)).sum())
     lo, hi = wilson_interval(errors, n)
     assert lo <= exact <= hi
     assert exact <= pinched_star_hoeffding_bound(m, q, s, h)
@@ -197,7 +194,8 @@ def _deep_family_bound(k):
     """The Theorem 2 bound that `rootrec experiment` reports for member k
     of the figure1 family in the c07 configuration."""
     cfg = _deep_family_config(k)
-    _, bound = _build_estimator(cfg, _build_tree(cfg), _build_process(cfg))
+    _, _, bound = _build_estimator(cfg, _build_tree(cfg),
+                                   _build_process(cfg))
     return bound
 
 
@@ -242,11 +240,14 @@ def test_c08_uniform_chain_minimax():
     trials = 10 ** 4
     for truth in Q.states:
         errors = 0
-        for trial in range(trials):
-            rng = np.random.default_rng([108, truth, trial])
-            obs = simulate(t, Q, truth, rng)
-            rep = uniform_chain_estimate(plan, Q, obs, Q.q_star, table, rng)
-            errors += rep.state != truth
+        # trial t draws from the substream [108, truth, t]
+        for block in simulated_trials(t, Q, lambda rng, root=truth: root,
+                                      (108, truth), trials, stretch=plan):
+            errors += sum(
+                uniform_chain_test(plan, counts, Q.q_star, table,
+                                   rng).state != truth
+                for counts, rng in zip(block_counts(block.stretched),
+                                       block.rngs))
         rate = errors / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
         assert rate - 3 * sigma <= bound

@@ -20,8 +20,8 @@ from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _build_estimator,
                          _build_process, _build_tree, _root_draw,
                          _trial_range, _trial_setup, _uniform_prior, main,
                          run_trials, validate_config)
-from rootrec.estimators import EstimatorError, map_estimate
-from rootrec.treechain import simulate
+from rootrec.estimators import EstimatorError, exclusivity_stats, map_estimate
+from rootrec.treechain import BLOCK, TrialBlock, simulate
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -172,6 +172,33 @@ class TestTrialRunner:
             serial[:2]
         assert RecordingPool.sizes == [3, 2]
 
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    def test_blocks_never_change_the_rows(self, tmp_path, kind):
+        # rows of 2 BLOCK + 3 trials: the same for two workers, for a split
+        # of the range inside blocks, and for one-trial blocks; an h* above
+        # the leaves stretches them
+        est = dict(self.ESTIMATORS[kind])
+        if "h_star" in est:
+            est["h_star"] = 1.3
+        cfg = experiment_cfg(tmp_path, estimator=est, trials=2 * BLOCK + 3)
+        trials, _ = _trial_setup(cfg)
+        rows = run_trials(trials, workers=1)
+        assert [row[0] for row in rows] == list(range(trials.count))
+        assert run_trials(trials, workers=2) == rows
+        cuts = [0, 100, BLOCK + 1, 2 * BLOCK - 1, trials.count]
+        assert [row for lo, hi in zip(cuts, cuts[1:])
+                for row in _trial_range(trials, lo, hi)] == rows
+        assert [row for t in range(trials.count)
+                for row in _trial_range(trials, t, t + 1)] == rows
+
+    def test_one_exclusivity_invocation_per_frequency_trial(self, tmp_path):
+        cfg = experiment_cfg(tmp_path, trials=2 * BLOCK + 3,
+                             estimator=self.ESTIMATORS["frequency"])
+        trials, _ = _trial_setup(cfg)
+        before = exclusivity_stats()["invocations"]
+        run_trials(trials, workers=1)
+        assert exclusivity_stats()["invocations"] - before == trials.count
+
     def test_usable_cpus_follow_the_affinity_mask(self):
         expected = (len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity") else os.cpu_count())
@@ -241,9 +268,11 @@ class TestMapEstimator:
                "estimator": {"kind": "map"}}
         tree, Q = _build_tree(cfg), _build_process(cfg)
         obs = {"L0001": 1, "L0002": 3}
-        est, _ = _build_estimator(cfg, tree, Q)
+        est, _, _ = _build_estimator(cfg, tree, Q)
+        block = TrialBlock(0, [1], np.array([[1, 3]]), None,
+                           [np.random.default_rng(0)])
         with pytest.raises(EstimatorError, match="impossible"):
-            est(obs, np.random.default_rng(0))
+            est(block)
         with pytest.raises(EstimatorError, match="impossible"):
             map_estimate(tree, Q, _uniform_prior(Q), obs)
 
@@ -482,6 +511,8 @@ BAD_CONFIGS = {
     "ks-text": ("tkf91", ("ks",), ["a"], "tkf91"),
     "ks-int": ("tkf91", ("ks",), 5, "tkf91"),
     "ks-float": ("tkf91", ("ks",), [1.5], "tkf91"),
+    "h-star-above-leaves-tkf91": ("tkf91", ("estimator", "h_star"), 0.5,
+                                  "tkf91"),
     "row-samples-0": ("tkf91", ("estimator", "row_samples"), 0, "tkf91"),
 }
 

@@ -68,7 +68,13 @@ PINNED = [
     ("uniform", "experiment", UNIFORM, 1, {
         ".trials.csv": "03aac8958c3240839d15f6c6b4b64797",
         ".summary.csv": "5ad5cf5f3d9ca9668d064d9fe64781b5"}),
+    ("uniform-workers2", "experiment", UNIFORM, 2, {
+        ".trials.csv": "03aac8958c3240839d15f6c6b4b64797",
+        ".summary.csv": "5ad5cf5f3d9ca9668d064d9fe64781b5"}),
     ("map-fixed-root", "experiment", MAP, 1, {
+        ".trials.csv": "e843f74e7b936b3a129431d7bccaeeb1",
+        ".summary.csv": "dd3df0c4ba0d9dca1cc68fd44f21f2ed"}),
+    ("map-fixed-root-workers2", "experiment", MAP, 2, {
         ".trials.csv": "e843f74e7b936b3a129431d7bccaeeb1",
         ".summary.csv": "dd3df0c4ba0d9dca1cc68fd44f21f2ed"}),
     ("estimate", "estimate", FREQUENCY, 1, {

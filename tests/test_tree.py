@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from oracles import eager_random_ultrametric
 from rootrec.tree import (NestedFamily, Tree, TreeError, big_bang_profile,
                           chosen_leaves, extract_well_spread_restriction,
                           generate_family, parse_newick, restrict,
@@ -301,6 +302,27 @@ class TestFamilies:
                               seed=1)
         t = fam[9]
         assert all(t.depth[x] == pytest.approx(2.0) for x in t.leaves)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_ultrametric_members_match_the_eager_builder(self, seed):
+        h = 1.0 + seed / 2
+        fam = generate_family("random_ultrametric", {"k": 50, "h": h}, seed)
+        for k, eager in enumerate(eager_random_ultrametric(50, h, seed)):
+            lazy = fam[k]
+            # exact lengths, and the edges in the same order
+            assert lazy.root == eager.root
+            assert list(lazy.parent.items()) == list(eager.parent.items())
+            assert list(lazy.length.items()) == list(eager.length.items())
+            assert lazy.leaves == eager.leaves
+
+    def test_random_ultrametric_members_built_on_demand(self):
+        # the growth is replayed, not rebuilt for every member: O(k) for
+        # the last member of k = 1075, not O(k^2) for all of them
+        start = time.perf_counter()
+        fam = generate_family("random_ultrametric", {"k": 1075}, seed=0)
+        last = fam[-1]
+        assert time.perf_counter() - start < 1.0
+        assert len(last.leaves) == 1075 and fam[1074] is last
 
     def test_unknown_kind(self):
         with pytest.raises(TreeError):

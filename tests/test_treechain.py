@@ -1,5 +1,6 @@
 import itertools
 import math
+from bisect import bisect_right
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +11,11 @@ from rootrec import ctmc
 from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
                           transition_matrix, two_state_symmetric,
                           jukes_cantor)
-from rootrec.estimators import map_estimate
+from rootrec.estimators import StretchPlan, map_estimate
 from rootrec import tree as tree_module
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import (leaf_likelihoods, simulate, simulate_batch,
-                               simulated_trials)
+from rootrec.treechain import (BLOCK, DURATION_TOL, block_leaf_likelihoods,
+                               leaf_likelihoods, simulate, simulated_trials)
 
 
 def naive_leaf_law(tree, Q, root_state):
@@ -76,10 +77,25 @@ class TestSimulate:
 
 class PerEdgeChain:
     """A finite chain seen only through the GenerativeProcess protocol:
-    not a RateMatrix, so simulate takes its per-edge loop."""
+    not a RateMatrix, so simulate takes its per-edge loop.  Each draw
+    bisects the state's cumulative row with one uniform."""
 
     def __init__(self, Q):
-        self.sample = Q.sample
+        self.Q = Q
+
+    def sample(self, state, duration, rng):
+        if duration == 0.0:
+            return state
+        row = np.cumsum(self.Q.matrix(duration), axis=1)[state - 1].tolist()
+        return min(bisect_right(row, rng.random()), self.Q.n - 1) + 1
+
+
+def random_chain(n):
+    rng = np.random.default_rng([n, 17])
+    q = rng.uniform(0.0, 3.0, size=(n, n))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return RateMatrix(q)
 
 
 class TestCompiledSimulate:
@@ -95,11 +111,7 @@ class TestCompiledSimulate:
     @pytest.mark.parametrize("kind", sorted(TREES))
     def test_matches_per_edge_loop(self, kind, n):
         tree = self.TREES[kind]()
-        rng = np.random.default_rng([n, 17])
-        q = rng.uniform(0.0, 3.0, size=(n, n))
-        np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        Q = RateMatrix(q)
+        Q = random_chain(n)
         per_edge = PerEdgeChain(Q)
         for seed in range(200):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -140,27 +152,74 @@ class TestCompiledSimulate:
         simulate(tree, Q, 2, np.random.default_rng(1))
 
 
-class TestSimulateBatch:
+class TestTrialBlocks:
     def test_matches_single_trial_law(self):
         t = pinched2()
         Q = jukes_cantor(1.0)
-        rng = np.random.default_rng(5)
-        batch = simulate_batch(t, Q, 1, 30000, rng)
+        rows = np.concatenate([block.leaves for block in simulated_trials(
+            t, Q, lambda rng: 1, (5,), 30000)])
         law = exact_leaf_law(t, Q, 1)
         emp = {}
-        for row in batch:
-            emp[tuple(row)] = emp.get(tuple(row), 0) + 1
-        tv = 0.5 * sum(abs(emp.get(k, 0) / len(batch) - p)
+        for row in map(tuple, rows.tolist()):
+            emp[row] = emp.get(row, 0) + 1
+        tv = 0.5 * sum(abs(emp.get(k, 0) / len(rows) - p)
                        for k, p in law.probs.items())
         assert tv < 0.02
 
     def test_columns_follow_leaf_order(self):
         t = Tree("rho", [("rho", "b", 1.0), ("rho", "a", 1.0)])
         Q = RateMatrix(np.zeros((2, 2)))
-        batch = simulate_batch(t, Q, 2, 5, np.random.default_rng(0))
+        (block,) = simulated_trials(t, Q, lambda rng: 2, (0,), 5)
         assert t.leaves == ("a", "b")
-        assert batch.shape == (5, 2)
-        assert (batch == 2).all()
+        assert block.leaves.shape == (5, 2)
+        assert (block.leaves == 2).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(TestCompiledSimulate.TREES))
+    def test_matches_per_trial_reference(self, kind, n):
+        # leaves and stretched states of every trial equal those drawn edge
+        # by edge and leaf by leaf from the trial's own substream, and both
+        # leave that stream at the same place
+        tree = TestCompiledSimulate.TREES[kind]()
+        Q = random_chain(n)
+        per_edge = PerEdgeChain(Q)
+        # durations at, just below and above DURATION_TOL, and positive
+        chosen = tree.leaves[::2]
+        durations = [(0.0, DURATION_TOL / 2, 2 * DURATION_TOL, 0.3, 1.1)[i % 5]
+                     for i in range(len(chosen))]
+        plan = StretchPlan(0.1, 2.0, len(chosen), 0.0, chosen,
+                           tuple(durations))
+        draw = lambda rng: int(rng.integers(n)) + 1
+        for block in simulated_trials(tree, Q, draw, (n, 17), 200,
+                                      stretch=plan):
+            for b, rng in enumerate(block.rngs):
+                ref = np.random.default_rng([n, 17, block.start + b])
+                root = draw(ref)
+                leaves = simulate(tree, per_edge, root, ref)
+                stretched = [per_edge.sample(leaves[x], d, ref)
+                             if d > DURATION_TOL else leaves[x]
+                             for x, d in zip(chosen, durations)]
+                assert block.roots[b] == root
+                assert block.leaves[b].tolist() == [leaves[x]
+                                                    for x in tree.leaves]
+                assert block.stretched[b].tolist() == stretched
+                assert rng.random() == ref.random()
+
+    def test_blocks_hold_block_trials(self):
+        tree = TestCompiledSimulate.TREES["figure1"]()
+        Q = two_state_symmetric(1.0)
+        blocks = list(simulated_trials(tree, Q, lambda rng: 1, (3,),
+                                       2 * BLOCK + 3, start=1))
+        assert [b.start for b in blocks] == [1, 1 + BLOCK, 1 + 2 * BLOCK]
+        assert [len(b.rngs) for b in blocks] == [BLOCK, BLOCK, 2]
+        assert all(b.stretched is None for b in blocks)
+
+    def test_other_processes_take_no_stretch(self):
+        tree = pinched2()
+        plan = StretchPlan(0.1, 2.0, 1, 0.0, ("a",), (1.0,))
+        with pytest.raises(TypeError):
+            next(simulated_trials(tree, PerEdgeChain(jukes_cantor(1.0)),
+                                  lambda rng: 1, (0,), 3, stretch=plan))
 
 
 class TestExactLeafLaw:
@@ -290,6 +349,19 @@ class TestLeafLikelihoods:
                 assert got == expected or post[got] == pytest.approx(
                     post[expected], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    def test_block_rows_equal_one_row_calls(self, kind, n):
+        tree = self.TREES[kind]()
+        rng = np.random.default_rng([n, len(tree.leaves), 2])
+        Q = random_rate_matrix(rng, n)
+        rows = rng.integers(1, n + 1, (37, len(tree.leaves)))
+        block = block_leaf_likelihoods(tree, Q, rows)
+        one = np.array([leaf_likelihoods(tree, Q, dict(zip(tree.leaves, r)))
+                        for r in rows.tolist()])
+        assert block.shape == (37, n)
+        assert np.abs(block - one).max() <= 1e-12
+
     def test_impossible_observation_is_all_zero(self):
         Q = RateMatrix(np.zeros((2, 2)))
         tree = pinched2()
@@ -342,14 +414,17 @@ class TestSimulatedTrials:
         Q = jukes_cantor(1.0)
         # the last entry is where the estimator would continue the stream
         return [(i, root, leaves, rng.random())
-                for i, root, leaves, rng in simulated_trials(
+                for block in simulated_trials(
                     t, Q, lambda rng: int(rng.integers(4)) + 1, key, stop,
-                    start)]
+                    start)
+                for i, root, leaves, rng in block.trials(t)]
 
     def test_split_range_yields_the_same_trials(self):
-        whole = self.run((5,), 30)
-        assert [row[0] for row in whole] == list(range(30))
-        assert self.run((5,), 11) + self.run((5,), 30, start=11) == whole
+        whole = self.run((5,), 2 * BLOCK + 3)
+        assert [row[0] for row in whole] == list(range(2 * BLOCK + 3))
+        for cut in (11, BLOCK + 7):
+            assert (self.run((5,), cut)
+                    + self.run((5,), 2 * BLOCK + 3, start=cut)) == whole
 
     def test_trial_t_reads_the_substream_key_then_t(self):
         t = generate_family("figure1", {"k": 8, "h": 1.0})[7]
