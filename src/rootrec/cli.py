@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 
@@ -324,6 +323,9 @@ def run_trials(trials: Trials, workers: int = 1) -> list:
     workers = max(1, min(workers, trials.count, _usable_cpus()))
     if workers == 1:
         return _trial_range(trials, 0, trials.count)
+    # imported here: it loads multiprocessing, which a one-process run
+    # never needs
+    from concurrent.futures import ProcessPoolExecutor
     cuts = [trials.count * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(_trial_range, [trials] * workers, cuts[:-1],

@@ -8,6 +8,12 @@ parameters ``Tkf91Params`` are the process itself: their ``sample`` runs
 it down a tree edge by exact event simulation.  No exact time-t rows
 exist, so estimators use Monte Carlo plug-in rows (``mc_rows``).  The
 CLI's ``tkf91`` command runs the reconstruction experiment.
+
+The simulation draws only uniforms, through ``rng.random()``.  Calling
+numpy once per uniform costs far more than the event it draws, so a tree
+simulation (``treechain.simulate``) and ``mc_rows`` read their
+generator through ``Uniforms``, which takes ``CHUNK`` floats per call;
+the uniforms of a chunk that no event used are dropped.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import functools
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from math import log1p
 
 import numpy as np
 
@@ -23,7 +31,9 @@ from .ctmc import CtmcError, Distribution, _label_key
 
 __all__ = [
     "Tkf91Params",
+    "Uniforms",
     "ALPHABET",
+    "CHUNK",
     "LENGTH_CAP",
     "EVENT_CAP",
     "tkf91_evolve",
@@ -41,8 +51,11 @@ ALPHABET = "ATCG"
 # the length process is positive recurrent and never gets near this
 LENGTH_CAP = 10 ** 4
 # guard against rates too large to simulate event by event: one call to
-# tkf91_evolve stops after this many events (a few seconds)
+# tkf91_evolve stops after this many events (0.3-2 s on a shared 2-core
+# Xeon VM; a tkf91 command that reaches it exits after 1.6-5 s)
 EVENT_CAP = 10 ** 6
+# uniforms that ``Uniforms`` draws from its generator in one call
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -91,6 +104,23 @@ class Tkf91Params:
         return cdf.tolist()
 
 
+class Uniforms:
+    """Uniforms on [0, 1) from ``rng``, drawn ``CHUNK`` at a time.
+
+    ``random()`` returns the next float of the current chunk, in the
+    order ``rng.random(CHUNK)`` drew them, and draws a new chunk when the
+    last one is used up.  The floats of a chunk that no call took are
+    dropped, so ``rng`` is left after the last chunk drawn."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng):
+        # a builtin iterator's __next__, so a call runs no Python code
+        # until a chunk is used up
+        chunks = iter(lambda: rng.random(CHUNK).tolist(), None)
+        self.random = chain.from_iterable(chunks).__next__
+
+
 def _draw_letter(params: Tkf91Params, rng) -> str:
     # the letter rng.choice(4, p=freqs) draws, from the same one uniform
     return ALPHABET[bisect_right(params.letter_cdf, rng.random())]
@@ -103,27 +133,33 @@ def tkf91_evolve(params: Tkf91Params, seq: str, t: float, rng) -> str:
     With current length M the total event rate is M nu + M mu + (M+1) lam:
     every ordinary site can be substituted or deleted, and every site
     including the immortal link can give birth immediately to its right.
-    A run of more than ``EVENT_CAP`` events raises ``CtmcError``.
+    Each event takes uniforms from ``rng.random()`` (a ``Generator`` or
+    ``Uniforms``): one for its waiting time, by inversion as
+    -log(1 - u) / rate, one for its kind and site, and one for the letter
+    of a substitution or insertion.  A run of more than ``EVENT_CAP``
+    events raises ``CtmcError``.
     """
     if t < 0:
         raise CtmcError("time must be nonnegative")
+    nu, lam, mu = params.nu, params.lam, params.mu
+    random = rng.random
     sites = list(seq)
     clock = 0.0
     for _ in range(EVENT_CAP + 1):
         m = len(sites)
-        total = m * (params.nu + params.mu) + (m + 1) * params.lam
-        clock += rng.exponential(1.0 / total)
+        total = m * (nu + mu) + (m + 1) * lam
+        clock -= log1p(-random()) / total
         if clock > t:
             return "".join(sites)
-        u = rng.random() * total
-        if u < m * params.nu:
-            sites[int(u / params.nu)] = _draw_letter(params, rng)
-        elif u < m * (params.nu + params.mu):
-            del sites[int((u - m * params.nu) / params.mu)]
+        u = random() * total
+        if u < m * nu:
+            sites[int(u / nu)] = _draw_letter(params, rng)
+        elif u < m * (nu + mu):
+            del sites[int((u - m * nu) / mu)]
         else:
             # parent site index 0 is the immortal link; the child lands
             # immediately to the parent's right
-            parent = int((u - m * (params.nu + params.mu)) / params.lam)
+            parent = int((u - m * (nu + mu)) / lam)
             sites.insert(parent, _draw_letter(params, rng))
             if len(sites) > LENGTH_CAP:
                 raise CtmcError(
@@ -185,9 +221,11 @@ def top_states(params: Tkf91Params, epsilon: float,
 def mc_rows(params: Tkf91Params, states, t: float, n_samples: int,
             rng) -> dict:
     """Monte Carlo plug-in time-t rows: empirical endpoint distribution of
-    ``n_samples`` independent runs from each state."""
+    ``n_samples`` independent runs from each state, all reading ``rng``
+    through one ``Uniforms``."""
     if n_samples < 1:
         raise CtmcError("n_samples must be at least 1")
+    rng = Uniforms(rng)
     rows = {}
     for state in states:
         counts: dict = {}

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ctmc import RateMatrix
+from .tkf91 import Tkf91Params, Uniforms
 from .tree import Tree
 
 __all__ = [
@@ -117,16 +118,21 @@ def _descend(size: int, n: int, levels, roots, u) -> np.ndarray:
 def simulate(tree: Tree, process, root_state, rng) -> dict:
     """One realization of the chain on the tree; returns leaf id -> state.
 
-    Sibling subtrees evolve independently given the parent state.  Each
-    edge in topological order draws one uniform from ``rng``; a finite
-    chain draws them all at once as a one-row block, which consumes the
-    stream exactly as the per-edge loop does.
+    Sibling subtrees evolve independently given the parent state, edge
+    by edge in topological order.  A finite chain draws one uniform per
+    edge from ``rng``, all at once as a one-row block, which consumes the
+    stream exactly as a per-edge loop does.  TKF91 reads ``rng`` through
+    one ``tkf91.Uniforms``, in chunks of ``tkf91.CHUNK`` uniforms, and
+    leaves it after the last chunk.  Any other process samples each edge
+    from ``rng`` itself.
     """
     if isinstance(process, RateMatrix):
         c = _compile(tree, process)
         leaves, _ = _draw_block(len(c.parents) + 1, process.n, c.levels,
                                 [root_state], [rng], c.leaves, [])
         return dict(zip(tree.leaves, leaves[0].tolist()))
+    if isinstance(process, Tkf91Params):
+        rng = Uniforms(rng)
     states = {tree.root: root_state}
     for v in tree.topo_order[1:]:
         states[v] = process.sample(states[tree.parent[v]], tree.length[v],
@@ -165,9 +171,9 @@ def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
     ``stretch`` (a ``StretchPlan``, or None) whose duration exceeds
     ``DURATION_TOL``, and inverts each edge's cumulative rows for the
     whole block at once.  Any other process draws its leaves trial by
-    trial with ``simulate`` and takes no stretch.  Trials depend only on
-    their key and index, so neither the block size nor any split of the
-    index range changes them.
+    trial with ``simulate`` (TKF91 in chunks of ``tkf91.CHUNK`` uniforms)
+    and takes no stretch.  Trials depend only on their key and index, so
+    neither the block size nor any split of the index range changes them.
     """
     finite = isinstance(process, RateMatrix)
     if finite:

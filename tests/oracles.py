@@ -1,5 +1,6 @@
-"""Oracles for the tests: exact joint leaf laws of small trees, and an
-eager builder of random ultrametric families.
+"""Oracles for the tests: exact joint leaf laws of small trees, an eager
+builder of random ultrametric families, and the closed-form transient
+length law of TKF91.
 
 ``exact_leaf_law`` lists every leaf outcome with its probability, so it
 only serves small trees; the package itself computes likelihoods by
@@ -7,10 +8,13 @@ pruning (``treechain.leaf_likelihoods``), which these laws cross-check.
 ``eager_random_ultrametric`` builds every member of a family from the
 one before it, as the package first did; the package now replays
 recorded growth steps per member, which it cross-checks.
+``tkf91_beta`` gives the length law of TKF91 after any time t, which
+checks the event simulation away from stationarity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,3 +150,14 @@ def eager_random_ultrametric(k: int, h: float, seed: int) -> list:
         edges = new_edges
         trees.append(Tree("rho", list(edges)))
     return trees
+
+
+def tkf91_beta(lam: float, mu: float, t: float) -> float:
+    """beta(t) = (1 - e^((lam - mu) t)) / (mu - lam e^((lam - mu) t)) of
+    the TKF91 length process (Thorne, Kishino & Felsenstein 1991).
+
+    From the empty sequence the length after time t is n with
+    probability (1 - lam beta) (lam beta)^n; a single site leaves no
+    descendant with probability (1 - lam beta) mu beta."""
+    e = math.exp((lam - mu) * t)
+    return (1.0 - e) / (mu - lam * e)

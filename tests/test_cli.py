@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import importlib.util
 import json
@@ -162,7 +163,9 @@ class TestTrialRunner:
         assert run_trials(trials, workers=2) == serial
 
     def test_pool_capped_at_usable_cpus(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # run_trials imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         monkeypatch.setattr(RecordingPool, "sizes", [])
         trials, _ = _trial_setup(experiment_cfg(tmp_path))
         serial = run_trials(trials, workers=1)

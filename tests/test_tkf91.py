@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import tkf91_beta
 from rootrec import tkf91
 from rootrec.cli import EXIT_OK, main
 from rootrec.ctmc import CtmcError, total_variation, Distribution
@@ -12,7 +13,7 @@ from rootrec.estimators import RowTable, frequency_estimate, stretch_plan
 from rootrec.tkf91 import (ALPHABET, Tkf91Params, mc_rows,
                            stationary_length_pmf, stationary_pmf,
                            stationary_sample, tkf91_evolve, top_states,
-                           write_experiment_csv, _draw_letter)
+                           write_experiment_csv, Uniforms, _draw_letter)
 from rootrec.tree import generate_family
 from rootrec.treechain import simulate
 
@@ -89,6 +90,42 @@ class TestEvolve:
         for ch, f in zip(ALPHABET, p.freqs):
             assert abs(letters[ch] / total - f) < 4 * math.sqrt(
                 f * (1 - f) / total)
+
+
+class TestUniforms:
+    def test_chunk_floats_in_generator_order(self):
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        src = Uniforms(a)
+        got = [src.random() for _ in range(2 * tkf91.CHUNK + 3)]
+        assert got == b.random(3 * tkf91.CHUNK)[:len(got)].tolist()
+        # the rest of the third chunk is dropped
+        assert a.random() == b.random()
+
+
+class TestTransientLaw:
+    """Lengths after time t against the closed form (tests/oracles.py),
+    away from stationarity, with the chunked source and a raw Generator."""
+
+    N = 20000
+
+    @pytest.mark.parametrize("chunked", [True, False],
+                             ids=["chunked", "generator"])
+    @pytest.mark.parametrize("lam,mu,t", [(0.5, 1.0, 0.7), (1.0, 2.0, 0.3),
+                                          (0.5, 1.0, 3.0)])
+    def test_lengths_from_empty_and_single_site(self, chunked, lam, mu, t):
+        p = Tkf91Params(nu=1.0, lam=lam, mu=mu)
+        rng = np.random.default_rng([13, int(100 * t)])
+        src = Uniforms(rng) if chunked else rng
+        lb = lam * tkf91_beta(lam, mu, t)
+        lengths = collections.Counter(len(tkf91_evolve(p, "", t, src))
+                                      for _ in range(self.N))
+        empty = sum(tkf91_evolve(p, "A", t, src) == ""
+                    for _ in range(self.N))
+        expected = [((1 - lb) * lb ** n, lengths[n]) for n in range(5)]
+        expected.append(((1 - lb) * mu * tkf91_beta(lam, mu, t), empty))
+        for prob, count in expected:
+            assert abs(count / self.N - prob) < 4 * math.sqrt(
+                prob * (1 - prob) / self.N)
 
 
 class TestDrawLetter:
