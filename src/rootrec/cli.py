@@ -7,8 +7,11 @@ the tree, chain, root draw and estimator) before any trial; 3 a guard
 fired during the trials.  ``experiment``, ``estimate`` and ``tkf91`` run
 their trials through ``_trial_range`` on ``Trials`` built once at set-up,
 which workers receive pickled; the estimators take a block of trials at
-a time.  Trials are (master seed, trial index) substreams merged by
-index, so results are identical for any worker count and block size.
+a time.  A finite chain's block b of ``treechain.BLOCK`` trials draws
+from the substream (master seed, b), and a TKF91 trial t from its own
+(master seed, t), or (master seed, k, t) on tkf91's member k; workers
+get whole blocks and their rows are merged by trial index, so results
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .estimators import (RowTable, block_counts, frequency_estimate,
 from .tkf91 import (Tkf91Params, mc_rows, stationary_sample, top_states,
                     write_experiment_csv)
 from .tree import NestedFamily, Tree, generate_family, parse_newick
-from .treechain import simulated_trials
+from .treechain import BLOCK, simulated_trials
 
 __all__ = ["Trials", "main", "run_trials", "validate_config"]
 
@@ -281,10 +284,12 @@ def _output(cfg: dict, suffixes=("",)):
 
 
 # what a run's trials need, built once at set-up and pickled to workers:
-# trial t of ``count`` draws its root with ``draw`` and its leaves on
-# ``tree`` from the substream [*key, t], then the leaves of the stretch
-# plan ``stretch`` (or None) run forward; ``estimate`` maps a TrialBlock
-# to one (estimate, fallback flag) per trial
+# ``count`` trials, drawn by ``simulated_trials`` from substreams keyed
+# by ``key`` (a finite chain's block b from [*key, b], any other trial t
+# from [*key, t]): each draws its root with ``draw`` and its leaves on
+# ``tree``, then the leaves of the stretch plan ``stretch`` (or None) run
+# forward; ``estimate`` maps a TrialBlock to one (estimate, fallback
+# flag) per trial
 Trials = namedtuple("Trials", "tree process estimate draw key count stretch")
 
 
@@ -298,7 +303,8 @@ def _trial_setup(cfg: dict) -> tuple:
 
 
 def _trial_range(trials: Trials, lo: int, hi: int) -> list:
-    """Rows (trial, truth, estimate, fallback) of trials lo to hi - 1."""
+    """Rows (trial, truth, estimate, fallback) of trials lo to hi - 1; lo
+    is a multiple of ``BLOCK``."""
     tree, process, estimate, draw, key, _, stretch = trials
     return [(t, truth, *row)
             for block in simulated_trials(tree, process, draw, key, hi, lo,
@@ -316,17 +322,20 @@ def _usable_cpus() -> int:
 def run_trials(trials: Trials, workers: int = 1) -> list:
     """All of ``trials``, ordered by trial index.
 
-    Trials are independent substreams, so any partition across workers
-    yields the same merged result.  The pool has at most one process per
-    usable CPU and per trial; each process gets the pickled ``trials``.
+    A block of ``BLOCK`` trials reads one substream, so each worker gets
+    a range of whole blocks, and any number of workers yields the same
+    merged result.  The pool has at most one process per block and per
+    usable CPU; each process gets the pickled ``trials``.
     """
-    workers = max(1, min(workers, trials.count, _usable_cpus()))
+    blocks = -(-trials.count // BLOCK)
+    workers = max(1, min(workers, blocks, _usable_cpus()))
     if workers == 1:
         return _trial_range(trials, 0, trials.count)
     # imported here: it loads multiprocessing, which a one-process run
     # never needs
     from concurrent.futures import ProcessPoolExecutor
-    cuts = [trials.count * w // workers for w in range(workers + 1)]
+    cuts = [min(trials.count, BLOCK * (blocks * w // workers))
+            for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(_trial_range, [trials] * workers, cuts[:-1],
                          cuts[1:])

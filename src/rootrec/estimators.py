@@ -32,6 +32,7 @@ __all__ = [
     "stretch_plan",
     "map_estimate",
     "map_estimates",
+    "MAP_TIE_RTOL",
     "block_counts",
     "frequency_test",
     "frequency_estimate",
@@ -41,6 +42,12 @@ __all__ = [
     "lambda_epsilon",
     "exclusivity_stats",
 ]
+
+# posteriors within this relative distance of the largest count as tied
+# and go to the smallest label: far above the rounding of pruning (about
+# 1e-16 per edge), so the rounding of numpy's products decides no tie,
+# and far below any difference between posteriors that matters
+MAP_TIE_RTOL = 1e-9
 
 # suite-wide tally of frequency-test invocations and of violations of the
 # at-most-one-passing-state guarantee (expected to stay at zero)
@@ -126,9 +133,11 @@ def map_estimates(tree: Tree, Q: RateMatrix, prior: Distribution,
     of the chain) of each row of ``leaf_states``, an observation in
     ``tree.leaves`` order, with the leaf likelihoods from Felsenstein
     pruning, so it runs on trees of any size.  Ties go to the smallest
-    label.  When an observation is impossible under all of ``lam`` but
-    not under every state, ``lam``'s smallest label is returned (the
-    restricted argmax is then a free choice)."""
+    label: the estimate is the first state of ``lam`` whose posterior is
+    within a relative ``MAP_TIE_RTOL`` of the largest.  When an
+    observation is impossible under all of ``lam`` but not under every
+    state, ``lam``'s smallest label is returned (the restricted argmax is
+    then a free choice)."""
     lam = Q.states if lam is None else sorted(lam)
     if not lam or not set(lam) <= set(Q.states):
         raise EstimatorError(f"state subset {lam} is not a nonempty subset "
@@ -137,8 +146,10 @@ def map_estimates(tree: Tree, Q: RateMatrix, prior: Distribution,
             * block_leaf_likelihoods(tree, Q, leaf_states))
     if not (post.max(1) > 0.0).all():
         raise EstimatorError("observation impossible under every root state")
-    # argmax takes the first of equal maxima, the smallest label
-    return [lam[j] for j in post[:, np.array(lam) - 1].argmax(1).tolist()]
+    post = post[:, np.array(lam) - 1]
+    near = post >= post.max(1, keepdims=True) * (1.0 - MAP_TIE_RTOL)
+    # argmax takes the first True, the smallest label
+    return [lam[j] for j in near.argmax(1).tolist()]
 
 
 def map_estimate(tree: Tree, Q: RateMatrix, prior: Distribution,

@@ -6,8 +6,11 @@ pruning, the package's one likelihood engine.  For a finite chain both
 engines work on a block of trials at once: simulation draws each edge
 for the whole block, and pruning passes one message row per trial, the
 site-pattern batching of BEAGLE (Ayres et al., Syst. Biol. 2012).  A
-single trial is a one-row block.  Each trial still reads only its own
-substream, so the block size never changes any output.
+finite chain's trials come in blocks of ``BLOCK``, and block b draws
+from the one substream keyed ``[*key, b]``; a last, short block draws
+as much as a full one, so trial t does not depend on how many trials a
+run has.  A trial of any other process reads its own substream
+``[*key, t]``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ __all__ = [
     "block_leaf_likelihoods",
 ]
 
-# trials simulated together; a constant, so no worker count or split of
-# the trial range changes how a trial is drawn
+# a finite chain's trials b·BLOCK to b·BLOCK + BLOCK - 1 draw from one
+# generator, keyed by b; a constant, so no worker count or split of the
+# trial range on block boundaries changes how a trial is drawn
 BLOCK = 256
 # a stretched leaf runs forward only for a duration above this
 DURATION_TOL = 1e-12
@@ -48,8 +52,7 @@ class _CompiledTree:
     edge: its parent's index, its transition matrix, and its child as a
     position in ``tree.leaves`` if that is a leaf (else None); the
     leaves' indices in ``tree.leaves`` order; and the edges grouped by
-    the depth of their child, in edges from the root, as ``_level``s of
-    at most ``_STEP`` edges."""
+    the depth of their child, in edges from the root, as ``_levels``."""
 
     parents: list
     mats: list
@@ -65,48 +68,52 @@ def _compile(tree: Tree, Q: RateMatrix) -> _CompiledTree:
         position = {x: i for i, x in enumerate(tree.leaves)}
         edges = tree.topo_order[1:]
         parents = [index[tree.parent[v]] for v in edges]
+        mats = [Q.matrix(tree.length[v]) for v in edges]
         depth = [0]
-        by_depth: dict = {}
-        for e, p in enumerate(parents):
+        for p in parents:
             depth.append(depth[p] + 1)
-            by_depth.setdefault(depth[-1], []).append(e + 1)
         c = _CompiledTree(
             parents=parents,
-            mats=[Q.matrix(tree.length[v]) for v in edges],
+            mats=mats,
             leaf_of=[None if tree.children[v] else position[v]
                      for v in edges],
             leaves=[index[x] for x in tree.leaves],
-            levels=[_level(Q, vs, [parents[v - 1] for v in vs],
-                           [tree.length[edges[v - 1]] for v in vs])
-                    for _, level in sorted(by_depth.items())
-                    for vs in _steps(level)])
+            levels=_levels(Q.n, mats, range(1, len(depth)), parents,
+                           depth[1:]))
         Q.compiled[tree] = c
     return c
 
 
-def _steps(items: list) -> list:
-    return [items[i:i + _STEP] for i in range(0, len(items), _STEP)]
+def _levels(n: int, mats, children, parents, depth) -> list:
+    """Edges, each with its n-state transition matrix in ``mats``,
+    grouped by the ``depth`` of their child, at most ``_STEP`` to a group,
+    so that every parent is drawn before any of its children.  Each group
+    holds slices of four arrays sorted once by depth: the children's and
+    the parents' indices, a column of row numbers, and each edge's
+    cumulative rows without their last column.  A uniform u lands in
+    state j (0-based) where j of the row's cumulative sums lie at or below
+    u; leaving out the last sum, which rounding may put below 1, caps j at
+    n - 1."""
+    depth = np.asarray(depth, dtype=np.int64)
+    order = np.argsort(depth, kind="stable")
+    depth = depth[order]
+    children = np.asarray(children, dtype=np.int64)[order]
+    parents = np.asarray(parents, dtype=np.int64)[order]
+    cuts = np.cumsum(np.array(mats).reshape(-1, n, n)[order], 2)[:, :, :-1]
+    rows = np.arange(_STEP)[:, None]
+    runs = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(depth)]
+    return [(children[lo:hi], parents[lo:hi], rows[:hi - lo], cuts[lo:hi])
+            for a, b in zip(runs, runs[1:]) for lo in range(a, b, _STEP)
+            for hi in (min(lo + _STEP, b),)]
 
 
-def _level(Q: RateMatrix, children, parents, lengths) -> tuple:
-    """Edges whose parents are drawn before any of their children: the
-    children's and the parents' indices, a column of row numbers, and
-    each edge's cumulative rows without their last column.  A uniform u
-    lands in state j (0-based) where j of the row's cumulative sums lie
-    at or below u; leaving out the last sum, which rounding may put below
-    1, caps j at n - 1."""
-    return (np.array(children), np.array(parents),
-            np.arange(len(children))[:, None],
-            np.array([Q.cum_rows(t)[:, :-1] for t in lengths]))
-
-
-def _descend(size: int, n: int, levels, roots, u) -> np.ndarray:
+def _descend(n: int, levels, roots, u) -> np.ndarray:
     """0-based states of a block of trials of an n-state chain, in the
     smallest integer type that holds them, one row per vertex: row 0 the
     roots, row v > 0 drawn from its parent's row by inverting the
     cumulative rows of v's edge with the uniforms ``u[v - 1]``, a level
     at a time."""
-    states = np.empty((size, len(roots)), dtype=np.min_scalar_type(n))
+    states = np.empty((len(u) + 1, len(roots)), dtype=np.min_scalar_type(n))
     states[0] = roots
     states[0] -= 1
     for children, parents, rows, cuts in levels:
@@ -128,8 +135,9 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     """
     if isinstance(process, RateMatrix):
         c = _compile(tree, process)
-        leaves, _ = _draw_block(len(c.parents) + 1, process.n, c.levels,
-                                [root_state], [rng], c.leaves, [])
+        leaves, _ = _draw_block(process.n, c.levels, [root_state],
+                                rng.random((1, len(c.parents))), c.leaves,
+                                [])
         return dict(zip(tree.leaves, leaves[0].tolist()))
     if isinstance(process, Tkf91Params):
         rng = Uniforms(rng)
@@ -145,7 +153,9 @@ class TrialBlock(NamedTuple):
     their root states, their leaf states as a (trials × leaves) array in
     ``tree.leaves`` order, the states of a stretch's leaves at their
     durations as a (trials × m) array (None without a stretch), and each
-    trial's generator, left where its estimator continues the stream."""
+    trial's generator, left where its estimator continues the stream.  A
+    finite chain's trials share their block's one generator, so their
+    estimators draw from it in trial order."""
 
     start: int
     roots: list
@@ -163,59 +173,78 @@ class TrialBlock(NamedTuple):
 def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
                      start: int = 0, stretch=None):
     """The trials ``start`` to ``stop - 1`` of one experiment, as
-    ``TrialBlock``s of at most ``BLOCK`` trials.
+    ``TrialBlock``s of at most ``BLOCK`` trials; ``start`` must be a
+    multiple of ``BLOCK`` (else ``ValueError``).
 
-    Trial t seeds its own substream from ``[*key, t]`` and draws its root
-    with ``draw_root(rng)``.  A finite chain then draws, in one call, a
-    uniform per edge in topological order and one per leaf of
+    For a finite chain, block b (trials b·BLOCK to b·BLOCK + BLOCK - 1)
+    seeds one generator from ``[*key, b]``.  From it the block draws its
+    ``BLOCK`` roots with ``draw_root(rng)``, one trial after another,
+    then in one call a (BLOCK × w) array of uniforms: a row per trial, of
+    one uniform per edge in topological order and one per leaf of
     ``stretch`` (a ``StretchPlan``, or None) whose duration exceeds
-    ``DURATION_TOL``, and inverts each edge's cumulative rows for the
-    whole block at once.  Any other process draws its leaves trial by
-    trial with ``simulate`` (TKF91 in chunks of ``tkf91.CHUNK`` uniforms)
-    and takes no stretch.  Trials depend only on their key and index, so
-    neither the block size nor any split of the index range changes them.
+    ``DURATION_TOL``.  Each edge's cumulative rows are inverted for the
+    whole block at once.  A last, short block draws as many roots and
+    uniforms as a full one and descends only the rows it keeps, so trial
+    t is the same in every run of the same key that reaches it.  Any
+    other process seeds trial t's own generator from ``[*key, t]``, draws
+    its root and then its leaves with ``simulate`` (TKF91 in chunks of
+    ``tkf91.CHUNK`` uniforms), and takes no stretch.
     """
-    finite = isinstance(process, RateMatrix)
-    if finite:
-        # the stretched leaves' edges hang below the leaves: a last level
-        c = _compile(tree, process)
-        size, levels, picks = len(c.parents) + 1, list(c.levels), []
-        column = dict(zip(tree.leaves, c.leaves))
-        ends, starts, durations = [], [], []
-        for x, dur in zip(() if stretch is None else stretch.leaves,
-                          () if stretch is None else stretch.durations):
-            if dur > DURATION_TOL:
-                ends.append(size + len(ends))
-                starts.append(column[x])
-                durations.append(dur)
-            picks.append(ends[-1] if dur > DURATION_TOL else column[x])
-        levels += [_level(process, *step) for step in zip(
-            _steps(ends), _steps(starts), _steps(durations))]
-        size += len(ends)
-    elif stretch is not None:
-        raise TypeError("only a finite chain's trials take a stretch")
+    if start % BLOCK:
+        raise ValueError(f"trials start at a multiple of {BLOCK}, "
+                         f"not at {start}")
+    if not isinstance(process, RateMatrix):
+        if stretch is not None:
+            raise TypeError("only a finite chain's trials take a stretch")
+        return _trials_one_by_one(tree, process, draw_root, key, stop,
+                                  start)
+    # the stretched leaves' edges hang below the leaves: a last level
+    c = _compile(tree, process)
+    size, picks = len(c.parents) + 1, []
+    column = dict(zip(tree.leaves, c.leaves))
+    ends, starts, durations = [], [], []
+    for x, dur in zip(() if stretch is None else stretch.leaves,
+                      () if stretch is None else stretch.durations):
+        if dur > DURATION_TOL:
+            ends.append(size + len(ends))
+            starts.append(column[x])
+            durations.append(dur)
+        picks.append(ends[-1] if dur > DURATION_TOL else column[x])
+    levels = c.levels + _levels(process.n, [process.matrix(d)
+                                            for d in durations],
+                                ends, starts, [0] * len(ends))
+    return _trial_blocks(process.n, levels, size - 1 + len(ends), c.leaves,
+                         picks, draw_root, key, stop, start)
+
+
+def _trial_blocks(n, levels, width, leaves, picks, draw_root, key, stop,
+                  start):
+    for lo in range(start, stop, BLOCK):
+        rng = np.random.default_rng([*key, lo // BLOCK])
+        roots = [draw_root(rng) for _ in range(BLOCK)]
+        u = rng.random((BLOCK, width))
+        count = min(BLOCK, stop - lo)
+        yield TrialBlock(lo, roots[:count], *_draw_block(
+            n, levels, roots[:count], u[:count], leaves, picks),
+            [rng] * count)
+
+
+def _trials_one_by_one(tree, process, draw_root, key, stop, start):
     for lo in range(start, stop, BLOCK):
         rngs = [np.random.default_rng([*key, t])
                 for t in range(lo, min(lo + BLOCK, stop))]
         roots = [draw_root(rng) for rng in rngs]
-        if not finite:
-            leaves = np.array([[obs[x] for x in tree.leaves] for obs in (
-                simulate(tree, process, root, rng)
-                for root, rng in zip(roots, rngs))], dtype=object)
-            yield TrialBlock(lo, roots, leaves, None, rngs)
-            continue
-        yield TrialBlock(lo, roots, *_draw_block(
-            size, process.n, levels, roots, rngs, c.leaves, picks), rngs)
+        leaves = np.array([[obs[x] for x in tree.leaves] for obs in (
+            simulate(tree, process, root, rng)
+            for root, rng in zip(roots, rngs))], dtype=object)
+        yield TrialBlock(lo, roots, leaves, None, rngs)
 
 
-def _draw_block(size, n, levels, roots, rngs, leaves, picks) -> tuple:
+def _draw_block(n, levels, roots, u, leaves, picks) -> tuple:
     """The 1-based states of the vertices ``leaves`` and ``picks`` as
-    (trials × vertices) arrays, None for no ``picks``; each generator
-    draws its uniforms in one call."""
-    u = np.empty((len(rngs), size - 1))
-    for rng, row in zip(rngs, u):
-        rng.random(out=row)
-    states = _descend(size, n, levels, roots, u.T)
+    (trials × vertices) arrays, None for no ``picks``, of the trials
+    whose roots are ``roots`` and whose uniforms are the rows of ``u``."""
+    states = _descend(n, levels, roots, u.T)
     states += 1
     return states[leaves].T, states[picks].T if picks else None
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from oracles import exact_leaf_law
+from rootrec import cli
 from rootrec.bounds import (BoundInputs, prop54_uniform_bound, recon_lower,
                             recon_upper, variance_bound, wilson_interval)
 from rootrec.cli import (_build_estimator, _build_process, _build_tree,
@@ -240,7 +241,7 @@ def test_c08_uniform_chain_minimax():
     trials = 10 ** 4
     for truth in Q.states:
         errors = 0
-        # trial t draws from the substream [108, truth, t]
+        # block b draws from the substream [108, truth, b]
         for block in simulated_trials(t, Q, lambda rng, root=truth: root,
                                       (108, truth), trials, stretch=plan):
             errors += sum(
@@ -318,9 +319,11 @@ def test_c11_tkf91_consistency_trend(tmp_path):
     assert time.monotonic() - start < 900.0
 
 
-def test_c12_determinism_across_workers(tmp_path):
+def test_c12_determinism_across_workers(tmp_path, monkeypatch):
     # the deep-family experiment config emits byte-identical CSV for
-    # repeated runs and for different worker counts
+    # repeated runs and for different worker counts: its 2000 trials are
+    # 8 blocks, split into 2 and 3 ranges of whole blocks on any host
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     cfg = {
         "family": {"kind": "figure1", "k": 50, "h": 1.0},
         "process": {"kind": "two_state", "q": 1.0},
@@ -333,12 +336,12 @@ def test_c12_determinism_across_workers(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     outputs = []
-    for workers in (1, 1, 3):
+    for workers in (1, 1, 2, 3):
         assert main(["experiment", str(path), "--workers",
                      str(workers)]) == 0
         outputs.append(((tmp_path / "out.trials.csv").read_bytes(),
                         (tmp_path / "out.summary.csv").read_bytes()))
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 def test_c06_frequency_test_exclusivity():

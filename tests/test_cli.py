@@ -18,11 +18,12 @@ import test_substreams
 from oracles import exact_leaf_law
 from rootrec import cli
 from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _build_estimator,
-                         _build_process, _build_tree, _root_draw,
-                         _trial_range, _trial_setup, _uniform_prior, main,
-                         run_trials, validate_config)
-from rootrec.estimators import EstimatorError, exclusivity_stats, map_estimate
-from rootrec.treechain import BLOCK, TrialBlock, simulate
+                         _build_process, _build_tree, _trial_range,
+                         _trial_setup, _uniform_prior, main, run_trials,
+                         validate_config)
+from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError,
+                                exclusivity_stats, map_estimate)
+from rootrec.treechain import BLOCK, TrialBlock, simulated_trials
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -101,9 +102,13 @@ class TestExperimentCommand:
         main(["experiment", path])
         assert (tmp_path / "out.trials.csv").read_bytes() == first
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        trials, _ = _trial_setup(experiment_cfg(tmp_path))
+    def test_worker_count_does_not_change_output(self, tmp_path,
+                                                 monkeypatch):
+        # three blocks: three workers get one each
+        trials, _ = _trial_setup(experiment_cfg(tmp_path,
+                                                trials=2 * BLOCK + 3))
         serial = run_trials(trials, workers=1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         parallel = run_trials(trials, workers=3)
         assert serial == parallel
 
@@ -152,7 +157,8 @@ class TestTrialRunner:
 
     def test_workers_use_the_parents_setup(self, tmp_path, monkeypatch):
         # a worker that read the config again would build its tree anew
-        trials, _ = _trial_setup(experiment_cfg(tmp_path))
+        trials, _ = _trial_setup(experiment_cfg(tmp_path,
+                                                trials=2 * BLOCK + 3))
         serial = run_trials(trials, workers=1)
 
         def no_tree(cfg):
@@ -167,19 +173,24 @@ class TestTrialRunner:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
         monkeypatch.setattr(RecordingPool, "sizes", [])
-        trials, _ = _trial_setup(experiment_cfg(tmp_path))
+        # at most one process per usable CPU and per block of trials
+        trials, _ = _trial_setup(experiment_cfg(tmp_path,
+                                                trials=4 * BLOCK + 3))
         serial = run_trials(trials, workers=1)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         assert run_trials(trials, workers=5000) == serial
-        assert run_trials(trials._replace(count=2), workers=5000) == \
-            serial[:2]
+        for count in (BLOCK + 1, BLOCK, 2):
+            assert run_trials(trials._replace(count=count),
+                              workers=5000) == serial[:count]
         assert RecordingPool.sizes == [3, 2]
 
     @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
-    def test_blocks_never_change_the_rows(self, tmp_path, kind):
-        # rows of 2 BLOCK + 3 trials: the same for two workers, for a split
-        # of the range inside blocks, and for one-trial blocks; an h* above
-        # the leaves stretches them
+    def test_blocks_never_change_the_rows(self, tmp_path, kind,
+                                          monkeypatch):
+        # rows of 2 BLOCK + 3 trials: the same for two and three workers,
+        # for ranges of whole blocks, and for every shorter run, whose
+        # last block is cut short; a range cannot start inside a block.
+        # An h* above the leaves stretches them
         est = dict(self.ESTIMATORS[kind])
         if "h_star" in est:
             est["h_star"] = 1.3
@@ -187,12 +198,16 @@ class TestTrialRunner:
         trials, _ = _trial_setup(cfg)
         rows = run_trials(trials, workers=1)
         assert [row[0] for row in rows] == list(range(trials.count))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         assert run_trials(trials, workers=2) == rows
-        cuts = [0, 100, BLOCK + 1, 2 * BLOCK - 1, trials.count]
+        assert run_trials(trials, workers=3) == rows
+        cuts = [0, BLOCK, 2 * BLOCK, trials.count]
         assert [row for lo, hi in zip(cuts, cuts[1:])
                 for row in _trial_range(trials, lo, hi)] == rows
-        assert [row for t in range(trials.count)
-                for row in _trial_range(trials, t, t + 1)] == rows
+        for count in (1, 100, BLOCK + 1, 2 * BLOCK - 1):
+            assert run_trials(trials._replace(count=count)) == rows[:count]
+        with pytest.raises(ValueError, match="multiple of"):
+            _trial_range(trials, 100, trials.count)
 
     def test_one_exclusivity_invocation_per_frequency_trial(self, tmp_path):
         cfg = experiment_cfg(tmp_path, trials=2 * BLOCK + 3,
@@ -244,23 +259,28 @@ class TestMapEstimator:
     }
 
     def test_pruning_agrees_with_enumerated_laws(self):
+        # each trial's MAP estimate is the smallest root state whose
+        # enumerated posterior is within MAP_TIE_RTOL of the largest
         cfg = self.SMALL_MAP
         tree, Q = _build_tree(cfg), _build_process(cfg)
         laws = {i: exact_leaf_law(tree, Q, i) for i in Q.states}
         prior = _uniform_prior(Q)
-        rows = run_trials(_trial_setup(cfg)[0])
+        trials = _trial_setup(cfg)[0]
+        rows = run_trials(trials)
         assert len(rows) == cfg["trials"]
-        for t, truth, state, _ in rows:
-            rng = np.random.default_rng([cfg["seed"], t])
-            assert _root_draw(cfg, Q)(rng) == truth
-            obs = simulate(tree, Q, truth, rng)
+        observations = [
+            (t, truth, obs) for block in simulated_trials(
+                tree, Q, trials.draw, (cfg["seed"],), cfg["trials"])
+            for t, truth, obs, _ in block.trials(tree)]
+        for (t, truth, state, _), (t_obs, root, obs) in zip(rows,
+                                                            observations):
+            assert (t, truth) == (t_obs, root)
             post = {i: prior.mass(i) * laws[i].mass(laws[i].outcome_of(obs))
                     for i in Q.states}
-            expected = max(Q.states, key=post.get)
-            if state != expected:
-                # only a tie between the two best root states may differ
-                top = sorted(post.values())
-                assert top[-2] >= top[-1] * (1 - 1e-12), t
+            top = max(post.values())
+            near = [i for i in Q.states
+                    if post[i] >= top * (1 - MAP_TIE_RTOL)]
+            assert state == near[0], t
 
     def test_impossible_observation_rejected(self, tmp_path):
         # state 1 jumps to the absorbing state 2; state 3 is absorbing too

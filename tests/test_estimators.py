@@ -9,10 +9,11 @@ from rootrec.ctmc import (Distribution, RateMatrix, row_distribution,
                           two_state_symmetric, jukes_cantor)
 from rootrec.bounds import recon_lower
 from oracles import exact_leaf_law
-from rootrec.estimators import (EstimatorError, RowTable, exclusivity_stats,
-                                frequency_estimate, lambda_epsilon,
-                                majority_estimate, map_estimate,
-                                stretch_plan, uniform_chain_estimate)
+from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
+                                exclusivity_stats, frequency_estimate,
+                                lambda_epsilon, majority_estimate,
+                                map_estimate, map_estimates, stretch_plan,
+                                uniform_chain_estimate)
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import simulate
 
@@ -84,6 +85,27 @@ class TestMapEstimate:
         prior = Distribution({1: 1.0})
         with pytest.raises(EstimatorError):
             map_estimate(t, Q, prior, {"a": 2})
+
+    @pytest.mark.parametrize("lam", [None, [2, 3]])
+    def test_near_ties_go_to_the_smaller_label(self, lam):
+        # leaves in states 2 and 3 of a 3-state Jukes-Cantor chain are
+        # equally likely from roots 2 and 3, and less likely from root 1,
+        # so the posteriors of 2 and 3 differ by their priors alone: by
+        # about 1e-13 relative they tie, either way round
+        t = Tree("rho", [("rho", "a", 0.8), ("rho", "b", 0.8)])
+        Q = jukes_cantor(1.0, 3)
+        obs = [[2, 3], [3, 2]]
+        def prior(rel):
+            # root 3's prior is root 2's times 1 + rel
+            return Distribution({1: 0.1 - 0.45 * rel, 2: 0.45,
+                                 3: 0.45 * (1 + rel)})
+
+        for rel in (1e-13, -1e-13):
+            assert prior(rel).mass(3) != prior(rel).mass(2)
+            assert map_estimates(t, Q, prior(rel), obs, lam) == [2, 2]
+        # well beyond the tolerance the larger posterior wins
+        assert map_estimates(t, Q, prior(1000 * MAP_TIE_RTOL), obs,
+                             lam) == [3, 3]
 
 
 class TestRestrictedMap:

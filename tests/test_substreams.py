@@ -1,12 +1,17 @@
 """The RNG substream contract, pinned.
 
-Every trial of every command draws from the substream seeded by its key
-(``[seed, t]``, or ``[seed, k, t]`` for tkf91), and the estimator continues
-that stream after the root and the leaves are drawn (a tkf91 trial takes
-its leaves' uniforms in chunks, so after the last chunk).  The digests below
-were recorded from small runs; a change to any substream, or to the order
-in which a trial consumes it, changes a digest.  Such a change must be
+A finite chain's trials come in blocks of ``treechain.BLOCK``, and block
+b draws from the substream seeded ``[seed, b]``: its BLOCK roots, then
+one array of uniforms for its edges and stretched leaves, then the
+estimators' draws in trial order.  A tkf91 trial t on member k draws
+from its own substream ``[seed, k, t]``, and its estimator continues
+that stream after the root and the leaves (which take their uniforms in
+chunks, so after the last chunk).  The digests below were recorded from
+small runs; a change to any substream, or to the order in which a block
+or trial consumes it, changes a digest.  Such a change must be
 deliberate and recorded in CHANGES.md together with the new digests.
+The runs of more than two blocks are pinned at 1, 2 and 3 workers, so
+that the split of a run into whole blocks is pinned too.
 """
 
 import hashlib
@@ -14,10 +19,12 @@ import json
 
 import pytest
 
+from rootrec import cli
 from rootrec.bounds import monte_carlo_error
 from rootrec.cli import EXIT_OK, main
 from rootrec.ctmc import Distribution, jukes_cantor, two_state_symmetric
 from rootrec.tree import generate_family
+from rootrec.treechain import BLOCK
 
 FREQUENCY = {
     "family": {"kind": "figure1", "k": 20, "h": 1.0},
@@ -26,6 +33,8 @@ FREQUENCY = {
                   "epsilon": 0.01},
     "trials": 40, "seed": 12,
 }
+# three blocks, the last one short
+FREQUENCY_BLOCKS = {**FREQUENCY, "trials": 2 * BLOCK + 3}
 UNIFORM = {
     "family": {"kind": "pinched_star", "m": 21, "s": 0.002, "h": 0.02},
     "process": {"kind": "uniform", "rate": 0.05, "n": 4},
@@ -61,29 +70,38 @@ SIMULATE_TKF91 = {
 # digits of that file's sha256})
 PINNED = [
     ("frequency", "experiment", FREQUENCY, 1, {
-        ".trials.csv": "66c9a6c6e0f946d99199e62996cca02b",
-        ".summary.csv": "94be5a253d1b4a37725b3a099b4d3fb5"}),
+        ".trials.csv": "ffc0fbcfba3c88a2ae8f14ffbd62aa91",
+        ".summary.csv": "58a375903436bdcb7132911fed191ad4"}),
     ("frequency-workers2", "experiment", FREQUENCY, 2, {
-        ".trials.csv": "66c9a6c6e0f946d99199e62996cca02b",
-        ".summary.csv": "94be5a253d1b4a37725b3a099b4d3fb5"}),
+        ".trials.csv": "ffc0fbcfba3c88a2ae8f14ffbd62aa91",
+        ".summary.csv": "58a375903436bdcb7132911fed191ad4"}),
+    ("frequency-blocks", "experiment", FREQUENCY_BLOCKS, 1, {
+        ".trials.csv": "80d28c60b063bf5bf1390e7f147af955",
+        ".summary.csv": "7cb3e103fd2da92cc901427fc9e608c5"}),
+    ("frequency-blocks-workers2", "experiment", FREQUENCY_BLOCKS, 2, {
+        ".trials.csv": "80d28c60b063bf5bf1390e7f147af955",
+        ".summary.csv": "7cb3e103fd2da92cc901427fc9e608c5"}),
+    ("frequency-blocks-workers3", "experiment", FREQUENCY_BLOCKS, 3, {
+        ".trials.csv": "80d28c60b063bf5bf1390e7f147af955",
+        ".summary.csv": "7cb3e103fd2da92cc901427fc9e608c5"}),
     ("uniform", "experiment", UNIFORM, 1, {
-        ".trials.csv": "03aac8958c3240839d15f6c6b4b64797",
+        ".trials.csv": "3010a077370da66f5059797022c03f94",
         ".summary.csv": "5ad5cf5f3d9ca9668d064d9fe64781b5"}),
     ("uniform-workers2", "experiment", UNIFORM, 2, {
-        ".trials.csv": "03aac8958c3240839d15f6c6b4b64797",
+        ".trials.csv": "3010a077370da66f5059797022c03f94",
         ".summary.csv": "5ad5cf5f3d9ca9668d064d9fe64781b5"}),
     ("map-fixed-root", "experiment", MAP, 1, {
-        ".trials.csv": "e843f74e7b936b3a129431d7bccaeeb1",
-        ".summary.csv": "dd3df0c4ba0d9dca1cc68fd44f21f2ed"}),
+        ".trials.csv": "af4a6ac38899c0064e14efe0bb777d29",
+        ".summary.csv": "0c24a1954d0b50521a00f60237403343"}),
     ("map-fixed-root-workers2", "experiment", MAP, 2, {
-        ".trials.csv": "e843f74e7b936b3a129431d7bccaeeb1",
-        ".summary.csv": "dd3df0c4ba0d9dca1cc68fd44f21f2ed"}),
+        ".trials.csv": "af4a6ac38899c0064e14efe0bb777d29",
+        ".summary.csv": "0c24a1954d0b50521a00f60237403343"}),
     ("estimate", "estimate", FREQUENCY, 1, {
-        "": "66c9a6c6e0f946d99199e62996cca02b"}),
+        "": "ffc0fbcfba3c88a2ae8f14ffbd62aa91"}),
     ("tkf91", "tkf91", TKF91, 1, {
         "": "83ee2956cfbe49a06aaf8161a1932b7d"}),
     ("simulate", "simulate", SIMULATE, 1, {
-        "": "c71e5800707d8101bb6e383808325ee7"}),
+        "": "4ea401c8a63df81c274dca9241f3a834"}),
     ("simulate-tkf91", "simulate", SIMULATE_TKF91, 1, {
         "": "1407ed0c2b39672f754d311f5c83255c"}),
 ]
@@ -96,7 +114,10 @@ def _digest(path) -> str:
 @pytest.mark.parametrize("command,cfg,workers,digests",
                          [case[1:] for case in PINNED],
                          ids=[case[0] for case in PINNED])
-def test_cli_output_digest(tmp_path, command, cfg, workers, digests):
+def test_cli_output_digest(tmp_path, monkeypatch, command, cfg, workers,
+                           digests):
+    # as many processes as workers, on any host
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
     out = tmp_path / "out"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**cfg, "output": str(out)}))
@@ -106,8 +127,8 @@ def test_cli_output_digest(tmp_path, command, cfg, workers, digests):
 
 
 def test_monte_carlo_error_counts():
-    # the estimators read the trial's stream after the leaves, so their
-    # guesses pin where simulation leaves it
+    # the estimators read their block's stream after its uniforms, in
+    # trial order, so their guesses pin where simulation leaves it
     def guess(obs, rng):
         return int(rng.integers(2)) + 1
 
@@ -126,4 +147,4 @@ def test_monte_carlo_error_counts():
                           Distribution({1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4}),
                           trials=300, master_seed=11)["errors"],
     ]
-    assert got == [147, 146, 227]
+    assert got == [138, 149, 228]

@@ -40,6 +40,12 @@ def pinched2(s=0.5, h=1.0):
                         ("v", "b", h - s)])
 
 
+def fixed_root_rows(tree, Q, root, key, n):
+    """The leaf rows of n trials from ``root``, drawn a block at a time."""
+    return np.concatenate([block.leaves for block in simulated_trials(
+        tree, Q, lambda rng: root, key, n)])
+
+
 class TestSimulate:
     def test_zero_rates_copy_root(self):
         Q = RateMatrix(np.zeros((3, 3)))
@@ -51,9 +57,8 @@ class TestSimulate:
     def test_single_edge_matches_row(self):
         t = Tree("rho", [("rho", "x", 0.5)])
         Q = two_state_symmetric(1.0)
-        rng = np.random.default_rng(3)
         n = 10 ** 5
-        hits = sum(simulate(t, Q, 1, rng)["x"] == 1 for _ in range(n))
+        hits = int((fixed_root_rows(t, Q, 1, (3,), n)[:, 0] == 1).sum())
         p = (1 + math.exp(-1.0)) / 2
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -62,13 +67,11 @@ class TestSimulate:
         # unconditional product-law check below captures exactly that
         t = Tree("rho", [("rho", "a", 0.6), ("rho", "b", 0.6)])
         Q = two_state_symmetric(1.0)
-        rng = np.random.default_rng(4)
         n = 40000
-        counts = {}
-        for _ in range(n):
-            obs = simulate(t, Q, 1, rng)
-            counts[(obs["a"], obs["b"])] = counts.get(
-                (obs["a"], obs["b"]), 0) + 1
+        assert t.leaves == ("a", "b")
+        pairs, hits = np.unique(fixed_root_rows(t, Q, 1, (4,), n), axis=0,
+                                return_counts=True)
+        counts = dict(zip(map(tuple, pairs.tolist()), hits.tolist()))
         P = transition_matrix(Q, 0.6)
         for (x, y), c in counts.items():
             expect = P[0, x - 1] * P[0, y - 1]
@@ -88,6 +91,12 @@ class PerEdgeChain:
             return state
         row = np.cumsum(self.Q.matrix(duration), axis=1)[state - 1].tolist()
         return min(bisect_right(row, rng.random()), self.Q.n - 1) + 1
+
+
+def uniform_row(u):
+    """A stand-in generator whose ``random()`` returns the floats of
+    ``u`` in turn: one trial's row of its block's uniforms."""
+    return SimpleNamespace(random=iter(u.tolist()).__next__)
 
 
 def random_chain(n):
@@ -177,9 +186,11 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", sorted(TestCompiledSimulate.TREES))
     def test_matches_per_trial_reference(self, kind, n):
-        # leaves and stretched states of every trial equal those drawn edge
-        # by edge and leaf by leaf from the trial's own substream, and both
-        # leave that stream at the same place
+        # block b's generator is seeded [*key, b]; it draws BLOCK roots,
+        # then a (BLOCK × uniforms) array.  Leaves and stretched states of
+        # every trial equal those drawn edge by edge and leaf by leaf from
+        # the trial's row of that array, and the block's trials share one
+        # generator, left just after the array; the last block is short
         tree = TestCompiledSimulate.TREES[kind]()
         Q = random_chain(n)
         per_edge = PerEdgeChain(Q)
@@ -190,29 +201,48 @@ class TestTrialBlocks:
         plan = StretchPlan(0.1, 2.0, len(chosen), 0.0, chosen,
                            tuple(durations))
         draw = lambda rng: int(rng.integers(n)) + 1
-        for block in simulated_trials(tree, Q, draw, (n, 17), 200,
-                                      stretch=plan):
+        width = (len(tree.topo_order) - 1
+                 + sum(d > DURATION_TOL for d in durations))
+        blocks = list(simulated_trials(tree, Q, draw, (n, 17), BLOCK + 20,
+                                       stretch=plan))
+        assert [len(block.roots) for block in blocks] == [BLOCK, 20]
+        for i, block in enumerate(blocks):
+            ref = np.random.default_rng([n, 17, i])
+            roots = [draw(ref) for _ in range(BLOCK)]
+            u = ref.random((BLOCK, width))
+            assert block.roots == roots[:len(block.roots)]
             for b, rng in enumerate(block.rngs):
-                ref = np.random.default_rng([n, 17, block.start + b])
-                root = draw(ref)
-                leaves = simulate(tree, per_edge, root, ref)
-                stretched = [per_edge.sample(leaves[x], d, ref)
+                row = uniform_row(u[b])
+                leaves = simulate(tree, per_edge, roots[b], row)
+                stretched = [per_edge.sample(leaves[x], d, row)
                              if d > DURATION_TOL else leaves[x]
                              for x, d in zip(chosen, durations)]
-                assert block.roots[b] == root
                 assert block.leaves[b].tolist() == [leaves[x]
                                                     for x in tree.leaves]
                 assert block.stretched[b].tolist() == stretched
-                assert rng.random() == ref.random()
+                assert rng is block.rngs[0]
+            assert block.rngs[0].random() == ref.random()
 
     def test_blocks_hold_block_trials(self):
         tree = TestCompiledSimulate.TREES["figure1"]()
         Q = two_state_symmetric(1.0)
         blocks = list(simulated_trials(tree, Q, lambda rng: 1, (3,),
-                                       2 * BLOCK + 3, start=1))
-        assert [b.start for b in blocks] == [1, 1 + BLOCK, 1 + 2 * BLOCK]
+                                       3 * BLOCK + 2, start=BLOCK))
+        assert [b.start for b in blocks] == [BLOCK, 2 * BLOCK, 3 * BLOCK]
         assert [len(b.rngs) for b in blocks] == [BLOCK, BLOCK, 2]
         assert all(b.stretched is None for b in blocks)
+        # one generator per block
+        assert all(b.rngs == [b.rngs[0]] * len(b.rngs) for b in blocks)
+        assert len({id(b.rngs[0]) for b in blocks}) == 3
+
+    @pytest.mark.parametrize("process", [two_state_symmetric(1.0),
+                                         PerEdgeChain(jukes_cantor(1.0))])
+    def test_start_inside_a_block_is_refused(self, process):
+        tree = pinched2()
+        for start in (1, BLOCK - 1, BLOCK + 7):
+            with pytest.raises(ValueError, match="multiple of"):
+                list(simulated_trials(tree, process, lambda rng: 1, (3,),
+                                      2 * BLOCK, start=start))
 
     def test_other_processes_take_no_stretch(self):
         tree = pinched2()
@@ -280,13 +310,11 @@ class TestExactLeafLaw:
         t = pinched2()
         Q = two_state_symmetric(1.0)
         law = exact_leaf_law(t, Q, 1)
-        rng = np.random.default_rng(6)
         n = 10 ** 5
-        emp = {}
-        for _ in range(n):
-            obs = simulate(t, Q, 1, rng)
-            key = law.outcome_of(obs)
-            emp[key] = emp.get(key, 0) + 1
+        rows, hits = np.unique(fixed_root_rows(t, Q, 1, (6,), n), axis=0,
+                               return_counts=True)
+        emp = {law.outcome_of(dict(zip(t.leaves, row))): c
+               for row, c in zip(rows.tolist(), hits.tolist())}
         tv = 0.5 * sum(abs(emp.get(k, 0) / n - p)
                        for k, p in law.probs.items())
         assert tv < 0.02
@@ -420,17 +448,28 @@ class TestSimulatedTrials:
                 for i, root, leaves, rng in block.trials(t)]
 
     def test_split_range_yields_the_same_trials(self):
+        # a split on a block boundary, and any shorter run, give the same
+        # trials: a short last block draws as much as a full one
         whole = self.run((5,), 2 * BLOCK + 3)
         assert [row[0] for row in whole] == list(range(2 * BLOCK + 3))
-        for cut in (11, BLOCK + 7):
+        for cut in (BLOCK, 2 * BLOCK):
             assert (self.run((5,), cut)
                     + self.run((5,), 2 * BLOCK + 3, start=cut)) == whole
+        for stop in (1, 11, BLOCK + 7):
+            assert self.run((5,), stop) == whole[:stop]
 
-    def test_trial_t_reads_the_substream_key_then_t(self):
+    def test_block_b_reads_the_substream_key_then_b(self):
+        # block b: BLOCK roots, then one uniform array, then the estimators'
+        # draws in trial order, all from the generator seeded [*key, b]
         t = generate_family("figure1", {"k": 8, "h": 1.0})[7]
         Q = jukes_cantor(1.0)
-        for i, root, leaves, after in self.run((5, 3), 4):
-            rng = np.random.default_rng([5, 3, i])
-            assert root == int(rng.integers(4)) + 1
-            assert leaves == simulate(t, Q, root, rng)
-            assert after == rng.random()
+        rows = self.run((5, 3), BLOCK + 4)
+        for b, block in enumerate((rows[:BLOCK], rows[BLOCK:])):
+            rng = np.random.default_rng([5, 3, b])
+            roots = [int(rng.integers(4)) + 1 for _ in range(BLOCK)]
+            u = rng.random((BLOCK, len(t.topo_order) - 1))
+            for (i, root, leaves, after), r, us in zip(block, roots, u):
+                assert root == r
+                assert leaves == simulate(t, PerEdgeChain(Q), root,
+                                          uniform_row(us))
+                assert after == rng.random()
