@@ -23,8 +23,8 @@ from .estimators import (EstimatorError, EstimatorReport, RowTable,
                          majority_estimate, map_estimate, map_estimates,
                          stretch_plan, uniform_chain_estimate,
                          uniform_chain_test)
-from .tkf91 import (Tkf91Params, mc_rows, stationary_pmf, stationary_sample,
-                    tkf91_evolve, top_states)
+from .tkf91 import (Tkf91Params, evolve_edges, mc_rows, stationary_pmf,
+                    stationary_sample, tkf91_evolve, top_states)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint,
                    big_bang_profile, chosen_leaves, descendant_leaves,
                    extract_well_spread_restriction, generate_family,

@@ -5,15 +5,20 @@ consisting of the immortal link alone.  The immortal link is implicit as
 position 0: it is never deleted or substituted, but it can give birth.
 The stationary length law is geometric with ratio lambda/mu.  The
 parameters ``Tkf91Params`` are the process itself: their ``sample`` runs
-it down a tree edge by exact event simulation.  No exact time-t rows
-exist, so estimators use Monte Carlo plug-in rows (``mc_rows``).  The
-CLI's ``tkf91`` command runs the reconstruction experiment.
+it down a tree edge by exact event simulation.  ``evolve_edges`` is the
+package's one event loop: it runs every edge of a tree, in topological
+order, in one call, and ``tkf91_evolve`` (one edge), a tree simulation
+(``treechain.simulate``) and ``mc_rows`` (a star per state) all call it.
+Exact time-t rows exist, as the forward recursion of a pair hidden
+Markov model, but are not implemented yet, so estimators use Monte
+Carlo plug-in rows (``mc_rows``).  The CLI's ``tkf91`` command runs the
+reconstruction experiment.
 
 The simulation draws only uniforms, through ``rng.random()``.  Calling
 numpy once per uniform costs far more than the event it draws, so a tree
-simulation (``treechain.simulate``) and ``mc_rows`` read their
-generator through ``Uniforms``, which takes ``CHUNK`` floats per call;
-the uniforms of a chunk that no event used are dropped.
+simulation and ``mc_rows`` read their generator through ``Uniforms``,
+which takes ``CHUNK`` floats per call; the uniforms of a chunk that no
+event used are dropped.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from __future__ import annotations
 import functools
 import heapq
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from math import log1p
 
 import numpy as np
@@ -37,6 +43,7 @@ __all__ = [
     "LENGTH_CAP",
     "EVENT_CAP",
     "tkf91_evolve",
+    "evolve_edges",
     "stationary_sample",
     "stationary_pmf",
     "stationary_length_pmf",
@@ -50,9 +57,9 @@ ALPHABET = "ATCG"
 # guard against runaway growth from misconfigured rates; with lambda < mu
 # the length process is positive recurrent and never gets near this
 LENGTH_CAP = 10 ** 4
-# guard against rates too large to simulate event by event: one call to
-# tkf91_evolve stops after this many events (0.3-2 s on a shared 2-core
-# Xeon VM; a tkf91 command that reaches it exits after 1.6-5 s)
+# guard against rates too large to simulate event by event: one edge of
+# evolve_edges stops after this many events (0.2-1.2 s on a shared 2-core
+# Xeon VM; a tkf91 command that reaches it exits after 1.0-1.3 s)
 EVENT_CAP = 10 ** 6
 # uniforms that ``Uniforms`` draws from its generator in one call
 CHUNK = 256
@@ -96,12 +103,32 @@ class Tkf91Params:
         return tkf91_evolve(self, state, duration, rng)
 
     @functools.cached_property
+    def event_rates(self) -> dict:
+        """Current length M -> (M nu, M (nu + mu), M (nu + mu) + (M+1) lam):
+        where the substitution and the deletion shares of the total event
+        rate end, and that total, each computed on first use."""
+        return _EventRates(self.nu, self.lam, self.mu)
+
+    @functools.cached_property
     def letter_cdf(self) -> list:
         """Cumulative letter frequencies, normalized to end at 1, exactly
         as ``Generator.choice(4, p=freqs)`` computes them."""
         cdf = np.cumsum(self.freqs)
         cdf /= cdf[-1]
         return cdf.tolist()
+
+
+class _EventRates(dict):
+    __slots__ = ("nu", "lam", "sub")
+
+    def __init__(self, nu: float, lam: float, mu: float):
+        super().__init__()
+        self.nu, self.lam, self.sub = nu, lam, nu + mu
+
+    def __missing__(self, m: int) -> tuple:
+        to_del = m * self.sub
+        rates = self[m] = (m * self.nu, to_del, to_del + (m + 1) * self.lam)
+        return rates
 
 
 class Uniforms:
@@ -127,45 +154,68 @@ def _draw_letter(params: Tkf91Params, rng) -> str:
 
 
 def tkf91_evolve(params: Tkf91Params, seq: str, t: float, rng) -> str:
-    """Run the process from ``seq`` for duration ``t`` by exact event
-    simulation.
+    """Run the process from ``seq`` for duration ``t``: the one-edge call
+    of ``evolve_edges``, which says how the run reads ``rng``."""
+    if t < 0:
+        raise CtmcError("time must be nonnegative")
+    return evolve_edges(params, (0,), (t,), seq, rng)[1]
+
+
+def evolve_edges(params: Tkf91Params, parents, lengths, root: str,
+                 rng) -> list:
+    """The sequences of every vertex of a tree, by exact event simulation
+    down its edges: vertex 0 holds ``root``, and edge e runs from vertex
+    ``parents[e]`` (below e + 1) for ``lengths[e]`` to vertex e + 1.
 
     With current length M the total event rate is M nu + M mu + (M+1) lam:
     every ordinary site can be substituted or deleted, and every site
     including the immortal link can give birth immediately to its right.
-    Each event takes uniforms from ``rng.random()`` (a ``Generator`` or
-    ``Uniforms``): one for its waiting time, by inversion as
-    -log(1 - u) / rate, one for its kind and site, and one for the letter
-    of a substitution or insertion.  A run of more than ``EVENT_CAP``
-    events raises ``CtmcError``.
+    Edge after edge, each event takes uniforms from ``rng.random()`` (a
+    ``Generator`` or ``Uniforms``): one for its waiting time, by
+    inversion as -log(1 - u) / rate, one for its kind and site, and one
+    for the letter of a substitution or insertion.  An edge whose first
+    waiting time exceeds its length passes its parent's string on as it
+    is.  An edge that runs more than ``EVENT_CAP`` events, or grows a
+    sequence longer than ``LENGTH_CAP``, raises ``CtmcError``.
     """
-    if t < 0:
-        raise CtmcError("time must be nonnegative")
     nu, lam, mu = params.nu, params.lam, params.mu
-    random = rng.random
-    sites = list(seq)
-    clock = 0.0
-    for _ in range(EVENT_CAP + 1):
-        m = len(sites)
-        total = m * (nu + mu) + (m + 1) * lam
-        clock -= log1p(-random()) / total
+    rates, cdf, random = params.event_rates, params.letter_cdf, rng.random
+    seqs = [root]
+    for p, t in zip(parents, lengths):
+        seq = seqs[p]
+        m = len(seq)
+        to_sub, to_del, total = rates[m]
+        clock = -log1p(-random()) / total
         if clock > t:
-            return "".join(sites)
-        u = random() * total
-        if u < m * nu:
-            sites[int(u / nu)] = _draw_letter(params, rng)
-        elif u < m * (nu + mu):
-            del sites[int((u - m * nu) / mu)]
+            seqs.append(seq)
+            continue
+        sites = list(seq)
+        for _ in range(EVENT_CAP):
+            u = random() * total
+            if u < to_sub:
+                sites[int(u / nu)] = ALPHABET[bisect_right(cdf, random())]
+            elif u < to_del:
+                del sites[int((u - to_sub) / mu)]
+                m -= 1
+            else:
+                # parent site index 0 is the immortal link; the child
+                # lands immediately to the parent's right
+                sites.insert(int((u - to_del) / lam),
+                             ALPHABET[bisect_right(cdf, random())])
+                m += 1
+                if m > LENGTH_CAP:
+                    raise CtmcError(
+                        f"sequence length exceeded the cap {LENGTH_CAP}")
+            to_sub, to_del, total = rates[m]
+            clock -= log1p(-random()) / total
+            if clock > t:
+                break
         else:
-            # parent site index 0 is the immortal link; the child lands
-            # immediately to the parent's right
-            parent = int((u - m * (nu + mu)) / lam)
-            sites.insert(parent, _draw_letter(params, rng))
-            if len(sites) > LENGTH_CAP:
-                raise CtmcError(
-                    f"sequence length exceeded the cap {LENGTH_CAP}")
-    raise CtmcError(f"more than {EVENT_CAP} events in one run of "
-                    f"duration {t}: the rates are too large to simulate")
+            raise CtmcError(f"more than {EVENT_CAP} events in one run of "
+                            f"duration {t}: the rates are too large to "
+                            "simulate")
+        seqs.append("".join(sites))
+    return seqs
 
 
 def stationary_sample(params: Tkf91Params, rng) -> str:
@@ -221,17 +271,20 @@ def top_states(params: Tkf91Params, epsilon: float,
 def mc_rows(params: Tkf91Params, states, t: float, n_samples: int,
             rng) -> dict:
     """Monte Carlo plug-in time-t rows: empirical endpoint distribution of
-    ``n_samples`` independent runs from each state, all reading ``rng``
-    through one ``Uniforms``."""
+    ``n_samples`` independent runs from each state.  A state's runs are
+    the edges of one ``n_samples``-edge star rooted at it, one
+    ``evolve_edges`` call, and all stars read ``rng`` through one
+    ``Uniforms``."""
     if n_samples < 1:
         raise CtmcError("n_samples must be at least 1")
+    if t < 0:
+        raise CtmcError("time must be nonnegative")
     rng = Uniforms(rng)
     rows = {}
     for state in states:
-        counts: dict = {}
-        for _ in range(n_samples):
-            end = tkf91_evolve(params, state, t, rng)
-            counts[end] = counts.get(end, 0) + 1
+        ends = evolve_edges(params, [0] * n_samples, [t] * n_samples, state,
+                            rng)
+        counts = Counter(islice(ends, 1, None))
         rows[state] = Distribution({s: c / n_samples
                                     for s, c in counts.items()})
     return rows

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ctmc import RateMatrix
-from .tkf91 import Tkf91Params, Uniforms
+from .tkf91 import Tkf91Params, Uniforms, evolve_edges
 from .tree import Tree
 
 __all__ = [
@@ -45,14 +45,35 @@ DURATION_TOL = 1e-12
 _STEP = 32
 
 
+class _Layout(NamedTuple):
+    """A tree's vertices indexed in topological order: the root is 0 and
+    edge e's child is e + 1.  For each edge: its parent's index, its
+    length, and its child as a position in ``tree.leaves`` if that is a
+    leaf (else None); and the leaves' indices in ``tree.leaves`` order."""
+
+    parents: list
+    lengths: list
+    leaf_of: list
+    leaves: list
+
+
+def _layout(tree: Tree) -> _Layout:
+    index = {v: i for i, v in enumerate(tree.topo_order)}
+    position = {x: i for i, x in enumerate(tree.leaves)}
+    edges = tree.topo_order[1:]
+    return _Layout([index[tree.parent[v]] for v in edges],
+                   [tree.length[v] for v in edges],
+                   [None if tree.children[v] else position[v]
+                    for v in edges],
+                   [index[x] for x in tree.leaves])
+
+
 @dataclass(frozen=True)
 class _CompiledTree:
-    """A tree laid out for one finite chain.  Vertices are indexed in
-    topological order (the root is 0, edge e's child is e + 1); for each
-    edge: its parent's index, its transition matrix, and its child as a
-    position in ``tree.leaves`` if that is a leaf (else None); the
-    leaves' indices in ``tree.leaves`` order; and the edges grouped by
-    the depth of their child, in edges from the root, as ``_levels``."""
+    """A tree laid out for one finite chain: the ``_Layout``'s parents,
+    leaf positions and leaves, each edge's transition matrix, and the
+    edges grouped by the depth of their child, in edges from the root,
+    as ``_levels``."""
 
     parents: list
     mats: list
@@ -64,21 +85,17 @@ class _CompiledTree:
 def _compile(tree: Tree, Q: RateMatrix) -> _CompiledTree:
     c = Q.compiled.get(tree)
     if c is None:
-        index = {v: i for i, v in enumerate(tree.topo_order)}
-        position = {x: i for i, x in enumerate(tree.leaves)}
-        edges = tree.topo_order[1:]
-        parents = [index[tree.parent[v]] for v in edges]
-        mats = [Q.matrix(tree.length[v]) for v in edges]
+        lay = _layout(tree)
+        mats = [Q.matrix(t) for t in lay.lengths]
         depth = [0]
-        for p in parents:
+        for p in lay.parents:
             depth.append(depth[p] + 1)
         c = _CompiledTree(
-            parents=parents,
+            parents=lay.parents,
             mats=mats,
-            leaf_of=[None if tree.children[v] else position[v]
-                     for v in edges],
-            leaves=[index[x] for x in tree.leaves],
-            levels=_levels(Q.n, mats, range(1, len(depth)), parents,
+            leaf_of=lay.leaf_of,
+            leaves=lay.leaves,
+            levels=_levels(Q.n, mats, range(1, len(depth)), lay.parents,
                            depth[1:]))
         Q.compiled[tree] = c
     return c
@@ -88,21 +105,24 @@ def _levels(n: int, mats, children, parents, depth) -> list:
     """Edges, each with its n-state transition matrix in ``mats``,
     grouped by the ``depth`` of their child, at most ``_STEP`` to a group,
     so that every parent is drawn before any of its children.  Each group
-    holds slices of four arrays sorted once by depth: the children's and
-    the parents' indices, a column of row numbers, and each edge's
-    cumulative rows without their last column.  A uniform u lands in
-    state j (0-based) where j of the row's cumulative sums lie at or below
-    u; leaving out the last sum, which rounding may put below 1, caps j at
+    holds slices of arrays sorted once by depth: the children's and the
+    parents' indices, each edge's offset (its place in the group times n),
+    and the group's cumulative rows without their last column, one
+    contiguous (edges × n) array per column.  A uniform u lands in state
+    j (0-based) where j of the row's cumulative sums lie at or below u;
+    leaving out the last sum, which rounding may put below 1, caps j at
     n - 1."""
     depth = np.asarray(depth, dtype=np.int64)
     order = np.argsort(depth, kind="stable")
     depth = depth[order]
     children = np.asarray(children, dtype=np.int64)[order]
     parents = np.asarray(parents, dtype=np.int64)[order]
-    cuts = np.cumsum(np.array(mats).reshape(-1, n, n)[order], 2)[:, :, :-1]
-    rows = np.arange(_STEP)[:, None]
+    cuts = np.cumsum(np.array(mats).reshape(-1, n, n)[order], 2)
+    columns = cuts[:, :, :-1].transpose(2, 0, 1)
+    offsets = np.arange(0, _STEP * n, n)[:, None]
     runs = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(depth)]
-    return [(children[lo:hi], parents[lo:hi], rows[:hi - lo], cuts[lo:hi])
+    return [(children[lo:hi], parents[lo:hi], offsets[:hi - lo],
+             np.ascontiguousarray(columns[:, lo:hi]))
             for a, b in zip(runs, runs[1:]) for lo in range(a, b, _STEP)
             for hi in (min(lo + _STEP, b),)]
 
@@ -112,13 +132,19 @@ def _descend(n: int, levels, roots, u) -> np.ndarray:
     smallest integer type that holds them, one row per vertex: row 0 the
     roots, row v > 0 drawn from its parent's row by inverting the
     cumulative rows of v's edge with the uniforms ``u[v - 1]``, a level
-    at a time."""
-    states = np.empty((len(u) + 1, len(roots)), dtype=np.min_scalar_type(n))
+    at a time.  A level counts the cumulative sums at or below u one
+    column at a time, in the states' own type."""
+    states = np.zeros((len(u) + 1, len(roots)), dtype=np.min_scalar_type(n))
     states[0] = roots
     states[0] -= 1
-    for children, parents, rows, cuts in levels:
-        states[children] = (cuts[rows, states[parents]]
-                            <= u[children - 1, :, None]).sum(2)
+    # a one-state chain has no column to count: its states stay 0
+    for children, parents, offsets, columns in levels if n > 1 else ():
+        at, below = offsets + states[parents], u[children - 1]
+        count = columns[0].take(at) <= below
+        for column in columns[1:]:
+            count = np.add(count, column.take(at) <= below,
+                           dtype=states.dtype)
+        states[children] = count
     return states
 
 
@@ -128,10 +154,11 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     Sibling subtrees evolve independently given the parent state, edge
     by edge in topological order.  A finite chain draws one uniform per
     edge from ``rng``, all at once as a one-row block, which consumes the
-    stream exactly as a per-edge loop does.  TKF91 reads ``rng`` through
-    one ``tkf91.Uniforms``, in chunks of ``tkf91.CHUNK`` uniforms, and
-    leaves it after the last chunk.  Any other process samples each edge
-    from ``rng`` itself.
+    stream exactly as a per-edge loop does.  TKF91 runs every edge in one
+    ``tkf91.evolve_edges`` call, which reads ``rng`` through one
+    ``tkf91.Uniforms``, in chunks of ``tkf91.CHUNK`` uniforms, and leaves
+    it after the last chunk.  Any other process samples each edge from
+    ``rng`` itself.
     """
     if isinstance(process, RateMatrix):
         c = _compile(tree, process)
@@ -139,13 +166,21 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
                                 rng.random((1, len(c.parents))), c.leaves,
                                 [])
         return dict(zip(tree.leaves, leaves[0].tolist()))
+    return dict(zip(tree.leaves,
+                    _leaf_states(_layout(tree), process, root_state, rng)))
+
+
+def _leaf_states(lay: _Layout, process, root_state, rng) -> list:
+    """The leaf states, in ``tree.leaves`` order, of one realization of a
+    process other than a finite chain on the tree laid out as ``lay``."""
     if isinstance(process, Tkf91Params):
-        rng = Uniforms(rng)
-    states = {tree.root: root_state}
-    for v in tree.topo_order[1:]:
-        states[v] = process.sample(states[tree.parent[v]], tree.length[v],
-                                   rng)
-    return {x: states[x] for x in tree.leaves}
+        states = evolve_edges(process, lay.parents, lay.lengths, root_state,
+                              Uniforms(rng))
+    else:
+        states = [root_state]
+        for p, t in zip(lay.parents, lay.lengths):
+            states.append(process.sample(states[p], t, rng))
+    return [states[i] for i in lay.leaves]
 
 
 class TrialBlock(NamedTuple):
@@ -230,13 +265,13 @@ def _trial_blocks(n, levels, width, leaves, picks, draw_root, key, stop,
 
 
 def _trials_one_by_one(tree, process, draw_root, key, stop, start):
+    lay = _layout(tree)
     for lo in range(start, stop, BLOCK):
         rngs = [np.random.default_rng([*key, t])
                 for t in range(lo, min(lo + BLOCK, stop))]
         roots = [draw_root(rng) for rng in rngs]
-        leaves = np.array([[obs[x] for x in tree.leaves] for obs in (
-            simulate(tree, process, root, rng)
-            for root, rng in zip(roots, rngs))], dtype=object)
+        leaves = np.array([_leaf_states(lay, process, root, rng)
+                           for root, rng in zip(roots, rngs)], dtype=object)
         yield TrialBlock(lo, roots, leaves, None, rngs)
 
 

@@ -10,15 +10,22 @@ one before it, as the package first did; the package now replays
 recorded growth steps per member, which it cross-checks.
 ``tkf91_beta`` gives the length law of TKF91 after any time t, which
 checks the event simulation away from stationarity.
+``tkf91_evolve_per_edge`` is the TKF91 event loop of one edge, as the
+package ran it before all of a tree's edges went through one
+``tkf91.evolve_edges`` call; ``tkf91_tree_per_edge`` runs it edge by
+edge down a tree.  The package's draws must equal theirs, uniform for
+uniform.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from rootrec import tkf91
 from rootrec.ctmc import CtmcError, Distribution, RateMatrix, total_variation
 from rootrec.tree import DEPTH_TOL, Tree
 
@@ -161,3 +168,53 @@ def tkf91_beta(lam: float, mu: float, t: float) -> float:
     descendant with probability (1 - lam beta) mu beta."""
     e = math.exp((lam - mu) * t)
     return (1.0 - e) / (mu - lam * e)
+
+
+def tkf91_evolve_per_edge(params, seq: str, t: float, rng,
+                          events=None) -> str:
+    """The sequence after duration ``t`` from ``seq``, by exact event
+    simulation from ``rng.random()``: per event a waiting time, then its
+    kind and site, then the letter of a substitution or insertion.  More
+    than ``tkf91.EVENT_CAP`` events raise ``CtmcError``.  ``events``, a
+    list if given, gets the run's event count appended."""
+    if t < 0:
+        raise CtmcError("time must be nonnegative")
+    nu, lam, mu = params.nu, params.lam, params.mu
+    random = rng.random
+
+    def letter():
+        return tkf91.ALPHABET[bisect_right(params.letter_cdf, random())]
+
+    sites = list(seq)
+    clock = 0.0
+    for count in range(tkf91.EVENT_CAP + 1):
+        m = len(sites)
+        total = m * (nu + mu) + (m + 1) * lam
+        clock -= math.log1p(-random()) / total
+        if clock > t:
+            if events is not None:
+                events.append(count)
+            return "".join(sites)
+        u = random() * total
+        if u < m * nu:
+            sites[int(u / nu)] = letter()
+        elif u < m * (nu + mu):
+            del sites[int((u - m * nu) / mu)]
+        else:
+            sites.insert(int((u - m * (nu + mu)) / lam), letter())
+            if len(sites) > tkf91.LENGTH_CAP:
+                raise CtmcError(
+                    f"sequence length exceeded the cap {tkf91.LENGTH_CAP}")
+    raise CtmcError(f"more than {tkf91.EVENT_CAP} events in one run of "
+                    f"duration {t}: the rates are too large to simulate")
+
+
+def tkf91_tree_per_edge(tree: Tree, params, root: str, rng,
+                        events=None) -> dict:
+    """Leaf id -> sequence of one TKF91 run down ``tree`` from ``root``,
+    one ``tkf91_evolve_per_edge`` call per edge in topological order."""
+    seqs = {tree.root: root}
+    for v in tree.topo_order[1:]:
+        seqs[v] = tkf91_evolve_per_edge(params, seqs[tree.parent[v]],
+                                        tree.length[v], rng, events)
+    return {x: seqs[x] for x in tree.leaves}

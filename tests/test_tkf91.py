@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import tkf91_beta
+from oracles import tkf91_beta, tkf91_evolve_per_edge, tkf91_tree_per_edge
 from rootrec import tkf91
 from rootrec.cli import EXIT_OK, main
 from rootrec.ctmc import CtmcError, total_variation, Distribution
@@ -14,8 +14,8 @@ from rootrec.tkf91 import (ALPHABET, Tkf91Params, mc_rows,
                            stationary_length_pmf, stationary_pmf,
                            stationary_sample, tkf91_evolve, top_states,
                            write_experiment_csv, Uniforms, _draw_letter)
-from rootrec.tree import generate_family
-from rootrec.treechain import simulate
+from rootrec.tree import Tree, generate_family
+from rootrec.treechain import simulate, simulated_trials
 
 STD = Tkf91Params(nu=1.0, lam=1.0, mu=2.0)
 
@@ -90,6 +90,86 @@ class TestEvolve:
         for ch, f in zip(ALPHABET, p.freqs):
             assert abs(letters[ch] / total - f) < 4 * math.sqrt(
                 f * (1 - f) / total)
+
+
+class TestOneEventLoop:
+    """``simulate``, ``simulated_trials`` and ``mc_rows`` run every edge
+    through ``evolve_edges``; each must draw what the per-edge loop of
+    tests/oracles.py draws, sequence for sequence, and leave its
+    generator where that loop leaves it."""
+
+    P = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
+    TREES = {
+        "figure1": lambda: generate_family("figure1", {"k": 30})[29],
+        "random_ultrametric": lambda: generate_family(
+            "random_ultrametric", {"k": 20}, seed=5)[19],
+        "star": lambda: generate_family("star", {"k": 7, "h": 1.0})[6],
+        "single_vertex": lambda: Tree("rho", []),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    def test_simulate(self, kind):
+        tree = self.TREES[kind]()
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            root = stationary_sample(self.P, a)
+            assert stationary_sample(self.P, b) == root
+            assert simulate(tree, self.P, root, a) == tkf91_tree_per_edge(
+                tree, self.P, root, Uniforms(b))
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    def test_simulated_trials(self, kind):
+        tree = self.TREES[kind]()
+        draw = lambda rng: stationary_sample(self.P, rng)
+        seen = 0
+        for block in simulated_trials(tree, self.P, draw, (9, 2), 200):
+            for t, root, leaves, rng in block.trials(tree):
+                ref = np.random.default_rng([9, 2, t])
+                assert root == draw(ref)
+                assert leaves == tkf91_tree_per_edge(tree, self.P, root,
+                                                     Uniforms(ref))
+                assert rng.random() == ref.random()
+                seen += 1
+        assert seen == 200
+
+    def test_mc_rows(self):
+        states = ("", "A", "GT", "ACGTA")
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = mc_rows(self.P, states, 0.6, 12, a)
+            src = Uniforms(b)
+            for state in states:
+                ends = collections.Counter(
+                    tkf91_evolve_per_edge(self.P, state, 0.6, src)
+                    for _ in range(12))
+                assert list(rows[state].items()) == list(Distribution(
+                    {end: c / 12 for end, c in ends.items()}).items())
+            assert a.random() == b.random()
+
+
+class TestEventCap:
+    """``EVENT_CAP`` bounds the events of one edge, not of a tree."""
+
+    P = Tkf91Params(nu=5.0, lam=0.5, mu=1.0)
+
+    def test_caps_each_edge_not_the_tree(self, monkeypatch):
+        monkeypatch.setattr(tkf91, "EVENT_CAP", 50)
+        tree = generate_family("star", {"k": 6, "h": 1.0})[5]
+        events: list = []
+        want = tkf91_tree_per_edge(tree, self.P, "ACGT",
+                                   Uniforms(np.random.default_rng(3)),
+                                   events)
+        assert max(events) < 50 < sum(events)
+        assert simulate(tree, self.P, "ACGT",
+                        np.random.default_rng(3)) == want
+
+    def test_one_edge_over_the_cap_stops_the_tree(self, monkeypatch):
+        monkeypatch.setattr(tkf91, "EVENT_CAP", 50)
+        tree = Tree("rho", [("rho", "a", 0.1), ("rho", "b", 0.1),
+                            ("rho", "c", 10.0)])
+        with pytest.raises(CtmcError, match="more than 50 events"):
+            simulate(tree, self.P, "ACGT", np.random.default_rng(3))
 
 
 class TestUniforms:

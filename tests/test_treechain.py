@@ -14,8 +14,9 @@ from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
 from rootrec.estimators import StretchPlan, map_estimate
 from rootrec import tree as tree_module
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import (BLOCK, DURATION_TOL, block_leaf_likelihoods,
-                               leaf_likelihoods, simulate, simulated_trials)
+from rootrec.treechain import (BLOCK, DURATION_TOL, _compile, _descend,
+                               block_leaf_likelihoods, leaf_likelihoods,
+                               simulate, simulated_trials)
 
 
 def naive_leaf_law(tree, Q, root_state):
@@ -159,6 +160,56 @@ class TestCompiledSimulate:
         monkeypatch.setattr(tree_module, "math",
                             SimpleNamespace(isclose=compared))
         simulate(tree, Q, 2, np.random.default_rng(1))
+
+
+class TestDescend:
+    """``_descend`` against ``PerEdgeChain`` on the same uniforms, vertex
+    by vertex, on edges with random stochastic matrices."""
+
+    # below 1, and above a cumulative row that rounding left below 1
+    TOP = float(np.nextafter(1.0, 0.0))
+
+    @staticmethod
+    def tree(n):
+        # a level of 33 edges, more than one group of edges, under a
+        # path; 300 states get a small tree, their matrices being large
+        m = 3 if n > 4 else 33
+        return Tree("r", [("r", "a", 0.5), ("a", "b", 0.25),
+                          ("b", "p", 0.125),
+                          *((("p", f"x{i:02d}", 1.0 + i) for i in range(m)))])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 300])
+    def test_matches_per_edge_chain(self, n):
+        tree = self.tree(n)
+        rng = np.random.default_rng([n, 23])
+        mats = {ln: rng.dirichlet(np.ones(n), size=n)
+                for ln in tree.length.values()}
+        # the first and the last edge: every row's cumulative sums end
+        # below 1, and every trial's uniform lies between that end and 1
+        row = rng.dirichlet(np.ones(n))
+        row[-1] = 1.0 - row[:-1].sum() - 4e-16
+        assert np.cumsum(row)[-1] < self.TOP
+        rounded = (tree.length[tree.topo_order[1]],
+                   tree.length[tree.topo_order[-1]])
+        for ln in rounded:
+            mats[ln] = np.tile(row, (n, 1))
+        chain = SimpleNamespace(n=n, matrix=mats.__getitem__, compiled={})
+        c = _compile(tree, chain)
+        trials = 50
+        roots = (np.arange(trials) % n + 1).tolist()
+        u = rng.random((len(c.parents), trials))
+        for e in (0, len(c.parents) - 1):
+            u[e] = self.TOP
+        states = _descend(n, c.levels, roots, u)
+        assert states.dtype == (np.uint16 if n > 255 else np.uint8)
+        per_edge = PerEdgeChain(chain)
+        lengths = [tree.length[v] for v in tree.topo_order[1:]]
+        for b, root in enumerate(roots):
+            src, ref = uniform_row(u[:, b]), [root]
+            for p, ln in zip(c.parents, lengths):
+                ref.append(per_edge.sample(ref[p], ln, src))
+            assert (states[:, b] + 1).tolist() == ref
+            assert ref[1] == ref[-1] == n
 
 
 class TestTrialBlocks:
