@@ -14,16 +14,15 @@ from .bounds import (BoundInputs, chebyshev_star_bound, clamp,
                      wilson_interval)
 from .ctmc import (AchievingSet, CtmcError, Distribution, GenerativeProcess,
                    RateMatrix, identifiability_margin, jukes_cantor,
-                   load_rate_matrix, row_distribution, sample_endpoint,
-                   star_norm, star_norm_diff, total_variation,
-                   transition_matrix, tv_achieving_set, two_state_symmetric)
+                   load_rate_matrix, row_distribution, star_norm,
+                   star_norm_diff, total_variation, transition_matrix,
+                   tv_achieving_set, two_state_symmetric)
 from .estimators import (EstimatorError, EstimatorReport, RowTable,
                          StretchPlan, block_counts, exclusivity_stats,
-                         frequency_estimate, frequency_test, lambda_epsilon,
-                         majority_estimate, map_estimate, map_estimates,
-                         stretch_plan, uniform_chain_estimate,
+                         frequency_test, lambda_epsilon, majority_estimate,
+                         map_estimate, map_estimates, stretch_plan,
                          uniform_chain_test)
-from .tkf91 import (Tkf91Params, evolve_edges, mc_rows, stationary_pmf,
+from .tkf91 import (Tkf91Params, evolve_lanes, mc_rows, stationary_pmf,
                     stationary_sample, tkf91_evolve, top_states)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint,
                    big_bang_profile, chosen_leaves, descendant_leaves,

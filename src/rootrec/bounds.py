@@ -193,10 +193,9 @@ def monte_carlo_error(estimate, tree, process, root, trials: int,
 
     ``root`` is either a fixed root state or a Distribution to draw from.
     ``estimate`` maps (leaf assignment, rng) to a state.  The trials are
-    ``simulated_trials`` keyed by (master_seed,): for a finite chain, the
-    trials of block b share the substream seeded by (master_seed, b), and
-    ``estimate`` continues it after the block's leaves, in trial order;
-    any other process gives trial t the substream (master_seed, t).
+    ``simulated_trials`` keyed by (master_seed,): the trials of block b
+    share the substream seeded by (master_seed, b), and ``estimate``
+    continues it after the block's leaves, in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

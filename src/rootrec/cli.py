@@ -5,11 +5,10 @@ each read a JSON config through the same section readers.  Exit codes: 0
 success; 2 the config is wrong, found at set-up (reading it and building
 the tree, chain, root draw and estimator) before any trial; 3 a guard
 fired during the trials.  ``experiment``, ``estimate`` and ``tkf91`` run
-their trials through ``_trial_range`` on ``Trials`` built once at set-up,
+their trials through ``run_trials`` on ``Trials`` built once at set-up,
 which workers receive pickled; the estimators take a block of trials at
-a time.  A finite chain's block b of ``treechain.BLOCK`` trials draws
-from the substream (master seed, b), and a TKF91 trial t from its own
-(master seed, t), or (master seed, k, t) on tkf91's member k; workers
+a time.  Block b of ``treechain.BLOCK`` trials draws from the substream
+(master seed, b), or (master seed, k, b) on tkf91's member k; workers
 get whole blocks and their rows are merged by trial index, so results
 are identical for any worker count.
 """
@@ -32,9 +31,9 @@ from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
                      wilson_interval)
 from .ctmc import (Distribution, RateMatrix, jukes_cantor, load_rate_matrix,
                    two_state_symmetric)
-from .estimators import (RowTable, block_counts, frequency_estimate,
-                         frequency_test, lambda_epsilon, majority_estimate,
-                         map_estimates, stretch_plan, uniform_chain_test)
+from .estimators import (RowTable, block_counts, frequency_test,
+                         lambda_epsilon, majority_estimate, map_estimates,
+                         stretch_plan, uniform_chain_test)
 from .tkf91 import (Tkf91Params, mc_rows, stationary_sample, top_states,
                     write_experiment_csv)
 from .tree import NestedFamily, Tree, generate_family, parse_newick
@@ -160,14 +159,9 @@ def _test_inputs(est: dict, epsilon) -> tuple:
 # block estimators: a TrialBlock -> one (estimate, fallback flag) per trial
 
 
-def _each_trial(tree, estimate, block):
-    """``estimate`` of (observed, rng), one trial of ``block`` at a time."""
-    return [estimate(observed, rng)
-            for _, _, observed, rng in block.trials(tree)]
-
-
-def _majority(observed, rng):
-    return majority_estimate(observed), 0
+def _majority(tree, block):
+    return [(majority_estimate(observed), 0)
+            for _, _, observed, _ in block.trials(tree)]
 
 
 def _map(tree, Q, prior, block):
@@ -183,11 +177,6 @@ def _frequency_tests(test, plan, arg, rows, block):
         for counts, rng in zip(block_counts(block.stretched), block.rngs))]
 
 
-def _frequency_estimate(plan, process, lam, rows, observed, rng):
-    rep = frequency_estimate(plan, process, observed, lam, rows, rng)
-    return rep.state, int(rep.fallback)
-
-
 def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
     """The block estimator, its stretch plan (None if it stretches no
     leaves), and its bound or None; an h* above a leaf is found here,
@@ -197,7 +186,7 @@ def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
     est = _get(cfg, "estimator", dict)
     kind = _get(est, "kind", str)
     if kind == "majority":
-        return partial(_each_trial, tree, _majority), None, None
+        return partial(_majority, tree), None, None
     if kind == "map":
         return partial(_map, tree, Q, _uniform_prior(Q)), None, None
     if kind not in ("frequency", "uniform"):
@@ -285,11 +274,10 @@ def _output(cfg: dict, suffixes=("",)):
 
 # what a run's trials need, built once at set-up and pickled to workers:
 # ``count`` trials, drawn by ``simulated_trials`` from substreams keyed
-# by ``key`` (a finite chain's block b from [*key, b], any other trial t
-# from [*key, t]): each draws its root with ``draw`` and its leaves on
-# ``tree``, then the leaves of the stretch plan ``stretch`` (or None) run
-# forward; ``estimate`` maps a TrialBlock to one (estimate, fallback
-# flag) per trial
+# by ``key`` (block b from [*key, b]): each draws its root with ``draw``
+# and its leaves on ``tree``, then the leaves of the stretch plan
+# ``stretch`` (or None) run forward; ``estimate`` maps a TrialBlock to one
+# (estimate, fallback flag) per trial
 Trials = namedtuple("Trials", "tree process estimate draw key count stretch")
 
 
@@ -449,8 +437,7 @@ def _cmd_tkf91(cfg: dict, workers: int):
     count, seed, out = _trials(cfg), _seed(cfg), _output(cfg)
     draw = partial(stationary_sample, params)
 
-    # one process whatever ``workers`` says; each member k's trials are
-    # keyed (seed, k), and all members share the plug-in rows
+    # member k's trials are keyed (seed, k); all share the plug-in rows
     def run():
         lam = top_states(params, eps)
         rows = RowTable(mc_rows(params, lam, h_star, row_samples,
@@ -460,11 +447,11 @@ def _cmd_tkf91(cfg: dict, workers: int):
             tree = family[k - 1]
             plan = (stretch_plan(tree, s, h_star) if plans is None
                     else plans[k])
-            estimate = partial(_each_trial, tree, partial(
-                _frequency_estimate, plan, params, lam, rows))
-            tally = _tally(_trial_range(Trials(tree, params, estimate, draw,
-                                               (seed, k), count, None),
-                                        0, count))
+            estimate = partial(_frequency_tests, frequency_test, plan, lam,
+                               rows)
+            tally = _tally(run_trials(Trials(tree, params, estimate, draw,
+                                             (seed, k), count, plan),
+                                      workers))
             results.append(dict(zip(("k", "trials", "errors", "rate",
                                      "ci_low", "ci_high"), (k, *tally))))
         return _emit(out, "", partial(write_experiment_csv, results))

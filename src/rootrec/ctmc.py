@@ -27,7 +27,6 @@ __all__ = [
     "total_variation",
     "tv_achieving_set",
     "identifiability_margin",
-    "sample_endpoint",
     "star_norm",
     "two_state_symmetric",
     "jukes_cantor",
@@ -314,24 +313,6 @@ def identifiability_margin(Q: RateMatrix, t: float, state_subset=None) -> float:
         for j in subset[ii + 1:]:
             best = min(best, 0.5 * np.abs(P[i - 1] - P[j - 1]).sum())
     return float(best)
-
-
-def sample_endpoint(Q: RateMatrix, start: int, t: float, rng) -> int:
-    """State at time t of a Gillespie jump simulation started at ``start``."""
-    if t < 0:
-        raise CtmcError("time must be nonnegative")
-    state = start
-    clock = 0.0
-    while True:
-        q_i = Q.exit_rates[state - 1]
-        if q_i == 0.0:
-            return state
-        clock += rng.exponential(1.0 / q_i)
-        if clock > t:
-            return state
-        rates = Q.q[state - 1].copy()
-        rates[state - 1] = 0.0
-        state = int(rng.choice(Q.n, p=rates / rates.sum())) + 1
 
 
 def star_norm(v) -> float:

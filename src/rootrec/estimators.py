@@ -4,11 +4,11 @@ Maximum a posteriori estimation over all root states or a subset of them,
 from leaf likelihoods by Felsenstein pruning; the frequency-test
 estimator on stretched well-spread restrictions, its data-driven variant
 for chains with uniformly bounded rates, and the two-state majority vote.
-The frequency-test estimators are handed a run's ``stretch_plan`` and
-``RowTable`` of time-h* rows, which the caller builds once.  The MAP and
-the frequency tests also take a block of trials at once: rows of leaf
-states, or of stretched leaf states as ``treechain.simulated_trials``
-draws them.
+The frequency tests are handed a run's ``stretch_plan`` and
+``RowTable`` of time-h* rows, which the caller builds once, and count
+the stretched leaf states that ``treechain.simulated_trials`` draws for
+a block of trials (``block_counts``).  The MAP also takes a block of
+trials at once, as rows of leaf states.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ __all__ = [
     "MAP_TIE_RTOL",
     "block_counts",
     "frequency_test",
-    "frequency_estimate",
     "uniform_chain_test",
-    "uniform_chain_estimate",
     "majority_estimate",
     "lambda_epsilon",
     "exclusivity_stats",
@@ -212,23 +210,12 @@ def stretch_plan(tree: Tree, s: float, h_star: float) -> StretchPlan:
     return StretchPlan(s, h_star, m, spr, leaves, tuple(durations))
 
 
-def _stretched_counts(plan: StretchPlan, process, observed: dict,
-                      rng) -> Counter:
-    """Leaf-state frequencies of the stretched restriction: the selected
-    leaves' observed states, each run forward to depth h*."""
-    counts: Counter = Counter()
-    for leaf, dur in zip(plan.leaves, plan.durations):
-        state = observed[leaf]
-        if dur > DURATION_TOL:
-            state = process.sample(state, dur, rng)
-        counts[state] += 1
-    return counts
-
-
 def block_counts(stretched) -> list:
     """The stretched-state frequencies of a block of trials: for each row
-    of ``stretched``, a (trials × m) array of finite-chain states, the
-    count of each state the row holds."""
+    of ``stretched``, a (trials × m) array of finite-chain states or of
+    objects (TKF91 sequences), the count of each state the row holds."""
+    if stretched.dtype == object:
+        return [Counter(row) for row in stretched.tolist()]
     labels = np.arange(1, int(stretched.max()) + 1)
     counts = (stretched[:, :, None] == labels).sum(1).tolist()
     return [{s: c for s, c in enumerate(row, 1) if c} for row in counts]
@@ -282,15 +269,6 @@ def frequency_test(plan: StretchPlan, counts: dict, lam, rows: RowTable,
                            passed=())
 
 
-def frequency_estimate(plan: StretchPlan, process, observed: dict, lam,
-                       rows: RowTable, rng) -> EstimatorReport:
-    """Frequency-test root estimate on the stretched restriction ``plan``:
-    ``frequency_test`` on the observed leaves run forward to depth h*
-    with draws from ``rng``."""
-    return frequency_test(plan, _stretched_counts(plan, process, observed,
-                                                  rng), lam, rows, rng)
-
-
 def uniform_chain_test(plan: StretchPlan, counts: dict, q_star: float,
                        rows: RowTable, rng) -> EstimatorReport:
     """The frequency tests with the data-driven candidate set for chains
@@ -309,17 +287,6 @@ def uniform_chain_test(plan: StretchPlan, counts: dict, q_star: float,
         return EstimatorReport(state=choice, fallback=True, plan=plan,
                                lam=(), passed=())
     return frequency_test(plan, counts, lam_hat, rows, rng)
-
-
-def uniform_chain_estimate(plan: StretchPlan, process, observed: dict,
-                           q_star: float, rows: RowTable,
-                           rng) -> EstimatorReport:
-    """``uniform_chain_test`` on the observed leaves of the stretched
-    restriction ``plan`` run forward to depth h* with draws from
-    ``rng``."""
-    return uniform_chain_test(plan, _stretched_counts(plan, process,
-                                                      observed, rng),
-                              q_star, rows, rng)
 
 
 def majority_estimate(observed: dict) -> int:

@@ -4,32 +4,45 @@ Sequences over {A, T, C, G} are plain strings; "" is the empty sequence
 consisting of the immortal link alone.  The immortal link is implicit as
 position 0: it is never deleted or substituted, but it can give birth.
 The stationary length law is geometric with ratio lambda/mu.  The
-parameters ``Tkf91Params`` are the process itself: their ``sample`` runs
-it down a tree edge by exact event simulation.  ``evolve_edges`` is the
-package's one event loop: it runs every edge of a tree, in topological
-order, in one call, and ``tkf91_evolve`` (one edge), a tree simulation
-(``treechain.simulate``) and ``mc_rows`` (a star per state) all call it.
-Exact time-t rows exist, as the forward recursion of a pair hidden
-Markov model, but are not implemented yet, so estimators use Monte
-Carlo plug-in rows (``mc_rows``).  The CLI's ``tkf91`` command runs the
-reconstruction experiment.
+parameters ``Tkf91Params`` are the process itself.  Estimators use Monte
+Carlo plug-in rows (``mc_rows``), as exact time-t rows (a pair hidden
+Markov model) are not implemented yet.
 
-The simulation draws only uniforms, through ``rng.random()``.  Calling
-numpy once per uniform costs far more than the event it draws, so a tree
-simulation and ``mc_rows`` read their generator through ``Uniforms``,
-which takes ``CHUNK`` floats per call; the uniforms of a chunk that no
-event used are dropped.
+Draws come from TKF91's time-t law (Thorne, Kishino & Felsenstein 1991;
+Holmes & Bruno 2001), so their cost grows with the sequences' lengths,
+not with the rates.  Over a duration t, with alpha = e^(-mu t),
+beta = (1 - e^((lam-mu)t)) / (mu - lam e^((lam-mu)t)) and G a fresh
+draw with P(G = g) = (1 - lam beta)(lam beta)^g: the immortal link is
+followed by G new letters; an ancestral site survives with probability
+alpha, keeping its letter with probability e^(-nu t) (else it gets a new
+one), followed by G new letters; otherwise it leaves nothing with
+probability mu beta, or else 1 + G new letters.  New letters are
+independent draws from pi.  At t = 0 the child is its parent.
+
+``evolve_lanes`` draws the children of a batch of lanes (a parent and a
+duration each; sequences as ``encode`` holds them), ``LANES`` lanes to a
+call, which bounds its memory.  Each call draws
+
+1. a (2 x S) array of uniforms over the S slots, each lane's immortal
+   link and then its sites, lanes in order.  Row 0 is a site's fate:
+   u < alpha e^(-nu t) keeps its letter, u < alpha substitutes it,
+   u < alpha + mu beta leaves nothing, and the rest leave letters (the
+   immortal link's fate is unused).  Row 1 is each slot's run,
+   G = floor(log1p(-u) / log(lam beta));
+2. one uniform per new letter, lanes in order and letters in sequence
+   order, mapped by ``letter_cdf`` as ``Generator.choice(4, p=freqs)``
+   maps it.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import weakref
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain, islice
-from math import log1p
+from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -37,13 +50,13 @@ from .ctmc import CtmcError, Distribution, _label_key
 
 __all__ = [
     "Tkf91Params",
-    "Uniforms",
     "ALPHABET",
-    "CHUNK",
+    "LANES",
     "LENGTH_CAP",
-    "EVENT_CAP",
+    "encode",
+    "decode",
+    "evolve_lanes",
     "tkf91_evolve",
-    "evolve_edges",
     "stationary_sample",
     "stationary_pmf",
     "stationary_length_pmf",
@@ -53,16 +66,15 @@ __all__ = [
 ]
 
 ALPHABET = "ATCG"
+_LETTERS = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
+_CODES = np.zeros(256, dtype=np.uint8)
+_CODES[_LETTERS] = np.arange(len(ALPHABET))
 
 # guard against runaway growth from misconfigured rates; with lambda < mu
 # the length process is positive recurrent and never gets near this
 LENGTH_CAP = 10 ** 4
-# guard against rates too large to simulate event by event: one edge of
-# evolve_edges stops after this many events (0.2-1.2 s on a shared 2-core
-# Xeon VM; a tkf91 command that reaches it exits after 1.0-1.3 s)
-EVENT_CAP = 10 ** 6
-# uniforms that ``Uniforms`` draws from its generator in one call
-CHUNK = 256
+# lanes that one sampler call draws at most
+LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,10 @@ class Tkf91Params:
     pi_T: float = 0.25
     pi_C: float = 0.25
     pi_G: float = 0.25
+    # per-tree batch plans built by treechain
+    compiled: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
+        compare=False)
 
     def __post_init__(self):
         if not (self.nu > 0 and self.lam > 0 and self.mu > 0):
@@ -88,6 +104,11 @@ class Tkf91Params:
             raise CtmcError("nucleotide frequencies must be nonnegative")
         if abs(sum(freqs) - 1.0) > 1e-12:
             raise CtmcError(f"frequencies sum to {sum(freqs)}, not 1")
+
+    def __reduce__(self):
+        # pickle the rates alone: the caches are rebuilt on demand, and the
+        # per-tree one holds weak references, which do not pickle
+        return Tkf91Params, (self.nu, self.lam, self.mu, *self.freqs)
 
     @property
     def freqs(self) -> tuple:
@@ -103,13 +124,6 @@ class Tkf91Params:
         return tkf91_evolve(self, state, duration, rng)
 
     @functools.cached_property
-    def event_rates(self) -> dict:
-        """Current length M -> (M nu, M (nu + mu), M (nu + mu) + (M+1) lam):
-        where the substitution and the deletion shares of the total event
-        rate end, and that total, each computed on first use."""
-        return _EventRates(self.nu, self.lam, self.mu)
-
-    @functools.cached_property
     def letter_cdf(self) -> list:
         """Cumulative letter frequencies, normalized to end at 1, exactly
         as ``Generator.choice(4, p=freqs)`` computes them."""
@@ -118,104 +132,87 @@ class Tkf91Params:
         return cdf.tolist()
 
 
-class _EventRates(dict):
-    __slots__ = ("nu", "lam", "sub")
-
-    def __init__(self, nu: float, lam: float, mu: float):
-        super().__init__()
-        self.nu, self.lam, self.sub = nu, lam, nu + mu
-
-    def __missing__(self, m: int) -> tuple:
-        to_del = m * self.sub
-        rates = self[m] = (m * self.nu, to_del, to_del + (m + 1) * self.lam)
-        return rates
-
-
-class Uniforms:
-    """Uniforms on [0, 1) from ``rng``, drawn ``CHUNK`` at a time.
-
-    ``random()`` returns the next float of the current chunk, in the
-    order ``rng.random(CHUNK)`` drew them, and draws a new chunk when the
-    last one is used up.  The floats of a chunk that no call took are
-    dropped, so ``rng`` is left after the last chunk drawn."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, rng):
-        # a builtin iterator's __next__, so a call runs no Python code
-        # until a chunk is used up
-        chunks = iter(lambda: rng.random(CHUNK).tolist(), None)
-        self.random = chain.from_iterable(chunks).__next__
-
-
 def _draw_letter(params: Tkf91Params, rng) -> str:
     # the letter rng.choice(4, p=freqs) draws, from the same one uniform
     return ALPHABET[bisect_right(params.letter_cdf, rng.random())]
 
 
+def encode(seqs: list) -> tuple:
+    """The strings ``seqs`` over ``ALPHABET`` as their concatenated codes
+    (``uint8`` indices into ``ALPHABET``) and their lengths."""
+    text = "".join(seqs)
+    if text.strip(ALPHABET):
+        raise CtmcError(f"sequences must be strings over {ALPHABET}")
+    codes = _CODES[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    return codes, np.fromiter(map(len, seqs), dtype=np.int32,
+                              count=len(seqs))
+
+
+def decode(codes, lens) -> list:
+    """The strings of concatenated ``codes`` cut at ``lens``."""
+    text = _LETTERS[codes].tobytes().decode("ascii")
+    # the cuts are made one at a time, not held as a list of integers
+    return [text[a:b] for a, b in pairwise(accumulate(lens.tolist(),
+                                                      initial=0))]
+
+
 def tkf91_evolve(params: Tkf91Params, seq: str, t: float, rng) -> str:
-    """Run the process from ``seq`` for duration ``t``: the one-edge call
-    of ``evolve_edges``, which says how the run reads ``rng``."""
+    """The sequence after duration ``t`` from ``seq``: the one-lane call
+    of ``evolve_lanes``, which says how it reads ``rng``."""
     if t < 0:
         raise CtmcError("time must be nonnegative")
-    return evolve_edges(params, (0,), (t,), seq, rng)[1]
+    return decode(*evolve_lanes(params, *encode([seq]), np.array([t], float),
+                                rng))[0]
 
 
-def evolve_edges(params: Tkf91Params, parents, lengths, root: str,
-                 rng) -> list:
-    """The sequences of every vertex of a tree, by exact event simulation
-    down its edges: vertex 0 holds ``root``, and edge e runs from vertex
-    ``parents[e]`` (below e + 1) for ``lengths[e]`` to vertex e + 1.
-
-    With current length M the total event rate is M nu + M mu + (M+1) lam:
-    every ordinary site can be substituted or deleted, and every site
-    including the immortal link can give birth immediately to its right.
-    Edge after edge, each event takes uniforms from ``rng.random()`` (a
-    ``Generator`` or ``Uniforms``): one for its waiting time, by
-    inversion as -log(1 - u) / rate, one for its kind and site, and one
-    for the letter of a substitution or insertion.  An edge whose first
-    waiting time exceeds its length passes its parent's string on as it
-    is.  An edge that runs more than ``EVENT_CAP`` events, or grows a
-    sequence longer than ``LENGTH_CAP``, raises ``CtmcError``.
-    """
-    nu, lam, mu = params.nu, params.lam, params.mu
-    rates, cdf, random = params.event_rates, params.letter_cdf, rng.random
-    seqs = [root]
-    for p, t in zip(parents, lengths):
-        seq = seqs[p]
-        m = len(seq)
-        to_sub, to_del, total = rates[m]
-        clock = -log1p(-random()) / total
-        if clock > t:
-            seqs.append(seq)
-            continue
-        sites = list(seq)
-        for _ in range(EVENT_CAP):
-            u = random() * total
-            if u < to_sub:
-                sites[int(u / nu)] = ALPHABET[bisect_right(cdf, random())]
-            elif u < to_del:
-                del sites[int((u - to_sub) / mu)]
-                m -= 1
-            else:
-                # parent site index 0 is the immortal link; the child
-                # lands immediately to the parent's right
-                sites.insert(int((u - to_del) / lam),
-                             ALPHABET[bisect_right(cdf, random())])
-                m += 1
-                if m > LENGTH_CAP:
-                    raise CtmcError(
-                        f"sequence length exceeded the cap {LENGTH_CAP}")
-            to_sub, to_del, total = rates[m]
-            clock -= log1p(-random()) / total
-            if clock > t:
-                break
-        else:
-            raise CtmcError(f"more than {EVENT_CAP} events in one run of "
-                            f"duration {t}: the rates are too large to "
-                            "simulate")
-        seqs.append("".join(sites))
-    return seqs
+def evolve_lanes(params: Tkf91Params, codes, lens, durations,
+                 rng) -> tuple:
+    """The children, as (codes, lengths), of the lanes whose parents are
+    the concatenated ``codes`` cut at ``lens`` and whose durations are
+    ``durations``, drawn from ``rng`` as the module docstring says.  A
+    child longer than ``LENGTH_CAP`` raises ``CtmcError``."""
+    if len(lens) > LANES:
+        ends = np.cumsum(lens)
+        parts = [evolve_lanes(params, codes[ends[lo] - lens[lo]:ends[hi - 1]],
+                              lens[lo:hi], durations[lo:hi], rng)
+                 for lo in range(0, len(lens), LANES)
+                 for hi in (min(lo + LANES, len(lens)),)]
+        return (np.concatenate([c for c, _ in parts]),
+                np.concatenate([n for _, n in parts]))
+    lam, mu, t = params.lam, params.mu, np.asarray(durations, dtype=float)
+    slots = lens + 1
+    first = np.cumsum(slots) - slots
+    # a rate times t may overflow to inf, whose limits below are right;
+    # -log(lam beta) is +inf at t = 0, where every run is empty
+    with np.errstate(divide="ignore", over="ignore"):
+        e = np.expm1((lam - mu) * t)
+        beta = -e / ((mu - lam) - lam * e)
+        alpha = np.exp(-mu * t)
+        keep, live, empty, decay = np.repeat(
+            [alpha * np.exp(-params.nu * t), alpha, alpha + mu * beta,
+             -np.log(lam * beta)], slots, axis=1)
+    fate, run = rng.random((2, len(keep)))
+    kept, head, full = fate < keep, fate < live, fate >= empty
+    # the immortal link has no letter of its own and is always followed
+    # by a run
+    kept[first] = head[first] = full[first] = False
+    grows = head | full
+    grows[first] = True
+    size = np.where(grows, np.floor(-np.log1p(-run) / decay), 0.0) + head
+    size += full
+    out = np.add.reduceat(size, first)
+    if not (out <= LENGTH_CAP).all():
+        raise CtmcError(f"sequence length exceeded the cap {LENGTH_CAP}")
+    size = size.astype(np.int64)
+    at = (np.cumsum(size) - size)[kept]
+    child = np.empty(int(size.sum()), dtype=np.uint8)
+    fresh = np.ones(len(child), dtype=bool)
+    fresh[at] = False
+    child[fresh] = np.searchsorted(params.letter_cdf,
+                                   rng.random(len(child) - len(at)),
+                                   side="right")
+    child[at] = codes[np.delete(kept, first)]
+    return child, out.astype(np.int32)
 
 
 def stationary_sample(params: Tkf91Params, rng) -> str:
@@ -272,21 +269,19 @@ def mc_rows(params: Tkf91Params, states, t: float, n_samples: int,
             rng) -> dict:
     """Monte Carlo plug-in time-t rows: empirical endpoint distribution of
     ``n_samples`` independent runs from each state.  A state's runs are
-    the edges of one ``n_samples``-edge star rooted at it, one
-    ``evolve_edges`` call, and all stars read ``rng`` through one
-    ``Uniforms``."""
+    one ``evolve_lanes`` batch of ``n_samples`` lanes, and the states
+    draw from ``rng`` in turn."""
     if n_samples < 1:
         raise CtmcError("n_samples must be at least 1")
     if t < 0:
         raise CtmcError("time must be nonnegative")
-    rng = Uniforms(rng)
+    durations = np.full(n_samples, float(t))
     rows = {}
     for state in states:
-        ends = evolve_edges(params, [0] * n_samples, [t] * n_samples, state,
-                            rng)
-        counts = Counter(islice(ends, 1, None))
+        ends = decode(*evolve_lanes(params, *encode([state] * n_samples),
+                                    durations, rng))
         rows[state] = Distribution({s: c / n_samples
-                                    for s, c in counts.items()})
+                                    for s, c in Counter(ends).items()})
     return rows
 
 

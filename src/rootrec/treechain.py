@@ -2,26 +2,25 @@
 
 Forward simulation of leaf states, the seeded trial loop that every
 experiment draws its trials from, and leaf likelihoods by Felsenstein
-pruning, the package's one likelihood engine.  For a finite chain both
-engines work on a block of trials at once: simulation draws each edge
-for the whole block, and pruning passes one message row per trial, the
-site-pattern batching of BEAGLE (Ayres et al., Syst. Biol. 2012).  A
-finite chain's trials come in blocks of ``BLOCK``, and block b draws
-from the one substream keyed ``[*key, b]``; a last, short block draws
-as much as a full one, so trial t does not depend on how many trials a
-run has.  A trial of any other process reads its own substream
-``[*key, t]``.
+pruning, the package's one likelihood engine.  Both engines work on a
+block of trials at once: simulation draws each edge (for TKF91, each
+batch of edges) for the whole block, and pruning passes a finite chain's
+message row per trial, the site-pattern batching of BEAGLE (Ayres et
+al., Syst. Biol. 2012).  Trials come in blocks of ``BLOCK``, and block b
+draws from the one substream keyed ``[*key, b]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .ctmc import RateMatrix
-from .tkf91 import Tkf91Params, Uniforms, evolve_edges
+from . import tkf91
+from .tkf91 import Tkf91Params, decode, encode, evolve_lanes
 from .tree import Tree
 
 __all__ = [
@@ -49,23 +48,28 @@ class _Layout(NamedTuple):
     """A tree's vertices indexed in topological order: the root is 0 and
     edge e's child is e + 1.  For each edge: its parent's index, its
     length, and its child as a position in ``tree.leaves`` if that is a
-    leaf (else None); and the leaves' indices in ``tree.leaves`` order."""
+    leaf (else None); the leaves' indices in ``tree.leaves`` order; and
+    each vertex's depth in edges from the root."""
 
     parents: list
     lengths: list
     leaf_of: list
     leaves: list
+    depth: list
 
 
 def _layout(tree: Tree) -> _Layout:
     index = {v: i for i, v in enumerate(tree.topo_order)}
     position = {x: i for i, x in enumerate(tree.leaves)}
     edges = tree.topo_order[1:]
-    return _Layout([index[tree.parent[v]] for v in edges],
-                   [tree.length[v] for v in edges],
+    parents = [index[tree.parent[v]] for v in edges]
+    depth = [0]
+    for p in parents:
+        depth.append(depth[p] + 1)
+    return _Layout(parents, [tree.length[v] for v in edges],
                    [None if tree.children[v] else position[v]
                     for v in edges],
-                   [index[x] for x in tree.leaves])
+                   [index[x] for x in tree.leaves], depth)
 
 
 @dataclass(frozen=True)
@@ -87,16 +91,13 @@ def _compile(tree: Tree, Q: RateMatrix) -> _CompiledTree:
     if c is None:
         lay = _layout(tree)
         mats = [Q.matrix(t) for t in lay.lengths]
-        depth = [0]
-        for p in lay.parents:
-            depth.append(depth[p] + 1)
         c = _CompiledTree(
             parents=lay.parents,
             mats=mats,
             leaf_of=lay.leaf_of,
             leaves=lay.leaves,
-            levels=_levels(Q.n, mats, range(1, len(depth)), lay.parents,
-                           depth[1:]))
+            levels=_levels(Q.n, mats, range(1, len(lay.depth)), lay.parents,
+                           lay.depth[1:]))
         Q.compiled[tree] = c
     return c
 
@@ -154,33 +155,70 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     Sibling subtrees evolve independently given the parent state, edge
     by edge in topological order.  A finite chain draws one uniform per
     edge from ``rng``, all at once as a one-row block, which consumes the
-    stream exactly as a per-edge loop does.  TKF91 runs every edge in one
-    ``tkf91.evolve_edges`` call, which reads ``rng`` through one
-    ``tkf91.Uniforms``, in chunks of ``tkf91.CHUNK`` uniforms, and leaves
-    it after the last chunk.  Any other process samples each edge from
-    ``rng`` itself.
+    stream exactly as a per-edge loop does.  TKF91 is a one-trial block:
+    it draws its batches of edges from ``rng`` as ``simulated_trials``
+    says.  Any other process samples each edge from ``rng`` itself.
     """
     if isinstance(process, RateMatrix):
         c = _compile(tree, process)
         leaves, _ = _draw_block(process.n, c.levels, [root_state],
                                 rng.random((1, len(c.parents))), c.leaves,
                                 [])
-        return dict(zip(tree.leaves, leaves[0].tolist()))
-    return dict(zip(tree.leaves,
-                    _leaf_states(_layout(tree), process, root_state, rng)))
-
-
-def _leaf_states(lay: _Layout, process, root_state, rng) -> list:
-    """The leaf states, in ``tree.leaves`` order, of one realization of a
-    process other than a finite chain on the tree laid out as ``lay``."""
-    if isinstance(process, Tkf91Params):
-        states = evolve_edges(process, lay.parents, lay.lengths, root_state,
-                              Uniforms(rng))
+    elif isinstance(process, Tkf91Params):
+        batches, vertices = _tkf91_plan(tree, process)
+        leaves, _ = _draw_tkf91(process, batches, vertices, [],
+                                [root_state], rng)
     else:
-        states = [root_state]
-        for p, t in zip(lay.parents, lay.lengths):
-            states.append(process.sample(states[p], t, rng))
-    return [states[i] for i in lay.leaves]
+        leaves, _ = _draw_each(_layout(tree), process, [root_state], rng)
+    return dict(zip(tree.leaves, leaves[0].tolist()))
+
+
+def _tkf91_plan(tree: Tree, params: Tkf91Params) -> tuple:
+    """A tree's leaves' indices, and its edges in batches of parent and
+    child indices (as in ``_Layout``) and lengths, built once per tree:
+    the edges into inner vertices one batch per depth of their child,
+    then every edge into a leaf, each batch in topological order."""
+    plan = params.compiled.get(tree)
+    if plan is None:
+        lay = _layout(tree)
+        groups: dict = {}
+        for e, x in enumerate(lay.leaf_of):
+            groups.setdefault(np.inf if x is not None else lay.depth[e + 1],
+                              []).append(e)
+        plan = params.compiled[tree] = (
+            [([lay.parents[e] for e in es], [e + 1 for e in es],
+              np.array([lay.lengths[e] for e in es], dtype=float))
+             for _, es in sorted(groups.items())], lay.leaves)
+    return plan
+
+
+def _draw_tkf91(params, batches, leaves, picks, roots, rng) -> tuple:
+    """The sequences of the vertices ``leaves`` and ``picks`` (None for no
+    ``picks``) of the trials whose roots are ``roots``, as (trials ×
+    vertices) object arrays.  The edges of each of ``batches`` in turn go
+    ``tkf91.LANES`` // trials (at least one) to an ``evolve_lanes`` call
+    on ``rng``, lanes edge by edge, then trial by trial, so that memory
+    stays bounded however wide the tree."""
+    trials = len(roots)
+    step = max(1, tkf91.LANES // trials)
+    seqs = {0: encode(roots)}
+    for parents, children, lengths in batches:
+        for lo in range(0, len(parents), step):
+            group = parents[lo:lo + step]
+            codes, lens = evolve_lanes(
+                params, np.concatenate([seqs[p][0] for p in group]),
+                np.concatenate([seqs[p][1] for p in group]),
+                np.repeat(lengths[lo:lo + step], trials), rng)
+            lens = lens.reshape(len(group), trials)
+            seqs.update(zip(children[lo:lo + step], zip(np.split(
+                codes, np.cumsum(lens.sum(1))[:-1]), lens)))
+    read = list(dict.fromkeys([*leaves, *picks]))
+    states = np.array(decode(np.concatenate([seqs[v][0] for v in read]),
+                             np.concatenate([seqs[v][1] for v in read])),
+                      dtype=object).reshape(len(read), trials).T
+    column = {v: i for i, v in enumerate(read)}
+    return (states[:, :len(leaves)],
+            states[:, [column[v] for v in picks]] if picks else None)
 
 
 class TrialBlock(NamedTuple):
@@ -188,9 +226,9 @@ class TrialBlock(NamedTuple):
     their root states, their leaf states as a (trials × leaves) array in
     ``tree.leaves`` order, the states of a stretch's leaves at their
     durations as a (trials × m) array (None without a stretch), and each
-    trial's generator, left where its estimator continues the stream.  A
-    finite chain's trials share their block's one generator, so their
-    estimators draw from it in trial order."""
+    trial's generator, left where its estimator continues the stream: the
+    block's one generator, which the estimators draw from in trial order.
+    TKF91 states are strings, in object arrays."""
 
     start: int
     roots: list
@@ -211,45 +249,66 @@ def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
     ``TrialBlock``s of at most ``BLOCK`` trials; ``start`` must be a
     multiple of ``BLOCK`` (else ``ValueError``).
 
-    For a finite chain, block b (trials b·BLOCK to b·BLOCK + BLOCK - 1)
-    seeds one generator from ``[*key, b]``.  From it the block draws its
-    ``BLOCK`` roots with ``draw_root(rng)``, one trial after another,
-    then in one call a (BLOCK × w) array of uniforms: a row per trial, of
-    one uniform per edge in topological order and one per leaf of
-    ``stretch`` (a ``StretchPlan``, or None) whose duration exceeds
-    ``DURATION_TOL``.  Each edge's cumulative rows are inverted for the
-    whole block at once.  A last, short block draws as many roots and
-    uniforms as a full one and descends only the rows it keeps, so trial
-    t is the same in every run of the same key that reaches it.  Any
-    other process seeds trial t's own generator from ``[*key, t]``, draws
-    its root and then its leaves with ``simulate`` (TKF91 in chunks of
-    ``tkf91.CHUNK`` uniforms), and takes no stretch.
+    Block b (trials b·BLOCK to b·BLOCK + BLOCK - 1) seeds one generator
+    from ``[*key, b]`` and draws from it its roots with
+    ``draw_root(rng)``, one trial after another, then the block's edges,
+    then the leaves of ``stretch`` (a ``StretchPlan``, or None) whose
+    duration exceeds ``DURATION_TOL``, as extra edges below their leaves.
+    A finite chain draws ``BLOCK`` roots, then a (BLOCK × w) array of
+    uniforms, a row per trial of one per edge in topological order and
+    one per stretched leaf, and inverts each edge's cumulative rows for
+    the whole block at once; a last, short block draws as much as a full
+    one, so trial t is the same in every run that reaches it.  Any other
+    block draws the roots of its own trials only, so its trials depend on
+    the run's trial count only inside the last, short block.  TKF91 then
+    draws its batches of edges (``_tkf91_plan``, and the stretched
+    leaves' edges last) as ``_draw_tkf91`` says.  Any other process
+    simulates one trial after another, as ``simulate`` does, and takes
+    no stretch (``TypeError``).
     """
     if start % BLOCK:
         raise ValueError(f"trials start at a multiple of {BLOCK}, "
                          f"not at {start}")
-    if not isinstance(process, RateMatrix):
-        if stretch is not None:
-            raise TypeError("only a finite chain's trials take a stretch")
-        return _trials_one_by_one(tree, process, draw_root, key, stop,
-                                  start)
-    # the stretched leaves' edges hang below the leaves: a last level
-    c = _compile(tree, process)
-    size, picks = len(c.parents) + 1, []
-    column = dict(zip(tree.leaves, c.leaves))
-    ends, starts, durations = [], [], []
+    if isinstance(process, RateMatrix):
+        c = _compile(tree, process)
+        starts, ends, durations, picks = _stretch_edges(
+            tree, c.leaves, len(c.parents) + 1, stretch)
+        # the stretched leaves' edges hang below the leaves: a last level
+        levels = c.levels + _levels(process.n, [process.matrix(d)
+                                                for d in durations],
+                                    ends, starts, [0] * len(ends))
+        return _trial_blocks(process.n, levels, len(c.parents) + len(ends),
+                             c.leaves, picks, draw_root, key, stop, start)
+    if isinstance(process, Tkf91Params):
+        batches, leaves = _tkf91_plan(tree, process)
+        starts, ends, durations, picks = _stretch_edges(
+            tree, leaves, len(tree.topo_order), stretch)
+        if ends:
+            batches = batches + [(starts, ends, np.array(durations))]
+        draw = partial(_draw_tkf91, process, batches, leaves, picks)
+    elif stretch is not None:
+        raise TypeError("only a finite chain's or TKF91's trials take a "
+                        "stretch")
+    else:
+        draw = partial(_draw_each, _layout(tree), process)
+    return _own_blocks(draw, draw_root, key, stop, start)
+
+
+def _stretch_edges(tree, leaves, size, stretch) -> tuple:
+    """The edges that run forward the leaves of ``stretch`` (or None)
+    whose duration exceeds ``DURATION_TOL``: parents, children (indices
+    from ``size`` on) and durations; and each stretched leaf's index.
+    ``leaves`` holds the indices of ``tree.leaves``."""
+    column = dict(zip(tree.leaves, leaves))
+    starts, ends, durations, picks = [], [], [], []
     for x, dur in zip(() if stretch is None else stretch.leaves,
                       () if stretch is None else stretch.durations):
         if dur > DURATION_TOL:
-            ends.append(size + len(ends))
             starts.append(column[x])
+            ends.append(size + len(durations))
             durations.append(dur)
         picks.append(ends[-1] if dur > DURATION_TOL else column[x])
-    levels = c.levels + _levels(process.n, [process.matrix(d)
-                                            for d in durations],
-                                ends, starts, [0] * len(ends))
-    return _trial_blocks(process.n, levels, size - 1 + len(ends), c.leaves,
-                         picks, draw_root, key, stop, start)
+    return starts, ends, durations, picks
 
 
 def _trial_blocks(n, levels, width, leaves, picks, draw_root, key, stop,
@@ -264,15 +323,24 @@ def _trial_blocks(n, levels, width, leaves, picks, draw_root, key, stop,
             [rng] * count)
 
 
-def _trials_one_by_one(tree, process, draw_root, key, stop, start):
-    lay = _layout(tree)
+def _own_blocks(draw, draw_root, key, stop, start):
     for lo in range(start, stop, BLOCK):
-        rngs = [np.random.default_rng([*key, t])
-                for t in range(lo, min(lo + BLOCK, stop))]
-        roots = [draw_root(rng) for rng in rngs]
-        leaves = np.array([_leaf_states(lay, process, root, rng)
-                           for root, rng in zip(roots, rngs)], dtype=object)
-        yield TrialBlock(lo, roots, leaves, None, rngs)
+        rng = np.random.default_rng([*key, lo // BLOCK])
+        roots = [draw_root(rng) for _ in range(min(BLOCK, stop - lo))]
+        yield TrialBlock(lo, roots, *draw(roots, rng), [rng] * len(roots))
+
+
+def _draw_each(lay: _Layout, process, roots, rng) -> tuple:
+    """The leaf states of the trials whose roots are ``roots``, of a
+    process other than a finite chain or TKF91 on the tree laid out as
+    ``lay``, trial after trial and edge by edge; and no stretch."""
+    rows = []
+    for root in roots:
+        states = [root]
+        for p, t in zip(lay.parents, lay.lengths):
+            states.append(process.sample(states[p], t, rng))
+        rows.append([states[i] for i in lay.leaves])
+    return np.array(rows, dtype=object), None
 
 
 def _draw_block(n, levels, roots, u, leaves, picks) -> tuple:

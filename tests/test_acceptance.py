@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import exact_leaf_law
+from oracles import exact_leaf_law, frequency_estimate
 from rootrec import cli
 from rootrec.bounds import (BoundInputs, prop54_uniform_bound, recon_lower,
                             recon_upper, variance_bound, wilson_interval)
@@ -30,10 +30,11 @@ from rootrec.ctmc import (Distribution, RateMatrix, identifiability_margin,
                           jukes_cantor, row_distribution, total_variation,
                           transition_matrix, two_state_symmetric)
 from rootrec.estimators import (RowTable, block_counts, exclusivity_stats,
-                                frequency_estimate, map_estimate,
-                                stretch_plan, uniform_chain_test)
-from rootrec.tkf91 import (Tkf91Params, stationary_length_pmf,
-                           stationary_pmf, stationary_sample, tkf91_evolve)
+                                map_estimate, stretch_plan,
+                                uniform_chain_test)
+from rootrec.tkf91 import (Tkf91Params, decode, encode, evolve_lanes,
+                           stationary_length_pmf, stationary_pmf,
+                           stationary_sample)
 from rootrec.tree import Tree, generate_family, spread
 from rootrec.treechain import simulated_trials
 
@@ -282,12 +283,14 @@ def test_c10_tkf91_stationarity():
                     for c in itertools.product("ATCG", repeat=m))
         assert level == pytest.approx(stationary_length_pmf(params, m),
                                       abs=1e-12)
-    # (b) evolve a stationary start for t = 1: length law stays put
+    # (b) evolve stationary starts for t = 1, in one batch: the length law
+    # stays put
     rng = np.random.default_rng(110)
     n = 10 ** 5
+    starts = [stationary_sample(params, rng) for _ in range(n)]
     counts = {}
-    for _ in range(n):
-        seq = tkf91_evolve(params, stationary_sample(params, rng), 1.0, rng)
+    for seq in decode(*evolve_lanes(params, *encode(starts), np.ones(n),
+                                    rng)):
         counts[len(seq)] = counts.get(len(seq), 0) + 1
     tv = 0.5 * sum(abs(counts.get(m, 0) / n - stationary_length_pmf(params, m))
                    for m in range(31))

@@ -418,17 +418,17 @@ class TestTrialInputs:
         assert err == [f"config error: family member k={k} out of range "
                        f"1..2"]
 
-    def test_tkf91_rates_too_large_to_simulate_stop(self, tmp_path, capsys):
-        # about 10^7 events per site and unit time: the event cap ends the
-        # first run in seconds instead of letting it run for hours
+    def test_tkf91_large_rates_run_within_budget(self, tmp_path, capsys):
+        # about 10^7 substitutions per site and unit time: the time-t
+        # sampler's cost does not grow with the rates, so the run ends
+        # well inside 10 s (an event-by-event run would take hours)
         process = {**self.TKF91["process"], "nu": 1e7}
         path = write_cfg(tmp_path, "t.json", {**self.TKF91,
                                               "process": process})
         start = time.perf_counter()
-        assert main(["tkf91", path]) == EXIT_GUARD
+        assert main(["tkf91", path]) == EXIT_OK
         assert time.perf_counter() - start < 10.0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: more than ")
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("seed", [-5, 2 ** 64])
     def test_seed_outside_numpy_range_rejected(self, tmp_path, seed):

@@ -8,12 +8,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sample_endpoint
 from rootrec.ctmc import (CtmcError, Distribution, GenerativeProcess,
                           RateMatrix, identifiability_margin, jukes_cantor,
-                          load_rate_matrix, row_distribution,
-                          sample_endpoint, star_norm, star_norm_diff,
-                          total_variation, transition_matrix,
-                          tv_achieving_set, two_state_symmetric)
+                          load_rate_matrix, row_distribution, star_norm,
+                          star_norm_diff, total_variation,
+                          transition_matrix, tv_achieving_set,
+                          two_state_symmetric)
 from rootrec.tree import Tree
 
 

@@ -8,12 +8,12 @@ from rootrec.ctmc import (Distribution, RateMatrix, row_distribution,
                           total_variation, transition_matrix,
                           two_state_symmetric, jukes_cantor)
 from rootrec.bounds import recon_lower
-from oracles import exact_leaf_law
+from oracles import (exact_leaf_law, frequency_estimate,
+                     uniform_chain_estimate)
 from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
-                                exclusivity_stats, frequency_estimate,
-                                lambda_epsilon, majority_estimate,
-                                map_estimate, map_estimates, stretch_plan,
-                                uniform_chain_estimate)
+                                exclusivity_stats, lambda_epsilon,
+                                majority_estimate, map_estimate,
+                                map_estimates, stretch_plan)
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import simulate
 

@@ -3,12 +3,12 @@
 A finite chain's trials come in blocks of ``treechain.BLOCK``, and block
 b draws from the substream seeded ``[seed, b]``: its BLOCK roots, then
 one array of uniforms for its edges and stretched leaves, then the
-estimators' draws in trial order.  A tkf91 trial t on member k draws
-from its own substream ``[seed, k, t]``, and its estimator continues
-that stream after the root and the leaves (which take their uniforms in
-chunks, so after the last chunk).  The digests below were recorded from
-small runs; a change to any substream, or to the order in which a block
-or trial consumes it, changes a digest.  Such a change must be
+estimators' draws in trial order.  A TKF91 block b on tkf91's member k
+draws from ``[seed, k, b]`` (``simulate``: ``[seed, b]``): the roots of
+its own trials, then its batches of edges and its stretched leaves,
+then the estimators' draws in trial order.  The digests below were
+recorded from small runs; a change to any substream, or to the order in
+which a block or trial consumes it, changes a digest.  Such a change must be
 deliberate and recorded in CHANGES.md together with the new digests.
 The runs of more than two blocks are pinned at 1, 2 and 3 workers, so
 that the split of a run into whole blocks is pinned too.
@@ -55,6 +55,8 @@ TKF91 = {
                   "row_samples": 100},
     "trials": 6, "seed": 12,
 }
+# three blocks of each member, the last one short
+TKF91_BLOCKS = {**TKF91, "trials": 2 * BLOCK + 3}
 SIMULATE = {
     "family": {"kind": "figure2", "k": 4, "n_spine": 3},
     "process": {"kind": "uniform", "rate": 1.0, "n": 4},
@@ -99,11 +101,17 @@ PINNED = [
     ("estimate", "estimate", FREQUENCY, 1, {
         "": "ffc0fbcfba3c88a2ae8f14ffbd62aa91"}),
     ("tkf91", "tkf91", TKF91, 1, {
-        "": "83ee2956cfbe49a06aaf8161a1932b7d"}),
+        "": "67e3f5a2fc97bfb28ee15ad86433ea0a"}),
+    ("tkf91-blocks", "tkf91", TKF91_BLOCKS, 1, {
+        "": "ca9a9cf38460520eeebf1cda9f75977f"}),
+    ("tkf91-blocks-workers2", "tkf91", TKF91_BLOCKS, 2, {
+        "": "ca9a9cf38460520eeebf1cda9f75977f"}),
+    ("tkf91-blocks-workers3", "tkf91", TKF91_BLOCKS, 3, {
+        "": "ca9a9cf38460520eeebf1cda9f75977f"}),
     ("simulate", "simulate", SIMULATE, 1, {
         "": "4ea401c8a63df81c274dca9241f3a834"}),
     ("simulate-tkf91", "simulate", SIMULATE_TKF91, 1, {
-        "": "1407ed0c2b39672f754d311f5c83255c"}),
+        "": "bf3ab35e2167938552e52a4ac89ab789"}),
 ]
 
 

@@ -1,23 +1,34 @@
 import collections
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from oracles import tkf91_beta, tkf91_evolve_per_edge, tkf91_tree_per_edge
-from rootrec import tkf91
+from oracles import (frequency_estimate, tkf91_beta,
+                     tkf91_children_reference, tkf91_evolve_per_edge,
+                     tkf91_tree_per_edge, tkf91_tree_reference,
+                     uniform_stream)
+from rootrec import tkf91, treechain
 from rootrec.cli import EXIT_OK, main
 from rootrec.ctmc import CtmcError, total_variation, Distribution
-from rootrec.estimators import RowTable, frequency_estimate, stretch_plan
-from rootrec.tkf91 import (ALPHABET, Tkf91Params, mc_rows,
-                           stationary_length_pmf, stationary_pmf,
-                           stationary_sample, tkf91_evolve, top_states,
-                           write_experiment_csv, Uniforms, _draw_letter)
+from rootrec.estimators import RowTable, StretchPlan, stretch_plan
+from rootrec.tkf91 import (ALPHABET, Tkf91Params, decode, encode,
+                           evolve_lanes, mc_rows, stationary_length_pmf,
+                           stationary_pmf, stationary_sample, tkf91_evolve,
+                           top_states, write_experiment_csv, _draw_letter)
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import simulate, simulated_trials
+from rootrec.treechain import BLOCK, simulate, simulated_trials
 
 STD = Tkf91Params(nu=1.0, lam=1.0, mu=2.0)
+
+
+def lanes(params, parents, t, rng) -> list:
+    """The children of the strings ``parents`` after ``t``: one
+    ``evolve_lanes`` batch."""
+    return decode(*evolve_lanes(params, *encode(parents),
+                                np.full(len(parents), float(t)), rng))
 
 
 class TestParams:
@@ -51,12 +62,11 @@ class TestEvolve:
             out = tkf91_evolve(STD, "ATCG", 0.5, rng)
             assert set(out) <= set(ALPHABET)
 
-    def test_event_cap_stops_a_run(self, monkeypatch):
-        monkeypatch.setattr(tkf91, "EVENT_CAP", 50)
-        p = Tkf91Params(nu=1e6, lam=0.5, mu=1.0)
-        with pytest.raises(CtmcError, match="more than 50 events"):
-            tkf91_evolve(p, "A", 1.0, np.random.default_rng(0))
-        # a run of a few events ends as it would without the cap
+    def test_length_cap_stops_a_run(self, monkeypatch):
+        monkeypatch.setattr(tkf91, "LENGTH_CAP", 50)
+        with pytest.raises(CtmcError, match="exceeded the cap 50"):
+            tkf91_evolve(STD, "A" * 60, 1e-9, np.random.default_rng(0))
+        # a child under the cap ends as it would without the cap
         a, b = np.random.default_rng(1), np.random.default_rng(1)
         out = tkf91_evolve(STD, "ATCG", 0.5, a)
         monkeypatch.undo()
@@ -70,10 +80,8 @@ class TestEvolve:
     def test_stationarity_of_length_law(self):
         rng = np.random.default_rng(3)
         n = 20000
-        counts = collections.Counter()
-        for _ in range(n):
-            seq = stationary_sample(STD, rng)
-            counts[len(tkf91_evolve(STD, seq, 1.0, rng))] += 1
+        starts = [stationary_sample(STD, rng) for _ in range(n)]
+        counts = collections.Counter(map(len, lanes(STD, starts, 1.0, rng)))
         tv = 0.5 * sum(abs(counts.get(m, 0) / n
                            - stationary_length_pmf(STD, m))
                        for m in range(31))
@@ -93,10 +101,11 @@ class TestEvolve:
 
 
 class TestOneEventLoop:
-    """``simulate``, ``simulated_trials`` and ``mc_rows`` run every edge
-    through ``evolve_edges``; each must draw what the per-edge loop of
-    tests/oracles.py draws, sequence for sequence, and leave its
-    generator where that loop leaves it."""
+    """``simulate``, ``simulated_trials`` and ``mc_rows`` draw every edge
+    through the one loop of ``tkf91.evolve_lanes`` calls, batch by batch;
+    each must draw what the slot-by-slot reference of tests/oracles.py
+    draws, sequence for sequence, and leave its generator where the
+    reference leaves it."""
 
     P = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
     TREES = {
@@ -114,77 +123,78 @@ class TestOneEventLoop:
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             root = stationary_sample(self.P, a)
             assert stationary_sample(self.P, b) == root
-            assert simulate(tree, self.P, root, a) == tkf91_tree_per_edge(
-                tree, self.P, root, Uniforms(b))
+            assert simulate(tree, self.P, root, a) == tkf91_tree_reference(
+                tree, self.P, [root], b)[0][0]
             assert a.random() == b.random()
 
     @pytest.mark.parametrize("kind", sorted(TREES))
     def test_simulated_trials(self, kind):
         tree = self.TREES[kind]()
         draw = lambda rng: stationary_sample(self.P, rng)
-        seen = 0
-        for block in simulated_trials(tree, self.P, draw, (9, 2), 200):
-            for t, root, leaves, rng in block.trials(tree):
-                ref = np.random.default_rng([9, 2, t])
-                assert root == draw(ref)
-                assert leaves == tkf91_tree_per_edge(tree, self.P, root,
-                                                     Uniforms(ref))
-                assert rng.random() == ref.random()
-                seen += 1
-        assert seen == 200
+        (block,) = simulated_trials(tree, self.P, draw, (9, 2), 200)
+        ref = np.random.default_rng([9, 2, 0])
+        roots = [draw(ref) for _ in range(200)]
+        leaves, _ = tkf91_tree_reference(tree, self.P, roots, ref)
+        assert [row[1:3] for row in block.trials(tree)] == list(zip(roots,
+                                                                    leaves))
+        assert block.rngs == [block.rngs[0]] * 200
+        assert block.rngs[0].random() == ref.random()
 
     def test_mc_rows(self):
         states = ("", "A", "GT", "ACGTA")
         for seed in range(200):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             rows = mc_rows(self.P, states, 0.6, 12, a)
-            src = Uniforms(b)
             for state in states:
-                ends = collections.Counter(
-                    tkf91_evolve_per_edge(self.P, state, 0.6, src)
-                    for _ in range(12))
+                ends = collections.Counter(tkf91_children_reference(
+                    self.P, [state] * 12, [0.6] * 12, b))
                 assert list(rows[state].items()) == list(Distribution(
                     {end: c / 12 for end, c in ends.items()}).items())
             assert a.random() == b.random()
 
 
-class TestEventCap:
-    """``EVENT_CAP`` bounds the events of one edge, not of a tree."""
+class TestLengthCap:
+    """``LENGTH_CAP`` bounds each child sequence, not a tree or a batch."""
 
     P = Tkf91Params(nu=5.0, lam=0.5, mu=1.0)
 
     def test_caps_each_edge_not_the_tree(self, monkeypatch):
-        monkeypatch.setattr(tkf91, "EVENT_CAP", 50)
-        tree = generate_family("star", {"k": 6, "h": 1.0})[5]
-        events: list = []
-        want = tkf91_tree_per_edge(tree, self.P, "ACGT",
-                                   Uniforms(np.random.default_rng(3)),
-                                   events)
-        assert max(events) < 50 < sum(events)
-        assert simulate(tree, self.P, "ACGT",
-                        np.random.default_rng(3)) == want
+        monkeypatch.setattr(tkf91, "LENGTH_CAP", 50)
+        tree = generate_family("star", {"k": 6, "h": 0.01})[5]
+        root = "ACGT" * 10
+        want = tkf91_tree_reference(tree, self.P, [root],
+                                    np.random.default_rng(3))[0][0]
+        assert max(map(len, want.values())) < 50 < sum(map(len,
+                                                           want.values()))
+        assert simulate(tree, self.P, root, np.random.default_rng(3)) == want
 
     def test_one_edge_over_the_cap_stops_the_tree(self, monkeypatch):
-        monkeypatch.setattr(tkf91, "EVENT_CAP", 50)
-        tree = Tree("rho", [("rho", "a", 0.1), ("rho", "b", 0.1),
-                            ("rho", "c", 10.0)])
-        with pytest.raises(CtmcError, match="more than 50 events"):
-            simulate(tree, self.P, "ACGT", np.random.default_rng(3))
+        monkeypatch.setattr(tkf91, "LENGTH_CAP", 50)
+        tree = Tree("rho", [("rho", "a", 10.0), ("rho", "b", 10.0),
+                            ("rho", "c", 1e-6)])
+        with pytest.raises(CtmcError, match="exceeded the cap 50"):
+            simulate(tree, self.P, "ACGT" * 15, np.random.default_rng(3))
 
 
 class TestUniforms:
-    def test_chunk_floats_in_generator_order(self):
+    def test_chunk_floats_in_generator_order(self, monkeypatch):
+        # a batch of more than LANES lanes is drawn LANES lanes at a time,
+        # each call reading the generator after the one before it
+        monkeypatch.setattr(tkf91, "LANES", 3)
+        parents = ["", "A", "AT", "G", "CC", "", "TTT"]
         a, b = np.random.default_rng(6), np.random.default_rng(6)
-        src = Uniforms(a)
-        got = [src.random() for _ in range(2 * tkf91.CHUNK + 3)]
-        assert got == b.random(3 * tkf91.CHUNK)[:len(got)].tolist()
-        # the rest of the third chunk is dropped
+        got = lanes(STD, parents, 0.8, a)
+        want = [child for lo in range(0, 7, 3)
+                for child in tkf91_children_reference(
+                    STD, parents[lo:lo + 3], [0.8] * 3, b)]
+        assert got == want
         assert a.random() == b.random()
 
 
 class TestTransientLaw:
     """Lengths after time t against the closed form (tests/oracles.py),
-    away from stationarity, with the chunked source and a raw Generator."""
+    away from stationarity, from one batch of N lanes: drawn in chunks
+    of ``LANES`` lanes, or in one call on the generator."""
 
     N = 20000
 
@@ -192,20 +202,211 @@ class TestTransientLaw:
                              ids=["chunked", "generator"])
     @pytest.mark.parametrize("lam,mu,t", [(0.5, 1.0, 0.7), (1.0, 2.0, 0.3),
                                           (0.5, 1.0, 3.0)])
-    def test_lengths_from_empty_and_single_site(self, chunked, lam, mu, t):
+    def test_lengths_from_empty_and_single_site(self, monkeypatch, chunked,
+                                                lam, mu, t):
+        assert tkf91.LANES < self.N
+        if not chunked:
+            monkeypatch.setattr(tkf91, "LANES", self.N)
         p = Tkf91Params(nu=1.0, lam=lam, mu=mu)
         rng = np.random.default_rng([13, int(100 * t)])
-        src = Uniforms(rng) if chunked else rng
         lb = lam * tkf91_beta(lam, mu, t)
-        lengths = collections.Counter(len(tkf91_evolve(p, "", t, src))
-                                      for _ in range(self.N))
-        empty = sum(tkf91_evolve(p, "A", t, src) == ""
-                    for _ in range(self.N))
+        lengths = collections.Counter(map(len, lanes(p, [""] * self.N, t,
+                                                     rng)))
+        empty = lanes(p, ["A"] * self.N, t, rng).count("")
         expected = [((1 - lb) * lb ** n, lengths[n]) for n in range(5)]
         expected.append(((1 - lb) * mu * tkf91_beta(lam, mu, t), empty))
         for prob, count in expected:
             assert abs(count / self.N - prob) < 4 * math.sqrt(
                 prob * (1 - prob) / self.N)
+
+
+def assert_same_law(a, b, top=8, z=4.5):
+    """The samples ``a`` and ``b`` agree, by a two-sample z-test at ``z``,
+    on the frequency of each of the ``top`` likeliest outcomes of the
+    pooled sample and on that of all the others together; a frequency's
+    variance is floored at that of one pooled outcome."""
+    ca, cb = collections.Counter(a), collections.Counter(b)
+    keys = [k for k, _ in (ca + cb).most_common(top)]
+    pairs = [(ca[k], cb[k]) for k in keys]
+    pairs.append((len(a) - sum(x for x, _ in pairs),
+                  len(b) - sum(y for _, y in pairs)))
+    for x, y in pairs:
+        p = (x + y) / (len(a) + len(b))
+        var = (max(p * (1 - p), 1 / (len(a) + len(b)))
+               * (1 / len(a) + 1 / len(b)))
+        assert abs(x / len(a) - y / len(b)) <= z * math.sqrt(var), (x, y)
+
+
+LONG = "".join(np.random.default_rng(0).choice(list(ALPHABET), 200))
+
+
+class TestExactLaw:
+    """The time-t sampler against the event simulation of
+    tests/oracles.py (``assert_same_law``: 20000 sampler lanes, 4000
+    event runs, or 1000 from the 200-letter parent), and against closed
+    forms.  From the 200-letter parent every sequence is rare after
+    t = 1, so there the outcome is the child's length."""
+
+    P = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
+
+    @pytest.mark.parametrize("t", [1e-9, 1.0, 2.5])
+    @pytest.mark.parametrize("parent", ["", "A", "AT", LONG],
+                             ids=["empty", "A", "AT", "long"])
+    def test_matches_event_simulation(self, parent, t):
+        rng = np.random.default_rng([21, len(parent), int(10 * t)])
+        runs = 1000 if parent == LONG else 4000
+        src = uniform_stream(rng)
+        events = [tkf91_evolve_per_edge(self.P, parent, t, src)
+                  for _ in range(runs)]
+        law = lanes(self.P, [parent] * 20000, t, rng)
+        if parent == LONG and t >= 1:
+            events, law = map(len, events), map(len, law)
+        assert_same_law(list(law), list(events))
+
+    @pytest.mark.parametrize("parent", ["T", "TC"])
+    def test_letters_in_sequence_order(self, parent):
+        # with almost every new letter an A, the likeliest children tell
+        # where new letters land: "AT" and "TA" differ only in order
+        p = Tkf91Params(nu=1.0, lam=0.5, mu=1.0, pi_A=0.97, pi_T=0.01,
+                        pi_C=0.01, pi_G=0.01)
+        rng = np.random.default_rng([28, len(parent)])
+        src = uniform_stream(rng)
+        events = [tkf91_evolve_per_edge(p, parent, 0.5, src)
+                  for _ in range(4000)]
+        assert_same_law(lanes(p, [parent] * 20000, 0.5, rng), events)
+
+    @pytest.mark.parametrize("parent", ["A", "AT"])
+    def test_saturated_substitutions(self, parent):
+        # at nu = 1e7 a survivor keeps its letter with probability
+        # e^-(10^7), as good as 0: the law is that of nu = 50 (e^-50 <
+        # 2e-22), which the event simulation can reach
+        rng = np.random.default_rng([22, len(parent)])
+        fast = Tkf91Params(nu=1e7, lam=0.5, mu=1.0)
+        slow = Tkf91Params(nu=50.0, lam=0.5, mu=1.0)
+        src = uniform_stream(rng)
+        events = [tkf91_evolve_per_edge(slow, parent, 1.0, src)
+                  for _ in range(4000)]
+        assert_same_law(lanes(fast, [parent] * 20000, 1.0, rng), events)
+
+    def test_near_critical_ratio(self):
+        # lam / mu = 0.99 over t = 50: long runs, compared by length
+        p = Tkf91Params(nu=1.0, lam=0.99, mu=1.0)
+        rng = np.random.default_rng(23)
+        src = uniform_stream(rng)
+        events = [len(tkf91_evolve_per_edge(p, "A", 50.0, src))
+                  for _ in range(300)]
+        assert_same_law(list(map(len, lanes(p, ["A"] * 20000, 50.0, rng))),
+                        events)
+
+    @pytest.mark.parametrize("parent", ["", "A", "AT", LONG])
+    def test_zero_time_is_identity(self, parent):
+        rng = np.random.default_rng(24)
+        assert lanes(self.P, [parent] * 1000, 0.0, rng) == [parent] * 1000
+
+    @pytest.mark.parametrize("lam,mu,t", [(0.5, 1.0, 1e-9), (0.5, 1.0, 2.5),
+                                          (0.99, 1.0, 50.0)])
+    def test_closed_forms(self, lam, mu, t):
+        # P(length n | "") = (1 - lam beta)(lam beta)^n and
+        # P("" | "A") = (1 - lam beta) mu beta, at 4.5 sigma
+        p, n = Tkf91Params(nu=1.0, lam=lam, mu=mu), 200000
+        rng = np.random.default_rng([25, int(t)])
+        beta = tkf91_beta(lam, mu, t)
+        lengths = collections.Counter(map(len, lanes(p, [""] * n, t, rng)))
+        expected = [((1 - lam * beta) * (lam * beta) ** k, lengths[k])
+                    for k in range(0, 60, 5)]
+        expected.append(((1 - lam * beta) * mu * beta,
+                         lanes(p, ["A"] * n, t, rng).count("")))
+        for prob, count in expected:
+            assert abs(count / n - prob) <= 4.5 * math.sqrt(
+                max(prob * (1 - prob), 1 / n) / n)
+
+    def test_two_leaves_of_a_tree(self):
+        # the joint law of two leaves below one inner edge, against the
+        # event simulation edge by edge
+        tree = Tree("rho", [("rho", "u", 0.5), ("u", "a", 0.5),
+                            ("u", "b", 0.7)])
+        rng = np.random.default_rng(26)
+        src = uniform_stream(rng)
+        events = [tuple(tkf91_tree_per_edge(tree, self.P, "AT",
+                                            src).values())
+                  for _ in range(4000)]
+        law = [tuple(row) for block in simulated_trials(
+            tree, self.P, lambda rng: "AT", (27,), 20000)
+            for row in block.leaves.tolist()]
+        assert_same_law(law, events)
+
+
+class TestTrialBlocks:
+    """TKF91 trials come in blocks of ``BLOCK``, each from the generator
+    seeded ``[*key, b]``."""
+
+    P = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
+
+    @staticmethod
+    def tree():
+        return generate_family("figure1", {"k": 6, "h": 1.0})[5]
+
+    @staticmethod
+    def plan(tree):
+        # one leaf runs forward for 0.5, the other stays as it is
+        return StretchPlan(0.1, 1.5, 2, 0.0, tree.leaves[:2], (0.5, 0.0))
+
+    def run(self, stop, start=0):
+        tree = self.tree()
+        # the last entry is where the estimator would continue the stream
+        return [(t, root, leaves, tuple(stretched), rng.random())
+                for block in simulated_trials(
+                    tree, self.P, lambda rng: stationary_sample(self.P, rng),
+                    (5,), stop, start, self.plan(tree))
+                for (t, root, leaves, rng), stretched in zip(
+                    block.trials(tree), block.stretched.tolist())]
+
+    def test_split_range_yields_the_same_trials(self):
+        whole = self.run(2 * BLOCK + 3)
+        assert [row[0] for row in whole] == list(range(2 * BLOCK + 3))
+        for cut in (BLOCK, 2 * BLOCK):
+            assert self.run(cut) + self.run(2 * BLOCK + 3, cut) == whole
+
+    def test_first_block_does_not_depend_on_the_run_length(self):
+        assert self.run(BLOCK + 7)[:BLOCK] == self.run(2 * BLOCK)[:BLOCK]
+
+    def test_start_inside_a_block_is_refused(self):
+        for start in (1, BLOCK - 1, BLOCK + 7):
+            with pytest.raises(ValueError, match="multiple of"):
+                self.run(2 * BLOCK, start)
+
+    def test_block_reads_roots_then_batches_then_estimators(self):
+        # roots in trial order, the tree's batches, the stretched leaves'
+        # batch, then the estimators' draws in trial order
+        tree = self.tree()
+        ref = np.random.default_rng([5, 0])
+        roots = [stationary_sample(self.P, ref) for _ in range(10)]
+        leaves, stretched = tkf91_tree_reference(tree, self.P, roots, ref,
+                                                 self.plan(tree))
+        after = [ref.random() for _ in range(10)]
+        assert self.run(10) == [
+            (t, *row) for t, row in enumerate(zip(
+                roots, leaves, map(tuple, stretched), after))]
+
+    def test_plan_built_once(self, monkeypatch):
+        calls = []
+        real = treechain._layout
+
+        def counted(tree):
+            calls.append(tree)
+            return real(tree)
+
+        monkeypatch.setattr(treechain, "_layout", counted)
+        params = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
+        tree = self.tree()
+        simulate(tree, params, "AT", np.random.default_rng(1))
+        simulate(tree, params, "AT", np.random.default_rng(2))
+        list(simulated_trials(tree, params, lambda rng: "A", (3,), 10))
+        assert calls == [tree]
+        # the cache stays behind when the process is pickled to a worker
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params and len(copy.compiled) == 0
+        assert len(params.compiled) == 1
 
 
 class TestDrawLetter:
