@@ -11,7 +11,6 @@ bound.  States of a finite chain are labelled 1..n.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -70,8 +69,6 @@ class RateMatrix:
         self.states = tuple(range(1, self.n + 1))
         self._mats: dict[float, np.ndarray] = {}
         self._cum: dict[float, np.ndarray] = {}
-        # per-tree compiled forms built by treechain
-        self.compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @property
     def norm(self) -> float:
@@ -118,8 +115,7 @@ class RateMatrix:
         return row_distribution(self.matrix(t), state)
 
     def __reduce__(self):
-        # pickle the rates alone: the caches are rebuilt on demand, and the
-        # per-tree one holds weak references, which do not pickle
+        # pickle the rates alone: the caches are rebuilt on demand
         return RateMatrix, (self.q,)
 
     def __repr__(self):
@@ -177,7 +173,8 @@ class GenerativeProcess(Protocol):
     """Markov transition sampler over a countable state space: ``sample``
     runs the process from ``state`` for ``duration`` using the supplied
     randomness stream.  ``RateMatrix`` and ``tkf91.Tkf91Params`` are the
-    package's two."""
+    package's two.  A process is hashable: ``treechain`` keeps its plans
+    per tree and process."""
 
     def sample(self, state, duration: float, rng): ...
 
@@ -236,8 +233,11 @@ def row_distribution(P: np.ndarray, i: int) -> Distribution:
 
 
 def total_variation(a: Distribution, b: Distribution) -> float:
-    """Half the L1 distance between two sparse distributions."""
-    states = set(a.support) | set(b.support)
+    """Half the L1 distance between two sparse distributions, summed over
+    ``a``'s support in its order and then the states only ``b`` holds, so
+    that the rounding does not depend on the hash seed."""
+    held = a.support
+    states = [*held, *(s for s in b.support if s not in held)]
     return 0.5 * sum(abs(a.mass(s) - b.mass(s)) for s in states)
 
 

@@ -38,10 +38,8 @@ from __future__ import annotations
 
 import functools
 import heapq
-import weakref
-from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -89,10 +87,6 @@ class Tkf91Params:
     pi_T: float = 0.25
     pi_C: float = 0.25
     pi_G: float = 0.25
-    # per-tree batch plans built by treechain
-    compiled: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
-        compare=False)
 
     def __post_init__(self):
         if not (self.nu > 0 and self.lam > 0 and self.mu > 0):
@@ -104,11 +98,6 @@ class Tkf91Params:
             raise CtmcError("nucleotide frequencies must be nonnegative")
         if abs(sum(freqs) - 1.0) > 1e-12:
             raise CtmcError(f"frequencies sum to {sum(freqs)}, not 1")
-
-    def __reduce__(self):
-        # pickle the rates alone: the caches are rebuilt on demand, and the
-        # per-tree one holds weak references, which do not pickle
-        return Tkf91Params, (self.nu, self.lam, self.mu, *self.freqs)
 
     @property
     def freqs(self) -> tuple:
@@ -130,11 +119,6 @@ class Tkf91Params:
         cdf = np.cumsum(self.freqs)
         cdf /= cdf[-1]
         return cdf.tolist()
-
-
-def _draw_letter(params: Tkf91Params, rng) -> str:
-    # the letter rng.choice(4, p=freqs) draws, from the same one uniform
-    return ALPHABET[bisect_right(params.letter_cdf, rng.random())]
 
 
 def encode(seqs: list) -> tuple:
@@ -217,9 +201,11 @@ def evolve_lanes(params: Tkf91Params, codes, lens, durations,
 
 def stationary_sample(params: Tkf91Params, rng) -> str:
     """Draw from the stationary law: geometric length (success 1 - lam/mu,
-    support 0, 1, ...) with i.i.d. letters."""
+    support 0, 1, ...) with i.i.d. letters, one uniform each, mapped by
+    ``letter_cdf`` as ``evolve_lanes`` maps its new letters."""
     m = int(rng.geometric(1.0 - params.ratio)) - 1
-    return "".join(_draw_letter(params, rng) for _ in range(m))
+    return _LETTERS[np.searchsorted(params.letter_cdf, rng.random(m),
+                                    side="right")].tobytes().decode("ascii")
 
 
 def stationary_length_pmf(params: Tkf91Params, m: int) -> float:

@@ -7,12 +7,14 @@ block of trials at once: simulation draws each edge (for TKF91, each
 batch of edges) for the whole block, and pruning passes a finite chain's
 message row per trial, the site-pattern batching of BEAGLE (Ayres et
 al., Syst. Biol. 2012).  Trials come in blocks of ``BLOCK``, and block b
-draws from the one substream keyed ``[*key, b]``.
+draws from the one substream keyed ``[*key, b]``.  Every per-tree plan
+is kept here, once per tree and process, and dropped with its tree; the
+processes themselves carry no tree state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from functools import partial
 from typing import NamedTuple
 
@@ -72,34 +74,33 @@ def _layout(tree: Tree) -> _Layout:
                    [index[x] for x in tree.leaves], depth)
 
 
-@dataclass(frozen=True)
-class _CompiledTree:
-    """A tree laid out for one finite chain: the ``_Layout``'s parents,
-    leaf positions and leaves, each edge's transition matrix, and the
-    edges grouped by the depth of their child, in edges from the root,
-    as ``_levels``."""
-
-    parents: list
-    mats: list
-    leaf_of: list
-    leaves: list
-    levels: list
+# the plans of each tree, dropped with it: under (build, *args), the
+# value of build(tree, *args), which holds no reference to the tree
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _compile(tree: Tree, Q: RateMatrix) -> _CompiledTree:
-    c = Q.compiled.get(tree)
-    if c is None:
-        lay = _layout(tree)
-        mats = [Q.matrix(t) for t in lay.lengths]
-        c = _CompiledTree(
-            parents=lay.parents,
-            mats=mats,
-            leaf_of=lay.leaf_of,
-            leaves=lay.leaves,
-            levels=_levels(Q.n, mats, range(1, len(lay.depth)), lay.parents,
-                           lay.depth[1:]))
-        Q.compiled[tree] = c
-    return c
+def _plan(build, tree: Tree, *args):
+    """``build(tree, *args)``, built once per tree and ``(build, *args)``:
+    the tree's ``_layout``, its TKF91 batches (``_tkf91_plan``), its
+    ``_compile``d form for a finite chain, and a process's ``_drawer``."""
+    plans = _PLANS.get(tree)
+    if plans is None:
+        plans = _PLANS[tree] = {}
+    key = (build, *args)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = build(tree, *args)
+    return plan
+
+
+def _compile(tree: Tree, Q: RateMatrix) -> tuple:
+    """The tree laid out for the finite chain ``Q``: each edge's
+    transition matrix, and the edges grouped by the depth of their child,
+    in edges from the root, as ``_levels``."""
+    lay = _plan(_layout, tree)
+    mats = [Q.matrix(t) for t in lay.lengths]
+    return mats, _levels(Q.n, mats, range(1, len(lay.depth)), lay.parents,
+                         lay.depth[1:])
 
 
 def _levels(n: int, mats, children, parents, depth) -> list:
@@ -149,58 +150,72 @@ def _descend(n: int, levels, roots, u) -> np.ndarray:
     return states
 
 
+def _drawer(tree: Tree, process, stretch):
+    """The block draw of ``process`` on ``tree``, the one place that
+    tells the process kinds apart: ``draw(draw_root, count, size, rng)``
+    returns the roots, leaf states and ``stretch``ed states (None without
+    a stretch) of ``count`` trials drawn from ``rng`` as
+    ``simulated_trials`` says, a finite chain's as if ``size`` trials
+    were drawn."""
+    lay = _plan(_layout, tree)
+    starts, ends, durations, picks = _stretch_edges(tree, lay, stretch)
+    if isinstance(process, RateMatrix):
+        # the stretched leaves' edges hang below the leaves: a last level
+        levels = _plan(_compile, tree, process)[1] + _levels(
+            process.n, [process.matrix(d) for d in durations], ends, starts,
+            [0] * len(ends))
+        return partial(_draw_chain, process.n, levels,
+                       len(lay.parents) + len(ends), lay.leaves, picks)
+    if isinstance(process, Tkf91Params):
+        batches = _plan(_tkf91_plan, tree)
+        if ends:
+            batches = batches + [(starts, ends, np.array(durations))]
+        return partial(_draw_tkf91, process, batches, lay.leaves, picks)
+    if stretch is not None:
+        raise TypeError("only a finite chain's or TKF91's trials take a "
+                        "stretch")
+    return partial(_draw_each, lay, process)
+
+
 def simulate(tree: Tree, process, root_state, rng) -> dict:
     """One realization of the chain on the tree; returns leaf id -> state.
 
     Sibling subtrees evolve independently given the parent state, edge
-    by edge in topological order.  A finite chain draws one uniform per
-    edge from ``rng``, all at once as a one-row block, which consumes the
-    stream exactly as a per-edge loop does.  TKF91 is a one-trial block:
-    it draws its batches of edges from ``rng`` as ``simulated_trials``
-    says.  Any other process samples each edge from ``rng`` itself.
+    by edge in topological order: a one-trial block, drawn from ``rng`` as
+    ``simulated_trials`` says.  A finite chain draws one uniform per edge,
+    all at once, which consumes the stream exactly as a per-edge loop
+    does.
     """
-    if isinstance(process, RateMatrix):
-        c = _compile(tree, process)
-        leaves, _ = _draw_block(process.n, c.levels, [root_state],
-                                rng.random((1, len(c.parents))), c.leaves,
-                                [])
-    elif isinstance(process, Tkf91Params):
-        batches, vertices = _tkf91_plan(tree, process)
-        leaves, _ = _draw_tkf91(process, batches, vertices, [],
-                                [root_state], rng)
-    else:
-        leaves, _ = _draw_each(_layout(tree), process, [root_state], rng)
+    _, leaves, _ = _plan(_drawer, tree, process, None)(
+        lambda rng: root_state, 1, 1, rng)
     return dict(zip(tree.leaves, leaves[0].tolist()))
 
 
-def _tkf91_plan(tree: Tree, params: Tkf91Params) -> tuple:
-    """A tree's leaves' indices, and its edges in batches of parent and
-    child indices (as in ``_Layout``) and lengths, built once per tree:
-    the edges into inner vertices one batch per depth of their child,
-    then every edge into a leaf, each batch in topological order."""
-    plan = params.compiled.get(tree)
-    if plan is None:
-        lay = _layout(tree)
-        groups: dict = {}
-        for e, x in enumerate(lay.leaf_of):
-            groups.setdefault(np.inf if x is not None else lay.depth[e + 1],
-                              []).append(e)
-        plan = params.compiled[tree] = (
-            [([lay.parents[e] for e in es], [e + 1 for e in es],
-              np.array([lay.lengths[e] for e in es], dtype=float))
-             for _, es in sorted(groups.items())], lay.leaves)
-    return plan
+def _tkf91_plan(tree: Tree) -> list:
+    """A tree's edges in batches of parent and child indices (as in
+    ``_Layout``) and lengths: the edges into inner vertices one batch per
+    depth of their child, then every edge into a leaf, each batch in
+    topological order."""
+    lay = _plan(_layout, tree)
+    groups: dict = {}
+    for e, x in enumerate(lay.leaf_of):
+        groups.setdefault(np.inf if x is not None else lay.depth[e + 1],
+                          []).append(e)
+    return [([lay.parents[e] for e in es], [e + 1 for e in es],
+             np.array([lay.lengths[e] for e in es], dtype=float))
+            for _, es in sorted(groups.items())]
 
 
-def _draw_tkf91(params, batches, leaves, picks, roots, rng) -> tuple:
-    """The sequences of the vertices ``leaves`` and ``picks`` (None for no
-    ``picks``) of the trials whose roots are ``roots``, as (trials ×
+def _draw_tkf91(params, batches, leaves, picks, draw_root, count, size,
+                rng) -> tuple:
+    """TKF91's draw: ``count`` roots, then the sequences of the vertices
+    ``leaves`` and ``picks`` (None for no ``picks``) as (trials ×
     vertices) object arrays.  The edges of each of ``batches`` in turn go
     ``tkf91.LANES`` // trials (at least one) to an ``evolve_lanes`` call
     on ``rng``, lanes edge by edge, then trial by trial, so that memory
     stays bounded however wide the tree."""
-    trials = len(roots)
-    step = max(1, tkf91.LANES // trials)
+    roots = [draw_root(rng) for _ in range(count)]
+    step = max(1, tkf91.LANES // count)
     seqs = {0: encode(roots)}
     for parents, children, lengths in batches:
         for lo in range(0, len(parents), step):
@@ -208,16 +223,16 @@ def _draw_tkf91(params, batches, leaves, picks, roots, rng) -> tuple:
             codes, lens = evolve_lanes(
                 params, np.concatenate([seqs[p][0] for p in group]),
                 np.concatenate([seqs[p][1] for p in group]),
-                np.repeat(lengths[lo:lo + step], trials), rng)
-            lens = lens.reshape(len(group), trials)
+                np.repeat(lengths[lo:lo + step], count), rng)
+            lens = lens.reshape(len(group), count)
             seqs.update(zip(children[lo:lo + step], zip(np.split(
                 codes, np.cumsum(lens.sum(1))[:-1]), lens)))
     read = list(dict.fromkeys([*leaves, *picks]))
     states = np.array(decode(np.concatenate([seqs[v][0] for v in read]),
                              np.concatenate([seqs[v][1] for v in read])),
-                      dtype=object).reshape(len(read), trials).T
+                      dtype=object).reshape(len(read), count).T
     column = {v: i for i, v in enumerate(read)}
-    return (states[:, :len(leaves)],
+    return (roots, states[:, :len(leaves)],
             states[:, [column[v] for v in picks]] if picks else None)
 
 
@@ -269,87 +284,58 @@ def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
     if start % BLOCK:
         raise ValueError(f"trials start at a multiple of {BLOCK}, "
                          f"not at {start}")
-    if isinstance(process, RateMatrix):
-        c = _compile(tree, process)
-        starts, ends, durations, picks = _stretch_edges(
-            tree, c.leaves, len(c.parents) + 1, stretch)
-        # the stretched leaves' edges hang below the leaves: a last level
-        levels = c.levels + _levels(process.n, [process.matrix(d)
-                                                for d in durations],
-                                    ends, starts, [0] * len(ends))
-        return _trial_blocks(process.n, levels, len(c.parents) + len(ends),
-                             c.leaves, picks, draw_root, key, stop, start)
-    if isinstance(process, Tkf91Params):
-        batches, leaves = _tkf91_plan(tree, process)
-        starts, ends, durations, picks = _stretch_edges(
-            tree, leaves, len(tree.topo_order), stretch)
-        if ends:
-            batches = batches + [(starts, ends, np.array(durations))]
-        draw = partial(_draw_tkf91, process, batches, leaves, picks)
-    elif stretch is not None:
-        raise TypeError("only a finite chain's or TKF91's trials take a "
-                        "stretch")
-    else:
-        draw = partial(_draw_each, _layout(tree), process)
-    return _own_blocks(draw, draw_root, key, stop, start)
+    draw = _plan(_drawer, tree, process, stretch)
+    return (_block(draw, draw_root, key, lo, min(BLOCK, stop - lo))
+            for lo in range(start, stop, BLOCK))
 
 
-def _stretch_edges(tree, leaves, size, stretch) -> tuple:
+def _block(draw, draw_root, key, lo: int, count: int) -> TrialBlock:
+    rng = np.random.default_rng([*key, lo // BLOCK])
+    return TrialBlock(lo, *draw(draw_root, count, BLOCK, rng), [rng] * count)
+
+
+def _stretch_edges(tree: Tree, lay: _Layout, stretch) -> tuple:
     """The edges that run forward the leaves of ``stretch`` (or None)
     whose duration exceeds ``DURATION_TOL``: parents, children (indices
-    from ``size`` on) and durations; and each stretched leaf's index.
-    ``leaves`` holds the indices of ``tree.leaves``."""
-    column = dict(zip(tree.leaves, leaves))
+    after the tree's vertices) and durations; and each stretched leaf's
+    index."""
+    column = dict(zip(tree.leaves, lay.leaves))
     starts, ends, durations, picks = [], [], [], []
     for x, dur in zip(() if stretch is None else stretch.leaves,
                       () if stretch is None else stretch.durations):
         if dur > DURATION_TOL:
             starts.append(column[x])
-            ends.append(size + len(durations))
+            ends.append(len(lay.depth) + len(durations))
             durations.append(dur)
         picks.append(ends[-1] if dur > DURATION_TOL else column[x])
     return starts, ends, durations, picks
 
 
-def _trial_blocks(n, levels, width, leaves, picks, draw_root, key, stop,
-                  start):
-    for lo in range(start, stop, BLOCK):
-        rng = np.random.default_rng([*key, lo // BLOCK])
-        roots = [draw_root(rng) for _ in range(BLOCK)]
-        u = rng.random((BLOCK, width))
-        count = min(BLOCK, stop - lo)
-        yield TrialBlock(lo, roots[:count], *_draw_block(
-            n, levels, roots[:count], u[:count], leaves, picks),
-            [rng] * count)
+def _draw_chain(n, levels, width, leaves, picks, draw_root, count, size,
+                rng) -> tuple:
+    """An n-state chain's draw: ``size`` roots and a (size × ``width``)
+    array of uniforms, of which the first ``count`` trials descend
+    ``levels``; their roots, and the 1-based states of the vertices
+    ``leaves`` and ``picks`` as (trials × vertices) arrays, None for no
+    ``picks``."""
+    roots = [draw_root(rng) for _ in range(size)][:count]
+    states = _descend(n, levels, roots, rng.random((size, width))[:count].T)
+    states += 1
+    return roots, states[leaves].T, states[picks].T if picks else None
 
 
-def _own_blocks(draw, draw_root, key, stop, start):
-    for lo in range(start, stop, BLOCK):
-        rng = np.random.default_rng([*key, lo // BLOCK])
-        roots = [draw_root(rng) for _ in range(min(BLOCK, stop - lo))]
-        yield TrialBlock(lo, roots, *draw(roots, rng), [rng] * len(roots))
-
-
-def _draw_each(lay: _Layout, process, roots, rng) -> tuple:
-    """The leaf states of the trials whose roots are ``roots``, of a
-    process other than a finite chain or TKF91 on the tree laid out as
-    ``lay``, trial after trial and edge by edge; and no stretch."""
+def _draw_each(lay: _Layout, process, draw_root, count, size, rng) -> tuple:
+    """Any other process's draw on the tree laid out as ``lay``: ``count``
+    roots, then each trial's leaf states, trial after trial and edge by
+    edge; and no stretch."""
+    roots = [draw_root(rng) for _ in range(count)]
     rows = []
     for root in roots:
         states = [root]
         for p, t in zip(lay.parents, lay.lengths):
             states.append(process.sample(states[p], t, rng))
         rows.append([states[i] for i in lay.leaves])
-    return np.array(rows, dtype=object), None
-
-
-def _draw_block(n, levels, roots, u, leaves, picks) -> tuple:
-    """The 1-based states of the vertices ``leaves`` and ``picks`` as
-    (trials × vertices) arrays, None for no ``picks``, of the trials
-    whose roots are ``roots`` and whose uniforms are the rows of ``u``."""
-    states = _descend(n, levels, roots, u.T)
-    states += 1
-    return states[leaves].T, states[picks].T if picks else None
+    return roots, np.array(rows, dtype=object), None
 
 
 def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,
@@ -366,19 +352,20 @@ def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,
     all-zero row means its observation is impossible under every root
     state.
     """
-    c = _compile(tree, Q)
+    lay = _plan(_layout, tree)
+    mats = _plan(_compile, tree, Q)[0]
     obs = np.asarray(leaf_states, dtype=np.int64) - 1
-    vecs: list = [None] * (len(c.parents) + 1)
-    for e in range(len(c.parents) - 1, -1, -1):
-        x = c.leaf_of[e]
+    vecs: list = [None] * len(lay.depth)
+    for e in range(len(lay.parents) - 1, -1, -1):
+        x = lay.leaf_of[e]
         if x is None:
             # one matrix-vector product per row, not one matrix product
             # for the block: the rounding of a row, and so which of two
             # tied root states wins, cannot depend on the block it is in
-            msg = np.matmul(c.mats[e], vecs[e + 1][:, :, None])[:, :, 0]
+            msg = np.matmul(mats[e], vecs[e + 1][:, :, None])[:, :, 0]
         else:
-            msg = c.mats[e].T.take(obs[:, x], 0)
-        p = c.parents[e]
+            msg = mats[e].T.take(obs[:, x], 0)
+        p = lay.parents[e]
         acc = msg if vecs[p] is None else vecs[p] * msg
         top = acc.max(1, keepdims=True)
         vecs[p] = np.divide(acc, top, out=acc, where=top > 0.0)

@@ -1,7 +1,10 @@
 import collections
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from rootrec.estimators import RowTable, StretchPlan, stretch_plan
 from rootrec.tkf91 import (ALPHABET, Tkf91Params, decode, encode,
                            evolve_lanes, mc_rows, stationary_length_pmf,
                            stationary_pmf, stationary_sample, tkf91_evolve,
-                           top_states, write_experiment_csv, _draw_letter)
+                           top_states, write_experiment_csv)
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import BLOCK, simulate, simulated_trials
 
@@ -403,23 +406,76 @@ class TestTrialBlocks:
         simulate(tree, params, "AT", np.random.default_rng(2))
         list(simulated_trials(tree, params, lambda rng: "A", (3,), 10))
         assert calls == [tree]
-        # the cache stays behind when the process is pickled to a worker
-        copy = pickle.loads(pickle.dumps(params))
-        assert copy == params and len(copy.compiled) == 0
-        assert len(params.compiled) == 1
+
+    def test_pickles_without_tree_state(self):
+        # the plans stay in treechain when the process goes to a worker
+        params = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
+        simulate(self.tree(), params, "AT", np.random.default_rng(1))
+        fresh = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
+        # drawing caches the letter cdf on the process, which may travel
+        assert fresh.letter_cdf == params.letter_cdf
+        assert pickle.dumps(params) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(params)) == params
+
+
+class TestHashSeed:
+    # the plug-in rows' Δ over 20 streams, as exact hex floats
+    SCRIPT = """
+from numpy.random import default_rng
+from rootrec.estimators import RowTable
+from rootrec.tkf91 import Tkf91Params, mc_rows, top_states
+STD = Tkf91Params(nu=1.0, lam=1.0, mu=2.0)
+lam = top_states(STD, 0.3)
+print(*(RowTable(mc_rows(STD, lam, 1.0, 4000, default_rng([s, 10**9])))
+        .delta(lam).hex() for s in range(5, 25)))
+"""
+
+    def test_delta_does_not_depend_on_the_hash_seed(self):
+        # string states sit in hash-ordered sets; a sum over one in its
+        # iteration order rounds differently under each PYTHONHASHSEED
+        src = os.path.dirname(os.path.dirname(tkf91.__file__))
+        out = [subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": src,
+                                        "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+        assert len(out[0].split()) == 20
+        assert out[0] == out[1]
 
 
 class TestDrawLetter:
-    @pytest.mark.parametrize("freqs", [
-        (0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4),
-        (0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 1.0)])
+    """The one letter rule of ``evolve_lanes`` and ``stationary_sample``:
+    a uniform u is the letter ``searchsorted(letter_cdf, u, "right")``,
+    the letter ``Generator.choice(4, p=freqs)`` draws from u."""
+
+    FREQS = [(0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4),
+             (0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 1.0)]
+
+    @staticmethod
+    def params(freqs):
+        return Tkf91Params(nu=1.0, lam=1.0, mu=2.0, **dict(zip(
+            ("pi_A", "pi_T", "pi_C", "pi_G"), freqs)))
+
+    @pytest.mark.parametrize("freqs", FREQS)
     def test_same_letter_as_generator_choice(self, freqs):
-        p = Tkf91Params(nu=1.0, lam=1.0, mu=2.0,
-                        **dict(zip(("pi_A", "pi_T", "pi_C", "pi_G"), freqs)))
+        p = self.params(freqs)
         a, b = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(100_000):
-            assert _draw_letter(p, a) == ALPHABET[b.choice(4, p=p.freqs)]
+        letters = np.searchsorted(p.letter_cdf, a.random(100_000),
+                                  side="right")
+        assert letters.tolist() == [b.choice(4, p=p.freqs)
+                                    for _ in range(100_000)]
         # both consumed the stream identically
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("freqs", FREQS)
+    def test_stationary_sample_draws_choice_letters(self, freqs):
+        # a geometric length, then one choice per letter
+        p = self.params(freqs)
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(2000):
+            m = int(b.geometric(1.0 - p.ratio)) - 1
+            assert stationary_sample(p, a) == "".join(
+                ALPHABET[b.choice(4, p=p.freqs)] for _ in range(m))
         assert a.random() == b.random()
 
 

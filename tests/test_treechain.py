@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from bisect import bisect_right
 from types import SimpleNamespace
 
@@ -12,11 +13,13 @@ from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
                           transition_matrix, two_state_symmetric,
                           jukes_cantor)
 from rootrec.estimators import StretchPlan, map_estimate
+from rootrec.tkf91 import Tkf91Params
 from rootrec import tree as tree_module
+from rootrec import treechain
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import (BLOCK, DURATION_TOL, _compile, _descend,
-                               block_leaf_likelihoods, leaf_likelihoods,
-                               simulate, simulated_trials)
+                               _layout, block_leaf_likelihoods,
+                               leaf_likelihoods, simulate, simulated_trials)
 
 
 def naive_leaf_law(tree, Q, root_state):
@@ -162,6 +165,68 @@ class TestCompiledSimulate:
         simulate(tree, Q, 2, np.random.default_rng(1))
 
 
+class TestPlans:
+    """Every per-tree plan lives in treechain, built once per tree and
+    process, and never travels with the process."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        real = getattr(treechain, name)
+
+        def counted(tree, *args):
+            calls.append((tree, *args))
+            return real(tree, *args)
+
+        monkeypatch.setattr(treechain, name, counted)
+        return calls
+
+    def test_finite_chain_plans_built_once(self, monkeypatch):
+        layouts = self.count(monkeypatch, "_layout")
+        compiled = self.count(monkeypatch, "_compile")
+        tree = pinched2()
+        Q = two_state_symmetric(1.0)
+        plan = StretchPlan(0.1, 2.0, 1, 0.0, ("a",), (1.0,))
+        for _ in range(2):
+            simulate(tree, Q, 1, np.random.default_rng(0))
+            list(simulated_trials(tree, Q, lambda rng: 1, (0,), 3))
+            list(simulated_trials(tree, Q, lambda rng: 1, (0,), 3,
+                                  stretch=plan))
+            block_leaf_likelihoods(tree, Q, [[1, 2]])
+        assert layouts == [(tree,)] and compiled == [(tree, Q)]
+        # a second chain on the same tree compiles its own matrices
+        R = two_state_symmetric(2.0)
+        simulate(tree, R, 1, np.random.default_rng(0))
+        assert layouts == [(tree,)] and compiled == [(tree, Q), (tree, R)]
+
+    def test_other_process_laid_out_once(self, monkeypatch):
+        layouts = self.count(monkeypatch, "_layout")
+        tree = pinched2()
+        process = PerEdgeChain(jukes_cantor(1.0))
+        simulate(tree, process, 1, np.random.default_rng(0))
+        simulate(tree, process, 2, np.random.default_rng(1))
+        list(simulated_trials(tree, process, lambda rng: 1, (0,), 3))
+        assert layouts == [(tree,)]
+
+    @pytest.mark.parametrize("process, root", [
+        (two_state_symmetric(1.0), 1),
+        (Tkf91Params(nu=1.0, lam=0.5, mu=1.0), "AT"),
+        (PerEdgeChain(jukes_cantor(1.0)), 1)])
+    def test_plans_go_with_their_tree(self, process, root):
+        # no plan refers to its tree, so the tree's entry dies with it
+        tree = pinched2()
+        simulate(tree, process, root, np.random.default_rng(0))
+        assert tree in treechain._PLANS
+        size = len(treechain._PLANS)
+        del tree
+        assert len(treechain._PLANS) == size - 1
+
+    def test_pickled_chain_carries_no_tree_state(self):
+        Q = two_state_symmetric(1.0)
+        simulate(pinched2(), Q, 1, np.random.default_rng(0))
+        assert pickle.dumps(Q) == pickle.dumps(two_state_symmetric(1.0))
+
+
 class TestDescend:
     """``_descend`` against ``PerEdgeChain`` on the same uniforms, vertex
     by vertex, on edges with random stochastic matrices."""
@@ -193,20 +258,21 @@ class TestDescend:
                    tree.length[tree.topo_order[-1]])
         for ln in rounded:
             mats[ln] = np.tile(row, (n, 1))
-        chain = SimpleNamespace(n=n, matrix=mats.__getitem__, compiled={})
-        c = _compile(tree, chain)
+        chain = SimpleNamespace(n=n, matrix=mats.__getitem__)
+        _, levels = _compile(tree, chain)
+        parents = _layout(tree).parents
         trials = 50
         roots = (np.arange(trials) % n + 1).tolist()
-        u = rng.random((len(c.parents), trials))
-        for e in (0, len(c.parents) - 1):
+        u = rng.random((len(parents), trials))
+        for e in (0, len(parents) - 1):
             u[e] = self.TOP
-        states = _descend(n, c.levels, roots, u)
+        states = _descend(n, levels, roots, u)
         assert states.dtype == (np.uint16 if n > 255 else np.uint8)
         per_edge = PerEdgeChain(chain)
         lengths = [tree.length[v] for v in tree.topo_order[1:]]
         for b, root in enumerate(roots):
             src, ref = uniform_row(u[:, b]), [root]
-            for p, ln in zip(c.parents, lengths):
+            for p, ln in zip(parents, lengths):
                 ref.append(per_edge.sample(ref[p], ln, src))
             assert (states[:, b] + 1).tolist() == ref
             assert ref[1] == ref[-1] == n
