@@ -12,16 +12,14 @@ from .bounds import (BoundInputs, chebyshev_star_bound, clamp,
                      prop54_valid, recon_lower, recon_upper,
                      thm2_general_bound, thm2_valid, variance_bound,
                      wilson_interval)
-from .ctmc import (AchievingSet, CtmcError, Distribution, GenerativeProcess,
-                   RateMatrix, identifiability_margin, jukes_cantor,
-                   load_rate_matrix, row_distribution, star_norm,
-                   star_norm_diff, total_variation, transition_matrix,
-                   tv_achieving_set, two_state_symmetric)
-from .estimators import (EstimatorError, EstimatorReport, RowTable,
-                         StretchPlan, block_counts, exclusivity_stats,
-                         frequency_test, lambda_epsilon, majority_estimate,
-                         map_estimate, map_estimates, stretch_plan,
-                         uniform_chain_test)
+from .ctmc import (CtmcError, Distribution, GenerativeProcess, RateMatrix,
+                   identifiability_margin, jukes_cantor, load_rate_matrix,
+                   row_distribution, star_norm, star_norm_diff,
+                   total_variation, transition_matrix, two_state_symmetric)
+from .estimators import (EstimatorError, RowTable, StretchPlan,
+                         exclusivity_stats, frequency_tests, lambda_epsilon,
+                         majority_estimate, map_estimate, map_estimates,
+                         stretch_plan, uniform_chain_tests)
 from .tkf91 import (Tkf91Params, evolve_lanes, mc_rows, stationary_pmf,
                     stationary_sample, tkf91_evolve, top_states)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint,

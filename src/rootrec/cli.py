@@ -31,9 +31,9 @@ from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
                      wilson_interval)
 from .ctmc import (Distribution, RateMatrix, jukes_cantor, load_rate_matrix,
                    two_state_symmetric)
-from .estimators import (RowTable, block_counts, frequency_test,
-                         lambda_epsilon, majority_estimate, map_estimates,
-                         stretch_plan, uniform_chain_test)
+from .estimators import (RowTable, frequency_tests, lambda_epsilon,
+                         majority_estimate, map_estimates, stretch_plan,
+                         uniform_chain_tests)
 from .tkf91 import (Tkf91Params, mc_rows, stationary_sample, top_states,
                     write_experiment_csv)
 from .tree import NestedFamily, Tree, generate_family, parse_newick
@@ -169,14 +169,6 @@ def _map(tree, Q, prior, block):
                                                   block.leaves)]
 
 
-def _frequency_tests(test, plan, arg, rows, block):
-    """``test``, a frequency test whose one own argument ``arg`` is q* or
-    the candidate states, on each trial's stretched-state counts."""
-    return [(rep.state, int(rep.fallback)) for rep in (
-        test(plan, counts, arg, rows, rng)
-        for counts, rng in zip(block_counts(block.stretched), block.rngs))]
-
-
 def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
     """The block estimator, its stretch plan (None if it stretches no
     leaves), and its bound or None; an h* above a leaf is found here,
@@ -196,20 +188,20 @@ def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
     table = RowTable({i: Q.row(i, h_star) for i in Q.states})
     # the tests differ in one argument: q* or the candidate states
     if kind == "uniform":
-        test, arg = uniform_chain_test, Q.q_star
+        test, arg = uniform_chain_tests, Q.q_star
         bound = clamp(prop54_uniform_bound(BoundInputs(
             f_star=math.exp(-Q.q_star * h_star), q_star=Q.q_star, s=s,
             m=plan.m, delta_q_hstar=min(table.delta(Q.states), 1.0))))
     else:
         lam = list(Q.states if eps is None
                    else lambda_epsilon(_uniform_prior(Q), eps))
-        test, arg = frequency_test, lam
+        test, arg = frequency_tests, lam
         delta = table.delta(lam)
         bound = clamp(thm2_general_bound(BoundInputs(
             epsilon=eps or 0.0, n_epsilon=len(lam), delta_epsilon=delta,
             q_star_epsilon=max(max(Q.exit_rates[i - 1] for i in lam), 1.0),
             s=s, m=plan.m))) if math.isfinite(delta) else None
-    return partial(_frequency_tests, test, plan, arg, table), plan, bound
+    return partial(test, plan, arg, table), plan, bound
 
 
 def _draw_root(n: int, root, rng) -> int:
@@ -447,8 +439,7 @@ def _cmd_tkf91(cfg: dict, workers: int):
             tree = family[k - 1]
             plan = (stretch_plan(tree, s, h_star) if plans is None
                     else plans[k])
-            estimate = partial(_frequency_tests, frequency_test, plan, lam,
-                               rows)
+            estimate = partial(frequency_tests, plan, lam, rows)
             tally = _tally(run_trials(Trials(tree, params, estimate, draw,
                                              (seed, k), count, plan),
                                       workers))

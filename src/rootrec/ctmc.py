@@ -3,9 +3,9 @@
 Rate matrices, which are also the finite chains' generative processes
 and hold each chain's one cache of transition matrices;
 tolerance-controlled transition matrices via uniformization, endpoint
-sampling, total variation distance and its achieving sets, pairwise
-identifiability margins, and the weighted norm used by the Chebyshev
-bound.  States of a finite chain are labelled 1..n.
+sampling, total variation distance, pairwise identifiability margins,
+and the weighted norm used by the Chebyshev bound.  States of a finite
+chain are labelled 1..n.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ __all__ = [
     "Distribution",
     "GenerativeProcess",
     "CtmcError",
-    "AchievingSet",
     "transition_matrix",
     "row_distribution",
     "total_variation",
-    "tv_achieving_set",
     "identifiability_margin",
     "star_norm",
     "two_state_symmetric",
@@ -241,60 +239,12 @@ def total_variation(a: Distribution, b: Distribution) -> float:
     return 0.5 * sum(abs(a.mass(s) - b.mass(s)) for s in states)
 
 
-class AchievingSet:
-    """A state set A with a(A) - b(A) = TV(a, b).
-
-    Stored as the states where a exceeds b, the states where b exceeds a,
-    and a tie rule deciding membership of everything else (including states
-    outside both supports).  ``complement`` of the reversed orientation is
-    exact under this representation.
-    """
-
-    def __init__(self, strict_in: frozenset, strict_out: frozenset,
-                 include_ties: bool):
-        self.strict_in = strict_in
-        self.strict_out = strict_out
-        self.include_ties = include_ties
-
-    def __contains__(self, state) -> bool:
-        if state in self.strict_in:
-            return True
-        if state in self.strict_out:
-            return False
-        return self.include_ties
-
-    def mass_under(self, d: Distribution) -> float:
-        return sum(p for s, p in d.items() if s in self)
-
-    def explicit(self, universe) -> frozenset:
-        return frozenset(s for s in universe if s in self)
-
-
 def _label_key(state):
     # canonical ordering used by the tie rule; state labels within one
     # process are mutually comparable (ints, or strings via length+lex)
     if isinstance(state, str):
         return (len(state), state)
     return state
-
-
-def tv_achieving_set(a: Distribution, b: Distribution,
-                     orientation: tuple) -> AchievingSet:
-    """The event on which ``a`` dominates ``b`` by exactly their total
-    variation distance.  Ties (including states unseen by both) go to the
-    set when the orientation's first label sorts before its second, which
-    makes the reversed orientation yield the exact complement."""
-    i1, i2 = orientation
-    strict_in = []
-    strict_out = []
-    for s in set(a.support) | set(b.support):
-        pa, pb = a.mass(s), b.mass(s)
-        if pa > pb:
-            strict_in.append(s)
-        elif pb > pa:
-            strict_out.append(s)
-    return AchievingSet(frozenset(strict_in), frozenset(strict_out),
-                        _label_key(i1) < _label_key(i2))
 
 
 def identifiability_margin(Q: RateMatrix, t: float, state_subset=None) -> float:

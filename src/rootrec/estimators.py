@@ -5,37 +5,35 @@ from leaf likelihoods by Felsenstein pruning; the frequency-test
 estimator on stretched well-spread restrictions, its data-driven variant
 for chains with uniformly bounded rates, and the two-state majority vote.
 The frequency tests are handed a run's ``stretch_plan`` and
-``RowTable`` of time-h* rows, which the caller builds once, and count
-the stretched leaf states that ``treechain.simulated_trials`` draws for
-a block of trials (``block_counts``).  The MAP also takes a block of
-trials at once, as rows of leaf states.
+``RowTable`` of time-h* rows, which the caller builds once, and test a
+block of trials from ``treechain.simulated_trials`` at once, on the
+integer keys of its stretched leaf states.  The MAP also takes a block
+of trials at once, as rows of leaf states.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations, compress
 
 import numpy as np
 
-from .ctmc import (Distribution, RateMatrix, total_variation,
-                   tv_achieving_set, _label_key)
+from . import tkf91
+from .ctmc import Distribution, RateMatrix, total_variation, _label_key
 from .tree import Tree, chosen_leaves, restrict, spread
 from .treechain import DURATION_TOL, block_leaf_likelihoods
 
 __all__ = [
     "EstimatorError",
-    "EstimatorReport",
     "RowTable",
     "StretchPlan",
     "stretch_plan",
     "map_estimate",
     "map_estimates",
     "MAP_TIE_RTOL",
-    "block_counts",
-    "frequency_test",
-    "uniform_chain_test",
+    "frequency_tests",
+    "uniform_chain_tests",
     "majority_estimate",
     "lambda_epsilon",
     "exclusivity_stats",
@@ -60,65 +58,54 @@ class EstimatorError(ValueError):
     pass
 
 
-@dataclass
-class EstimatorReport:
-    """Outcome of one frequency-test estimation."""
-
-    state: object
-    fallback: bool
-    plan: StretchPlan
-    lam: tuple
-    passed: tuple
-    margins: dict = field(default_factory=dict)
-
-
 class RowTable:
-    """Time-h* transition rows for a set of states, with cached pairwise
-    total variation distances, achieving sets, and set masses."""
+    """Time-h* transition rows for a set of states, with cached minimum
+    total variation distances, achieving-set masses and masses by key."""
 
     def __init__(self, rows: dict):
         self.rows = dict(rows)
-        self._tv: dict = {}
-        self._sets: dict = {}
         self._masses: dict = {}
         self._deltas: dict = {}
-
-    def tv(self, i, j) -> float:
-        key = (i, j) if _label_key(i) < _label_key(j) else (j, i)
-        v = self._tv.get(key)
-        if v is None:
-            v = total_variation(self.rows[i], self.rows[j])
-            self._tv[key] = v
-        return v
+        self._keyed = None
 
     def delta(self, lam) -> float:
         """Minimum pairwise TV over a state subset; +inf for singletons."""
         lam = tuple(lam)
-        best = self._deltas.get(lam)
-        if best is None:
-            best = math.inf
-            for a in range(len(lam)):
-                for b in range(a + 1, len(lam)):
-                    best = min(best, self.tv(lam[a], lam[b]))
-            self._deltas[lam] = best
-        return best
-
-    def achieving(self, i, j):
-        key = (i, j)
-        v = self._sets.get(key)
-        if v is None:
-            v = tv_achieving_set(self.rows[i], self.rows[j], (i, j))
-            self._sets[key] = v
-        return v
+        if lam not in self._deltas:
+            self._deltas[lam] = min(
+                (total_variation(self.rows[i], self.rows[j])
+                 for i, j in combinations(lam, 2)), default=math.inf)
+        return self._deltas[lam]
 
     def threshold_mass(self, i, j) -> float:
-        """Mass of row i on the achieving set for the ordered pair (i, j)."""
-        key = (i, j)
-        v = self._masses.get(key)
-        if v is None:
-            v = self.achieving(i, j).mass_under(self.rows[i])
-            self._masses[key] = v
-        return v
+        """Mass of row i on A(i, j), the states where it outweighs row j
+        and, if i sorts first, the ties: there it exceeds row j by their TV."""
+        if (i, j) not in self._masses:
+            other, ties = self.rows[j], _label_key(i) < _label_key(j)
+            self._masses[i, j] = sum(
+                p for s, p in self.rows[i].items()
+                if p > other.mass(s) or ties and p == other.mass(s))
+        return self._masses[i, j]
+
+    def masses(self, lam, keyed, names=None) -> np.ndarray:
+        """(keys × ``lam``): each row of ``lam`` at the ``keyed`` states
+        (a finite chain's, or the ``tkf91.keys`` given with ``names``)."""
+        if self._keyed is None:
+            states = list(dict.fromkeys(s for row in self.rows.values()
+                                        for s in row.support))
+            # a last row of zeros, for the states off every support
+            table = np.array([[row.mass(s) for row in self.rows.values()]
+                              for s in [*states, None]])
+            held = (tkf91.keys(*tkf91.encode(states))[0].tolist()
+                    if isinstance(states[0], str) else states)
+            # TKF91's long sequences go by their strings
+            self._keyed = table, {k if k < tkf91.LONG_KEY else s: r for
+                                  r, (k, s) in enumerate(zip(held, states))}
+        table, at = self._keyed
+        return table[[at.get(k if k < tkf91.LONG_KEY else
+                             names[k - tkf91.LONG_KEY], -1)
+                      for k in keyed.tolist()]][
+            :, [list(self.rows).index(i) for i in lam]]
 
 
 # ---------------------------------------------------------------------------
@@ -210,83 +197,76 @@ def stretch_plan(tree: Tree, s: float, h_star: float) -> StretchPlan:
     return StretchPlan(s, h_star, m, spr, leaves, tuple(durations))
 
 
-def block_counts(stretched) -> list:
-    """The stretched-state frequencies of a block of trials: for each row
-    of ``stretched``, a (trials × m) array of finite-chain states or of
-    objects (TKF91 sequences), the count of each state the row holds."""
-    if stretched.dtype == object:
-        return [Counter(row) for row in stretched.tolist()]
-    labels = np.arange(1, int(stretched.max()) + 1)
-    counts = (stretched[:, :, None] == labels).sum(1).tolist()
-    return [{s: c for s, c in enumerate(row, 1) if c} for row in counts]
-
-
-def frequency_test(plan: StretchPlan, counts: dict, lam, rows: RowTable,
-                   rng) -> EstimatorReport:
-    """The frequency tests on one trial's stretched-state ``counts``
-    (state -> count).
-
-    ``rows`` holds each state of ``lam``'s time-h* distribution (exact
-    rows for finite chains, Monte Carlo plug-in rows otherwise).  The
-    unique state whose achieving-set frequencies all clear their
-    thresholds is returned; absent one, a uniform random member of
-    ``lam``, drawn from ``rng``, is returned with the fallback flag set.
-    """
+def frequency_tests(plan: StretchPlan, lam, rows: RowTable, block) -> list:
+    """(estimate, fallback flag) of each trial of ``block``, a
+    ``treechain.TrialBlock`` stretched by ``plan``: the unique state of
+    ``lam`` whose achieving-set frequencies all clear their thresholds,
+    else a uniform random one from the trial's generator, flagged 1.
+    ``rows`` holds their time-h* rows (exact for finite chains, Monte
+    Carlo plug-in rows otherwise)."""
     if not lam:
         raise EstimatorError("state subset must be nonempty")
-    lam = tuple(sorted(lam, key=_label_key))
-    if len(lam) == 1:
-        return EstimatorReport(state=lam[0], fallback=False, plan=plan,
-                               lam=lam, passed=lam)
-    delta = rows.delta(lam)
-    passed = []
-    margins: dict = {}
-    _EXCLUSIVITY["invocations"] += 1
-    for i in lam:
-        row_margins = {}
-        for j in lam:
-            if j == i:
-                continue
-            aset = rows.achieving(i, j)
-            freq = sum(c for st, c in counts.items() if st in aset) / plan.m
-            margin = freq - (rows.threshold_mass(i, j) - delta / 2.0)
-            if margin <= 0.0:
-                break
-            row_margins[(i, j)] = margin
-        else:
-            passed.append(i)
-            margins.update(row_margins)
-    if len(passed) > 1:
-        _EXCLUSIVITY["violations"] += 1
-        raise AssertionError(
-            f"multiple states passed the frequency tests: {passed}")
-    if passed:
-        return EstimatorReport(state=passed[0], fallback=False, plan=plan,
-                               lam=lam, passed=tuple(passed),
-                               margins=margins)
-    choice = lam[rng.integers(len(lam))]
-    return EstimatorReport(state=choice, fallback=True, plan=plan, lam=lam,
-                           passed=())
+    lams = [tuple(sorted(lam, key=_label_key))] * len(block.roots)
+    return _test_block(plan, rows, block, *tkf91.distinct(block.stretched),
+                       lams, lams)
 
 
-def uniform_chain_test(plan: StretchPlan, counts: dict, q_star: float,
-                       rows: RowTable, rng) -> EstimatorReport:
-    """The frequency tests with the data-driven candidate set for chains
-    whose rates are bounded by ``q_star``: candidates are the states
-    whose stretched-restriction frequency in ``counts`` reaches half of
-    e^(-q* h*), and ``rows``, as in ``frequency_test``, must cover
-    them."""
+def uniform_chain_tests(plan: StretchPlan, q_star: float, rows: RowTable,
+                        block) -> list:
+    """``frequency_tests`` against each trial's candidates, for rates
+    bounded by ``q_star``: its states of frequency at least e^(-q* h*) / 2
+    (``rows`` must cover them), else a fallback to one of its states."""
     if q_star < 1.0:
         raise EstimatorError("q_star must be at least 1")
-    f_star = math.exp(-q_star * plan.h_star)
-    lam_hat = sorted((st for st, c in counts.items()
-                      if c / plan.m >= 0.5 * f_star), key=_label_key)
-    if not lam_hat:
-        observed_states = sorted(set(counts), key=_label_key)
-        choice = observed_states[rng.integers(len(observed_states))]
-        return EstimatorReport(state=choice, fallback=True, plan=plan,
-                               lam=(), passed=())
-    return frequency_test(plan, counts, lam_hat, rows, rng)
+    vocab, inverse = tkf91.distinct(block.stretched)
+    n, size = inverse.shape[0], len(vocab)
+    counts = np.bincount((inverse + size * np.arange(n)[:, None]).ravel(),
+                         minlength=n * size).reshape(n, size)
+    states = block.states(vocab)
+    lams = [tuple(compress(states, row)) for row in (
+        counts / plan.m >= 0.5 * math.exp(-q_star * plan.h_star)).tolist()]
+    pools = [lam or list(compress(states, row))
+             for lam, row in zip(lams, (counts > 0).tolist())]
+    return _test_block(plan, rows, block, vocab, inverse, lams, pools)
+
+
+def _test_block(plan, rows, block, vocab, inverse, lams, pools) -> list:
+    """Trial t of ``block`` tested against the sorted candidates
+    ``lams[t]``, falling back to ``pools[t]``: all trials of the same
+    candidates at once, i against each j in turn on the trials still
+    passing, by which ``vocab`` keys lie in A(i, j).  It counts, and
+    raises on a clash, in ``exclusivity_stats`` as trial by trial would."""
+    states, groups, clash = [None] * len(lams), {}, {}
+    for t, lam in enumerate(lams):
+        groups.setdefault(lam, []).append(t)
+    for lam, trials in groups.items():
+        mass, keyed = rows.masses(lam, vocab, block.long), inverse[trials]
+        passed = np.zeros((len(trials), len(lam)), dtype=bool)
+        for a, i in enumerate(lam):
+            alive = np.arange(len(trials))
+            for b, j in enumerate(lam):
+                if b != a and len(alive):
+                    inside = (mass[:, a] > mass[:, b]) | (
+                        (mass[:, a] == mass[:, b]) & (a < b))
+                    bar = rows.threshold_mass(i, j) - rows.delta(lam) / 2.0
+                    alive = alive[inside[keyed[alive]].sum(1) / plan.m
+                                  - bar > 0.0]
+            passed[alive, a] = True
+        for t, row in zip(trials, passed.tolist()):
+            if row.count(True) == 1:
+                states[t] = lam[row.index(True)]
+            elif any(row):
+                clash[t] = [s for s, p in zip(lam, row) if p]
+    stop = min(clash, default=len(lams))
+    _EXCLUSIVITY["invocations"] += sum(len(lam) > 1 for lam in lams[:stop + 1])
+    out = [(s, 0) if s is not None else
+           (pools[t][block.rngs[t].integers(len(pools[t]))], 1)
+           for t, s in enumerate(states[:stop])]
+    if clash:
+        _EXCLUSIVITY["violations"] += 1
+        raise AssertionError(
+            f"multiple states passed the frequency tests: {clash[stop]}")
+    return out
 
 
 def majority_estimate(observed: dict) -> int:

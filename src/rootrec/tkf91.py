@@ -1,8 +1,9 @@
 """Insertion-deletion-substitution sequence process with an immortal link.
 
-Sequences over {A, T, C, G} are plain strings; "" is the empty sequence
-consisting of the immortal link alone.  The immortal link is implicit as
-position 0: it is never deleted or substituted, but it can give birth.
+Sequences over {A, T, C, G} are plain strings, or in draws letter codes
+and int64 keys (``keys``); "" is the empty sequence consisting of the
+immortal link alone.  The immortal link is implicit as position 0: it is
+never deleted or substituted, but it can give birth.
 The stationary length law is geometric with ratio lambda/mu.  The
 parameters ``Tkf91Params`` are the process itself.  Estimators use Monte
 Carlo plug-in rows (``mc_rows``), as exact time-t rows (a pair hidden
@@ -19,9 +20,9 @@ one), followed by G new letters; otherwise it leaves nothing with
 probability mu beta, or else 1 + G new letters.  New letters are
 independent draws from pi.  At t = 0 the child is its parent.
 
-``evolve_lanes`` draws the children of a batch of lanes (a parent and a
-duration each; sequences as ``encode`` holds them), ``LANES`` lanes to a
-call, which bounds its memory.  Each call draws
+``evolve_lanes`` draws the children of a batch of lanes (a parent and the
+``lane_law`` of a duration each; sequences as ``encode`` holds them),
+``LANES`` lanes to a call, which bounds its memory.  Each call draws
 
 1. a (2 x S) array of uniforms over the S slots, each lane's immortal
    link and then its sites, lanes in order.  Row 0 is a site's fate:
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
@@ -51,8 +51,14 @@ __all__ = [
     "ALPHABET",
     "LANES",
     "LENGTH_CAP",
+    "KEY_LETTERS",
+    "LONG_KEY",
     "encode",
     "decode",
+    "keys",
+    "distinct",
+    "strings",
+    "lane_law",
     "evolve_lanes",
     "tkf91_evolve",
     "stationary_sample",
@@ -67,6 +73,13 @@ ALPHABET = "ATCG"
 _LETTERS = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
 _CODES = np.zeros(256, dtype=np.uint8)
 _CODES[_LETTERS] = np.arange(len(ALPHABET))
+# a sequence of at most KEY_LETTERS letters is keyed by its letters as
+# base-5 digits, A, C, G and T as 1 to 4 (``_DIGITS`` by code), so that
+# keys sort as ``_label_key`` sorts sequences
+KEY_LETTERS = 27
+LONG_KEY = 5 ** KEY_LETTERS
+_DIGITS = np.array([1, 4, 2, 3], dtype=np.uint8)
+_POWERS = np.array([5 ** i for i in range(KEY_LETTERS)], dtype=np.int64)
 
 # guard against runaway growth from misconfigured rates; with lambda < mu
 # the length process is positive recurrent and never gets near this
@@ -140,41 +153,92 @@ def decode(codes, lens) -> list:
                                                       initial=0))]
 
 
+def keys(codes, lens) -> tuple:
+    """The int64 key of each sequence of ``codes`` cut at ``lens``, and
+    the sequences longer than ``KEY_LETTERS`` in label order, keyed
+    ``LONG_KEY`` plus their index: the keys sort as their sequences."""
+    ends = np.cumsum(lens, dtype=np.int64)
+    out = np.empty(len(lens), dtype=np.int64)
+    # LANES lanes at a time, for memory; a letter's place value is 5 **
+    # (letters after it), and a long sequence's sum, which wraps, is replaced
+    for lo in range(0, len(lens), LANES):
+        size = lens[lo:lo + LANES]
+        start = ends[lo] - size[0]
+        cut = ends[lo:lo + LANES] - start
+        sums = np.zeros(cut[-1] + 1, dtype=np.int64)
+        place = np.repeat(cut, size) - np.arange(1, len(sums))
+        _POWERS.take(np.minimum(place, KEY_LETTERS - 1), out=sums[1:])
+        sums[1:] *= _DIGITS[codes[start:start + cut[-1]]]
+        np.cumsum(sums, out=sums)
+        out[lo:lo + LANES] = sums[cut] - sums[cut - size]
+    long = lens > KEY_LETTERS
+    seqs = decode(codes[np.repeat(long, lens)], lens[long])
+    rank = {s: i for i, s in enumerate(sorted(set(seqs), key=_label_key))}
+    out[long] = [LONG_KEY + rank[s] for s in seqs]
+    return out, tuple(rank)
+
+
+def distinct(keyed) -> tuple:
+    """The distinct keys of ``keyed`` in order and each one's index there,
+    by one sort (``np.unique`` would import numpy.ma on its first call)."""
+    vocab = np.sort(keyed, axis=None)
+    # each key unlike the one before it, the first too (~k differs from k)
+    vocab = vocab[np.diff(vocab, prepend=~vocab[:1]) != 0]
+    return vocab, np.searchsorted(vocab, keyed)
+
+
+def strings(keyed, names=()) -> list:
+    """The sequences of ``keyed``, keys of any shape that ``keys`` gave
+    with ``names``, as (nested) lists, decoding each distinct key once."""
+    vocab, inverse = distinct(keyed)
+    short = vocab[vocab < LONG_KEY]
+    digits = short[:, None] // _POWERS[::-1] % 5
+    seqs = decode(_CODES[np.frombuffer(b"ACGT", np.uint8)][
+        digits[digits > 0] - 1], (digits > 0).sum(1))
+    seqs += [names[k - LONG_KEY] for k in vocab[len(short):].tolist()]
+    return np.array(seqs, dtype=object)[inverse].reshape(
+        np.shape(keyed)).tolist()
+
+
 def tkf91_evolve(params: Tkf91Params, seq: str, t: float, rng) -> str:
     """The sequence after duration ``t`` from ``seq``: the one-lane call
     of ``evolve_lanes``, which says how it reads ``rng``."""
     if t < 0:
         raise CtmcError("time must be nonnegative")
-    return decode(*evolve_lanes(params, *encode([seq]), np.array([t], float),
-                                rng))[0]
+    return decode(*evolve_lanes(params, *encode([seq]),
+                                lane_law(params, [float(t)]), rng))[0]
 
 
-def evolve_lanes(params: Tkf91Params, codes, lens, durations,
-                 rng) -> tuple:
-    """The children, as (codes, lengths), of the lanes whose parents are
-    the concatenated ``codes`` cut at ``lens`` and whose durations are
-    ``durations``, drawn from ``rng`` as the module docstring says.  A
-    child longer than ``LENGTH_CAP`` raises ``CtmcError``."""
-    if len(lens) > LANES:
-        ends = np.cumsum(lens)
-        parts = [evolve_lanes(params, codes[ends[lo] - lens[lo]:ends[hi - 1]],
-                              lens[lo:hi], durations[lo:hi], rng)
-                 for lo in range(0, len(lens), LANES)
-                 for hi in (min(lo + LANES, len(lens)),)]
-        return (np.concatenate([c for c, _ in parts]),
-                np.concatenate([n for _, n in parts]))
+def lane_law(params: Tkf91Params, durations) -> np.ndarray:
+    """TKF91's time-t law at each of ``durations``, as the module docstring
+    uses it: rows alpha e^(-nu t), alpha, alpha + mu beta, -log(lam beta)."""
     lam, mu, t = params.lam, params.mu, np.asarray(durations, dtype=float)
-    slots = lens + 1
-    first = np.cumsum(slots) - slots
     # a rate times t may overflow to inf, whose limits below are right;
     # -log(lam beta) is +inf at t = 0, where every run is empty
     with np.errstate(divide="ignore", over="ignore"):
         e = np.expm1((lam - mu) * t)
         beta = -e / ((mu - lam) - lam * e)
         alpha = np.exp(-mu * t)
-        keep, live, empty, decay = np.repeat(
-            [alpha * np.exp(-params.nu * t), alpha, alpha + mu * beta,
-             -np.log(lam * beta)], slots, axis=1)
+        return np.array([alpha * np.exp(-params.nu * t), alpha,
+                         alpha + mu * beta, -np.log(lam * beta)])
+
+
+def evolve_lanes(params: Tkf91Params, codes, lens, law, rng) -> tuple:
+    """The children, as (codes, lengths), of the lanes whose parents are
+    the concatenated ``codes`` cut at ``lens`` and whose laws are the
+    columns of ``law`` (``lane_law``), drawn from ``rng`` as the module
+    docstring says; a child above ``LENGTH_CAP`` raises ``CtmcError``."""
+    if len(lens) > LANES:
+        ends = np.cumsum(lens)
+        parts = [evolve_lanes(params, codes[ends[lo] - lens[lo]:ends[hi - 1]],
+                              lens[lo:hi], law[:, lo:hi], rng)
+                 for lo in range(0, len(lens), LANES)
+                 for hi in (min(lo + LANES, len(lens)),)]
+        return (np.concatenate([c for c, _ in parts]),
+                np.concatenate([n for _, n in parts]))
+    slots = lens + 1
+    first = np.cumsum(slots) - slots
+    keep, live, empty, decay = np.repeat(law, slots, axis=1)
     fate, run = rng.random((2, len(keep)))
     kept, head, full = fate < keep, fate < live, fate >= empty
     # the immortal link has no letter of its own and is always followed
@@ -195,7 +259,9 @@ def evolve_lanes(params: Tkf91Params, codes, lens, durations,
     child[fresh] = np.searchsorted(params.letter_cdf,
                                    rng.random(len(child) - len(at)),
                                    side="right")
-    child[at] = codes[np.delete(kept, first)]
+    site = np.ones(len(kept), dtype=bool)
+    site[first] = False
+    child[at] = codes[kept[site]]
     return child, out.astype(np.int32)
 
 
@@ -256,18 +322,22 @@ def mc_rows(params: Tkf91Params, states, t: float, n_samples: int,
     """Monte Carlo plug-in time-t rows: empirical endpoint distribution of
     ``n_samples`` independent runs from each state.  A state's runs are
     one ``evolve_lanes`` batch of ``n_samples`` lanes, and the states
-    draw from ``rng`` in turn."""
+    draw from ``rng`` in turn.  A row counts its runs' ``keys``, in the
+    order of their first occurrence."""
     if n_samples < 1:
         raise CtmcError("n_samples must be at least 1")
     if t < 0:
         raise CtmcError("time must be nonnegative")
-    durations = np.full(n_samples, float(t))
+    law = lane_law(params, np.full(n_samples, float(t)))
     rows = {}
     for state in states:
-        ends = decode(*evolve_lanes(params, *encode([state] * n_samples),
-                                    durations, rng))
-        rows[state] = Distribution({s: c / n_samples
-                                    for s, c in Counter(ends).items()})
+        ends, names = keys(*evolve_lanes(params, *encode([state] * n_samples),
+                                         law, rng))
+        vocab, inverse = distinct(ends)
+        order = list(dict.fromkeys(inverse.tolist()))
+        rows[state] = Distribution(dict(zip(
+            strings(vocab[order], names),
+            (np.bincount(inverse)[order] / n_samples).tolist())))
     return rows
 
 

@@ -2,14 +2,14 @@
 
 Forward simulation of leaf states, the seeded trial loop that every
 experiment draws its trials from, and leaf likelihoods by Felsenstein
-pruning, the package's one likelihood engine.  Both engines work on a
-block of trials at once: simulation draws each edge (for TKF91, each
-batch of edges) for the whole block, and pruning passes a finite chain's
-message row per trial, the site-pattern batching of BEAGLE (Ayres et
-al., Syst. Biol. 2012).  Trials come in blocks of ``BLOCK``, and block b
-draws from the one substream keyed ``[*key, b]``.  Every per-tree plan
-is kept here, once per tree and process, and dropped with its tree; the
-processes themselves carry no tree state.
+pruning, the package's one likelihood engine.  Both work on a block of
+trials at once: simulation draws each edge (for TKF91, each batch of
+edges) for the block and holds its states as integer keys (TKF91's
+``tkf91.keys``), and pruning passes a finite chain's message row per
+trial, the site-pattern batching of BEAGLE (Ayres et al., Syst. Biol.
+2012).  Block b of ``BLOCK`` trials draws from the one substream keyed
+``[*key, b]``.  Every per-tree plan is kept here, once per tree and
+process, and dropped with its tree; processes carry no tree state.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .ctmc import RateMatrix
 from . import tkf91
-from .tkf91 import Tkf91Params, decode, encode, evolve_lanes
+from .tkf91 import Tkf91Params, encode, evolve_lanes, lane_law
 from .tree import Tree
 
 __all__ = [
@@ -156,7 +156,7 @@ def _drawer(tree: Tree, process, stretch):
     returns the roots, leaf states and ``stretch``ed states (None without
     a stretch) of ``count`` trials drawn from ``rng`` as
     ``simulated_trials`` says, a finite chain's as if ``size`` trials
-    were drawn."""
+    were drawn, and ``TrialBlock.long``."""
     lay = _plan(_layout, tree)
     starts, ends, durations, picks = _stretch_edges(tree, lay, stretch)
     if isinstance(process, RateMatrix):
@@ -167,9 +167,9 @@ def _drawer(tree: Tree, process, stretch):
         return partial(_draw_chain, process.n, levels,
                        len(lay.parents) + len(ends), lay.leaves, picks)
     if isinstance(process, Tkf91Params):
-        batches = _plan(_tkf91_plan, tree)
+        batches = _plan(_tkf91_plan, tree, process)
         if ends:
-            batches = batches + [(starts, ends, np.array(durations))]
+            batches = batches + [(starts, ends, lane_law(process, durations))]
         return partial(_draw_tkf91, process, batches, lay.leaves, picks)
     if stretch is not None:
         raise TypeError("only a finite chain's or TKF91's trials take a "
@@ -186,75 +186,86 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     all at once, which consumes the stream exactly as a per-edge loop
     does.
     """
-    _, leaves, _ = _plan(_drawer, tree, process, None)(
-        lambda rng: root_state, 1, 1, rng)
-    return dict(zip(tree.leaves, leaves[0].tolist()))
+    block = TrialBlock(0, *_plan(_drawer, tree, process, None)(
+        lambda rng: root_state, 1, 1, rng), [rng])
+    return next(block.trials(tree))[2]
 
 
-def _tkf91_plan(tree: Tree) -> list:
+def _tkf91_plan(tree: Tree, params: Tkf91Params) -> list:
     """A tree's edges in batches of parent and child indices (as in
-    ``_Layout``) and lengths: the edges into inner vertices one batch per
-    depth of their child, then every edge into a leaf, each batch in
-    topological order."""
+    ``_Layout``) and of each edge's ``tkf91.lane_law`` under ``params``:
+    the edges into inner vertices one batch per depth of their child,
+    then every edge into a leaf, each batch in topological order."""
     lay = _plan(_layout, tree)
+    law = lane_law(params, lay.lengths)
     groups: dict = {}
     for e, x in enumerate(lay.leaf_of):
         groups.setdefault(np.inf if x is not None else lay.depth[e + 1],
                           []).append(e)
-    return [([lay.parents[e] for e in es], [e + 1 for e in es],
-             np.array([lay.lengths[e] for e in es], dtype=float))
+    return [([lay.parents[e] for e in es], [e + 1 for e in es], law[:, es])
             for _, es in sorted(groups.items())]
 
 
 def _draw_tkf91(params, batches, leaves, picks, draw_root, count, size,
                 rng) -> tuple:
-    """TKF91's draw: ``count`` roots, then the sequences of the vertices
-    ``leaves`` and ``picks`` (None for no ``picks``) as (trials ×
-    vertices) object arrays.  The edges of each of ``batches`` in turn go
-    ``tkf91.LANES`` // trials (at least one) to an ``evolve_lanes`` call
-    on ``rng``, lanes edge by edge, then trial by trial, so that memory
-    stays bounded however wide the tree."""
+    """TKF91's draw: ``count`` roots, then the ``tkf91.keys`` of the
+    vertices ``leaves`` and ``picks`` (None for no ``picks``) as (trials
+    × vertices) arrays, and their long sequences.  The edges of each of
+    ``batches`` in turn go ``tkf91.LANES`` // trials (at least one) to an
+    ``evolve_lanes`` call on ``rng``, lanes edge by edge, then trial by
+    trial, so that memory stays bounded however wide the tree."""
     roots = [draw_root(rng) for _ in range(count)]
     step = max(1, tkf91.LANES // count)
     seqs = {0: encode(roots)}
-    for parents, children, lengths in batches:
+    for parents, children, law in batches:
         for lo in range(0, len(parents), step):
             group = parents[lo:lo + step]
+            law_lo = np.repeat(law[:, lo:lo + step], count, axis=1)
+            if len(group) == 1:
+                seqs[children[lo]] = evolve_lanes(params, *seqs[group[0]],
+                                                  law_lo, rng)
+                continue
             codes, lens = evolve_lanes(
                 params, np.concatenate([seqs[p][0] for p in group]),
-                np.concatenate([seqs[p][1] for p in group]),
-                np.repeat(lengths[lo:lo + step], count), rng)
+                np.concatenate([seqs[p][1] for p in group]), law_lo, rng)
             lens = lens.reshape(len(group), count)
             seqs.update(zip(children[lo:lo + step], zip(np.split(
                 codes, np.cumsum(lens.sum(1))[:-1]), lens)))
     read = list(dict.fromkeys([*leaves, *picks]))
-    states = np.array(decode(np.concatenate([seqs[v][0] for v in read]),
-                             np.concatenate([seqs[v][1] for v in read])),
-                      dtype=object).reshape(len(read), count).T
+    keyed, long = tkf91.keys(np.concatenate([seqs[v][0] for v in read]),
+                             np.concatenate([seqs[v][1] for v in read]))
+    keyed = keyed.reshape(len(read), count).T
     column = {v: i for i, v in enumerate(read)}
-    return (roots, states[:, :len(leaves)],
-            states[:, [column[v] for v in picks]] if picks else None)
+    return (roots, keyed[:, :len(leaves)],
+            keyed[:, [column[v] for v in picks]] if picks else None, long)
 
 
 class TrialBlock(NamedTuple):
     """Trials ``start`` to ``start + len(roots) - 1`` of one experiment:
     their root states, their leaf states as a (trials × leaves) array in
     ``tree.leaves`` order, the states of a stretch's leaves at their
-    durations as a (trials × m) array (None without a stretch), and each
-    trial's generator, left where its estimator continues the stream: the
-    block's one generator, which the estimators draw from in trial order.
-    TKF91 states are strings, in object arrays."""
+    durations as a (trials × m) array (None without a stretch), ``long``,
+    and each trial's generator, left where its estimator continues the
+    stream: the block's one generator, which the estimators draw from in
+    trial order.  TKF91 blocks hold ``tkf91.keys``, whose long sequences
+    are ``long`` (else None), as strings only where ``states`` reads."""
 
     start: int
     roots: list
     leaves: np.ndarray
     stretched: object
+    long: tuple
     rngs: list
+
+    def states(self, keyed) -> list:
+        """The states of the keys ``keyed``, as (nested) lists."""
+        return (keyed.tolist() if self.long is None
+                else tkf91.strings(keyed, self.long))
 
     def trials(self, tree: Tree):
         """(t, root, leaf id -> state, rng) of each trial in the block."""
         for b, (root, row, rng) in enumerate(zip(
-                self.roots, self.leaves.tolist(), self.rngs)):
+                self.roots, self.states(self.leaves), self.rngs)):
             yield self.start + b, root, dict(zip(tree.leaves, row)), rng
 
 
@@ -317,17 +328,17 @@ def _draw_chain(n, levels, width, leaves, picks, draw_root, count, size,
     array of uniforms, of which the first ``count`` trials descend
     ``levels``; their roots, and the 1-based states of the vertices
     ``leaves`` and ``picks`` as (trials × vertices) arrays, None for no
-    ``picks``."""
+    ``picks``; and no ``long``."""
     roots = [draw_root(rng) for _ in range(size)][:count]
     states = _descend(n, levels, roots, rng.random((size, width))[:count].T)
     states += 1
-    return roots, states[leaves].T, states[picks].T if picks else None
+    return roots, states[leaves].T, states[picks].T if picks else None, None
 
 
 def _draw_each(lay: _Layout, process, draw_root, count, size, rng) -> tuple:
     """Any other process's draw on the tree laid out as ``lay``: ``count``
     roots, then each trial's leaf states, trial after trial and edge by
-    edge; and no stretch."""
+    edge; and no stretch or ``long``."""
     roots = [draw_root(rng) for _ in range(count)]
     rows = []
     for root in roots:
@@ -335,7 +346,7 @@ def _draw_each(lay: _Layout, process, draw_root, count, size, rng) -> tuple:
         for p, t in zip(lay.parents, lay.lengths):
             states.append(process.sample(states[p], t, rng))
         rows.append([states[i] for i in lay.leaves])
-    return roots, np.array(rows, dtype=object), None
+    return roots, np.array(rows, dtype=object), None, None
 
 
 def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,

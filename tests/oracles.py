@@ -15,10 +15,17 @@ down a tree: the package's time-t sampler must draw the same law.
 ``tkf91_children_reference`` is that sampler written one slot at a time
 in plain Python, and ``tkf91_tree_reference`` runs it down a tree batch
 by batch: the package's draws must equal theirs, uniform for uniform.
-``frequency_estimate`` and ``uniform_chain_estimate`` run the frequency
-tests on one trial's observed leaves, stretching them one at a time
-with ``process.sample``; the package stretches a block of trials at
-once.  ``sample_endpoint`` is a finite chain's Gillespie jump
+``tv_achieving_set`` is the event on which one distribution outweighs
+another by their total variation, as sets of states
+(``AchievingSet``); ``frequency_test`` and ``uniform_chain_test`` are
+the frequency tests of one trial against these sets, on its
+stretched-state counts (``block_counts``), and ``frequency_estimate``
+and ``uniform_chain_estimate`` run them on one trial's observed leaves,
+stretching them one at a time with ``process.sample``; the package
+stretches and tests a block of trials at once, on integer keys.  ``evolve_lanes_reference`` draws TKF91 children from their
+durations, each lane's law (``tkf91_law_reference``) computed with its
+draw, as the package did before it kept each edge's law in the tree's
+plan.  ``sample_endpoint`` is a finite chain's Gillespie jump
 simulation, the reference for ``RateMatrix.sample``.
 """
 
@@ -27,16 +34,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
 
 from rootrec import tkf91
-from rootrec.ctmc import CtmcError, Distribution, RateMatrix, total_variation
-from rootrec.estimators import (StretchPlan, frequency_test,
-                                uniform_chain_test)
+from rootrec.ctmc import (CtmcError, Distribution, RateMatrix, _label_key,
+                          total_variation)
+from rootrec.estimators import (_EXCLUSIVITY, EstimatorError, RowTable,
+                                StretchPlan)
 from rootrec.tree import DEPTH_TOL, Tree
 from rootrec.treechain import DURATION_TOL
 
@@ -314,6 +322,201 @@ def tkf91_tree_reference(tree: Tree, params, roots, rng,
              for b in range(len(roots))],
             None if stretch is None else [[seqs[v, b] for v in picks]
                                           for b in range(len(roots))])
+
+
+def tkf91_law_reference(params, durations) -> np.ndarray:
+    """Keep, live, empty and decay (rows) of each lane's duration in
+    ``durations``, computed over the lanes' own array as the package first
+    did: the reference, bit for bit, for ``tkf91.lane_law``."""
+    lam, mu, t = params.lam, params.mu, np.asarray(durations, dtype=float)
+    # a rate times t may overflow to inf, whose limits below are right;
+    # -log(lam beta) is +inf at t = 0, where every run is empty
+    with np.errstate(divide="ignore", over="ignore"):
+        e = np.expm1((lam - mu) * t)
+        beta = -e / ((mu - lam) - lam * e)
+        alpha = np.exp(-mu * t)
+        return np.array([alpha * np.exp(-params.nu * t), alpha,
+                         alpha + mu * beta, -np.log(lam * beta)])
+
+
+def evolve_lanes_reference(params, codes, lens, durations, rng) -> tuple:
+    """``tkf91.evolve_lanes`` with each lane's law computed from its
+    duration in ``durations`` with the draw, as the package first did:
+    the reference for the laws it keeps in its per-tree plans."""
+    if len(lens) > tkf91.LANES:
+        ends = np.cumsum(lens)
+        parts = [evolve_lanes_reference(
+            params, codes[ends[lo] - lens[lo]:ends[hi - 1]], lens[lo:hi],
+            durations[lo:hi], rng)
+            for lo in range(0, len(lens), tkf91.LANES)
+            for hi in (min(lo + tkf91.LANES, len(lens)),)]
+        return (np.concatenate([c for c, _ in parts]),
+                np.concatenate([n for _, n in parts]))
+    slots = lens + 1
+    first = np.cumsum(slots) - slots
+    keep, live, empty, decay = np.repeat(
+        tkf91_law_reference(params, durations), slots, axis=1)
+    fate, run = rng.random((2, len(keep)))
+    kept, head, full = fate < keep, fate < live, fate >= empty
+    # the immortal link has no letter of its own and is always followed
+    # by a run
+    kept[first] = head[first] = full[first] = False
+    grows = head | full
+    grows[first] = True
+    size = np.where(grows, np.floor(-np.log1p(-run) / decay), 0.0) + head
+    size += full
+    out = np.add.reduceat(size, first)
+    if not (out <= tkf91.LENGTH_CAP).all():
+        raise CtmcError("sequence length exceeded the cap")
+    size = size.astype(np.int64)
+    at = (np.cumsum(size) - size)[kept]
+    child = np.empty(int(size.sum()), dtype=np.uint8)
+    fresh = np.ones(len(child), dtype=bool)
+    fresh[at] = False
+    child[fresh] = np.searchsorted(params.letter_cdf,
+                                   rng.random(len(child) - len(at)),
+                                   side="right")
+    child[at] = codes[np.delete(kept, first)]
+    return child, out.astype(np.int32)
+
+
+class AchievingSet:
+    """A state set A with a(A) - b(A) = TV(a, b).
+
+    Stored as the states where a exceeds b, the states where b exceeds a,
+    and a tie rule deciding membership of everything else (including states
+    outside both supports).  ``complement`` of the reversed orientation is
+    exact under this representation.
+    """
+
+    def __init__(self, strict_in: frozenset, strict_out: frozenset,
+                 include_ties: bool):
+        self.strict_in = strict_in
+        self.strict_out = strict_out
+        self.include_ties = include_ties
+
+    def __contains__(self, state) -> bool:
+        if state in self.strict_in:
+            return True
+        if state in self.strict_out:
+            return False
+        return self.include_ties
+
+    def mass_under(self, d: Distribution) -> float:
+        return sum(p for s, p in d.items() if s in self)
+
+    def explicit(self, universe) -> frozenset:
+        return frozenset(s for s in universe if s in self)
+
+
+def tv_achieving_set(a: Distribution, b: Distribution,
+                     orientation: tuple) -> AchievingSet:
+    """The event on which ``a`` dominates ``b`` by exactly their total
+    variation distance.  Ties (including states unseen by both) go to the
+    set when the orientation's first label sorts before its second, which
+    makes the reversed orientation yield the exact complement."""
+    i1, i2 = orientation
+    strict_in = []
+    strict_out = []
+    for s in set(a.support) | set(b.support):
+        pa, pb = a.mass(s), b.mass(s)
+        if pa > pb:
+            strict_in.append(s)
+        elif pb > pa:
+            strict_out.append(s)
+    return AchievingSet(frozenset(strict_in), frozenset(strict_out),
+                        _label_key(i1) < _label_key(i2))
+
+
+@dataclass
+class EstimatorReport:
+    """Outcome of one frequency-test estimation."""
+
+    state: object
+    fallback: bool
+    plan: StretchPlan
+    lam: tuple
+    passed: tuple
+    margins: dict = field(default_factory=dict)
+
+
+def block_counts(stretched) -> list:
+    """The stretched-state frequencies of a block of trials: for each row
+    of ``stretched``, a (trials × m) array of finite-chain states or of
+    objects (TKF91 sequences), the count of each state the row holds."""
+    if stretched.dtype == object:
+        return [Counter(row) for row in stretched.tolist()]
+    labels = np.arange(1, int(stretched.max()) + 1)
+    counts = (stretched[:, :, None] == labels).sum(1).tolist()
+    return [{s: c for s, c in enumerate(row, 1) if c} for row in counts]
+
+
+def frequency_test(plan: StretchPlan, counts: dict, lam, rows: RowTable,
+                   rng) -> EstimatorReport:
+    """The frequency tests on one trial's stretched-state ``counts``
+    (state -> count).
+
+    ``rows`` holds each state of ``lam``'s time-h* distribution (exact
+    rows for finite chains, Monte Carlo plug-in rows otherwise).  The
+    unique state whose achieving-set frequencies all clear their
+    thresholds is returned; absent one, a uniform random member of
+    ``lam``, drawn from ``rng``, is returned with the fallback flag set.
+    """
+    if not lam:
+        raise EstimatorError("state subset must be nonempty")
+    lam = tuple(sorted(lam, key=_label_key))
+    if len(lam) == 1:
+        return EstimatorReport(state=lam[0], fallback=False, plan=plan,
+                               lam=lam, passed=lam)
+    delta = rows.delta(lam)
+    passed = []
+    margins: dict = {}
+    _EXCLUSIVITY["invocations"] += 1
+    for i in lam:
+        row_margins = {}
+        for j in lam:
+            if j == i:
+                continue
+            aset = tv_achieving_set(rows.rows[i], rows.rows[j], (i, j))
+            freq = sum(c for st, c in counts.items() if st in aset) / plan.m
+            margin = freq - (rows.threshold_mass(i, j) - delta / 2.0)
+            if margin <= 0.0:
+                break
+            row_margins[(i, j)] = margin
+        else:
+            passed.append(i)
+            margins.update(row_margins)
+    if len(passed) > 1:
+        _EXCLUSIVITY["violations"] += 1
+        raise AssertionError(
+            f"multiple states passed the frequency tests: {passed}")
+    if passed:
+        return EstimatorReport(state=passed[0], fallback=False, plan=plan,
+                               lam=lam, passed=tuple(passed),
+                               margins=margins)
+    choice = lam[rng.integers(len(lam))]
+    return EstimatorReport(state=choice, fallback=True, plan=plan, lam=lam,
+                           passed=())
+
+
+def uniform_chain_test(plan: StretchPlan, counts: dict, q_star: float,
+                       rows: RowTable, rng) -> EstimatorReport:
+    """The frequency tests with the data-driven candidate set for chains
+    whose rates are bounded by ``q_star``: candidates are the states
+    whose stretched-restriction frequency in ``counts`` reaches half of
+    e^(-q* h*), and ``rows``, as in ``frequency_test``, must cover
+    them."""
+    if q_star < 1.0:
+        raise EstimatorError("q_star must be at least 1")
+    f_star = math.exp(-q_star * plan.h_star)
+    lam_hat = sorted((st for st, c in counts.items()
+                      if c / plan.m >= 0.5 * f_star), key=_label_key)
+    if not lam_hat:
+        observed_states = sorted(set(counts), key=_label_key)
+        choice = observed_states[rng.integers(len(observed_states))]
+        return EstimatorReport(state=choice, fallback=True, plan=plan,
+                               lam=(), passed=())
+    return frequency_test(plan, counts, lam_hat, rows, rng)
 
 
 def _stretched_counts(plan: StretchPlan, process, observed: dict,

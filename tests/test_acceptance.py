@@ -29,11 +29,10 @@ from rootrec.cli import (_build_estimator, _build_process, _build_tree,
 from rootrec.ctmc import (Distribution, RateMatrix, identifiability_margin,
                           jukes_cantor, row_distribution, total_variation,
                           transition_matrix, two_state_symmetric)
-from rootrec.estimators import (RowTable, block_counts, exclusivity_stats,
-                                map_estimate, stretch_plan,
-                                uniform_chain_test)
+from rootrec.estimators import (RowTable, exclusivity_stats, map_estimate,
+                                stretch_plan, uniform_chain_tests)
 from rootrec.tkf91 import (Tkf91Params, decode, encode, evolve_lanes,
-                           stationary_length_pmf, stationary_pmf,
+                           lane_law, stationary_length_pmf, stationary_pmf,
                            stationary_sample)
 from rootrec.tree import Tree, generate_family, spread
 from rootrec.treechain import simulated_trials
@@ -245,11 +244,8 @@ def test_c08_uniform_chain_minimax():
         # block b draws from the substream [108, truth, b]
         for block in simulated_trials(t, Q, lambda rng, root=truth: root,
                                       (108, truth), trials, stretch=plan):
-            errors += sum(
-                uniform_chain_test(plan, counts, Q.q_star, table,
-                                   rng).state != truth
-                for counts, rng in zip(block_counts(block.stretched),
-                                       block.rngs))
+            errors += sum(state != truth for state, _ in uniform_chain_tests(
+                plan, Q.q_star, table, block))
         rate = errors / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
         assert rate - 3 * sigma <= bound
@@ -289,8 +285,8 @@ def test_c10_tkf91_stationarity():
     n = 10 ** 5
     starts = [stationary_sample(params, rng) for _ in range(n)]
     counts = {}
-    for seq in decode(*evolve_lanes(params, *encode(starts), np.ones(n),
-                                    rng)):
+    for seq in decode(*evolve_lanes(params, *encode(starts),
+                                    lane_law(params, np.ones(n)), rng)):
         counts[len(seq)] = counts.get(len(seq), 0) + 1
     tv = 0.5 * sum(abs(counts.get(m, 0) / n - stationary_length_pmf(params, m))
                    for m in range(31))

@@ -292,7 +292,7 @@ class TestMapEstimator:
         tree, Q = _build_tree(cfg), _build_process(cfg)
         obs = {"L0001": 1, "L0002": 3}
         est, _, _ = _build_estimator(cfg, tree, Q)
-        block = TrialBlock(0, [1], np.array([[1, 3]]), None,
+        block = TrialBlock(0, [1], np.array([[1, 3]]), None, None,
                            [np.random.default_rng(0)])
         with pytest.raises(EstimatorError, match="impossible"):
             est(block)

@@ -8,13 +8,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sample_endpoint
+from oracles import sample_endpoint, tv_achieving_set
 from rootrec.ctmc import (CtmcError, Distribution, GenerativeProcess,
                           RateMatrix, identifiability_margin, jukes_cantor,
                           load_rate_matrix, row_distribution, star_norm,
                           star_norm_diff, total_variation,
-                          transition_matrix, tv_achieving_set,
-                          two_state_symmetric)
+                          transition_matrix, two_state_symmetric)
 
 
 def random_rate_matrix(rng, n):

@@ -7,15 +7,21 @@ import pytest
 from rootrec.ctmc import (Distribution, RateMatrix, row_distribution,
                           total_variation, transition_matrix,
                           two_state_symmetric, jukes_cantor)
+from rootrec import estimators
 from rootrec.bounds import recon_lower
-from oracles import (exact_leaf_law, frequency_estimate,
-                     uniform_chain_estimate)
+from oracles import (block_counts, exact_leaf_law, frequency_estimate,
+                     frequency_test, tv_achieving_set, uniform_chain_estimate,
+                     uniform_chain_test)
 from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
-                                exclusivity_stats, lambda_epsilon,
+                                StretchPlan, exclusivity_stats,
+                                frequency_tests, lambda_epsilon,
                                 majority_estimate, map_estimate,
-                                map_estimates, stretch_plan)
+                                map_estimates, stretch_plan,
+                                uniform_chain_tests)
+from rootrec.tkf91 import (Tkf91Params, encode, keys, mc_rows,
+                           stationary_sample, strings, top_states)
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import simulate
+from rootrec.treechain import TrialBlock, simulate
 
 
 def pinched(m, s=0.05, h=1.0):
@@ -247,7 +253,8 @@ class TestFrequencyEstimate:
             expect = {}
             for j in Q.states:
                 if j != i:
-                    aset = table.achieving(i, j)
+                    aset = tv_achieving_set(table.rows[i], table.rows[j],
+                                            (i, j))
                     freq = sum(c for st, c in counts.items()
                                if st in aset) / m
                     expect[(i, j)] = freq - (table.threshold_mass(i, j)
@@ -329,6 +336,236 @@ class TestUniformChainEstimate:
             uniform_chain_estimate(stretch_plan(t, 0.03, 1.0), Q,
                                    {x: 1 for x in t.leaves}, 0.5,
                                    rows_at(Q, 1.0, Q.states), rng)
+
+
+class Bars(RowTable):
+    """Rows whose achieving-set thresholds are set by hand, low enough
+    that two states can pass at once."""
+
+    def __init__(self, rows, bars):
+        super().__init__(rows)
+        self.bars = bars
+
+    def threshold_mass(self, i, j):
+        return self.bars[i, j]
+
+
+class TestBlockTests:
+    """``frequency_tests`` and ``uniform_chain_tests`` test a block at once
+    on its stretched keys; each must give the per-trial tests' (state,
+    fallback) rows (tests/oracles.py), count the same in
+    ``exclusivity_stats``, and leave the block's generator where the
+    per-trial tests leave theirs."""
+
+    Q = jukes_cantor(1.0, 4)
+    # rows for the edge cases: m = 4 and two leaves on each state put a
+    # margin at exactly 0.0
+    EVEN = {1: Distribution({1: 0.75, 2: 0.25}),
+            2: Distribution({1: 0.25, 2: 0.75})}
+    # rows and thresholds under which trial (0, 1, 0, 5) passes states 1
+    # and 2 and trial (0, 0, 3, 3) none (counts of states 1..4 of m = 6)
+    THREE = {i: Distribution({j: 0.6 if i == j else 0.2 for j in (1, 2, 3)})
+             for i in (1, 2, 3)}
+    BARS = {(1, 2): 0.3, (1, 3): 0.7, (2, 1): 0.3, (2, 3): 0.3,
+            (3, 1): 0.3, (3, 2): 0.7}
+    P = Tkf91Params(nu=1.0, lam=0.95, mu=1.0)
+
+    @staticmethod
+    def plan(m, h_star=0.5):
+        return StretchPlan(0.1, h_star, m, 0.0, tuple(range(m)), (0.0,) * m)
+
+    @staticmethod
+    def outcome(run):
+        """``run()``'s rows or its assertion, and what it added to
+        ``exclusivity_stats``."""
+        before = exclusivity_stats()
+        try:
+            got = run()
+        except AssertionError as e:
+            got = ("raised", str(e))
+        after = exclusivity_stats()
+        return got, {k: after[k] - before[k] for k in after}
+
+    def compare(self, block_test, trial_test, plan, arg, rows, keyed,
+                states=None, long=None, seed=5):
+        """The block test of the keys ``keyed`` (trials × m) against the
+        per-trial test of their ``states`` (default: the keys)."""
+        keyed = np.asarray(keyed)
+        states = keyed if states is None else np.array(states, dtype=object)
+        block = TrialBlock(0, [None] * len(keyed), None, keyed, long,
+                           [np.random.default_rng(seed)] * len(keyed))
+        rng = np.random.default_rng(seed)
+
+        def per_trial():
+            return [(rep.state, int(rep.fallback)) for rep in (
+                trial_test(plan, counts, arg, rows, rng)
+                for counts in block_counts(states))]
+
+        got = self.outcome(lambda: block_test(plan, arg, rows, block))
+        want = self.outcome(per_trial)
+        assert got == want
+        assert block.rngs[0].random() == rng.random()
+        return got[0]
+
+    @staticmethod
+    def draw(rng, rows, trials, m):
+        """``trials`` rows of m leaves, each row drawn from the row of a
+        uniform random state."""
+        labels = list(rows)
+        out = []
+        for _ in range(trials):
+            row = rows[labels[rng.integers(len(labels))]]
+            states = list(row.support)
+            p = np.array([row.mass(s) for s in states])
+            out.append([states[k] for k in rng.choice(len(states), m,
+                                                      p=p / p.sum())])
+        return out
+
+    @pytest.mark.parametrize("lam", [(1, 2, 3, 4), (2, 4), (4, 1, 3),
+                                     (1, 2)])
+    @pytest.mark.parametrize("h_star", [0.2, 1.0])
+    def test_random_finite_blocks(self, lam, h_star):
+        # a two-state chain's even splits fall back
+        Q = jukes_cantor(1.0, max(lam))
+        rows = rows_at(Q, h_star)
+        rng = np.random.default_rng(int(h_star * 10) + len(lam))
+        flags = set()
+        for m in (1, 4, 5, 8, 9):
+            keyed = np.array(self.draw(rng, rows.rows, 200, m),
+                             dtype=np.uint8)
+            flags |= {f for _, f in self.compare(
+                frequency_tests, frequency_test, self.plan(m, h_star),
+                list(lam), rows, keyed)}
+        assert 0 in flags and (1 in flags or Q.n > 2)
+
+    @pytest.mark.parametrize("h_star", [1e-3, 0.2, 1.0])
+    def test_random_uniform_blocks(self, h_star):
+        rows = rows_at(self.Q, h_star)
+        rng = np.random.default_rng(int(h_star * 100))
+        for m in (1, 4, 9):
+            keyed = np.array(self.draw(rng, rows.rows, 200, m),
+                             dtype=np.uint8)
+            self.compare(uniform_chain_tests, uniform_chain_test,
+                         self.plan(m, h_star), self.Q.q_star, rows, keyed)
+
+    def tkf91_block(self):
+        """Plug-in rows of the candidates ``lam``, with two sequences past
+        27 letters in the rows of "" and "C", and 300 trials of 7 leaves,
+        a quarter of them past 27 letters, as sequences and as keys."""
+        lam = top_states(self.P, 0.9)
+        plug = mc_rows(self.P, lam, 1.0, 200, np.random.default_rng(3))
+        for state, extra in (("", "ACGT" * 8), ("C", "G" * 28)):
+            plug[state] = Distribution({**{s: 0.9 * p for s, p in
+                                           plug[state].items()},
+                                        extra: 0.1})
+        rng = np.random.default_rng(4)
+        seqs = [[stationary_sample(self.P, rng) for _ in range(7)]
+                for _ in range(250)]
+        seqs += self.draw(rng, plug, 50, 7)
+        seqs[3][2] = seqs[9][0] = "G" * 28
+        keyed, long = keys(*encode([s for row in seqs for s in row]))
+        assert {"G" * 28, "ACGT" * 8} <= set(long) and len(long) > 20
+        return lam, RowTable(plug), seqs, keyed.reshape(300, 7), long
+
+    def test_random_tkf91_blocks(self):
+        lam, rows, seqs, keyed, long = self.tkf91_block()
+        got = self.compare(frequency_tests, frequency_test, self.plan(7, 1.0),
+                           list(lam), rows, keyed, seqs, long)
+        assert {f for _, f in got} == {0, 1}
+
+    def test_masses_by_key(self):
+        # each key, long ones too, gets its sequence's masses, so its
+        # membership is that of tests/oracles.py's achieving sets
+        lam, rows, _, keyed, long = self.tkf91_block()
+        vocab = np.unique(keyed)
+        states = strings(vocab, long)
+        mass = rows.masses(lam, vocab, long)
+        assert mass.tolist() == [[rows.rows[i].mass(s) for i in lam]
+                                 for s in states]
+        for a, b in itertools.permutations(range(len(lam)), 2):
+            aset = tv_achieving_set(rows.rows[lam[a]], rows.rows[lam[b]],
+                                    (lam[a], lam[b]))
+            inside = (mass[:, a] > mass[:, b]) | (
+                (mass[:, a] == mass[:, b]) & (a < b))
+            assert inside.tolist() == [s in aset for s in states]
+
+    def test_zero_margin_fails(self):
+        # freq 2/4 against the bar 0.75 - 0.5 / 2: a margin of 0.0
+        rows = RowTable(self.EVEN)
+        keyed = [[1, 1, 2, 2], [1, 1, 1, 2], [2, 2, 1, 2]]
+        got = self.compare(frequency_tests, frequency_test, self.plan(4),
+                           [1, 2], rows, keyed)
+        assert [f for _, f in got] == [1, 0, 0]
+        assert [s for s, _ in got[1:]] == [1, 2]
+
+    def test_all_fallback_block(self):
+        rows = RowTable(self.EVEN)
+        keyed = [[1, 2, 2, 1], [2, 1, 1, 2]] * 40
+        got = self.compare(frequency_tests, frequency_test, self.plan(4),
+                           [2, 1], rows, keyed)
+        assert all(f == 1 for _, f in got)
+        assert {s for s, _ in got} == {1, 2}
+
+    def test_singleton_lambda_tests_nothing(self):
+        rows = RowTable(self.EVEN)
+        keyed = [[1, 1, 2, 2], [2, 2, 2, 2]]
+        block = TrialBlock(0, [1, 2], None, np.array(keyed), None,
+                           [np.random.default_rng(8)] * 2)
+        got = self.outcome(lambda: frequency_tests(self.plan(4), [2], rows,
+                                                   block))
+        assert got == ([(2, 0), (2, 0)], {"invocations": 0,
+                                          "violations": 0})
+        assert block.rngs[0].random() == np.random.default_rng(8).random()
+        self.compare(frequency_tests, frequency_test, self.plan(4), [2],
+                     rows, keyed)
+
+    def test_empty_candidates(self):
+        rows = rows_at(self.Q, 1e-3)
+        with pytest.raises(EstimatorError, match="nonempty"):
+            frequency_tests(self.plan(4), [], rows, TrialBlock(
+                0, [1], None, np.ones((1, 4), np.uint8), None, [None]))
+        # at h* = 1e-3 a candidate needs two of the four leaves: none,
+        # one (a singleton), and two candidates
+        keyed = [[1, 2, 3, 4], [1, 1, 1, 2], [3, 3, 4, 4], [4, 3, 2, 1]]
+        got = self.compare(uniform_chain_tests, uniform_chain_test,
+                           self.plan(4, 1e-3), self.Q.q_star, rows, keyed)
+        assert got[0][1] == got[3][1] == 1 and got[1] == (1, 0)
+
+    def test_two_passing_states_raise(self, monkeypatch):
+        # the block stops where trial after trial would: after the
+        # fallbacks before the clash, which alone counts as a violation
+        monkeypatch.setitem(estimators._EXCLUSIVITY, "violations",
+                            exclusivity_stats()["violations"])
+        rows = Bars(self.THREE, self.BARS)
+        counts = [(0, 0, 3, 3), (6, 0, 0, 0), (0, 0, 3, 3), (0, 1, 0, 5),
+                  (0, 0, 3, 3)]
+        keyed = [[s for s, n in zip((1, 2, 3, 4), c) for _ in range(n)]
+                 for c in counts]
+        block = TrialBlock(0, [1] * 5, None, np.array(keyed), None,
+                           [np.random.default_rng(2)] * 5)
+        got = self.outcome(lambda: frequency_tests(self.plan(6), [1, 2, 3],
+                                                   rows, block))
+        assert got == (("raised", "multiple states passed the frequency "
+                                  "tests: [1, 2]"),
+                       {"invocations": 4, "violations": 1})
+        self.compare(frequency_tests, frequency_test, self.plan(6),
+                     [1, 2, 3], rows, keyed)
+
+    def test_threshold_masses_are_the_achieving_sets(self):
+        # bit for bit the mass of tests/oracles.py's achieving set
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 5):
+            # eighths, for ties and for states off a row's support
+            rows = RowTable({i: Distribution(dict(enumerate(
+                rng.dirichlet(np.ones(n)) if i % 2 else
+                np.bincount(rng.integers(n, size=8), minlength=n) / 8, 1)))
+                for i in range(1, n + 1)})
+            for i in rows.rows:
+                for j in rows.rows:
+                    if i != j:
+                        assert rows.threshold_mass(i, j).hex() == \
+                            tv_achieving_set(rows.rows[i], rows.rows[j], (
+                                i, j)).mass_under(rows.rows[i]).hex()
 
 
 class TestMajorityEstimate:

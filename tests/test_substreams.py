@@ -57,6 +57,14 @@ TKF91 = {
 }
 # three blocks of each member, the last one short
 TKF91_BLOCKS = {**TKF91, "trials": 2 * BLOCK + 3}
+# lengths geometric with ratio 0.95: about a quarter of the sequences pass
+# the 27 letters that a key holds (tkf91.keys); epsilon 0.9 leaves six
+# candidates
+LONG_PROCESS = {"kind": "tkf91", "nu": 1.0, "lam": 0.95, "mu": 1.0}
+TKF91_LONG = {**TKF91, "process": LONG_PROCESS,
+              "estimator": {"s": 0.05, "h_star": 1.0, "epsilon": 0.9,
+                            "row_samples": 200},
+              "trials": 300}
 SIMULATE = {
     "family": {"kind": "figure2", "k": 4, "n_spine": 3},
     "process": {"kind": "uniform", "rate": 1.0, "n": 4},
@@ -66,6 +74,11 @@ SIMULATE_TKF91 = {
     "family": {"kind": "star", "k": 3, "h": 0.5},
     "process": {"kind": "tkf91", "nu": 1.0, "lam": 0.5, "mu": 1.0},
     "trials": 4, "seed": 4,
+}
+SIMULATE_TKF91_LONG = {
+    "family": {"kind": "figure1", "k": 10, "h": 1.0},
+    "process": LONG_PROCESS,
+    "trials": 20, "seed": 4,
 }
 
 # (id, command, config, --workers, {output suffix: the first 32 hex
@@ -112,6 +125,12 @@ PINNED = [
         "": "4ea401c8a63df81c274dca9241f3a834"}),
     ("simulate-tkf91", "simulate", SIMULATE_TKF91, 1, {
         "": "bf3ab35e2167938552e52a4ac89ab789"}),
+    ("tkf91-long", "tkf91", TKF91_LONG, 1, {
+        "": "1fbea53bc3c7f880b45740aa945d82c5"}),
+    ("tkf91-long-workers2", "tkf91", TKF91_LONG, 2, {
+        "": "1fbea53bc3c7f880b45740aa945d82c5"}),
+    ("simulate-tkf91-long", "simulate", SIMULATE_TKF91_LONG, 1, {
+        "": "3095523c990f763cacb66fbcde9bc1b6"}),
 ]
 
 

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import os
@@ -9,17 +10,19 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import (frequency_estimate, tkf91_beta,
-                     tkf91_children_reference, tkf91_evolve_per_edge,
+from oracles import (evolve_lanes_reference, frequency_estimate,
+                     tkf91_beta, tkf91_children_reference,
+                     tkf91_evolve_per_edge, tkf91_law_reference,
                      tkf91_tree_per_edge, tkf91_tree_reference,
                      uniform_stream)
-from rootrec import tkf91, treechain
+from rootrec import cli, tkf91, treechain
 from rootrec.cli import EXIT_OK, main
-from rootrec.ctmc import CtmcError, total_variation, Distribution
+from rootrec.ctmc import CtmcError, total_variation, Distribution, _label_key
 from rootrec.estimators import RowTable, StretchPlan, stretch_plan
-from rootrec.tkf91 import (ALPHABET, Tkf91Params, decode, encode,
-                           evolve_lanes, mc_rows, stationary_length_pmf,
-                           stationary_pmf, stationary_sample, tkf91_evolve,
+from rootrec.tkf91 import (ALPHABET, KEY_LETTERS, LONG_KEY, Tkf91Params,
+                           decode, encode, evolve_lanes, keys, lane_law,
+                           mc_rows, stationary_length_pmf, stationary_pmf,
+                           stationary_sample, strings, tkf91_evolve,
                            top_states, write_experiment_csv)
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import BLOCK, simulate, simulated_trials
@@ -30,8 +33,8 @@ STD = Tkf91Params(nu=1.0, lam=1.0, mu=2.0)
 def lanes(params, parents, t, rng) -> list:
     """The children of the strings ``parents`` after ``t``: one
     ``evolve_lanes`` batch."""
-    return decode(*evolve_lanes(params, *encode(parents),
-                                np.full(len(parents), float(t)), rng))
+    return decode(*evolve_lanes(params, *encode(parents), lane_law(
+        params, np.full(len(parents), float(t))), rng))
 
 
 class TestParams:
@@ -335,7 +338,7 @@ class TestExactLaw:
                   for _ in range(4000)]
         law = [tuple(row) for block in simulated_trials(
             tree, self.P, lambda rng: "AT", (27,), 20000)
-            for row in block.leaves.tolist()]
+            for row in block.states(block.leaves)]
         assert_same_law(law, events)
 
 
@@ -362,7 +365,7 @@ class TestTrialBlocks:
                     tree, self.P, lambda rng: stationary_sample(self.P, rng),
                     (5,), stop, start, self.plan(tree))
                 for (t, root, leaves, rng), stretched in zip(
-                    block.trials(tree), block.stretched.tolist())]
+                    block.trials(tree), block.states(block.stretched))]
 
     def test_split_range_yields_the_same_trials(self):
         whole = self.run(2 * BLOCK + 3)
@@ -418,6 +421,114 @@ class TestTrialBlocks:
         assert pickle.loads(pickle.dumps(params)) == params
 
 
+class TestKeys:
+    """A sequence's key is exact: its letters as base-5 digits up to
+    ``KEY_LETTERS`` letters, its place among one call's longer sequences
+    past that."""
+
+    SEQS = ["", *("".join(c) for n in range(1, 5)
+                  for c in itertools.product(ALPHABET, repeat=n)),
+            "T" * KEY_LETTERS, "ACGT" * 6 + "GTA", "G" * (KEY_LETTERS + 1),
+            "ACGT" * 10]
+
+    def test_exact_injective_and_ordered(self):
+        keyed, long = keys(*encode(self.SEQS))
+        assert len(set(keyed.tolist())) == len(self.SEQS)
+        assert keyed[:5].tolist() == [0, 1, 4, 2, 3]  # "", A, T, C, G
+        assert keyed[-4] == 5 ** KEY_LETTERS - 1 < LONG_KEY
+        assert long == ("G" * (KEY_LETTERS + 1), "ACGT" * 10)
+        assert keyed[-2:].tolist() == [LONG_KEY, LONG_KEY + 1]
+        assert np.argsort(keyed, kind="stable").tolist() == sorted(
+            range(len(self.SEQS)), key=lambda i: _label_key(self.SEQS[i]))
+
+    def test_strings_are_decode(self):
+        rng = np.random.default_rng(2)
+        seqs = [self.SEQS[i]
+                for i in rng.integers(len(self.SEQS), size=5000)]
+        codes, lens = encode(seqs)
+        keyed, long = keys(codes, lens)
+        assert strings(keyed, long) == decode(codes, lens) == seqs
+        assert strings(keyed.reshape(100, 50), long) == [
+            seqs[i:i + 50] for i in range(0, 5000, 50)]
+        # equal sequences, equal keys: one call's keys are its own
+        assert len(set(keyed.tolist())) == len(set(seqs))
+        assert strings(keyed[:0]) == [] and strings(
+            keyed[:0].reshape(2, 0), long) == [[], []]
+
+    def test_long_root_down_a_tree(self):
+        # a 40-letter root, little changed: most leaves pass 27 letters
+        slow = Tkf91Params(nu=0.05, lam=0.02, mu=0.05)
+        tree = generate_family("figure1", {"k": 6, "h": 1.0})[5]
+        root = "ACGT" * 10
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            leaves = simulate(tree, slow, root, a)
+            assert leaves == tkf91_tree_reference(tree, slow, [root], b)[0][0]
+            assert a.random() == b.random()
+        assert max(map(len, leaves.values())) > KEY_LETTERS
+
+    @pytest.mark.parametrize("params", [STD, Tkf91Params(1.0, 0.95, 1.0)])
+    def test_mc_rows_are_counted_strings(self, params):
+        # the same sequences, masses and order as counting decoded
+        # strings, as the package first did
+        states = ("", "A", "ACGT" * 7, "ACGT" * 10)
+        for seed in range(10):
+            rows = mc_rows(params, states, 1.0, 300,
+                           np.random.default_rng(seed))
+            ref = np.random.default_rng(seed)
+            for state in states:
+                ends = decode(*evolve_lanes_reference(
+                    params, *encode([state] * 300), np.ones(300), ref))
+                want = Distribution({s: c / 300 for s, c in
+                                     collections.Counter(ends).items()})
+                assert [(s, p.hex()) for s, p in rows[state].items()] == [
+                    (s, p.hex()) for s, p in want.items()]
+
+
+class TestPlanLaw:
+    """Each edge's law is computed once, in the tree's plan; draws from it
+    must be bit for bit the draws from each lane's own law."""
+
+    DURATIONS = (0.0, 1e-12, 2.0 ** -40, 0.3, 1.0, 40.0)
+
+    @pytest.mark.parametrize("t", DURATIONS)
+    def test_law_is_the_lanes_law(self, t):
+        got = lane_law(STD, [t, 0.5, t])
+        assert got.tobytes() == tkf91_law_reference(STD, [t, 0.5, t]
+                                                    ).tobytes()
+        assert np.repeat(got[:, :1], 300, 1).tobytes() == \
+            tkf91_law_reference(STD, np.full(300, t)).tobytes()
+
+    @pytest.mark.parametrize("t", DURATIONS)
+    def test_draws_are_the_lanes_draws(self, t):
+        rng = np.random.default_rng(7)
+        codes, lens = encode([stationary_sample(STD, rng)
+                              for _ in range(300)] + ["ACGT" * 10])
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        got = evolve_lanes(STD, codes, lens,
+                           np.repeat(lane_law(STD, [t]), 301, 1), a)
+        want = evolve_lanes_reference(STD, codes, lens, np.full(301, t), b)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert a.random() == b.random()
+
+    def test_plans_hold_each_edges_law(self):
+        lengths = [t for t in self.DURATIONS if t > 0]
+        tree = Tree("r", [("r", f"u{i}", t) for i, t in enumerate(lengths)]
+                    + [(f"u{i}", f"x{i}", t) for i, t in enumerate(lengths)])
+        plan = StretchPlan(0.1, 100.0, len(lengths), 0.0,
+                           tuple(f"x{i}" for i in range(len(lengths))),
+                           tuple(100.0 - 2 * t for t in lengths))
+        draw = treechain._plan(treechain._drawer, tree, STD, plan)
+        batches = draw.args[1]
+        assert len(batches) == 3
+        for parents, children, law in batches[:2]:
+            length = [tree.length[tree.topo_order[c]] for c in children]
+            assert law.tobytes() == tkf91_law_reference(STD, length).tobytes()
+        assert batches[2][2].tobytes() == tkf91_law_reference(
+            STD, plan.durations).tobytes()
+
+
 class TestHashSeed:
     # the plug-in rows' Δ over 20 streams, as exact hex floats
     SCRIPT = """
@@ -430,6 +541,19 @@ print(*(RowTable(mc_rows(STD, lam, 1.0, 4000, default_rng([s, 10**9])))
         .delta(lam).hex() for s in range(5, 25)))
 """
 
+    # the plug-in rows' Δ as the package first computed them, from strings
+    # counted with collections.Counter
+    PINNED = ["0x1.8624dd2f1aa20p-4", "0x1.820c49ba5e360p-4",
+              "0x1.9a9fbe76c8b5dp-4", "0x1.9fbe76c8b4398p-4",
+              "0x1.9ba5e353f7d04p-4", "0x1.9fbe76c8b43b7p-4",
+              "0x1.9ba5e353f7d18p-4", "0x1.90624dd2f1ab0p-4",
+              "0x1.9a9fbe76c8b4cp-4", "0x1.a2d0e560418acp-4",
+              "0x1.ad0e56041895bp-4", "0x1.851eb851eb870p-4",
+              "0x1.83126e978d50ep-4", "0x1.ac083126e97b2p-4",
+              "0x1.74bc6a7ef9dbfp-4", "0x1.8c49ba5e35401p-4",
+              "0x1.99999999999aep-4", "0x1.99999999999acp-4",
+              "0x1.a1cac083126f2p-4", "0x1.9a9fbe76c8b5fp-4"]
+
     def test_delta_does_not_depend_on_the_hash_seed(self):
         # string states sit in hash-ordered sets; a sum over one in its
         # iteration order rounds differently under each PYTHONHASHSEED
@@ -439,7 +563,7 @@ print(*(RowTable(mc_rows(STD, lam, 1.0, 4000, default_rng([s, 10**9])))
             text=True, check=True, env={**os.environ, "PYTHONPATH": src,
                                         "PYTHONHASHSEED": seed}).stdout
             for seed in ("1", "2")]
-        assert len(out[0].split()) == 20
+        assert out[0].split() == self.PINNED
         assert out[0] == out[1]
 
 
@@ -619,6 +743,24 @@ class TestRootExperiment:
                  "row_samples": 50}, ks=[3, 5], trials=trials, seed=3)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_strings_only_for_distinct_row_sequences(self, monkeypatch,
+                                                      tmp_path):
+        # the trials test keys: the command decodes each plug-in row's
+        # sequences once and no trial's
+        built, rows = [], []
+        decoded, counted = tkf91.decode, cli.mc_rows
+        monkeypatch.setattr(tkf91, "decode", lambda codes, lens: built.append(
+            decoded(codes, lens)) or built[-1])
+        monkeypatch.setattr(cli, "mc_rows", lambda *args: rows.append(
+            counted(*args)) or rows[-1])
+        tkf91_command(
+            tmp_path, {"kind": "figure1", "k": 10, "h": 1.0},
+            {"nu": 1.0, "lam": 0.5, "mu": 1.0},
+            {"s": 0.05, "h_star": 1.0, "epsilon": 0.3, "row_samples": 400},
+            ks=[3, 10], trials=300, seed=4)
+        assert sum(map(len, built)) == sum(
+            len(row.support) for row in rows[0].values())
 
     def test_csv_shape(self, tmp_path):
         rows = [{"k": 10, "trials": 5, "errors": 1, "rate": 0.2,
