@@ -3,16 +3,17 @@
 Trees and their truncations, restrictions, and spreads; finite-state
 chain machinery; simulated leaves and pruned leaf likelihoods; root
 estimators with the frequency-test family; closed-form error bounds; and
-an indel sequence process over the same interfaces.
+an indel sequence process (TKF91) drawn down trees beside the finite
+chains.
 """
 
 from .bounds import (BoundInputs, chebyshev_star_bound, clamp,
-                     monte_carlo_error, pinched_star_hoeffding_bound,
+                     pinched_star_hoeffding_bound,
                      pinched_star_majority_error, prop54_uniform_bound,
                      prop54_valid, recon_lower, recon_upper,
                      thm2_general_bound, thm2_valid, variance_bound,
                      wilson_interval)
-from .ctmc import (CtmcError, Distribution, GenerativeProcess, RateMatrix,
+from .ctmc import (CtmcError, Distribution, RateMatrix,
                    identifiability_margin, jukes_cantor, load_rate_matrix,
                    row_distribution, star_norm, star_norm_diff,
                    total_variation, transition_matrix, two_state_symmetric)
@@ -21,7 +22,7 @@ from .estimators import (EstimatorError, RowTable, StretchPlan,
                          majority_estimate, map_estimate, map_estimates,
                          stretch_plan, uniform_chain_tests)
 from .tkf91 import (Tkf91Params, evolve_lanes, mc_rows, stationary_pmf,
-                    stationary_sample, tkf91_evolve, top_states)
+                    stationary_sample, top_states)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint,
                    big_bang_profile, chosen_leaves, descendant_leaves,
                    extract_well_spread_restriction, generate_family,

@@ -1,10 +1,11 @@
-"""Closed-form error bounds and the Monte Carlo harness they are checked
-against.
+"""Closed-form error bounds.
 
 The reconstruction-probability sandwich, the leaf-count variance bound,
-the weighted-norm Chebyshev bound, and the explicit (proof-level) forms of
-the two headline error bounds.  Where a bound exceeds 1 it is vacuous;
-callers can clamp via ``clamp``.
+the weighted-norm Chebyshev bound, the explicit (proof-level) forms of
+the two headline error bounds, the exact pinched-star majority error,
+and the Wilson interval that empirical error rates are compared through.
+Where a bound exceeds 1 it is vacuous; callers can clamp via ``clamp``.
+This module is arithmetic alone: it draws no trials.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .ctmc import Distribution, total_variation
-from .treechain import simulated_trials
 
 __all__ = [
     "BoundInputs",
@@ -28,7 +28,6 @@ __all__ = [
     "clamp",
     "pinched_star_majority_error",
     "wilson_interval",
-    "monte_carlo_error",
 ]
 
 
@@ -186,24 +185,3 @@ def wilson_interval(errors: int, trials: int,
                                  + z ** 2 / (4 * trials ** 2))
     return max(center - half, 0.0), min(center + half, 1.0)
 
-
-def monte_carlo_error(estimate, tree, process, root, trials: int,
-                      master_seed: int) -> dict:
-    """Empirical error rate of an estimator over independent trials.
-
-    ``root`` is either a fixed root state or a Distribution to draw from.
-    ``estimate`` maps (leaf assignment, rng) to a state.  The trials are
-    ``simulated_trials`` keyed by (master_seed,): the trials of block b
-    share the substream seeded by (master_seed, b), and ``estimate``
-    continues it after the block's leaves, in trial order.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    draw = root.sample if isinstance(root, Distribution) else lambda rng: root
-    errors = sum(1 for block in simulated_trials(tree, process, draw,
-                                                 (master_seed,), trials)
-                 for _, truth, observed, rng in block.trials(tree)
-                 if estimate(observed, rng) != truth)
-    lo, hi = wilson_interval(errors, trials)
-    return {"errors": errors, "trials": trials, "rate": errors / trials,
-            "ci99": (lo, hi)}

@@ -161,7 +161,7 @@ def _test_inputs(est: dict, epsilon) -> tuple:
 
 def _majority(tree, block):
     return [(majority_estimate(observed), 0)
-            for _, _, observed, _ in block.trials(tree)]
+            for _, _, observed in block.trials(tree)]
 
 
 def _map(tree, Q, prior, block):
@@ -374,7 +374,7 @@ def _cmd_simulate(cfg: dict, workers: int):
     def write(fh):
         fh.write("trial,root,leaf,state\n")
         for block in simulated_trials(tree, proc, draw, key, trials):
-            for t, truth, observed, _ in block.trials(tree):
+            for t, truth, observed in block.trials(tree):
                 for leaf in tree.leaves:
                     fh.write(f"{t},{truth},{leaf},{observed[leaf]}\n")
     return partial(_emit, out, "", write)

@@ -1,24 +1,22 @@
 """Finite-state continuous-time Markov chain machinery.
 
-Rate matrices, which are also the finite chains' generative processes
-and hold each chain's one cache of transition matrices;
-tolerance-controlled transition matrices via uniformization, endpoint
-sampling, total variation distance, pairwise identifiability margins,
-and the weighted norm used by the Chebyshev bound.  States of a finite
-chain are labelled 1..n.
+Rate matrices, each holding its chain's one cache of transition
+matrices; tolerance-controlled transition matrices via uniformization,
+total variation distance, pairwise identifiability margins, and the
+weighted norm used by the Chebyshev bound.  States of a finite chain are
+labelled 1..n.  A rate matrix is a process that ``treechain`` draws
+trials of; the draws themselves are made there, a block at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 __all__ = [
     "RateMatrix",
     "Distribution",
-    "GenerativeProcess",
     "CtmcError",
     "transition_matrix",
     "row_distribution",
@@ -38,15 +36,14 @@ class CtmcError(ValueError):
 
 
 class RateMatrix:
-    """Conservative rate matrix over states 1..n, and the generative
-    process of its chain.
+    """Conservative rate matrix over states 1..n, the process of its
+    chain.
 
     Off-diagonal entries are nonnegative rates; each diagonal entry is minus
     the row's off-diagonal sum.  The rates are immutable after
     construction.  The package's one transition-matrix cache lives here:
-    matrices and their cumulative rows are kept per duration, so sampling
-    over the handful of distinct edge lengths of a tree uniformizes each
-    length once.
+    matrices are kept per duration, so the handful of distinct edge
+    lengths of a tree are uniformized once each.
     """
 
     def __init__(self, q):
@@ -66,7 +63,6 @@ class RateMatrix:
         self.exit_rates = -np.diag(q)
         self.states = tuple(range(1, self.n + 1))
         self._mats: dict[float, np.ndarray] = {}
-        self._cum: dict[float, np.ndarray] = {}
 
     @property
     def norm(self) -> float:
@@ -87,33 +83,12 @@ class RateMatrix:
             self._mats[t] = P
         return P
 
-    def cum_rows(self, t: float) -> np.ndarray:
-        """Cumulative sums of the rows of exp(tQ), for inverse-cdf draws;
-        read-only, as they are shared."""
-        c = self._cum.get(t)
-        if c is None:
-            c = np.cumsum(self.matrix(t), axis=1)
-            c.setflags(write=False)
-            self._cum[t] = c
-        return c
-
-    def sample(self, state, duration, rng):
-        """The state after ``duration`` from ``state``, by inverting its
-        cached cumulative row with one uniform from ``rng``: the count of
-        the row's sums at or below the uniform, capped at n - 1, is the
-        0-based state."""
-        if duration == 0.0:
-            return state
-        j = int(np.count_nonzero(self.cum_rows(duration)[state - 1]
-                                 <= rng.random()))
-        return min(j, self.n - 1) + 1
-
     def row(self, state, t) -> Distribution:
         """The exact time-t distribution started from ``state``."""
         return row_distribution(self.matrix(t), state)
 
     def __reduce__(self):
-        # pickle the rates alone: the caches are rebuilt on demand
+        # pickle the rates alone: the cache is rebuilt on demand
         return RateMatrix, (self.q,)
 
     def __repr__(self):
@@ -148,11 +123,6 @@ class Distribution:
     def support(self):
         return self._m.keys()
 
-    def sample(self, rng) -> object:
-        states = list(self._m)
-        probs = np.fromiter(self._m.values(), dtype=float, count=len(states))
-        return states[rng.choice(len(states), p=probs / probs.sum())]
-
     def __eq__(self, other):
         if not isinstance(other, Distribution):
             return NotImplemented
@@ -164,17 +134,6 @@ class Distribution:
     @classmethod
     def point_mass(cls, state):
         return cls({state: 1.0})
-
-
-@runtime_checkable
-class GenerativeProcess(Protocol):
-    """Markov transition sampler over a countable state space: ``sample``
-    runs the process from ``state`` for ``duration`` using the supplied
-    randomness stream.  ``RateMatrix`` and ``tkf91.Tkf91Params`` are the
-    package's two.  A process is hashable: ``treechain`` keeps its plans
-    per tree and process."""
-
-    def sample(self, state, duration: float, rng): ...
 
 
 # Largest uniformization rate lambda = rate * t summed directly.  Longer

@@ -60,13 +60,14 @@ class EstimatorError(ValueError):
 
 class RowTable:
     """Time-h* transition rows for a set of states, with cached minimum
-    total variation distances, achieving-set masses and masses by key."""
+    total variation distances and achieving-set masses, and the rows'
+    states by key."""
 
     def __init__(self, rows: dict):
         self.rows = dict(rows)
         self._masses: dict = {}
         self._deltas: dict = {}
-        self._keyed = None
+        self._held = None
 
     def delta(self, lam) -> float:
         """Minimum pairwise TV over a state subset; +inf for singletons."""
@@ -89,23 +90,23 @@ class RowTable:
 
     def masses(self, lam, keyed, names=None) -> np.ndarray:
         """(keys × ``lam``): each row of ``lam`` at the ``keyed`` states
-        (a finite chain's, or the ``tkf91.keys`` given with ``names``)."""
-        if self._keyed is None:
+        (a finite chain's, or the ``tkf91.keys`` given with ``names``),
+        for those keys alone."""
+        if self._held is None:
             states = list(dict.fromkeys(s for row in self.rows.values()
                                         for s in row.support))
-            # a last row of zeros, for the states off every support
-            table = np.array([[row.mass(s) for row in self.rows.values()]
-                              for s in [*states, None]])
             held = (tkf91.keys(*tkf91.encode(states))[0].tolist()
                     if isinstance(states[0], str) else states)
             # TKF91's long sequences go by their strings
-            self._keyed = table, {k if k < tkf91.LONG_KEY else s: r for
-                                  r, (k, s) in enumerate(zip(held, states))}
-        table, at = self._keyed
-        return table[[at.get(k if k < tkf91.LONG_KEY else
-                             names[k - tkf91.LONG_KEY], -1)
-                      for k in keyed.tolist()]][
-            :, [list(self.rows).index(i) for i in lam]]
+            self._held = {k if k < tkf91.LONG_KEY else s: s
+                          for k, s in zip(held, states)}
+        # a key off every support finds None, which has no mass
+        states = [self._held.get(k if k < tkf91.LONG_KEY else
+                                 names[k - tkf91.LONG_KEY])
+                  for k in keyed.tolist()]
+        rows = [self.rows[i] for i in lam]
+        return np.array([[row.mass(s) for row in rows] for s in states],
+                        dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def frequency_tests(plan: StretchPlan, lam, rows: RowTable, block) -> list:
     """(estimate, fallback flag) of each trial of ``block``, a
     ``treechain.TrialBlock`` stretched by ``plan``: the unique state of
     ``lam`` whose achieving-set frequencies all clear their thresholds,
-    else a uniform random one from the trial's generator, flagged 1.
+    else a uniform random one from the block's generator, flagged 1.
     ``rows`` holds their time-h* rows (exact for finite chains, Monte
     Carlo plug-in rows otherwise)."""
     if not lam:
@@ -260,7 +261,7 @@ def _test_block(plan, rows, block, vocab, inverse, lams, pools) -> list:
     stop = min(clash, default=len(lams))
     _EXCLUSIVITY["invocations"] += sum(len(lam) > 1 for lam in lams[:stop + 1])
     out = [(s, 0) if s is not None else
-           (pools[t][block.rngs[t].integers(len(pools[t]))], 1)
+           (pools[t][block.rng.integers(len(pools[t]))], 1)
            for t, s in enumerate(states[:stop])]
     if clash:
         _EXCLUSIVITY["violations"] += 1

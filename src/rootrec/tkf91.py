@@ -60,7 +60,6 @@ __all__ = [
     "strings",
     "lane_law",
     "evolve_lanes",
-    "tkf91_evolve",
     "stationary_sample",
     "stationary_pmf",
     "stationary_length_pmf",
@@ -119,11 +118,6 @@ class Tkf91Params:
     @property
     def ratio(self) -> float:
         return self.lam / self.mu
-
-    def sample(self, state: str, duration: float, rng) -> str:
-        """The sequence after ``duration`` from ``state``, as
-        ``tkf91_evolve`` draws it."""
-        return tkf91_evolve(self, state, duration, rng)
 
     @functools.cached_property
     def letter_cdf(self) -> list:
@@ -198,15 +192,6 @@ def strings(keyed, names=()) -> list:
     seqs += [names[k - LONG_KEY] for k in vocab[len(short):].tolist()]
     return np.array(seqs, dtype=object)[inverse].reshape(
         np.shape(keyed)).tolist()
-
-
-def tkf91_evolve(params: Tkf91Params, seq: str, t: float, rng) -> str:
-    """The sequence after duration ``t`` from ``seq``: the one-lane call
-    of ``evolve_lanes``, which says how it reads ``rng``."""
-    if t < 0:
-        raise CtmcError("time must be nonnegative")
-    return decode(*evolve_lanes(params, *encode([seq]),
-                                lane_law(params, [float(t)]), rng))[0]
 
 
 def lane_law(params: Tkf91Params, durations) -> np.ndarray:

@@ -8,8 +8,10 @@ edges) for the block and holds its states as integer keys (TKF91's
 ``tkf91.keys``), and pruning passes a finite chain's message row per
 trial, the site-pattern batching of BEAGLE (Ayres et al., Syst. Biol.
 2012).  Block b of ``BLOCK`` trials draws from the one substream keyed
-``[*key, b]``.  Every per-tree plan is kept here, once per tree and
-process, and dropped with its tree; processes carry no tree state.
+``[*key, b]``.  A process is a finite chain (``ctmc.RateMatrix``) or
+TKF91 (``tkf91.Tkf91Params``).  Every per-tree plan is kept here, once
+per tree and process, and dropped with its tree; processes carry no
+tree state.
 """
 
 from __future__ import annotations
@@ -152,11 +154,12 @@ def _descend(n: int, levels, roots, u) -> np.ndarray:
 
 def _drawer(tree: Tree, process, stretch):
     """The block draw of ``process`` on ``tree``, the one place that
-    tells the process kinds apart: ``draw(draw_root, count, size, rng)``
-    returns the roots, leaf states and ``stretch``ed states (None without
-    a stretch) of ``count`` trials drawn from ``rng`` as
-    ``simulated_trials`` says, a finite chain's as if ``size`` trials
-    were drawn, and ``TrialBlock.long``."""
+    tells the two process kinds apart, a ``RateMatrix`` and
+    ``Tkf91Params`` (anything else raises ``TypeError``):
+    ``draw(draw_root, count, size, rng)`` returns the roots, leaf states
+    and ``stretch``ed states (None without a stretch) of ``count`` trials
+    drawn from ``rng`` as ``simulated_trials`` says, a finite chain's as
+    if ``size`` trials were drawn, and ``TrialBlock.long``."""
     lay = _plan(_layout, tree)
     starts, ends, durations, picks = _stretch_edges(tree, lay, stretch)
     if isinstance(process, RateMatrix):
@@ -171,23 +174,23 @@ def _drawer(tree: Tree, process, stretch):
         if ends:
             batches = batches + [(starts, ends, lane_law(process, durations))]
         return partial(_draw_tkf91, process, batches, lay.leaves, picks)
-    if stretch is not None:
-        raise TypeError("only a finite chain's or TKF91's trials take a "
-                        "stretch")
-    return partial(_draw_each, lay, process)
+    raise TypeError(f"no trials of {process!r}: the process must be a "
+                    "RateMatrix or Tkf91Params")
 
 
 def simulate(tree: Tree, process, root_state, rng) -> dict:
     """One realization of the chain on the tree; returns leaf id -> state.
 
-    Sibling subtrees evolve independently given the parent state, edge
-    by edge in topological order: a one-trial block, drawn from ``rng`` as
-    ``simulated_trials`` says.  A finite chain draws one uniform per edge,
-    all at once, which consumes the stream exactly as a per-edge loop
-    does.
+    Sibling subtrees evolve independently given the parent state.  Each
+    call draws a whole one-trial block from ``rng`` as
+    ``simulated_trials`` says, so it pays a block's fixed cost per trial
+    (a few numpy calls per depth of the tree): loops over many trials
+    should draw them from ``simulated_trials``.  A finite chain draws one
+    uniform per edge, all at once, which consumes the stream exactly as
+    a per-edge loop does.
     """
     block = TrialBlock(0, *_plan(_drawer, tree, process, None)(
-        lambda rng: root_state, 1, 1, rng), [rng])
+        lambda rng: root_state, 1, 1, rng), rng)
     return next(block.trials(tree))[2]
 
 
@@ -245,17 +248,17 @@ class TrialBlock(NamedTuple):
     their root states, their leaf states as a (trials × leaves) array in
     ``tree.leaves`` order, the states of a stretch's leaves at their
     durations as a (trials × m) array (None without a stretch), ``long``,
-    and each trial's generator, left where its estimator continues the
-    stream: the block's one generator, which the estimators draw from in
-    trial order.  TKF91 blocks hold ``tkf91.keys``, whose long sequences
-    are ``long`` (else None), as strings only where ``states`` reads."""
+    and the block's one generator, left where the estimators continue
+    the stream in trial order.  TKF91 blocks hold ``tkf91.keys``, whose
+    long sequences are ``long`` (else None), as strings only where
+    ``states`` reads."""
 
     start: int
     roots: list
     leaves: np.ndarray
     stretched: object
     long: tuple
-    rngs: list
+    rng: np.random.Generator
 
     def states(self, keyed) -> list:
         """The states of the keys ``keyed``, as (nested) lists."""
@@ -263,10 +266,11 @@ class TrialBlock(NamedTuple):
                 else tkf91.strings(keyed, self.long))
 
     def trials(self, tree: Tree):
-        """(t, root, leaf id -> state, rng) of each trial in the block."""
-        for b, (root, row, rng) in enumerate(zip(
-                self.roots, self.states(self.leaves), self.rngs)):
-            yield self.start + b, root, dict(zip(tree.leaves, row)), rng
+        """(t, root, leaf id -> state) of each trial in the block."""
+        for t, (root, row) in enumerate(zip(self.roots,
+                                            self.states(self.leaves)),
+                                        self.start):
+            yield t, root, dict(zip(tree.leaves, row))
 
 
 def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
@@ -284,13 +288,12 @@ def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
     uniforms, a row per trial of one per edge in topological order and
     one per stretched leaf, and inverts each edge's cumulative rows for
     the whole block at once; a last, short block draws as much as a full
-    one, so trial t is the same in every run that reaches it.  Any other
+    one, so trial t is the same in every run that reaches it.  A TKF91
     block draws the roots of its own trials only, so its trials depend on
-    the run's trial count only inside the last, short block.  TKF91 then
-    draws its batches of edges (``_tkf91_plan``, and the stretched
-    leaves' edges last) as ``_draw_tkf91`` says.  Any other process
-    simulates one trial after another, as ``simulate`` does, and takes
-    no stretch (``TypeError``).
+    the run's trial count only inside the last, short block, then its
+    batches of edges (``_tkf91_plan``, and the stretched leaves' edges
+    last) as ``_draw_tkf91`` says.  Any other process raises
+    ``TypeError``.
     """
     if start % BLOCK:
         raise ValueError(f"trials start at a multiple of {BLOCK}, "
@@ -302,7 +305,7 @@ def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
 
 def _block(draw, draw_root, key, lo: int, count: int) -> TrialBlock:
     rng = np.random.default_rng([*key, lo // BLOCK])
-    return TrialBlock(lo, *draw(draw_root, count, BLOCK, rng), [rng] * count)
+    return TrialBlock(lo, *draw(draw_root, count, BLOCK, rng), rng)
 
 
 def _stretch_edges(tree: Tree, lay: _Layout, stretch) -> tuple:
@@ -333,20 +336,6 @@ def _draw_chain(n, levels, width, leaves, picks, draw_root, count, size,
     states = _descend(n, levels, roots, rng.random((size, width))[:count].T)
     states += 1
     return roots, states[leaves].T, states[picks].T if picks else None, None
-
-
-def _draw_each(lay: _Layout, process, draw_root, count, size, rng) -> tuple:
-    """Any other process's draw on the tree laid out as ``lay``: ``count``
-    roots, then each trial's leaf states, trial after trial and edge by
-    edge; and no stretch or ``long``."""
-    roots = [draw_root(rng) for _ in range(count)]
-    rows = []
-    for root in roots:
-        states = [root]
-        for p, t in zip(lay.parents, lay.lengths):
-            states.append(process.sample(states[p], t, rng))
-        rows.append([states[i] for i in lay.leaves])
-    return roots, np.array(rows, dtype=object), None, None
 
 
 def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,

@@ -1,6 +1,7 @@
 """Oracles for the tests: exact joint leaf laws of small trees, an eager
-builder of random ultrametric families, the TKF91 law by events and by
-slots, and per-trial estimators.
+builder of random ultrametric families, per-draw samplers and a per-edge
+tree walk, the TKF91 law by events and by slots, per-trial estimators,
+and a Monte Carlo error harness.
 
 ``exact_leaf_law`` lists every leaf outcome with its probability, so it
 only serves small trees; the package itself computes likelihoods by
@@ -8,10 +9,15 @@ pruning (``treechain.leaf_likelihoods``), which these laws cross-check.
 ``eager_random_ultrametric`` builds every member of a family from the
 one before it, as the package first did; the package now replays
 recorded growth steps per member, which it cross-checks.
+``tree_per_edge`` runs one trial down a tree edge by edge with a
+per-draw sampler: ``chain_step`` inverts a finite chain's cumulative
+row with one uniform, as the package's block draw does for every
+trial's row of uniforms, ``sample_endpoint`` is the chain's Gillespie
+jump simulation, and ``tkf91_evolve`` is the one-lane call of
+``tkf91.evolve_lanes``.
 ``tkf91_beta`` gives the length law of TKF91 after any time t.
 ``tkf91_evolve_per_edge`` simulates TKF91 event by event (Gillespie),
-the process itself, and ``tkf91_tree_per_edge`` runs it edge by edge
-down a tree: the package's time-t sampler must draw the same law.
+the process itself: the package's time-t sampler must draw the same law.
 ``tkf91_children_reference`` is that sampler written one slot at a time
 in plain Python, and ``tkf91_tree_reference`` runs it down a tree batch
 by batch: the package's draws must equal theirs, uniform for uniform.
@@ -21,12 +27,14 @@ another by their total variation, as sets of states
 the frequency tests of one trial against these sets, on its
 stretched-state counts (``block_counts``), and ``frequency_estimate``
 and ``uniform_chain_estimate`` run them on one trial's observed leaves,
-stretching them one at a time with ``process.sample``; the package
-stretches and tests a block of trials at once, on integer keys.  ``evolve_lanes_reference`` draws TKF91 children from their
-durations, each lane's law (``tkf91_law_reference``) computed with its
-draw, as the package did before it kept each edge's law in the tree's
-plan.  ``sample_endpoint`` is a finite chain's Gillespie jump
-simulation, the reference for ``RateMatrix.sample``.
+stretching them one draw at a time; the package stretches
+and tests a block of trials at once, on integer keys.
+``evolve_lanes_reference`` draws TKF91 children from their durations,
+each lane's law (``tkf91_law_reference``) computed with its draw, as the
+package did before it kept each edge's law in the tree's plan.
+``monte_carlo_error`` counts an estimator's errors over
+``simulated_trials`` keyed by its master seed, with a root drawn by
+``draw_state`` or fixed.
 """
 
 from __future__ import annotations
@@ -35,18 +43,20 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
 
 from rootrec import tkf91
+from rootrec.bounds import wilson_interval
 from rootrec.ctmc import (CtmcError, Distribution, RateMatrix, _label_key,
                           total_variation)
 from rootrec.estimators import (_EXCLUSIVITY, EstimatorError, RowTable,
                                 StretchPlan)
 from rootrec.tree import DEPTH_TOL, Tree
-from rootrec.treechain import DURATION_TOL
+from rootrec.treechain import DURATION_TOL, simulated_trials
 
 # largest outcome count the enumerating oracle exact_leaf_law builds
 SIZE_GUARD = 10 ** 6
@@ -233,14 +243,70 @@ def tkf91_evolve_per_edge(params, seq: str, t: float, rng) -> str:
                     f"sequence length exceeded the cap {tkf91.LENGTH_CAP}")
 
 
-def tkf91_tree_per_edge(tree: Tree, params, root: str, rng) -> dict:
-    """Leaf id -> sequence of one TKF91 run down ``tree`` from ``root``,
-    one ``tkf91_evolve_per_edge`` call per edge in topological order."""
-    seqs = {tree.root: root}
+def tree_per_edge(tree: Tree, step, root, rng) -> dict:
+    """Leaf id -> state of one run down ``tree`` from ``root``, one
+    ``step(state, duration, rng)`` call per edge in topological order:
+    ``partial(chain_step, Q)`` walks as a finite chain's block draw
+    inverts each edge, and ``partial(tkf91_evolve_per_edge, params)``
+    runs TKF91 event by event."""
+    states = {tree.root: root}
     for v in tree.topo_order[1:]:
-        seqs[v] = tkf91_evolve_per_edge(params, seqs[tree.parent[v]],
-                                        tree.length[v], rng)
-    return {x: seqs[x] for x in tree.leaves}
+        states[v] = step(states[tree.parent[v]], tree.length[v], rng)
+    return {x: states[x] for x in tree.leaves}
+
+
+def chain_step(Q, state: int, duration: float, rng) -> int:
+    """The state of the chain ``Q`` (its ``n`` and ``matrix``) after
+    ``duration`` from ``state``, by inverting the cumulative row of
+    exp(tQ) with one uniform from ``rng``: the count of the row's sums at
+    or below the uniform, capped at n - 1, is the 0-based state.  A zero
+    duration draws nothing."""
+    if duration == 0.0:
+        return state
+    row = np.cumsum(Q.matrix(duration), axis=1)[state - 1]
+    return min(int(np.count_nonzero(row <= rng.random())), Q.n - 1) + 1
+
+
+def tkf91_evolve(params, seq: str, t: float, rng) -> str:
+    """The sequence after duration ``t`` from ``seq``: the one-lane call
+    of ``tkf91.evolve_lanes``, which says how it reads ``rng``."""
+    if t < 0:
+        raise CtmcError("time must be nonnegative")
+    return tkf91.decode(*tkf91.evolve_lanes(
+        params, *tkf91.encode([seq]), tkf91.lane_law(params, [float(t)]),
+        rng))[0]
+
+
+def draw_state(d: Distribution, rng):
+    """One state of ``d`` drawn with ``Generator.choice`` over its
+    support, in its order."""
+    states = list(d.support)
+    probs = np.fromiter((p for _, p in d.items()), dtype=float,
+                        count=len(states))
+    return states[rng.choice(len(states), p=probs / probs.sum())]
+
+
+def monte_carlo_error(estimate, tree: Tree, process, root, trials: int,
+                      master_seed: int) -> dict:
+    """Empirical error rate of an estimator over independent trials.
+
+    ``root`` is either a fixed root state or a Distribution to draw from
+    (``draw_state``).  ``estimate`` maps (leaf assignment, rng) to a
+    state.  The trials are ``simulated_trials`` keyed by (master_seed,):
+    the trials of block b share the substream seeded by (master_seed,
+    b), and ``estimate`` continues it after the block's leaves, in trial
+    order."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    draw = (partial(draw_state, root) if isinstance(root, Distribution)
+            else lambda rng: root)
+    errors = sum(1 for block in simulated_trials(tree, process, draw,
+                                                 (master_seed,), trials)
+                 for _, truth, observed in block.trials(tree)
+                 if estimate(observed, block.rng) != truth)
+    lo, hi = wilson_interval(errors, trials)
+    return {"errors": errors, "trials": trials, "rate": errors / trials,
+            "ci99": (lo, hi)}
 
 
 def tkf91_children_reference(params, parents, durations, rng) -> list:
@@ -522,12 +588,15 @@ def uniform_chain_test(plan: StretchPlan, counts: dict, q_star: float,
 def _stretched_counts(plan: StretchPlan, process, observed: dict,
                       rng) -> Counter:
     """Leaf-state frequencies of the stretched restriction: the selected
-    leaves' observed states, each run forward to depth h*."""
+    leaves' observed states, each run forward to depth h* one draw at a
+    time (``tkf91_evolve`` for TKF91, else ``chain_step``)."""
+    step = (tkf91_evolve if isinstance(process, tkf91.Tkf91Params)
+            else chain_step)
     counts: Counter = Counter()
     for leaf, dur in zip(plan.leaves, plan.durations):
         state = observed[leaf]
         if dur > DURATION_TOL:
-            state = process.sample(state, dur, rng)
+            state = step(process, state, dur, rng)
         counts[state] += 1
     return counts
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from rootrec.bounds import (BoundInputs, chebyshev_star_bound, clamp,
-                            monte_carlo_error, pinched_star_hoeffding_bound,
+                            pinched_star_hoeffding_bound,
                             pinched_star_majority_error,
                             prop54_uniform_bound, prop54_valid, recon_lower,
                             recon_upper, thm2_general_bound, thm2_valid,
                             variance_bound, wilson_interval)
 from rootrec.ctmc import Distribution, RateMatrix, two_state_symmetric
-from oracles import exact_leaf_law
+from oracles import exact_leaf_law, monte_carlo_error
 from rootrec.tree import generate_family
 from rootrec.estimators import majority_estimate
 

@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -117,6 +118,23 @@ class TestExperimentCommand:
             tmp_path, process={"kind": "tkf91", "nu": 1, "lam": 1, "mu": 2})
         path = write_cfg(tmp_path, "e.json", cfg)
         assert main(["experiment", path]) == EXIT_CONFIG
+
+    def test_loads_no_test_code(self, tmp_path):
+        # a command runs on the package alone: neither the tests' oracles
+        # nor the test-only dependencies are imported in a fresh process
+        path = write_cfg(tmp_path, "e.json", experiment_cfg(tmp_path,
+                                                            trials=5))
+        script = ("import sys, rootrec.cli\n"
+                  f"assert rootrec.cli.main(['experiment', {path!r}]) == 0\n"
+                  "print(sorted({'oracles', 'scipy', 'hypothesis'}"
+                  " & set(sys.modules)))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True,
+                             cwd=tmp_path, env={**os.environ,
+                                                "PYTHONPATH": src}).stdout
+        assert out == "[]\n"
+        assert (tmp_path / "out.summary.csv").read_text().count("\n") == 2
 
 
 class RecordingPool:
@@ -271,7 +289,7 @@ class TestMapEstimator:
         observations = [
             (t, truth, obs) for block in simulated_trials(
                 tree, Q, trials.draw, (cfg["seed"],), cfg["trials"])
-            for t, truth, obs, _ in block.trials(tree)]
+            for t, truth, obs in block.trials(tree)]
         for (t, truth, state, _), (t_obs, root, obs) in zip(rows,
                                                             observations):
             assert (t, truth) == (t_obs, root)
@@ -293,7 +311,7 @@ class TestMapEstimator:
         obs = {"L0001": 1, "L0002": 3}
         est, _, _ = _build_estimator(cfg, tree, Q)
         block = TrialBlock(0, [1], np.array([[1, 3]]), None, None,
-                           [np.random.default_rng(0)])
+                           np.random.default_rng(0))
         with pytest.raises(EstimatorError, match="impossible"):
             est(block)
         with pytest.raises(EstimatorError, match="impossible"):

@@ -8,9 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sample_endpoint, tv_achieving_set
-from rootrec.ctmc import (CtmcError, Distribution, GenerativeProcess,
-                          RateMatrix, identifiability_margin, jukes_cantor,
+from oracles import draw_state, sample_endpoint, tv_achieving_set
+from rootrec.ctmc import (CtmcError, Distribution, RateMatrix, identifiability_margin, jukes_cantor,
                           load_rate_matrix, row_distribution, star_norm,
                           star_norm_diff, total_variation,
                           transition_matrix, two_state_symmetric)
@@ -70,7 +69,7 @@ class TestDistribution:
     def test_point_mass_sampling(self):
         rng = np.random.default_rng(0)
         d = Distribution.point_mass("x")
-        assert d.sample(rng) == "x"
+        assert draw_state(d, rng) == "x"
 
 
 class TestTransitionMatrix:
@@ -251,9 +250,7 @@ class TestSampling:
     def test_one_process_per_rate_matrix(self):
         # a rate matrix is its chain's process and keeps one matrix cache
         Q = jukes_cantor(1.0)
-        assert isinstance(Q, GenerativeProcess)
         assert Q.matrix(0.3) is Q.matrix(0.3)
-        assert Q.cum_rows(0.3) is Q.cum_rows(0.3)
         assert jukes_cantor(1.0).matrix(0.3) is not Q.matrix(0.3)
 
     def test_pickles_without_its_caches(self):

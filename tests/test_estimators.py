@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,10 +20,10 @@ from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 majority_estimate, map_estimate,
                                 map_estimates, stretch_plan,
                                 uniform_chain_tests)
-from rootrec.tkf91 import (Tkf91Params, encode, keys, mc_rows,
+from rootrec.tkf91 import (Tkf91Params, distinct, encode, keys, mc_rows,
                            stationary_sample, strings, top_states)
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import TrialBlock, simulate
+from rootrec.treechain import TrialBlock, simulate, simulated_trials
 
 
 def pinched(m, s=0.05, h=1.0):
@@ -393,7 +395,7 @@ class TestBlockTests:
         keyed = np.asarray(keyed)
         states = keyed if states is None else np.array(states, dtype=object)
         block = TrialBlock(0, [None] * len(keyed), None, keyed, long,
-                           [np.random.default_rng(seed)] * len(keyed))
+                           np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
 
         def per_trial():
@@ -404,7 +406,7 @@ class TestBlockTests:
         got = self.outcome(lambda: block_test(plan, arg, rows, block))
         want = self.outcome(per_trial)
         assert got == want
-        assert block.rngs[0].random() == rng.random()
+        assert block.rng.random() == rng.random()
         return got[0]
 
     @staticmethod
@@ -489,6 +491,30 @@ class TestBlockTests:
                 (mass[:, a] == mass[:, b]) & (a < b))
             assert inside.tolist() == [s in aset for s in states]
 
+    def test_small_epsilon_masses_span_the_block(self):
+        # at epsilon 0.05 the candidates' plug-in rows hold far more
+        # sequences between them than a block's stretched leaves show:
+        # testing the block allocates less than one float per candidate
+        # and sequence of the rows, as a table over the block's own
+        # distinct sequences does
+        P = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
+        tree = generate_family("figure1", {"k": 20, "h": 1.0})[19]
+        plan = stretch_plan(tree, 0.05, 1.0)
+        lam = top_states(P, 0.05)
+        rows = RowTable(mc_rows(P, lam, 1.0, 100, np.random.default_rng(1)))
+        (block,) = simulated_trials(tree, P, partial(stationary_sample, P),
+                                    (2,), 64, stretch=plan)
+        tracemalloc.start()
+        try:
+            frequency_tests(plan, lam, rows, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        support = {s for row in rows.rows.values() for s in row.support}
+        assert len(lam) > 100
+        assert len(distinct(block.stretched)[0]) * 4 < len(support)
+        assert peak < 8 * len(lam) * len(support)
+
     def test_zero_margin_fails(self):
         # freq 2/4 against the bar 0.75 - 0.5 / 2: a margin of 0.0
         rows = RowTable(self.EVEN)
@@ -510,12 +536,12 @@ class TestBlockTests:
         rows = RowTable(self.EVEN)
         keyed = [[1, 1, 2, 2], [2, 2, 2, 2]]
         block = TrialBlock(0, [1, 2], None, np.array(keyed), None,
-                           [np.random.default_rng(8)] * 2)
+                           np.random.default_rng(8))
         got = self.outcome(lambda: frequency_tests(self.plan(4), [2], rows,
                                                    block))
         assert got == ([(2, 0), (2, 0)], {"invocations": 0,
                                           "violations": 0})
-        assert block.rngs[0].random() == np.random.default_rng(8).random()
+        assert block.rng.random() == np.random.default_rng(8).random()
         self.compare(frequency_tests, frequency_test, self.plan(4), [2],
                      rows, keyed)
 
@@ -523,7 +549,7 @@ class TestBlockTests:
         rows = rows_at(self.Q, 1e-3)
         with pytest.raises(EstimatorError, match="nonempty"):
             frequency_tests(self.plan(4), [], rows, TrialBlock(
-                0, [1], None, np.ones((1, 4), np.uint8), None, [None]))
+                0, [1], None, np.ones((1, 4), np.uint8), None, None))
         # at h* = 1e-3 a candidate needs two of the four leaves: none,
         # one (a singleton), and two candidates
         keyed = [[1, 2, 3, 4], [1, 1, 1, 2], [3, 3, 4, 4], [4, 3, 2, 1]]
@@ -542,7 +568,7 @@ class TestBlockTests:
         keyed = [[s for s, n in zip((1, 2, 3, 4), c) for _ in range(n)]
                  for c in counts]
         block = TrialBlock(0, [1] * 5, None, np.array(keyed), None,
-                           [np.random.default_rng(2)] * 5)
+                           np.random.default_rng(2))
         got = self.outcome(lambda: frequency_tests(self.plan(6), [1, 2, 3],
                                                    rows, block))
         assert got == (("raised", "multiple states passed the frequency "

@@ -19,8 +19,8 @@ import json
 
 import pytest
 
+from oracles import monte_carlo_error
 from rootrec import cli
-from rootrec.bounds import monte_carlo_error
 from rootrec.cli import EXIT_OK, main
 from rootrec.ctmc import Distribution, jukes_cantor, two_state_symmetric
 from rootrec.tree import generate_family

@@ -6,15 +6,15 @@ import os
 import pickle
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
 from oracles import (evolve_lanes_reference, frequency_estimate,
-                     tkf91_beta, tkf91_children_reference,
+                     tkf91_beta, tkf91_children_reference, tkf91_evolve,
                      tkf91_evolve_per_edge, tkf91_law_reference,
-                     tkf91_tree_per_edge, tkf91_tree_reference,
-                     uniform_stream)
+                     tkf91_tree_reference, tree_per_edge, uniform_stream)
 from rootrec import cli, tkf91, treechain
 from rootrec.cli import EXIT_OK, main
 from rootrec.ctmc import CtmcError, total_variation, Distribution, _label_key
@@ -22,8 +22,8 @@ from rootrec.estimators import RowTable, StretchPlan, stretch_plan
 from rootrec.tkf91 import (ALPHABET, KEY_LETTERS, LONG_KEY, Tkf91Params,
                            decode, encode, evolve_lanes, keys, lane_law,
                            mc_rows, stationary_length_pmf, stationary_pmf,
-                           stationary_sample, strings, tkf91_evolve,
-                           top_states, write_experiment_csv)
+                           stationary_sample, strings, top_states,
+                           write_experiment_csv)
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import BLOCK, simulate, simulated_trials
 
@@ -77,11 +77,6 @@ class TestEvolve:
         out = tkf91_evolve(STD, "ATCG", 0.5, a)
         monkeypatch.undo()
         assert out == tkf91_evolve(STD, "ATCG", 0.5, b)
-
-    def test_sample_is_evolve(self):
-        a, b = np.random.default_rng(5), np.random.default_rng(5)
-        assert STD.sample("ATCG", 0.7, a) == tkf91_evolve(STD, "ATCG", 0.7, b)
-        assert a.random() == b.random()
 
     def test_stationarity_of_length_law(self):
         rng = np.random.default_rng(3)
@@ -143,8 +138,7 @@ class TestOneEventLoop:
         leaves, _ = tkf91_tree_reference(tree, self.P, roots, ref)
         assert [row[1:3] for row in block.trials(tree)] == list(zip(roots,
                                                                     leaves))
-        assert block.rngs == [block.rngs[0]] * 200
-        assert block.rngs[0].random() == ref.random()
+        assert block.rng.random() == ref.random()
 
     def test_mc_rows(self):
         states = ("", "A", "GT", "ACGTA")
@@ -333,8 +327,8 @@ class TestExactLaw:
                             ("u", "b", 0.7)])
         rng = np.random.default_rng(26)
         src = uniform_stream(rng)
-        events = [tuple(tkf91_tree_per_edge(tree, self.P, "AT",
-                                            src).values())
+        step = partial(tkf91_evolve_per_edge, self.P)
+        events = [tuple(tree_per_edge(tree, step, "AT", src).values())
                   for _ in range(4000)]
         law = [tuple(row) for block in simulated_trials(
             tree, self.P, lambda rng: "AT", (27,), 20000)
@@ -360,11 +354,11 @@ class TestTrialBlocks:
     def run(self, stop, start=0):
         tree = self.tree()
         # the last entry is where the estimator would continue the stream
-        return [(t, root, leaves, tuple(stretched), rng.random())
+        return [(t, root, leaves, tuple(stretched), block.rng.random())
                 for block in simulated_trials(
                     tree, self.P, lambda rng: stationary_sample(self.P, rng),
                     (5,), stop, start, self.plan(tree))
-                for (t, root, leaves, rng), stretched in zip(
+                for (t, root, leaves), stretched in zip(
                     block.trials(tree), block.states(block.stretched))]
 
     def test_split_range_yields_the_same_trials(self):

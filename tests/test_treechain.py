@@ -1,13 +1,13 @@
 import itertools
 import math
 import pickle
-from bisect import bisect_right
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import exact_leaf_law, exact_leaf_tv
+from oracles import chain_step, exact_leaf_law, exact_leaf_tv, tree_per_edge
 from rootrec import ctmc
 from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
                           transition_matrix, two_state_symmetric,
@@ -82,21 +82,6 @@ class TestSimulate:
             assert abs(c / n - expect) < 4 * math.sqrt(expect / n)
 
 
-class PerEdgeChain:
-    """A finite chain seen only through the GenerativeProcess protocol:
-    not a RateMatrix, so simulate takes its per-edge loop.  Each draw
-    bisects the state's cumulative row with one uniform."""
-
-    def __init__(self, Q):
-        self.Q = Q
-
-    def sample(self, state, duration, rng):
-        if duration == 0.0:
-            return state
-        row = np.cumsum(self.Q.matrix(duration), axis=1)[state - 1].tolist()
-        return min(bisect_right(row, rng.random()), self.Q.n - 1) + 1
-
-
 def uniform_row(u):
     """A stand-in generator whose ``random()`` returns the floats of
     ``u`` in turn: one trial's row of its block's uniforms."""
@@ -125,12 +110,12 @@ class TestCompiledSimulate:
     def test_matches_per_edge_loop(self, kind, n):
         tree = self.TREES[kind]()
         Q = random_chain(n)
-        per_edge = PerEdgeChain(Q)
+        step = partial(chain_step, Q)
         for seed in range(200):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             root = seed % n + 1
-            assert simulate(tree, Q, root, a) == simulate(tree, per_edge,
-                                                          root, b)
+            assert simulate(tree, Q, root, a) == tree_per_edge(tree, step,
+                                                               root, b)
             # both consumed the stream identically
             assert a.random() == b.random()
 
@@ -199,19 +184,9 @@ class TestPlans:
         simulate(tree, R, 1, np.random.default_rng(0))
         assert layouts == [(tree,)] and compiled == [(tree, Q), (tree, R)]
 
-    def test_other_process_laid_out_once(self, monkeypatch):
-        layouts = self.count(monkeypatch, "_layout")
-        tree = pinched2()
-        process = PerEdgeChain(jukes_cantor(1.0))
-        simulate(tree, process, 1, np.random.default_rng(0))
-        simulate(tree, process, 2, np.random.default_rng(1))
-        list(simulated_trials(tree, process, lambda rng: 1, (0,), 3))
-        assert layouts == [(tree,)]
-
     @pytest.mark.parametrize("process, root", [
         (two_state_symmetric(1.0), 1),
-        (Tkf91Params(nu=1.0, lam=0.5, mu=1.0), "AT"),
-        (PerEdgeChain(jukes_cantor(1.0)), 1)])
+        (Tkf91Params(nu=1.0, lam=0.5, mu=1.0), "AT")])
     def test_plans_go_with_their_tree(self, process, root):
         # no plan refers to its tree, so the tree's entry dies with it
         tree = pinched2()
@@ -228,8 +203,8 @@ class TestPlans:
 
 
 class TestDescend:
-    """``_descend`` against ``PerEdgeChain`` on the same uniforms, vertex
-    by vertex, on edges with random stochastic matrices."""
+    """``_descend`` against ``oracles.chain_step`` on the same uniforms,
+    vertex by vertex, on edges with random stochastic matrices."""
 
     # below 1, and above a cumulative row that rounding left below 1
     TOP = float(np.nextafter(1.0, 0.0))
@@ -268,12 +243,11 @@ class TestDescend:
             u[e] = self.TOP
         states = _descend(n, levels, roots, u)
         assert states.dtype == (np.uint16 if n > 255 else np.uint8)
-        per_edge = PerEdgeChain(chain)
         lengths = [tree.length[v] for v in tree.topo_order[1:]]
         for b, root in enumerate(roots):
             src, ref = uniform_row(u[:, b]), [root]
             for p, ln in zip(parents, lengths):
-                ref.append(per_edge.sample(ref[p], ln, src))
+                ref.append(chain_step(chain, ref[p], ln, src))
             assert (states[:, b] + 1).tolist() == ref
             assert ref[1] == ref[-1] == n
 
@@ -310,7 +284,7 @@ class TestTrialBlocks:
         # generator, left just after the array; the last block is short
         tree = TestCompiledSimulate.TREES[kind]()
         Q = random_chain(n)
-        per_edge = PerEdgeChain(Q)
+        step = partial(chain_step, Q)
         # durations at, just below and above DURATION_TOL, and positive
         chosen = tree.leaves[::2]
         durations = [(0.0, DURATION_TOL / 2, 2 * DURATION_TOL, 0.3, 1.1)[i % 5]
@@ -328,17 +302,16 @@ class TestTrialBlocks:
             roots = [draw(ref) for _ in range(BLOCK)]
             u = ref.random((BLOCK, width))
             assert block.roots == roots[:len(block.roots)]
-            for b, rng in enumerate(block.rngs):
+            for b in range(len(block.roots)):
                 row = uniform_row(u[b])
-                leaves = simulate(tree, per_edge, roots[b], row)
-                stretched = [per_edge.sample(leaves[x], d, row)
+                leaves = tree_per_edge(tree, step, roots[b], row)
+                stretched = [step(leaves[x], d, row)
                              if d > DURATION_TOL else leaves[x]
                              for x, d in zip(chosen, durations)]
                 assert block.leaves[b].tolist() == [leaves[x]
                                                     for x in tree.leaves]
                 assert block.stretched[b].tolist() == stretched
-                assert rng is block.rngs[0]
-            assert block.rngs[0].random() == ref.random()
+            assert block.rng.random() == ref.random()
 
     def test_blocks_hold_block_trials(self):
         tree = TestCompiledSimulate.TREES["figure1"]()
@@ -346,14 +319,14 @@ class TestTrialBlocks:
         blocks = list(simulated_trials(tree, Q, lambda rng: 1, (3,),
                                        3 * BLOCK + 2, start=BLOCK))
         assert [b.start for b in blocks] == [BLOCK, 2 * BLOCK, 3 * BLOCK]
-        assert [len(b.rngs) for b in blocks] == [BLOCK, BLOCK, 2]
+        assert [len(b.roots) for b in blocks] == [BLOCK, BLOCK, 2]
         assert all(b.stretched is None for b in blocks)
         # one generator per block
-        assert all(b.rngs == [b.rngs[0]] * len(b.rngs) for b in blocks)
-        assert len({id(b.rngs[0]) for b in blocks}) == 3
+        assert len({id(b.rng) for b in blocks}) == 3
 
     @pytest.mark.parametrize("process", [two_state_symmetric(1.0),
-                                         PerEdgeChain(jukes_cantor(1.0))])
+                                         Tkf91Params(nu=1.0, lam=0.5,
+                                                     mu=1.0)])
     def test_start_inside_a_block_is_refused(self, process):
         tree = pinched2()
         for start in (1, BLOCK - 1, BLOCK + 7):
@@ -361,12 +334,20 @@ class TestTrialBlocks:
                 list(simulated_trials(tree, process, lambda rng: 1, (3,),
                                       2 * BLOCK, start=start))
 
-    def test_other_processes_take_no_stretch(self):
-        tree = pinched2()
+    def test_other_processes_are_refused(self):
+        # a finite chain and TKF91 are the only processes; a chain seen
+        # through another object draws no trials, with or without a stretch
+        class Chain:
+            n, matrix = 2, two_state_symmetric(1.0).matrix
+
+        tree, other = pinched2(), Chain()
         plan = StretchPlan(0.1, 2.0, 1, 0.0, ("a",), (1.0,))
-        with pytest.raises(TypeError):
-            next(simulated_trials(tree, PerEdgeChain(jukes_cantor(1.0)),
-                                  lambda rng: 1, (0,), 3, stretch=plan))
+        with pytest.raises(TypeError, match="RateMatrix or Tkf91Params"):
+            simulate(tree, other, 1, np.random.default_rng(0))
+        for stretch in (None, plan):
+            with pytest.raises(TypeError, match="RateMatrix or Tkf91Params"):
+                next(simulated_trials(tree, other, lambda rng: 1, (0,), 3,
+                                      stretch=stretch))
 
 
 class TestExactLeafLaw:
@@ -558,11 +539,11 @@ class TestSimulatedTrials:
         t = generate_family("figure1", {"k": 8, "h": 1.0})[7]
         Q = jukes_cantor(1.0)
         # the last entry is where the estimator would continue the stream
-        return [(i, root, leaves, rng.random())
+        return [(i, root, leaves, block.rng.random())
                 for block in simulated_trials(
                     t, Q, lambda rng: int(rng.integers(4)) + 1, key, stop,
                     start)
-                for i, root, leaves, rng in block.trials(t)]
+                for i, root, leaves in block.trials(t)]
 
     def test_split_range_yields_the_same_trials(self):
         # a split on a block boundary, and any shorter run, give the same
@@ -587,6 +568,6 @@ class TestSimulatedTrials:
             u = rng.random((BLOCK, len(t.topo_order) - 1))
             for (i, root, leaves, after), r, us in zip(block, roots, u):
                 assert root == r
-                assert leaves == simulate(t, PerEdgeChain(Q), root,
-                                          uniform_row(us))
+                assert leaves == tree_per_edge(t, partial(chain_step, Q),
+                                               root, uniform_row(us))
                 assert after == rng.random()
