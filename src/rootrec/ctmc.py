@@ -2,7 +2,10 @@
 
 Rate matrices, each holding its chain's one cache of transition
 matrices; tolerance-controlled transition matrices via uniformization,
-total variation distance, pairwise identifiability margins, and the
+all the missing durations of a request (``RateMatrix.matrices``, a
+tree's edge lengths) in one pass that shares the powers of the
+uniformized jump chain; total variation distance, of one pair or of
+every pair of a list at once; pairwise identifiability margins, and the
 weighted norm used by the Chebyshev bound.  States of a finite chain are
 labelled 1..n.  A rate matrix is a process that ``treechain`` draws
 trials of; the draws themselves are made there, a block at a time.
@@ -21,6 +24,7 @@ __all__ = [
     "transition_matrix",
     "row_distribution",
     "total_variation",
+    "total_variations",
     "identifiability_margin",
     "star_norm",
     "two_state_symmetric",
@@ -43,7 +47,7 @@ class RateMatrix:
     the row's off-diagonal sum.  The rates are immutable after
     construction.  The package's one transition-matrix cache lives here:
     matrices are kept per duration, so the handful of distinct edge
-    lengths of a tree are uniformized once each.
+    lengths of a tree are uniformized once each, in one pass.
     """
 
     def __init__(self, q):
@@ -74,14 +78,20 @@ class RateMatrix:
         """max_i (q_i or 1)."""
         return float(max(self.exit_rates.max(), 1.0))
 
+    def matrices(self, lengths) -> list:
+        """exp(tQ) at each of ``lengths``, each duration computed once:
+        those not yet held in one uniformization pass, to the bits of
+        ``transition_matrix``; read-only, as they are shared."""
+        missing = [t for t in dict.fromkeys(lengths) if t not in self._mats]
+        if missing:
+            for t, P in zip(missing, _uniformize(self, missing)):
+                P.setflags(write=False)
+                self._mats[t] = P
+        return [self._mats[t] for t in lengths]
+
     def matrix(self, t: float) -> np.ndarray:
-        """exp(tQ), computed once per duration; read-only, as it is shared."""
-        P = self._mats.get(t)
-        if P is None:
-            P = transition_matrix(self, t)
-            P.setflags(write=False)
-            self._mats[t] = P
-        return P
+        """exp(tQ): the one-duration ``matrices``."""
+        return self.matrices([t])[0]
 
     def row(self, state, t) -> Distribution:
         """The exact time-t distribution started from ``state``."""
@@ -149,38 +159,54 @@ def transition_matrix(Q: RateMatrix, t: float, tol: float = 1e-12) -> np.ndarray
     The Poissonized jump-chain series is truncated when the remaining
     Poisson tail mass drops below ``tol``; rows are renormalized.  When
     rate * t exceeds ``UNIFORMIZATION_CAP`` the series is summed at
-    t / 2^k and squared k times.
+    t / 2^k and squared k times.  The one-duration call of the pass
+    that ``RateMatrix.matrices`` makes over many.
     """
-    if not 0 <= t < math.inf:
-        raise CtmcError(f"time must be nonnegative and finite, got {t}")
+    return _uniformize(Q, [t], tol)[0]
+
+
+def _uniformize(Q: RateMatrix, lengths, tol: float = 1e-12) -> np.ndarray:
+    """``transition_matrix`` at each of ``lengths``, as an (L × n × n)
+    array, in one pass: the powers of R = I + Q / rate are shared across
+    the lengths, and each length's floats are those of its own series
+    (its own ``math.exp``, terms added while its own tail is at least
+    ``tol``, its own squarings)."""
+    for t in lengths:
+        if not 0 <= t < math.inf:
+            raise CtmcError(f"time must be nonnegative and finite, got {t}")
     n = Q.n
     rate = float(Q.exit_rates.max())
-    if t == 0 or rate == 0.0:
-        return np.eye(n)
-    lam = rate * t
-    squarings = 0
-    while lam > UNIFORMIZATION_CAP:
-        lam /= 2.0
-        squarings += 1
-    R = np.eye(n) + Q.q / rate
-    term = math.exp(-lam)
-    acc = term
-    P = term * np.eye(n)
+    lam = rate * np.array(lengths, dtype=float)
+    squarings = np.zeros(len(lam), dtype=int)
+    while (over := lam > UNIFORMIZATION_CAP).any():
+        lam[over] /= 2.0
+        squarings += over
+    # where rate * t is 0 no term is added and P is the identity, so a
+    # chain that never jumps needs no R
+    R = np.eye(n) + Q.q / (rate or 1.0)
+    term = np.array([math.exp(-x) for x in lam.tolist()])
+    acc = term.copy()
+    P = term[:, None, None] * np.eye(n)
     power = np.eye(n)
     k = 0
-    while 1.0 - acc >= tol:
+    live = np.flatnonzero(1.0 - acc >= tol)
+    while len(live):
         k += 1
         power = power @ R
-        term *= lam / k
-        acc += term
-        P += term * power
-    sums = P.sum(axis=1)
+        term[live] *= lam[live] / k
+        acc[live] += term[live]
+        P[live] += term[live, None, None] * power
+        live = live[1.0 - acc[live] >= tol]
+    sums = P.sum(axis=2)
     if np.any(np.abs(sums - 1.0) > max(tol, 1e-9) * 10):
         raise CtmcError("uniformization failed to produce stochastic rows")
-    P = P / sums[:, None]
-    for _ in range(squarings):
-        P = P @ P
-        P /= P.sum(axis=1)[:, None]
+    P /= sums[:, :, None]
+    for i in np.flatnonzero(squarings).tolist():
+        M = P[i].copy()
+        for _ in range(squarings[i]):
+            M = M @ M
+            M /= M.sum(axis=1)[:, None]
+        P[i] = M
     return P
 
 
@@ -191,11 +217,47 @@ def row_distribution(P: np.ndarray, i: int) -> Distribution:
 
 def total_variation(a: Distribution, b: Distribution) -> float:
     """Half the L1 distance between two sparse distributions, summed over
-    ``a``'s support in its order and then the states only ``b`` holds, so
-    that the rounding does not depend on the hash seed."""
-    held = a.support
-    states = [*held, *(s for s in b.support if s not in held)]
-    return 0.5 * sum(abs(a.mass(s) - b.mass(s)) for s in states)
+    ``a``'s support in its order and then the states only ``b`` holds, one
+    term after another, so that the rounding does not depend on the hash
+    seed: the one-pair ``total_variations``."""
+    return float(total_variations([a, b])[0])
+
+
+def total_variations(dists) -> np.ndarray:
+    """``total_variation`` of each pair of ``dists`` in
+    ``itertools.combinations`` order, to the last bit.  Each distribution
+    is a row of its states' columns (in the union of the supports) and a
+    row of their masses, in its order; a pair's terms, the first's
+    support and then the second's with zeros for the states the first
+    holds, are added in order by one ``np.add.accumulate`` (adding a zero
+    changes no sum).  Memory grows with the pairs of one distribution
+    times the largest support, not with the union."""
+    if len(dists) < 2:
+        return np.empty(0)
+    states = list(dict.fromkeys(s for d in dists for s in d.support))
+    column = {s: c for c, s in enumerate(states)}
+    width = max(len(d.support) for d in dists)
+    # padded with the column past the last state, of no mass
+    held = np.full((len(dists), width), len(states))
+    mass = np.zeros((len(dists), width))
+    for cols, row, d in zip(held, mass, dists):
+        cols[:len(d.support)] = [column[s] for s in d.support]
+        row[:len(d.support)] = [p for _, p in d.items()]
+    # each column's place in the first distribution's row, width if none
+    place = np.full(len(states) + 1, width)
+    out = []
+    for i in range(len(dists) - 1):
+        place[held[i]] = np.arange(width)
+        place[-1] = width
+        at, theirs = place[held[i + 1:]], mass[i + 1:]
+        # the later distributions' masses on the first's support
+        shared = np.zeros((len(at), width + 1))
+        np.put_along_axis(shared, at, theirs, 1)
+        terms = np.concatenate([np.abs(mass[i] - shared[:, :width]),
+                                np.where(at == width, theirs, 0.0)], axis=1)
+        out.append(0.5 * np.add.accumulate(terms, axis=1)[:, -1])
+        place[held[i]] = width
+    return np.concatenate(out)
 
 
 def _label_key(state):

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import compress
 
 import numpy as np
 
 from . import tkf91
-from .ctmc import Distribution, RateMatrix, total_variation, _label_key
+from .ctmc import Distribution, RateMatrix, total_variations, _label_key
 from .tree import Tree, chosen_leaves, restrict, spread
 from .treechain import DURATION_TOL, block_leaf_likelihoods
 
@@ -73,9 +73,8 @@ class RowTable:
         """Minimum pairwise TV over a state subset; +inf for singletons."""
         lam = tuple(lam)
         if lam not in self._deltas:
-            self._deltas[lam] = min(
-                (total_variation(self.rows[i], self.rows[j])
-                 for i, j in combinations(lam, 2)), default=math.inf)
+            self._deltas[lam] = float(total_variations(
+                [self.rows[i] for i in lam]).min(initial=math.inf))
         return self._deltas[lam]
 
     def threshold_mass(self, i, j) -> float:

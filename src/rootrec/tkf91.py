@@ -33,6 +33,11 @@ independent draws from pi.  At t = 0 the child is its parent.
 2. one uniform per new letter, lanes in order and letters in sequence
    order, mapped by ``letter_cdf`` as ``Generator.choice(4, p=freqs)``
    maps it.
+
+A lane whose law is the ``identity`` (a duration so short that every
+site keeps its letter and every run is empty, whatever the uniforms)
+returns its parent and draws no letter; a caller may skip it by drawing
+and dropping its 2 uniforms per slot instead.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ __all__ = [
     "distinct",
     "strings",
     "lane_law",
+    "identity",
     "evolve_lanes",
     "stationary_sample",
     "stationary_pmf",
@@ -206,6 +212,18 @@ def lane_law(params: Tkf91Params, durations) -> np.ndarray:
         alpha = np.exp(-mu * t)
         return np.array([alpha * np.exp(-params.nu * t), alpha,
                          alpha + mu * beta, -np.log(lam * beta)])
+
+
+def identity(law) -> np.ndarray:
+    """Which columns of ``law`` (``lane_law``) are the identity for
+    ``evolve_lanes``, whatever its uniforms: those that keep every site
+    (alpha e^(-nu t) rounds to 1) and whose runs are all empty
+    (-log(lam beta) exceeds the longest run's -log1p(-u)), so that a
+    lane's child is its parent and no letter is drawn; the call still
+    reads the 2 uniforms of each slot."""
+    # the longest run: u is at most 1 - 2^-53 (36.7368...)
+    longest = -np.log1p(-np.nextafter(1.0, 0.0))
+    return (law[0] == 1.0) & (law[3] > longest)
 
 
 def evolve_lanes(params: Tkf91Params, codes, lens, law, rng) -> tuple:

@@ -7,11 +7,14 @@ trials at once: simulation draws each edge (for TKF91, each batch of
 edges) for the block and holds its states as integer keys (TKF91's
 ``tkf91.keys``), and pruning passes a finite chain's message row per
 trial, the site-pattern batching of BEAGLE (Ayres et al., Syst. Biol.
-2012).  Block b of ``BLOCK`` trials draws from the one substream keyed
-``[*key, b]``.  A process is a finite chain (``ctmc.RateMatrix``) or
-TKF91 (``tkf91.Tkf91Params``).  Every per-tree plan is kept here, once
-per tree and process, and dropped with its tree; processes carry no
-tree state.
+2012).  Simulation does no work on an edge that cannot move a state (a
+finite chain's identity matrix, a ``tkf91.identity`` law, as on the
+short edges near the root of a deep family) beyond reading the uniforms
+its draw would read.  Block b of ``BLOCK`` trials draws from the one
+substream keyed ``[*key, b]``.  A process is a finite chain
+(``ctmc.RateMatrix``) or TKF91 (``tkf91.Tkf91Params``).  Every per-tree
+plan is kept here, once per tree and process, and dropped with its tree;
+processes carry no tree state.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ DURATION_TOL = 1e-12
 # at most this many edges are drawn in one step, which bounds the memory
 # a wide tree's block takes
 _STEP = 32
+# a finite chain's block draws at most this many uniforms at once (but
+# at least one trial's row), so its memory is bounded on a tree of any
+# width; a step of fewer trials holds proportionally more edges
+_UNIFORMS = 2 ** 21
 
 
 class _Layout(NamedTuple):
@@ -95,20 +102,51 @@ def _plan(build, tree: Tree, *args):
     return plan
 
 
-def _compile(tree: Tree, Q: RateMatrix) -> tuple:
-    """The tree laid out for the finite chain ``Q``: each edge's
-    transition matrix, and the edges grouped by the depth of their child,
-    in edges from the root, as ``_levels``."""
+class _Compiled(NamedTuple):
+    """A tree laid out for a finite chain: each edge's transition matrix;
+    the edges whose matrix is not the identity, as ``_levels`` by the
+    depth of their child in such edges; and each vertex's ``alias``, the
+    vertex whose drawn state it holds: itself if such an edge enters it,
+    else its parent's alias.  An identity edge's child is its parent's
+    state whatever its uniform, so it is not drawn."""
+
+    mats: list
+    levels: list
+    alias: list
+
+
+def _compile(tree: Tree, Q: RateMatrix) -> _Compiled:
+    """The tree laid out for the finite chain ``Q``, its matrices from one
+    ``Q.matrices`` pass and the identity decided once per distinct
+    length."""
     lay = _plan(_layout, tree)
-    mats = [Q.matrix(t) for t in lay.lengths]
-    return mats, _levels(Q.n, mats, range(1, len(lay.depth)), lay.parents,
-                         lay.depth[1:])
+    lengths = list(dict.fromkeys(lay.lengths))
+    still = dict(zip(lengths, (np.reshape(Q.matrices(lengths), (-1, Q.n, Q.n))
+                               == np.eye(Q.n)).all((1, 2)).tolist()))
+    alias, depth, moves = [0], [0], []
+    for e, (p, t) in enumerate(zip(lay.parents, lay.lengths)):
+        p = alias[p]
+        if still[t]:
+            alias.append(p)
+            depth.append(depth[p])
+        else:
+            alias.append(e + 1)
+            depth.append(depth[p] + 1)
+            moves.append(e)
+    mats = Q.matrices(lay.lengths)
+    return _Compiled(mats, _levels(
+        Q.n, [mats[e] for e in moves], [e + 1 for e in moves],
+        [alias[lay.parents[e]] for e in moves],
+        [depth[e + 1] for e in moves], len(lay.parents)), alias)
 
 
-def _levels(n: int, mats, children, parents, depth) -> list:
+def _levels(n: int, mats, children, parents, depth, width: int) -> list:
     """Edges, each with its n-state transition matrix in ``mats``,
-    grouped by the ``depth`` of their child, at most ``_STEP`` to a group,
-    so that every parent is drawn before any of its children.  Each group
+    grouped by the ``depth`` of their child, so that every parent is
+    drawn before any of its children: at most ``_STEP`` to a group, or
+    more on a tree of ``width`` uniforms a trial whose block
+    ``_draw_chain`` draws fewer than ``BLOCK`` trials at a time, so that
+    a group holds about ``_STEP`` × ``BLOCK`` edge-trials.  Each group
     holds slices of arrays sorted once by depth: the children's and the
     parents' indices, each edge's offset (its place in the group times n),
     and the group's cumulative rows without their last column, one
@@ -123,12 +161,13 @@ def _levels(n: int, mats, children, parents, depth) -> list:
     parents = np.asarray(parents, dtype=np.int64)[order]
     cuts = np.cumsum(np.array(mats).reshape(-1, n, n)[order], 2)
     columns = cuts[:, :, :-1].transpose(2, 0, 1)
-    offsets = np.arange(0, _STEP * n, n)[:, None]
+    step = max(_STEP, _STEP * BLOCK * width // _UNIFORMS)
+    offsets = np.arange(0, step * n, n)[:, None]
     runs = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(depth)]
     return [(children[lo:hi], parents[lo:hi], offsets[:hi - lo],
              np.ascontiguousarray(columns[:, lo:hi]))
-            for a, b in zip(runs, runs[1:]) for lo in range(a, b, _STEP)
-            for hi in (min(lo + _STEP, b),)]
+            for a, b in zip(runs, runs[1:]) for lo in range(a, b, step)
+            for hi in (min(lo + step, b),)]
 
 
 def _descend(n: int, levels, roots, u) -> np.ndarray:
@@ -163,16 +202,23 @@ def _drawer(tree: Tree, process, stretch):
     lay = _plan(_layout, tree)
     starts, ends, durations, picks = _stretch_edges(tree, lay, stretch)
     if isinstance(process, RateMatrix):
-        # the stretched leaves' edges hang below the leaves: a last level
-        levels = _plan(_compile, tree, process)[1] + _levels(
-            process.n, [process.matrix(d) for d in durations], ends, starts,
-            [0] * len(ends))
-        return partial(_draw_chain, process.n, levels,
-                       len(lay.parents) + len(ends), lay.leaves, picks)
+        _, levels, alias = _plan(_compile, tree, process)
+        # the stretched leaves' edges hang below the leaves' aliases: a
+        # last level
+        width = len(lay.parents) + len(ends)
+        levels = levels + _levels(process.n, process.matrices(durations),
+                                  ends, [alias[v] for v in starts],
+                                  [0] * len(ends), width)
+        alias = alias + ends
+        return partial(_draw_chain, process.n, levels, width,
+                       [alias[v] for v in lay.leaves],
+                       [alias[v] for v in picks])
     if isinstance(process, Tkf91Params):
         batches = _plan(_tkf91_plan, tree, process)
         if ends:
-            batches = batches + [(starts, ends, lane_law(process, durations))]
+            law = lane_law(process, durations)
+            batches = batches + [(starts, ends, law,
+                                  tkf91.identity(law).tolist())]
         return partial(_draw_tkf91, process, batches, lay.leaves, picks)
     raise TypeError(f"no trials of {process!r}: the process must be a "
                     "RateMatrix or Tkf91Params")
@@ -184,8 +230,9 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     Sibling subtrees evolve independently given the parent state.  Each
     call draws a whole one-trial block from ``rng`` as
     ``simulated_trials`` says, so it pays a block's fixed cost per trial
-    (a few numpy calls per depth of the tree): loops over many trials
-    should draw them from ``simulated_trials``.  A finite chain draws one
+    (a few numpy calls per depth of the tree, counted in the edges that
+    can move a state): loops over many trials should draw them from
+    ``simulated_trials``.  A finite chain draws one
     uniform per edge, all at once, which consumes the stream exactly as
     a per-edge loop does.
     """
@@ -196,17 +243,19 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
 
 def _tkf91_plan(tree: Tree, params: Tkf91Params) -> list:
     """A tree's edges in batches of parent and child indices (as in
-    ``_Layout``) and of each edge's ``tkf91.lane_law`` under ``params``:
-    the edges into inner vertices one batch per depth of their child,
-    then every edge into a leaf, each batch in topological order."""
+    ``_Layout``), of each edge's ``tkf91.lane_law`` under ``params`` and
+    of whether that law is the identity (``tkf91.identity``): the edges
+    into inner vertices one batch per depth of their child, then every
+    edge into a leaf, each batch in topological order."""
     lay = _plan(_layout, tree)
     law = lane_law(params, lay.lengths)
+    same = tkf91.identity(law)
     groups: dict = {}
     for e, x in enumerate(lay.leaf_of):
         groups.setdefault(np.inf if x is not None else lay.depth[e + 1],
                           []).append(e)
-    return [([lay.parents[e] for e in es], [e + 1 for e in es], law[:, es])
-            for _, es in sorted(groups.items())]
+    return [([lay.parents[e] for e in es], [e + 1 for e in es], law[:, es],
+             same[es].tolist()) for _, es in sorted(groups.items())]
 
 
 def _draw_tkf91(params, batches, leaves, picks, draw_root, count, size,
@@ -216,13 +265,21 @@ def _draw_tkf91(params, batches, leaves, picks, draw_root, count, size,
     × vertices) arrays, and their long sequences.  The edges of each of
     ``batches`` in turn go ``tkf91.LANES`` // trials (at least one) to an
     ``evolve_lanes`` call on ``rng``, lanes edge by edge, then trial by
-    trial, so that memory stays bounded however wide the tree."""
+    trial, so that memory stays bounded however wide the tree.  A group
+    of identity edges only makes no call: its children are their
+    parents, and the 2 uniforms of each slot that the call would read
+    (it would draw no letter) are drawn and dropped."""
     roots = [draw_root(rng) for _ in range(count)]
     step = max(1, tkf91.LANES // count)
     seqs = {0: encode(roots)}
-    for parents, children, law in batches:
+    for parents, children, law, same in batches:
         for lo in range(0, len(parents), step):
             group = parents[lo:lo + step]
+            if all(same[lo:lo + step]):
+                seqs.update(zip(children[lo:lo + step], map(seqs.get, group)))
+                rng.random(2 * sum(len(seqs[p][0]) + len(seqs[p][1])
+                                   for p in group))
+                continue
             law_lo = np.repeat(law[:, lo:lo + step], count, axis=1)
             if len(group) == 1:
                 seqs[children[lo]] = evolve_lanes(params, *seqs[group[0]],
@@ -331,11 +388,23 @@ def _draw_chain(n, levels, width, leaves, picks, draw_root, count, size,
     array of uniforms, of which the first ``count`` trials descend
     ``levels``; their roots, and the 1-based states of the vertices
     ``leaves`` and ``picks`` as (trials × vertices) arrays, None for no
-    ``picks``; and no ``long``."""
+    ``picks``; and no ``long``.  The uniforms are drawn, and descend, a
+    slice of whole trials at a time, at most ``_UNIFORMS`` floats (but
+    one trial's row at least) to a slice: the stream is read as one
+    draw of the whole array reads it."""
     roots = [draw_root(rng) for _ in range(size)][:count]
-    states = _descend(n, levels, roots, rng.random((size, width))[:count].T)
+    rows = max(1, _UNIFORMS // max(width, 1))
+    read = np.array([*leaves, *picks], dtype=np.intp)
+    parts = []
+    for lo in range(0, size, rows):
+        u = rng.random((min(rows, size - lo), width))
+        if lo < count:
+            parts.append(_descend(n, levels, roots[lo:lo + rows],
+                                  u[:count - lo].T)[read])
+    states = np.concatenate(parts, axis=1).T
     states += 1
-    return roots, states[leaves].T, states[picks].T if picks else None, None
+    return (roots, states[:, :len(leaves)],
+            states[:, len(leaves):] if picks else None, None)
 
 
 def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,
@@ -353,7 +422,7 @@ def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,
     state.
     """
     lay = _plan(_layout, tree)
-    mats = _plan(_compile, tree, Q)[0]
+    mats = _plan(_compile, tree, Q).mats
     obs = np.asarray(leaf_states, dtype=np.int64) - 1
     vecs: list = [None] * len(lay.depth)
     for e in range(len(lay.parents) - 1, -1, -1):

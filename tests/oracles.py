@@ -35,6 +35,10 @@ package did before it kept each edge's law in the tree's plan.
 ``monte_carlo_error`` counts an estimator's errors over
 ``simulated_trials`` keyed by its master seed, with a root drawn by
 ``draw_state`` or fixed.
+``transition_matrix_reference`` uniformizes one length at a time and
+``total_variation_reference`` adds one pair's terms in a loop, as the
+package first did; the package now does both for many lengths or pairs
+at once, to the same bits.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ import numpy as np
 
 from rootrec import tkf91
 from rootrec.bounds import wilson_interval
-from rootrec.ctmc import (CtmcError, Distribution, RateMatrix, _label_key,
-                          total_variation)
+from rootrec.ctmc import (UNIFORMIZATION_CAP, CtmcError, Distribution,
+                          RateMatrix, _label_key, total_variation)
 from rootrec.estimators import (_EXCLUSIVITY, EstimatorError, RowTable,
                                 StretchPlan)
 from rootrec.tree import DEPTH_TOL, Tree
@@ -636,3 +640,59 @@ def sample_endpoint(Q: RateMatrix, start: int, t: float, rng) -> int:
         rates = Q.q[state - 1].copy()
         rates[state - 1] = 0.0
         state = int(rng.choice(Q.n, p=rates / rates.sum())) + 1
+
+
+def transition_matrix_reference(Q: RateMatrix, t: float,
+                                tol: float = 1e-12) -> np.ndarray:
+    """exp(tQ) by uniformization, one length at a time, as the package
+    first computed it: the series summed while its Poisson tail is at
+    least ``tol``, rows renormalized, and past rate·t =
+    ``UNIFORMIZATION_CAP`` summed at t / 2^k and squared k times.  The
+    reference, bit for bit, for ``ctmc.transition_matrix`` and
+    ``RateMatrix.matrices``, which share the powers of R across
+    lengths."""
+    if not 0 <= t < math.inf:
+        raise CtmcError(f"time must be nonnegative and finite, got {t}")
+    n = Q.n
+    rate = float(Q.exit_rates.max())
+    if t == 0 or rate == 0.0:
+        return np.eye(n)
+    lam = rate * t
+    squarings = 0
+    while lam > UNIFORMIZATION_CAP:
+        lam /= 2.0
+        squarings += 1
+    R = np.eye(n) + Q.q / rate
+    term = math.exp(-lam)
+    acc = term
+    P = term * np.eye(n)
+    power = np.eye(n)
+    k = 0
+    while 1.0 - acc >= tol:
+        k += 1
+        power = power @ R
+        term *= lam / k
+        acc += term
+        P += term * power
+    sums = P.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > max(tol, 1e-9) * 10):
+        raise CtmcError("uniformization failed to produce stochastic rows")
+    P = P / sums[:, None]
+    for _ in range(squarings):
+        P = P @ P
+        P /= P.sum(axis=1)[:, None]
+    return P
+
+
+def total_variation_reference(a: Distribution, b: Distribution) -> float:
+    """Half the L1 distance of ``a`` and ``b``, added one term at a time
+    in an explicit loop over ``a``'s support in its order and then the
+    states only ``b`` holds: sequential on every Python version (``sum``
+    of floats is compensated from Python 3.12).  The reference, bit for
+    bit, for ``ctmc.total_variations``, which adds every pair's terms
+    from arrays."""
+    held = a.support
+    total = 0.0
+    for s in [*held, *(s for s in b.support if s not in held)]:
+        total += abs(a.mass(s) - b.mass(s))
+    return 0.5 * total

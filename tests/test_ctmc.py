@@ -8,10 +8,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import draw_state, sample_endpoint, tv_achieving_set
-from rootrec.ctmc import (CtmcError, Distribution, RateMatrix, identifiability_margin, jukes_cantor,
+from oracles import (draw_state, sample_endpoint, total_variation_reference,
+                     transition_matrix_reference, tv_achieving_set)
+from rootrec import ctmc
+from rootrec.ctmc import (UNIFORMIZATION_CAP, CtmcError, Distribution,
+                          RateMatrix, identifiability_margin, jukes_cantor,
                           load_rate_matrix, row_distribution, star_norm,
-                          star_norm_diff, total_variation,
+                          star_norm_diff, total_variation, total_variations,
                           transition_matrix, two_state_symmetric)
 
 
@@ -145,7 +148,106 @@ class TestTransitionMatrix:
         assert np.abs(P - 0.5).max() < 1e-12
 
 
+class TestMatrices:
+    """``RateMatrix.matrices`` uniformizes many lengths in one pass, to
+    the bits of ``oracles.transition_matrix_reference``, one length at a
+    time."""
+
+    CHAINS = {
+        "one-state": lambda: RateMatrix([[0.0]]),
+        "zero-rate": lambda: RateMatrix(np.zeros((3, 3))),
+        "two-state": lambda: two_state_symmetric(1.0),
+        "three-state": lambda: random_rate_matrix(np.random.default_rng(3),
+                                                  3),
+        "four-state": lambda: jukes_cantor(0.05, 4),
+        "seven-state": lambda: random_rate_matrix(np.random.default_rng(7),
+                                                  7),
+    }
+
+    @staticmethod
+    def lengths(Q):
+        rate = float(Q.exit_rates.max()) or 1.0
+        cap = UNIFORMIZATION_CAP / rate
+        edges = [0.0, 1e-13, 2.0 ** -60, 1e-9, 40.0, 100.0, cap,
+                 float(np.nextafter(cap, 0.0)), float(np.nextafter(cap, 1e9)),
+                 0.5 * cap, 2.0 * cap, 3.3 * cap]
+        rng = np.random.default_rng(11)
+        spread = (10.0 ** rng.uniform(-14.0, 2.5, 60)).tolist()
+        # repeated lengths, the figure1 spine's halvings among them
+        return edges + spread + [2.0 ** -(j + 1) for j in range(50)] + edges
+
+    @pytest.mark.parametrize("kind", sorted(CHAINS))
+    def test_matches_the_one_length_reference(self, kind):
+        Q = self.CHAINS[kind]()
+        lengths = self.lengths(Q)
+        got = Q.matrices(lengths)
+        assert len(got) == len(lengths)
+        for t, P in zip(lengths, got):
+            want = transition_matrix_reference(Q, t)
+            assert P.tobytes() == want.tobytes(), t
+            assert transition_matrix(Q, t).tobytes() == want.tobytes(), t
+
+    def test_one_pass_per_missing_set(self, monkeypatch):
+        passes = []
+        real = ctmc._uniformize
+        monkeypatch.setattr(ctmc, "_uniformize", lambda Q, ts: passes.append(
+            list(ts)) or real(Q, ts))
+        Q = jukes_cantor(1.0)
+        Q.matrices([0.3, 0.1, 0.3, 2.0])
+        Q.matrices([2.0, 0.1])
+        Q.matrices([0.1, 5.0, 5.0])
+        assert passes == [[0.3, 0.1, 2.0], [5.0]]
+
+    def test_shares_the_cache_with_matrix(self):
+        Q = jukes_cantor(1.0)
+        a = Q.matrix(0.3)
+        got = Q.matrices([0.3, 0.7, 0.3])
+        assert got[0] is a and got[2] is a
+        assert Q.matrix(0.7) is got[1]
+        assert not got[1].flags.writeable
+        with pytest.raises(ValueError):
+            got[1][0, 0] = 1.0
+
+    @pytest.mark.parametrize("t", [-0.1, math.inf, math.nan])
+    def test_bad_length_rejected(self, t):
+        Q = jukes_cantor(1.0)
+        with pytest.raises(CtmcError, match="nonnegative and finite"):
+            Q.matrices([0.3, t])
+        assert not Q._mats
+
+
 class TestTotalVariation:
+    SUPPORTS = {
+        # (support, masses drawn over it) of each distribution
+        "overlapping": [(1, 2, 3), (2, 3, 4), (4, 1), (3,)],
+        "nested": [(1, 2, 3, 4, 5), (2, 4), (4,), (5, 4, 3, 2, 1)],
+        "disjoint": [(1, 2), (3, 4), (5,), (6, 7, 8)],
+        "strings": [("", "A", "AC"), ("AC", "G"), ("T", "", "GG", "A"),
+                    ("GG",)],
+        # long supports in shuffled orders, where the order of the terms
+        # decides the rounding
+        "long": [tuple(np.random.default_rng(s).permutation(60)[:40].tolist())
+                 for s in range(6)],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SUPPORTS))
+    def test_all_pairs_match_the_loop(self, kind):
+        rng = np.random.default_rng(len(kind))
+        dists = [Distribution(dict(zip(s, rng.dirichlet(np.ones(len(s))))))
+                 for s in self.SUPPORTS[kind]]
+        # and an equal pair, whose terms are all zero
+        dists.append(dists[1])
+        want = [total_variation_reference(a, b)
+                for a, b in itertools.combinations(dists, 2)]
+        assert total_variations(dists).tolist() == want
+        assert [total_variation(a, b) for a, b in itertools.combinations(
+            dists, 2)] == want
+
+    def test_no_pair(self):
+        d = Distribution({1: 0.5, 2: 0.5})
+        assert total_variations([d]).shape == (0,)
+        assert total_variations([]).shape == (0,)
+
     def test_basics(self):
         a = Distribution({1: 0.9, 2: 0.1})
         b = Distribution({1: 0.1, 2: 0.9})

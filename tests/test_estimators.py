@@ -12,7 +12,8 @@ from rootrec.ctmc import (Distribution, RateMatrix, row_distribution,
 from rootrec import estimators
 from rootrec.bounds import recon_lower
 from oracles import (block_counts, exact_leaf_law, frequency_estimate,
-                     frequency_test, tv_achieving_set, uniform_chain_estimate,
+                     frequency_test, total_variation_reference,
+                     tv_achieving_set, uniform_chain_estimate,
                      uniform_chain_test)
 from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 StretchPlan, exclusivity_stats,
@@ -490,6 +491,21 @@ class TestBlockTests:
             inside = (mass[:, a] > mass[:, b]) | (
                 (mass[:, a] == mass[:, b]) & (a < b))
             assert inside.tolist() == [s in aset for s in states]
+
+    def test_delta_is_the_least_pairwise_loop(self):
+        # Δ of many plug-in rows, each pair summed from arrays, is the
+        # least of the pairs' explicit loops, to the last bit
+        P = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
+        lam = top_states(P, 0.1)
+        rows = RowTable(mc_rows(P, lam, 1.0, 100, np.random.default_rng(4)))
+        assert len(lam) > 30
+        assert rows.delta(lam) == min(
+            total_variation_reference(rows.rows[i], rows.rows[j])
+            for i, j in itertools.combinations(lam, 2))
+        assert rows.delta(lam[3:9]) == min(
+            total_variation_reference(rows.rows[i], rows.rows[j])
+            for i, j in itertools.combinations(lam[3:9], 2))
+        assert rows.delta(lam[:1]) == math.inf
 
     def test_small_epsilon_masses_span_the_block(self):
         # at epsilon 0.05 the candidates' plug-in rows hold far more

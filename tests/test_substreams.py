@@ -20,7 +20,7 @@ import json
 import pytest
 
 from oracles import monte_carlo_error
-from rootrec import cli
+from rootrec import cli, treechain
 from rootrec.cli import EXIT_OK, main
 from rootrec.ctmc import Distribution, jukes_cantor, two_state_symmetric
 from rootrec.tree import generate_family
@@ -80,6 +80,14 @@ SIMULATE_TKF91_LONG = {
     "process": LONG_PROCESS,
     "trials": 20, "seed": 4,
 }
+# figure1 k=70: from spine edge 39 on (length 2^-40 and shorter) a
+# two-state edge's matrix is the identity, and from spine edge 53 on a
+# TKF91 edge's law is; the draws skip those edges without moving the
+# stream
+DEEP = {**FREQUENCY, "family": {"kind": "figure1", "k": 70, "h": 1.0},
+        "trials": BLOCK + 44}
+TKF91_DEEP = {**TKF91, "family": {"kind": "figure1", "k": 70, "h": 1.0},
+              "ks": [40, 70], "trials": BLOCK + 44}
 
 # (id, command, config, --workers, {output suffix: the first 32 hex
 # digits of that file's sha256})
@@ -131,6 +139,11 @@ PINNED = [
         "": "1fbea53bc3c7f880b45740aa945d82c5"}),
     ("simulate-tkf91-long", "simulate", SIMULATE_TKF91_LONG, 1, {
         "": "3095523c990f763cacb66fbcde9bc1b6"}),
+    ("frequency-deep", "experiment", DEEP, 1, {
+        ".trials.csv": "b19a19c6786f63d159c6882e415f50f0",
+        ".summary.csv": "00c63fc37d63d405aecf1e6c517d5b76"}),
+    ("tkf91-deep", "tkf91", TKF91_DEEP, 1, {
+        "": "98493c07eb98f983fe89d3558a802bd7"}),
 ]
 
 
@@ -151,6 +164,20 @@ def test_cli_output_digest(tmp_path, monkeypatch, command, cfg, workers,
     assert main([command, str(path), "--workers", str(workers)]) == EXIT_OK
     got = {suffix: _digest(tmp_path / f"out{suffix}") for suffix in digests}
     assert got == digests
+
+
+@pytest.mark.parametrize("case", ["frequency-blocks", "uniform",
+                                  "map-fixed-root", "estimate",
+                                  "simulate", "frequency-deep"])
+def test_one_trial_slices_keep_the_digests(tmp_path, monkeypatch, case):
+    # a finite chain's block whose uniforms are drawn and descended one
+    # trial's row at a time reads its stream as one draw of the whole
+    # array does
+    monkeypatch.setattr(treechain, "_UNIFORMS", 1)
+    _, command, cfg, workers, digests = next(c for c in PINNED
+                                             if c[0] == case)
+    test_cli_output_digest(tmp_path, monkeypatch, command, cfg, workers,
+                           digests)
 
 
 def test_monte_carlo_error_counts():

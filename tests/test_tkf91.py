@@ -516,11 +516,67 @@ class TestPlanLaw:
         draw = treechain._plan(treechain._drawer, tree, STD, plan)
         batches = draw.args[1]
         assert len(batches) == 3
-        for parents, children, law in batches[:2]:
+        for parents, children, law, same in batches[:2]:
             length = [tree.length[tree.topo_order[c]] for c in children]
             assert law.tobytes() == tkf91_law_reference(STD, length).tobytes()
+            assert same == tkf91.identity(law).tolist()
         assert batches[2][2].tobytes() == tkf91_law_reference(
             STD, plan.durations).tobytes()
+
+
+class TestIdentityLaw:
+    """``tkf91.identity``: the laws under which ``evolve_lanes`` returns
+    every parent whatever its uniforms, so that a tree's draw may skip
+    them; the threshold on -log(lam beta) is tight."""
+
+    TOP = float(np.nextafter(1.0, 0.0))
+
+    class Fixed:
+        """A stand-in generator whose every uniform is ``u``."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, size=None):
+            return np.full(size, self.u)
+
+    PARENTS = ["", "A", "ACGTTGCA", "G" * 40]
+
+    def lanes(self, law, u):
+        codes, lens = encode(self.PARENTS)
+        law = np.repeat(np.asarray(law, dtype=float).reshape(4, 1),
+                        len(lens), axis=1)
+        return decode(*evolve_lanes(STD, codes, lens, law, self.Fixed(u)))
+
+    @pytest.mark.parametrize("t", [0.0, 1e-17, 2.0 ** -60])
+    def test_short_laws_return_the_parents(self, t):
+        law = lane_law(STD, [t])
+        assert tkf91.identity(law).tolist() == [True]
+        for u in (0.0, 0.5, self.TOP):
+            assert self.lanes(law[:, 0], u) == self.PARENTS
+
+    @pytest.mark.parametrize("t", [1e-12, 2.0 ** -40, 0.3])
+    def test_longer_laws_are_not_the_identity(self, t):
+        assert tkf91.identity(lane_law(STD, [t])).tolist() == [False]
+
+    def test_threshold_is_tight(self):
+        # a run of -log1p(-u) / decay: at decay = -log1p(-TOP) the
+        # largest uniform makes a run of one letter after every slot
+        cap = float(-np.log1p(-self.TOP))
+        assert tkf91.identity(np.array([[1.0], [1.0], [1.0], [cap]])
+                              ).tolist() == [False]
+        assert self.lanes([1.0, 1.0, 1.0, cap], 0.0) == self.PARENTS
+        grown = self.lanes([1.0, 1.0, 1.0, cap], self.TOP)
+        assert [len(c) for c in grown] == [2 * len(p) + 1
+                                           for p in self.PARENTS]
+        above = float(np.nextafter(cap, np.inf))
+        assert tkf91.identity(np.array([[1.0], [1.0], [1.0], [above]])
+                              ).tolist() == [True]
+        assert self.lanes([1.0, 1.0, 1.0, above], self.TOP) == self.PARENTS
+        # and a site that may change its letter is never the identity
+        below = float(np.nextafter(1.0, 0.0))
+        assert tkf91.identity(np.array([[below], [1.0], [1.0], [np.inf]])
+                              ).tolist() == [False]
 
 
 class TestHashSeed:
@@ -720,13 +776,13 @@ class TestRootExperiment:
         # once per trial
         from rootrec import estimators
         calls = []
-        real = estimators.total_variation
+        real = estimators.total_variations
 
-        def counted(a, b):
+        def counted(dists):
             calls.append(1)
-            return real(a, b)
+            return real(dists)
 
-        monkeypatch.setattr(estimators, "total_variation", counted)
+        monkeypatch.setattr(estimators, "total_variations", counted)
         counts = []
         for trials in (2, 6):
             calls.clear()

@@ -7,13 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import chain_step, exact_leaf_law, exact_leaf_tv, tree_per_edge
+from oracles import (chain_step, exact_leaf_law, exact_leaf_tv,
+                     tkf91_tree_reference, tree_per_edge)
 from rootrec import ctmc
 from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
                           transition_matrix, two_state_symmetric,
                           jukes_cantor)
 from rootrec.estimators import StretchPlan, map_estimate
-from rootrec.tkf91 import Tkf91Params
+from rootrec.tkf91 import Tkf91Params, stationary_sample
 from rootrec import tree as tree_module
 from rootrec import treechain
 from rootrec.tree import Tree, generate_family
@@ -120,21 +121,22 @@ class TestCompiledSimulate:
             assert a.random() == b.random()
 
     def test_second_trial_computes_no_matrix(self, monkeypatch):
-        calls = []
-        real = ctmc.transition_matrix
+        # the first trial uniformizes every distinct length in one pass
+        passes = []
+        real = ctmc._uniformize
 
-        def counted(Q, t, *args, **kwargs):
-            calls.append(t)
-            return real(Q, t, *args, **kwargs)
+        def counted(Q, lengths, *args, **kwargs):
+            passes.append(sorted(lengths))
+            return real(Q, lengths, *args, **kwargs)
 
-        monkeypatch.setattr(ctmc, "transition_matrix", counted)
+        monkeypatch.setattr(ctmc, "_uniformize", counted)
         tree = generate_family("figure1", {"k": 30})[29]
         Q = two_state_symmetric(1.0)
         simulate(tree, Q, 1, np.random.default_rng(0))
-        assert len(calls) == len(set(tree.length.values()))
-        calls.clear()
+        assert passes == [sorted(set(tree.length.values()))]
+        passes.clear()
         simulate(tree, Q, 2, np.random.default_rng(1))
-        assert calls == []
+        assert passes == []
 
     def test_cache_lookup_skips_edge_comparison(self, monkeypatch):
         # the compiled-tree cache finds a tree by comparing it with itself
@@ -233,8 +235,9 @@ class TestDescend:
                    tree.length[tree.topo_order[-1]])
         for ln in rounded:
             mats[ln] = np.tile(row, (n, 1))
-        chain = SimpleNamespace(n=n, matrix=mats.__getitem__)
-        _, levels = _compile(tree, chain)
+        chain = SimpleNamespace(n=n, matrix=mats.__getitem__,
+                                matrices=lambda ts: [mats[t] for t in ts])
+        levels = _compile(tree, chain).levels
         parents = _layout(tree).parents
         trials = 50
         roots = (np.arange(trials) % n + 1).tolist()
@@ -313,6 +316,25 @@ class TestTrialBlocks:
                 assert block.stretched[b].tolist() == stretched
             assert block.rng.random() == ref.random()
 
+    @pytest.mark.parametrize("kind", ["figure1", "pinched_star"])
+    def test_slices_of_one_trial_draw_the_same_blocks(self, kind,
+                                                      monkeypatch):
+        # a block's uniforms drawn and descended one trial's row at a
+        # time read the stream as the whole array does
+        tree = TestCompiledSimulate.TREES[kind]()
+        Q = jukes_cantor(1.0, 3)
+        plan = StretchPlan(0.1, 2.0, 3, 0.0, tree.leaves[:3], (0.2, 0.0, 1.0))
+        draw = lambda rng: int(rng.integers(3)) + 1
+
+        def blocks():
+            return [(b.roots, b.leaves.tolist(), b.stretched.tolist(),
+                     b.rng.random()) for b in simulated_trials(
+                         tree, Q, draw, (8,), BLOCK + 20, stretch=plan)]
+
+        whole = blocks()
+        monkeypatch.setattr(treechain, "_UNIFORMS", 1)
+        assert blocks() == whole
+
     def test_blocks_hold_block_trials(self):
         tree = TestCompiledSimulate.TREES["figure1"]()
         Q = two_state_symmetric(1.0)
@@ -348,6 +370,89 @@ class TestTrialBlocks:
             with pytest.raises(TypeError, match="RateMatrix or Tkf91Params"):
                 next(simulated_trials(tree, other, lambda rng: 1, (0,), 3,
                                       stretch=stretch))
+
+
+class TestIdentityEdges:
+    """Edges that cannot move a state are not drawn: a finite chain's
+    identity matrices, and TKF91's identity laws (``tkf91.identity``).
+    Blocks still equal the per-edge and per-slot references trial by
+    trial, uniform for uniform, and the tests check that edges were
+    skipped."""
+
+    TREES = {
+        # spine edge j has length 2^-(j+1): an identity for a two-state
+        # chain past j = 38, and for TKF91 past j = 52
+        "figure1": lambda: generate_family("figure1", {"k": 70})[69],
+        # a hub 1e-20 below the root with 20 long and 20 identity twigs,
+        # and an identity leaf below a moving vertex: a block's TKF91 leaf
+        # batch goes to evolve_lanes 16 edges at a time, so it holds
+        # moving, mixed and identity-only groups
+        "twigs": lambda: Tree("r", [
+            ("r", "a", 0.5), ("a", "b", 1e-20), ("r", "h", 1e-20),
+            *((("h", f"x{i:02d}", 0.4 if i < 20 else 1e-20)
+               for i in range(40)))]),
+    }
+
+    @staticmethod
+    def plan(tree):
+        # stretched identity and moving leaves, at and past DURATION_TOL
+        chosen = tree.leaves[::3]
+        durations = [(0.3, 0.0, 1e-13, 2e-12)[i % 4]
+                     for i in range(len(chosen))]
+        return StretchPlan(0.1, 2.0, len(chosen), 0.0, chosen,
+                           tuple(durations))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    def test_chain_blocks_match_per_edge_walk(self, kind, n):
+        tree, Q = self.TREES[kind](), (two_state_symmetric(1.0) if n == 2
+                                       else jukes_cantor(1.0, 3))
+        compiled = _compile(tree, Q)
+        drawn = sum(len(children) for children, *_ in compiled.levels)
+        assert 0 < drawn < len(tree.topo_order) - 1
+        assert drawn == sum(a == v for v, a in enumerate(compiled.alias)) - 1
+        plan, step = self.plan(tree), partial(chain_step, Q)
+        draw = lambda rng: int(rng.integers(n)) + 1
+        width = len(tree.topo_order) - 1 + sum(
+            d > DURATION_TOL for d in plan.durations)
+        blocks = list(simulated_trials(tree, Q, draw, (n, 70), BLOCK + 20,
+                                       stretch=plan))
+        for i, block in enumerate(blocks):
+            ref = np.random.default_rng([n, 70, i])
+            roots = [draw(ref) for _ in range(BLOCK)]
+            u = ref.random((BLOCK, width))
+            assert block.roots == roots[:len(block.roots)]
+            for b in range(len(block.roots)):
+                row = uniform_row(u[b])
+                leaves = tree_per_edge(tree, step, roots[b], row)
+                assert block.leaves[b].tolist() == [leaves[x]
+                                                    for x in tree.leaves]
+                assert block.stretched[b].tolist() == [
+                    step(leaves[x], d, row) if d > DURATION_TOL else leaves[x]
+                    for x, d in zip(plan.leaves, plan.durations)]
+            assert block.rng.random() == ref.random()
+
+    @pytest.mark.parametrize("kind", sorted(TREES))
+    def test_tkf91_blocks_match_per_slot_reference(self, kind, monkeypatch):
+        tree, P = self.TREES[kind](), Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
+        lanes = []
+        real = treechain.evolve_lanes
+        monkeypatch.setattr(treechain, "evolve_lanes", lambda *a: lanes.append(
+            len(a[2])) or real(*a))
+        plan, draw = self.plan(tree), partial(stationary_sample, P)
+        stretched = sum(d > DURATION_TOL for d in plan.durations)
+        blocks = list(simulated_trials(tree, P, draw, (5, 70), BLOCK + 20,
+                                       stretch=plan))
+        edges = len(tree.topo_order) - 1 + stretched
+        assert 0 < sum(lanes) < edges * (BLOCK + 20)
+        for i, block in enumerate(blocks):
+            ref = np.random.default_rng([5, 70, i])
+            roots = [draw(ref) for _ in range(len(block.roots))]
+            leaves, picks = tkf91_tree_reference(tree, P, roots, ref, plan)
+            assert [trial[1:] for trial in block.trials(tree)] == list(
+                zip(roots, leaves))
+            assert block.states(block.stretched) == picks
+            assert block.rng.random() == ref.random()
 
 
 class TestExactLeafLaw:
