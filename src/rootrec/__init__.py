@@ -21,8 +21,6 @@ from .estimators import (EstimatorError, RowTable, StretchPlan,
                          exclusivity_stats, frequency_tests, lambda_epsilon,
                          majority_estimate, map_estimate, map_estimates,
                          stretch_plan, uniform_chain_tests)
-from .tkf91 import (Tkf91Params, evolve_lanes, mc_rows, stationary_pmf,
-                    stationary_sample, top_states)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint,
                    big_bang_profile, chosen_leaves, descendant_leaves,
                    extract_well_spread_restriction, generate_family,
@@ -32,3 +30,15 @@ from .treechain import (BLOCK, TrialBlock, block_leaf_likelihoods,
                         leaf_likelihoods, simulate, simulated_trials)
 
 __version__ = "0.1.0"
+
+# TKF91's names load its module on first use (PEP 562), so that importing
+# the package, or running a finite chain, never runs tkf91.py
+_TKF91 = frozenset({"Tkf91Params", "evolve_lanes", "mc_rows",
+                    "stationary_pmf", "stationary_sample", "top_states"})
+
+
+def __getattr__(name):
+    if name in _TKF91:
+        from . import tkf91
+        return getattr(tkf91, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,9 @@ which workers receive pickled; the estimators take a block of trials at
 a time.  Block b of ``treechain.BLOCK`` trials draws from the substream
 (master seed, b), or (master seed, k, b) on tkf91's member k; workers
 get whole blocks and their rows are merged by trial index, so results
-are identical for any worker count.
+are identical for any worker count.  The ``tkf91`` module is imported
+only where a TKF91 process is read or run, so a finite chain's command
+never loads it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .ctmc import (Distribution, RateMatrix, jukes_cantor, load_rate_matrix,
 from .estimators import (RowTable, frequency_tests, lambda_epsilon,
                          majority_estimate, map_estimates, stretch_plan,
                          uniform_chain_tests)
-from .tkf91 import (Tkf91Params, mc_rows, stationary_sample, top_states,
-                    write_experiment_csv)
 from .tree import NestedFamily, Tree, generate_family, parse_newick
 from .treechain import BLOCK, simulated_trials
 
@@ -136,6 +136,7 @@ def _build_process(cfg: dict):
         except OSError as e:
             raise ConfigError(f"cannot read rate matrix: {e}") from e
     if kind == "tkf91":
+        from .tkf91 import Tkf91Params
         return Tkf91Params(
             *(_get(spec, key, float) for key in ("nu", "lam", "mu")),
             **{f"pi_{b}": _get(spec, f"pi_{b}", float, 0.25)
@@ -367,8 +368,11 @@ def _distribution(masses: dict) -> Distribution:
 
 def _cmd_simulate(cfg: dict, workers: int):
     tree, proc = _build_tree(cfg), _build_process(cfg)
-    draw = (_root_draw(cfg, proc) if isinstance(proc, RateMatrix)
-            else partial(stationary_sample, proc))
+    if isinstance(proc, RateMatrix):
+        draw = _root_draw(cfg, proc)
+    else:
+        from .tkf91 import stationary_sample
+        draw = partial(stationary_sample, proc)
     key, trials, out = (_seed(cfg),), _trials(cfg, 1), _output(cfg)
 
     def write(fh):
@@ -423,17 +427,18 @@ def _cmd_bounds(cfg: dict, workers: int):
 
 def _cmd_tkf91(cfg: dict, workers: int):
     family, params = _build_family(cfg), _build_process(cfg)
-    if not isinstance(params, Tkf91Params):
+    if isinstance(params, RateMatrix):
         raise ConfigError("tkf91 subcommand needs a tkf91 process")
+    from . import tkf91
     s, h_star, eps, ks, row_samples, plans = _tkf91_inputs(cfg, family)
     count, seed, out = _trials(cfg), _seed(cfg), _output(cfg)
-    draw = partial(stationary_sample, params)
+    draw = partial(tkf91.stationary_sample, params)
 
     # member k's trials are keyed (seed, k); all share the plug-in rows
     def run():
-        lam = top_states(params, eps)
-        rows = RowTable(mc_rows(params, lam, h_star, row_samples,
-                                np.random.default_rng([seed, 10 ** 9])))
+        lam = tkf91.top_states(params, eps)
+        rows = RowTable(tkf91.mc_rows(params, lam, h_star, row_samples,
+                                      np.random.default_rng([seed, 10 ** 9])))
         results = []
         for k in range(1, len(family) + 1) if ks is None else ks:
             tree = family[k - 1]
@@ -445,7 +450,7 @@ def _cmd_tkf91(cfg: dict, workers: int):
                                       workers))
             results.append(dict(zip(("k", "trials", "errors", "rate",
                                      "ci_low", "ci_high"), (k, *tally))))
-        return _emit(out, "", partial(write_experiment_csv, results))
+        return _emit(out, "", partial(tkf91.write_experiment_csv, results))
     return run
 
 
@@ -462,14 +467,16 @@ def validate_config(cfg: dict) -> list:
         except ValueError as e:
             problems.append(str(e))
 
+    # a process read is a RateMatrix or else TKF91's parameters
     Q = read(_build_process) if "process" in cfg else None
-    if isinstance(Q, RateMatrix):
+    finite = isinstance(Q, RateMatrix)
+    if finite:
         read(_root_draw, Q)
-    if isinstance(Q, Tkf91Params) and "estimator" in cfg:
+    if Q is not None and not finite and "estimator" in cfg:
         read(_tkf91_inputs, read(_build_family))
     elif "family" in cfg:
         tree = read(_build_tree)
-        if isinstance(Q, RateMatrix) and "estimator" in cfg:
+        if finite and "estimator" in cfg:
             read(_build_estimator, tree, Q)
     # the command is unknown here, so every file a command may write counts
     for key, reader in (("trials", _trials), ("seed", _seed),

@@ -7,8 +7,10 @@ for chains with uniformly bounded rates, and the two-state majority vote.
 The frequency tests are handed a run's ``stretch_plan`` and
 ``RowTable`` of time-h* rows, which the caller builds once, and test a
 block of trials from ``treechain.simulated_trials`` at once, on the
-integer keys of its stretched leaf states.  The MAP also takes a block
-of trials at once, as rows of leaf states.
+integer keys of its stretched leaf states (a finite chain's states, or
+``tkf91.keys``), whose vocabulary ``treechain.distinct`` finds by one
+sort.  The MAP also takes a block of trials at once, as rows of leaf
+states.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from itertools import compress
 
 import numpy as np
 
-from . import tkf91
 from .ctmc import Distribution, RateMatrix, total_variations, _label_key
 from .tree import Tree, chosen_leaves, restrict, spread
-from .treechain import DURATION_TOL, block_leaf_likelihoods
+from .treechain import DURATION_TOL, block_leaf_likelihoods, distinct
 
 __all__ = [
     "EstimatorError",
@@ -88,24 +89,31 @@ class RowTable:
         return self._masses[i, j]
 
     def masses(self, lam, keyed, names=None) -> np.ndarray:
-        """(keys × ``lam``): each row of ``lam`` at the ``keyed`` states
-        (a finite chain's, or the ``tkf91.keys`` given with ``names``),
-        for those keys alone."""
-        if self._held is None:
-            states = list(dict.fromkeys(s for row in self.rows.values()
-                                        for s in row.support))
-            held = (tkf91.keys(*tkf91.encode(states))[0].tolist()
-                    if isinstance(states[0], str) else states)
-            # TKF91's long sequences go by their strings
-            self._held = {k if k < tkf91.LONG_KEY else s: s
-                          for k, s in zip(held, states)}
-        # a key off every support finds None, which has no mass
-        states = [self._held.get(k if k < tkf91.LONG_KEY else
-                                 names[k - tkf91.LONG_KEY])
-                  for k in keyed.tolist()]
+        """(keys × ``lam``): each row of ``lam`` at the ``keyed`` states,
+        a finite chain's states themselves, or (given ``names``) the
+        ``tkf91.keys`` of sequences, for those keys alone."""
+        states = (keyed.tolist() if names is None
+                  else self._sequences(keyed, names))
         rows = [self.rows[i] for i in lam]
         return np.array([[row.mass(s) for row in rows] for s in states],
                         dtype=float)
+
+    def _sequences(self, keyed, names) -> list:
+        """The sequences of the ``tkf91.keys`` ``keyed`` with ``names``
+        that some row holds, None for the others, each of the rows'
+        sequences encoded once."""
+        from . import tkf91
+        if self._held is None:
+            states = list(dict.fromkeys(s for row in self.rows.values()
+                                        for s in row.support))
+            held = tkf91.keys(*tkf91.encode(states))[0].tolist()
+            # long sequences go by their strings
+            self._held = {k if k < tkf91.LONG_KEY else s: s
+                          for k, s in zip(held, states)}
+        # a key off every support finds None, which has no mass
+        return [self._held.get(k if k < tkf91.LONG_KEY else
+                               names[k - tkf91.LONG_KEY])
+                for k in keyed.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +215,7 @@ def frequency_tests(plan: StretchPlan, lam, rows: RowTable, block) -> list:
     if not lam:
         raise EstimatorError("state subset must be nonempty")
     lams = [tuple(sorted(lam, key=_label_key))] * len(block.roots)
-    return _test_block(plan, rows, block, *tkf91.distinct(block.stretched),
+    return _test_block(plan, rows, block, *distinct(block.stretched),
                        lams, lams)
 
 
@@ -218,7 +226,7 @@ def uniform_chain_tests(plan: StretchPlan, q_star: float, rows: RowTable,
     (``rows`` must cover them), else a fallback to one of its states."""
     if q_star < 1.0:
         raise EstimatorError("q_star must be at least 1")
-    vocab, inverse = tkf91.distinct(block.stretched)
+    vocab, inverse = distinct(block.stretched)
     n, size = inverse.shape[0], len(vocab)
     counts = np.bincount((inverse + size * np.arange(n)[:, None]).ravel(),
                          minlength=n * size).reshape(n, size)

@@ -50,6 +50,7 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .ctmc import CtmcError, Distribution, _label_key
+from .treechain import distinct
 
 __all__ = [
     "Tkf91Params",
@@ -61,7 +62,6 @@ __all__ = [
     "encode",
     "decode",
     "keys",
-    "distinct",
     "strings",
     "lane_law",
     "identity",
@@ -176,15 +176,6 @@ def keys(codes, lens) -> tuple:
     rank = {s: i for i, s in enumerate(sorted(set(seqs), key=_label_key))}
     out[long] = [LONG_KEY + rank[s] for s in seqs]
     return out, tuple(rank)
-
-
-def distinct(keyed) -> tuple:
-    """The distinct keys of ``keyed`` in order and each one's index there,
-    by one sort (``np.unique`` would import numpy.ma on its first call)."""
-    vocab = np.sort(keyed, axis=None)
-    # each key unlike the one before it, the first too (~k differs from k)
-    vocab = vocab[np.diff(vocab, prepend=~vocab[:1]) != 0]
-    return vocab, np.searchsorted(vocab, keyed)
 
 
 def strings(keyed, names=()) -> list:

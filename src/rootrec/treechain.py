@@ -12,9 +12,11 @@ finite chain's identity matrix, a ``tkf91.identity`` law, as on the
 short edges near the root of a deep family) beyond reading the uniforms
 its draw would read.  Block b of ``BLOCK`` trials draws from the one
 substream keyed ``[*key, b]``.  A process is a finite chain
-(``ctmc.RateMatrix``) or TKF91 (``tkf91.Tkf91Params``).  Every per-tree
-plan is kept here, once per tree and process, and dropped with its tree;
-processes carry no tree state.
+(``ctmc.RateMatrix``) or TKF91 (``tkf91.Tkf91Params``); the ``tkf91``
+module is imported only where a TKF91 process is drawn or its keys read,
+so a finite chain never loads it.  Every per-tree plan is kept here,
+once per tree and process, and dropped with its tree; processes carry
+no tree state.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .ctmc import RateMatrix
-from . import tkf91
-from .tkf91 import Tkf91Params, encode, evolve_lanes, lane_law
 from .tree import Tree
 
 __all__ = [
     "BLOCK",
     "DURATION_TOL",
     "TrialBlock",
+    "distinct",
     "simulate",
     "simulated_trials",
     "leaf_likelihoods",
@@ -213,10 +214,11 @@ def _drawer(tree: Tree, process, stretch):
         return partial(_draw_chain, process.n, levels, width,
                        [alias[v] for v in lay.leaves],
                        [alias[v] for v in picks])
-    if isinstance(process, Tkf91Params):
+    from . import tkf91
+    if isinstance(process, tkf91.Tkf91Params):
         batches = _plan(_tkf91_plan, tree, process)
         if ends:
-            law = lane_law(process, durations)
+            law = tkf91.lane_law(process, durations)
             batches = batches + [(starts, ends, law,
                                   tkf91.identity(law).tolist())]
         return partial(_draw_tkf91, process, batches, lay.leaves, picks)
@@ -241,14 +243,15 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     return next(block.trials(tree))[2]
 
 
-def _tkf91_plan(tree: Tree, params: Tkf91Params) -> list:
+def _tkf91_plan(tree: Tree, params) -> list:
     """A tree's edges in batches of parent and child indices (as in
     ``_Layout``), of each edge's ``tkf91.lane_law`` under ``params`` and
     of whether that law is the identity (``tkf91.identity``): the edges
     into inner vertices one batch per depth of their child, then every
     edge into a leaf, each batch in topological order."""
+    from . import tkf91
     lay = _plan(_layout, tree)
-    law = lane_law(params, lay.lengths)
+    law = tkf91.lane_law(params, lay.lengths)
     same = tkf91.identity(law)
     groups: dict = {}
     for e, x in enumerate(lay.leaf_of):
@@ -269,9 +272,10 @@ def _draw_tkf91(params, batches, leaves, picks, draw_root, count, size,
     of identity edges only makes no call: its children are their
     parents, and the 2 uniforms of each slot that the call would read
     (it would draw no letter) are drawn and dropped."""
+    from . import tkf91
     roots = [draw_root(rng) for _ in range(count)]
     step = max(1, tkf91.LANES // count)
-    seqs = {0: encode(roots)}
+    seqs = {0: tkf91.encode(roots)}
     for parents, children, law, same in batches:
         for lo in range(0, len(parents), step):
             group = parents[lo:lo + step]
@@ -282,10 +286,10 @@ def _draw_tkf91(params, batches, leaves, picks, draw_root, count, size,
                 continue
             law_lo = np.repeat(law[:, lo:lo + step], count, axis=1)
             if len(group) == 1:
-                seqs[children[lo]] = evolve_lanes(params, *seqs[group[0]],
-                                                  law_lo, rng)
+                seqs[children[lo]] = tkf91.evolve_lanes(
+                    params, *seqs[group[0]], law_lo, rng)
                 continue
-            codes, lens = evolve_lanes(
+            codes, lens = tkf91.evolve_lanes(
                 params, np.concatenate([seqs[p][0] for p in group]),
                 np.concatenate([seqs[p][1] for p in group]), law_lo, rng)
             lens = lens.reshape(len(group), count)
@@ -319,8 +323,10 @@ class TrialBlock(NamedTuple):
 
     def states(self, keyed) -> list:
         """The states of the keys ``keyed``, as (nested) lists."""
-        return (keyed.tolist() if self.long is None
-                else tkf91.strings(keyed, self.long))
+        if self.long is None:
+            return keyed.tolist()
+        from . import tkf91
+        return tkf91.strings(keyed, self.long)
 
     def trials(self, tree: Tree):
         """(t, root, leaf id -> state) of each trial in the block."""
@@ -328,6 +334,16 @@ class TrialBlock(NamedTuple):
                                             self.states(self.leaves)),
                                         self.start):
             yield t, root, dict(zip(tree.leaves, row))
+
+
+def distinct(keyed) -> tuple:
+    """The distinct keys of ``keyed`` in order and each one's index there,
+    by one sort (``np.unique`` would import numpy.ma on its first call):
+    a block's vocabulary, of either process's keys."""
+    vocab = np.sort(keyed, axis=None)
+    # each key unlike the one before it, the first too (~k differs from k)
+    vocab = vocab[np.diff(vocab, prepend=~vocab[:1]) != 0]
+    return vocab, np.searchsorted(vocab, keyed)
 
 
 def simulated_trials(tree: Tree, process, draw_root, key, stop: int,

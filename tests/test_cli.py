@@ -119,22 +119,58 @@ class TestExperimentCommand:
         path = write_cfg(tmp_path, "e.json", cfg)
         assert main(["experiment", path]) == EXIT_CONFIG
 
+    # (command, estimator or TKF91 config, what the run loads of
+    # LOADED); None runs no command and reads a TKF91 name of the package
+    LOADS = {
+        "frequency": ("experiment", {"kind": "frequency", "s": 0.05,
+                                     "h_star": 1.0}, []),
+        "uniform": ("experiment", {"kind": "uniform", "s": 0.05,
+                                   "h_star": 1.0}, []),
+        "map": ("experiment", {"kind": "map"}, []),
+        "tkf91": ("tkf91", {
+            "family": {"kind": "figure1", "k": 20, "h": 1.0}, "ks": [20],
+            "process": {"kind": "tkf91", "nu": 1.0, "lam": 0.5, "mu": 1.0},
+            "estimator": {"s": 0.05, "h_star": 1.0, "epsilon": 0.3,
+                          "row_samples": 50}, "trials": 5, "seed": 5},
+                  ["rootrec.tkf91"]),
+        "attribute": (None, None, ["rootrec.tkf91"]),
+    }
+    LOADED = ("oracles", "scipy", "hypothesis", "rootrec.tkf91")
+
     def test_loads_no_test_code(self, tmp_path):
         # a command runs on the package alone: neither the tests' oracles
-        # nor the test-only dependencies are imported in a fresh process
-        path = write_cfg(tmp_path, "e.json", experiment_cfg(tmp_path,
-                                                            trials=5))
-        script = ("import sys, rootrec.cli\n"
-                  f"assert rootrec.cli.main(['experiment', {path!r}]) == 0\n"
-                  "print(sorted({'oracles', 'scipy', 'hypothesis'}"
-                  " & set(sys.modules)))\n")
+        # nor the test-only dependencies are imported in a fresh process;
+        # and TKF91's module loads for a TKF91 process or name only, not
+        # for a finite chain's command or a bare import of the package
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        out = subprocess.run([sys.executable, "-c", script],
-                             capture_output=True, text=True, check=True,
-                             cwd=tmp_path, env={**os.environ,
-                                                "PYTHONPATH": src}).stdout
-        assert out == "[]\n"
-        assert (tmp_path / "out.summary.csv").read_text().count("\n") == 2
+        got = {}
+        for case, (command, spec, _) in self.LOADS.items():
+            here = tmp_path / case
+            here.mkdir()
+            if command is None:
+                run = ("import rootrec\n"
+                       "assert 'rootrec.tkf91' not in sys.modules\n"
+                       "assert rootrec.Tkf91Params is "
+                       "rootrec.tkf91.Tkf91Params\n")
+            else:
+                cfg = (experiment_cfg(here, trials=5, estimator=spec)
+                       if command == "experiment"
+                       else {**spec, "output": str(here / "out.csv")})
+                path = write_cfg(here, "e.json", cfg)
+                run = ("import rootrec.cli\n"
+                       f"assert rootrec.cli.main([{command!r}, {path!r}])"
+                       " == 0\n")
+            script = (f"import sys\n{run}print(sorted(set({self.LOADED!r})"
+                      " & set(sys.modules)))\n")
+            got[case] = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, check=True, cwd=here,
+                env={**os.environ, "PYTHONPATH": src}).stdout
+            if command == "experiment":
+                assert (here / "out.summary.csv").read_text().count(
+                    "\n") == 2
+        assert got == {case: f"{loaded}\n"
+                       for case, (_, _, loaded) in self.LOADS.items()}
 
 
 class RecordingPool:
@@ -339,6 +375,25 @@ class TestValidateCommand:
         cfg = {"process": {"kind": "tkf91", "nu": 1, "lam": 2, "mu": 2}}
         assert validate_config(cfg) == ["lambda must be < mu"]
         path = write_cfg(tmp_path, "v.json", cfg)
+        assert main(["validate", path]) == EXIT_CONFIG
+
+    def test_tkf91_config_reports_each_reader(self, tmp_path):
+        # a TKF91 process reads its estimator section as the tkf91
+        # command does, and no root: the key is a finite chain's
+        cfg = {"family": {"kind": "figure1", "k": 4, "h": 1.0},
+               "process": {"kind": "tkf91", "nu": 1.0, "lam": 0.5,
+                           "mu": 1.0},
+               "estimator": {"s": 0.05, "h_star": 1.0, "epsilon": 3.0},
+               "root": 9, "trials": 0, "seed": -1}
+        assert validate_config(cfg) == [
+            "epsilon must lie in (0, 1], got 3.0", "trials must be positive",
+            "seed must be a non-negative 64-bit integer"]
+        cfg["estimator"] = {"s": 0.05, "h_star": 1.0}
+        assert validate_config({**cfg, "ks": [2, 5]}) == [
+            "family member k=5 out of range 1..4", "trials must be positive",
+            "seed must be a non-negative 64-bit integer"]
+        assert validate_config({**cfg, "trials": 3, "seed": 1}) == []
+        path = write_cfg(tmp_path, "v.json", {**cfg, "ks": [2, 5]})
         assert main(["validate", path]) == EXIT_CONFIG
 
     def test_nonpositive_s_flagged(self, tmp_path):

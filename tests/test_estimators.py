@@ -21,10 +21,11 @@ from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 majority_estimate, map_estimate,
                                 map_estimates, stretch_plan,
                                 uniform_chain_tests)
-from rootrec.tkf91 import (Tkf91Params, distinct, encode, keys, mc_rows,
+from rootrec.tkf91 import (Tkf91Params, encode, keys, mc_rows,
                            stationary_sample, strings, top_states)
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import TrialBlock, simulate, simulated_trials
+from rootrec.treechain import (TrialBlock, distinct, simulate,
+                               simulated_trials)
 
 
 def pinched(m, s=0.05, h=1.0):

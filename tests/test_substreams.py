@@ -86,6 +86,8 @@ SIMULATE_TKF91_LONG = {
 # stream
 DEEP = {**FREQUENCY, "family": {"kind": "figure1", "k": 70, "h": 1.0},
         "trials": BLOCK + 44}
+# the same tree under MAP, whose pruning meets those identity edges too
+MAP_DEEP = {**DEEP, "estimator": {"kind": "map"}}
 TKF91_DEEP = {**TKF91, "family": {"kind": "figure1", "k": 70, "h": 1.0},
               "ks": [40, 70], "trials": BLOCK + 44}
 
@@ -142,6 +144,9 @@ PINNED = [
     ("frequency-deep", "experiment", DEEP, 1, {
         ".trials.csv": "b19a19c6786f63d159c6882e415f50f0",
         ".summary.csv": "00c63fc37d63d405aecf1e6c517d5b76"}),
+    ("map-deep", "experiment", MAP_DEEP, 1, {
+        ".trials.csv": "ba93fd0305e6365359d3ccbbf53da418",
+        ".summary.csv": "3b462ebc4c498f9ac633190bfd7611b9"}),
     ("tkf91-deep", "tkf91", TKF91_DEEP, 1, {
         "": "98493c07eb98f983fe89d3558a802bd7"}),
 ]
@@ -168,7 +173,8 @@ def test_cli_output_digest(tmp_path, monkeypatch, command, cfg, workers,
 
 @pytest.mark.parametrize("case", ["frequency-blocks", "uniform",
                                   "map-fixed-root", "estimate",
-                                  "simulate", "frequency-deep"])
+                                  "simulate", "frequency-deep",
+                                  "map-deep"])
 def test_one_trial_slices_keep_the_digests(tmp_path, monkeypatch, case):
     # a finite chain's block whose uniforms are drawn and descended one
     # trial's row at a time reads its stream as one draw of the whole

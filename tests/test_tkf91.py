@@ -799,10 +799,10 @@ class TestRootExperiment:
         # the trials test keys: the command decodes each plug-in row's
         # sequences once and no trial's
         built, rows = [], []
-        decoded, counted = tkf91.decode, cli.mc_rows
+        decoded, counted = tkf91.decode, tkf91.mc_rows
         monkeypatch.setattr(tkf91, "decode", lambda codes, lens: built.append(
             decoded(codes, lens)) or built[-1])
-        monkeypatch.setattr(cli, "mc_rows", lambda *args: rows.append(
+        monkeypatch.setattr(tkf91, "mc_rows", lambda *args: rows.append(
             counted(*args)) or rows[-1])
         tkf91_command(
             tmp_path, {"kind": "figure1", "k": 10, "h": 1.0},

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import (chain_step, exact_leaf_law, exact_leaf_tv,
                      tkf91_tree_reference, tree_per_edge)
-from rootrec import ctmc
+from rootrec import ctmc, tkf91
 from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
                           transition_matrix, two_state_symmetric,
                           jukes_cantor)
@@ -436,8 +436,8 @@ class TestIdentityEdges:
     def test_tkf91_blocks_match_per_slot_reference(self, kind, monkeypatch):
         tree, P = self.TREES[kind](), Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
         lanes = []
-        real = treechain.evolve_lanes
-        monkeypatch.setattr(treechain, "evolve_lanes", lambda *a: lanes.append(
+        real = tkf91.evolve_lanes
+        monkeypatch.setattr(tkf91, "evolve_lanes", lambda *a: lanes.append(
             len(a[2])) or real(*a))
         plan, draw = self.plan(tree), partial(stationary_sample, P)
         stretched = sum(d > DURATION_TOL for d in plan.durations)
