@@ -205,20 +205,32 @@ def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
     return partial(test, plan, arg, table), plan, bound
 
 
-def _draw_root(n: int, root, rng) -> int:
-    return int(rng.integers(n)) + 1 if root is None else root
+def _draw_roots(n: int, root, rng, size: int) -> list:
+    if root is None:
+        return (rng.integers(n, size=size) + 1).tolist()
+    return [root] * size
 
 
 def _root_draw(cfg: dict, Q: RateMatrix):
-    """rng -> root state: uniform over the chain's states, or the config's
-    fixed "root", the one key of two JSON types."""
+    """(rng, size) -> ``size`` root states: uniform over the chain's
+    states, from one ``Generator.integers`` call that reads the stream as
+    ``size`` one-state calls do, or the config's fixed "root", the one
+    key of two JSON types."""
     root = cfg.get("root", "uniform")
     if root == "uniform":
-        return partial(_draw_root, Q.n, None)
+        return partial(_draw_roots, Q.n, None)
     if type(root) is not int or not 1 <= root <= Q.n:
         raise ConfigError(f'root must be "uniform" or a state 1..{Q.n}, '
                           f"got {root!r}")
-    return partial(_draw_root, Q.n, root)
+    return partial(_draw_roots, Q.n, root)
+
+
+def _tkf91_roots(params, rng, size: int) -> list:
+    """``size`` TKF91 roots, one ``stationary_sample`` call each: drawing
+    their lengths and letters for all at once would read the stream
+    differently."""
+    from .tkf91 import stationary_sample
+    return [stationary_sample(params, rng) for _ in range(size)]
 
 
 def _trials(cfg: dict, default=_REQUIRED) -> int:
@@ -267,10 +279,10 @@ def _output(cfg: dict, suffixes=("",)):
 
 # what a run's trials need, built once at set-up and pickled to workers:
 # ``count`` trials, drawn by ``simulated_trials`` from substreams keyed
-# by ``key`` (block b from [*key, b]): each draws its root with ``draw``
-# and its leaves on ``tree``, then the leaves of the stretch plan
-# ``stretch`` (or None) run forward; ``estimate`` maps a TrialBlock to one
-# (estimate, fallback flag) per trial
+# by ``key`` (block b from [*key, b]): each block draws its roots with
+# one ``draw(rng, size)`` call and its leaves on ``tree``, then the leaves
+# of the stretch plan ``stretch`` (or None) run forward; ``estimate`` maps
+# a TrialBlock to one (estimate, fallback flag) per trial
 Trials = namedtuple("Trials", "tree process estimate draw key count stretch")
 
 
@@ -371,8 +383,7 @@ def _cmd_simulate(cfg: dict, workers: int):
     if isinstance(proc, RateMatrix):
         draw = _root_draw(cfg, proc)
     else:
-        from .tkf91 import stationary_sample
-        draw = partial(stationary_sample, proc)
+        draw = partial(_tkf91_roots, proc)
     key, trials, out = (_seed(cfg),), _trials(cfg, 1), _output(cfg)
 
     def write(fh):
@@ -432,7 +443,7 @@ def _cmd_tkf91(cfg: dict, workers: int):
     from . import tkf91
     s, h_star, eps, ks, row_samples, plans = _tkf91_inputs(cfg, family)
     count, seed, out = _trials(cfg), _seed(cfg), _output(cfg)
-    draw = partial(tkf91.stationary_sample, params)
+    draw = partial(_tkf91_roots, params)
 
     # member k's trials are keyed (seed, k); all share the plug-in rows
     def run():

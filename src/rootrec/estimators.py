@@ -8,9 +8,9 @@ The frequency tests are handed a run's ``stretch_plan`` and
 ``RowTable`` of time-h* rows, which the caller builds once, and test a
 block of trials from ``treechain.simulated_trials`` at once, on the
 integer keys of its stretched leaf states (a finite chain's states, or
-``tkf91.keys``), whose vocabulary ``treechain.distinct`` finds by one
-sort.  The MAP also takes a block of trials at once, as rows of leaf
-states.
+``tkf91.keys``), whose vocabulary ``TrialBlock.vocabulary`` gives: a
+finite chain's states, or TKF91's distinct keys by one sort.  The MAP
+also takes a block of trials at once, as rows of leaf states.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .ctmc import Distribution, RateMatrix, total_variations, _label_key
 from .tree import Tree, chosen_leaves, restrict, spread
-from .treechain import DURATION_TOL, block_leaf_likelihoods, distinct
+from .treechain import DURATION_TOL, block_leaf_likelihoods
 
 __all__ = [
     "EstimatorError",
@@ -211,12 +211,13 @@ def frequency_tests(plan: StretchPlan, lam, rows: RowTable, block) -> list:
     ``lam`` whose achieving-set frequencies all clear their thresholds,
     else a uniform random one from the block's generator, flagged 1.
     ``rows`` holds their time-h* rows (exact for finite chains, Monte
-    Carlo plug-in rows otherwise)."""
+    Carlo plug-in rows otherwise).  The keys are looked up in the block's
+    ``vocabulary``: a finite chain's states, with no sort."""
     if not lam:
         raise EstimatorError("state subset must be nonempty")
     lams = [tuple(sorted(lam, key=_label_key))] * len(block.roots)
-    return _test_block(plan, rows, block, *distinct(block.stretched),
-                       lams, lams)
+    return _test_block(plan, rows, block,
+                       *block.vocabulary(block.stretched), lams, lams)
 
 
 def uniform_chain_tests(plan: StretchPlan, q_star: float, rows: RowTable,
@@ -226,7 +227,7 @@ def uniform_chain_tests(plan: StretchPlan, q_star: float, rows: RowTable,
     (``rows`` must cover them), else a fallback to one of its states."""
     if q_star < 1.0:
         raise EstimatorError("q_star must be at least 1")
-    vocab, inverse = distinct(block.stretched)
+    vocab, inverse = block.vocabulary(block.stretched)
     n, size = inverse.shape[0], len(vocab)
     counts = np.bincount((inverse + size * np.arange(n)[:, None]).ravel(),
                          minlength=n * size).reshape(n, size)

@@ -196,10 +196,12 @@ def _drawer(tree: Tree, process, stretch):
     """The block draw of ``process`` on ``tree``, the one place that
     tells the two process kinds apart, a ``RateMatrix`` and
     ``Tkf91Params`` (anything else raises ``TypeError``):
-    ``draw(draw_root, count, size, rng)`` returns the roots, leaf states
+    ``draw(draw_roots, count, size, rng)`` returns the roots, leaf states
     and ``stretch``ed states (None without a stretch) of ``count`` trials
     drawn from ``rng`` as ``simulated_trials`` says, a finite chain's as
-    if ``size`` trials were drawn, and ``TrialBlock.long``."""
+    if ``size`` trials were drawn, and ``TrialBlock.long``: a finite
+    chain takes its ``size`` roots from one ``draw_roots(rng, size)``
+    call, TKF91 its ``count`` roots."""
     lay = _plan(_layout, tree)
     starts, ends, durations, picks = _stretch_edges(tree, lay, stretch)
     if isinstance(process, RateMatrix):
@@ -239,7 +241,7 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     a per-edge loop does.
     """
     block = TrialBlock(0, *_plan(_drawer, tree, process, None)(
-        lambda rng: root_state, 1, 1, rng), rng)
+        lambda rng, size: [root_state] * size, 1, 1, rng), rng)
     return next(block.trials(tree))[2]
 
 
@@ -261,11 +263,12 @@ def _tkf91_plan(tree: Tree, params) -> list:
              same[es].tolist()) for _, es in sorted(groups.items())]
 
 
-def _draw_tkf91(params, batches, leaves, picks, draw_root, count, size,
+def _draw_tkf91(params, batches, leaves, picks, draw_roots, count, size,
                 rng) -> tuple:
-    """TKF91's draw: ``count`` roots, then the ``tkf91.keys`` of the
-    vertices ``leaves`` and ``picks`` (None for no ``picks``) as (trials
-    × vertices) arrays, and their long sequences.  The edges of each of
+    """TKF91's draw: ``count`` roots (``draw_roots(rng, count)``), then
+    the ``tkf91.keys`` of the vertices ``leaves`` and ``picks`` (None for
+    no ``picks``) as (trials × vertices) arrays, and their long
+    sequences.  The edges of each of
     ``batches`` in turn go ``tkf91.LANES`` // trials (at least one) to an
     ``evolve_lanes`` call on ``rng``, lanes edge by edge, then trial by
     trial, so that memory stays bounded however wide the tree.  A group
@@ -273,7 +276,7 @@ def _draw_tkf91(params, batches, leaves, picks, draw_root, count, size,
     parents, and the 2 uniforms of each slot that the call would read
     (it would draw no letter) are drawn and dropped."""
     from . import tkf91
-    roots = [draw_root(rng) for _ in range(count)]
+    roots = draw_roots(rng, count)
     step = max(1, tkf91.LANES // count)
     seqs = {0: tkf91.encode(roots)}
     for parents, children, law, same in batches:
@@ -328,6 +331,16 @@ class TrialBlock(NamedTuple):
         from . import tkf91
         return tkf91.strings(keyed, self.long)
 
+    def vocabulary(self, keyed) -> tuple:
+        """The keys that the frequency tests of ``keyed`` look up, in
+        order, and each key's index there: a finite chain's states 1 to
+        the largest in ``keyed``, indexed by ``keyed`` - 1 with no sort
+        (a state that no trial holds is counted by none); TKF91's
+        ``distinct`` keys."""
+        if self.long is None:
+            return np.arange(1, int(keyed.max()) + 1), keyed - 1
+        return distinct(keyed)
+
     def trials(self, tree: Tree):
         """(t, root, leaf id -> state) of each trial in the block."""
         for t, (root, row) in enumerate(zip(self.roots,
@@ -339,29 +352,32 @@ class TrialBlock(NamedTuple):
 def distinct(keyed) -> tuple:
     """The distinct keys of ``keyed`` in order and each one's index there,
     by one sort (``np.unique`` would import numpy.ma on its first call):
-    a block's vocabulary, of either process's keys."""
+    a TKF91 block's vocabulary."""
     vocab = np.sort(keyed, axis=None)
     # each key unlike the one before it, the first too (~k differs from k)
     vocab = vocab[np.diff(vocab, prepend=~vocab[:1]) != 0]
     return vocab, np.searchsorted(vocab, keyed)
 
 
-def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
+def simulated_trials(tree: Tree, process, draw_roots, key, stop: int,
                      start: int = 0, stretch=None):
     """The trials ``start`` to ``stop - 1`` of one experiment, as
     ``TrialBlock``s of at most ``BLOCK`` trials; ``start`` must be a
     multiple of ``BLOCK`` (else ``ValueError``).
 
     Block b (trials b·BLOCK to b·BLOCK + BLOCK - 1) seeds one generator
-    from ``[*key, b]`` and draws from it its roots with
-    ``draw_root(rng)``, one trial after another, then the block's edges,
-    then the leaves of ``stretch`` (a ``StretchPlan``, or None) whose
-    duration exceeds ``DURATION_TOL``, as extra edges below their leaves.
-    A finite chain draws ``BLOCK`` roots, then a (BLOCK × w) array of
-    uniforms, a row per trial of one per edge in topological order and
-    one per stretched leaf, and inverts each edge's cumulative rows for
-    the whole block at once; a last, short block draws as much as a full
-    one, so trial t is the same in every run that reaches it.  A TKF91
+    from ``[*key, b]`` and draws from it its roots with one
+    ``draw_roots(rng, size)`` call, which returns a list of ``size``
+    roots, then the block's edges, then the leaves of ``stretch`` (a
+    ``StretchPlan``, or None) whose duration exceeds ``DURATION_TOL``,
+    as extra edges below their leaves.  A finite chain draws ``BLOCK``
+    roots (uniform ones from one ``Generator.integers`` call, which reads
+    the stream as ``BLOCK`` one-root calls do: ``cli._root_draw``), then
+    a (BLOCK × w) array of uniforms, a row per trial of one per edge in
+    topological order and one per stretched leaf, and inverts each edge's
+    cumulative rows for the whole block at once; a last, short block
+    draws as much as a full one, so trial t is the same in every run that
+    reaches it.  A TKF91
     block draws the roots of its own trials only, so its trials depend on
     the run's trial count only inside the last, short block, then its
     batches of edges (``_tkf91_plan``, and the stretched leaves' edges
@@ -372,13 +388,13 @@ def simulated_trials(tree: Tree, process, draw_root, key, stop: int,
         raise ValueError(f"trials start at a multiple of {BLOCK}, "
                          f"not at {start}")
     draw = _plan(_drawer, tree, process, stretch)
-    return (_block(draw, draw_root, key, lo, min(BLOCK, stop - lo))
+    return (_block(draw, draw_roots, key, lo, min(BLOCK, stop - lo))
             for lo in range(start, stop, BLOCK))
 
 
-def _block(draw, draw_root, key, lo: int, count: int) -> TrialBlock:
+def _block(draw, draw_roots, key, lo: int, count: int) -> TrialBlock:
     rng = np.random.default_rng([*key, lo // BLOCK])
-    return TrialBlock(lo, *draw(draw_root, count, BLOCK, rng), rng)
+    return TrialBlock(lo, *draw(draw_roots, count, BLOCK, rng), rng)
 
 
 def _stretch_edges(tree: Tree, lay: _Layout, stretch) -> tuple:
@@ -398,17 +414,18 @@ def _stretch_edges(tree: Tree, lay: _Layout, stretch) -> tuple:
     return starts, ends, durations, picks
 
 
-def _draw_chain(n, levels, width, leaves, picks, draw_root, count, size,
+def _draw_chain(n, levels, width, leaves, picks, draw_roots, count, size,
                 rng) -> tuple:
-    """An n-state chain's draw: ``size`` roots and a (size × ``width``)
-    array of uniforms, of which the first ``count`` trials descend
-    ``levels``; their roots, and the 1-based states of the vertices
-    ``leaves`` and ``picks`` as (trials × vertices) arrays, None for no
-    ``picks``; and no ``long``.  The uniforms are drawn, and descend, a
+    """An n-state chain's draw: ``size`` roots from one
+    ``draw_roots(rng, size)`` call and a (size × ``width``) array of
+    uniforms, of which the first ``count`` trials descend ``levels``;
+    their roots, and the 1-based states of the vertices ``leaves`` and
+    ``picks`` as (trials × vertices) arrays, None for no ``picks``; and
+    no ``long``.  The uniforms are drawn, and descend, a
     slice of whole trials at a time, at most ``_UNIFORMS`` floats (but
     one trial's row at least) to a slice: the stream is read as one
     draw of the whole array reads it."""
-    roots = [draw_root(rng) for _ in range(size)][:count]
+    roots = draw_roots(rng, size)[:count]
     rows = max(1, _UNIFORMS // max(width, 1))
     read = np.array([*leaves, *picks], dtype=np.intp)
     parts = []

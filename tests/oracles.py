@@ -34,7 +34,8 @@ each lane's law (``tkf91_law_reference``) computed with its draw, as the
 package did before it kept each edge's law in the tree's plan.
 ``monte_carlo_error`` counts an estimator's errors over
 ``simulated_trials`` keyed by its master seed, with a root drawn by
-``draw_state`` or fixed.
+``draw_state`` or fixed; ``block_draw`` lifts such a one-root draw to
+the block draw that ``simulated_trials`` takes.
 ``transition_matrix_reference`` uniformizes one length at a time and
 ``total_variation_reference`` adds one pair's terms in a loop, as the
 package first did; the package now does both for many lengths or pairs
@@ -290,6 +291,13 @@ def draw_state(d: Distribution, rng):
     return states[rng.choice(len(states), p=probs / probs.sum())]
 
 
+def block_draw(draw):
+    """The block draw ``(rng, size) -> size roots`` of the one-root draw
+    ``draw``: ``size`` calls of ``draw(rng)`` in turn, so that a reference
+    draws its roots one at a time whatever the package's draws do."""
+    return lambda rng, size: [draw(rng) for _ in range(size)]
+
+
 def monte_carlo_error(estimate, tree: Tree, process, root, trials: int,
                       master_seed: int) -> dict:
     """Empirical error rate of an estimator over independent trials.
@@ -304,7 +312,8 @@ def monte_carlo_error(estimate, tree: Tree, process, root, trials: int,
         raise ValueError("trials must be at least 1")
     draw = (partial(draw_state, root) if isinstance(root, Distribution)
             else lambda rng: root)
-    errors = sum(1 for block in simulated_trials(tree, process, draw,
+    errors = sum(1 for block in simulated_trials(tree, process,
+                                                 block_draw(draw),
                                                  (master_seed,), trials)
                  for _, truth, observed in block.trials(tree)
                  if estimate(observed, block.rng) != truth)

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import exact_leaf_law, frequency_estimate
+from oracles import block_draw, exact_leaf_law, frequency_estimate
 from rootrec import cli
 from rootrec.bounds import (BoundInputs, prop54_uniform_bound, recon_lower,
                             recon_upper, variance_bound, wilson_interval)
@@ -132,8 +132,8 @@ def test_c04_pinched_star_example():
     Q = two_state_symmetric(q)
     n = 10 ** 5
     errors = 0
-    for block in simulated_trials(t, Q, lambda rng: int(rng.integers(2)) + 1,
-                                  (104,), n):
+    for block in simulated_trials(t, Q, block_draw(
+            lambda rng: int(rng.integers(2)) + 1), (104,), n):
         votes = np.where((block.leaves == 1).sum(axis=1) > m / 2, 1, 2)
         errors += int((votes != np.array(block.roots)).sum())
     lo, hi = wilson_interval(errors, n)
@@ -242,8 +242,9 @@ def test_c08_uniform_chain_minimax():
     for truth in Q.states:
         errors = 0
         # block b draws from the substream [108, truth, b]
-        for block in simulated_trials(t, Q, lambda rng, root=truth: root,
-                                      (108, truth), trials, stretch=plan):
+        for block in simulated_trials(t, Q, block_draw(
+                lambda rng, root=truth: root), (108, truth), trials,
+                stretch=plan):
             errors += sum(state != truth for state, _ in uniform_chain_tests(
                 plan, Q.q_star, table, block))
         rate = errors / trials

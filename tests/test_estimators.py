@@ -11,10 +11,11 @@ from rootrec.ctmc import (Distribution, RateMatrix, row_distribution,
                           two_state_symmetric, jukes_cantor)
 from rootrec import estimators
 from rootrec.bounds import recon_lower
-from oracles import (block_counts, exact_leaf_law, frequency_estimate,
-                     frequency_test, total_variation_reference,
-                     tv_achieving_set, uniform_chain_estimate,
-                     uniform_chain_test)
+from rootrec.cli import _build_process, _root_draw
+from oracles import (block_counts, block_draw, exact_leaf_law,
+                     frequency_estimate, frequency_test,
+                     total_variation_reference, tv_achieving_set,
+                     uniform_chain_estimate, uniform_chain_test)
 from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 StretchPlan, exclusivity_stats,
                                 frequency_tests, lambda_epsilon,
@@ -359,7 +360,10 @@ class TestBlockTests:
     on its stretched keys; each must give the per-trial tests' (state,
     fallback) rows (tests/oracles.py), count the same in
     ``exclusivity_stats``, and leave the block's generator where the
-    per-trial tests leave theirs."""
+    per-trial tests leave theirs.  A finite block, whose vocabulary is
+    its states with no sort, must do all that as it does with the
+    distinct keys of one sort (``treechain.distinct``), on blocks that
+    miss states too."""
 
     Q = jukes_cantor(1.0, 4)
     # rows for the edge cases: m = 4 and two leaves on each state put a
@@ -408,6 +412,21 @@ class TestBlockTests:
         got = self.outcome(lambda: block_test(plan, arg, rows, block))
         want = self.outcome(per_trial)
         assert got == want
+        if long is None:
+            # a finite block's vocabulary is its states 1 to the largest
+            # it holds, with no sort: the rows, the counts and the stream
+            # end as with the distinct keys of one sort
+            vocab, inverse = block.vocabulary(keyed)
+            assert vocab.tolist() == list(range(1, int(keyed.max()) + 1))
+            assert (vocab[inverse] == keyed).all()
+            other = block._replace(rng=np.random.default_rng(seed))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(TrialBlock, "vocabulary",
+                              lambda blk, keyed: distinct(keyed))
+                assert self.outcome(lambda: block_test(plan, arg, rows,
+                                                       other)) == got
+            assert (other.rng.bit_generator.state
+                    == block.rng.bit_generator.state)
         assert block.rng.random() == rng.random()
         return got[0]
 
@@ -519,7 +538,8 @@ class TestBlockTests:
         plan = stretch_plan(tree, 0.05, 1.0)
         lam = top_states(P, 0.05)
         rows = RowTable(mc_rows(P, lam, 1.0, 100, np.random.default_rng(1)))
-        (block,) = simulated_trials(tree, P, partial(stationary_sample, P),
+        (block,) = simulated_trials(tree, P,
+                                    block_draw(partial(stationary_sample, P)),
                                     (2,), 64, stretch=plan)
         tracemalloc.start()
         try:
@@ -573,6 +593,13 @@ class TestBlockTests:
         got = self.compare(uniform_chain_tests, uniform_chain_test,
                            self.plan(4, 1e-3), self.Q.q_star, rows, keyed)
         assert got[0][1] == got[3][1] == 1 and got[1] == (1, 0)
+        # of five leaves a candidate needs three: fallbacks to three and to
+        # four observed states, drawn in trial order
+        keyed = [[1, 1, 2, 2, 3], [1, 2, 3, 4, 4], [2, 2, 2, 1, 1],
+                 [4, 4, 3, 3, 1], [1, 2, 3, 4, 1]] * 8
+        got = self.compare(uniform_chain_tests, uniform_chain_test,
+                           self.plan(5, 1e-3), self.Q.q_star, rows, keyed)
+        assert [f for _, f in got] == [1, 1, 0, 1, 1] * 8
 
     def test_two_passing_states_raise(self, monkeypatch):
         # the block stops where trial after trial would: after the
@@ -593,6 +620,69 @@ class TestBlockTests:
                        {"invocations": 4, "violations": 1})
         self.compare(frequency_tests, frequency_test, self.plan(6),
                      [1, 2, 3], rows, keyed)
+
+    def test_block_of_states_1_and_3(self):
+        # a four-state chain's block that holds states 1 and 3 alone;
+        # under the asymmetric chain at h* = 0.5 some trials pass none
+        # and fall back, to states no trial holds too
+        q = np.random.default_rng(0).uniform(0.0, 3.0, (4, 4))
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(1))
+        rng, got = np.random.default_rng(7), set()
+        for Q, h_star in ((self.Q, 1e-3), (self.Q, 1.0),
+                          (RateMatrix(q), 0.5)):
+            rows = rows_at(Q, h_star)
+            for m in (1, 4, 8):
+                keyed = 1 + 2 * rng.integers(2, size=(200, m), dtype=np.uint8)
+                got |= set(self.compare(frequency_tests, frequency_test,
+                                        self.plan(m, h_star), Q.states, rows,
+                                        keyed))
+                got |= set(self.compare(uniform_chain_tests,
+                                        uniform_chain_test,
+                                        self.plan(m, h_star), Q.q_star, rows,
+                                        keyed))
+        assert {s for s, f in got if f} == {1, 2, 3, 4}
+        assert {s for s, f in got if not f} == {1, 3}
+
+    def test_block_of_state_4_alone(self):
+        rows = rows_at(self.Q, 0.2)
+        keyed = np.full((30, 5), 4, dtype=np.uint8)
+        assert self.compare(frequency_tests, frequency_test, self.plan(5, 0.2),
+                            self.Q.states, rows, keyed) == [(4, 0)] * 30
+        assert self.compare(uniform_chain_tests, uniform_chain_test,
+                            self.plan(5, 0.2), self.Q.q_star, rows,
+                            keyed) == [(4, 0)] * 30
+
+    def test_one_state_matrix_file_chain(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("0\n")
+        Q = _build_process({"process": {"kind": "matrix_file",
+                                        "path": str(path)}})
+        tree = pinched(9)
+        plan = StretchPlan(0.1, 1.5, 4, 0.0, tree.leaves[:4],
+                           (0.5, 0.0, 0.2, 1.0))
+        (block,) = simulated_trials(tree, Q, _root_draw({}, Q), (4,), 40,
+                                    stretch=plan)
+        assert Q.n == 1 and block.roots == [1] * 40
+        rows = rows_at(Q, 1.5)
+        assert self.compare(frequency_tests, frequency_test, plan, Q.states,
+                            rows, block.stretched) == [(1, 0)] * 40
+        assert self.compare(uniform_chain_tests, uniform_chain_test, plan,
+                            Q.q_star, rows, block.stretched) == [(1, 0)] * 40
+
+    def test_fallbacks_then_a_clash_without_state_1(self, monkeypatch):
+        # no trial holds state 1: trials 0 and 2 fall back, and trial 3
+        # passes states 1 and 2
+        monkeypatch.setitem(estimators._EXCLUSIVITY, "violations",
+                            exclusivity_stats()["violations"])
+        rows = Bars(self.THREE, self.BARS)
+        counts = [(0, 0, 3, 3), (0, 6, 0, 0), (0, 0, 3, 3), (0, 1, 0, 5),
+                  (0, 0, 3, 3)]
+        keyed = [[s for s, n in zip((1, 2, 3, 4), c) for _ in range(n)]
+                 for c in counts]
+        assert self.compare(frequency_tests, frequency_test, self.plan(6),
+                            [1, 2, 3], rows, keyed) == (
+            "raised", "multiple states passed the frequency tests: [1, 2]")
 
     def test_threshold_masses_are_the_achieving_sets(self):
         # bit for bit the mass of tests/oracles.py's achieving set

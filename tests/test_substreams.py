@@ -3,7 +3,9 @@
 A finite chain's trials come in blocks of ``treechain.BLOCK``, and block
 b draws from the substream seeded ``[seed, b]``: its BLOCK roots, then
 one array of uniforms for its edges and stretched leaves, then the
-estimators' draws in trial order.  A TKF91 block b on tkf91's member k
+estimators' draws in trial order.  Its roots come from one call, which
+reads the stream as one call per root does (pinned below too).  A TKF91
+block b on tkf91's member k
 draws from ``[seed, k, b]`` (``simulate``: ``[seed, b]``): the roots of
 its own trials, then its batches of edges and its stretched leaves,
 then the estimators' draws in trial order.  The digests below were
@@ -17,6 +19,7 @@ that the split of a run into whole blocks is pinned too.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from oracles import monte_carlo_error
@@ -41,6 +44,9 @@ UNIFORM = {
     "estimator": {"kind": "uniform", "s": 0.005, "h_star": 0.02},
     "trials": 40, "seed": 3,
 }
+# three blocks, the last one short: the roots of each from one call, and
+# a finite block's states as its vocabulary
+UNIFORM_BLOCKS = {**UNIFORM, "trials": 2 * BLOCK + 3}
 MAP = {
     "family": {"kind": "random_ultrametric", "k": 6, "h": 1.0, "seed": 3},
     "process": {"kind": "uniform", "rate": 1.0, "n": 3},
@@ -115,6 +121,12 @@ PINNED = [
     ("uniform-workers2", "experiment", UNIFORM, 2, {
         ".trials.csv": "3010a077370da66f5059797022c03f94",
         ".summary.csv": "5ad5cf5f3d9ca9668d064d9fe64781b5"}),
+    ("uniform-blocks", "experiment", UNIFORM_BLOCKS, 1, {
+        ".trials.csv": "e4ac977a95812f65279b903637f7d5f4",
+        ".summary.csv": "31ee8b845a5ba4ebbc25745c8612c127"}),
+    ("uniform-blocks-workers2", "experiment", UNIFORM_BLOCKS, 2, {
+        ".trials.csv": "e4ac977a95812f65279b903637f7d5f4",
+        ".summary.csv": "31ee8b845a5ba4ebbc25745c8612c127"}),
     ("map-fixed-root", "experiment", MAP, 1, {
         ".trials.csv": "af4a6ac38899c0064e14efe0bb777d29",
         ".summary.csv": "0c24a1954d0b50521a00f60237403343"}),
@@ -152,6 +164,26 @@ PINNED = [
 ]
 
 
+# a block's roots come from one bounded ``Generator.integers`` call
+# (``cli._root_draw``), which must read the stream as one call per root
+# does, as every finite-chain digest above assumes
+STREAM = ("the root draws from one Generator.integers call no longer match "
+          "one call per root for n={}, size={}: cli._root_draw draws a "
+          "block's roots in one call, so this numpy moves every "
+          "finite-chain digest")
+
+
+@pytest.mark.parametrize("seed", [0, 12, [5, 3, 1]])
+@pytest.mark.parametrize("size", [1, 255, BLOCK])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 20, 255, 2 ** 32 + 5])
+def test_one_root_call_reads_the_stream_as_scalar_calls(n, size, seed):
+    block, each = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = cli._draw_roots(n, None, block, size)
+    want = [int(each.integers(n)) + 1 for _ in range(size)]
+    assert (got, block.bit_generator.state) == (
+        want, each.bit_generator.state), STREAM.format(n, size)
+
+
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:32]
 
@@ -172,7 +204,7 @@ def test_cli_output_digest(tmp_path, monkeypatch, command, cfg, workers,
 
 
 @pytest.mark.parametrize("case", ["frequency-blocks", "uniform",
-                                  "map-fixed-root", "estimate",
+                                  "uniform-blocks", "map-fixed-root", "estimate",
                                   "simulate", "frequency-deep",
                                   "map-deep"])
 def test_one_trial_slices_keep_the_digests(tmp_path, monkeypatch, case):

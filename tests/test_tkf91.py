@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import (evolve_lanes_reference, frequency_estimate,
+from oracles import (block_draw, evolve_lanes_reference, frequency_estimate,
                      tkf91_beta, tkf91_children_reference, tkf91_evolve,
                      tkf91_evolve_per_edge, tkf91_law_reference,
                      tkf91_tree_reference, tree_per_edge, uniform_stream)
@@ -132,7 +132,8 @@ class TestOneEventLoop:
     def test_simulated_trials(self, kind):
         tree = self.TREES[kind]()
         draw = lambda rng: stationary_sample(self.P, rng)
-        (block,) = simulated_trials(tree, self.P, draw, (9, 2), 200)
+        (block,) = simulated_trials(tree, self.P, block_draw(draw), (9, 2),
+                                    200)
         ref = np.random.default_rng([9, 2, 0])
         roots = [draw(ref) for _ in range(200)]
         leaves, _ = tkf91_tree_reference(tree, self.P, roots, ref)
@@ -331,7 +332,7 @@ class TestExactLaw:
         events = [tuple(tree_per_edge(tree, step, "AT", src).values())
                   for _ in range(4000)]
         law = [tuple(row) for block in simulated_trials(
-            tree, self.P, lambda rng: "AT", (27,), 20000)
+            tree, self.P, block_draw(lambda rng: "AT"), (27,), 20000)
             for row in block.states(block.leaves)]
         assert_same_law(law, events)
 
@@ -356,7 +357,8 @@ class TestTrialBlocks:
         # the last entry is where the estimator would continue the stream
         return [(t, root, leaves, tuple(stretched), block.rng.random())
                 for block in simulated_trials(
-                    tree, self.P, lambda rng: stationary_sample(self.P, rng),
+                    tree, self.P,
+                    block_draw(lambda rng: stationary_sample(self.P, rng)),
                     (5,), stop, start, self.plan(tree))
                 for (t, root, leaves), stretched in zip(
                     block.trials(tree), block.states(block.stretched))]
@@ -401,7 +403,8 @@ class TestTrialBlocks:
         tree = self.tree()
         simulate(tree, params, "AT", np.random.default_rng(1))
         simulate(tree, params, "AT", np.random.default_rng(2))
-        list(simulated_trials(tree, params, lambda rng: "A", (3,), 10))
+        list(simulated_trials(tree, params, block_draw(lambda rng: "A"), (3,),
+                              10))
         assert calls == [tree]
 
     def test_pickles_without_tree_state(self):

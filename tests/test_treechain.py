@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import (chain_step, exact_leaf_law, exact_leaf_tv,
+from oracles import (block_draw, chain_step, exact_leaf_law, exact_leaf_tv,
                      tkf91_tree_reference, tree_per_edge)
 from rootrec import ctmc, tkf91
 from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
@@ -48,7 +48,7 @@ def pinched2(s=0.5, h=1.0):
 def fixed_root_rows(tree, Q, root, key, n):
     """The leaf rows of n trials from ``root``, drawn a block at a time."""
     return np.concatenate([block.leaves for block in simulated_trials(
-        tree, Q, lambda rng: root, key, n)])
+        tree, Q, block_draw(lambda rng: root), key, n)])
 
 
 class TestSimulate:
@@ -176,9 +176,10 @@ class TestPlans:
         plan = StretchPlan(0.1, 2.0, 1, 0.0, ("a",), (1.0,))
         for _ in range(2):
             simulate(tree, Q, 1, np.random.default_rng(0))
-            list(simulated_trials(tree, Q, lambda rng: 1, (0,), 3))
-            list(simulated_trials(tree, Q, lambda rng: 1, (0,), 3,
-                                  stretch=plan))
+            list(simulated_trials(tree, Q, block_draw(lambda rng: 1), (0,),
+                                  3))
+            list(simulated_trials(tree, Q, block_draw(lambda rng: 1), (0,),
+                                  3, stretch=plan))
             block_leaf_likelihoods(tree, Q, [[1, 2]])
         assert layouts == [(tree,)] and compiled == [(tree, Q)]
         # a second chain on the same tree compiles its own matrices
@@ -260,7 +261,7 @@ class TestTrialBlocks:
         t = pinched2()
         Q = jukes_cantor(1.0)
         rows = np.concatenate([block.leaves for block in simulated_trials(
-            t, Q, lambda rng: 1, (5,), 30000)])
+            t, Q, block_draw(lambda rng: 1), (5,), 30000)])
         law = exact_leaf_law(t, Q, 1)
         emp = {}
         for row in map(tuple, rows.tolist()):
@@ -272,7 +273,7 @@ class TestTrialBlocks:
     def test_columns_follow_leaf_order(self):
         t = Tree("rho", [("rho", "b", 1.0), ("rho", "a", 1.0)])
         Q = RateMatrix(np.zeros((2, 2)))
-        (block,) = simulated_trials(t, Q, lambda rng: 2, (0,), 5)
+        (block,) = simulated_trials(t, Q, block_draw(lambda rng: 2), (0,), 5)
         assert t.leaves == ("a", "b")
         assert block.leaves.shape == (5, 2)
         assert (block.leaves == 2).all()
@@ -297,8 +298,8 @@ class TestTrialBlocks:
         draw = lambda rng: int(rng.integers(n)) + 1
         width = (len(tree.topo_order) - 1
                  + sum(d > DURATION_TOL for d in durations))
-        blocks = list(simulated_trials(tree, Q, draw, (n, 17), BLOCK + 20,
-                                       stretch=plan))
+        blocks = list(simulated_trials(tree, Q, block_draw(draw), (n, 17),
+                                       BLOCK + 20, stretch=plan))
         assert [len(block.roots) for block in blocks] == [BLOCK, 20]
         for i, block in enumerate(blocks):
             ref = np.random.default_rng([n, 17, i])
@@ -329,7 +330,8 @@ class TestTrialBlocks:
         def blocks():
             return [(b.roots, b.leaves.tolist(), b.stretched.tolist(),
                      b.rng.random()) for b in simulated_trials(
-                         tree, Q, draw, (8,), BLOCK + 20, stretch=plan)]
+                         tree, Q, block_draw(draw), (8,), BLOCK + 20,
+                         stretch=plan)]
 
         whole = blocks()
         monkeypatch.setattr(treechain, "_UNIFORMS", 1)
@@ -338,8 +340,8 @@ class TestTrialBlocks:
     def test_blocks_hold_block_trials(self):
         tree = TestCompiledSimulate.TREES["figure1"]()
         Q = two_state_symmetric(1.0)
-        blocks = list(simulated_trials(tree, Q, lambda rng: 1, (3,),
-                                       3 * BLOCK + 2, start=BLOCK))
+        blocks = list(simulated_trials(tree, Q, block_draw(lambda rng: 1),
+                                       (3,), 3 * BLOCK + 2, start=BLOCK))
         assert [b.start for b in blocks] == [BLOCK, 2 * BLOCK, 3 * BLOCK]
         assert [len(b.roots) for b in blocks] == [BLOCK, BLOCK, 2]
         assert all(b.stretched is None for b in blocks)
@@ -353,8 +355,8 @@ class TestTrialBlocks:
         tree = pinched2()
         for start in (1, BLOCK - 1, BLOCK + 7):
             with pytest.raises(ValueError, match="multiple of"):
-                list(simulated_trials(tree, process, lambda rng: 1, (3,),
-                                      2 * BLOCK, start=start))
+                list(simulated_trials(tree, process, block_draw(lambda rng: 1),
+                                      (3,), 2 * BLOCK, start=start))
 
     def test_other_processes_are_refused(self):
         # a finite chain and TKF91 are the only processes; a chain seen
@@ -368,8 +370,8 @@ class TestTrialBlocks:
             simulate(tree, other, 1, np.random.default_rng(0))
         for stretch in (None, plan):
             with pytest.raises(TypeError, match="RateMatrix or Tkf91Params"):
-                next(simulated_trials(tree, other, lambda rng: 1, (0,), 3,
-                                      stretch=stretch))
+                next(simulated_trials(tree, other, block_draw(lambda rng: 1),
+                                      (0,), 3, stretch=stretch))
 
 
 class TestIdentityEdges:
@@ -415,8 +417,8 @@ class TestIdentityEdges:
         draw = lambda rng: int(rng.integers(n)) + 1
         width = len(tree.topo_order) - 1 + sum(
             d > DURATION_TOL for d in plan.durations)
-        blocks = list(simulated_trials(tree, Q, draw, (n, 70), BLOCK + 20,
-                                       stretch=plan))
+        blocks = list(simulated_trials(tree, Q, block_draw(draw), (n, 70),
+                                       BLOCK + 20, stretch=plan))
         for i, block in enumerate(blocks):
             ref = np.random.default_rng([n, 70, i])
             roots = [draw(ref) for _ in range(BLOCK)]
@@ -441,8 +443,8 @@ class TestIdentityEdges:
             len(a[2])) or real(*a))
         plan, draw = self.plan(tree), partial(stationary_sample, P)
         stretched = sum(d > DURATION_TOL for d in plan.durations)
-        blocks = list(simulated_trials(tree, P, draw, (5, 70), BLOCK + 20,
-                                       stretch=plan))
+        blocks = list(simulated_trials(tree, P, block_draw(draw), (5, 70),
+                                       BLOCK + 20, stretch=plan))
         edges = len(tree.topo_order) - 1 + stretched
         assert 0 < sum(lanes) < edges * (BLOCK + 20)
         for i, block in enumerate(blocks):
@@ -646,8 +648,8 @@ class TestSimulatedTrials:
         # the last entry is where the estimator would continue the stream
         return [(i, root, leaves, block.rng.random())
                 for block in simulated_trials(
-                    t, Q, lambda rng: int(rng.integers(4)) + 1, key, stop,
-                    start)
+                    t, Q, block_draw(lambda rng: int(rng.integers(4)) + 1),
+                    key, stop, start)
                 for i, root, leaves in block.trials(t)]
 
     def test_split_range_yields_the_same_trials(self):
