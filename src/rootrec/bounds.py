@@ -11,7 +11,7 @@ This module is arithmetic alone: it draws no trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ctmc import Distribution, total_variation
 
@@ -31,10 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Scalar inputs of the explicit error bounds."""
-
+class _Inputs(NamedTuple):
     epsilon: float = 0.0
     n_epsilon: int = 0
     delta_epsilon: float = 0.0
@@ -45,7 +42,12 @@ class BoundInputs:
     delta_q_hstar: float = 0.0
     q_star: float = 1.0
 
-    def __post_init__(self):
+
+class BoundInputs(_Inputs):
+    """Scalar inputs of the explicit error bounds."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if not 0.0 <= self.delta_epsilon <= 1.0:
@@ -54,6 +56,7 @@ class BoundInputs:
             raise ValueError("delta_q_hstar must lie in [0, 1]")
         if not 0.0 < self.f_star <= 1.0:
             raise ValueError("f_star must lie in (0, 1]")
+        return self
 
 
 def clamp(value: float) -> float:

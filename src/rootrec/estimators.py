@@ -9,15 +9,16 @@ The frequency tests are handed a run's ``stretch_plan`` and
 block of trials from ``treechain.simulated_trials`` at once, on the
 integer keys of its stretched leaf states (a finite chain's states, or
 ``tkf91.keys``), whose vocabulary ``TrialBlock.vocabulary`` gives: a
-finite chain's states, or TKF91's distinct keys by one sort.  The MAP
-also takes a block of trials at once, as rows of leaf states.
+finite chain's states, or TKF91's distinct keys by one sort
+(``tkf91.distinct``), whose sequences ``tkf91.row_sequences`` finds.
+The MAP also takes a block of trials at once, as rows of leaf states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,14 +62,12 @@ class EstimatorError(ValueError):
 
 class RowTable:
     """Time-h* transition rows for a set of states, with cached minimum
-    total variation distances and achieving-set masses, and the rows'
-    states by key."""
+    total variation distances and achieving-set masses."""
 
     def __init__(self, rows: dict):
         self.rows = dict(rows)
         self._masses: dict = {}
         self._deltas: dict = {}
-        self._held = None
 
     def delta(self, lam) -> float:
         """Minimum pairwise TV over a state subset; +inf for singletons."""
@@ -92,28 +91,13 @@ class RowTable:
         """(keys × ``lam``): each row of ``lam`` at the ``keyed`` states,
         a finite chain's states themselves, or (given ``names``) the
         ``tkf91.keys`` of sequences, for those keys alone."""
-        states = (keyed.tolist() if names is None
-                  else self._sequences(keyed, names))
+        states = keyed.tolist()
+        if names is not None:
+            from . import tkf91
+            states = tkf91.row_sequences(self, states, names)
         rows = [self.rows[i] for i in lam]
         return np.array([[row.mass(s) for row in rows] for s in states],
                         dtype=float)
-
-    def _sequences(self, keyed, names) -> list:
-        """The sequences of the ``tkf91.keys`` ``keyed`` with ``names``
-        that some row holds, None for the others, each of the rows'
-        sequences encoded once."""
-        from . import tkf91
-        if self._held is None:
-            states = list(dict.fromkeys(s for row in self.rows.values()
-                                        for s in row.support))
-            held = tkf91.keys(*tkf91.encode(states))[0].tolist()
-            # long sequences go by their strings
-            self._held = {k if k < tkf91.LONG_KEY else s: s
-                          for k, s in zip(held, states)}
-        # a key off every support finds None, which has no mass
-        return [self._held.get(k if k < tkf91.LONG_KEY else
-                               names[k - tkf91.LONG_KEY])
-                for k in keyed.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +157,7 @@ def lambda_epsilon(prior: Distribution, epsilon: float) -> tuple:
 # frequency-test estimators
 
 
-@dataclass(frozen=True)
-class StretchPlan:
+class StretchPlan(NamedTuple):
     """The stretched restriction at scale s: the ``m`` chosen leaves, the
     spread of their restriction, and each leaf's duration up to depth
     h*."""

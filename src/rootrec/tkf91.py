@@ -38,19 +38,24 @@ A lane whose law is the ``identity`` (a duration so short that every
 site keeps its letter and every run is empty, whatever the uniforms)
 returns its parent and draws no letter; a caller may skip it by drawing
 and dropping its 2 uniforms per slot instead.
+
+TKF91's part of ``treechain`` and ``estimators`` (``edge_batches``,
+``draw_block``, ``distinct``, ``row_sequences``) is here, so that a
+finite chain's command never compiles it.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
+import weakref
 from itertools import accumulate, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
+from . import treechain
 from .ctmc import CtmcError, Distribution, _label_key
-from .treechain import distinct
 
 __all__ = [
     "Tkf91Params",
@@ -62,6 +67,7 @@ __all__ = [
     "encode",
     "decode",
     "keys",
+    "distinct",
     "strings",
     "lane_law",
     "identity",
@@ -93,11 +99,7 @@ LENGTH_CAP = 10 ** 4
 LANES = 4096
 
 
-@dataclass(frozen=True)
-class Tkf91Params:
-    """Substitution rate nu, insertion rate lam, deletion rate mu, and the
-    nucleotide frequencies, all per unit time."""
-
+class _Rates(NamedTuple):
     nu: float
     lam: float
     mu: float
@@ -106,7 +108,13 @@ class Tkf91Params:
     pi_C: float = 0.25
     pi_G: float = 0.25
 
-    def __post_init__(self):
+
+class Tkf91Params(_Rates):
+    """Substitution rate nu, insertion rate lam, deletion rate mu, and the
+    nucleotide frequencies, all per unit time."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.nu > 0 and self.lam > 0 and self.mu > 0):
             raise CtmcError("rates must be positive")
         if not self.lam < self.mu:
@@ -116,6 +124,7 @@ class Tkf91Params:
             raise CtmcError("nucleotide frequencies must be nonnegative")
         if abs(sum(freqs) - 1.0) > 1e-12:
             raise CtmcError(f"frequencies sum to {sum(freqs)}, not 1")
+        return self
 
     @property
     def freqs(self) -> tuple:
@@ -178,6 +187,16 @@ def keys(codes, lens) -> tuple:
     return out, tuple(rank)
 
 
+def distinct(keyed) -> tuple:
+    """The distinct keys of ``keyed`` in order and each one's index there,
+    by one sort (``np.unique`` would import numpy.ma on its first call):
+    a TKF91 block's vocabulary."""
+    vocab = np.sort(keyed, axis=None)
+    # each key unlike the one before it, the first too (~k differs from k)
+    vocab = vocab[np.diff(vocab, prepend=~vocab[:1]) != 0]
+    return vocab, np.searchsorted(vocab, keyed)
+
+
 def strings(keyed, names=()) -> list:
     """The sequences of ``keyed``, keys of any shape that ``keys`` gave
     with ``names``, as (nested) lists, decoding each distinct key once."""
@@ -189,6 +208,27 @@ def strings(keyed, names=()) -> list:
     seqs += [names[k - LONG_KEY] for k in vocab[len(short):].tolist()]
     return np.array(seqs, dtype=object)[inverse].reshape(
         np.shape(keyed)).tolist()
+
+
+# each ``estimators.RowTable``'s sequences by key, dropped with the table
+_HELD: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def row_sequences(table, keyed: list, names) -> list:
+    """The sequences of the keys ``keyed`` with ``names`` that some row of
+    ``table``, an ``estimators.RowTable``, holds, None for the others,
+    each of the rows' sequences encoded once per table."""
+    held = _HELD.get(table)
+    if held is None:
+        states = list(dict.fromkeys(s for row in table.rows.values()
+                                    for s in row.support))
+        # long sequences go by their strings
+        held = _HELD[table] = {
+            k if k < LONG_KEY else s: s
+            for k, s in zip(keys(*encode(states))[0].tolist(), states)}
+    # a key off every support finds None, which has no mass
+    return [held.get(k if k < LONG_KEY else names[k - LONG_KEY])
+            for k in keyed]
 
 
 def lane_law(params: Tkf91Params, durations) -> np.ndarray:
@@ -259,11 +299,73 @@ def evolve_lanes(params: Tkf91Params, codes, lens, law, rng) -> tuple:
     return child, out.astype(np.int32)
 
 
+def edge_batches(tree, params: Tkf91Params) -> list:
+    """A tree's edges in batches of parent and child indices (as in
+    ``treechain``'s layout), of each edge's ``lane_law`` under ``params``
+    and of whether that law is the ``identity``: the edges into inner
+    vertices one batch per depth of their child, then every edge into a
+    leaf, each batch in topological order."""
+    lay = treechain._plan(treechain._layout, tree)
+    law = lane_law(params, lay.lengths)
+    same = identity(law)
+    groups: dict = {}
+    for e, x in enumerate(lay.leaf_of):
+        groups.setdefault(np.inf if x is not None else lay.depth[e + 1],
+                          []).append(e)
+    return [([lay.parents[e] for e in es], [e + 1 for e in es], law[:, es],
+             same[es].tolist()) for _, es in sorted(groups.items())]
+
+
+def draw_block(params: Tkf91Params, batches, leaves, picks, draw_roots,
+               count, size, rng) -> tuple:
+    """A block's draw for ``treechain.simulated_trials``: ``count`` roots
+    (``draw_roots(rng, count)``), then the ``keys`` of the vertices
+    ``leaves`` and ``picks`` (None for no ``picks``) as (trials ×
+    vertices) arrays, and their long sequences.  The edges of each of
+    ``batches`` in turn go ``LANES`` // trials (at least one) to an
+    ``evolve_lanes`` call on ``rng``, lanes edge by edge, then trial by
+    trial, so that memory stays bounded however wide the tree.  A group
+    of identity edges only makes no call: its children are their
+    parents, and the 2 uniforms of each slot that the call would read
+    (it would draw no letter) are drawn and dropped."""
+    roots = draw_roots(rng, count)
+    step = max(1, LANES // count)
+    seqs = {0: encode(roots)}
+    for parents, children, law, same in batches:
+        for lo in range(0, len(parents), step):
+            group = parents[lo:lo + step]
+            if all(same[lo:lo + step]):
+                seqs.update(zip(children[lo:lo + step], map(seqs.get, group)))
+                rng.random(2 * sum(len(seqs[p][0]) + len(seqs[p][1])
+                                   for p in group))
+                continue
+            law_lo = np.repeat(law[:, lo:lo + step], count, axis=1)
+            if len(group) == 1:
+                seqs[children[lo]] = evolve_lanes(
+                    params, *seqs[group[0]], law_lo, rng)
+                continue
+            codes, lens = evolve_lanes(
+                params, np.concatenate([seqs[p][0] for p in group]),
+                np.concatenate([seqs[p][1] for p in group]), law_lo, rng)
+            lens = lens.reshape(len(group), count)
+            seqs.update(zip(children[lo:lo + step], zip(np.split(
+                codes, np.cumsum(lens.sum(1))[:-1]), lens)))
+    read = list(dict.fromkeys([*leaves, *picks]))
+    keyed, long = keys(np.concatenate([seqs[v][0] for v in read]),
+                       np.concatenate([seqs[v][1] for v in read]))
+    keyed = keyed.reshape(len(read), count).T
+    column = {v: i for i, v in enumerate(read)}
+    return (roots, keyed[:, :len(leaves)],
+            keyed[:, [column[v] for v in picks]] if picks else None, long)
+
+
 def stationary_sample(params: Tkf91Params, rng) -> str:
     """Draw from the stationary law: geometric length (success 1 - lam/mu,
     support 0, 1, ...) with i.i.d. letters, one uniform each, mapped by
     ``letter_cdf`` as ``evolve_lanes`` maps its new letters."""
     m = int(rng.geometric(1.0 - params.ratio)) - 1
+    if m == 0:
+        return ""
     return _LETTERS[np.searchsorted(params.letter_cdf, rng.random(m),
                                     side="right")].tobytes().decode("ascii")
 

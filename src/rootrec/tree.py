@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "Tree",
@@ -131,8 +131,7 @@ class Tree:
                 f"height={self.height:.6g})")
 
 
-@dataclass(frozen=True, order=True)
-class TreePoint:
+class TreePoint(NamedTuple):
     """A point on the tree: ``offset`` along the incoming edge of ``vertex``,
     measured from the parent endpoint.  A vertex itself is represented with
     offset equal to its incoming edge length; the root has offset 0."""
@@ -223,12 +222,13 @@ def descendant_leaves(tree: Tree, point: TreePoint) -> tuple[str, ...]:
 def restrict(tree: Tree, leaf_subset) -> Tree:
     """Restriction to a leaf subset: keep only root-to-leaf paths, merging
     suppressed degree-2 vertices with summed edge lengths."""
-    subset = sorted(set(leaf_subset))
+    selected = set(leaf_subset)
+    subset = sorted(selected)
     if not subset:
         raise TreeError("leaf subset must be nonempty")
-    for x in subset:
-        if x not in tree.leaves:
-            raise TreeError(f"unknown leaf {x}")
+    unknown = selected.difference(tree.leaves)
+    if unknown:
+        raise TreeError(f"unknown leaf {min(unknown)}")
     kept = set()
     for x in subset:
         u = x
@@ -239,7 +239,6 @@ def restrict(tree: Tree, leaf_subset) -> Tree:
             u = tree.parent[u]
     kept_children = {u: [c for c in tree.children[u] if c in kept]
                      for u in kept}
-    selected = set(subset)
     edges = []
     # depth-first with an explicit stack, so deep trees do not exhaust
     # the interpreter's recursion limit
@@ -305,12 +304,12 @@ class _LazyMembers(Sequence):
         return tree
 
 
-@dataclass
 class NestedFamily:
     """An ordered sequence of trees sharing a root, each obtained from the
     previous by adding one leaf edge."""
 
-    trees: Sequence[Tree] = field(default_factory=list)
+    def __init__(self, trees: Sequence[Tree] = ()):
+        self.trees = trees
 
     def __len__(self):
         return len(self.trees)

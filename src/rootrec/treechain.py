@@ -12,11 +12,11 @@ finite chain's identity matrix, a ``tkf91.identity`` law, as on the
 short edges near the root of a deep family) beyond reading the uniforms
 its draw would read.  Block b of ``BLOCK`` trials draws from the one
 substream keyed ``[*key, b]``.  A process is a finite chain
-(``ctmc.RateMatrix``) or TKF91 (``tkf91.Tkf91Params``); the ``tkf91``
-module is imported only where a TKF91 process is drawn or its keys read,
-so a finite chain never loads it.  Every per-tree plan is kept here,
-once per tree and process, and dropped with its tree; processes carry
-no tree state.
+(``ctmc.RateMatrix``) or TKF91 (``tkf91.Tkf91Params``), whose draw is
+``tkf91``'s code: that module is imported only where a TKF91 process is
+drawn or its keys read, so a finite chain never loads it.  Every
+per-tree plan is kept here, once per tree and process, and dropped with
+its tree; processes carry no tree state.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "BLOCK",
     "DURATION_TOL",
     "TrialBlock",
-    "distinct",
     "simulate",
     "simulated_trials",
     "leaf_likelihoods",
@@ -91,8 +90,9 @@ _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _plan(build, tree: Tree, *args):
     """``build(tree, *args)``, built once per tree and ``(build, *args)``:
-    the tree's ``_layout``, its TKF91 batches (``_tkf91_plan``), its
-    ``_compile``d form for a finite chain, and a process's ``_drawer``."""
+    the tree's ``_layout``, its TKF91 batches (``tkf91.edge_batches``),
+    its ``_compile``d form for a finite chain, and a process's
+    ``_drawer``."""
     plans = _PLANS.get(tree)
     if plans is None:
         plans = _PLANS[tree] = {}
@@ -218,12 +218,13 @@ def _drawer(tree: Tree, process, stretch):
                        [alias[v] for v in picks])
     from . import tkf91
     if isinstance(process, tkf91.Tkf91Params):
-        batches = _plan(_tkf91_plan, tree, process)
+        batches = _plan(tkf91.edge_batches, tree, process)
         if ends:
             law = tkf91.lane_law(process, durations)
             batches = batches + [(starts, ends, law,
                                   tkf91.identity(law).tolist())]
-        return partial(_draw_tkf91, process, batches, lay.leaves, picks)
+        return partial(tkf91.draw_block, process, batches, lay.leaves,
+                       picks)
     raise TypeError(f"no trials of {process!r}: the process must be a "
                     "RateMatrix or Tkf91Params")
 
@@ -243,68 +244,6 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     block = TrialBlock(0, *_plan(_drawer, tree, process, None)(
         lambda rng, size: [root_state] * size, 1, 1, rng), rng)
     return next(block.trials(tree))[2]
-
-
-def _tkf91_plan(tree: Tree, params) -> list:
-    """A tree's edges in batches of parent and child indices (as in
-    ``_Layout``), of each edge's ``tkf91.lane_law`` under ``params`` and
-    of whether that law is the identity (``tkf91.identity``): the edges
-    into inner vertices one batch per depth of their child, then every
-    edge into a leaf, each batch in topological order."""
-    from . import tkf91
-    lay = _plan(_layout, tree)
-    law = tkf91.lane_law(params, lay.lengths)
-    same = tkf91.identity(law)
-    groups: dict = {}
-    for e, x in enumerate(lay.leaf_of):
-        groups.setdefault(np.inf if x is not None else lay.depth[e + 1],
-                          []).append(e)
-    return [([lay.parents[e] for e in es], [e + 1 for e in es], law[:, es],
-             same[es].tolist()) for _, es in sorted(groups.items())]
-
-
-def _draw_tkf91(params, batches, leaves, picks, draw_roots, count, size,
-                rng) -> tuple:
-    """TKF91's draw: ``count`` roots (``draw_roots(rng, count)``), then
-    the ``tkf91.keys`` of the vertices ``leaves`` and ``picks`` (None for
-    no ``picks``) as (trials × vertices) arrays, and their long
-    sequences.  The edges of each of
-    ``batches`` in turn go ``tkf91.LANES`` // trials (at least one) to an
-    ``evolve_lanes`` call on ``rng``, lanes edge by edge, then trial by
-    trial, so that memory stays bounded however wide the tree.  A group
-    of identity edges only makes no call: its children are their
-    parents, and the 2 uniforms of each slot that the call would read
-    (it would draw no letter) are drawn and dropped."""
-    from . import tkf91
-    roots = draw_roots(rng, count)
-    step = max(1, tkf91.LANES // count)
-    seqs = {0: tkf91.encode(roots)}
-    for parents, children, law, same in batches:
-        for lo in range(0, len(parents), step):
-            group = parents[lo:lo + step]
-            if all(same[lo:lo + step]):
-                seqs.update(zip(children[lo:lo + step], map(seqs.get, group)))
-                rng.random(2 * sum(len(seqs[p][0]) + len(seqs[p][1])
-                                   for p in group))
-                continue
-            law_lo = np.repeat(law[:, lo:lo + step], count, axis=1)
-            if len(group) == 1:
-                seqs[children[lo]] = tkf91.evolve_lanes(
-                    params, *seqs[group[0]], law_lo, rng)
-                continue
-            codes, lens = tkf91.evolve_lanes(
-                params, np.concatenate([seqs[p][0] for p in group]),
-                np.concatenate([seqs[p][1] for p in group]), law_lo, rng)
-            lens = lens.reshape(len(group), count)
-            seqs.update(zip(children[lo:lo + step], zip(np.split(
-                codes, np.cumsum(lens.sum(1))[:-1]), lens)))
-    read = list(dict.fromkeys([*leaves, *picks]))
-    keyed, long = tkf91.keys(np.concatenate([seqs[v][0] for v in read]),
-                             np.concatenate([seqs[v][1] for v in read]))
-    keyed = keyed.reshape(len(read), count).T
-    column = {v: i for i, v in enumerate(read)}
-    return (roots, keyed[:, :len(leaves)],
-            keyed[:, [column[v] for v in picks]] if picks else None, long)
 
 
 class TrialBlock(NamedTuple):
@@ -336,10 +275,11 @@ class TrialBlock(NamedTuple):
         order, and each key's index there: a finite chain's states 1 to
         the largest in ``keyed``, indexed by ``keyed`` - 1 with no sort
         (a state that no trial holds is counted by none); TKF91's
-        ``distinct`` keys."""
+        ``tkf91.distinct`` keys."""
         if self.long is None:
             return np.arange(1, int(keyed.max()) + 1), keyed - 1
-        return distinct(keyed)
+        from . import tkf91
+        return tkf91.distinct(keyed)
 
     def trials(self, tree: Tree):
         """(t, root, leaf id -> state) of each trial in the block."""
@@ -347,16 +287,6 @@ class TrialBlock(NamedTuple):
                                             self.states(self.leaves)),
                                         self.start):
             yield t, root, dict(zip(tree.leaves, row))
-
-
-def distinct(keyed) -> tuple:
-    """The distinct keys of ``keyed`` in order and each one's index there,
-    by one sort (``np.unique`` would import numpy.ma on its first call):
-    a TKF91 block's vocabulary."""
-    vocab = np.sort(keyed, axis=None)
-    # each key unlike the one before it, the first too (~k differs from k)
-    vocab = vocab[np.diff(vocab, prepend=~vocab[:1]) != 0]
-    return vocab, np.searchsorted(vocab, keyed)
 
 
 def simulated_trials(tree: Tree, process, draw_roots, key, stop: int,
@@ -380,8 +310,8 @@ def simulated_trials(tree: Tree, process, draw_roots, key, stop: int,
     reaches it.  A TKF91
     block draws the roots of its own trials only, so its trials depend on
     the run's trial count only inside the last, short block, then its
-    batches of edges (``_tkf91_plan``, and the stretched leaves' edges
-    last) as ``_draw_tkf91`` says.  Any other process raises
+    batches of edges (``tkf91.edge_batches``, and the stretched leaves'
+    edges last) as ``tkf91.draw_block`` says.  Any other process raises
     ``TypeError``.
     """
     if start % BLOCK:

@@ -135,13 +135,15 @@ class TestExperimentCommand:
                   ["rootrec.tkf91"]),
         "attribute": (None, None, ["rootrec.tkf91"]),
     }
-    LOADED = ("oracles", "scipy", "hypothesis", "rootrec.tkf91")
+    LOADED = ("oracles", "scipy", "hypothesis", "rootrec.tkf91",
+              "dataclasses")
 
     def test_loads_no_test_code(self, tmp_path):
         # a command runs on the package alone: neither the tests' oracles
         # nor the test-only dependencies are imported in a fresh process;
         # and TKF91's module loads for a TKF91 process or name only, not
-        # for a finite chain's command or a bare import of the package
+        # for a finite chain's command or a bare import of the package;
+        # and no command pays for importing dataclasses
         src = os.path.dirname(os.path.dirname(cli.__file__))
         got = {}
         for case, (command, spec, _) in self.LOADS.items():

@@ -22,11 +22,10 @@ from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 majority_estimate, map_estimate,
                                 map_estimates, stretch_plan,
                                 uniform_chain_tests)
-from rootrec.tkf91 import (Tkf91Params, encode, keys, mc_rows,
+from rootrec.tkf91 import (Tkf91Params, distinct, encode, keys, mc_rows,
                            stationary_sample, strings, top_states)
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import (TrialBlock, distinct, simulate,
-                               simulated_trials)
+from rootrec.treechain import TrialBlock, simulate, simulated_trials
 
 
 def pinched(m, s=0.05, h=1.0):
@@ -362,7 +361,7 @@ class TestBlockTests:
     ``exclusivity_stats``, and leave the block's generator where the
     per-trial tests leave theirs.  A finite block, whose vocabulary is
     its states with no sort, must do all that as it does with the
-    distinct keys of one sort (``treechain.distinct``), on blocks that
+    distinct keys of one sort (``tkf91.distinct``), on blocks that
     miss states too."""
 
     Q = jukes_cantor(1.0, 4)

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -676,6 +677,27 @@ class TestStationaryLaw:
         p = Tkf91Params(nu=1.0, lam=1e-9, mu=1.0)
         rng = np.random.default_rng(6)
         assert all(stationary_sample(p, rng) == "" for _ in range(100))
+
+    # lam: (seed, sha256 of 20,000 roots joined by commas, the next
+    # uniform), recorded when an empty root still drew random(0) and went
+    # through the decode; 9846 and 1004 of the roots are empty
+    PINNED = {0.5: (21, "62ab2be4f8fb36e0bc41929a56bb40f0"
+                        "46de95945e66bf93300b93c93cc7de38",
+                    0.26689240310935636),
+              0.95: (22, "56a0ad97a41156b9d2df2c24fad45fee"
+                         "da41b8edeb10389934513d13ab259ea0",
+                     0.044533015157846356)}
+
+    @pytest.mark.parametrize("lam", sorted(PINNED))
+    def test_empty_roots_keep_strings_and_stream(self, lam):
+        # an empty root returns "" at once: random(0) reads nothing, so
+        # the roots and the generator's next draw stay as pinned
+        seed, digest, after = self.PINNED[lam]
+        p, rng = Tkf91Params(nu=1.0, lam=lam, mu=1.0), np.random.default_rng(
+            seed)
+        roots = [stationary_sample(p, rng) for _ in range(20000)]
+        assert hashlib.sha256(",".join(roots).encode()).hexdigest() == digest
+        assert rng.random() == after
 
 
 class TestTopStates:
