@@ -58,6 +58,11 @@ class BoundInputs(_Inputs):
             raise ValueError("f_star must lie in (0, 1]")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks its fields too
+        return cls(*iterable)
+
 
 def clamp(value: float) -> float:
     """Clamp a vacuous bound to 1 (error probabilities never exceed it)."""

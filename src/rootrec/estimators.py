@@ -10,7 +10,8 @@ block of trials from ``treechain.simulated_trials`` at once, on the
 integer keys of its stretched leaf states (a finite chain's states, or
 ``tkf91.keys``), whose vocabulary ``TrialBlock.vocabulary`` gives: a
 finite chain's states, or TKF91's distinct keys by one sort
-(``tkf91.distinct``), whose sequences ``tkf91.row_sequences`` finds.
+(``tkf91.distinct``), whose masses ``tkf91.row_masses`` looks up among
+each row's sorted keys.
 The MAP also takes a block of trials at once, as rows of leaf states.
 """
 
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ctmc import Distribution, RateMatrix, total_variations, _label_key
-from .tree import Tree, chosen_leaves, restrict, spread
+from .tree import Tree, chosen_leaves
 from .treechain import DURATION_TOL, block_leaf_likelihoods
 
 __all__ = [
@@ -90,14 +91,13 @@ class RowTable:
     def masses(self, lam, keyed, names=None) -> np.ndarray:
         """(keys × ``lam``): each row of ``lam`` at the ``keyed`` states,
         a finite chain's states themselves, or (given ``names``) the
-        ``tkf91.keys`` of sequences, for those keys alone."""
-        states = keyed.tolist()
+        sorted ``tkf91.keys`` of sequences (``tkf91.row_masses``)."""
         if names is not None:
             from . import tkf91
-            states = tkf91.row_sequences(self, states, names)
+            return tkf91.row_masses(self, lam, keyed, names)
         rows = [self.rows[i] for i in lam]
-        return np.array([[row.mass(s) for row in rows] for s in states],
-                        dtype=float)
+        return np.array([[row.mass(s) for row in rows]
+                         for s in keyed.tolist()], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +158,12 @@ def lambda_epsilon(prior: Distribution, epsilon: float) -> tuple:
 
 
 class StretchPlan(NamedTuple):
-    """The stretched restriction at scale s: the ``m`` chosen leaves, the
-    spread of their restriction, and each leaf's duration up to depth
-    h*."""
+    """The stretched restriction at scale s: the ``m`` chosen leaves and
+    each leaf's duration up to depth h*."""
 
     s: float
     h_star: float
     m: int
-    spread: float
     leaves: tuple
     durations: tuple
 
@@ -178,14 +176,13 @@ def stretch_plan(tree: Tree, s: float, h_star: float) -> StretchPlan:
     m = len(leaves)
     if m == 0:
         raise EstimatorError(f"truncation at s={s} has no boundary points")
-    spr = spread(restrict(tree, leaves)) if m >= 2 else 0.0
     durations = []
     for x in leaves:
         d = h_star - tree.depth[x]
         if d < -DURATION_TOL:
             raise EstimatorError(f"h_star={h_star} below depth of leaf {x}")
         durations.append(max(d, 0.0))
-    return StretchPlan(s, h_star, m, spr, leaves, tuple(durations))
+    return StretchPlan(s, h_star, m, leaves, tuple(durations))
 
 
 def frequency_tests(plan: StretchPlan, lam, rows: RowTable, block) -> list:

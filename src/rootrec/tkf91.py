@@ -34,13 +34,14 @@ independent draws from pi.  At t = 0 the child is its parent.
    order, mapped by ``letter_cdf`` as ``Generator.choice(4, p=freqs)``
    maps it.
 
-A lane whose law is the ``identity`` (a duration so short that every
-site keeps its letter and every run is empty, whatever the uniforms)
-returns its parent and draws no letter; a caller may skip it by drawing
-and dropping its 2 uniforms per slot instead.
+A call whose fates keep every site and whose runs are all empty returns
+the parents themselves and draws no letter.  A lane whose law is the
+``identity`` (a duration so short that this holds whatever the uniforms)
+may be skipped by drawing and dropping its 2 uniforms per slot instead;
+``edge_batches`` makes a run of depths of such edges one batch.
 
 TKF91's part of ``treechain`` and ``estimators`` (``edge_batches``,
-``draw_block``, ``distinct``, ``row_sequences``) is here, so that a
+``draw_block``, ``distinct``, ``row_masses``) is here, so that a
 finite chain's command never compiles it.
 """
 
@@ -126,6 +127,11 @@ class Tkf91Params(_Rates):
             raise CtmcError(f"frequencies sum to {sum(freqs)}, not 1")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks its fields too
+        return cls(*iterable)
+
     @property
     def freqs(self) -> tuple:
         return (self.pi_A, self.pi_T, self.pi_C, self.pi_G)
@@ -210,25 +216,35 @@ def strings(keyed, names=()) -> list:
         np.shape(keyed)).tolist()
 
 
-# each ``estimators.RowTable``'s sequences by key, dropped with the table
+# each ``estimators.RowTable``'s rows as sorted keys, dropped with the table
 _HELD: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def row_sequences(table, keyed: list, names) -> list:
-    """The sequences of the keys ``keyed`` with ``names`` that some row of
-    ``table``, an ``estimators.RowTable``, holds, None for the others,
-    each of the rows' sequences encoded once per table."""
+def row_masses(table, lam, vocab, names) -> np.ndarray:
+    """(``vocab`` × ``lam``): the rows ``lam`` of ``table``, an
+    ``estimators.RowTable``, at the sorted ``keys`` ``vocab`` with
+    ``names``: short keys by one search among each row's keys, sorted
+    once per table from its own support, long ones by their strings."""
     held = _HELD.get(table)
     if held is None:
-        states = list(dict.fromkeys(s for row in table.rows.values()
-                                    for s in row.support))
-        # long sequences go by their strings
-        held = _HELD[table] = {
-            k if k < LONG_KEY else s: s
-            for k, s in zip(keys(*encode(states))[0].tolist(), states)}
-    # a key off every support finds None, which has no mass
-    return [held.get(k if k < LONG_KEY else names[k - LONG_KEY])
-            for k in keyed]
+        held = _HELD[table] = {}
+        for i, row in table.rows.items():
+            seqs, mass = zip(*row.items())
+            keyed = keys(*encode(seqs))[0]
+            order = np.argsort(keyed)
+            # closed by a key above every short one, of no mass
+            held[i] = (np.append(keyed[order], LONG_KEY),
+                       np.append(np.array(mass)[order], 0.0))
+    cut = int(np.searchsorted(vocab, LONG_KEY))
+    long = [names[k - LONG_KEY] for k in vocab[cut:].tolist()]
+    out = np.empty((len(vocab), len(lam)))
+    for c, i in enumerate(lam):
+        keyed, mass = held[i]
+        # a short key off the row's support finds another key, no mass
+        at = np.searchsorted(keyed, vocab[:cut])
+        out[:cut, c] = np.where(keyed[at] == vocab[:cut], mass[at], 0.0)
+        out[cut:, c] = [table.rows[i].mass(s) for s in long]
+    return out
 
 
 def lane_law(params: Tkf91Params, durations) -> np.ndarray:
@@ -274,13 +290,19 @@ def evolve_lanes(params: Tkf91Params, codes, lens, law, rng) -> tuple:
     first = np.cumsum(slots) - slots
     keep, live, empty, decay = np.repeat(law, slots, axis=1)
     fate, run = rng.random((2, len(keep)))
-    kept, head, full = fate < keep, fate < live, fate >= empty
+    grow, kept = -np.log1p(-run) / decay, fate < keep
+    kept[first] = True
+    # every site kept its letter and every run is empty: no letter is
+    # drawn, and the children are their parents
+    if kept.all() and (grow < 1.0).all() and (lens <= LENGTH_CAP).all():
+        return codes, lens
+    head, full = fate < live, fate >= empty
     # the immortal link has no letter of its own and is always followed
     # by a run
     kept[first] = head[first] = full[first] = False
     grows = head | full
     grows[first] = True
-    size = np.where(grows, np.floor(-np.log1p(-run) / decay), 0.0) + head
+    size = np.where(grows, np.floor(grow), 0.0) + head
     size += full
     out = np.add.reduceat(size, first)
     if not (out <= LENGTH_CAP).all():
@@ -304,16 +326,24 @@ def edge_batches(tree, params: Tkf91Params) -> list:
     ``treechain``'s layout), of each edge's ``lane_law`` under ``params``
     and of whether that law is the ``identity``: the edges into inner
     vertices one batch per depth of their child, then every edge into a
-    leaf, each batch in topological order."""
+    leaf, each batch in topological order, and a run of batches of
+    identity edges only as one batch."""
     lay = treechain._plan(treechain._layout, tree)
     law = lane_law(params, lay.lengths)
-    same = identity(law)
+    same = identity(law).tolist()
     groups: dict = {}
     for e, x in enumerate(lay.leaf_of):
         groups.setdefault(np.inf if x is not None else lay.depth[e + 1],
                           []).append(e)
+    runs, still = [], False
+    for _, es in sorted(groups.items()):
+        if still and all(same[e] for e in es):
+            runs[-1] += es
+        else:
+            runs.append(es)
+            still = all(same[e] for e in es)
     return [([lay.parents[e] for e in es], [e + 1 for e in es], law[:, es],
-             same[es].tolist()) for _, es in sorted(groups.items())]
+             [same[e] for e in es]) for es in runs]
 
 
 def draw_block(params: Tkf91Params, batches, leaves, picks, draw_roots,
@@ -327,7 +357,8 @@ def draw_block(params: Tkf91Params, batches, leaves, picks, draw_roots,
     trial, so that memory stays bounded however wide the tree.  A group
     of identity edges only makes no call: its children are their
     parents, and the 2 uniforms of each slot that the call would read
-    (it would draw no letter) are drawn and dropped."""
+    (it would draw no letter) are drawn and dropped, in one draw for the
+    group, which reads the stream as a draw per edge does."""
     roots = draw_roots(rng, count)
     step = max(1, LANES // count)
     seqs = {0: encode(roots)}
@@ -335,6 +366,8 @@ def draw_block(params: Tkf91Params, batches, leaves, picks, draw_roots,
         for lo in range(0, len(parents), step):
             group = parents[lo:lo + step]
             if all(same[lo:lo + step]):
+                # a run's parent may be a child in the same group: each
+                # child is set before the next parent is read
                 seqs.update(zip(children[lo:lo + step], map(seqs.get, group)))
                 rng.random(2 * sum(len(seqs[p][0]) + len(seqs[p][1])
                                    for p in group))
@@ -427,13 +460,18 @@ def mc_rows(params: Tkf91Params, states, t: float, n_samples: int,
     law = lane_law(params, np.full(n_samples, float(t)))
     rows = {}
     for state in states:
-        ends, names = keys(*evolve_lanes(params, *encode([state] * n_samples),
-                                         law, rng))
+        codes, lens = encode([state])
+        ends, names = keys(*evolve_lanes(params, np.tile(codes, n_samples),
+                                         np.tile(lens, n_samples), law, rng))
         vocab, inverse = distinct(ends)
-        order = list(dict.fromkeys(inverse.tolist()))
+        counts = np.bincount(inverse)
+        # each key's first run, and the keys in the order of those runs
+        first = np.argsort(inverse, kind="stable")[np.cumsum(counts)
+                                                    - counts]
+        order = np.argsort(first)
         rows[state] = Distribution(dict(zip(
             strings(vocab[order], names),
-            (np.bincount(inverse)[order] / n_samples).tolist())))
+            (counts[order] / n_samples).tolist())))
     return rows
 
 

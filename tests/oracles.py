@@ -31,7 +31,8 @@ stretching them one draw at a time; the package stretches
 and tests a block of trials at once, on integer keys.
 ``evolve_lanes_reference`` draws TKF91 children from their durations,
 each lane's law (``tkf91_law_reference``) computed with its draw, as the
-package did before it kept each edge's law in the tree's plan.
+package did before it kept each edge's law in the tree's plan, and in
+full even where nothing moves.
 ``monte_carlo_error`` counts an estimator's errors over
 ``simulated_trials`` keyed by its master seed, with a root drawn by
 ``draw_state`` or fixed; ``block_draw`` lifts such a one-root draw to
@@ -420,8 +421,9 @@ def tkf91_law_reference(params, durations) -> np.ndarray:
 
 def evolve_lanes_reference(params, codes, lens, durations, rng) -> tuple:
     """``tkf91.evolve_lanes`` with each lane's law computed from its
-    duration in ``durations`` with the draw, as the package first did:
-    the reference for the laws it keeps in its per-tree plans."""
+    duration in ``durations`` with the draw, as the package first did,
+    and every call computed in full: the reference for the laws it keeps
+    in its per-tree plans and for its return of unmoved parents."""
     if len(lens) > tkf91.LANES:
         ends = np.cumsum(lens)
         parts = [evolve_lanes_reference(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -274,3 +275,13 @@ class TestBoundInputsValidation:
             BoundInputs(delta_epsilon=1.5)
         with pytest.raises(ValueError):
             BoundInputs(f_star=0.0)
+
+    def test_replace_checks_its_fields(self):
+        # _replace builds through _make, which goes through __new__
+        with pytest.raises(ValueError, match="m must be"):
+            BoundInputs()._replace(m=0)
+        with pytest.raises(ValueError, match="f_star"):
+            BoundInputs._make([0.0, 0, 0.0, 1.0, 0.0, 1, 2.0, 0.0, 1.0])
+        inp = BoundInputs(s=0.1)._replace(m=7)
+        assert (inp.s, inp.m) == (0.1, 7) and type(inp) is BoundInputs
+        assert pickle.loads(pickle.dumps(inp)) == inp

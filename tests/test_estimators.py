@@ -24,7 +24,7 @@ from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 uniform_chain_tests)
 from rootrec.tkf91 import (Tkf91Params, distinct, encode, keys, mc_rows,
                            stationary_sample, strings, top_states)
-from rootrec.tree import Tree, generate_family
+from rootrec.tree import Tree, generate_family, restrict, spread
 from rootrec.treechain import TrialBlock, simulate, simulated_trials
 
 
@@ -229,7 +229,7 @@ class TestFrequencyEstimate:
         rep = frequency_estimate(plan, Q, obs, [1, 2], rows_at(Q, 1.0), rng)
         assert rep.plan is plan
         assert (plan.m, plan.s, plan.h_star) == (11, 0.03, 1.0)
-        assert plan.spread == pytest.approx(0.02)
+        assert spread(restrict(t, plan.leaves)) == pytest.approx(0.02)
         if rep.passed:
             assert all(v > 0 for v in rep.margins.values())
 
@@ -379,7 +379,7 @@ class TestBlockTests:
 
     @staticmethod
     def plan(m, h_star=0.5):
-        return StretchPlan(0.1, h_star, m, 0.0, tuple(range(m)), (0.0,) * m)
+        return StretchPlan(0.1, h_star, m, tuple(range(m)), (0.0,) * m)
 
     @staticmethod
     def outcome(run):
@@ -658,7 +658,7 @@ class TestBlockTests:
         Q = _build_process({"process": {"kind": "matrix_file",
                                         "path": str(path)}})
         tree = pinched(9)
-        plan = StretchPlan(0.1, 1.5, 4, 0.0, tree.leaves[:4],
+        plan = StretchPlan(0.1, 1.5, 4, tree.leaves[:4],
                            (0.5, 0.0, 0.2, 1.0))
         (block,) = simulated_trials(tree, Q, _root_draw({}, Q), (4,), 40,
                                     stretch=plan)

@@ -96,6 +96,13 @@ DEEP = {**FREQUENCY, "family": {"kind": "figure1", "k": 70, "h": 1.0},
 MAP_DEEP = {**DEEP, "estimator": {"kind": "map"}}
 TKF91_DEEP = {**TKF91, "family": {"kind": "figure1", "k": 70, "h": 1.0},
               "ks": [40, 70], "trials": BLOCK + 44}
+# the benchmark's tkf91_trend config: on figure1 k=200 spine edges 53 to
+# 199 are an identity run of 147 depths, drawn as one batch in six
+# groups of at most 27 edges (tkf91.draw_block at 150 trials)
+TKF91_TREND = {**TKF91, "family": {"kind": "figure1", "k": 200, "h": 1.0},
+               "ks": [10, 50, 200],
+               "estimator": {**TKF91["estimator"], "row_samples": 4000},
+               "trials": 150, "seed": 11}
 
 # (id, command, config, --workers, {output suffix: the first 32 hex
 # digits of that file's sha256})
@@ -161,6 +168,8 @@ PINNED = [
         ".summary.csv": "3b462ebc4c498f9ac633190bfd7611b9"}),
     ("tkf91-deep", "tkf91", TKF91_DEEP, 1, {
         "": "98493c07eb98f983fe89d3558a802bd7"}),
+    ("tkf91-trend", "tkf91", TKF91_TREND, 1, {
+        "": "f5968ac94bca70ca975ccc32acb24042"}),
 ]
 
 

@@ -52,6 +52,17 @@ class TestParams:
             Tkf91Params(nu=1.0, lam=1.0, mu=2.0, pi_A=0.5, pi_T=0.5,
                         pi_C=0.5, pi_G=0.5)
 
+    def test_replace_checks_its_fields(self):
+        # _replace builds through _make, which goes through __new__
+        with pytest.raises(CtmcError, match="lambda must be < mu"):
+            Tkf91Params(1.0, 0.5, 1.0)._replace(lam=2.0)
+        with pytest.raises(CtmcError, match="positive"):
+            Tkf91Params._make([1.0, 0.5, -1.0])
+        params = STD._replace(lam=1.5)
+        assert params == (1.0, 1.5, 2.0, *STD.freqs)
+        assert type(params) is Tkf91Params
+        assert pickle.loads(pickle.dumps(params)) == params
+
 
 class TestEvolve:
     def test_zero_time_unchanged(self):
@@ -351,7 +362,7 @@ class TestTrialBlocks:
     @staticmethod
     def plan(tree):
         # one leaf runs forward for 0.5, the other stays as it is
-        return StretchPlan(0.1, 1.5, 2, 0.0, tree.leaves[:2], (0.5, 0.0))
+        return StretchPlan(0.1, 1.5, 2, tree.leaves[:2], (0.5, 0.0))
 
     def run(self, stop, start=0):
         tree = self.tree()
@@ -514,7 +525,7 @@ class TestPlanLaw:
         lengths = [t for t in self.DURATIONS if t > 0]
         tree = Tree("r", [("r", f"u{i}", t) for i, t in enumerate(lengths)]
                     + [(f"u{i}", f"x{i}", t) for i, t in enumerate(lengths)])
-        plan = StretchPlan(0.1, 100.0, len(lengths), 0.0,
+        plan = StretchPlan(0.1, 100.0, len(lengths),
                            tuple(f"x{i}" for i in range(len(lengths))),
                            tuple(100.0 - 2 * t for t in lengths))
         draw = treechain._plan(treechain._drawer, tree, STD, plan)
@@ -581,6 +592,57 @@ class TestIdentityLaw:
         below = float(np.nextafter(1.0, 0.0))
         assert tkf91.identity(np.array([[below], [1.0], [1.0], [np.inf]])
                               ).tolist() == [False]
+
+
+class TestNoMove:
+    """``evolve_lanes`` returns its parents when its fates and runs move
+    nothing, and ``edge_batches`` merges runs of identity depths; both
+    draw what tests/oracles.py's full computation draws."""
+
+    @staticmethod
+    def parents(n):
+        rng = np.random.default_rng(7)
+        return encode([stationary_sample(STD, rng) for _ in range(n)]
+                      + ["ACGT" * 10])
+
+    @pytest.mark.parametrize("durations,still", [
+        ([1e-9], True), ([1e-9, 0.3], False), ([1e-2], False)])
+    def test_lanes_match_the_full_computation(self, durations, still):
+        codes, lens = self.parents(299)
+        t = np.resize(durations, len(lens))
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = evolve_lanes(STD, codes, lens, lane_law(STD, t), a)
+            want = evolve_lanes_reference(STD, codes, lens, t, b)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == want[1].tolist()
+            assert a.bit_generator.state == b.bit_generator.state
+            # the parents themselves when nothing moved
+            assert (got[0] is codes) == still
+
+    def test_identity_depths_merge(self):
+        tree = generate_family("figure1", {"k": 200})[199]
+        batches = tkf91.edge_batches(tree, Tkf91Params(1.0, 0.5, 1.0))
+        assert len(batches) == 55
+        runs = [len(parents) for parents, _, _, same in batches
+                if all(same)]
+        assert runs == [147]
+
+    @pytest.mark.parametrize("lam,states,seed,digest", [
+        (0.5, ("", "A", "C", "G", "T"), 11,
+         "2a31f66f0be32467426779975653b09d"),
+        # most children pass the 27 letters of a key
+        (0.95, ("", "A", "ACGT" * 7, "ACGT" * 10), 12,
+         "79c5d79eaaf9c893c8dbca4fd207b4a9")])
+    def test_mc_rows_pinned(self, lam, states, seed, digest):
+        # each row's sequences in the order of their first run, and their
+        # masses, as exact hex floats
+        rows = mc_rows(Tkf91Params(1.0, lam, 1.0), states, 1.0, 4000,
+                       np.random.default_rng([seed, 10 ** 9]))
+        items = [[s, [[y, p.hex()] for y, p in rows[s].items()]]
+                 for s in states]
+        assert hashlib.sha256(json.dumps(items).encode()).hexdigest()[
+            :32] == digest
 
 
 class TestHashSeed:

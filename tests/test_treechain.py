@@ -173,7 +173,7 @@ class TestPlans:
         compiled = self.count(monkeypatch, "_compile")
         tree = pinched2()
         Q = two_state_symmetric(1.0)
-        plan = StretchPlan(0.1, 2.0, 1, 0.0, ("a",), (1.0,))
+        plan = StretchPlan(0.1, 2.0, 1, ("a",), (1.0,))
         for _ in range(2):
             simulate(tree, Q, 1, np.random.default_rng(0))
             list(simulated_trials(tree, Q, block_draw(lambda rng: 1), (0,),
@@ -293,7 +293,7 @@ class TestTrialBlocks:
         chosen = tree.leaves[::2]
         durations = [(0.0, DURATION_TOL / 2, 2 * DURATION_TOL, 0.3, 1.1)[i % 5]
                      for i in range(len(chosen))]
-        plan = StretchPlan(0.1, 2.0, len(chosen), 0.0, chosen,
+        plan = StretchPlan(0.1, 2.0, len(chosen), chosen,
                            tuple(durations))
         draw = lambda rng: int(rng.integers(n)) + 1
         width = (len(tree.topo_order) - 1
@@ -324,7 +324,7 @@ class TestTrialBlocks:
         # time read the stream as the whole array does
         tree = TestCompiledSimulate.TREES[kind]()
         Q = jukes_cantor(1.0, 3)
-        plan = StretchPlan(0.1, 2.0, 3, 0.0, tree.leaves[:3], (0.2, 0.0, 1.0))
+        plan = StretchPlan(0.1, 2.0, 3, tree.leaves[:3], (0.2, 0.0, 1.0))
         draw = lambda rng: int(rng.integers(3)) + 1
 
         def blocks():
@@ -365,7 +365,7 @@ class TestTrialBlocks:
             n, matrix = 2, two_state_symmetric(1.0).matrix
 
         tree, other = pinched2(), Chain()
-        plan = StretchPlan(0.1, 2.0, 1, 0.0, ("a",), (1.0,))
+        plan = StretchPlan(0.1, 2.0, 1, ("a",), (1.0,))
         with pytest.raises(TypeError, match="RateMatrix or Tkf91Params"):
             simulate(tree, other, 1, np.random.default_rng(0))
         for stretch in (None, plan):
@@ -393,6 +393,13 @@ class TestIdentityEdges:
             ("r", "a", 0.5), ("a", "b", 1e-20), ("r", "h", 1e-20),
             *((("h", f"x{i:02d}", 0.4 if i < 20 else 1e-20)
                for i in range(40)))]),
+        # a spine whose identity runs, of 2 and 20 depths, lie between
+        # moving depths, a leaf on each spine vertex: TKF91 draws each
+        # run as one batch, the long one in two groups at BLOCK trials
+        "runs": lambda: Tree("s0", [
+            *((f"s{j}", f"s{j + 1}", t) for j, t in enumerate(
+                [0.5, 1e-20, 1e-20, 0.3, *[1e-20] * 20, 0.4, 1e-20])),
+            *((f"s{j}", f"y{j}", 0.2) for j in range(26))]),
     }
 
     @staticmethod
@@ -401,7 +408,7 @@ class TestIdentityEdges:
         chosen = tree.leaves[::3]
         durations = [(0.3, 0.0, 1e-13, 2e-12)[i % 4]
                      for i in range(len(chosen))]
-        return StretchPlan(0.1, 2.0, len(chosen), 0.0, chosen,
+        return StretchPlan(0.1, 2.0, len(chosen), chosen,
                            tuple(durations))
 
     @pytest.mark.parametrize("n", [2, 3])
