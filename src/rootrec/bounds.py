@@ -11,6 +11,8 @@ This module is arithmetic alone: it draws no trials.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .ctmc import Distribution, total_variation
@@ -87,11 +89,12 @@ def recon_upper(prior: Distribution, conditionals: dict) -> float:
 
 def recon_lower(prior: Distribution, conditionals: dict, lam) -> float:
     """Best achievable reconstruction probability is at least the prior
-    mass of ``lam`` minus the ordered-pair overlap terms."""
+    mass of ``lam``, added in turn (builtin ``sum`` compensates from
+    Python 3.12), minus the ordered-pair overlap terms."""
     lam = list(lam)
     if not lam:
         raise ValueError("state subset must be nonempty")
-    value = sum(prior.mass(i) for i in lam)
+    value = reduce(add, map(prior.mass, lam), 0.0)
     for i1 in lam:
         for i2 in lam:
             if i1 == i2:
@@ -181,9 +184,9 @@ def pinched_star_hoeffding_bound(m: int, q: float, s: float,
     return (1.0 - alpha) + alpha * math.exp(-2.0 * m * (0.5 - beta) ** 2)
 
 
-def wilson_interval(errors: int, trials: int,
-                    z: float = 2.5758293035489004) -> tuple:
-    """Wilson score interval for an error rate; default z is the 99% level."""
+def wilson_interval(errors: int, trials: int) -> tuple:
+    """Wilson score interval for an error rate at the 99% level."""
+    z = 2.5758293035489004  # the normal quantile of the 99% level
     if trials < 1:
         raise ValueError("trials must be at least 1")
     p = errors / trials

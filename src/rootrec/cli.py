@@ -54,6 +54,9 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
 _FAMILY_KEYS = {"k": int, "m": int, "h": float, "s": float, "n_spine": int}
 # experiment writes output + each suffix; the other commands write output
 _EXPERIMENT_SUFFIXES = (".trials.csv", ".summary.csv")
+# a ``_tally``'s fields in both summary CSVs, and their format
+_TALLY = "trials,errors,rate,ci_low,ci_high"
+_TALLY_CSV = "{},{},{:.10g},{:.10g},{:.10g}"
 
 
 class ConfigError(ValueError):
@@ -349,7 +352,7 @@ def _tally(rows) -> tuple:
 
 
 def _write_summary_csv(rows, bound, fh) -> None:
-    trials, errors, rate, lo, hi = _tally(rows)
+    trials, _, rate, *_ = tally = _tally(rows)
     if bound is None:
         bound_s, ok = "", ""
     else:
@@ -357,9 +360,14 @@ def _write_summary_csv(rows, bound, fh) -> None:
         sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
         ok = int(rate - 3 * sigma <= bound) if bound < 1 else 1
         bound_s = f"{bound:.10g}"
-    fh.write("trials,errors,rate,ci_low,ci_high,bound,empirical_le_bound\n")
-    fh.write(f"{trials},{errors},{rate:.10g},{lo:.10g},{hi:.10g},"
-             f"{bound_s},{ok}\n")
+    fh.write(f"{_TALLY},bound,empirical_le_bound\n"
+             f"{_TALLY_CSV.format(*tally)},{bound_s},{ok}\n")
+
+
+def _write_tkf91_csv(results, fh) -> None:
+    fh.write(f"k,{_TALLY}\n")
+    for k, *tally in results:
+        fh.write(f"{k},{_TALLY_CSV.format(*tally)}\n")
 
 
 def _emit(path, suffix: str, write_fn) -> int:
@@ -456,12 +464,10 @@ def _cmd_tkf91(cfg: dict, workers: int):
             plan = (stretch_plan(tree, s, h_star) if plans is None
                     else plans[k])
             estimate = partial(frequency_tests, plan, lam, rows)
-            tally = _tally(run_trials(Trials(tree, params, estimate, draw,
-                                             (seed, k), count, plan),
-                                      workers))
-            results.append(dict(zip(("k", "trials", "errors", "rate",
-                                     "ci_low", "ci_high"), (k, *tally))))
-        return _emit(out, "", partial(tkf91.write_experiment_csv, results))
+            results.append((k, *_tally(run_trials(
+                Trials(tree, params, estimate, draw, (seed, k), count, plan),
+                workers))))
+        return _emit(out, "", partial(_write_tkf91_csv, results))
     return run
 
 

@@ -14,6 +14,8 @@ trials of; the draws themselves are made there, a block at a time.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -151,26 +153,27 @@ class Distribution:
 # (P(t) = P(t / 2^k)^(2^k)): exp(-lambda) underflows to 0 near 745, where
 # the Poisson tail test could never pass.
 UNIFORMIZATION_CAP = 16.0
+TAIL_TOL = 1e-12  # the Poisson tail mass at which a series stops
 
 
-def transition_matrix(Q: RateMatrix, t: float, tol: float = 1e-12) -> np.ndarray:
+def transition_matrix(Q: RateMatrix, t: float) -> np.ndarray:
     """Row-stochastic exp(tQ) by uniformization with scaling and squaring.
 
     The Poissonized jump-chain series is truncated when the remaining
-    Poisson tail mass drops below ``tol``; rows are renormalized.  When
+    Poisson tail mass drops below ``TAIL_TOL``; rows are renormalized.  When
     rate * t exceeds ``UNIFORMIZATION_CAP`` the series is summed at
     t / 2^k and squared k times.  The one-duration call of the pass
     that ``RateMatrix.matrices`` makes over many.
     """
-    return _uniformize(Q, [t], tol)[0]
+    return _uniformize(Q, [t])[0]
 
 
-def _uniformize(Q: RateMatrix, lengths, tol: float = 1e-12) -> np.ndarray:
+def _uniformize(Q: RateMatrix, lengths) -> np.ndarray:
     """``transition_matrix`` at each of ``lengths``, as an (L × n × n)
     array, in one pass: the powers of R = I + Q / rate are shared across
     the lengths, and each length's floats are those of its own series
     (its own ``math.exp``, terms added while its own tail is at least
-    ``tol``, its own squarings)."""
+    ``TAIL_TOL``, its own squarings)."""
     for t in lengths:
         if not 0 <= t < math.inf:
             raise CtmcError(f"time must be nonnegative and finite, got {t}")
@@ -189,16 +192,16 @@ def _uniformize(Q: RateMatrix, lengths, tol: float = 1e-12) -> np.ndarray:
     P = term[:, None, None] * np.eye(n)
     power = np.eye(n)
     k = 0
-    live = np.flatnonzero(1.0 - acc >= tol)
+    live = np.flatnonzero(1.0 - acc >= TAIL_TOL)
     while len(live):
         k += 1
         power = power @ R
         term[live] *= lam[live] / k
         acc[live] += term[live]
         P[live] += term[live, None, None] * power
-        live = live[1.0 - acc[live] >= tol]
+        live = live[1.0 - acc[live] >= TAIL_TOL]
     sums = P.sum(axis=2)
-    if np.any(np.abs(sums - 1.0) > max(tol, 1e-9) * 10):
+    if np.any(np.abs(sums - 1.0) > 1e-8):
         raise CtmcError("uniformization failed to produce stochastic rows")
     P /= sums[:, :, None]
     for i in np.flatnonzero(squarings).tolist():
@@ -269,26 +272,22 @@ def _label_key(state):
 
 
 def identifiability_margin(Q: RateMatrix, t: float, state_subset=None) -> float:
-    """Minimum pairwise total variation between rows of exp(tQ) over the
-    subset; +inf for singletons (no pairs)."""
+    """``total_variations``' minimum over the rows of exp(tQ) of the
+    sorted subset; +inf for singletons (no pairs)."""
     if t <= 0:
         raise CtmcError("time must be positive")
     subset = sorted(state_subset) if state_subset is not None else list(Q.states)
     if not subset:
         raise CtmcError("state subset must be nonempty")
-    if len(subset) == 1:
-        return math.inf
-    P = Q.matrix(t)
-    best = math.inf
-    for ii, i in enumerate(subset):
-        for j in subset[ii + 1:]:
-            best = min(best, 0.5 * np.abs(P[i - 1] - P[j - 1]).sum())
-    return float(best)
+    return float(total_variations([Q.row(i, t) for i in subset]).min(
+        initial=math.inf))
 
 
 def star_norm(v) -> float:
-    """Weighted l1 norm sum_i 2^-i |v_i| with 1-based indexing."""
-    return float(sum(2.0 ** -(i + 1) * abs(x) for i, x in enumerate(v)))
+    """Weighted l1 norm sum_i 2^-i |v_i| with 1-based indexing, added one
+    term after another (builtin ``sum`` compensates from Python 3.12)."""
+    return float(reduce(add, (2.0 ** -(i + 1) * abs(x)
+                              for i, x in enumerate(v)), 0.0))
 
 
 def star_norm_diff(a: Distribution, b: Distribution, n: int) -> float:

@@ -4,15 +4,13 @@ Maximum a posteriori estimation over all root states or a subset of them,
 from leaf likelihoods by Felsenstein pruning; the frequency-test
 estimator on stretched well-spread restrictions, its data-driven variant
 for chains with uniformly bounded rates, and the two-state majority vote.
-The frequency tests are handed a run's ``stretch_plan`` and
-``RowTable`` of time-h* rows, which the caller builds once, and test a
-block of trials from ``treechain.simulated_trials`` at once, on the
-integer keys of its stretched leaf states (a finite chain's states, or
-``tkf91.keys``), whose vocabulary ``TrialBlock.vocabulary`` gives: a
-finite chain's states, or TKF91's distinct keys by one sort
-(``tkf91.distinct``), whose masses ``tkf91.row_masses`` looks up among
-each row's sorted keys.
-The MAP also takes a block of trials at once, as rows of leaf states.
+The MAP and the frequency tests take a block of trials from
+``treechain.simulated_trials`` at once; the tests are handed a run's
+``stretch_plan`` and ``RowTable`` of time-h* rows, built once, and test
+the integer keys of a block's stretched leaf states
+(``TrialBlock.vocabulary``: a finite chain's states or ``tkf91.keys``).
+``RowTable`` keys each row once and reads a block's masses, the
+achieving-set thresholds and the tie rule from those keys.
 """
 
 from __future__ import annotations
@@ -61,14 +59,19 @@ class EstimatorError(ValueError):
     pass
 
 
+def _achieves(mine, theirs, first):
+    """The tie rule: a state is in A(i, j) where row i's mass ``mine``
+    exceeds row j's ``theirs``, or ties it and i sorts ``first``."""
+    return (mine > theirs) | ((mine == theirs) & first)
+
+
 class RowTable:
     """Time-h* transition rows for a set of states, with cached minimum
-    total variation distances and achieving-set masses."""
+    TV distances, and achieving-set masses read from each row's keys."""
 
     def __init__(self, rows: dict):
         self.rows = dict(rows)
-        self._masses: dict = {}
-        self._deltas: dict = {}
+        self._masses, self._deltas, self._keys = {}, {}, {}
 
     def delta(self, lam) -> float:
         """Minimum pairwise TV over a state subset; +inf for singletons."""
@@ -78,26 +81,53 @@ class RowTable:
                 [self.rows[i] for i in lam]).min(initial=math.inf))
         return self._deltas[lam]
 
+    def _row_keys(self, i) -> tuple:
+        """Row i's sorted keys closed by one above all others of mass 0,
+        their masses, its long sequences (None for a finite chain) and
+        where each state of its support sorts: made on first use."""
+        if i not in self._keys:
+            states, mass = zip(*self.rows[i].items())
+            names = None
+            if isinstance(states[0], str):
+                from . import tkf91
+                states, names = tkf91.keys(*tkf91.encode(states))
+            order = np.argsort(states)
+            self._keys[i] = (
+                np.append(np.asarray(states)[order], np.iinfo(np.int64).max),
+                np.append(np.array(mass)[order], 0.0), names,
+                np.argsort(order))
+        return self._keys[i]
+
     def threshold_mass(self, i, j) -> float:
         """Mass of row i on A(i, j), the states where it outweighs row j
-        and, if i sorts first, the ties: there it exceeds row j by their TV."""
+        and, if i sorts first, the ties: there it exceeds row j by their
+        TV.  The terms are added in row i's order, one after another."""
         if (i, j) not in self._masses:
-            other, ties = self.rows[j], _label_key(i) < _label_key(j)
-            self._masses[i, j] = sum(
-                p for s, p in self.rows[i].items()
-                if p > other.mass(s) or ties and p == other.mass(s))
+            keyed, mass, names, place = self._row_keys(i)
+            mine = mass[:-1]
+            theirs = self.masses((j,), keyed[:-1], names)[:, 0]
+            inside = _achieves(mine, theirs, _label_key(i) < _label_key(j))
+            self._masses[i, j] = float(np.add.accumulate(
+                np.where(inside, mine, 0.0)[place])[-1])
         return self._masses[i, j]
 
     def masses(self, lam, keyed, names=None) -> np.ndarray:
-        """(keys × ``lam``): each row of ``lam`` at the ``keyed`` states,
-        a finite chain's states themselves, or (given ``names``) the
-        sorted ``tkf91.keys`` of sequences (``tkf91.row_masses``)."""
+        """(keys × ``lam``): each row of ``lam`` at ``keyed``, a finite
+        chain's states in any order or (given ``names``) sorted
+        ``tkf91.keys``, a long one looked up by its string."""
+        cut, long = len(keyed), []
         if names is not None:
-            from . import tkf91
-            return tkf91.row_masses(self, lam, keyed, names)
-        rows = [self.rows[i] for i in lam]
-        return np.array([[row.mass(s) for row in rows]
-                         for s in keyed.tolist()], dtype=float)
+            from .tkf91 import LONG_KEY
+            cut = int(np.searchsorted(keyed, LONG_KEY))
+            long = [names[k - LONG_KEY] for k in keyed[cut:].tolist()]
+        out = np.empty((len(keyed), len(lam)))
+        for c, i in enumerate(lam):
+            held, mass = self._row_keys(i)[:2]
+            # a key off the row's support finds another key, no mass
+            at = np.searchsorted(held, keyed[:cut])
+            out[:cut, c] = np.where(held[at] == keyed[:cut], mass[at], 0.0)
+            out[cut:, c] = [self.rows[i].mass(s) for s in long]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +265,7 @@ def _test_block(plan, rows, block, vocab, inverse, lams, pools) -> list:
             alive = np.arange(len(trials))
             for b, j in enumerate(lam):
                 if b != a and len(alive):
-                    inside = (mass[:, a] > mass[:, b]) | (
-                        (mass[:, a] == mass[:, b]) & (a < b))
+                    inside = _achieves(mass[:, a], mass[:, b], a < b)
                     bar = rows.threshold_mass(i, j) - rows.delta(lam) / 2.0
                     alive = alive[inside[keyed[alive]].sum(1) / plan.m
                                   - bar > 0.0]

@@ -40,16 +40,15 @@ the parents themselves and draws no letter.  A lane whose law is the
 may be skipped by drawing and dropping its 2 uniforms per slot instead;
 ``edge_batches`` makes a run of depths of such edges one batch.
 
-TKF91's part of ``treechain`` and ``estimators`` (``edge_batches``,
-``draw_block``, ``distinct``, ``row_masses``) is here, so that a
-finite chain's command never compiles it.
+TKF91's part of ``treechain`` (``edge_batches``, ``draw_block``,
+``distinct``) and the ``keys`` that ``estimators.RowTable`` reads rows by
+are here, so that a finite chain's command never compiles them.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import weakref
 from itertools import accumulate, pairwise
 from typing import NamedTuple
 
@@ -63,6 +62,7 @@ __all__ = [
     "ALPHABET",
     "LANES",
     "LENGTH_CAP",
+    "MAX_STATES",
     "KEY_LETTERS",
     "LONG_KEY",
     "encode",
@@ -78,7 +78,6 @@ __all__ = [
     "stationary_length_pmf",
     "top_states",
     "mc_rows",
-    "write_experiment_csv",
 ]
 
 ALPHABET = "ATCG"
@@ -98,6 +97,7 @@ _POWERS = np.array([5 ** i for i in range(KEY_LETTERS)], dtype=np.int64)
 LENGTH_CAP = 10 ** 4
 # lanes that one sampler call draws at most
 LANES = 4096
+MAX_STATES = 10 ** 6  # sequences that ``top_states`` enumerates at most
 
 
 class _Rates(NamedTuple):
@@ -214,37 +214,6 @@ def strings(keyed, names=()) -> list:
     seqs += [names[k - LONG_KEY] for k in vocab[len(short):].tolist()]
     return np.array(seqs, dtype=object)[inverse].reshape(
         np.shape(keyed)).tolist()
-
-
-# each ``estimators.RowTable``'s rows as sorted keys, dropped with the table
-_HELD: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def row_masses(table, lam, vocab, names) -> np.ndarray:
-    """(``vocab`` × ``lam``): the rows ``lam`` of ``table``, an
-    ``estimators.RowTable``, at the sorted ``keys`` ``vocab`` with
-    ``names``: short keys by one search among each row's keys, sorted
-    once per table from its own support, long ones by their strings."""
-    held = _HELD.get(table)
-    if held is None:
-        held = _HELD[table] = {}
-        for i, row in table.rows.items():
-            seqs, mass = zip(*row.items())
-            keyed = keys(*encode(seqs))[0]
-            order = np.argsort(keyed)
-            # closed by a key above every short one, of no mass
-            held[i] = (np.append(keyed[order], LONG_KEY),
-                       np.append(np.array(mass)[order], 0.0))
-    cut = int(np.searchsorted(vocab, LONG_KEY))
-    long = [names[k - LONG_KEY] for k in vocab[cut:].tolist()]
-    out = np.empty((len(vocab), len(lam)))
-    for c, i in enumerate(lam):
-        keyed, mass = held[i]
-        # a short key off the row's support finds another key, no mass
-        at = np.searchsorted(keyed, vocab[:cut])
-        out[:cut, c] = np.where(keyed[at] == vocab[:cut], mass[at], 0.0)
-        out[cut:, c] = [table.rows[i].mass(s) for s in long]
-    return out
 
 
 def lane_law(params: Tkf91Params, durations) -> np.ndarray:
@@ -418,8 +387,7 @@ def stationary_pmf(params: Tkf91Params, seq: str) -> float:
     return p
 
 
-def top_states(params: Tkf91Params, epsilon: float,
-               max_states: int = 10 ** 6) -> tuple:
+def top_states(params: Tkf91Params, epsilon: float) -> tuple:
     """Smallest set of highest-stationary-mass sequences whose complement
     has mass below ``epsilon``, in decreasing mass order (ties by length
     then lexicographic).
@@ -434,8 +402,8 @@ def top_states(params: Tkf91Params, epsilon: float,
     out = []
     tail = 1.0
     while tail >= epsilon:
-        if not heap or len(out) >= max_states:
-            raise CtmcError("state enumeration exceeded max_states")
+        if not heap or len(out) >= MAX_STATES:
+            raise CtmcError("state enumeration exceeded MAX_STATES")
         neg, _, seq = heapq.heappop(heap)
         out.append(seq)
         tail += neg
@@ -474,9 +442,3 @@ def mc_rows(params: Tkf91Params, states, t: float, n_samples: int,
             (counts[order] / n_samples).tolist())))
     return rows
 
-
-def write_experiment_csv(results, fh) -> None:
-    fh.write("k,trials,errors,rate,ci_low,ci_high\n")
-    for r in results:
-        fh.write(f"{r['k']},{r['trials']},{r['errors']},"
-                 f"{r['rate']:.10g},{r['ci_low']:.10g},{r['ci_high']:.10g}\n")

@@ -484,7 +484,13 @@ class AchievingSet:
         return self.include_ties
 
     def mass_under(self, d: Distribution) -> float:
-        return sum(p for s, p in d.items() if s in self)
+        # in ``d``'s order, one term after another, as the code adds them
+        # (builtin sum compensates from Python 3.12)
+        total = 0.0
+        for s, p in d.items():
+            if s in self:
+                total += p
+        return total
 
     def explicit(self, universe) -> frozenset:
         return frozenset(s for s in universe if s in self)

@@ -96,6 +96,16 @@ class TestExperimentCommand:
         assert fields[0] == "60"
         assert fields[6] == "1"  # empirical below (possibly clamped) bound
 
+    def test_csv_shape(self, tmp_path):
+        # the tkf91 command's one line per member: k, then the summary's
+        # trials to ci_high
+        out = tmp_path / "r.csv"
+        with open(out, "w") as fh:
+            cli._write_tkf91_csv([(10, 5, 1, 0.2, 0.0, 0.9)], fh)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "k,trials,errors,rate,ci_low,ci_high"
+        assert lines[1].startswith("10,5,1,0.2,")
+
     def test_identical_seed_identical_bytes(self, tmp_path):
         path = write_cfg(tmp_path, "e.json", experiment_cfg(tmp_path))
         main(["experiment", path])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (draw_state, sample_endpoint, total_variation_reference,
                      transition_matrix_reference, tv_achieving_set)
 from rootrec import ctmc
+from rootrec.estimators import RowTable
 from rootrec.ctmc import (UNIFORMIZATION_CAP, CtmcError, Distribution,
                           RateMatrix, identifiability_margin, jukes_cantor,
                           load_rate_matrix, row_distribution, star_norm,
@@ -329,6 +330,14 @@ class TestIdentifiabilityMargin:
             t = float(rng.uniform(0.1, 1.5))
             assert identifiability_margin(Q, t) >= math.exp(
                 -t * Q.norm) - 1e-9
+            # to the bit the Δ of a row table of the sorted subset, given
+            # in any order (a pair's TV adds the first row's support first),
+            # on these chains and on one with unequal rates
+            R = RateMatrix(Q.q * np.arange(1, n + 1)[:, None])
+            for P, subset in ((Q, Q.states), (R, R.states[::-1]),
+                              (R, R.states[::2])):
+                assert identifiability_margin(P, t, subset) == RowTable(
+                    {i: P.row(i, t) for i in subset}).delta(sorted(subset))
 
 
 class TestSampling:

@@ -497,19 +497,30 @@ class TestBlockTests:
 
     def test_masses_by_key(self):
         # each key, long ones too, gets its sequence's masses, so its
-        # membership is that of tests/oracles.py's achieving sets
+        # membership is that of tests/oracles.py's achieving sets; a
+        # finite chain's keys come in any order, and in a reducible chain
+        # with absorbing states 1 and 4 the rows drop their zero entries:
+        # rows 1 and 2 hold neither 3 nor 4
         lam, rows, _, keyed, long = self.tkf91_block()
         vocab = np.unique(keyed)
-        states = strings(vocab, long)
-        mass = rows.masses(lam, vocab, long)
-        assert mass.tolist() == [[rows.rows[i].mass(s) for i in lam]
-                                 for s in states]
-        for a, b in itertools.permutations(range(len(lam)), 2):
-            aset = tv_achieving_set(rows.rows[lam[a]], rows.rows[lam[b]],
-                                    (lam[a], lam[b]))
-            inside = (mass[:, a] > mass[:, b]) | (
-                (mass[:, a] == mass[:, b]) & (a < b))
-            assert inside.tolist() == [s in aset for s in states]
+        Q = RateMatrix([[0, 0, 0, 0], [1, -1, 0, 0], [0, 1, -2, 1],
+                        [0, 0, 0, 0]])
+        finite = RowTable({i: Q.row(i, 0.7) for i in Q.states})
+        assert set(finite.rows[1].support) | set(finite.rows[2].support) \
+            == {1, 2}
+        for lam, rows, vocab, states, long in (
+                (lam, rows, vocab, strings(vocab, long), long),
+                ((1, 2, 3), finite, np.array([3, 4, 1, 2]), [3, 4, 1, 2],
+                 None)):
+            mass = rows.masses(lam, vocab, long)
+            assert mass.tolist() == [[rows.rows[i].mass(s) for i in lam]
+                                     for s in states]
+            for a, b in itertools.permutations(range(len(lam)), 2):
+                aset = tv_achieving_set(rows.rows[lam[a]],
+                                        rows.rows[lam[b]], (lam[a], lam[b]))
+                inside = (mass[:, a] > mass[:, b]) | (
+                    (mass[:, a] == mass[:, b]) & (a < b))
+                assert inside.tolist() == [s in aset for s in states]
 
     def test_delta_is_the_least_pairwise_loop(self):
         # Δ of many plug-in rows, each pair summed from arrays, is the
@@ -698,6 +709,25 @@ class TestBlockTests:
                         assert rows.threshold_mass(i, j).hex() == \
                             tv_achieving_set(rows.rows[i], rows.rows[j], (
                                 i, j)).mass_under(rows.rows[i]).hex()
+
+
+    @pytest.mark.parametrize("labels", [(1, 2), ("", "A")],
+                             ids=["finite", "tkf91"])
+    def test_threshold_masses_add_in_turn(self, labels):
+        # 0.1 + 0.2 + 0.3 rounds up when added in turn, but builtin sum
+        # compensates from Python 3.12 and gives fsum's 0.6, as adding the
+        # states in key order would: the threshold is the sum in the row's
+        # order, one term after another, on every Python and for both
+        # process kinds
+        i, j = labels
+        states = (4, 3, 2, 1) if i == 1 else ("T", "G", "C", "A")
+        mine = Distribution(dict(zip(states, (0.1, 0.2, 0.3, 0.4))))
+        rows = RowTable({i: mine, j: Distribution({states[3]: 1.0})})
+        terms = [p for s, p in mine.items() if s != states[3]]
+        assert terms == [0.1, 0.2, 0.3]
+        in_turn = (0.1 + 0.2) + 0.3
+        assert math.fsum(terms) != in_turn
+        assert rows.threshold_mass(i, j).hex() == in_turn.hex()
 
 
 class TestMajorityEstimate:

@@ -23,8 +23,7 @@ from rootrec.estimators import RowTable, StretchPlan, stretch_plan
 from rootrec.tkf91 import (ALPHABET, KEY_LETTERS, LONG_KEY, Tkf91Params,
                            decode, encode, evolve_lanes, keys, lane_law,
                            mc_rows, stationary_length_pmf, stationary_pmf,
-                           stationary_sample, strings, top_states,
-                           write_experiment_csv)
+                           stationary_sample, strings, top_states)
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import BLOCK, simulate, simulated_trials
 
@@ -778,6 +777,13 @@ class TestTopStates:
     def test_known_count_at_005(self):
         assert len(top_states(STD, 0.05)) == 188
 
+    def test_enumeration_guard(self, monkeypatch):
+        # 188 sequences are needed at epsilon 0.05: a guard of 100 fires
+        monkeypatch.setattr(tkf91, "MAX_STATES", 100)
+        with pytest.raises(CtmcError, match="MAX_STATES"):
+            top_states(STD, 0.05)
+        assert len(top_states(STD, 0.1)) <= 100
+
     def test_masses_nonincreasing(self):
         lam = top_states(STD, 0.02)
         masses = [stationary_pmf(STD, s) for s in lam]
@@ -898,13 +904,3 @@ class TestRootExperiment:
             ks=[3, 10], trials=300, seed=4)
         assert sum(map(len, built)) == sum(
             len(row.support) for row in rows[0].values())
-
-    def test_csv_shape(self, tmp_path):
-        rows = [{"k": 10, "trials": 5, "errors": 1, "rate": 0.2,
-                 "ci_low": 0.0, "ci_high": 0.9}]
-        out = tmp_path / "r.csv"
-        with open(out, "w") as fh:
-            write_experiment_csv(rows, fh)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "k,trials,errors,rate,ci_low,ci_high"
-        assert lines[1].startswith("10,5,1,0.2,")
