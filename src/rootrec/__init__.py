@@ -22,7 +22,7 @@ from .estimators import (EstimatorError, RowTable, StretchPlan,
                          majority_estimate, map_estimate, map_estimates,
                          stretch_plan, uniform_chain_tests)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint,
-                   big_bang_profile, chosen_leaves, descendant_leaves,
+                   big_bang_profile, chosen_leaves,
                    extract_well_spread_restriction, generate_family,
                    parse_newick, restrict, spread, stretch_to_height,
                    to_newick, truncate)

@@ -1,16 +1,17 @@
 """Command line interface and experiment orchestration.
 
-Subcommands simulate, estimate, bounds, experiment, tkf91 and validate
-each read a JSON config through the same section readers.  Exit codes: 0
-success; 2 the config is wrong, found at set-up (reading it and building
-the tree, chain, root draw and estimator) before any trial; 3 a guard
-fired during the trials.  ``experiment``, ``estimate`` and ``tkf91`` run
-their trials through ``run_trials`` on ``Trials`` built once at set-up,
-which workers receive pickled; the estimators take a block of trials at
-a time.  Block b of ``treechain.BLOCK`` trials draws from the substream
-(master seed, b), or (master seed, k, b) on tkf91's member k; workers
-get whole blocks and their rows are merged by trial index, so results
-are identical for any worker count.  The ``tkf91`` module is imported
+Subcommands simulate, bounds, experiment, tkf91 and validate each read a
+JSON config through the same section readers.  Exit codes: 0 success; 2
+the config is wrong, found at set-up (reading it and building the tree,
+chain, root draw and estimator) before any trial; 3 a guard fired during
+the trials.  ``experiment`` and ``tkf91`` run their trials through
+``run_trials`` on ``Trials`` built once at set-up, which workers receive
+pickled; the estimators take a block of trials at a time.  Block b of
+``treechain.BLOCK`` trials draws from the substream (master seed, b), or
+(master seed, k, b) on tkf91's member k; workers get whole blocks and
+their rows are merged by trial index, so results are identical for any
+worker count.  A config names one tree of a family by the family's size
+``k``: the tree is its last member.  The ``tkf91`` module is imported
 only where a TKF91 process is read or run, so a finite chain's command
 never loads it.
 """
@@ -42,11 +43,6 @@ from .treechain import BLOCK, simulated_trials
 __all__ = ["Trials", "main", "run_trials", "validate_config"]
 
 EXIT_OK, EXIT_CONFIG, EXIT_GUARD = 0, 2, 3
-
-# figure1 attaches leaf j at depth 2^-j; from j = 1075 on that underflows
-# to 0 and the first spine edge has length 0.  figure2 builds on the
-# figure1 spine of n_spine vertices, so the same limit holds for it.
-FIGURE1_MAX_K = 1074
 
 _REQUIRED = object()
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
@@ -101,16 +97,11 @@ def _positive(name: str, value):
 def _build_family(cfg: dict) -> NestedFamily:
     spec = _get(cfg, "family", dict)
     kind = _get(spec, "kind", str)
+    if "member" in spec:
+        raise ConfigError("family member is not a key: member j of a "
+                          "family is the last tree of k = j")
     params = {key: _get(spec, key, t) for key, t in _FAMILY_KEYS.items()
               if key in spec}
-    spines = {"figure1": ("k", params.get("k", params.get("m", 1))),
-              "figure2": ("n_spine", params.get("n_spine", 3))}
-    if kind in spines:
-        name, size = spines[kind]
-        if size > FIGURE1_MAX_K:
-            raise ConfigError(f"{kind} {name} must be at most "
-                              f"{FIGURE1_MAX_K}: deeper spine depths "
-                              f"2^-{name} underflow to 0")
     return generate_family(kind, params, _get(spec, "seed", int, 0))
 
 
@@ -118,11 +109,7 @@ def _build_tree(cfg: dict) -> Tree:
     spec = _get(cfg, "family", dict)
     if "newick" in spec:
         return parse_newick(_get(spec, "newick", str))
-    family = _build_family(cfg)
-    member = _get(spec, "member", int, len(family))
-    if not 1 <= member <= len(family):
-        raise ConfigError(f"family member {member} out of range")
-    return family[member - 1]
+    return _build_family(cfg)[-1]
 
 
 def _build_process(cfg: dict):
@@ -214,26 +201,29 @@ def _draw_roots(n: int, root, rng, size: int) -> list:
     return [root] * size
 
 
-def _root_draw(cfg: dict, Q: RateMatrix):
-    """(rng, size) -> ``size`` root states: uniform over the chain's
-    states, from one ``Generator.integers`` call that reads the stream as
-    ``size`` one-state calls do, or the config's fixed "root", the one
-    key of two JSON types."""
-    root = cfg.get("root", "uniform")
-    if root == "uniform":
-        return partial(_draw_roots, Q.n, None)
-    if type(root) is not int or not 1 <= root <= Q.n:
-        raise ConfigError(f'root must be "uniform" or a state 1..{Q.n}, '
-                          f"got {root!r}")
-    return partial(_draw_roots, Q.n, root)
-
-
 def _tkf91_roots(params, rng, size: int) -> list:
     """``size`` TKF91 roots, one ``stationary_sample`` call each: drawing
     their lengths and letters for all at once would read the stream
     differently."""
     from .tkf91 import stationary_sample
     return [stationary_sample(params, rng) for _ in range(size)]
+
+
+def _root_draw(cfg: dict, process):
+    """(rng, size) -> ``size`` root states.  A TKF91 process draws them
+    from its stationary law and reads no "root".  A finite chain draws
+    them uniformly over its states, from one ``Generator.integers`` call
+    that reads the stream as ``size`` one-state calls do, or takes the
+    config's fixed "root", the one key of two JSON types."""
+    if not isinstance(process, RateMatrix):
+        return partial(_tkf91_roots, process)
+    n, root = process.n, cfg.get("root", "uniform")
+    if root == "uniform":
+        return partial(_draw_roots, n, None)
+    if type(root) is not int or not 1 <= root <= n:
+        raise ConfigError(f'root must be "uniform" or a state 1..{n}, '
+                          f"got {root!r}")
+    return partial(_draw_roots, n, root)
 
 
 def _trials(cfg: dict, default=_REQUIRED) -> int:
@@ -388,10 +378,7 @@ def _distribution(masses: dict) -> Distribution:
 
 def _cmd_simulate(cfg: dict, workers: int):
     tree, proc = _build_tree(cfg), _build_process(cfg)
-    if isinstance(proc, RateMatrix):
-        draw = _root_draw(cfg, proc)
-    else:
-        draw = partial(_tkf91_roots, proc)
+    draw = _root_draw(cfg, proc)
     key, trials, out = (_seed(cfg),), _trials(cfg, 1), _output(cfg)
 
     def write(fh):
@@ -401,12 +388,6 @@ def _cmd_simulate(cfg: dict, workers: int):
                 for leaf in tree.leaves:
                     fh.write(f"{t},{truth},{leaf},{observed[leaf]}\n")
     return partial(_emit, out, "", write)
-
-
-def _cmd_estimate(cfg: dict, workers: int):
-    (trials, _), out = _trial_setup(cfg), _output(cfg)
-    return lambda: _emit(out, "", partial(_write_trials_csv,
-                                          run_trials(trials, workers)))
 
 
 def _cmd_experiment(cfg: dict, workers: int):
@@ -451,7 +432,7 @@ def _cmd_tkf91(cfg: dict, workers: int):
     from . import tkf91
     s, h_star, eps, ks, row_samples, plans = _tkf91_inputs(cfg, family)
     count, seed, out = _trials(cfg), _seed(cfg), _output(cfg)
-    draw = partial(_tkf91_roots, params)
+    draw = _root_draw(cfg, params)
 
     # member k's trials are keyed (seed, k); all share the plug-in rows
     def run():
@@ -486,9 +467,8 @@ def validate_config(cfg: dict) -> list:
 
     # a process read is a RateMatrix or else TKF91's parameters
     Q = read(_build_process) if "process" in cfg else None
+    read(_root_draw, Q)
     finite = isinstance(Q, RateMatrix)
-    if finite:
-        read(_root_draw, Q)
     if Q is not None and not finite and "estimator" in cfg:
         read(_tkf91_inputs, read(_build_family))
     elif "family" in cfg:
@@ -516,7 +496,6 @@ def _cmd_validate(cfg: dict, workers: int):
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
     "bounds": _cmd_bounds,
     "experiment": _cmd_experiment,
     "tkf91": _cmd_tkf91,

@@ -43,6 +43,8 @@ may be skipped by drawing and dropping its 2 uniforms per slot instead;
 TKF91's part of ``treechain`` (``edge_batches``, ``draw_block``,
 ``distinct``) and the ``keys`` that ``estimators.RowTable`` reads rows by
 are here, so that a finite chain's command never compiles them.
+``treechain`` hands them the tree layouts they read, so this module does
+not import it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import treechain
 from .ctmc import CtmcError, Distribution, _label_key
 
 __all__ = [
@@ -290,14 +291,13 @@ def evolve_lanes(params: Tkf91Params, codes, lens, law, rng) -> tuple:
     return child, out.astype(np.int32)
 
 
-def edge_batches(tree, params: Tkf91Params) -> list:
-    """A tree's edges in batches of parent and child indices (as in
-    ``treechain``'s layout), of each edge's ``lane_law`` under ``params``
-    and of whether that law is the ``identity``: the edges into inner
-    vertices one batch per depth of their child, then every edge into a
-    leaf, each batch in topological order, and a run of batches of
-    identity edges only as one batch."""
-    lay = treechain._plan(treechain._layout, tree)
+def edge_batches(lay, params: Tkf91Params) -> list:
+    """The edges of a tree laid out as ``lay`` (``treechain``'s layout)
+    in batches of parent and child indices, of each edge's ``lane_law``
+    under ``params`` and of whether that law is the ``identity``: the
+    edges into inner vertices one batch per depth of their child, then
+    every edge into a leaf, each batch in topological order, and a run of
+    batches of identity edges only as one batch."""
     law = lane_law(params, lay.lengths)
     same = identity(law).tolist()
     groups: dict = {}

@@ -24,7 +24,6 @@ __all__ = [
     "shared_path_length",
     "spread",
     "truncate",
-    "descendant_leaves",
     "restrict",
     "extract_well_spread_restriction",
     "stretch_to_height",
@@ -214,11 +213,6 @@ def truncate(tree: Tree, s: float) -> tuple[TreePoint, ...]:
     return tuple(sorted(points))
 
 
-def descendant_leaves(tree: Tree, point: TreePoint) -> tuple[str, ...]:
-    """Leaves of the tree lying at or below the given point."""
-    return tree.subtree_leaves(point.vertex)
-
-
 def restrict(tree: Tree, leaf_subset) -> Tree:
     """Restriction to a leaf subset: keep only root-to-leaf paths, merging
     suppressed degree-2 vertices with summed edge lengths."""
@@ -266,7 +260,7 @@ def extract_well_spread_restriction(tree: Tree, s: float) -> Tree:
 def chosen_leaves(tree: Tree, s: float) -> tuple[str, ...]:
     """The lexicographically smallest descendant leaf of each boundary
     point of the truncation at ``s``, sorted."""
-    return tuple(sorted(descendant_leaves(tree, p)[0]
+    return tuple(sorted(tree.subtree_leaves(p.vertex)[0]
                         for p in truncate(tree, s)))
 
 
@@ -375,6 +369,21 @@ def _pinched_star_family(m: int, s: float, h: float) -> NestedFamily:
         + [("pinch", f"L{i:04d}", h - s) for i in range(1, n + 1)])))
 
 
+# figure1 attaches leaf j at depth 2^-j; from j = 1075 on that underflows
+# to 0 and the first spine edge has length 0.  figure2 builds on the
+# figure1 spine of n_spine vertices, so the same limit holds for it.
+FIGURE1_MAX_K = 1074
+
+
+def _spine(kind: str, name: str, n: int) -> int:
+    """``n``, the vertex count of a figure1 spine, if its depths do not
+    underflow."""
+    if n > FIGURE1_MAX_K:
+        raise TreeError(f"{kind} {name} must be at most {FIGURE1_MAX_K}: "
+                        f"deeper spine depths 2^-{name} underflow to 0")
+    return n
+
+
 def _figure1_edges(k: int, h: float):
     """Spine leaf at depth h plus pendant leaves attached on the spine at
     depths 2^-1 .. 2^-k, all leaves at depth h."""
@@ -465,7 +474,9 @@ def _random_ultrametric_family(k: int, h: float, seed: int) -> NestedFamily:
 
 def generate_family(kind: str, params: dict, seed: int = 0) -> NestedFamily:
     """Deterministic named families.  ``kind`` is one of star, pinched_star,
-    figure1, figure2, random_ultrametric."""
+    figure1, figure2, random_ultrametric.  Member j of a family of size k
+    is the last member of the family of size j.  A figure1 or figure2
+    spine of more than ``FIGURE1_MAX_K`` vertices is refused."""
     p = dict(params)
     k = int(p.get("k", p.get("m", 1)))
     h = float(p.get("h", 1.0))
@@ -476,9 +487,10 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> NestedFamily:
     if kind == "pinched_star":
         return _pinched_star_family(k, float(p.get("s", 0.05)), h)
     if kind == "figure1":
-        return _figure1_family(k, h)
+        return _figure1_family(_spine(kind, "k", k), h)
     if kind == "figure2":
-        return _figure2_family(k, int(p.get("n_spine", 3)), h)
+        return _figure2_family(
+            k, _spine(kind, "n_spine", int(p.get("n_spine", 3))), h)
     if kind == "random_ultrametric":
         return _random_ultrametric_family(k, h, seed)
     raise TreeError(f"unknown family kind {kind!r}")

@@ -14,7 +14,8 @@ its draw would read.  Block b of ``BLOCK`` trials draws from the one
 substream keyed ``[*key, b]``.  A process is a finite chain
 (``ctmc.RateMatrix``) or TKF91 (``tkf91.Tkf91Params``), whose draw is
 ``tkf91``'s code: that module is imported only where a TKF91 process is
-drawn or its keys read, so a finite chain never loads it.  Every
+drawn or its keys read, so a finite chain never loads it; it gets
+the tree's layout from here and imports nothing of this module.  Every
 per-tree plan is kept here, once per tree and process, and dropped with
 its tree; processes carry no tree state.
 """
@@ -90,9 +91,9 @@ _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _plan(build, tree: Tree, *args):
     """``build(tree, *args)``, built once per tree and ``(build, *args)``:
-    the tree's ``_layout``, its TKF91 batches (``tkf91.edge_batches``),
-    its ``_compile``d form for a finite chain, and a process's
-    ``_drawer``."""
+    the tree's ``_layout``, its ``_compile``d form for a finite chain,
+    and a process's ``_drawer`` (which holds TKF91's batches of edges,
+    ``tkf91.edge_batches``)."""
     plans = _PLANS.get(tree)
     if plans is None:
         plans = _PLANS[tree] = {}
@@ -218,7 +219,7 @@ def _drawer(tree: Tree, process, stretch):
                        [alias[v] for v in picks])
     from . import tkf91
     if isinstance(process, tkf91.Tkf91Params):
-        batches = _plan(tkf91.edge_batches, tree, process)
+        batches = tkf91.edge_batches(lay, process)
         if ends:
             law = tkf91.lane_law(process, durations)
             batches = batches + [(starts, ends, law,

@@ -123,6 +123,19 @@ class TestExperimentCommand:
         parallel = run_trials(trials, workers=3)
         assert serial == parallel
 
+    def test_map_on_small_tree(self, tmp_path):
+        out = tmp_path / "est"
+        cfg = {
+            "family": {"kind": "pinched_star", "m": 3, "s": 0.1, "h": 1.0},
+            "process": {"kind": "two_state", "q": 1.0},
+            "estimator": {"kind": "map"},
+            "trials": 20, "seed": 2, "output": str(out),
+        }
+        path = write_cfg(tmp_path, "m.json", cfg)
+        assert main(["experiment", path]) == EXIT_OK
+        trials = (tmp_path / "est.trials.csv").read_text().splitlines()
+        assert len(trials) == 21
+
     def test_tkf91_process_rejected(self, tmp_path):
         cfg = experiment_cfg(
             tmp_path, process={"kind": "tkf91", "nu": 1, "lam": 1, "mu": 2})
@@ -298,20 +311,6 @@ class TestTrialRunner:
         assert "invalid int value: 'abc'" in capsys.readouterr().err
         monkeypatch.setenv("ROOTREC_WORKERS", "2")
         assert main(["validate", path]) == EXIT_OK
-
-
-class TestEstimateCommand:
-    def test_map_on_small_tree(self, tmp_path):
-        out = tmp_path / "est.csv"
-        cfg = {
-            "family": {"kind": "pinched_star", "m": 3, "s": 0.1, "h": 1.0},
-            "process": {"kind": "two_state", "q": 1.0},
-            "estimator": {"kind": "map"},
-            "trials": 20, "seed": 2, "output": str(out),
-        }
-        path = write_cfg(tmp_path, "m.json", cfg)
-        assert main(["estimate", path]) == EXIT_OK
-        assert len(out.read_text().splitlines()) == 21
 
 
 class TestMapEstimator:
@@ -515,6 +514,41 @@ class TestTrialInputs:
         assert time.perf_counter() - start < 10.0
         assert capsys.readouterr().err == ""
 
+    def test_tkf91_needs_a_tkf91_process(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "t.json", {
+            **self.TKF91, "process": {"kind": "two_state", "q": 1.0}})
+        assert main(["tkf91", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: tkf91 subcommand needs a tkf91 process"]
+
+    def test_guard_during_the_trials_is_exit_3(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the config is sound, so set-up passes; the draws then outgrow
+        # a length cap of 2 letters
+        from rootrec import tkf91
+        monkeypatch.setattr(tkf91, "LENGTH_CAP", 2)
+        path = write_cfg(tmp_path, "t.json", self.TKF91)
+        assert main(["tkf91", path]) == EXIT_GUARD
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: sequence length exceeded the cap")
+
+    def test_family_member_refused(self, tmp_path, capsys):
+        # member j is the tree of k = j; a run that ignored the key would
+        # run another tree than the config asks for
+        cfg = experiment_cfg(tmp_path, family={
+            "kind": "figure1", "k": 3, "h": 1.0, "member": 2})
+        (problem,) = validate_config(cfg)
+        assert "family member" in problem and " k = j" in problem
+        path = write_cfg(tmp_path, "e.json", cfg)
+        for command in ("validate", "experiment", "simulate", "bounds"):
+            assert main([command, path]) == EXIT_CONFIG
+        tkf91_path = write_cfg(tmp_path, "t.json", {
+            **self.TKF91, "family": cfg["family"]})
+        assert main(["tkf91", tkf91_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {problem}"] * 4
+
     @pytest.mark.parametrize("seed", [-5, 2 ** 64])
     def test_seed_outside_numpy_range_rejected(self, tmp_path, seed):
         cfg = experiment_cfg(tmp_path, seed=seed)
@@ -609,8 +643,6 @@ BAD_CONFIGS = {
                            "experiment"),
     "output-is-dir-simulate": ("experiment", ("output",), existing_dir(""),
                                "simulate"),
-    "output-is-dir-estimate": ("experiment", ("output",), existing_dir(""),
-                               "estimate"),
     "output-is-dir-bounds": ("experiment", ("output",), existing_dir(""),
                              "bounds"),
     "output-is-dir-experiment": ("experiment", ("output",),

@@ -140,8 +140,6 @@ PINNED = [
     ("map-fixed-root-workers2", "experiment", MAP, 2, {
         ".trials.csv": "af4a6ac38899c0064e14efe0bb777d29",
         ".summary.csv": "0c24a1954d0b50521a00f60237403343"}),
-    ("estimate", "estimate", FREQUENCY, 1, {
-        "": "ffc0fbcfba3c88a2ae8f14ffbd62aa91"}),
     ("tkf91", "tkf91", TKF91, 1, {
         "": "67e3f5a2fc97bfb28ee15ad86433ea0a"}),
     ("tkf91-blocks", "tkf91", TKF91_BLOCKS, 1, {
@@ -213,8 +211,8 @@ def test_cli_output_digest(tmp_path, monkeypatch, command, cfg, workers,
 
 
 @pytest.mark.parametrize("case", ["frequency-blocks", "uniform",
-                                  "uniform-blocks", "map-fixed-root", "estimate",
-                                  "simulate", "frequency-deep",
+                                  "uniform-blocks", "map-fixed-root",
+                                  "frequency", "simulate", "frequency-deep",
                                   "map-deep"])
 def test_one_trial_slices_keep_the_digests(tmp_path, monkeypatch, case):
     # a finite chain's block whose uniforms are drawn and descended one

@@ -621,7 +621,8 @@ class TestNoMove:
 
     def test_identity_depths_merge(self):
         tree = generate_family("figure1", {"k": 200})[199]
-        batches = tkf91.edge_batches(tree, Tkf91Params(1.0, 0.5, 1.0))
+        batches = tkf91.edge_batches(treechain._layout(tree),
+                                     Tkf91Params(1.0, 0.5, 1.0))
         assert len(batches) == 55
         runs = [len(parents) for parents, _, _, same in batches
                 if all(same)]

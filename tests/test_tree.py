@@ -291,11 +291,34 @@ class TestFamilies:
                              ("random_ultrametric", {"k": 8, "h": 1.0})]:
             fam = generate_family(kind, params, seed=3)
             assert fam.validate() == [], kind
-        moved = NestedFamily([Tree("rho", [("rho", "a", 1.0)]),
-                              Tree("rho", [("rho", "a", 2.0),
-                                           ("rho", "b", 2.0)])])
-        assert moved.validate() == [
-            "tree 1: restriction to tree 0 leaves differs from it"]
+        one = Tree("rho", [("rho", "a", 1.0)])
+        for trees, problem in [
+                ([one, Tree("rho", [("rho", "a", 2.0), ("rho", "b", 2.0)])],
+                 "restriction to tree 0 leaves differs from it"),
+                ([one, Tree("x", [("x", "a", 1.0), ("x", "b", 1.0)])],
+                 "root differs from tree 0"),
+                ([one, Tree("rho", [("rho", c, 1.0) for c in "abc"])],
+                 "adds 2 leaves instead of 1"),
+                ([one, Tree("rho", [("rho", "b", 1.0), ("rho", "c", 1.0)])],
+                 "leaf set not nested")]:
+            assert NestedFamily(trees).validate() == [f"tree 1: {problem}"]
+
+    @pytest.mark.parametrize("kind,params", [
+        ("star", {"h": 1.0}), ("pinched_star", {"s": 0.1, "h": 1.0}),
+        ("figure1", {"h": 1.0}), ("figure2", {"n_spine": 3, "h": 1.0}),
+        ("random_ultrametric", {"h": 1.0})])
+    def test_member_j_is_the_last_tree_of_size_j(self, kind, params):
+        # a config names a tree by k alone: member j of a larger family
+        # is the last member of the family of size j, edge for edge
+        fam = generate_family(kind, {**params, "k": 60}, seed=3)
+        for j in (1, 2, 7, 30, 60):
+            last = generate_family(kind, {**params, "k": j}, seed=3)[-1]
+            member = fam[j - 1]
+            assert (member.root, member.topo_order, member.leaves) == \
+                (last.root, last.topo_order, last.leaves)
+            assert list(member.parent.items()) == list(last.parent.items())
+            assert list(member.length.items()) == list(last.length.items())
+            assert member.depth == last.depth
 
     def test_random_ultrametric_is_ultrametric(self):
         fam = generate_family("random_ultrametric", {"k": 10, "h": 2.0},
@@ -323,6 +346,16 @@ class TestFamilies:
         last = fam[-1]
         assert time.perf_counter() - start < 1.0
         assert len(last.leaves) == 1075 and fam[1074] is last
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("figure1", {"k": 1075}, "k"), ("figure1", {"m": 10 ** 6}, "k"),
+        ("figure2", {"k": 2, "n_spine": 1075}, "n_spine")])
+    def test_underflowing_spine_refused(self, kind, params, name):
+        # spine depths 2^-j reach 0 from j = 1075 on
+        with pytest.raises(TreeError, match=f"^{kind} {name} must be at "
+                                            "most 1074: "):
+            generate_family(kind, params)
+        assert len(generate_family(kind, {**params, name: 1074})) >= 2
 
     def test_unknown_kind(self):
         with pytest.raises(TreeError):
