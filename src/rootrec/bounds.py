@@ -163,16 +163,23 @@ def prop54_uniform_bound(inp: BoundInputs) -> float:
 def pinched_star_majority_error(m: int, q: float, s: float,
                                 h: float) -> float:
     """Exact error of the majority vote on the two-state pinched star:
-    the binomial sum with alpha = p11(s) and beta = p12(h - s)."""
+    the binomial sum with alpha = p11(s) and beta = p12(h - s), each term
+    taken from its logarithm, as C(m, n) overflows a float past m = 1029."""
     if m % 2 == 0:
         raise ValueError("m must be odd")
     alpha = (1.0 + math.exp(-2.0 * q * s)) / 2.0
     beta = (1.0 - math.exp(-2.0 * q * (h - s))) / 2.0
+
+    def log(x, k):
+        # log(x^k), with 0^0 = 1
+        return k * math.log(x) if x > 0 else (-math.inf if k else 0.0)
+
     total = 0.0
     for n in range(0, m // 2 + 1):
-        comb = math.comb(m, n)
-        total += alpha * comb * (1.0 - beta) ** n * beta ** (m - n)
-        total += (1.0 - alpha) * comb * beta ** n * (1.0 - beta) ** (m - n)
+        comb = math.lgamma(m + 1) - math.lgamma(n + 1) - math.lgamma(m - n + 1)
+        total += alpha * math.exp(comb + log(1.0 - beta, n) + log(beta, m - n))
+        total += (1.0 - alpha) * math.exp(comb + log(beta, n)
+                                          + log(1.0 - beta, m - n))
     return total
 
 

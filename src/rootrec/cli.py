@@ -11,9 +11,9 @@ pickled; the estimators take a block of trials at a time.  Block b of
 (master seed, k, b) on tkf91's member k; workers get whole blocks and
 their rows are merged by trial index, so results are identical for any
 worker count.  A config names one tree of a family by the family's size
-``k``: the tree is its last member.  The ``tkf91`` module is imported
-only where a TKF91 process is read or run, so a finite chain's command
-never loads it.
+``k``: the tree is its last member.  The engine reaches a process only
+through its members (README), so ``tkf91`` is imported here alone, where
+a TKF91 process is read or run: a finite chain's command never loads it.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
         raise ConfigError(f"unknown estimator kind {kind!r}")
     s, h_star, eps = _test_inputs(est, None)
     plan = stretch_plan(tree, s, h_star)
-    table = RowTable({i: Q.row(i, h_star) for i in Q.states})
+    table = RowTable({i: Q.row(i, h_star) for i in Q.states}, Q.keys)
     # the tests differ in one argument: q* or the candidate states
     if kind == "uniform":
         test, arg = uniform_chain_tests, Q.q_star
@@ -195,35 +195,10 @@ def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
     return partial(test, plan, arg, table), plan, bound
 
 
-def _draw_roots(n: int, root, rng, size: int) -> list:
-    if root is None:
-        return (rng.integers(n, size=size) + 1).tolist()
-    return [root] * size
-
-
-def _tkf91_roots(params, rng, size: int) -> list:
-    """``size`` TKF91 roots, one ``stationary_sample`` call each: drawing
-    their lengths and letters for all at once would read the stream
-    differently."""
-    from .tkf91 import stationary_sample
-    return [stationary_sample(params, rng) for _ in range(size)]
-
-
 def _root_draw(cfg: dict, process):
-    """(rng, size) -> ``size`` root states.  A TKF91 process draws them
-    from its stationary law and reads no "root".  A finite chain draws
-    them uniformly over its states, from one ``Generator.integers`` call
-    that reads the stream as ``size`` one-state calls do, or takes the
-    config's fixed "root", the one key of two JSON types."""
-    if not isinstance(process, RateMatrix):
-        return partial(_tkf91_roots, process)
-    n, root = process.n, cfg.get("root", "uniform")
-    if root == "uniform":
-        return partial(_draw_roots, n, None)
-    if type(root) is not int or not 1 <= root <= n:
-        raise ConfigError(f'root must be "uniform" or a state 1..{n}, '
-                          f"got {root!r}")
-    return partial(_draw_roots, n, root)
+    """The process's ``roots`` of "root", the one key of two JSON types,
+    which TKF91 does not read."""
+    return process.roots(cfg.get("root", "uniform"))
 
 
 def _trials(cfg: dict, default=_REQUIRED) -> int:
@@ -438,7 +413,8 @@ def _cmd_tkf91(cfg: dict, workers: int):
     def run():
         lam = tkf91.top_states(params, eps)
         rows = RowTable(tkf91.mc_rows(params, lam, h_star, row_samples,
-                                      np.random.default_rng([seed, 10 ** 9])))
+                                      np.random.default_rng([seed, 10 ** 9])),
+                        params.keys)
         results = []
         for k in range(1, len(family) + 1) if ks is None else ks:
             tree = family[k - 1]

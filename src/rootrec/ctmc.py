@@ -7,15 +7,16 @@ tree's edge lengths) in one pass that shares the powers of the
 uniformized jump chain; total variation distance, of one pair or of
 every pair of a list at once; pairwise identifiability margins, and the
 weighted norm used by the Chebyshev bound.  States of a finite chain are
-labelled 1..n.  A rate matrix is a process that ``treechain`` draws
-trials of; the draws themselves are made there, a block at a time.
+labelled 1..n.  A rate matrix is a process (README), so its block draws,
+a depth of edges at a time, and the ``keys`` they hold are made here.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import partial, reduce
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,10 +36,38 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+# at most this many edges are drawn in one step, which bounds the memory
+# a wide tree's block takes
+_STEP = 32
+# a block draws at most this many uniforms at once (but at least one
+# trial's row), so its memory is bounded on a tree of any width; a step
+# of fewer than 256 trials holds proportionally more edges
+_UNIFORMS = 2 ** 21
 
 
 class CtmcError(ValueError):
     pass
+
+
+class _States:
+    """A finite chain's ``keys``: its states, none long.  A block's
+    ``vocabulary`` is the states 1 to the largest in ``keyed``, indexed by
+    ``keyed`` - 1 with no sort (a state no trial holds is counted by none)."""
+
+    def key(self, states) -> tuple:
+        return np.asarray(states), self
+
+    def states(self, keyed) -> list:
+        return keyed.tolist()
+
+    def vocabulary(self, keyed) -> tuple:
+        return np.arange(1, int(keyed.max()) + 1), keyed - 1
+
+    def split(self, keyed) -> tuple:
+        return len(keyed), ()
+
+
+STATE_KEYS = _States()
 
 
 class RateMatrix:
@@ -51,6 +80,8 @@ class RateMatrix:
     matrices are kept per duration, so the handful of distinct edge
     lengths of a tree are uniformized once each, in one pass.
     """
+
+    keys = STATE_KEYS
 
     def __init__(self, q):
         q = np.asarray(q, dtype=float)
@@ -98,6 +129,34 @@ class RateMatrix:
     def row(self, state, t) -> Distribution:
         """The exact time-t distribution started from ``state``."""
         return row_distribution(self.matrix(t), state)
+
+    def roots(self, root):
+        """The root draw ``(rng, size) -> list`` of ``size`` states: uniform
+        ones from one ``Generator.integers`` call, which reads the stream as
+        ``size`` one-state calls do, or the state ``root`` each time."""
+        if root == "uniform":
+            root = None
+        elif type(root) is not int or not 1 <= root <= self.n:
+            raise CtmcError(f'root must be "uniform" or a state 1..{self.n},'
+                            f" got {root!r}")
+        return partial(_draw_roots, self.n, root)
+
+    def tree_plan(self, lay) -> _Compiled:
+        return _compile(lay, self)
+
+    def block_draw(self, plan, lay, starts, ends, durations, picks):
+        """``_draw_chain`` on ``plan``, the ``_compile``d ``lay``, and a last
+        level of the edges of ``durations`` below the aliases of ``starts``
+        to the new ``ends``; it reads ``lay.leaves`` and ``picks``."""
+        _, levels, alias = plan
+        width = len(lay.parents) + len(ends)
+        levels = levels + _levels(self.n, self.matrices(durations), ends,
+                                  [alias[v] for v in starts],
+                                  [0] * len(ends), width)
+        alias = alias + ends
+        return partial(_draw_chain, self.n, levels, width,
+                       [alias[v] for v in lay.leaves],
+                       [alias[v] for v in picks])
 
     def __reduce__(self):
         # pickle the rates alone: the cache is rebuilt on demand
@@ -293,6 +352,130 @@ def star_norm(v) -> float:
 def star_norm_diff(a: Distribution, b: Distribution, n: int) -> float:
     """star norm of the difference of two distributions over states 1..n."""
     return star_norm([a.mass(i) - b.mass(i) for i in range(1, n + 1)])
+
+
+# ---------------------------------------------------------------------------
+# block draws
+
+
+def _draw_roots(n: int, root, rng, size: int) -> list:
+    if root is None:
+        return (rng.integers(n, size=size) + 1).tolist()
+    return [root] * size
+
+
+class _Compiled(NamedTuple):
+    """A tree laid out for a finite chain: each edge's transition matrix;
+    the edges whose matrix is not the identity, as ``_levels`` by the
+    depth of their child in such edges; and each vertex's ``alias``, the
+    vertex whose drawn state it holds: itself if such an edge enters it,
+    else its parent's alias.  An identity edge's child is its parent's
+    state whatever its uniform, so it is not drawn."""
+
+    mats: list
+    levels: list
+    alias: list
+
+
+def _compile(lay, Q: RateMatrix) -> _Compiled:
+    """The tree laid out as ``lay`` (``treechain``'s layout) for the finite
+    chain ``Q``, its matrices from one ``Q.matrices`` pass and the
+    identity decided once per distinct length."""
+    lengths = list(dict.fromkeys(lay.lengths))
+    still = dict(zip(lengths, (np.reshape(Q.matrices(lengths), (-1, Q.n, Q.n))
+                               == np.eye(Q.n)).all((1, 2)).tolist()))
+    alias, depth, moves = [0], [0], []
+    for e, (p, t) in enumerate(zip(lay.parents, lay.lengths)):
+        p = alias[p]
+        if still[t]:
+            alias.append(p)
+            depth.append(depth[p])
+        else:
+            alias.append(e + 1)
+            depth.append(depth[p] + 1)
+            moves.append(e)
+    mats = Q.matrices(lay.lengths)
+    return _Compiled(mats, _levels(
+        Q.n, [mats[e] for e in moves], [e + 1 for e in moves],
+        [alias[lay.parents[e]] for e in moves],
+        [depth[e + 1] for e in moves], len(lay.parents)), alias)
+
+
+def _levels(n: int, mats, children, parents, depth, width: int) -> list:
+    """Edges, each with its n-state transition matrix in ``mats``,
+    grouped by the ``depth`` of their child, so that every parent is
+    drawn before any of its children: at most ``_STEP`` to a group, or
+    more on a tree of ``width`` uniforms a trial that ``_draw_chain``
+    draws fewer than 256 trials at a time, so that a group holds about
+    2^13 edge-trials, ``_STEP`` edges of 256 trials.  Each group
+    holds slices of arrays sorted once by depth: the children's and the
+    parents' indices, each edge's offset (its place in the group times n),
+    and the group's cumulative rows without their last column, one
+    contiguous (edges × n) array per column.  A uniform u lands in state
+    j (0-based) where j of the row's cumulative sums lie at or below u;
+    leaving out the last sum, which rounding may put below 1, caps j at
+    n - 1."""
+    depth = np.asarray(depth, dtype=np.int64)
+    order = np.argsort(depth, kind="stable")
+    depth = depth[order]
+    children = np.asarray(children, dtype=np.int64)[order]
+    parents = np.asarray(parents, dtype=np.int64)[order]
+    cuts = np.cumsum(np.array(mats).reshape(-1, n, n)[order], 2)
+    columns = cuts[:, :, :-1].transpose(2, 0, 1)
+    step = max(_STEP, 2 ** 13 * width // _UNIFORMS)
+    offsets = np.arange(0, step * n, n)[:, None]
+    runs = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(depth)]
+    return [(children[lo:hi], parents[lo:hi], offsets[:hi - lo],
+             np.ascontiguousarray(columns[:, lo:hi]))
+            for a, b in zip(runs, runs[1:]) for lo in range(a, b, step)
+            for hi in (min(lo + step, b),)]
+
+
+def _descend(n: int, levels, roots, u) -> np.ndarray:
+    """0-based states of a block of trials of an n-state chain, in the
+    smallest integer type that holds them, one row per vertex: row 0 the
+    roots, row v > 0 drawn from its parent's row by inverting the
+    cumulative rows of v's edge with the uniforms ``u[v - 1]``, a level
+    at a time.  A level counts the cumulative sums at or below u one
+    column at a time, in the states' own type."""
+    states = np.zeros((len(u) + 1, len(roots)), dtype=np.min_scalar_type(n))
+    states[0] = roots
+    states[0] -= 1
+    # a one-state chain has no column to count: its states stay 0
+    for children, parents, offsets, columns in levels if n > 1 else ():
+        at, below = offsets + states[parents], u[children - 1]
+        count = columns[0].take(at) <= below
+        for column in columns[1:]:
+            count = np.add(count, column.take(at) <= below,
+                           dtype=states.dtype)
+        states[children] = count
+    return states
+
+
+def _draw_chain(n, levels, width, leaves, picks, draw_roots, count, size,
+                rng) -> tuple:
+    """An n-state chain's draw: ``size`` roots from one
+    ``draw_roots(rng, size)`` call and a (size × ``width``) array of
+    uniforms, of which the first ``count`` trials descend ``levels``;
+    their roots, and the 1-based states of the vertices ``leaves`` and
+    ``picks`` as (trials × vertices) arrays, None for no ``picks``; and
+    their ``STATE_KEYS``.  The uniforms are drawn, and descend, a slice of
+    whole trials at a time, at most ``_UNIFORMS`` floats (but one trial's
+    row at least) to a slice: the stream is read as one draw of the whole
+    array reads it."""
+    roots = draw_roots(rng, size)[:count]
+    rows = max(1, _UNIFORMS // max(width, 1))
+    read = np.array([*leaves, *picks], dtype=np.intp)
+    parts = []
+    for lo in range(0, size, rows):
+        u = rng.random((min(rows, size - lo), width))
+        if lo < count:
+            parts.append(_descend(n, levels, roots[lo:lo + rows],
+                                  u[:count - lo].T)[read])
+    states = np.concatenate(parts, axis=1).T
+    states += 1
+    return (roots, states[:, :len(leaves)],
+            states[:, len(leaves):] if picks else None, STATE_KEYS)
 
 
 # ---------------------------------------------------------------------------

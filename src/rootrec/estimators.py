@@ -7,10 +7,10 @@ for chains with uniformly bounded rates, and the two-state majority vote.
 The MAP and the frequency tests take a block of trials from
 ``treechain.simulated_trials`` at once; the tests are handed a run's
 ``stretch_plan`` and ``RowTable`` of time-h* rows, built once, and test
-the integer keys of a block's stretched leaf states
-(``TrialBlock.vocabulary``: a finite chain's states or ``tkf91.keys``).
-``RowTable`` keys each row once and reads a block's masses, the
-achieving-set thresholds and the tie rule from those keys.
+the integer keys of a block's stretched leaf states, read through the
+block's ``keys``.  ``RowTable`` keys each row once through the process's
+``keys`` and reads a block's masses, the achieving-set thresholds and the
+tie rule from those keys.
 """
 
 from __future__ import annotations
@@ -67,10 +67,11 @@ def _achieves(mine, theirs, first):
 
 class RowTable:
     """Time-h* transition rows for a set of states, with cached minimum
-    TV distances, and achieving-set masses read from each row's keys."""
+    TV distances, and achieving-set masses read from each row's keys,
+    made by the process's ``keys``."""
 
-    def __init__(self, rows: dict):
-        self.rows = dict(rows)
+    def __init__(self, rows: dict, keys):
+        self.rows, self.keys = dict(rows), keys
         self._masses, self._deltas, self._keys = {}, {}, {}
 
     def delta(self, lam) -> float:
@@ -83,18 +84,15 @@ class RowTable:
 
     def _row_keys(self, i) -> tuple:
         """Row i's sorted keys closed by one above all others of mass 0,
-        their masses, its long sequences (None for a finite chain) and
-        where each state of its support sorts: made on first use."""
+        their masses, the keys that read them and where each state of its
+        support sorts: made on first use."""
         if i not in self._keys:
             states, mass = zip(*self.rows[i].items())
-            names = None
-            if isinstance(states[0], str):
-                from . import tkf91
-                states, names = tkf91.keys(*tkf91.encode(states))
-            order = np.argsort(states)
+            keyed, keys = self.keys.key(states)
+            order = np.argsort(keyed)
             self._keys[i] = (
-                np.append(np.asarray(states)[order], np.iinfo(np.int64).max),
-                np.append(np.array(mass)[order], 0.0), names,
+                np.append(keyed[order], np.iinfo(np.int64).max),
+                np.append(np.array(mass)[order], 0.0), keys,
                 np.argsort(order))
         return self._keys[i]
 
@@ -103,23 +101,19 @@ class RowTable:
         and, if i sorts first, the ties: there it exceeds row j by their
         TV.  The terms are added in row i's order, one after another."""
         if (i, j) not in self._masses:
-            keyed, mass, names, place = self._row_keys(i)
+            keyed, mass, keys, place = self._row_keys(i)
             mine = mass[:-1]
-            theirs = self.masses((j,), keyed[:-1], names)[:, 0]
+            theirs = self.masses((j,), keyed[:-1], keys)[:, 0]
             inside = _achieves(mine, theirs, _label_key(i) < _label_key(j))
             self._masses[i, j] = float(np.add.accumulate(
                 np.where(inside, mine, 0.0)[place])[-1])
         return self._masses[i, j]
 
-    def masses(self, lam, keyed, names=None) -> np.ndarray:
-        """(keys × ``lam``): each row of ``lam`` at ``keyed``, a finite
-        chain's states in any order or (given ``names``) sorted
-        ``tkf91.keys``, a long one looked up by its string."""
-        cut, long = len(keyed), []
-        if names is not None:
-            from .tkf91 import LONG_KEY
-            cut = int(np.searchsorted(keyed, LONG_KEY))
-            long = [names[k - LONG_KEY] for k in keyed[cut:].tolist()]
+    def masses(self, lam, keyed, keys) -> np.ndarray:
+        """(keys × ``lam``): each row of ``lam`` at ``keyed``, keys that
+        ``keys`` reads (a finite chain's in any order, TKF91's sorted), a
+        long one looked up by its sequence."""
+        cut, long = keys.split(keyed)
         out = np.empty((len(keyed), len(lam)))
         for c, i in enumerate(lam):
             held, mass = self._row_keys(i)[:2]
@@ -222,12 +216,12 @@ def frequency_tests(plan: StretchPlan, lam, rows: RowTable, block) -> list:
     else a uniform random one from the block's generator, flagged 1.
     ``rows`` holds their time-h* rows (exact for finite chains, Monte
     Carlo plug-in rows otherwise).  The keys are looked up in the block's
-    ``vocabulary``: a finite chain's states, with no sort."""
+    ``keys.vocabulary``: a finite chain's states, with no sort."""
     if not lam:
         raise EstimatorError("state subset must be nonempty")
     lams = [tuple(sorted(lam, key=_label_key))] * len(block.roots)
     return _test_block(plan, rows, block,
-                       *block.vocabulary(block.stretched), lams, lams)
+                       *block.keys.vocabulary(block.stretched), lams, lams)
 
 
 def uniform_chain_tests(plan: StretchPlan, q_star: float, rows: RowTable,
@@ -237,11 +231,11 @@ def uniform_chain_tests(plan: StretchPlan, q_star: float, rows: RowTable,
     (``rows`` must cover them), else a fallback to one of its states."""
     if q_star < 1.0:
         raise EstimatorError("q_star must be at least 1")
-    vocab, inverse = block.vocabulary(block.stretched)
+    vocab, inverse = block.keys.vocabulary(block.stretched)
     n, size = inverse.shape[0], len(vocab)
     counts = np.bincount((inverse + size * np.arange(n)[:, None]).ravel(),
                          minlength=n * size).reshape(n, size)
-    states = block.states(vocab)
+    states = block.keys.states(vocab)
     lams = [tuple(compress(states, row)) for row in (
         counts / plan.m >= 0.5 * math.exp(-q_star * plan.h_star)).tolist()]
     pools = [lam or list(compress(states, row))
@@ -259,7 +253,7 @@ def _test_block(plan, rows, block, vocab, inverse, lams, pools) -> list:
     for t, lam in enumerate(lams):
         groups.setdefault(lam, []).append(t)
     for lam, trials in groups.items():
-        mass, keyed = rows.masses(lam, vocab, block.long), inverse[trials]
+        mass, keyed = rows.masses(lam, vocab, block.keys), inverse[trials]
         passed = np.zeros((len(trials), len(lam)), dtype=bool)
         for a, i in enumerate(lam):
             alive = np.arange(len(trials))

@@ -40,11 +40,10 @@ the parents themselves and draws no letter.  A lane whose law is the
 may be skipped by drawing and dropping its 2 uniforms per slot instead;
 ``edge_batches`` makes a run of depths of such edges one batch.
 
-TKF91's part of ``treechain`` (``edge_batches``, ``draw_block``,
-``distinct``) and the ``keys`` that ``estimators.RowTable`` reads rows by
-are here, so that a finite chain's command never compiles them.
-``treechain`` hands them the tree layouts they read, so this module does
-not import it.
+``Tkf91Params`` is a process (README): its plan of a tree laid out by
+``treechain`` is ``edge_batches``, its block draw ``draw_block`` and its
+``keys`` ``SequenceKeys``, so a finite chain's command never compiles
+them, and this module imports nothing of ``treechain``.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ from .ctmc import CtmcError, Distribution, _label_key
 
 __all__ = [
     "Tkf91Params",
+    "SequenceKeys",
     "ALPHABET",
     "LANES",
     "LENGTH_CAP",
@@ -111,9 +111,32 @@ class _Rates(NamedTuple):
     pi_G: float = 0.25
 
 
+class SequenceKeys(tuple):
+    """The long sequences of a block's or a row's ``keys``, which read
+    them: a block's ``vocabulary`` is its ``distinct`` keys, and sorted
+    keys ``split`` at ``LONG_KEY``.  ``Tkf91Params.keys`` holds none."""
+
+    @staticmethod
+    def key(states) -> tuple:
+        return keys(*encode(states))
+
+    def states(self, keyed) -> list:
+        return strings(keyed, self)
+
+    @staticmethod
+    def vocabulary(keyed) -> tuple:
+        return distinct(keyed)
+
+    def split(self, keyed) -> tuple:
+        cut = int(np.searchsorted(keyed, LONG_KEY))
+        return cut, [self[k - LONG_KEY] for k in keyed[cut:].tolist()]
+
+
 class Tkf91Params(_Rates):
     """Substitution rate nu, insertion rate lam, deletion rate mu, and the
     nucleotide frequencies, all per unit time."""
+
+    keys = SequenceKeys()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -149,6 +172,24 @@ class Tkf91Params(_Rates):
         cdf /= cdf[-1]
         return cdf.tolist()
 
+    def roots(self, root):
+        """The root draw ``(rng, size) -> list``: ``size`` stationary
+        sequences, whatever ``root``."""
+        return functools.partial(_stationary_roots, self)
+
+    def tree_plan(self, lay) -> list:
+        return edge_batches(lay, self)
+
+    def block_draw(self, batches, lay, starts, ends, durations, picks):
+        """``draw_block`` of ``batches`` and a last batch of the edges of
+        ``durations`` from ``starts`` to ``ends``; it reads ``picks`` too."""
+        if ends:
+            law = lane_law(self, durations)
+            batches = batches + [(starts, ends, law,
+                                  identity(law).tolist())]
+        return functools.partial(draw_block, self, batches, lay.leaves,
+                                 picks)
+
 
 def encode(seqs: list) -> tuple:
     """The strings ``seqs`` over ``ALPHABET`` as their concatenated codes
@@ -171,8 +212,9 @@ def decode(codes, lens) -> list:
 
 def keys(codes, lens) -> tuple:
     """The int64 key of each sequence of ``codes`` cut at ``lens``, and
-    the sequences longer than ``KEY_LETTERS`` in label order, keyed
-    ``LONG_KEY`` plus their index: the keys sort as their sequences."""
+    the ``SequenceKeys`` of those longer than ``KEY_LETTERS`` in label
+    order, keyed ``LONG_KEY`` plus their index: the keys sort as their
+    sequences."""
     ends = np.cumsum(lens, dtype=np.int64)
     out = np.empty(len(lens), dtype=np.int64)
     # LANES lanes at a time, for memory; a letter's place value is 5 **
@@ -191,7 +233,7 @@ def keys(codes, lens) -> tuple:
     seqs = decode(codes[np.repeat(long, lens)], lens[long])
     rank = {s: i for i, s in enumerate(sorted(set(seqs), key=_label_key))}
     out[long] = [LONG_KEY + rank[s] for s in seqs]
-    return out, tuple(rank)
+    return out, SequenceKeys(rank)
 
 
 def distinct(keyed) -> tuple:
@@ -320,7 +362,7 @@ def draw_block(params: Tkf91Params, batches, leaves, picks, draw_roots,
     """A block's draw for ``treechain.simulated_trials``: ``count`` roots
     (``draw_roots(rng, count)``), then the ``keys`` of the vertices
     ``leaves`` and ``picks`` (None for no ``picks``) as (trials ×
-    vertices) arrays, and their long sequences.  The edges of each of
+    vertices) arrays, and their ``SequenceKeys``.  The edges of each of
     ``batches`` in turn go ``LANES`` // trials (at least one) to an
     ``evolve_lanes`` call on ``rng``, lanes edge by edge, then trial by
     trial, so that memory stays bounded however wide the tree.  A group
@@ -370,6 +412,13 @@ def stationary_sample(params: Tkf91Params, rng) -> str:
         return ""
     return _LETTERS[np.searchsorted(params.letter_cdf, rng.random(m),
                                     side="right")].tobytes().decode("ascii")
+
+
+def _stationary_roots(params: Tkf91Params, rng, size: int) -> list:
+    """``size`` roots, one ``stationary_sample`` call each: drawing their
+    lengths and letters for all at once would read the stream
+    differently."""
+    return [stationary_sample(params, rng) for _ in range(size)]
 
 
 def stationary_length_pmf(params: Tkf91Params, m: int) -> float:

@@ -376,8 +376,10 @@ FIGURE1_MAX_K = 1074
 
 
 def _spine(kind: str, name: str, n: int) -> int:
-    """``n``, the vertex count of a figure1 spine, if its depths do not
-    underflow."""
+    """``n``, the vertex count of a figure1 spine, if it has a vertex and
+    its depths do not underflow."""
+    if n < 1:
+        raise TreeError(f"{kind} {name} must be at least 1, got {n}")
     if n > FIGURE1_MAX_K:
         raise TreeError(f"{kind} {name} must be at most {FIGURE1_MAX_K}: "
                         f"deeper spine depths 2^-{name} underflow to 0")
@@ -476,7 +478,8 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> NestedFamily:
     """Deterministic named families.  ``kind`` is one of star, pinched_star,
     figure1, figure2, random_ultrametric.  Member j of a family of size k
     is the last member of the family of size j.  A figure1 or figure2
-    spine of more than ``FIGURE1_MAX_K`` vertices is refused."""
+    spine of no vertex or of more than ``FIGURE1_MAX_K`` vertices, and a
+    figure2 of h at most 0.5 (its heavy subtree's edges), are refused."""
     p = dict(params)
     k = int(p.get("k", p.get("m", 1)))
     h = float(p.get("h", 1.0))
@@ -489,6 +492,8 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> NestedFamily:
     if kind == "figure1":
         return _figure1_family(_spine(kind, "k", k), h)
     if kind == "figure2":
+        if h <= 0.5:
+            raise TreeError(f"figure2 h must exceed 0.5, got {h}")
         return _figure2_family(
             k, _spine(kind, "n_spine", int(p.get("n_spine", 3))), h)
     if kind == "random_ultrametric":

@@ -37,6 +37,9 @@ full even where nothing moves.
 ``simulated_trials`` keyed by its master seed, with a root drawn by
 ``draw_state`` or fixed; ``block_draw`` lifts such a one-root draw to
 the block draw that ``simulated_trials`` takes.
+``Delegate`` is a process of a third kind: it has only the members by
+which the package draws and reads a process, each passed on to a
+finite chain, so that a new kind is shown to need no edit of the package.
 ``transition_matrix_reference`` uniformizes one length at a time and
 ``total_variation_reference`` adds one pair's terms in a loop, as the
 package first did; the package now does both for many lengths or pairs
@@ -297,6 +300,18 @@ def block_draw(draw):
     ``draw``: ``size`` calls of ``draw(rng)`` in turn, so that a reference
     draws its roots one at a time whatever the package's draws do."""
     return lambda rng, size: [draw(rng) for _ in range(size)]
+
+
+class Delegate:
+    """A process that is neither a ``RateMatrix`` nor ``Tkf91Params``: its
+    ``keys``, ``roots``, ``tree_plan`` and ``block_draw`` are those of
+    ``chain``."""
+
+    def __init__(self, chain):
+        self.keys = chain.keys
+        self.roots = chain.roots
+        self.tree_plan = chain.tree_plan
+        self.block_draw = chain.block_draw
 
 
 def monte_carlo_error(estimate, tree: Tree, process, root, trials: int,

@@ -231,7 +231,8 @@ def test_c08_uniform_chain_minimax():
                         {"m": 201, "s": 0.002, "h": 0.02})[200]
     s, h_star = 0.005, 0.02
     P = transition_matrix(Q, h_star)
-    table = RowTable({i: row_distribution(P, i) for i in Q.states})
+    table = RowTable({i: row_distribution(P, i) for i in Q.states},
+                     Q.keys)
     plan = stretch_plan(t, s, h_star)
     inp = BoundInputs(f_star=math.exp(-Q.q_star * h_star),
                       delta_q_hstar=min(table.delta(list(Q.states)), 1.0),
@@ -351,7 +352,8 @@ def test_c06_frequency_test_exclusivity():
     t = generate_family("pinched_star", {"m": 3, "s": 0.02, "h": 1.0})[2]
     Q = two_state_symmetric(1.0)
     P = transition_matrix(Q, 1.0)
-    table = RowTable({i: row_distribution(P, i) for i in Q.states})
+    table = RowTable({i: row_distribution(P, i) for i in Q.states},
+                     Q.keys)
     plan = stretch_plan(t, 0.03, 1.0)
     rng = np.random.default_rng(106)
     needed = 10 ** 5 - exclusivity_stats()["invocations"]

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from rootrec.bounds import (BoundInputs, chebyshev_star_bound, clamp,
                             pinched_star_hoeffding_bound,
@@ -206,6 +207,19 @@ class TestPinchedStarFormulas:
         # m = 101, q = 1, s = 0.05, h = 1
         err = pinched_star_majority_error(101, 1.0, 0.05, 1.0)
         assert err == pytest.approx(0.10624586157323758, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1031, 4001])
+    def test_past_a_float_binomial(self, m):
+        # C(m, m // 2) overflows a float from m = 1031 on; the error is
+        # the root kept through the pinch and more than half the leaves
+        # flipped, or the root flipped and at most half flipped back
+        q, s, h = 1.0, 0.01, 1.0
+        alpha = (1.0 + math.exp(-2.0 * q * s)) / 2.0
+        beta = (1.0 - math.exp(-2.0 * q * (h - s))) / 2.0
+        want = (alpha * binom.cdf(m // 2, m, 1.0 - beta)
+                + (1.0 - alpha) * binom.cdf(m // 2, m, beta))
+        assert pinched_star_majority_error(m, q, s, h) == pytest.approx(
+            want, rel=1e-9)
 
     def test_hoeffding_dominates(self):
         for m in (3, 11, 101):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +17,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_substreams
-from oracles import exact_leaf_law
+from oracles import Delegate, exact_leaf_law
 from rootrec import cli
-from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, _build_estimator,
-                         _build_process, _build_tree, _trial_range,
-                         _trial_setup, _uniform_prior, main, run_trials,
-                         validate_config)
-from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError,
-                                exclusivity_stats, map_estimate)
-from rootrec.treechain import BLOCK, TrialBlock, simulated_trials
+from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, Trials,
+                         _build_estimator, _build_process, _build_tree,
+                         _trial_range, _trial_setup, _uniform_prior, main,
+                         run_trials, validate_config)
+from rootrec.ctmc import RateMatrix, two_state_symmetric
+from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
+                                exclusivity_stats, frequency_tests,
+                                map_estimate, stretch_plan,
+                                uniform_chain_tests)
+from rootrec.tree import generate_family
+from rootrec.treechain import BLOCK, TrialBlock, simulate, simulated_trials
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -136,11 +141,14 @@ class TestExperimentCommand:
         trials = (tmp_path / "est.trials.csv").read_text().splitlines()
         assert len(trials) == 21
 
-    def test_tkf91_process_rejected(self, tmp_path):
+    def test_tkf91_process_rejected(self, tmp_path, capsys):
         cfg = experiment_cfg(
             tmp_path, process={"kind": "tkf91", "nu": 1, "lam": 1, "mu": 2})
         path = write_cfg(tmp_path, "e.json", cfg)
-        assert main(["experiment", path]) == EXIT_CONFIG
+        for command in ("experiment", "bounds"):
+            assert main([command, path]) == EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [
+                "config error: the estimator needs a finite-chain process"]
 
     # (command, estimator or TKF91 config, what the run loads of
     # LOADED); None runs no command and reads a TKF91 name of the package
@@ -215,6 +223,42 @@ class RecordingPool:
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
+
+
+class TestProcessInterface:
+    """A process is whatever has the members by which the package draws
+    and reads one, so a third kind runs as the chain it wraps."""
+
+    @pytest.mark.parametrize("test", [frequency_tests, uniform_chain_tests])
+    def test_third_kind_gives_its_chains_rows(self, monkeypatch, test):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        chain = two_state_symmetric(1.0)
+        tree = generate_family("figure1", {"k": 20, "h": 1.0})[19]
+        plan = stretch_plan(tree, 0.05, 1.3)
+        got = {}
+        for process in (chain, Delegate(chain)):
+            table = RowTable({i: chain.row(i, 1.3) for i in chain.states},
+                             process.keys)
+            trials = Trials(tree, process,
+                            partial(test, plan, (1, 2) if test is
+                                    frequency_tests else chain.q_star, table),
+                            process.roots("uniform"), (7,), 2 * BLOCK + 3,
+                            plan)
+            direct = [(t, truth, *row) for block in simulated_trials(
+                tree, process, trials.draw, (7,), trials.count, stretch=plan)
+                for t, (truth, row) in enumerate(
+                    zip(block.roots, trials.estimate(block)), block.start)]
+            got[type(process)] = (
+                simulate(tree, process, 2, np.random.default_rng(3)),
+                direct, run_trials(trials, 1), run_trials(trials, 2))
+        assert not isinstance(Delegate(chain), RateMatrix)
+        assert got[Delegate] == got[RateMatrix]
+        _, direct, one, two = got[Delegate]
+        assert direct == one == two and RecordingPool.sizes == [2, 2]
+        assert {row[2] for row in direct} == {1, 2}
 
 
 class TestTrialRunner:
@@ -357,7 +401,7 @@ class TestMapEstimator:
         tree, Q = _build_tree(cfg), _build_process(cfg)
         obs = {"L0001": 1, "L0002": 3}
         est, _, _ = _build_estimator(cfg, tree, Q)
-        block = TrialBlock(0, [1], np.array([[1, 3]]), None, None,
+        block = TrialBlock(0, [1], np.array([[1, 3]]), None, Q.keys,
                            np.random.default_rng(0))
         with pytest.raises(EstimatorError, match="impossible"):
             est(block)
@@ -655,6 +699,15 @@ BAD_CONFIGS = {
                                   "tkf91"),
     "row-samples-0": ("tkf91", ("estimator", "row_samples"), 0, "tkf91"),
 }
+# a figure2 family with no spine vertex, or whose heavy subtree's edges
+# (h - 0.5) have no positive length, from every command that reads one
+BAD_CONFIGS.update({
+    f"figure2-{key}-{value}-{command}": (
+        base, ("family",), {"kind": "figure2", "k": 10, key: value}, command)
+    for key, value in (("n_spine", 0), ("h", 0.5))
+    for base, command in (("experiment", "simulate"),
+                          ("experiment", "bounds"),
+                          ("experiment", "experiment"), ("tkf91", "tkf91"))})
 
 
 @pytest.mark.parametrize("base,path,value,command",

@@ -337,7 +337,8 @@ class TestIdentifiabilityMargin:
             for P, subset in ((Q, Q.states), (R, R.states[::-1]),
                               (R, R.states[::2])):
                 assert identifiability_margin(P, t, subset) == RowTable(
-                    {i: P.row(i, t) for i in subset}).delta(sorted(subset))
+                    {i: P.row(i, t) for i in subset}, P.keys).delta(
+                        sorted(subset))
 
 
 class TestSampling:

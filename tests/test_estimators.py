@@ -6,7 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from rootrec.ctmc import (Distribution, RateMatrix, row_distribution,
+from rootrec.ctmc import (STATE_KEYS, Distribution, RateMatrix,
+                          row_distribution,
                           total_variation, transition_matrix,
                           two_state_symmetric, jukes_cantor)
 from rootrec import estimators
@@ -35,7 +36,7 @@ def pinched(m, s=0.05, h=1.0):
 def rows_at(Q, h_star, states=None):
     P = transition_matrix(Q, h_star)
     states = states or Q.states
-    return RowTable({i: row_distribution(P, i) for i in states})
+    return RowTable({i: row_distribution(P, i) for i in states}, Q.keys)
 
 
 def best_success(prior, laws):
@@ -347,7 +348,7 @@ class Bars(RowTable):
     that two states can pass at once."""
 
     def __init__(self, rows, bars):
-        super().__init__(rows)
+        super().__init__(rows, STATE_KEYS)
         self.bars = bars
 
     def threshold_mass(self, i, j):
@@ -399,7 +400,8 @@ class TestBlockTests:
         per-trial test of their ``states`` (default: the keys)."""
         keyed = np.asarray(keyed)
         states = keyed if states is None else np.array(states, dtype=object)
-        block = TrialBlock(0, [None] * len(keyed), None, keyed, long,
+        block = TrialBlock(0, [None] * len(keyed), None, keyed,
+                           STATE_KEYS if long is None else long,
                            np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
 
@@ -415,13 +417,12 @@ class TestBlockTests:
             # a finite block's vocabulary is its states 1 to the largest
             # it holds, with no sort: the rows, the counts and the stream
             # end as with the distinct keys of one sort
-            vocab, inverse = block.vocabulary(keyed)
+            vocab, inverse = block.keys.vocabulary(keyed)
             assert vocab.tolist() == list(range(1, int(keyed.max()) + 1))
             assert (vocab[inverse] == keyed).all()
             other = block._replace(rng=np.random.default_rng(seed))
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(TrialBlock, "vocabulary",
-                              lambda blk, keyed: distinct(keyed))
+                patch.setattr(STATE_KEYS, "vocabulary", distinct)
                 assert self.outcome(lambda: block_test(plan, arg, rows,
                                                        other)) == got
             assert (other.rng.bit_generator.state
@@ -487,7 +488,8 @@ class TestBlockTests:
         seqs[3][2] = seqs[9][0] = "G" * 28
         keyed, long = keys(*encode([s for row in seqs for s in row]))
         assert {"G" * 28, "ACGT" * 8} <= set(long) and len(long) > 20
-        return lam, RowTable(plug), seqs, keyed.reshape(300, 7), long
+        return (lam, RowTable(plug, self.P.keys), seqs, keyed.reshape(300, 7),
+                long)
 
     def test_random_tkf91_blocks(self):
         lam, rows, seqs, keyed, long = self.tkf91_block()
@@ -505,13 +507,13 @@ class TestBlockTests:
         vocab = np.unique(keyed)
         Q = RateMatrix([[0, 0, 0, 0], [1, -1, 0, 0], [0, 1, -2, 1],
                         [0, 0, 0, 0]])
-        finite = RowTable({i: Q.row(i, 0.7) for i in Q.states})
+        finite = RowTable({i: Q.row(i, 0.7) for i in Q.states}, Q.keys)
         assert set(finite.rows[1].support) | set(finite.rows[2].support) \
             == {1, 2}
         for lam, rows, vocab, states, long in (
                 (lam, rows, vocab, strings(vocab, long), long),
                 ((1, 2, 3), finite, np.array([3, 4, 1, 2]), [3, 4, 1, 2],
-                 None)):
+                 Q.keys)):
             mass = rows.masses(lam, vocab, long)
             assert mass.tolist() == [[rows.rows[i].mass(s) for i in lam]
                                      for s in states]
@@ -527,7 +529,8 @@ class TestBlockTests:
         # least of the pairs' explicit loops, to the last bit
         P = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
         lam = top_states(P, 0.1)
-        rows = RowTable(mc_rows(P, lam, 1.0, 100, np.random.default_rng(4)))
+        rows = RowTable(mc_rows(P, lam, 1.0, 100, np.random.default_rng(4)),
+                        P.keys)
         assert len(lam) > 30
         assert rows.delta(lam) == min(
             total_variation_reference(rows.rows[i], rows.rows[j])
@@ -547,7 +550,8 @@ class TestBlockTests:
         tree = generate_family("figure1", {"k": 20, "h": 1.0})[19]
         plan = stretch_plan(tree, 0.05, 1.0)
         lam = top_states(P, 0.05)
-        rows = RowTable(mc_rows(P, lam, 1.0, 100, np.random.default_rng(1)))
+        rows = RowTable(mc_rows(P, lam, 1.0, 100, np.random.default_rng(1)),
+                        P.keys)
         (block,) = simulated_trials(tree, P,
                                     block_draw(partial(stationary_sample, P)),
                                     (2,), 64, stretch=plan)
@@ -564,7 +568,7 @@ class TestBlockTests:
 
     def test_zero_margin_fails(self):
         # freq 2/4 against the bar 0.75 - 0.5 / 2: a margin of 0.0
-        rows = RowTable(self.EVEN)
+        rows = RowTable(self.EVEN, STATE_KEYS)
         keyed = [[1, 1, 2, 2], [1, 1, 1, 2], [2, 2, 1, 2]]
         got = self.compare(frequency_tests, frequency_test, self.plan(4),
                            [1, 2], rows, keyed)
@@ -572,7 +576,7 @@ class TestBlockTests:
         assert [s for s, _ in got[1:]] == [1, 2]
 
     def test_all_fallback_block(self):
-        rows = RowTable(self.EVEN)
+        rows = RowTable(self.EVEN, STATE_KEYS)
         keyed = [[1, 2, 2, 1], [2, 1, 1, 2]] * 40
         got = self.compare(frequency_tests, frequency_test, self.plan(4),
                            [2, 1], rows, keyed)
@@ -580,9 +584,9 @@ class TestBlockTests:
         assert {s for s, _ in got} == {1, 2}
 
     def test_singleton_lambda_tests_nothing(self):
-        rows = RowTable(self.EVEN)
+        rows = RowTable(self.EVEN, STATE_KEYS)
         keyed = [[1, 1, 2, 2], [2, 2, 2, 2]]
-        block = TrialBlock(0, [1, 2], None, np.array(keyed), None,
+        block = TrialBlock(0, [1, 2], None, np.array(keyed), STATE_KEYS,
                            np.random.default_rng(8))
         got = self.outcome(lambda: frequency_tests(self.plan(4), [2], rows,
                                                    block))
@@ -596,7 +600,7 @@ class TestBlockTests:
         rows = rows_at(self.Q, 1e-3)
         with pytest.raises(EstimatorError, match="nonempty"):
             frequency_tests(self.plan(4), [], rows, TrialBlock(
-                0, [1], None, np.ones((1, 4), np.uint8), None, None))
+                0, [1], None, np.ones((1, 4), np.uint8), STATE_KEYS, None))
         # at h* = 1e-3 a candidate needs two of the four leaves: none,
         # one (a singleton), and two candidates
         keyed = [[1, 2, 3, 4], [1, 1, 1, 2], [3, 3, 4, 4], [4, 3, 2, 1]]
@@ -621,7 +625,7 @@ class TestBlockTests:
                   (0, 0, 3, 3)]
         keyed = [[s for s, n in zip((1, 2, 3, 4), c) for _ in range(n)]
                  for c in counts]
-        block = TrialBlock(0, [1] * 5, None, np.array(keyed), None,
+        block = TrialBlock(0, [1] * 5, None, np.array(keyed), STATE_KEYS,
                            np.random.default_rng(2))
         got = self.outcome(lambda: frequency_tests(self.plan(6), [1, 2, 3],
                                                    rows, block))
@@ -702,7 +706,7 @@ class TestBlockTests:
             rows = RowTable({i: Distribution(dict(enumerate(
                 rng.dirichlet(np.ones(n)) if i % 2 else
                 np.bincount(rng.integers(n, size=8), minlength=n) / 8, 1)))
-                for i in range(1, n + 1)})
+                for i in range(1, n + 1)}, STATE_KEYS)
             for i in rows.rows:
                 for j in rows.rows:
                     if i != j:
@@ -722,7 +726,8 @@ class TestBlockTests:
         i, j = labels
         states = (4, 3, 2, 1) if i == 1 else ("T", "G", "C", "A")
         mine = Distribution(dict(zip(states, (0.1, 0.2, 0.3, 0.4))))
-        rows = RowTable({i: mine, j: Distribution({states[3]: 1.0})})
+        rows = RowTable({i: mine, j: Distribution({states[3]: 1.0})},
+                        STATE_KEYS if i == 1 else Tkf91Params.keys)
         terms = [p for s, p in mine.items() if s != states[3]]
         assert terms == [0.1, 0.2, 0.3]
         in_turn = (0.1 + 0.2) + 0.3

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from oracles import monte_carlo_error
-from rootrec import cli, treechain
+from rootrec import cli, ctmc
 from rootrec.cli import EXIT_OK, main
 from rootrec.ctmc import Distribution, jukes_cantor, two_state_symmetric
 from rootrec.tree import generate_family
@@ -172,10 +172,10 @@ PINNED = [
 
 
 # a block's roots come from one bounded ``Generator.integers`` call
-# (``cli._root_draw``), which must read the stream as one call per root
+# (``RateMatrix.roots``), which must read the stream as one call per root
 # does, as every finite-chain digest above assumes
 STREAM = ("the root draws from one Generator.integers call no longer match "
-          "one call per root for n={}, size={}: cli._root_draw draws a "
+          "one call per root for n={}, size={}: RateMatrix.roots draws a "
           "block's roots in one call, so this numpy moves every "
           "finite-chain digest")
 
@@ -185,7 +185,7 @@ STREAM = ("the root draws from one Generator.integers call no longer match "
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 20, 255, 2 ** 32 + 5])
 def test_one_root_call_reads_the_stream_as_scalar_calls(n, size, seed):
     block, each = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = cli._draw_roots(n, None, block, size)
+    got = ctmc._draw_roots(n, None, block, size)
     want = [int(each.integers(n)) + 1 for _ in range(size)]
     assert (got, block.bit_generator.state) == (
         want, each.bit_generator.state), STREAM.format(n, size)
@@ -218,7 +218,7 @@ def test_one_trial_slices_keep_the_digests(tmp_path, monkeypatch, case):
     # a finite chain's block whose uniforms are drawn and descended one
     # trial's row at a time reads its stream as one draw of the whole
     # array does
-    monkeypatch.setattr(treechain, "_UNIFORMS", 1)
+    monkeypatch.setattr(ctmc, "_UNIFORMS", 1)
     _, command, cfg, workers, digests = next(c for c in PINNED
                                              if c[0] == case)
     test_cli_output_digest(tmp_path, monkeypatch, command, cfg, workers,

@@ -344,7 +344,7 @@ class TestExactLaw:
                   for _ in range(4000)]
         law = [tuple(row) for block in simulated_trials(
             tree, self.P, block_draw(lambda rng: "AT"), (27,), 20000)
-            for row in block.states(block.leaves)]
+            for row in block.keys.states(block.leaves)]
         assert_same_law(law, events)
 
 
@@ -372,7 +372,7 @@ class TestTrialBlocks:
                     block_draw(lambda rng: stationary_sample(self.P, rng)),
                     (5,), stop, start, self.plan(tree))
                 for (t, root, leaves), stretched in zip(
-                    block.trials(tree), block.states(block.stretched))]
+                    block.trials(tree), block.keys.states(block.stretched))]
 
     def test_split_range_yields_the_same_trials(self):
         whole = self.run(2 * BLOCK + 3)
@@ -653,7 +653,8 @@ from rootrec.estimators import RowTable
 from rootrec.tkf91 import Tkf91Params, mc_rows, top_states
 STD = Tkf91Params(nu=1.0, lam=1.0, mu=2.0)
 lam = top_states(STD, 0.3)
-print(*(RowTable(mc_rows(STD, lam, 1.0, 4000, default_rng([s, 10**9])))
+print(*(RowTable(mc_rows(STD, lam, 1.0, 4000, default_rng([s, 10**9])),
+                 STD.keys)
         .delta(lam).hex() for s in range(5, 25)))
 """
 
@@ -859,7 +860,7 @@ class TestRootExperiment:
         t = generate_family("star", {"k": 9, "h": 1.0})[8]
         plan, lam = stretch_plan(t, 0.5, 1.0), top_states(p, 0.3)
         rng = np.random.default_rng(12)
-        rows = RowTable(mc_rows(p, lam, 1.0, 300, rng))
+        rows = RowTable(mc_rows(p, lam, 1.0, 300, rng), p.keys)
         for truth in lam:
             obs = simulate(t, p, truth, rng)
             rep = frequency_estimate(plan, p, obs, lam, rows, rng)

@@ -357,6 +357,20 @@ class TestFamilies:
             generate_family(kind, params)
         assert len(generate_family(kind, {**params, name: 1074})) >= 2
 
+    @pytest.mark.parametrize("params,message", [
+        ({"n_spine": 0}, "figure2 n_spine must be at least 1, got 0"),
+        ({"n_spine": -3}, "figure2 n_spine must be at least 1, got -3"),
+        ({"h": 0.5}, "figure2 h must exceed 0.5, got 0.5"),
+        ({"h": 0.4}, "figure2 h must exceed 0.5, got 0.4")])
+    def test_figure2_refusals_name_the_key(self, params, message):
+        # without a spine vertex the heavy subtree hangs off no vertex,
+        # and at h <= 0.5 its edges have no positive length
+        with pytest.raises(TreeError) as refused:
+            generate_family("figure2", {"k": 3, **params})
+        assert str(refused.value) == message
+        assert len(generate_family("figure2", {"k": 3, **params,
+                                               "n_spine": 1, "h": 0.6})) == 3
+
     def test_unknown_kind(self):
         with pytest.raises(TreeError):
             generate_family("nope", {"k": 2})

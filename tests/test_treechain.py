@@ -10,17 +10,17 @@ import pytest
 from oracles import (block_draw, chain_step, exact_leaf_law, exact_leaf_tv,
                      tkf91_tree_reference, tree_per_edge)
 from rootrec import ctmc, tkf91
-from rootrec.ctmc import (CtmcError, Distribution, RateMatrix,
-                          transition_matrix, two_state_symmetric,
+from rootrec.ctmc import (CtmcError, Distribution, RateMatrix, _compile,
+                          _descend, transition_matrix, two_state_symmetric,
                           jukes_cantor)
 from rootrec.estimators import StretchPlan, map_estimate
 from rootrec.tkf91 import Tkf91Params, stationary_sample
 from rootrec import tree as tree_module
 from rootrec import treechain
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import (BLOCK, DURATION_TOL, _compile, _descend,
-                               _layout, block_leaf_likelihoods,
-                               leaf_likelihoods, simulate, simulated_trials)
+from rootrec.treechain import (BLOCK, DURATION_TOL, _layout,
+                               block_leaf_likelihoods, leaf_likelihoods,
+                               simulate, simulated_trials)
 
 
 def naive_leaf_law(tree, Q, root_state):
@@ -170,7 +170,7 @@ class TestPlans:
 
     def test_finite_chain_plans_built_once(self, monkeypatch):
         layouts = self.count(monkeypatch, "_layout")
-        compiled = self.count(monkeypatch, "_compile")
+        compiled = self.count(monkeypatch, "_tree_plan")
         tree = pinched2()
         Q = two_state_symmetric(1.0)
         plan = StretchPlan(0.1, 2.0, 1, ("a",), (1.0,))
@@ -238,7 +238,7 @@ class TestDescend:
             mats[ln] = np.tile(row, (n, 1))
         chain = SimpleNamespace(n=n, matrix=mats.__getitem__,
                                 matrices=lambda ts: [mats[t] for t in ts])
-        levels = _compile(tree, chain).levels
+        levels = _compile(_layout(tree), chain).levels
         parents = _layout(tree).parents
         trials = 50
         roots = (np.arange(trials) % n + 1).tolist()
@@ -334,7 +334,7 @@ class TestTrialBlocks:
                          stretch=plan)]
 
         whole = blocks()
-        monkeypatch.setattr(treechain, "_UNIFORMS", 1)
+        monkeypatch.setattr(ctmc, "_UNIFORMS", 1)
         assert blocks() == whole
 
     def test_blocks_hold_block_trials(self):
@@ -416,7 +416,7 @@ class TestIdentityEdges:
     def test_chain_blocks_match_per_edge_walk(self, kind, n):
         tree, Q = self.TREES[kind](), (two_state_symmetric(1.0) if n == 2
                                        else jukes_cantor(1.0, 3))
-        compiled = _compile(tree, Q)
+        compiled = _compile(_layout(tree), Q)
         drawn = sum(len(children) for children, *_ in compiled.levels)
         assert 0 < drawn < len(tree.topo_order) - 1
         assert drawn == sum(a == v for v, a in enumerate(compiled.alias)) - 1
@@ -460,7 +460,7 @@ class TestIdentityEdges:
             leaves, picks = tkf91_tree_reference(tree, P, roots, ref, plan)
             assert [trial[1:] for trial in block.trials(tree)] == list(
                 zip(roots, leaves))
-            assert block.states(block.stretched) == picks
+            assert block.keys.states(block.stretched) == picks
             assert block.rng.random() == ref.random()
 
 
