@@ -1,9 +1,10 @@
 """Closed-form error bounds.
 
-The reconstruction-probability sandwich, the leaf-count variance bound,
-the weighted-norm Chebyshev bound, the explicit (proof-level) forms of
-the two headline error bounds, the exact pinched-star majority error,
-and the Wilson interval that empirical error rates are compared through.
+The reconstruction-probability sandwich, the explicit (proof-level)
+forms of the two headline error bounds, and the Wilson interval that
+empirical error rates are compared through.  The lemma chain's variance
+and Chebyshev bounds and the exact pinched-star majority error, which no
+command reads, are test references (``tests/oracles.py``).
 Where a bound exceeds 1 it is vacuous; callers can clamp via ``clamp``.
 This module is arithmetic alone: it draws no trials.
 """
@@ -21,14 +22,11 @@ __all__ = [
     "BoundInputs",
     "recon_upper",
     "recon_lower",
-    "variance_bound",
-    "chebyshev_star_bound",
     "thm2_general_bound",
     "thm2_valid",
     "prop54_uniform_bound",
     "prop54_valid",
     "clamp",
-    "pinched_star_majority_error",
     "wilson_interval",
 ]
 
@@ -104,24 +102,6 @@ def recon_lower(prior: Distribution, conditionals: dict, lam) -> float:
     return value
 
 
-def variance_bound(leaf_count: int, spread: float, q_i: float) -> float:
-    """Upper bound on the variance of a leaf-state count:
-    |leaves|/4 + 2 (q_i or 1) spread |leaves|^2."""
-    if leaf_count < 0 or spread < 0 or q_i < 0:
-        raise ValueError("inputs must be nonnegative")
-    return leaf_count / 4.0 + 2.0 * max(q_i, 1.0) * spread * leaf_count ** 2
-
-
-def chebyshev_star_bound(delta_star: float, m: int, q_i: float,
-                         s: float) -> float:
-    """Chebyshev bound on the weighted-norm deviation of the stretched
-    restriction frequencies: 4/delta*^2 [1/(4m) + 2 (q_i or 1) s]."""
-    if delta_star <= 0:
-        raise ValueError("delta_star must be positive")
-    return 4.0 / delta_star ** 2 * (1.0 / (4.0 * m)
-                                    + 2.0 * max(q_i, 1.0) * s)
-
-
 def thm2_valid(inp: BoundInputs) -> bool:
     return 1.0 - math.exp(-inp.q_star_epsilon * inp.s) <= inp.delta_epsilon / 4.0
 
@@ -160,37 +140,6 @@ def prop54_uniform_bound(inp: BoundInputs) -> float:
             + 11.0 / inp.f_star * math.exp(-gap ** 2 * inp.m / 64.0))
 
 
-def pinched_star_majority_error(m: int, q: float, s: float,
-                                h: float) -> float:
-    """Exact error of the majority vote on the two-state pinched star:
-    the binomial sum with alpha = p11(s) and beta = p12(h - s), each term
-    taken from its logarithm, as C(m, n) overflows a float past m = 1029."""
-    if m % 2 == 0:
-        raise ValueError("m must be odd")
-    alpha = (1.0 + math.exp(-2.0 * q * s)) / 2.0
-    beta = (1.0 - math.exp(-2.0 * q * (h - s))) / 2.0
-
-    def log(x, k):
-        # log(x^k), with 0^0 = 1
-        return k * math.log(x) if x > 0 else (-math.inf if k else 0.0)
-
-    total = 0.0
-    for n in range(0, m // 2 + 1):
-        comb = math.lgamma(m + 1) - math.lgamma(n + 1) - math.lgamma(m - n + 1)
-        total += alpha * math.exp(comb + log(1.0 - beta, n) + log(beta, m - n))
-        total += (1.0 - alpha) * math.exp(comb + log(beta, n)
-                                          + log(1.0 - beta, m - n))
-    return total
-
-
-def pinched_star_hoeffding_bound(m: int, q: float, s: float,
-                                 h: float) -> float:
-    """(1 - alpha) + alpha exp(-2 m (1/2 - beta)^2)."""
-    alpha = (1.0 + math.exp(-2.0 * q * s)) / 2.0
-    beta = (1.0 - math.exp(-2.0 * q * (h - s))) / 2.0
-    return (1.0 - alpha) + alpha * math.exp(-2.0 * m * (0.5 - beta) ** 2)
-
-
 def wilson_interval(errors: int, trials: int) -> tuple:
     """Wilson score interval for an error rate at the 99% level."""
     z = 2.5758293035489004  # the normal quantile of the 99% level
@@ -202,4 +151,3 @@ def wilson_interval(errors: int, trials: int) -> tuple:
     half = z / denom * math.sqrt(p * (1 - p) / trials
                                  + z ** 2 / (4 * trials ** 2))
     return max(center - half, 0.0), min(center + half, 1.0)
-

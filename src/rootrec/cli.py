@@ -1,12 +1,15 @@
 """Command line interface and experiment orchestration.
 
-Subcommands simulate, bounds, experiment, tkf91 and validate each read a
-JSON config through the same section readers.  Exit codes: 0 success; 2
-the config is wrong, found at set-up (reading it and building the tree,
-chain, root draw and estimator) before any trial; 3 a guard fired during
-the trials.  ``experiment`` and ``tkf91`` run their trials through
-``run_trials`` on ``Trials`` built once at set-up, which workers receive
-pickled; the estimators take a block of trials at a time.  Block b of
+``rootrec COMMAND CONFIG [--workers N]``: subcommands simulate, bounds,
+experiment, tkf91 and validate each read a JSON config through the same
+section readers.  The arguments are read by hand, not by argparse, whose
+import and message catalogs would cost every command a few ms.  Exit
+codes: 0 success; 2 a usage error, or the config is wrong, found at
+set-up (reading it and building the tree, chain, root draw and
+estimator) before any trial; 3 a guard fired during the trials.
+``experiment`` and ``tkf91`` run their trials through ``run_trials`` on
+``Trials`` built once at set-up, which workers receive pickled; the
+estimators take a block of trials at a time.  Block b of
 ``treechain.BLOCK`` trials draws from the substream (master seed, b), or
 (master seed, k, b) on tkf91's member k; workers get whole blocks and
 their rows are merged by trial index, so results are identical for any
@@ -18,7 +21,6 @@ a TKF91 process is read or run: a finite chain's command never loads it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -479,21 +481,53 @@ _COMMANDS = {
 }
 
 
+_USAGE = "usage: rootrec COMMAND CONFIG [--workers N]"
+
+
+def _usage_error(message: str):
+    print(f"{_USAGE}\nrootrec: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _parse_args(argv: list) -> tuple:
+    """The command, config path and worker count of ``rootrec COMMAND
+    CONFIG [--workers N]``: ``--workers N`` or ``--workers=N`` stands
+    anywhere, and without it ``ROOTREC_WORKERS`` (default 1) is read."""
+    names = ", ".join(sorted(_COMMANDS))
+    if "-h" in argv or "--help" in argv:
+        print(f"{_USAGE}\n\ncommands: {names}")
+        raise SystemExit(EXIT_OK)
+    args, positional = iter(argv), []
+    workers = os.environ.get("ROOTREC_WORKERS", "1")
+    for arg in args:
+        if arg.startswith("--workers="):
+            workers = arg[len("--workers="):]
+        elif arg == "--workers":
+            workers = next(args, None)
+            if workers is None:
+                _usage_error("argument --workers: expected one argument")
+        elif arg.startswith("-") and arg != "-":
+            _usage_error(f"unrecognized argument: {arg}")
+        else:
+            positional.append(arg)
+    if len(positional) != 2:
+        _usage_error(f"expected 2 arguments (COMMAND CONFIG), got "
+                     f"{len(positional)}")
+    if positional[0] not in _COMMANDS:
+        _usage_error(f"unknown command {positional[0]!r} (choose from "
+                     f"{names})")
+    try:
+        return (*positional, max(1, int(workers)))
+    except ValueError:
+        _usage_error(f"argument --workers: invalid int value: {workers!r}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="rootrec",
-        description="Root-state reconstruction experiments on trees.")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("config", help="JSON config file")
-    # argparse converts a string default too, so a bad ROOTREC_WORKERS
-    # is a usage error like a bad --workers
-    parser.add_argument("--workers", type=int,
-                        default=os.environ.get("ROOTREC_WORKERS", "1"))
-    args = parser.parse_args(argv)
+    command, path, workers = _parse_args(
+        sys.argv[1:] if argv is None else list(argv))
     # ConfigError, CtmcError, TreeError and EstimatorError are ValueErrors
     try:
-        run = _COMMANDS[args.command](_load_config(args.config),
-                                      max(1, args.workers))
+        run = _COMMANDS[command](_load_config(path), workers)
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

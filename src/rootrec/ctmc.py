@@ -5,8 +5,7 @@ matrices; tolerance-controlled transition matrices via uniformization,
 all the missing durations of a request (``RateMatrix.matrices``, a
 tree's edge lengths) in one pass that shares the powers of the
 uniformized jump chain; total variation distance, of one pair or of
-every pair of a list at once; pairwise identifiability margins, and the
-weighted norm used by the Chebyshev bound.  States of a finite chain are
+every pair of a list at once.  States of a finite chain are
 labelled 1..n.  A rate matrix is a process (README), so its block draws,
 a depth of edges at a time, and the ``keys`` they hold are made here.
 """
@@ -14,8 +13,7 @@ a depth of edges at a time, and the ``keys`` they hold are made here.
 from __future__ import annotations
 
 import math
-from functools import partial, reduce
-from operator import add
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -28,8 +26,6 @@ __all__ = [
     "row_distribution",
     "total_variation",
     "total_variations",
-    "identifiability_margin",
-    "star_norm",
     "two_state_symmetric",
     "jukes_cantor",
     "load_rate_matrix",
@@ -202,10 +198,6 @@ class Distribution:
     def __repr__(self):
         return f"Distribution({self._m!r})"
 
-    @classmethod
-    def point_mass(cls, state):
-        return cls({state: 1.0})
-
 
 # Largest uniformization rate lambda = rate * t summed directly.  Longer
 # times are halved k times to get below it and the result squared k times
@@ -328,30 +320,6 @@ def _label_key(state):
     if isinstance(state, str):
         return (len(state), state)
     return state
-
-
-def identifiability_margin(Q: RateMatrix, t: float, state_subset=None) -> float:
-    """``total_variations``' minimum over the rows of exp(tQ) of the
-    sorted subset; +inf for singletons (no pairs)."""
-    if t <= 0:
-        raise CtmcError("time must be positive")
-    subset = sorted(state_subset) if state_subset is not None else list(Q.states)
-    if not subset:
-        raise CtmcError("state subset must be nonempty")
-    return float(total_variations([Q.row(i, t) for i in subset]).min(
-        initial=math.inf))
-
-
-def star_norm(v) -> float:
-    """Weighted l1 norm sum_i 2^-i |v_i| with 1-based indexing, added one
-    term after another (builtin ``sum`` compensates from Python 3.12)."""
-    return float(reduce(add, (2.0 ** -(i + 1) * abs(x)
-                              for i, x in enumerate(v)), 0.0))
-
-
-def star_norm_diff(a: Distribution, b: Distribution, n: int) -> float:
-    """star norm of the difference of two distributions over states 1..n."""
-    return star_norm([a.mass(i) - b.mass(i) for i in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------

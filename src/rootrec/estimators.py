@@ -10,7 +10,8 @@ The MAP and the frequency tests take a block of trials from
 the integer keys of a block's stretched leaf states, read through the
 block's ``keys``.  ``RowTable`` keys each row once through the process's
 ``keys`` and reads a block's masses, the achieving-set thresholds and the
-tie rule from those keys.
+tie rule from those keys.  The one-trial ``map_estimate`` is a test
+reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "RowTable",
     "StretchPlan",
     "stretch_plan",
-    "map_estimate",
     "map_estimates",
     "MAP_TIE_RTOL",
     "frequency_tests",
@@ -151,14 +151,6 @@ def map_estimates(tree: Tree, Q: RateMatrix, prior: Distribution,
     near = post >= post.max(1, keepdims=True) * (1.0 - MAP_TIE_RTOL)
     # argmax takes the first True, the smallest label
     return [lam[j] for j in near.argmax(1).tolist()]
-
-
-def map_estimate(tree: Tree, Q: RateMatrix, prior: Distribution,
-                 observed: dict, lam=None) -> int:
-    """``map_estimates`` of the one observation ``observed``, leaf id ->
-    state."""
-    return map_estimates(tree, Q, prior, [[observed[x] for x in tree.leaves]],
-                         lam)[0]
 
 
 def lambda_epsilon(prior: Distribution, epsilon: float) -> tuple:

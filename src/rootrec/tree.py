@@ -2,10 +2,11 @@
 
 Trees are immutable after construction.  Vertex ids are opaque strings;
 every edge carries a strictly positive length (time units).  The module
-provides truncation at a distance from the root, restriction to a leaf
-subset, spread, well-spread restriction extraction, stretching to a
-common leaf depth, nested families and their density profile, and
-Newick I/O.
+provides truncation at a distance from the root and the chosen leaves
+of its boundary points, nested families built a member at a time, and
+Newick input.  Restriction, spread, stretching, the families' density
+profile and Newick output are test references (``tests/oracles.py``):
+no command calls them.
 """
 
 from __future__ import annotations
@@ -21,16 +22,9 @@ __all__ = [
     "NestedFamily",
     "TreeError",
     "DEPTH_TOL",
-    "shared_path_length",
-    "spread",
     "truncate",
-    "restrict",
-    "extract_well_spread_restriction",
-    "stretch_to_height",
-    "big_bang_profile",
     "generate_family",
     "parse_newick",
-    "to_newick",
 ]
 
 # Absolute tolerance for depth comparisons at truncation boundaries.
@@ -139,57 +133,6 @@ class TreePoint(NamedTuple):
     offset: float
 
 
-def _lca_depth(tree: Tree, x: str, y: str) -> float:
-    """Depth of the lowest common ancestor of two vertices."""
-    ax = {}
-    u = x
-    while True:
-        ax[u] = tree.depth[u]
-        if u == tree.root:
-            break
-        u = tree.parent[u]
-    u = y
-    while u not in ax:
-        u = tree.parent[u]
-    return tree.depth[u]
-
-
-def shared_path_length(tree: Tree, x: str, y: str) -> float:
-    """Total length of the edges shared by the root-to-x and root-to-y paths."""
-    if x == y:
-        raise TreeError("leaves must be distinct")
-    for z in (x, y):
-        if z not in tree.leaves:
-            raise TreeError(f"unknown leaf {z}")
-    return _lca_depth(tree, x, y)
-
-
-def spread(tree: Tree) -> float:
-    """Average of min(shared path length, 1) over ordered pairs of
-    distinct leaves.
-
-    A pair's shared path ends at its lowest common ancestor u.  With k_u
-    leaves below u, k_u^2 - sum over children c of k_c^2 ordered pairs
-    have their ancestor at u, so one bottom-up pass over the leaf counts
-    sums every pair.
-    """
-    n = len(tree.leaves)
-    if n < 2:
-        raise TreeError("spread requires at least 2 leaves")
-    below: dict[str, int] = {}
-    total = 0.0
-    for u in reversed(tree.topo_order):
-        cs = tree.children[u]
-        if not cs:
-            below[u] = 1
-            continue
-        k = sum(below[c] for c in cs)
-        below[u] = k
-        total += (min(tree.depth[u], 1.0)
-                  * (k * k - sum(below[c] ** 2 for c in cs)))
-    return total / (n * (n - 1))
-
-
 def truncate(tree: Tree, s: float) -> tuple[TreePoint, ...]:
     """Boundary points at distance ``s`` from the root.
 
@@ -213,69 +156,11 @@ def truncate(tree: Tree, s: float) -> tuple[TreePoint, ...]:
     return tuple(sorted(points))
 
 
-def restrict(tree: Tree, leaf_subset) -> Tree:
-    """Restriction to a leaf subset: keep only root-to-leaf paths, merging
-    suppressed degree-2 vertices with summed edge lengths."""
-    selected = set(leaf_subset)
-    subset = sorted(selected)
-    if not subset:
-        raise TreeError("leaf subset must be nonempty")
-    unknown = selected.difference(tree.leaves)
-    if unknown:
-        raise TreeError(f"unknown leaf {min(unknown)}")
-    kept = set()
-    for x in subset:
-        u = x
-        while u not in kept:
-            kept.add(u)
-            if u == tree.root:
-                break
-            u = tree.parent[u]
-    kept_children = {u: [c for c in tree.children[u] if c in kept]
-                     for u in kept}
-    edges = []
-    # depth-first with an explicit stack, so deep trees do not exhaust
-    # the interpreter's recursion limit
-    stack = [(tree.root, c, tree.length[c])
-             for c in reversed(kept_children[tree.root])]
-    while stack:
-        parent_kept, v, acc = stack.pop()
-        # follow chains of suppressed degree-2 vertices
-        while len(kept_children[v]) == 1 and v not in selected:
-            (w,) = kept_children[v]
-            acc += tree.length[w]
-            v = w
-        edges.append((parent_kept, v, acc))
-        stack.extend((v, c, tree.length[c])
-                     for c in reversed(kept_children[v]))
-    return Tree(tree.root, edges)
-
-
-def extract_well_spread_restriction(tree: Tree, s: float) -> Tree:
-    """Restriction to one descendant leaf per boundary point of the
-    truncation at ``s``; the result has spread at most s."""
-    return restrict(tree, chosen_leaves(tree, s))
-
-
 def chosen_leaves(tree: Tree, s: float) -> tuple[str, ...]:
     """The lexicographically smallest descendant leaf of each boundary
     point of the truncation at ``s``, sorted."""
     return tuple(sorted(tree.subtree_leaves(p.vertex)[0]
                         for p in truncate(tree, s)))
-
-
-def stretch_to_height(tree: Tree, h_star: float) -> Tree:
-    """Lengthen every leaf edge so all leaves sit at depth ``h_star``.
-    Topology, internal lengths and shared path lengths are unchanged."""
-    if h_star < tree.height - DEPTH_TOL:
-        raise TreeError(f"h_star={h_star} below tree height {tree.height}")
-    edges = []
-    for v in tree.parent:
-        ln = tree.length[v]
-        if not tree.children[v]:
-            ln += h_star - tree.depth[v]
-        edges.append((tree.parent[v], v, ln))
-    return Tree(tree.root, edges)
 
 
 class _LazyMembers(Sequence):
@@ -310,46 +195,6 @@ class NestedFamily:
 
     def __getitem__(self, k):
         return self.trees[k]
-
-    def validate(self) -> list[str]:
-        """Nestedness violations, one message per offending index."""
-        problems = []
-        for k in range(1, len(self.trees)):
-            prev, cur = self.trees[k - 1], self.trees[k]
-            if cur.root != prev.root:
-                problems.append(f"tree {k}: root differs from tree {k - 1}")
-                continue
-            if len(cur.leaves) != len(prev.leaves) + 1:
-                problems.append(
-                    f"tree {k}: adds {len(cur.leaves) - len(prev.leaves)} "
-                    "leaves instead of 1")
-                continue
-            if not set(prev.leaves) <= set(cur.leaves):
-                problems.append(f"tree {k}: leaf set not nested")
-                continue
-            # restriction suppresses degree-2 vertices such as the pinch
-            if restrict(cur, prev.leaves) != restrict(prev, prev.leaves):
-                problems.append(f"tree {k}: restriction to tree {k - 1} "
-                                "leaves differs from it")
-        return problems
-
-
-def big_bang_profile(family: NestedFamily, s_grid) -> dict:
-    """Boundary-point counts |bd T^k(s)| for each tree and each s, with a
-    heuristic flag for scales whose count is constant over the last half
-    of the family.  Diagnostic only."""
-    s_grid = list(s_grid)
-    if not family.trees or not s_grid:
-        raise TreeError("family and grid must be nonempty")
-    if any(s <= 0 for s in s_grid):
-        raise TreeError("grid values must be positive")
-    counts = {s: [len(truncate(t, s)) for t in family.trees] for s in s_grid}
-    flagged = []
-    for s in s_grid:
-        tail = counts[s][len(family.trees) // 2:]
-        if len(family.trees) >= 2 and len(set(tail)) == 1:
-            flagged.append(s)
-    return {"counts": counts, "flagged": flagged}
 
 
 # ---------------------------------------------------------------------------
@@ -565,26 +410,3 @@ def parse_newick(text: str) -> Tree:
         edges.append((parent, name, ln))
         stack.extend((name, kid) for kid in reversed(kids))
     return Tree(clade[0], edges)
-
-
-def to_newick(tree: Tree) -> str:
-    out = []
-    # vertices still to write, as 1-tuples, interleaved with the text that
-    # follows them; an explicit stack, as in parse_newick
-    stack: list = [";", (tree.root,)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        (v,) = item
-        cs = tree.children[v]
-        if not cs:
-            out.append(v)
-            continue
-        out.append("(")
-        stack.append(f"){v}")
-        for i, c in enumerate(reversed(cs)):
-            stack.append(f":{tree.length[c]:.17g}" + ("," if i else ""))
-            stack.append((c,))
-    return "".join(out)

@@ -11,7 +11,9 @@ module lays a tree out (``_layout``); the process plans its draws on the
 layout (``tree_plan``), draws a block on the plan (``block_draw``) and
 reads its keys (``keys``), so no process kind is told apart here.  Every
 per-tree plan is kept here, once per tree and process, and dropped with
-its tree; processes carry no tree state.
+its tree; processes carry no tree state.  The one-trial calls
+``simulate`` and ``leaf_likelihoods`` are test references
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ __all__ = [
     "BLOCK",
     "DURATION_TOL",
     "TrialBlock",
-    "simulate",
     "simulated_trials",
-    "leaf_likelihoods",
     "block_leaf_likelihoods",
 ]
 
@@ -104,21 +104,6 @@ def _drawer(tree: Tree, process, stretch):
     lay = _plan(_layout, tree)
     return process.block_draw(_plan(_tree_plan, tree, process), lay,
                               *_stretch_edges(tree, lay, stretch))
-
-
-def simulate(tree: Tree, process, root_state, rng) -> dict:
-    """One realization of the chain on the tree; returns leaf id -> state.
-
-    Sibling subtrees evolve independently given the parent state.  Each
-    call draws a whole one-trial block from ``rng`` as
-    ``simulated_trials`` says, so it pays a block's fixed cost per trial
-    (a few numpy calls per depth of the tree, counted in the edges that
-    can move a state): loops over many trials should draw them from
-    ``simulated_trials``.
-    """
-    block = TrialBlock(0, *_plan(_drawer, tree, process, None)(
-        lambda rng, size: [root_state] * size, 1, 1, rng), rng)
-    return next(block.trials(tree))[2]
 
 
 class TrialBlock(NamedTuple):
@@ -227,11 +212,3 @@ def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,
         # a single-vertex tree: its root is its one leaf
         return np.eye(Q.n)[obs[:, 0]]
     return vecs[0]
-
-
-def leaf_likelihoods(tree: Tree, Q: RateMatrix, observed: dict) -> np.ndarray:
-    """P(leaves = observed | root = i) for i = 1..n, up to one common
-    positive factor: the one-row ``block_leaf_likelihoods``.  All zeros
-    means the observation is impossible under every root state."""
-    return block_leaf_likelihoods(
-        tree, Q, [[observed[x] for x in tree.leaves]])[0]

@@ -5,7 +5,8 @@ and a Monte Carlo error harness.
 
 ``exact_leaf_law`` lists every leaf outcome with its probability, so it
 only serves small trees; the package itself computes likelihoods by
-pruning (``treechain.leaf_likelihoods``), which these laws cross-check.
+pruning (``treechain.block_leaf_likelihoods``), which these laws
+cross-check.
 ``eager_random_ultrametric`` builds every member of a family from the
 one before it, as the package first did; the package now replays
 recorded growth steps per member, which it cross-checks.
@@ -44,6 +45,18 @@ finite chain, so that a new kind is shown to need no edit of the package.
 ``total_variation_reference`` adds one pair's terms in a loop, as the
 package first did; the package now does both for many lengths or pairs
 at once, to the same bits.
+The last section holds what no command calls, kept as references that
+the tests check: the tree's ``spread``, ``shared_path_length``,
+``restrict``, ``extract_well_spread_restriction``,
+``stretch_to_height``, ``validate_family`` (a family's nestedness, by
+restricting each member to its predecessor's leaves),
+``big_bang_profile`` (each member's boundary counts, by one ``truncate``
+per member and scale) and ``to_newick``; the one-trial calls
+``simulate``, ``leaf_likelihoods`` and ``map_estimate`` of the
+package's block functions; ``point_mass``, ``identifiability_margin``
+(``RowTable.delta`` of exact rows) and the weighted ``star_norm``; and
+the bounds of the lemma chain (``variance_bound``,
+``chebyshev_star_bound``) and of the pinched star's majority vote.
 """
 
 from __future__ import annotations
@@ -52,20 +65,24 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
+from operator import add
 from types import SimpleNamespace
 
 import numpy as np
 
-from rootrec import tkf91
+from rootrec import tkf91, treechain
 from rootrec.bounds import wilson_interval
 from rootrec.ctmc import (UNIFORMIZATION_CAP, CtmcError, Distribution,
-                          RateMatrix, _label_key, total_variation)
+                          RateMatrix, _label_key, total_variation,
+                          total_variations)
 from rootrec.estimators import (_EXCLUSIVITY, EstimatorError, RowTable,
-                                StretchPlan)
-from rootrec.tree import DEPTH_TOL, Tree
-from rootrec.treechain import DURATION_TOL, simulated_trials
+                                StretchPlan, map_estimates)
+from rootrec.tree import (DEPTH_TOL, NestedFamily, Tree, TreeError,
+                          chosen_leaves, truncate)
+from rootrec.treechain import (DURATION_TOL, TrialBlock,
+                               block_leaf_likelihoods, simulated_trials)
 
 # largest outcome count the enumerating oracle exact_leaf_law builds
 SIZE_GUARD = 10 ** 6
@@ -728,3 +745,293 @@ def total_variation_reference(a: Distribution, b: Distribution) -> float:
     for s in [*held, *(s for s in b.support if s not in held)]:
         total += abs(a.mass(s) - b.mass(s))
     return 0.5 * total
+
+
+# ---------------------------------------------------------------------------
+# functions that no command calls: tree statistics and transforms, Newick
+# output, one-trial wrappers of the block functions, identifiability
+# margins, the weighted norm and the bounds of the lemma chain
+
+
+def _lca_depth(tree: Tree, x: str, y: str) -> float:
+    """Depth of the lowest common ancestor of two vertices."""
+    ax = {}
+    u = x
+    while True:
+        ax[u] = tree.depth[u]
+        if u == tree.root:
+            break
+        u = tree.parent[u]
+    u = y
+    while u not in ax:
+        u = tree.parent[u]
+    return tree.depth[u]
+
+
+def shared_path_length(tree: Tree, x: str, y: str) -> float:
+    """Total length of the edges shared by the root-to-x and root-to-y paths."""
+    if x == y:
+        raise TreeError("leaves must be distinct")
+    for z in (x, y):
+        if z not in tree.leaves:
+            raise TreeError(f"unknown leaf {z}")
+    return _lca_depth(tree, x, y)
+
+
+def spread(tree: Tree) -> float:
+    """Average of min(shared path length, 1) over ordered pairs of
+    distinct leaves.
+
+    A pair's shared path ends at its lowest common ancestor u.  With k_u
+    leaves below u, k_u^2 - sum over children c of k_c^2 ordered pairs
+    have their ancestor at u, so one bottom-up pass over the leaf counts
+    sums every pair.
+    """
+    n = len(tree.leaves)
+    if n < 2:
+        raise TreeError("spread requires at least 2 leaves")
+    below: dict[str, int] = {}
+    total = 0.0
+    for u in reversed(tree.topo_order):
+        cs = tree.children[u]
+        if not cs:
+            below[u] = 1
+            continue
+        k = sum(below[c] for c in cs)
+        below[u] = k
+        total += (min(tree.depth[u], 1.0)
+                  * (k * k - sum(below[c] ** 2 for c in cs)))
+    return total / (n * (n - 1))
+
+
+def restrict(tree: Tree, leaf_subset) -> Tree:
+    """Restriction to a leaf subset: keep only root-to-leaf paths, merging
+    suppressed degree-2 vertices with summed edge lengths."""
+    selected = set(leaf_subset)
+    subset = sorted(selected)
+    if not subset:
+        raise TreeError("leaf subset must be nonempty")
+    unknown = selected.difference(tree.leaves)
+    if unknown:
+        raise TreeError(f"unknown leaf {min(unknown)}")
+    kept = set()
+    for x in subset:
+        u = x
+        while u not in kept:
+            kept.add(u)
+            if u == tree.root:
+                break
+            u = tree.parent[u]
+    kept_children = {u: [c for c in tree.children[u] if c in kept]
+                     for u in kept}
+    edges = []
+    # depth-first with an explicit stack, so deep trees do not exhaust
+    # the interpreter's recursion limit
+    stack = [(tree.root, c, tree.length[c])
+             for c in reversed(kept_children[tree.root])]
+    while stack:
+        parent_kept, v, acc = stack.pop()
+        # follow chains of suppressed degree-2 vertices
+        while len(kept_children[v]) == 1 and v not in selected:
+            (w,) = kept_children[v]
+            acc += tree.length[w]
+            v = w
+        edges.append((parent_kept, v, acc))
+        stack.extend((v, c, tree.length[c])
+                     for c in reversed(kept_children[v]))
+    return Tree(tree.root, edges)
+
+
+def extract_well_spread_restriction(tree: Tree, s: float) -> Tree:
+    """Restriction to one descendant leaf per boundary point of the
+    truncation at ``s``; the result has spread at most s."""
+    return restrict(tree, chosen_leaves(tree, s))
+
+
+def stretch_to_height(tree: Tree, h_star: float) -> Tree:
+    """Lengthen every leaf edge so all leaves sit at depth ``h_star``.
+    Topology, internal lengths and shared path lengths are unchanged."""
+    if h_star < tree.height - DEPTH_TOL:
+        raise TreeError(f"h_star={h_star} below tree height {tree.height}")
+    edges = []
+    for v in tree.parent:
+        ln = tree.length[v]
+        if not tree.children[v]:
+            ln += h_star - tree.depth[v]
+        edges.append((tree.parent[v], v, ln))
+    return Tree(tree.root, edges)
+
+
+def validate_family(family) -> list[str]:
+    """Nestedness violations of ``family``, one message per offending
+    index.  It builds and restricts every member, O(k²) work, so no
+    command runs it."""
+    problems = []
+    for k in range(1, len(family)):
+        prev, cur = family[k - 1], family[k]
+        if cur.root != prev.root:
+            problems.append(f"tree {k}: root differs from tree {k - 1}")
+            continue
+        if len(cur.leaves) != len(prev.leaves) + 1:
+            problems.append(
+                f"tree {k}: adds {len(cur.leaves) - len(prev.leaves)} "
+                "leaves instead of 1")
+            continue
+        if not set(prev.leaves) <= set(cur.leaves):
+            problems.append(f"tree {k}: leaf set not nested")
+            continue
+        # restriction suppresses degree-2 vertices such as the pinch
+        if restrict(cur, prev.leaves) != restrict(prev, prev.leaves):
+            problems.append(f"tree {k}: restriction to tree {k - 1} "
+                            "leaves differs from it")
+    return problems
+
+
+def big_bang_profile(family: NestedFamily, s_grid) -> dict:
+    """Boundary-point counts |bd T^k(s)| for each tree and each s, with a
+    heuristic flag for scales whose count is constant over the last half
+    of the family.  Diagnostic only."""
+    s_grid = list(s_grid)
+    if not family.trees or not s_grid:
+        raise TreeError("family and grid must be nonempty")
+    if any(s <= 0 for s in s_grid):
+        raise TreeError("grid values must be positive")
+    counts = {s: [len(truncate(t, s)) for t in family.trees] for s in s_grid}
+    flagged = []
+    for s in s_grid:
+        tail = counts[s][len(family.trees) // 2:]
+        if len(family.trees) >= 2 and len(set(tail)) == 1:
+            flagged.append(s)
+    return {"counts": counts, "flagged": flagged}
+
+
+def to_newick(tree: Tree) -> str:
+    out = []
+    # vertices still to write, as 1-tuples, interleaved with the text that
+    # follows them; an explicit stack, as in parse_newick
+    stack: list = [";", (tree.root,)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        (v,) = item
+        cs = tree.children[v]
+        if not cs:
+            out.append(v)
+            continue
+        out.append("(")
+        stack.append(f"){v}")
+        for i, c in enumerate(reversed(cs)):
+            stack.append(f":{tree.length[c]:.17g}" + ("," if i else ""))
+            stack.append((c,))
+    return "".join(out)
+
+
+def simulate(tree: Tree, process, root_state, rng) -> dict:
+    """One realization of the chain on the tree; returns leaf id -> state.
+
+    Sibling subtrees evolve independently given the parent state.  Each
+    call draws a whole one-trial block from ``rng`` as
+    ``simulated_trials`` says, so it pays a block's fixed cost per trial
+    (a few numpy calls per depth of the tree, counted in the edges that
+    can move a state): loops over many trials should draw them from
+    ``simulated_trials``.
+    """
+    block = TrialBlock(0, *treechain._plan(
+        treechain._drawer, tree, process, None)(
+        lambda rng, size: [root_state] * size, 1, 1, rng), rng)
+    return next(block.trials(tree))[2]
+
+
+def leaf_likelihoods(tree: Tree, Q: RateMatrix, observed: dict) -> np.ndarray:
+    """P(leaves = observed | root = i) for i = 1..n, up to one common
+    positive factor: the one-row ``block_leaf_likelihoods``.  All zeros
+    means the observation is impossible under every root state."""
+    return block_leaf_likelihoods(
+        tree, Q, [[observed[x] for x in tree.leaves]])[0]
+
+
+def map_estimate(tree: Tree, Q: RateMatrix, prior: Distribution,
+                 observed: dict, lam=None) -> int:
+    """``map_estimates`` of the one observation ``observed``, leaf id ->
+    state."""
+    return map_estimates(tree, Q, prior, [[observed[x] for x in tree.leaves]],
+                         lam)[0]
+
+
+def point_mass(state) -> Distribution:
+    return Distribution({state: 1.0})
+
+
+def identifiability_margin(Q: RateMatrix, t: float, state_subset=None) -> float:
+    """``total_variations``' minimum over the rows of exp(tQ) of the
+    sorted subset; +inf for singletons (no pairs)."""
+    if t <= 0:
+        raise CtmcError("time must be positive")
+    subset = sorted(state_subset) if state_subset is not None else list(Q.states)
+    if not subset:
+        raise CtmcError("state subset must be nonempty")
+    return float(total_variations([Q.row(i, t) for i in subset]).min(
+        initial=math.inf))
+
+
+def star_norm(v) -> float:
+    """Weighted l1 norm sum_i 2^-i |v_i| with 1-based indexing, added one
+    term after another (builtin ``sum`` compensates from Python 3.12)."""
+    return float(reduce(add, (2.0 ** -(i + 1) * abs(x)
+                              for i, x in enumerate(v)), 0.0))
+
+
+def star_norm_diff(a: Distribution, b: Distribution, n: int) -> float:
+    """star norm of the difference of two distributions over states 1..n."""
+    return star_norm([a.mass(i) - b.mass(i) for i in range(1, n + 1)])
+
+
+def variance_bound(leaf_count: int, spread: float, q_i: float) -> float:
+    """Upper bound on the variance of a leaf-state count:
+    |leaves|/4 + 2 (q_i or 1) spread |leaves|^2."""
+    if leaf_count < 0 or spread < 0 or q_i < 0:
+        raise ValueError("inputs must be nonnegative")
+    return leaf_count / 4.0 + 2.0 * max(q_i, 1.0) * spread * leaf_count ** 2
+
+
+def chebyshev_star_bound(delta_star: float, m: int, q_i: float,
+                         s: float) -> float:
+    """Chebyshev bound on the weighted-norm deviation of the stretched
+    restriction frequencies: 4/delta*^2 [1/(4m) + 2 (q_i or 1) s]."""
+    if delta_star <= 0:
+        raise ValueError("delta_star must be positive")
+    return 4.0 / delta_star ** 2 * (1.0 / (4.0 * m)
+                                    + 2.0 * max(q_i, 1.0) * s)
+
+
+def pinched_star_majority_error(m: int, q: float, s: float,
+                                h: float) -> float:
+    """Exact error of the majority vote on the two-state pinched star:
+    the binomial sum with alpha = p11(s) and beta = p12(h - s), each term
+    taken from its logarithm, as C(m, n) overflows a float past m = 1029."""
+    if m % 2 == 0:
+        raise ValueError("m must be odd")
+    alpha = (1.0 + math.exp(-2.0 * q * s)) / 2.0
+    beta = (1.0 - math.exp(-2.0 * q * (h - s))) / 2.0
+
+    def log(x, k):
+        # log(x^k), with 0^0 = 1
+        return k * math.log(x) if x > 0 else (-math.inf if k else 0.0)
+
+    total = 0.0
+    for n in range(0, m // 2 + 1):
+        comb = math.lgamma(m + 1) - math.lgamma(n + 1) - math.lgamma(m - n + 1)
+        total += alpha * math.exp(comb + log(1.0 - beta, n) + log(beta, m - n))
+        total += (1.0 - alpha) * math.exp(comb + log(beta, n)
+                                          + log(1.0 - beta, m - n))
+    return total
+
+
+def pinched_star_hoeffding_bound(m: int, q: float, s: float,
+                                 h: float) -> float:
+    """(1 - alpha) + alpha exp(-2 m (1/2 - beta)^2)."""
+    alpha = (1.0 + math.exp(-2.0 * q * s)) / 2.0
+    beta = (1.0 - math.exp(-2.0 * q * (h - s))) / 2.0
+    return (1.0 - alpha) + alpha * math.exp(-2.0 * m * (0.5 - beta) ** 2)

@@ -20,21 +20,24 @@ import time
 import numpy as np
 import pytest
 
-from oracles import block_draw, exact_leaf_law, frequency_estimate
+from oracles import (block_draw, exact_leaf_law, frequency_estimate,
+                     identifiability_margin, map_estimate,
+                     pinched_star_hoeffding_bound,
+                     pinched_star_majority_error, spread, variance_bound)
 from rootrec import cli
 from rootrec.bounds import (BoundInputs, prop54_uniform_bound, recon_lower,
-                            recon_upper, variance_bound, wilson_interval)
+                            recon_upper, wilson_interval)
 from rootrec.cli import (_build_estimator, _build_process, _build_tree,
                          _trial_setup, main, run_trials)
-from rootrec.ctmc import (Distribution, RateMatrix, identifiability_margin,
-                          jukes_cantor, row_distribution, total_variation,
+from rootrec.ctmc import (Distribution, RateMatrix, jukes_cantor,
+                          row_distribution, total_variation,
                           transition_matrix, two_state_symmetric)
-from rootrec.estimators import (RowTable, exclusivity_stats, map_estimate,
-                                stretch_plan, uniform_chain_tests)
+from rootrec.estimators import (RowTable, exclusivity_stats, stretch_plan,
+                                uniform_chain_tests)
 from rootrec.tkf91 import (Tkf91Params, decode, encode, evolve_lanes,
                            lane_law, stationary_length_pmf, stationary_pmf,
                            stationary_sample)
-from rootrec.tree import Tree, generate_family, spread
+from rootrec.tree import Tree, generate_family
 from rootrec.treechain import simulated_trials
 
 
@@ -123,8 +126,6 @@ def test_c03_map_optimality():
 def test_c04_pinched_star_example():
     # closed-form majority error for m=101, q=1, s=0.05, h=1 vs Monte
     # Carlo at 1e5 trials, plus the Hoeffding-style domination
-    from rootrec.bounds import (pinched_star_hoeffding_bound,
-                                pinched_star_majority_error)
     start = time.monotonic()
     m, q, s, h = 101, 1.0, 0.05, 1.0
     exact = pinched_star_majority_error(m, q, s, h)

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from rootrec.bounds import (BoundInputs, chebyshev_star_bound, clamp,
-                            pinched_star_hoeffding_bound,
-                            pinched_star_majority_error,
-                            prop54_uniform_bound, prop54_valid, recon_lower,
-                            recon_upper, thm2_general_bound, thm2_valid,
-                            variance_bound, wilson_interval)
+from rootrec.bounds import (BoundInputs, clamp, prop54_uniform_bound,
+                            prop54_valid, recon_lower, recon_upper,
+                            thm2_general_bound, thm2_valid, wilson_interval)
 from rootrec.ctmc import Distribution, RateMatrix, two_state_symmetric
-from oracles import exact_leaf_law, monte_carlo_error
+from oracles import (chebyshev_star_bound, exact_leaf_law, monte_carlo_error,
+                     pinched_star_hoeffding_bound,
+                     pinched_star_majority_error, spread, variance_bound)
 from rootrec.tree import generate_family
 from rootrec.estimators import majority_estimate
 
@@ -77,7 +76,7 @@ class TestVarianceBound:
     def test_dominates_exact_variance(self):
         # exhaustive check on small trees x small chains
         rng = np.random.default_rng(32)
-        from rootrec.tree import Tree, spread
+        from rootrec.tree import Tree
         trees = [
             Tree("rho", [("rho", "a", 0.5), ("rho", "b", 0.5)]),
             Tree("rho", [("rho", "v", 0.3), ("v", "a", 0.7), ("v", "b", 0.7)]),

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_substreams
-from oracles import Delegate, exact_leaf_law
+from oracles import Delegate, exact_leaf_law, map_estimate, simulate
 from rootrec import cli
 from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, Trials,
                          _build_estimator, _build_process, _build_tree,
@@ -26,10 +26,9 @@ from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, Trials,
 from rootrec.ctmc import RateMatrix, two_state_symmetric
 from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 exclusivity_stats, frequency_tests,
-                                map_estimate, stretch_plan,
-                                uniform_chain_tests)
+                                stretch_plan, uniform_chain_tests)
 from rootrec.tree import generate_family
-from rootrec.treechain import BLOCK, TrialBlock, simulate, simulated_trials
+from rootrec.treechain import BLOCK, TrialBlock, simulated_trials
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -167,14 +166,15 @@ class TestExperimentCommand:
         "attribute": (None, None, ["rootrec.tkf91"]),
     }
     LOADED = ("oracles", "scipy", "hypothesis", "rootrec.tkf91",
-              "dataclasses")
+              "dataclasses", "argparse", "gettext", "locale")
 
     def test_loads_no_test_code(self, tmp_path):
         # a command runs on the package alone: neither the tests' oracles
         # nor the test-only dependencies are imported in a fresh process;
         # and TKF91's module loads for a TKF91 process or name only, not
         # for a finite chain's command or a bare import of the package;
-        # and no command pays for importing dataclasses
+        # and no command pays for importing dataclasses, or for argparse
+        # and the gettext and locale modules it loads
         src = os.path.dirname(os.path.dirname(cli.__file__))
         got = {}
         for case, (command, spec, _) in self.LOADS.items():
@@ -355,6 +355,104 @@ class TestTrialRunner:
         assert "invalid int value: 'abc'" in capsys.readouterr().err
         monkeypatch.setenv("ROOTREC_WORKERS", "2")
         assert main(["validate", path]) == EXIT_OK
+
+
+class TestArguments:
+    """``rootrec COMMAND CONFIG [--workers N]``, read without argparse:
+    ``--workers`` anywhere, help on stdout with exit 0, and every usage
+    error as one usage line and one error line on stderr with exit 2."""
+
+    USAGE = "usage: rootrec COMMAND CONFIG [--workers N]"
+
+    @pytest.mark.parametrize("spelling", [
+        ["experiment", "{path}", "--workers=2"],
+        ["experiment", "{path}", "--workers", "2"],
+        ["--workers", "2", "experiment", "{path}"],
+        ["experiment", "--workers", "2", "{path}"]])
+    def test_workers_spellings_give_the_same_bytes(self, tmp_path,
+                                                   monkeypatch, spelling):
+        monkeypatch.delenv("ROOTREC_WORKERS", raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        path = write_cfg(tmp_path, "e.json",
+                         experiment_cfg(tmp_path, trials=2 * BLOCK + 3))
+        outputs = [tmp_path / f"out{suffix}"
+                   for suffix in (".trials.csv", ".summary.csv")]
+        assert main(["experiment", path]) == EXIT_OK
+        serial = [p.read_bytes() for p in outputs]
+        for p in outputs:
+            p.unlink()
+        assert main([arg.format(path=path) for arg in spelling]) == EXIT_OK
+        assert [p.read_bytes() for p in outputs] == serial
+        assert RecordingPool.sizes == [2]
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_0_with_the_usage_on_stdout(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main(["experiment", flag])
+        assert exit_.value.code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == self.USAGE and err == ""
+        assert "bounds, experiment, simulate, tkf91, validate" in out
+
+    @pytest.mark.parametrize("argv,env,error", [
+        (["estimate", "{path}"], None,
+         "unknown command 'estimate' (choose from bounds, experiment, "
+         "simulate, tkf91, validate)"),
+        ([], None, "expected 2 arguments (COMMAND CONFIG), got 0"),
+        (["validate"], None,
+         "expected 2 arguments (COMMAND CONFIG), got 1"),
+        (["validate", "{path}", "{path}"], None,
+         "expected 2 arguments (COMMAND CONFIG), got 3"),
+        (["validate", "{path}", "--workers"], None,
+         "argument --workers: expected one argument"),
+        (["validate", "{path}", "--seed", "3"], None,
+         "unrecognized argument: --seed"),
+        (["validate", "{path}", "--work", "2"], None,
+         "unrecognized argument: --work"),
+        (["validate", "{path}", "--workers", "2.5"], None,
+         "argument --workers: invalid int value: '2.5'"),
+        (["validate", "{path}", "--workers="], None,
+         "argument --workers: invalid int value: ''"),
+        (["validate", "{path}"], "abc",
+         "argument --workers: invalid int value: 'abc'")],
+        ids=["unknown-command", "no-arguments", "no-config", "extra",
+             "workers-without-value", "unknown-option", "abbreviation",
+             "non-integer", "empty", "environment"])
+    def test_usage_error_is_exit_2_with_two_lines(self, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  argv, env, error):
+        if env is None:
+            monkeypatch.delenv("ROOTREC_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("ROOTREC_WORKERS", env)
+        path = write_cfg(tmp_path, "v.json", experiment_cfg(tmp_path))
+        with pytest.raises(SystemExit) as exit_:
+            main([arg.format(path=path) for arg in argv])
+        assert exit_.value.code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [self.USAGE, f"rootrec: error: {error}"]
+
+    def test_workers_flag_overrides_a_bad_environment(self, tmp_path,
+                                                      monkeypatch):
+        # as under argparse, the environment is read only without the flag
+        monkeypatch.setenv("ROOTREC_WORKERS", "abc")
+        path = write_cfg(tmp_path, "v.json", experiment_cfg(tmp_path))
+        assert main(["validate", path, "--workers", "2"]) == EXIT_OK
+        assert main(["validate", path, "--workers=2"]) == EXIT_OK
+
+    def test_no_argv_reads_the_process_arguments(self, tmp_path,
+                                                 monkeypatch):
+        path = write_cfg(tmp_path, "v.json", experiment_cfg(tmp_path))
+        monkeypatch.setattr(sys, "argv", ["rootrec", "validate", path])
+        assert main() == EXIT_OK
+        monkeypatch.setattr(sys, "argv", ["rootrec", "validate"])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == EXIT_CONFIG
 
 
 class TestMapEstimator:

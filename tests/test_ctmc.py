@@ -8,14 +8,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (draw_state, sample_endpoint, total_variation_reference,
-                     transition_matrix_reference, tv_achieving_set)
+from oracles import (draw_state, identifiability_margin, point_mass,
+                     sample_endpoint, star_norm, star_norm_diff,
+                     total_variation_reference, transition_matrix_reference,
+                     tv_achieving_set)
 from rootrec import ctmc
 from rootrec.estimators import RowTable
 from rootrec.ctmc import (UNIFORMIZATION_CAP, CtmcError, Distribution,
-                          RateMatrix, identifiability_margin, jukes_cantor,
-                          load_rate_matrix, row_distribution, star_norm,
-                          star_norm_diff, total_variation, total_variations,
+                          RateMatrix, jukes_cantor, load_rate_matrix,
+                          row_distribution, total_variation, total_variations,
                           transition_matrix, two_state_symmetric)
 
 
@@ -72,7 +73,7 @@ class TestDistribution:
 
     def test_point_mass_sampling(self):
         rng = np.random.default_rng(0)
-        d = Distribution.point_mass("x")
+        d = point_mass("x")
         assert draw_state(d, rng) == "x"
 
 
@@ -254,8 +255,8 @@ class TestTotalVariation:
         b = Distribution({1: 0.1, 2: 0.9})
         assert total_variation(a, a) == 0.0
         assert total_variation(a, b) == pytest.approx(0.8)
-        assert total_variation(Distribution.point_mass(1),
-                               Distribution.point_mass(2)) == 1.0
+        assert total_variation(point_mass(1),
+                               point_mass(2)) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9), st.integers(2, 8))

@@ -14,19 +14,19 @@ from rootrec import estimators
 from rootrec.bounds import recon_lower
 from rootrec.cli import _build_process, _root_draw
 from oracles import (block_counts, block_draw, exact_leaf_law,
-                     frequency_estimate, frequency_test,
+                     frequency_estimate, frequency_test, map_estimate,
+                     pinched_star_majority_error, restrict, simulate, spread,
                      total_variation_reference, tv_achieving_set,
                      uniform_chain_estimate, uniform_chain_test)
 from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 StretchPlan, exclusivity_stats,
                                 frequency_tests, lambda_epsilon,
-                                majority_estimate, map_estimate,
-                                map_estimates, stretch_plan,
-                                uniform_chain_tests)
+                                majority_estimate, map_estimates,
+                                stretch_plan, uniform_chain_tests)
 from rootrec.tkf91 import (Tkf91Params, distinct, encode, keys, mc_rows,
                            stationary_sample, strings, top_states)
-from rootrec.tree import Tree, generate_family, restrict, spread
-from rootrec.treechain import TrialBlock, simulate, simulated_trials
+from rootrec.tree import Tree, generate_family
+from rootrec.treechain import TrialBlock, simulated_trials
 
 
 def pinched(m, s=0.05, h=1.0):
@@ -752,7 +752,6 @@ class TestMajorityEstimate:
             majority_estimate({"a": 1, "b": 3, "c": 1})
 
     def test_exact_error_matches_binomial_formula(self):
-        from rootrec.bounds import pinched_star_majority_error
         t = pinched(3, s=0.05, h=1.0)
         Q = two_state_symmetric(1.0)
         laws = {i: exact_leaf_law(t, Q, i) for i in (1, 2)}

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import (block_draw, evolve_lanes_reference, frequency_estimate,
-                     tkf91_beta, tkf91_children_reference, tkf91_evolve,
-                     tkf91_evolve_per_edge, tkf91_law_reference,
+                     simulate, tkf91_beta, tkf91_children_reference,
+                     tkf91_evolve, tkf91_evolve_per_edge, tkf91_law_reference,
                      tkf91_tree_reference, tree_per_edge, uniform_stream)
 from rootrec import cli, tkf91, treechain
 from rootrec.cli import EXIT_OK, main
@@ -25,7 +25,7 @@ from rootrec.tkf91 import (ALPHABET, KEY_LETTERS, LONG_KEY, Tkf91Params,
                            mc_rows, stationary_length_pmf, stationary_pmf,
                            stationary_sample, strings, top_states)
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import BLOCK, simulate, simulated_trials
+from rootrec.treechain import BLOCK, simulated_trials
 
 STD = Tkf91Params(nu=1.0, lam=1.0, mu=2.0)
 

@@ -3,12 +3,12 @@ import time
 
 import pytest
 
-from oracles import eager_random_ultrametric
-from rootrec.tree import (NestedFamily, Tree, TreeError, big_bang_profile,
-                          chosen_leaves, extract_well_spread_restriction,
-                          generate_family, parse_newick, restrict,
-                          shared_path_length, spread, stretch_to_height,
-                          to_newick, truncate)
+from oracles import (big_bang_profile, eager_random_ultrametric,
+                     extract_well_spread_restriction, restrict,
+                     shared_path_length, spread, stretch_to_height,
+                     to_newick, validate_family)
+from rootrec.tree import (NestedFamily, Tree, TreeError, chosen_leaves,
+                          generate_family, parse_newick, truncate)
 from rootrec.tree import _figure1_edges
 
 
@@ -263,7 +263,7 @@ class TestFamilies:
         fam = generate_family("star", {"k": 5, "h": 1.0})
         assert len(fam[4].leaves) == 5
         assert spread(fam[4]) == 0.0
-        assert fam.validate() == []
+        assert validate_family(fam) == []
 
     def test_figure1_attachment_depths(self):
         fam = generate_family("figure1", {"k": 3, "h": 1.0})
@@ -290,7 +290,7 @@ class TestFamilies:
                              ("figure2", {"k": 6, "n_spine": 3, "h": 1.0}),
                              ("random_ultrametric", {"k": 8, "h": 1.0})]:
             fam = generate_family(kind, params, seed=3)
-            assert fam.validate() == [], kind
+            assert validate_family(fam) == [], kind
         one = Tree("rho", [("rho", "a", 1.0)])
         for trees, problem in [
                 ([one, Tree("rho", [("rho", "a", 2.0), ("rho", "b", 2.0)])],
@@ -301,7 +301,8 @@ class TestFamilies:
                  "adds 2 leaves instead of 1"),
                 ([one, Tree("rho", [("rho", "b", 1.0), ("rho", "c", 1.0)])],
                  "leaf set not nested")]:
-            assert NestedFamily(trees).validate() == [f"tree 1: {problem}"]
+            assert validate_family(NestedFamily(trees)) == [
+                f"tree 1: {problem}"]
 
     @pytest.mark.parametrize("kind,params", [
         ("star", {"h": 1.0}), ("pinched_star", {"s": 0.1, "h": 1.0}),

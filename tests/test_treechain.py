@@ -8,19 +8,19 @@ import numpy as np
 import pytest
 
 from oracles import (block_draw, chain_step, exact_leaf_law, exact_leaf_tv,
+                     leaf_likelihoods, map_estimate, simulate,
                      tkf91_tree_reference, tree_per_edge)
 from rootrec import ctmc, tkf91
 from rootrec.ctmc import (CtmcError, Distribution, RateMatrix, _compile,
                           _descend, transition_matrix, two_state_symmetric,
                           jukes_cantor)
-from rootrec.estimators import StretchPlan, map_estimate
+from rootrec.estimators import StretchPlan
 from rootrec.tkf91 import Tkf91Params, stationary_sample
 from rootrec import tree as tree_module
 from rootrec import treechain
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import (BLOCK, DURATION_TOL, _layout,
-                               block_leaf_likelihoods, leaf_likelihoods,
-                               simulate, simulated_trials)
+                               block_leaf_likelihoods, simulated_trials)
 
 
 def naive_leaf_law(tree, Q, root_state):
