@@ -1,22 +1,23 @@
 """Command line interface and experiment orchestration.
 
 ``rootrec COMMAND CONFIG [--workers N]``: subcommands simulate, bounds,
-experiment, tkf91 and validate each read a JSON config through the same
-section readers.  The arguments are read by hand, not by argparse, whose
-import and message catalogs would cost every command a few ms.  Exit
-codes: 0 success; 2 a usage error, or the config is wrong, found at
-set-up (reading it and building the tree, chain, root draw and
-estimator) before any trial; 3 a guard fired during the trials.
-``experiment`` and ``tkf91`` run their trials through ``run_trials`` on
-``Trials`` built once at set-up, which workers receive pickled; the
-estimators take a block of trials at a time.  Block b of
-``treechain.BLOCK`` trials draws from the substream (master seed, b), or
-(master seed, k, b) on tkf91's member k; workers get whole blocks and
-their rows are merged by trial index, so results are identical for any
-worker count.  A config names one tree of a family by the family's size
-``k``: the tree is its last member.  The engine reaches a process only
-through its members (README), so ``tkf91`` is imported here alone, where
-a TKF91 process is read or run: a finite chain's command never loads it.
+experiment (also named tkf91) and validate each read a JSON config
+through the same section readers.  The arguments are read by hand, not
+by argparse, whose import and message catalogs would cost every command
+a few ms.  Exit codes: 0 success; 2 a usage error, or the config is
+wrong, found at set-up (reading it and building the trees, process,
+root draw, estimator and stretch plans) before any trial; 3 a guard
+fired during the run.  ``experiment`` runs any process on the members k
+that "ks" lists, else on the family's last tree: its run builds the
+tests' rows once, then runs each member's ``Trials`` through
+``run_trials``, pickled to workers.  Block b of ``treechain.BLOCK``
+trials draws from the substream (master seed, b), or (master seed, k, b)
+on member k; workers get whole blocks, merged by trial index, so results
+are identical for any worker count.  A config names one tree of a family
+by its size ``k``: the tree is its last member.  The engine reaches a
+process only through its members (README), so ``tkf91`` is imported
+here alone, where a TKF91 process is read or its rows are built: a
+finite chain's command never loads it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ _REQUIRED = object()
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                list: "a list", dict: "an object"}
 _FAMILY_KEYS = {"k": int, "m": int, "h": float, "s": float, "n_spine": int}
-# experiment writes output + each suffix; the other commands write output
+# experiment without "ks" writes output + each suffix; the rest write output
 _EXPERIMENT_SUFFIXES = (".trials.csv", ".summary.csv")
 # a ``_tally``'s fields in both summary CSVs, and their format
 _TALLY = "trials,errors,rate,ci_low,ci_high"
@@ -140,15 +141,6 @@ def _uniform_prior(Q: RateMatrix) -> Distribution:
     return Distribution({i: 1.0 / Q.n for i in Q.states})
 
 
-def _test_inputs(est: dict, epsilon) -> tuple:
-    """s, h* and epsilon; above 1, epsilon would leave no candidate."""
-    eps = _get(est, "epsilon", float, epsilon)
-    if eps is not None and not 0 < eps <= 1:
-        raise ConfigError(f"epsilon must lie in (0, 1], got {eps!r}")
-    return (_positive("estimator s", _get(est, "s", float)),
-            _get(est, "h_star", float), eps)
-
-
 # block estimators: a TrialBlock -> one (estimate, fallback flag) per trial
 
 
@@ -157,44 +149,81 @@ def _majority(tree, block):
             for _, _, observed in block.trials(tree)]
 
 
-def _map(tree, Q, prior, block):
+def _map(Q, prior, tree, block):
     return [(state, 0) for state in map_estimates(tree, Q, prior,
                                                   block.leaves)]
 
 
-def _build_estimator(cfg: dict, tree: Tree, Q: RateMatrix) -> tuple:
-    """The block estimator, its stretch plan (None if it stretches no
-    leaves), and its bound or None; an h* above a leaf is found here,
-    before any trial.  The estimator is a ``partial``, so it pickles."""
-    if not isinstance(Q, RateMatrix):
-        raise ConfigError("the estimator needs a finite-chain process")
+def _estimator_setup(cfg: dict, process, trees, bounded=False):
+    """The run's builder ``build(seed)`` of each of ``trees``' (block
+    estimator, stretch plan or None, bound or None), with the plans laid
+    out here, so that an h* above a chosen leaf is found before any trial;
+    ``bounded`` asks for a bound.  An estimator is a ``partial``, so it
+    pickles."""
     est = _get(cfg, "estimator", dict)
-    kind = _get(est, "kind", str)
-    if kind == "majority":
-        return partial(_majority, tree), None, None
-    if kind == "map":
-        return partial(_map, tree, Q, _uniform_prior(Q)), None, None
+    kind = _get(est, "kind", str, "frequency")
+    row_samples = None
+    if not isinstance(process, RateMatrix):
+        # TKF91's rows are Monte Carlo plug-in rows: it runs the frequency
+        # test on them, and no bound holds
+        if bounded:
+            raise ConfigError("a tkf91 estimator has no bound")
+        if kind != "frequency":
+            raise ConfigError(f"a tkf91 process runs the frequency "
+                              f"estimator only, got {kind!r}")
+        row_samples = _positive("row_samples",
+                                _get(est, "row_samples", int, 4000))
+    if kind in ("majority", "map"):
+        estimate = (_majority if kind == "majority"
+                    else partial(_map, process, _uniform_prior(process)))
+        return lambda seed: [(partial(estimate, tree), None, None)
+                             for tree in trees]
     if kind not in ("frequency", "uniform"):
         raise ConfigError(f"unknown estimator kind {kind!r}")
-    s, h_star, eps = _test_inputs(est, None)
-    plan = stretch_plan(tree, s, h_star)
+    # above 1, epsilon would leave no candidate
+    eps = _get(est, "epsilon", float, None)
+    if eps is not None and not 0 < eps <= 1:
+        raise ConfigError(f"epsilon must lie in (0, 1], got {eps!r}")
+    s = _positive("estimator s", _get(est, "s", float))
+    h_star = _get(est, "h_star", float)
+    return partial(_tests, process, kind, s, h_star, eps, row_samples,
+                   [stretch_plan(tree, s, h_star) for tree in trees])
+
+
+def _tests(process, kind, s, h_star, eps, row_samples, plans, seed) -> list:
+    """(block estimator, plan, bound or None) of each of ``plans``, with
+    one ``RowTable`` for all.  Here alone the process kinds differ: a
+    finite chain's rows are exact (``row``), and TKF91's, whose epsilon
+    defaults to 0.3, Monte Carlo plug-in rows from [seed, 10**9]."""
+    if not isinstance(process, RateMatrix):
+        from . import tkf91
+        lam = tkf91.top_states(process, 0.3 if eps is None else eps)
+        table = RowTable(tkf91.mc_rows(process, lam, h_star, row_samples,
+                                       np.random.default_rng([seed, 10 ** 9])),
+                         process.keys)
+        return [(partial(frequency_tests, plan, lam, table), plan, None)
+                for plan in plans]
+    Q = process
     table = RowTable({i: Q.row(i, h_star) for i in Q.states}, Q.keys)
-    # the tests differ in one argument: q* or the candidate states
+    # the tests differ in one argument, q* or the candidates, and a bound
     if kind == "uniform":
-        test, arg = uniform_chain_tests, Q.q_star
-        bound = clamp(prop54_uniform_bound(BoundInputs(
+        test, arg, form = uniform_chain_tests, Q.q_star, prop54_uniform_bound
+        inputs = BoundInputs(
             f_star=math.exp(-Q.q_star * h_star), q_star=Q.q_star, s=s,
-            m=plan.m, delta_q_hstar=min(table.delta(Q.states), 1.0))))
+            delta_q_hstar=min(table.delta(Q.states), 1.0))
     else:
         lam = list(Q.states if eps is None
                    else lambda_epsilon(_uniform_prior(Q), eps))
-        test, arg = frequency_tests, lam
+        test, arg, form = frequency_tests, lam, thm2_general_bound
         delta = table.delta(lam)
-        bound = clamp(thm2_general_bound(BoundInputs(
+        # a lone candidate has no distance to another, and no bound
+        inputs = math.isfinite(delta) and BoundInputs(
             epsilon=eps or 0.0, n_epsilon=len(lam), delta_epsilon=delta,
             q_star_epsilon=max(max(Q.exit_rates[i - 1] for i in lam), 1.0),
-            s=s, m=plan.m))) if math.isfinite(delta) else None
-    return partial(test, plan, arg, table), plan, bound
+            s=s)
+    return [(partial(test, plan, arg, table), plan,
+             clamp(form(inputs._replace(m=plan.m))) if inputs else None)
+            for plan in plans]
 
 
 def _root_draw(cfg: dict, process):
@@ -214,24 +243,19 @@ def _seed(cfg: dict) -> int:
     return seed
 
 
-def _tkf91_inputs(cfg: dict, family: NestedFamily) -> tuple:
-    """s, h*, epsilon, "ks" (None: all members), "row_samples", and the
-    stretch plans of the listed members (None without "ks"), so that an
-    h* above a chosen leaf of one of them is found at set-up.  Laying out
-    every member of a family is O(k²), so without "ks" each member's plan
-    is laid out when its trials run."""
-    est = _get(cfg, "estimator", dict)
-    s, h_star, eps = _test_inputs(est, 0.3)
-    ks = _get(cfg, "ks", list, None)
-    for i, k in enumerate(ks or ()):
+def _members(cfg: dict) -> list:
+    """(k, member k) for each k of "ks"; without it (None, the last tree
+    of the family, or the Newick tree)."""
+    if "ks" not in cfg:
+        return [(None, _build_tree(cfg))]
+    if "newick" in _get(cfg, "family", dict):
+        raise ConfigError("ks needs a family, not a newick tree")
+    family, ks = _build_family(cfg), _get(cfg, "ks", list)
+    for i, k in enumerate(ks):
         if not 1 <= _typed(f"ks[{i}]", k, int) <= len(family):
             raise ConfigError(f"family member k={k} out of range "
                               f"1..{len(family)}")
-    plans = None if ks is None else {
-        k: stretch_plan(family[k - 1], s, h_star) for k in ks}
-    return (s, h_star, eps, ks,
-            _positive("row_samples", _get(est, "row_samples", int, 4000)),
-            plans)
+    return [(k, family[k - 1]) for k in ks]
 
 
 def _output(cfg: dict, suffixes=("",)):
@@ -247,22 +271,25 @@ def _output(cfg: dict, suffixes=("",)):
     return path
 
 
-# what a run's trials need, built once at set-up and pickled to workers:
-# ``count`` trials, drawn by ``simulated_trials`` from substreams keyed
-# by ``key`` (block b from [*key, b]): each block draws its roots with
-# one ``draw(rng, size)`` call and its leaves on ``tree``, then the leaves
-# of the stretch plan ``stretch`` (or None) run forward; ``estimate`` maps
-# a TrialBlock to one (estimate, fallback flag) per trial
+# what a member's trials need, built when the run starts and pickled to
+# workers: ``count`` trials, drawn by ``simulated_trials`` from substreams
+# keyed by ``key`` (block b from [*key, b]): each block draws its roots
+# with one ``draw(rng, size)`` call and its leaves on ``tree``, then the
+# leaves of the stretch plan ``stretch`` (or None) run forward;
+# ``estimate`` maps a TrialBlock to one (estimate, fallback flag) per trial
 Trials = namedtuple("Trials", "tree process estimate draw key count stretch")
 
 
-def _trial_setup(cfg: dict) -> tuple:
-    """The ``Trials`` of a finite-chain config, and its estimator's bound
-    or None."""
-    tree, Q = _build_tree(cfg), _build_process(cfg)
-    estimate, stretch, bound = _build_estimator(cfg, tree, Q)
-    return Trials(tree, Q, estimate, _root_draw(cfg, Q), (_seed(cfg),),
-                  _trials(cfg), stretch), bound
+def _run_setup(cfg: dict):
+    """Read and check a run's config; returns the builder of each member's
+    (k, ``Trials`` keyed (seed, k), or (seed,) for k None, bound or None)."""
+    members, process = _members(cfg), _build_process(cfg)
+    build = _estimator_setup(cfg, process, [tree for _, tree in members])
+    draw, seed, count = _root_draw(cfg, process), _seed(cfg), _trials(cfg)
+    return lambda: [
+        (k, Trials(tree, process, estimate, draw,
+                   (seed,) if k is None else (seed, k), count, plan), bound)
+        for (k, tree), (estimate, plan, bound) in zip(members, build(seed))]
 
 
 def _trial_range(trials: Trials, lo: int, hi: int) -> list:
@@ -331,12 +358,6 @@ def _write_summary_csv(rows, bound, fh) -> None:
              f"{_TALLY_CSV.format(*tally)},{bound_s},{ok}\n")
 
 
-def _write_tkf91_csv(results, fh) -> None:
-    fh.write(f"k,{_TALLY}\n")
-    for k, *tally in results:
-        fh.write(f"{k},{_TALLY_CSV.format(*tally)}\n")
-
-
 def _emit(path, suffix: str, write_fn) -> int:
     with (nullcontext(sys.stdout) if path is None
           else open(path + suffix, "w")) as fh:
@@ -368,10 +389,18 @@ def _cmd_simulate(cfg: dict, workers: int):
 
 
 def _cmd_experiment(cfg: dict, workers: int):
-    (trials, bound), out = (_trial_setup(cfg),
-                            _output(cfg, _EXPERIMENT_SUFFIXES))
+    member_trials = _run_setup(cfg)
+    out = _output(cfg, ("",) if "ks" in cfg else _EXPERIMENT_SUFFIXES)
 
     def run():
+        members = member_trials()
+        if "ks" in cfg:
+            text = f"k,{_TALLY}\n"
+            for k, trials, _ in members:
+                tally = _tally(run_trials(trials, workers))
+                text += f"{k},{_TALLY_CSV.format(*tally)}\n"
+            return _emit(out, "", lambda fh: fh.write(text))
+        ((_, trials, bound),) = members
         rows = run_trials(trials, workers)
         _emit(out, ".trials.csv", partial(_write_trials_csv, rows))
         return _emit(out, ".summary.csv",
@@ -392,42 +421,15 @@ def _cmd_bounds(cfg: dict, workers: int):
         lines.append(
             f"recon_lower,{recon_lower(prior, conds, prior.support):.10g}")
     if "estimator" in cfg:
-        bound = _build_estimator(cfg, _build_tree(cfg),
-                                 _build_process(cfg))[2]
+        tree, process = _build_tree(cfg), _build_process(cfg)
+        build = _estimator_setup(cfg, process, [tree], bounded=True)
+        ((_, _, bound),) = build(None)
         if bound is not None:
             lines.append(f"estimator_bound,{bound:.10g}")
     if not lines:
         raise ConfigError("nothing to bound: give recon and/or estimator")
     text = "".join(ln + "\n" for ln in lines)
     return partial(_emit, _output(cfg), "", lambda fh: fh.write(text))
-
-
-def _cmd_tkf91(cfg: dict, workers: int):
-    family, params = _build_family(cfg), _build_process(cfg)
-    if isinstance(params, RateMatrix):
-        raise ConfigError("tkf91 subcommand needs a tkf91 process")
-    from . import tkf91
-    s, h_star, eps, ks, row_samples, plans = _tkf91_inputs(cfg, family)
-    count, seed, out = _trials(cfg), _seed(cfg), _output(cfg)
-    draw = _root_draw(cfg, params)
-
-    # member k's trials are keyed (seed, k); all share the plug-in rows
-    def run():
-        lam = tkf91.top_states(params, eps)
-        rows = RowTable(tkf91.mc_rows(params, lam, h_star, row_samples,
-                                      np.random.default_rng([seed, 10 ** 9])),
-                        params.keys)
-        results = []
-        for k in range(1, len(family) + 1) if ks is None else ks:
-            tree = family[k - 1]
-            plan = (stretch_plan(tree, s, h_star) if plans is None
-                    else plans[k])
-            estimate = partial(frequency_tests, plan, lam, rows)
-            results.append((k, *_tally(run_trials(
-                Trials(tree, params, estimate, draw, (seed, k), count, plan),
-                workers))))
-        return _emit(out, "", partial(_write_tkf91_csv, results))
-    return run
 
 
 def validate_config(cfg: dict) -> list:
@@ -443,16 +445,11 @@ def validate_config(cfg: dict) -> list:
         except ValueError as e:
             problems.append(str(e))
 
-    # a process read is a RateMatrix or else TKF91's parameters
-    Q = read(_build_process) if "process" in cfg else None
-    read(_root_draw, Q)
-    finite = isinstance(Q, RateMatrix)
-    if Q is not None and not finite and "estimator" in cfg:
-        read(_tkf91_inputs, read(_build_family))
-    elif "family" in cfg:
-        tree = read(_build_tree)
-        if finite and "estimator" in cfg:
-            read(_build_estimator, tree, Q)
+    process = read(_build_process) if "process" in cfg else None
+    read(_root_draw, process)
+    members = read(_members) if "family" in cfg else None
+    if "estimator" in cfg and members is not None:
+        read(_estimator_setup, process, [tree for _, tree in members])
     # the command is unknown here, so every file a command may write counts
     for key, reader in (("trials", _trials), ("seed", _seed),
                         ("output", partial(_output, suffixes=(
@@ -476,7 +473,8 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "bounds": _cmd_bounds,
     "experiment": _cmd_experiment,
-    "tkf91": _cmd_tkf91,
+    # a second name for experiment, which runs every process
+    "tkf91": _cmd_experiment,
     "validate": _cmd_validate,
 }
 

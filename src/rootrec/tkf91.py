@@ -98,7 +98,7 @@ _POWERS = np.array([5 ** i for i in range(KEY_LETTERS)], dtype=np.int64)
 LENGTH_CAP = 10 ** 4
 # lanes that one sampler call draws at most
 LANES = 4096
-MAX_STATES = 10 ** 6  # sequences that ``top_states`` enumerates at most
+MAX_STATES = 10 ** 4  # top_states' cap: tests compare candidates pairwise
 
 
 class _Rates(NamedTuple):

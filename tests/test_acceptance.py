@@ -27,8 +27,7 @@ from oracles import (block_draw, exact_leaf_law, frequency_estimate,
 from rootrec import cli
 from rootrec.bounds import (BoundInputs, prop54_uniform_bound, recon_lower,
                             recon_upper, wilson_interval)
-from rootrec.cli import (_build_estimator, _build_process, _build_tree,
-                         _trial_setup, main, run_trials)
+from rootrec.cli import _run_setup, main, run_trials
 from rootrec.ctmc import (Distribution, RateMatrix, jukes_cantor,
                           row_distribution, total_variation,
                           transition_matrix, two_state_symmetric)
@@ -195,9 +194,7 @@ def _deep_family_config(k, trials=1, seed=0):
 def _deep_family_bound(k):
     """The Theorem 2 bound that `rootrec experiment` reports for member k
     of the figure1 family in the c07 configuration."""
-    cfg = _deep_family_config(k)
-    _, _, bound = _build_estimator(cfg, _build_tree(cfg),
-                                   _build_process(cfg))
+    ((_, _, bound),) = _run_setup(_deep_family_config(k))()
     return bound
 
 
@@ -207,8 +204,9 @@ def test_c07a_deep_family_error_below_bound():
     start = time.monotonic()
     trials = 10 ** 4
     for k in (50, 200):
-        rows = run_trials(
-            _trial_setup(_deep_family_config(k, trials, seed=1070 + k))[0])
+        ((_, setup, _),) = _run_setup(
+            _deep_family_config(k, trials, seed=1070 + k))()
+        rows = run_trials(setup)
         rate = sum(truth != state for _, truth, state, _ in rows) / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
         assert rate - 3 * sigma <= _deep_family_bound(k)

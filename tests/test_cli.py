@@ -20,9 +20,9 @@ import test_substreams
 from oracles import Delegate, exact_leaf_law, map_estimate, simulate
 from rootrec import cli
 from rootrec.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, Trials,
-                         _build_estimator, _build_process, _build_tree,
-                         _trial_range, _trial_setup, _uniform_prior, main,
-                         run_trials, validate_config)
+                         _build_process, _build_tree, _run_setup,
+                         _trial_range, _uniform_prior, main, run_trials,
+                         validate_config)
 from rootrec.ctmc import RateMatrix, two_state_symmetric
 from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 exclusivity_stats, frequency_tests,
@@ -35,6 +35,13 @@ def write_cfg(tmp_path, name, cfg):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+def _trial_setup(cfg):
+    """The ``Trials`` and bound of a config without "ks", whose run takes
+    one member, as the run builds them."""
+    ((_, trials, bound),) = _run_setup(cfg)()
+    return trials, bound
 
 
 def experiment_cfg(tmp_path, **overrides):
@@ -101,14 +108,17 @@ class TestExperimentCommand:
         assert fields[6] == "1"  # empirical below (possibly clamped) bound
 
     def test_csv_shape(self, tmp_path):
-        # the tkf91 command's one line per member: k, then the summary's
-        # trials to ci_high
+        # a run over "ks" writes one line per member: k, then the
+        # summary's trials to ci_high
         out = tmp_path / "r.csv"
-        with open(out, "w") as fh:
-            cli._write_tkf91_csv([(10, 5, 1, 0.2, 0.0, 0.9)], fh)
+        path = write_cfg(tmp_path, "e.json", experiment_cfg(
+            tmp_path, trials=5, ks=[10], output=str(out)))
+        assert main(["experiment", path]) == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "k,trials,errors,rate,ci_low,ci_high"
-        assert lines[1].startswith("10,5,1,0.2,")
+        assert len(lines) == 2 and lines[1].startswith("10,5,")
+        _, _, errors, rate, low, high = map(float, lines[1].split(","))
+        assert low <= rate == errors / 5 <= high
 
     def test_identical_seed_identical_bytes(self, tmp_path):
         path = write_cfg(tmp_path, "e.json", experiment_cfg(tmp_path))
@@ -141,13 +151,36 @@ class TestExperimentCommand:
         assert len(trials) == 21
 
     def test_tkf91_process_rejected(self, tmp_path, capsys):
+        # experiment runs a TKF91 process's frequency test on the last
+        # member, and writes no bound; bounds refuses it with one line, as
+        # its Monte Carlo plug-in rows carry none
         cfg = experiment_cfg(
             tmp_path, process={"kind": "tkf91", "nu": 1, "lam": 1, "mu": 2})
         path = write_cfg(tmp_path, "e.json", cfg)
-        for command in ("experiment", "bounds"):
+        assert main(["experiment", path]) == EXIT_OK
+        trials = (tmp_path / "out.trials.csv").read_text().splitlines()
+        summary = (tmp_path / "out.summary.csv").read_text().splitlines()
+        assert len(trials) == 61 and summary[1].startswith("60,")
+        assert summary[1].endswith(",,")
+        assert main(["bounds", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: a tkf91 estimator has no bound"]
+
+    @pytest.mark.parametrize("kind", ["map", "majority", "uniform", "nope"])
+    def test_tkf91_runs_the_frequency_test_only(self, tmp_path, capsys,
+                                                kind):
+        cfg = {**test_substreams.TKF91, "output": str(tmp_path / "out"),
+               "estimator": {**test_substreams.TKF91["estimator"],
+                             "kind": kind}}
+        path = write_cfg(tmp_path, "t.json", cfg)
+        problem = (f"a tkf91 process runs the frequency estimator only, "
+                   f"got {kind!r}")
+        assert validate_config(cfg) == [problem]
+        for command in ("experiment", "tkf91"):
             assert main([command, path]) == EXIT_CONFIG
             assert capsys.readouterr().err.splitlines() == [
-                "config error: the estimator needs a finite-chain process"]
+                f"config error: {problem}"]
+        assert not list(tmp_path.glob("out*"))
 
     # (command, estimator or TKF91 config, what the run loads of
     # LOADED); None runs no command and reads a TKF91 name of the package
@@ -204,6 +237,68 @@ class TestExperimentCommand:
                     "\n") == 2
         assert got == {case: f"{loaded}\n"
                        for case, (_, _, loaded) in self.LOADS.items()}
+
+
+class TestOneRunner:
+    """``tkf91`` is a second name for ``experiment``, which runs any
+    process on the members that "ks" lists, keyed (seed, k), into one
+    line each, or without "ks" on the last member, keyed (seed,), into a
+    trials and a summary CSV."""
+
+    @staticmethod
+    def outputs(tmp_path, name, command, cfg, workers=1) -> dict:
+        here = tmp_path / name
+        here.mkdir()
+        path = write_cfg(here, "c.json", {**cfg, "output": str(here / "out")})
+        assert main([command, path, "--workers", str(workers)]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in here.glob("out*")}
+
+    @pytest.mark.parametrize("name", ["TKF91", "FREQUENCY"])
+    def test_both_names_write_the_same_bytes(self, tmp_path, name):
+        cfg = getattr(test_substreams, name)
+        got = [self.outputs(tmp_path, command, command, cfg)
+               for command in ("experiment", "tkf91")]
+        assert got[0] == got[1]
+        assert sorted(got[0]) == (["out"] if "ks" in cfg else
+                                  ["out.summary.csv", "out.trials.csv"])
+
+    def test_finite_members_write_one_line_each(self, tmp_path,
+                                                monkeypatch):
+        # three blocks per member, at 1, 2 and 3 workers
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        cfg = {**test_substreams.FREQUENCY_BLOCKS, "ks": [5, 20, 12]}
+        got = [self.outputs(tmp_path, f"w{workers}", "experiment", cfg,
+                            workers) for workers in (1, 2, 3)]
+        assert got[0] == got[1] == got[2]
+        lines = got[0]["out"].decode().splitlines()
+        assert lines[0] == "k,trials,errors,rate,ci_low,ci_high"
+        count = str(cfg["trials"])
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["5", count], ["20", count], ["12", count]]
+        # member k's trials are keyed (seed, k), not (seed,) as the last
+        # member's trials are without "ks"
+        ((_, trials, _),) = _run_setup({**cfg, "ks": [20]})()
+        assert trials.key == (cfg["seed"], 20)
+        assert _trial_setup(test_substreams.FREQUENCY_BLOCKS)[0].key == (
+            cfg["seed"],)
+
+    def test_tkf91_without_ks_runs_its_last_member(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        cfg = {key: value for key, value
+               in test_substreams.TKF91_BLOCKS.items() if key != "ks"}
+        got = [self.outputs(tmp_path, f"w{workers}", "tkf91", cfg, workers)
+               for workers in (1, 2)]
+        assert got[0] == got[1]
+        assert sorted(got[0]) == ["out.summary.csv", "out.trials.csv"]
+        rows = got[0]["out.trials.csv"].decode().splitlines()
+        assert len(rows) == cfg["trials"] + 1
+        summary = got[0]["out.summary.csv"].decode().splitlines()
+        assert summary[1].startswith(f"{cfg['trials']},")
+        assert summary[1].endswith(",,")
+        trials, bound = _trial_setup(cfg)
+        assert (trials.key, len(trials.tree.leaves), bound) == (
+            (cfg["seed"],), cfg["family"]["k"] + 1, None)
 
 
 class RecordingPool:
@@ -498,7 +593,7 @@ class TestMapEstimator:
                "estimator": {"kind": "map"}}
         tree, Q = _build_tree(cfg), _build_process(cfg)
         obs = {"L0001": 1, "L0002": 3}
-        est, _, _ = _build_estimator(cfg, tree, Q)
+        ((est, _, _),) = cli._estimator_setup(cfg, Q, [tree])(None)
         block = TrialBlock(0, [1], np.array([[1, 3]]), None, Q.keys,
                            np.random.default_rng(0))
         with pytest.raises(EstimatorError, match="impossible"):
@@ -656,12 +751,17 @@ class TestTrialInputs:
         assert time.perf_counter() - start < 10.0
         assert capsys.readouterr().err == ""
 
-    def test_tkf91_needs_a_tkf91_process(self, tmp_path, capsys):
+    def test_tkf91_runs_a_finite_chain(self, tmp_path, capsys):
+        # tkf91 is a second name for experiment: on a finite chain it runs
+        # the frequency test, the default kind, and writes its bound
+        out = tmp_path / "out"
         path = write_cfg(tmp_path, "t.json", {
-            **self.TKF91, "process": {"kind": "two_state", "q": 1.0}})
-        assert main(["tkf91", path]) == EXIT_CONFIG
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: tkf91 subcommand needs a tkf91 process"]
+            **self.TKF91, "process": {"kind": "two_state", "q": 1.0},
+            "output": str(out)})
+        assert main(["tkf91", path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        summary = Path(f"{out}.summary.csv").read_text().splitlines()
+        assert summary[1].startswith("2,") and summary[1].split(",")[5]
 
     def test_guard_during_the_trials_is_exit_3(self, tmp_path, capsys,
                                               monkeypatch):
@@ -796,7 +896,15 @@ BAD_CONFIGS = {
     "h-star-above-leaves-tkf91": ("tkf91", ("estimator", "h_star"), 0.5,
                                   "tkf91"),
     "row-samples-0": ("tkf91", ("estimator", "row_samples"), 0, "tkf91"),
+    "ks-newick": ("tkf91", ("family",), {"newick": "(a:1,b:1);"},
+                  "experiment"),
 }
+# "ks" on a finite chain, whose experiment reads it as every process does
+BAD_CONFIGS.update({
+    f"{name}-finite": ("experiment", ("ks",), value, "experiment")
+    for name, value in (("ks-text", ["a"]), ("ks-int", 5),
+                        ("ks-float", [1.5]), ("ks-0", [0]),
+                        ("ks-above-k", [3, 21]))})
 # a figure2 family with no spine vertex, or whose heavy subtree's edges
 # (h - 0.5) have no positive length, from every command that reads one
 BAD_CONFIGS.update({

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from rootrec.ctmc import (STATE_KEYS, Distribution, RateMatrix,
-                          row_distribution,
-                          total_variation, transition_matrix,
+                          row_distribution, transition_matrix,
                           two_state_symmetric, jukes_cantor)
 from rootrec import estimators
 from rootrec.bounds import recon_lower

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from functools import partial
 
 import numpy as np
@@ -16,9 +17,9 @@ from oracles import (block_draw, evolve_lanes_reference, frequency_estimate,
                      simulate, tkf91_beta, tkf91_children_reference,
                      tkf91_evolve, tkf91_evolve_per_edge, tkf91_law_reference,
                      tkf91_tree_reference, tree_per_edge, uniform_stream)
-from rootrec import cli, tkf91, treechain
+from rootrec import tkf91, treechain
 from rootrec.cli import EXIT_OK, main
-from rootrec.ctmc import CtmcError, total_variation, Distribution, _label_key
+from rootrec.ctmc import CtmcError, Distribution, _label_key
 from rootrec.estimators import RowTable, StretchPlan, stretch_plan
 from rootrec.tkf91 import (ALPHABET, KEY_LETTERS, LONG_KEY, Tkf91Params,
                            decode, encode, evolve_lanes, keys, lane_law,
@@ -785,6 +786,18 @@ class TestTopStates:
         with pytest.raises(CtmcError, match="MAX_STATES"):
             top_states(STD, 0.05)
         assert len(top_states(STD, 0.1)) <= 100
+
+    @pytest.mark.parametrize("params,eps", [
+        (STD, 1e-5), (STD, 2.0 ** -52), (Tkf91Params(1.0, 0.99999, 1.0), 0.3),
+        (Tkf91Params(1.0, 0.9, 1.0), 0.3)])
+    def test_hopeless_enumeration_fails_within_budget(self, params, eps):
+        # each needs more than MAX_STATES sequences, far more candidates
+        # than a frequency test could compare pairwise; under a guard of
+        # 10^6 each took 20 s or more to fail
+        start = time.perf_counter()
+        with pytest.raises(CtmcError, match="MAX_STATES"):
+            top_states(params, eps)
+        assert time.perf_counter() - start < 2.0
 
     def test_masses_nonincreasing(self):
         lam = top_states(STD, 0.02)
