@@ -14,7 +14,7 @@ from .ctmc import (CtmcError, Distribution, RateMatrix, jukes_cantor,
                    transition_matrix, two_state_symmetric)
 from .estimators import (EstimatorError, RowTable, StretchPlan,
                          exclusivity_stats, frequency_tests, lambda_epsilon,
-                         majority_estimate, map_estimates, stretch_plan,
+                         majority_estimates, map_estimates, stretch_plan,
                          uniform_chain_tests)
 from .tree import (NestedFamily, Tree, TreeError, TreePoint, chosen_leaves,
                    generate_family, parse_newick, truncate)

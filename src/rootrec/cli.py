@@ -38,7 +38,7 @@ from .bounds import (BoundInputs, clamp, prop54_uniform_bound,
 from .ctmc import (Distribution, RateMatrix, jukes_cantor, load_rate_matrix,
                    two_state_symmetric)
 from .estimators import (RowTable, frequency_tests, lambda_epsilon,
-                         majority_estimate, map_estimates, stretch_plan,
+                         majority_estimates, map_estimates, stretch_plan,
                          uniform_chain_tests)
 from .tree import NestedFamily, Tree, generate_family, parse_newick
 from .treechain import BLOCK, simulated_trials
@@ -141,17 +141,10 @@ def _uniform_prior(Q: RateMatrix) -> Distribution:
     return Distribution({i: 1.0 / Q.n for i in Q.states})
 
 
-# block estimators: a TrialBlock -> one (estimate, fallback flag) per trial
-
-
-def _majority(tree, block):
-    return [(majority_estimate(observed), 0)
-            for _, _, observed in block.trials(tree)]
-
-
-def _map(Q, prior, tree, block):
-    return [(state, 0) for state in map_estimates(tree, Q, prior,
-                                                  block.leaves)]
+def _point_estimates(estimates, block):
+    """The block estimator of ``estimates``, which maps a block's leaf
+    states to one estimate per trial: (estimate, no fallback) each."""
+    return [(state, 0) for state in estimates(block.leaves)]
 
 
 def _estimator_setup(cfg: dict, process, trees, bounded=False):
@@ -173,11 +166,22 @@ def _estimator_setup(cfg: dict, process, trees, bounded=False):
                               f"estimator only, got {kind!r}")
         row_samples = _positive("row_samples",
                                 _get(est, "row_samples", int, 4000))
+    if kind == "majority":
+        if process.n != 2:
+            raise ConfigError(f"majority vote is two-state only, got a "
+                              f"{process.n}-state chain")
+        even = [len(t.leaves) for t in trees if len(t.leaves) % 2 == 0]
+        if even:
+            raise ConfigError(f"majority vote needs an odd leaf count, got "
+                              f"{even[0]} leaves")
+        votes = [majority_estimates] * len(trees)
+    elif kind == "map":
+        prior = _uniform_prior(process)
+        votes = [partial(map_estimates, tree, process, prior)
+                 for tree in trees]
     if kind in ("majority", "map"):
-        estimate = (_majority if kind == "majority"
-                    else partial(_map, process, _uniform_prior(process)))
-        return lambda seed: [(partial(estimate, tree), None, None)
-                             for tree in trees]
+        return lambda seed: [(partial(_point_estimates, vote), None, None)
+                             for vote in votes]
     if kind not in ("frequency", "uniform"):
         raise ConfigError(f"unknown estimator kind {kind!r}")
     # above 1, epsilon would leave no candidate

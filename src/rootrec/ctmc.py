@@ -137,21 +137,22 @@ class RateMatrix:
                             f" got {root!r}")
         return partial(_draw_roots, self.n, root)
 
-    def tree_plan(self, lay) -> _Compiled:
-        return _compile(lay, self)
+    def tree_plan(self, tree) -> _Compiled:
+        return _compile(tree, self)
 
-    def block_draw(self, plan, lay, starts, ends, durations, picks):
-        """``_draw_chain`` on ``plan``, the ``_compile``d ``lay``, and a last
-        level of the edges of ``durations`` below the aliases of ``starts``
-        to the new ``ends``; it reads ``lay.leaves`` and ``picks``."""
+    def block_draw(self, plan, tree, starts, ends, durations, picks):
+        """``_draw_chain`` on ``plan``, the ``_compile``d ``tree``, and a
+        last level of the edges of ``durations`` below the aliases of
+        ``starts`` to the new ``ends``; it reads ``tree.leaf_vertices`` and
+        ``picks``."""
         _, levels, alias = plan
-        width = len(lay.parents) + len(ends)
+        width = len(tree.edge_parents) + len(ends)
         levels = levels + _levels(self.n, self.matrices(durations), ends,
                                   [alias[v] for v in starts],
                                   [0] * len(ends), width)
         alias = alias + ends
         return partial(_draw_chain, self.n, levels, width,
-                       [alias[v] for v in lay.leaves],
+                       [alias[v] for v in tree.leaf_vertices],
                        [alias[v] for v in picks])
 
     def __reduce__(self):
@@ -345,15 +346,16 @@ class _Compiled(NamedTuple):
     alias: list
 
 
-def _compile(lay, Q: RateMatrix) -> _Compiled:
-    """The tree laid out as ``lay`` (``treechain``'s layout) for the finite
-    chain ``Q``, its matrices from one ``Q.matrices`` pass and the
-    identity decided once per distinct length."""
-    lengths = list(dict.fromkeys(lay.lengths))
+def _compile(tree, Q: RateMatrix) -> _Compiled:
+    """The index layout of ``tree`` (``Tree.edge_parents`` and
+    ``edge_lengths``) for the finite chain ``Q``, its matrices from one
+    ``Q.matrices`` pass and the identity decided once per distinct
+    length."""
+    lengths = list(dict.fromkeys(tree.edge_lengths))
     still = dict(zip(lengths, (np.reshape(Q.matrices(lengths), (-1, Q.n, Q.n))
                                == np.eye(Q.n)).all((1, 2)).tolist()))
     alias, depth, moves = [0], [0], []
-    for e, (p, t) in enumerate(zip(lay.parents, lay.lengths)):
+    for e, (p, t) in enumerate(zip(tree.edge_parents, tree.edge_lengths)):
         p = alias[p]
         if still[t]:
             alias.append(p)
@@ -362,11 +364,11 @@ def _compile(lay, Q: RateMatrix) -> _Compiled:
             alias.append(e + 1)
             depth.append(depth[p] + 1)
             moves.append(e)
-    mats = Q.matrices(lay.lengths)
+    mats = Q.matrices(tree.edge_lengths)
     return _Compiled(mats, _levels(
         Q.n, [mats[e] for e in moves], [e + 1 for e in moves],
-        [alias[lay.parents[e]] for e in moves],
-        [depth[e + 1] for e in moves], len(lay.parents)), alias)
+        [alias[tree.edge_parents[e]] for e in moves],
+        [depth[e + 1] for e in moves], len(tree.edge_parents)), alias)
 
 
 def _levels(n: int, mats, children, parents, depth, width: int) -> list:

@@ -35,7 +35,7 @@ __all__ = [
     "MAP_TIE_RTOL",
     "frequency_tests",
     "uniform_chain_tests",
-    "majority_estimate",
+    "majority_estimates",
     "lambda_epsilon",
     "exclusivity_stats",
 ]
@@ -225,8 +225,10 @@ def uniform_chain_tests(plan: StretchPlan, q_star: float, rows: RowTable,
         raise EstimatorError("q_star must be at least 1")
     vocab, inverse = block.keys.vocabulary(block.stretched)
     n, size = inverse.shape[0], len(vocab)
-    counts = np.bincount((inverse + size * np.arange(n)[:, None]).ravel(),
-                         minlength=n * size).reshape(n, size)
+    # bincount reads no order: ravel in memory order, with no copy
+    counts = np.bincount(
+        (inverse + size * np.arange(n)[:, None]).ravel(order="K"),
+        minlength=n * size).reshape(n, size)
     states = block.keys.states(vocab)
     lams = [tuple(compress(states, row)) for row in (
         counts / plan.m >= 0.5 * math.exp(-q_star * plan.h_star)).tolist()]
@@ -239,20 +241,22 @@ def _test_block(plan, rows, block, vocab, inverse, lams, pools) -> list:
     """Trial t of ``block`` tested against the sorted candidates
     ``lams[t]``, falling back to ``pools[t]``: all trials of the same
     candidates at once, i against each j in turn on the trials still
-    passing, by which ``vocab`` keys lie in A(i, j).  It counts, and
-    raises on a clash, in ``exclusivity_stats`` as trial by trial would."""
+    passing, by which ``vocab`` keys lie in A(i, j), the candidates'
+    distance read once.  It counts, and raises on a clash, in
+    ``exclusivity_stats`` as trial by trial would."""
     states, groups, clash = [None] * len(lams), {}, {}
     for t, lam in enumerate(lams):
         groups.setdefault(lam, []).append(t)
     for lam, trials in groups.items():
         mass, keyed = rows.masses(lam, vocab, block.keys), inverse[trials]
+        half = rows.delta(lam) / 2.0
         passed = np.zeros((len(trials), len(lam)), dtype=bool)
         for a, i in enumerate(lam):
             alive = np.arange(len(trials))
             for b, j in enumerate(lam):
                 if b != a and len(alive):
                     inside = _achieves(mass[:, a], mass[:, b], a < b)
-                    bar = rows.threshold_mass(i, j) - rows.delta(lam) / 2.0
+                    bar = rows.threshold_mass(i, j) - half
                     alive = alive[inside[keyed[alive]].sum(1) / plan.m
                                   - bar > 0.0]
             passed[alive, a] = True
@@ -273,14 +277,16 @@ def _test_block(plan, rows, block, vocab, inverse, lams, pools) -> list:
     return out
 
 
-def majority_estimate(observed: dict) -> int:
-    """Majority vote over a two-state leaf assignment; requires an odd
-    number of leaves."""
-    m = len(observed)
+def majority_estimates(leaf_states) -> list:
+    """The majority vote of each row of ``leaf_states``, a two-state
+    observation of an odd number of leaves: 1 where more than half of
+    them hold state 1, else 2."""
+    leaf_states = np.asarray(leaf_states)
+    m = leaf_states.shape[1]
     if m % 2 == 0:
         raise EstimatorError("majority vote needs an odd leaf count")
-    bad = set(observed.values()) - {1, 2}
-    if bad:
-        raise EstimatorError(f"majority vote is two-state only, got {bad}")
-    n1 = sum(1 for v in observed.values() if v == 1)
-    return 1 if n1 > m / 2 else 2
+    bad = (leaf_states < 1) | (leaf_states > 2)
+    if bad.any():
+        raise EstimatorError(f"majority vote is two-state only, got "
+                             f"{set(leaf_states[bad].tolist())}")
+    return np.where(2 * (leaf_states == 1).sum(1) > m, 1, 2).tolist()

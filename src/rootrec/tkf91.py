@@ -40,10 +40,11 @@ the parents themselves and draws no letter.  A lane whose law is the
 may be skipped by drawing and dropping its 2 uniforms per slot instead;
 ``edge_batches`` makes a run of depths of such edges one batch.
 
-``Tkf91Params`` is a process (README): its plan of a tree laid out by
-``treechain`` is ``edge_batches``, its block draw ``draw_block`` and its
-``keys`` ``SequenceKeys``, so a finite chain's command never compiles
-them, and this module imports nothing of ``treechain``.
+``Tkf91Params`` is a process (README): its plan of a tree, read from the
+tree's index layout, is ``edge_batches``, its block draw ``draw_block``
+and its ``keys`` ``SequenceKeys``, so a finite chain's command never
+compiles them, and this module imports nothing of ``tree`` or
+``treechain``.
 """
 
 from __future__ import annotations
@@ -177,18 +178,18 @@ class Tkf91Params(_Rates):
         sequences, whatever ``root``."""
         return functools.partial(_stationary_roots, self)
 
-    def tree_plan(self, lay) -> list:
-        return edge_batches(lay, self)
+    def tree_plan(self, tree) -> list:
+        return edge_batches(tree, self)
 
-    def block_draw(self, batches, lay, starts, ends, durations, picks):
+    def block_draw(self, batches, tree, starts, ends, durations, picks):
         """``draw_block`` of ``batches`` and a last batch of the edges of
         ``durations`` from ``starts`` to ``ends``; it reads ``picks`` too."""
         if ends:
             law = lane_law(self, durations)
             batches = batches + [(starts, ends, law,
                                   identity(law).tolist())]
-        return functools.partial(draw_block, self, batches, lay.leaves,
-                                 picks)
+        return functools.partial(draw_block, self, batches,
+                                 tree.leaf_vertices, picks)
 
 
 def encode(seqs: list) -> tuple:
@@ -333,18 +334,19 @@ def evolve_lanes(params: Tkf91Params, codes, lens, law, rng) -> tuple:
     return child, out.astype(np.int32)
 
 
-def edge_batches(lay, params: Tkf91Params) -> list:
-    """The edges of a tree laid out as ``lay`` (``treechain``'s layout)
-    in batches of parent and child indices, of each edge's ``lane_law``
-    under ``params`` and of whether that law is the ``identity``: the
-    edges into inner vertices one batch per depth of their child, then
-    every edge into a leaf, each batch in topological order, and a run of
-    batches of identity edges only as one batch."""
-    law = lane_law(params, lay.lengths)
+def edge_batches(tree, params: Tkf91Params) -> list:
+    """The edges of ``tree``, read from its index layout, in batches of
+    parent and child indices, of each edge's ``lane_law`` under ``params``
+    and of whether that law is the ``identity``: the edges into inner
+    vertices one batch per depth of their child, then every edge into a
+    leaf, each batch in topological order, and a run of batches of
+    identity edges only as one batch."""
+    law = lane_law(params, tree.edge_lengths)
     same = identity(law).tolist()
     groups: dict = {}
-    for e, x in enumerate(lay.leaf_of):
-        groups.setdefault(np.inf if x is not None else lay.depth[e + 1],
+    depth = tree.generations
+    for e, x in enumerate(tree.edge_leaves):
+        groups.setdefault(np.inf if x is not None else depth[e + 1],
                           []).append(e)
     runs, still = [], False
     for _, es in sorted(groups.items()):
@@ -353,7 +355,8 @@ def edge_batches(lay, params: Tkf91Params) -> list:
         else:
             runs.append(es)
             still = all(same[e] for e in es)
-    return [([lay.parents[e] for e in es], [e + 1 for e in es], law[:, es],
+    parents = tree.edge_parents
+    return [([parents[e] for e in es], [e + 1 for e in es], law[:, es],
              [same[e] for e in es]) for es in runs]
 
 

@@ -1,12 +1,13 @@
 """Edge-weighted rooted trees.
 
-Trees are immutable after construction.  Vertex ids are opaque strings;
-every edge carries a strictly positive length (time units).  The module
-provides truncation at a distance from the root and the chosen leaves
-of its boundary points, nested families built a member at a time, and
-Newick input.  Restriction, spread, stretching, the families' density
-profile and Newick output are test references (``tests/oracles.py``):
-no command calls them.
+Trees are immutable after construction and carry the index layout that
+every draw reads.  Vertex ids are opaque strings; every edge carries a
+strictly positive length (time units).  The module provides truncation
+at a distance from the root and the chosen leaves of its boundary
+points, nested families built a member at a time, and Newick input.
+Restriction, spread, stretching, the families' density profile and
+Newick output are test references (``tests/oracles.py``): no command
+calls them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Sequence
+from functools import partial
 from typing import NamedTuple
 
 __all__ = [
@@ -41,7 +43,14 @@ class Tree:
     Built from ``(parent, child, length)`` triples.  Derived structure
     (children lists, depths, leaf set, height) is computed once; instances
     are never mutated afterwards, so they are safe to share across
-    concurrent workers.
+    concurrent workers.  The walk in ``topo_order`` also records the
+    index layout that every draw reads: vertex i is ``topo_order[i]``, so
+    the root is 0 and edge e's child is e + 1.  For each edge: its
+    parent's index (``edge_parents``), its length (``edge_lengths``) and
+    its child as a position in ``leaves`` if that is a leaf, else None
+    (``edge_leaves``); each leaf's index, in ``leaves`` order
+    (``leaf_vertices``); and each vertex's depth in edges from the root
+    (``generations``).
     """
 
     def __init__(self, root: str, edges):
@@ -64,14 +73,17 @@ class Tree:
         self.children = {u: tuple(sorted(cs)) for u, cs in children.items()}
         self.vertices = frozenset(children)
         depth: dict[str, float] = {root: 0.0}
-        order = [root]
-        stack = [root]
+        order, parents, generations = [root], [], [0]
+        stack = [0]
         while stack:
-            u = stack.pop()
+            i = stack.pop()
+            u = order[i]
             for c in self.children[u]:
                 depth[c] = depth[u] + length[c]
+                stack.append(len(order))
                 order.append(c)
-                stack.append(c)
+                parents.append(i)
+                generations.append(generations[i] + 1)
         if len(order) < len(self.vertices):
             # every vertex but the root has one parent, so what the search
             # from the root misses lies on a cycle or in a detached piece
@@ -84,6 +96,13 @@ class Tree:
                                    if not self.children[v] and v != root)
                             or ([root] if not self.children[root] else []))
         self.height = max((depth[x] for x in self.leaves), default=0.0)
+        index = {v: i for i, v in enumerate(order)}
+        position = {x: i for i, x in enumerate(self.leaves)}
+        self.edge_parents = tuple(parents)
+        self.edge_lengths = tuple(length[v] for v in order[1:])
+        self.edge_leaves = tuple(position.get(v) for v in order[1:])
+        self.leaf_vertices = tuple(index[x] for x in self.leaves)
+        self.generations = tuple(generations)
 
     def subtree_leaves(self, v: str) -> tuple[str, ...]:
         """Leaves at or below vertex v, sorted."""
@@ -163,13 +182,15 @@ def chosen_leaves(tree: Tree, s: float) -> tuple[str, ...]:
                         for p in truncate(tree, s)))
 
 
-class _LazyMembers(Sequence):
-    """Members 1..k of a family, each built on first access and then kept,
-    so a command that needs one member of a large family builds one."""
+class NestedFamily(Sequence):
+    """Members 1..k of a family: trees sharing a root, each obtained from
+    the previous by adding one leaf edge.  Member n is ``member(n)``,
+    built on first access and then kept, so a command that needs one
+    member of a large family builds one."""
 
-    def __init__(self, k: int, build):
+    def __init__(self, k: int, member):
         self._k = k
-        self._build = build
+        self._member = member
         self._built: dict[int, Tree] = {}
 
     def __len__(self):
@@ -179,39 +200,21 @@ class _LazyMembers(Sequence):
         i = range(self._k)[i]
         tree = self._built.get(i)
         if tree is None:
-            tree = self._built[i] = self._build(i + 1)
+            tree = self._built[i] = self._member(i + 1)
         return tree
 
 
-class NestedFamily:
-    """An ordered sequence of trees sharing a root, each obtained from the
-    previous by adding one leaf edge."""
-
-    def __init__(self, trees: Sequence[Tree] = ()):
-        self.trees = trees
-
-    def __len__(self):
-        return len(self.trees)
-
-    def __getitem__(self, k):
-        return self.trees[k]
-
-
 # ---------------------------------------------------------------------------
-# family generators
+# family members: each kind's member n, given the kind's parameters
 
 
-def _star_family(k: int, h: float) -> NestedFamily:
-    return NestedFamily(_LazyMembers(k, lambda n: Tree(
-        "rho", [("rho", f"L{i:04d}", h) for i in range(1, n + 1)])))
+def _star(h: float, n: int) -> Tree:
+    return Tree("rho", [("rho", f"L{i:04d}", h) for i in range(1, n + 1)])
 
 
-def _pinched_star_family(m: int, s: float, h: float) -> NestedFamily:
-    if not 0 < s < h:
-        raise TreeError("pinched star needs 0 < s < h")
-    return NestedFamily(_LazyMembers(m, lambda n: Tree(
-        "rho", [("rho", "pinch", s)]
-        + [("pinch", f"L{i:04d}", h - s) for i in range(1, n + 1)])))
+def _pinched_star(s: float, h: float, n: int) -> Tree:
+    return Tree("rho", [("rho", "pinch", s)]
+                + [("pinch", f"L{i:04d}", h - s) for i in range(1, n + 1)])
 
 
 # figure1 attaches leaf j at depth 2^-j; from j = 1075 on that underflows
@@ -247,27 +250,25 @@ def _figure1_edges(k: int, h: float):
     return edges
 
 
-def _figure1_family(k: int, h: float) -> NestedFamily:
-    return NestedFamily(_LazyMembers(
-        k, lambda n: Tree("rho", _figure1_edges(n, h))))
+def _figure1(h: float, n: int) -> Tree:
+    return Tree("rho", _figure1_edges(n, h))
 
 
-def _figure2_family(k: int, n_spine: int, h: float) -> NestedFamily:
-    """Fixed near-root attachments plus a growing heavy subtree hanging off
-    the deepest spine vertex: the truncation near the root is eventually
-    constant while the leaf count grows."""
-    base = _figure1_edges(n_spine, h)
-    return NestedFamily(_LazyMembers(k, lambda n: Tree(
-        "rho", base + [("v0001", f"K{i:04d}", h - 0.5)
-                       for i in range(1, n + 1)])))
+def _figure2(spine: list, h: float, n: int) -> Tree:
+    """Fixed near-root attachments (the figure1 ``spine``) plus a growing
+    heavy subtree hanging off the deepest spine vertex: the truncation
+    near the root is eventually constant while the leaf count grows."""
+    return Tree("rho", spine + [("v0001", f"K{i:04d}", h - 0.5)
+                                for i in range(1, n + 1)])
 
 
-def _random_ultrametric_family(k: int, h: float, seed: int) -> NestedFamily:
-    """Member n + 1 hangs a leaf L<n+1> reaching depth h off member n: at
-    a uniform depth d on the path to a uniformly chosen leaf, splitting
-    the path's edge there unless d falls on its lower end.  The growth is
-    drawn once, as each step's removed and added edges; a member replays
-    the steps before it, so building one member is linear in its size."""
+def _random_ultrametric(k: int, h: float, seed: int):
+    """The member builder of a family of k: member n + 1 hangs a leaf
+    L<n+1> reaching depth h off member n, at a uniform depth d on the
+    path to a uniformly chosen leaf, splitting the path's edge there
+    unless d falls on its lower end.  The growth is drawn once, as each step's
+    removed and added edges; a member replays the steps before it, so
+    building one member is linear in its size."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -316,7 +317,7 @@ def _random_ultrametric_family(k: int, h: float, seed: int) -> NestedFamily:
                 edges[v] = (u, ln)
         return Tree("rho", [(u, v, ln) for v, (u, ln) in edges.items()])
 
-    return NestedFamily(_LazyMembers(k, build))
+    return build
 
 
 def generate_family(kind: str, params: dict, seed: int = 0) -> NestedFamily:
@@ -331,19 +332,25 @@ def generate_family(kind: str, params: dict, seed: int = 0) -> NestedFamily:
     if k < 1 or h <= 0:
         raise TreeError("counts must be >= 1 and lengths positive")
     if kind == "star":
-        return _star_family(k, h)
-    if kind == "pinched_star":
-        return _pinched_star_family(k, float(p.get("s", 0.05)), h)
-    if kind == "figure1":
-        return _figure1_family(_spine(kind, "k", k), h)
-    if kind == "figure2":
+        member = partial(_star, h)
+    elif kind == "pinched_star":
+        s = float(p.get("s", 0.05))
+        if not 0 < s < h:
+            raise TreeError("pinched star needs 0 < s < h")
+        member = partial(_pinched_star, s, h)
+    elif kind == "figure1":
+        _spine(kind, "k", k)
+        member = partial(_figure1, h)
+    elif kind == "figure2":
         if h <= 0.5:
             raise TreeError(f"figure2 h must exceed 0.5, got {h}")
-        return _figure2_family(
-            k, _spine(kind, "n_spine", int(p.get("n_spine", 3))), h)
-    if kind == "random_ultrametric":
-        return _random_ultrametric_family(k, h, seed)
-    raise TreeError(f"unknown family kind {kind!r}")
+        member = partial(_figure2, _figure1_edges(
+            _spine(kind, "n_spine", int(p.get("n_spine", 3))), h), h)
+    elif kind == "random_ultrametric":
+        member = _random_ultrametric(k, h, seed)
+    else:
+        raise TreeError(f"unknown family kind {kind!r}")
+    return NestedFamily(k, member)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ pruning, the package's one likelihood engine.  Both work on a block of
 trials at once: simulation holds a block's states as integer keys, and
 pruning passes a finite chain's message row per trial, the site-pattern
 batching of BEAGLE (Ayres et al., Syst. Biol. 2012).  Block b of
-``BLOCK`` trials draws from the one substream keyed ``[*key, b]``.  This
-module lays a tree out (``_layout``); the process plans its draws on the
-layout (``tree_plan``), draws a block on the plan (``block_draw``) and
-reads its keys (``keys``), so no process kind is told apart here.  Every
-per-tree plan is kept here, once per tree and process, and dropped with
-its tree; processes carry no tree state.  The one-trial calls
+``BLOCK`` trials draws from the one substream keyed ``[*key, b]``.  The
+process plans its draws on a tree's index layout (``tree_plan``), draws
+a block on the plan (``block_draw``) and reads its keys (``keys``), so
+no process kind is told apart here.  Every per-tree plan is kept here,
+once per tree and process, and dropped with its tree; processes carry
+no tree state.  The one-trial calls
 ``simulate`` and ``leaf_likelihoods`` are test references
 (``tests/oracles.py``).
 """
@@ -42,34 +42,6 @@ BLOCK = 256
 DURATION_TOL = 1e-12
 
 
-class _Layout(NamedTuple):
-    """A tree's vertices indexed in topological order: the root is 0 and
-    edge e's child is e + 1.  For each edge: its parent's index, its
-    length, and its child as a position in ``tree.leaves`` if that is a
-    leaf (else None); the leaves' indices in ``tree.leaves`` order; and
-    each vertex's depth in edges from the root."""
-
-    parents: list
-    lengths: list
-    leaf_of: list
-    leaves: list
-    depth: list
-
-
-def _layout(tree: Tree) -> _Layout:
-    index = {v: i for i, v in enumerate(tree.topo_order)}
-    position = {x: i for i, x in enumerate(tree.leaves)}
-    edges = tree.topo_order[1:]
-    parents = [index[tree.parent[v]] for v in edges]
-    depth = [0]
-    for p in parents:
-        depth.append(depth[p] + 1)
-    return _Layout(parents, [tree.length[v] for v in edges],
-                   [None if tree.children[v] else position[v]
-                    for v in edges],
-                   [index[x] for x in tree.leaves], depth)
-
-
 # the plans of each tree, dropped with it: under (build, *args), the
 # value of build(tree, *args), which holds no reference to the tree
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -77,8 +49,7 @@ _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _plan(build, tree: Tree, *args):
     """``build(tree, *args)``, built once per tree and ``(build, *args)``:
-    the tree's ``_layout``, a process's ``_tree_plan`` and its
-    ``_drawer`` for a stretch."""
+    a process's ``_tree_plan`` and its ``_drawer`` for a stretch."""
     plans = _PLANS.get(tree)
     if plans is None:
         plans = _PLANS[tree] = {}
@@ -90,7 +61,7 @@ def _plan(build, tree: Tree, *args):
 
 
 def _tree_plan(tree: Tree, process):
-    return process.tree_plan(_plan(_layout, tree))
+    return process.tree_plan(tree)
 
 
 def _drawer(tree: Tree, process, stretch):
@@ -101,9 +72,8 @@ def _drawer(tree: Tree, process, stretch):
     if not hasattr(process, "block_draw"):
         raise TypeError(f"no trials of {process!r}: the process must be a "
                         "RateMatrix or Tkf91Params")
-    lay = _plan(_layout, tree)
-    return process.block_draw(_plan(_tree_plan, tree, process), lay,
-                              *_stretch_edges(tree, lay, stretch))
+    return process.block_draw(_plan(_tree_plan, tree, process), tree,
+                              *_stretch_edges(tree, stretch))
 
 
 class TrialBlock(NamedTuple):
@@ -160,18 +130,18 @@ def _block(draw, draw_roots, key, lo: int, count: int) -> TrialBlock:
     return TrialBlock(lo, *draw(draw_roots, count, BLOCK, rng), rng)
 
 
-def _stretch_edges(tree: Tree, lay: _Layout, stretch) -> tuple:
+def _stretch_edges(tree: Tree, stretch) -> tuple:
     """The edges that run forward the leaves of ``stretch`` (or None)
     whose duration exceeds ``DURATION_TOL``: parents, children (indices
     after the tree's vertices) and durations; and each stretched leaf's
     index."""
-    column = dict(zip(tree.leaves, lay.leaves))
+    column = dict(zip(tree.leaves, tree.leaf_vertices))
     starts, ends, durations, picks = [], [], [], []
     for x, dur in zip(() if stretch is None else stretch.leaves,
                       () if stretch is None else stretch.durations):
         if dur > DURATION_TOL:
             starts.append(column[x])
-            ends.append(len(lay.depth) + len(durations))
+            ends.append(len(tree.topo_order) + len(durations))
             durations.append(dur)
         picks.append(ends[-1] if dur > DURATION_TOL else column[x])
     return starts, ends, durations, picks
@@ -191,12 +161,11 @@ def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,
     all-zero row means its observation is impossible under every root
     state.
     """
-    lay = _plan(_layout, tree)
     mats = _plan(_tree_plan, tree, Q).mats
     obs = np.asarray(leaf_states, dtype=np.int64) - 1
-    vecs: list = [None] * len(lay.depth)
-    for e in range(len(lay.parents) - 1, -1, -1):
-        x = lay.leaf_of[e]
+    vecs: list = [None] * len(tree.topo_order)
+    for e in range(len(tree.edge_parents) - 1, -1, -1):
+        x = tree.edge_leaves[e]
         if x is None:
             # one matrix-vector product per row, not one matrix product
             # for the block: the rounding of a row, and so which of two
@@ -204,7 +173,7 @@ def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,
             msg = np.matmul(mats[e], vecs[e + 1][:, :, None])[:, :, 0]
         else:
             msg = mats[e].T.take(obs[:, x], 0)
-        p = lay.parents[e]
+        p = tree.edge_parents[e]
         acc = msg if vecs[p] is None else vecs[p] * msg
         top = acc.max(1, keepdims=True)
         vecs[p] = np.divide(acc, top, out=acc, where=top > 0.0)

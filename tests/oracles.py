@@ -10,6 +10,9 @@ cross-check.
 ``eager_random_ultrametric`` builds every member of a family from the
 one before it, as the package first did; the package now replays
 recorded growth steps per member, which it cross-checks.
+``layout`` lays a tree out in index lists from its dicts, after it is
+built, as the package first did; a ``Tree`` now records the same lists
+in the walk that builds it, which it cross-checks.
 ``tree_per_edge`` runs one trial down a tree edge by edge with a
 per-draw sampler: ``chain_step`` inverts a finite chain's cumulative
 row with one uniform, as the package's block draw does for every
@@ -52,9 +55,10 @@ the tests check: the tree's ``spread``, ``shared_path_length``,
 restricting each member to its predecessor's leaves),
 ``big_bang_profile`` (each member's boundary counts, by one ``truncate``
 per member and scale) and ``to_newick``; the one-trial calls
-``simulate``, ``leaf_likelihoods`` and ``map_estimate`` of the
-package's block functions; ``point_mass``, ``identifiability_margin``
-(``RowTable.delta`` of exact rows) and the weighted ``star_norm``; and
+``simulate``, ``leaf_likelihoods``, ``map_estimate`` and
+``majority_estimate`` of the package's block functions;
+``point_mass``, ``identifiability_margin`` (``RowTable.delta`` of exact
+rows) and the weighted ``star_norm``; and
 the bounds of the lemma chain (``variance_bound``,
 ``chebyshev_star_bound``) and of the pinched star's majority vote.
 """
@@ -69,6 +73,7 @@ from functools import partial, reduce
 from itertools import chain
 from operator import add
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +84,8 @@ from rootrec.ctmc import (UNIFORMIZATION_CAP, CtmcError, Distribution,
                           total_variations)
 from rootrec.estimators import (_EXCLUSIVITY, EstimatorError, RowTable,
                                 StretchPlan, map_estimates)
-from rootrec.tree import (DEPTH_TOL, NestedFamily, Tree, TreeError,
-                          chosen_leaves, truncate)
+from rootrec.tree import (DEPTH_TOL, Tree, TreeError, chosen_leaves,
+                          truncate)
 from rootrec.treechain import (DURATION_TOL, TrialBlock,
                                block_leaf_likelihoods, simulated_trials)
 
@@ -212,6 +217,34 @@ def eager_random_ultrametric(k: int, h: float, seed: int) -> list:
         edges = new_edges
         trees.append(Tree("rho", list(edges)))
     return trees
+
+
+class Layout(NamedTuple):
+    """A tree's vertices indexed in topological order: the root is 0 and
+    edge e's child is e + 1.  For each edge: its parent's index, its
+    length, and its child as a position in ``tree.leaves`` if that is a
+    leaf (else None); the leaves' indices in ``tree.leaves`` order; and
+    each vertex's depth in edges from the root."""
+
+    parents: list
+    lengths: list
+    leaf_of: list
+    leaves: list
+    depth: list
+
+
+def layout(tree: Tree) -> Layout:
+    index = {v: i for i, v in enumerate(tree.topo_order)}
+    position = {x: i for i, x in enumerate(tree.leaves)}
+    edges = tree.topo_order[1:]
+    parents = [index[tree.parent[v]] for v in edges]
+    depth = [0]
+    for p in parents:
+        depth.append(depth[p] + 1)
+    return Layout(parents, [tree.length[v] for v in edges],
+                  [None if tree.children[v] else position[v]
+                   for v in edges],
+                  [index[x] for x in tree.leaves], depth)
 
 
 def tkf91_beta(lam: float, mu: float, t: float) -> float:
@@ -887,20 +920,21 @@ def validate_family(family) -> list[str]:
     return problems
 
 
-def big_bang_profile(family: NestedFamily, s_grid) -> dict:
-    """Boundary-point counts |bd T^k(s)| for each tree and each s, with a
-    heuristic flag for scales whose count is constant over the last half
-    of the family.  Diagnostic only."""
+def big_bang_profile(trees, s_grid) -> dict:
+    """Boundary-point counts |bd T^k(s)| for each of ``trees`` (a family's
+    members in order) and each s, with a heuristic flag for scales whose
+    count is constant over the last half of the family.  Diagnostic
+    only."""
     s_grid = list(s_grid)
-    if not family.trees or not s_grid:
+    if not len(trees) or not s_grid:
         raise TreeError("family and grid must be nonempty")
     if any(s <= 0 for s in s_grid):
         raise TreeError("grid values must be positive")
-    counts = {s: [len(truncate(t, s)) for t in family.trees] for s in s_grid}
+    counts = {s: [len(truncate(t, s)) for t in trees] for s in s_grid}
     flagged = []
     for s in s_grid:
-        tail = counts[s][len(family.trees) // 2:]
-        if len(family.trees) >= 2 and len(set(tail)) == 1:
+        tail = counts[s][len(trees) // 2:]
+        if len(trees) >= 2 and len(set(tail)) == 1:
             flagged.append(s)
     return {"counts": counts, "flagged": flagged}
 
@@ -958,6 +992,20 @@ def map_estimate(tree: Tree, Q: RateMatrix, prior: Distribution,
     state."""
     return map_estimates(tree, Q, prior, [[observed[x] for x in tree.leaves]],
                          lam)[0]
+
+
+def majority_estimate(observed: dict) -> int:
+    """Majority vote over a two-state leaf assignment; requires an odd
+    number of leaves: the reference that ``majority_estimates`` votes
+    on a block as."""
+    m = len(observed)
+    if m % 2 == 0:
+        raise EstimatorError("majority vote needs an odd leaf count")
+    bad = set(observed.values()) - {1, 2}
+    if bad:
+        raise EstimatorError(f"majority vote is two-state only, got {bad}")
+    n1 = sum(1 for v in observed.values() if v == 1)
+    return 1 if n1 > m / 2 else 2
 
 
 def point_mass(state) -> Distribution:

@@ -10,11 +10,10 @@ from rootrec.bounds import (BoundInputs, clamp, prop54_uniform_bound,
                             prop54_valid, recon_lower, recon_upper,
                             thm2_general_bound, thm2_valid, wilson_interval)
 from rootrec.ctmc import Distribution, RateMatrix, two_state_symmetric
-from oracles import (chebyshev_star_bound, exact_leaf_law, monte_carlo_error,
-                     pinched_star_hoeffding_bound,
+from oracles import (chebyshev_star_bound, exact_leaf_law, majority_estimate,
+                     monte_carlo_error, pinched_star_hoeffding_bound,
                      pinched_star_majority_error, spread, variance_bound)
 from rootrec.tree import generate_family
-from rootrec.estimators import majority_estimate
 
 
 BINARY = {

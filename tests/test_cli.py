@@ -905,6 +905,22 @@ BAD_CONFIGS.update({
     for name, value in (("ks-text", ["a"]), ("ks-int", 5),
                         ("ks-float", [1.5]), ("ks-0", [0]),
                         ("ks-above-k", [3, 21]))})
+
+
+def majority_cfg(key, value):
+    """A majority-vote config, made from the test's directory: the base
+    config with ``key`` set to ``value``."""
+    return lambda tmp_path: experiment_cfg(
+        tmp_path, estimator={"kind": "majority"}, **{key: value})
+
+
+# a majority vote on an even leaf count, or on a chain of more than two
+# states
+BAD_CONFIGS.update({
+    "majority-4-leaf-star": ("experiment", (), majority_cfg(
+        "family", {"kind": "star", "k": 4}), "experiment"),
+    "majority-4-state": ("experiment", (), majority_cfg(
+        "process", {"kind": "uniform", "n": 4}), "experiment")})
 # a figure2 family with no spine vertex, or whose heavy subtree's edges
 # (h - 0.5) have no positive length, from every command that reads one
 BAD_CONFIGS.update({
@@ -929,6 +945,22 @@ def test_bad_config_is_exit_2_from_every_command(tmp_path, capsys, base,
     assert main([command, path]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("key,value,problem", [
+    ("family", {"kind": "star", "k": 4},
+     "majority vote needs an odd leaf count, got 4 leaves"),
+    ("process", {"kind": "uniform", "n": 4},
+     "majority vote is two-state only, got a 4-state chain")])
+def test_majority_refused_at_setup(tmp_path, capsys, key, value, problem):
+    # both used to pass validate and fail in the run, the second only
+    # once a draw held state 3 or 4
+    cfg = majority_cfg(key, value)(tmp_path)
+    assert validate_config(cfg) == [problem]
+    path = write_cfg(tmp_path, "m.json", cfg)
+    assert main(["experiment", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {problem}"]
 
 
 def paths(node, prefix=()):

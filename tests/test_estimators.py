@@ -13,14 +13,15 @@ from rootrec import estimators
 from rootrec.bounds import recon_lower
 from rootrec.cli import _build_process, _root_draw
 from oracles import (block_counts, block_draw, exact_leaf_law,
-                     frequency_estimate, frequency_test, map_estimate,
-                     pinched_star_majority_error, restrict, simulate, spread,
-                     total_variation_reference, tv_achieving_set,
-                     uniform_chain_estimate, uniform_chain_test)
+                     frequency_estimate, frequency_test, majority_estimate,
+                     map_estimate, pinched_star_majority_error, restrict,
+                     simulate, spread, total_variation_reference,
+                     tv_achieving_set, uniform_chain_estimate,
+                     uniform_chain_test)
 from rootrec.estimators import (MAP_TIE_RTOL, EstimatorError, RowTable,
                                 StretchPlan, exclusivity_stats,
                                 frequency_tests, lambda_epsilon,
-                                majority_estimate, map_estimates,
+                                majority_estimates, map_estimates,
                                 stretch_plan, uniform_chain_tests)
 from rootrec.tkf91 import (Tkf91Params, distinct, encode, keys, mc_rows,
                            stationary_sample, strings, top_states)
@@ -734,21 +735,70 @@ class TestBlockTests:
         assert rows.threshold_mass(i, j).hex() == in_turn.hex()
 
 
+class TestDistanceReadOnce:
+    """A block's tests read each candidate group's minimum distance once,
+    not once per pair of its candidates."""
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_one_delta_per_group(self, monkeypatch, uniform):
+        calls = []
+        real = RowTable.delta
+
+        def counted(rows, lam):
+            calls.append(tuple(lam))
+            return real(rows, lam)
+
+        monkeypatch.setattr(RowTable, "delta", counted)
+        t, Q = pinched(31, s=0.02), jukes_cantor(1.0)
+        plan, table = stretch_plan(t, 0.03, 1.0), rows_at(Q, 1.0)
+        (block,) = simulated_trials(t, Q, Q.roots("uniform"), (6,), 200,
+                                    stretch=plan)
+        if uniform:
+            uniform_chain_tests(plan, Q.q_star, table, block)
+            assert len(set(calls)) > 1
+        else:
+            frequency_tests(plan, Q.states, table, block)
+            assert calls == [tuple(Q.states)]
+        assert len(calls) == len(set(calls))
+
+
 class TestMajorityEstimate:
+    """``majority_estimates`` votes on a block; ``oracles.majority_estimate``
+    votes on one trial's leaf assignment, and each checks the other."""
+
+    @staticmethod
+    def both(obs):
+        return (majority_estimate(obs),
+                *majority_estimates([list(obs.values())]))
+
     def test_unanimous(self):
-        assert majority_estimate({"a": 1, "b": 1, "c": 1}) == 1
+        assert self.both({"a": 1, "b": 1, "c": 1}) == (1, 1)
 
     def test_51_of_101(self):
         obs = {f"L{i:04d}": (1 if i <= 51 else 2) for i in range(1, 102)}
-        assert majority_estimate(obs) == 1
+        assert self.both(obs) == (1, 1)
 
     def test_even_count_rejected(self):
         with pytest.raises(EstimatorError):
             majority_estimate({"a": 1, "b": 2})
+        with pytest.raises(EstimatorError, match="odd leaf count"):
+            majority_estimates([[1, 2], [1, 1]])
 
     def test_non_two_state_rejected(self):
         with pytest.raises(EstimatorError):
             majority_estimate({"a": 1, "b": 3, "c": 1})
+        with pytest.raises(EstimatorError, match=r"two-state only, got \{3\}"):
+            majority_estimates(np.array([[1, 2, 1], [1, 3, 1]], np.uint8))
+
+    def test_block_vote_matches_reference(self):
+        # a drawn block's (trials × leaves) array of uint8 states
+        t, Q = pinched(9), two_state_symmetric(1.0)
+        (block,) = simulated_trials(t, Q, Q.roots("uniform"), (8,), 200)
+        assert block.leaves.dtype == np.uint8
+        votes = majority_estimates(block.leaves)
+        assert votes == [majority_estimate(obs)
+                         for _, _, obs in block.trials(t)]
+        assert set(votes) == {1, 2}
 
     def test_exact_error_matches_binomial_formula(self):
         t = pinched(3, s=0.05, h=1.0)

@@ -404,13 +404,13 @@ class TestTrialBlocks:
 
     def test_plan_built_once(self, monkeypatch):
         calls = []
-        real = treechain._layout
+        real = treechain._tree_plan
 
-        def counted(tree):
+        def counted(tree, process):
             calls.append(tree)
-            return real(tree)
+            return real(tree, process)
 
-        monkeypatch.setattr(treechain, "_layout", counted)
+        monkeypatch.setattr(treechain, "_tree_plan", counted)
         params = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
         tree = self.tree()
         simulate(tree, params, "AT", np.random.default_rng(1))
@@ -622,8 +622,7 @@ class TestNoMove:
 
     def test_identity_depths_merge(self):
         tree = generate_family("figure1", {"k": 200})[199]
-        batches = tkf91.edge_batches(treechain._layout(tree),
-                                     Tkf91Params(1.0, 0.5, 1.0))
+        batches = tkf91.edge_batches(tree, Tkf91Params(1.0, 0.5, 1.0))
         assert len(batches) == 55
         runs = [len(parents) for parents, _, _, same in batches
                 if all(same)]

@@ -4,11 +4,11 @@ import time
 import pytest
 
 from oracles import (big_bang_profile, eager_random_ultrametric,
-                     extract_well_spread_restriction, restrict,
+                     extract_well_spread_restriction, layout, restrict,
                      shared_path_length, spread, stretch_to_height,
                      to_newick, validate_family)
-from rootrec.tree import (NestedFamily, Tree, TreeError, chosen_leaves,
-                          generate_family, parse_newick, truncate)
+from rootrec.tree import (Tree, TreeError, chosen_leaves, generate_family,
+                          parse_newick, truncate)
 from rootrec.tree import _figure1_edges
 
 
@@ -301,7 +301,7 @@ class TestFamilies:
                  "adds 2 leaves instead of 1"),
                 ([one, Tree("rho", [("rho", "b", 1.0), ("rho", "c", 1.0)])],
                  "leaf set not nested")]:
-            assert validate_family(NestedFamily(trees)) == [
+            assert validate_family(trees) == [
                 f"tree 1: {problem}"]
 
     @pytest.mark.parametrize("kind,params", [
@@ -384,6 +384,36 @@ class TestFamilies:
         assert fam[-1] is fam[999]
 
 
+class TestLayout:
+    """The index layout that a tree records in the walk that builds it is
+    the one ``oracles.layout`` reads from its dicts afterwards."""
+
+    @staticmethod
+    def check(tree):
+        ref = layout(tree)
+        assert tree.edge_parents == tuple(ref.parents)
+        assert tree.edge_lengths == tuple(ref.lengths)
+        assert tree.edge_leaves == tuple(ref.leaf_of)
+        assert tree.leaf_vertices == tuple(ref.leaves)
+        assert tree.generations == tuple(ref.depth)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("star", {"h": 1.0}), ("pinched_star", {"s": 0.1, "h": 1.0}),
+        ("figure1", {"h": 1.0}), ("figure2", {"n_spine": 3, "h": 1.0}),
+        ("random_ultrametric", {"h": 1.0})])
+    def test_family_members(self, kind, params):
+        fam = generate_family(kind, {**params, "k": 40}, seed=3)
+        for j in (1, 2, 7, 40):
+            self.check(fam[j - 1])
+
+    def test_newick_and_hand_built_trees(self):
+        self.check(parse_newick("(((y:0.5,z:0.5)b:0.3,x:0.8)a:0.2)rho;"))
+        self.check(caterpillar())
+        one = Tree("r", [])
+        self.check(one)
+        assert one.leaf_vertices == (0,) and one.edge_parents == ()
+
+
 class TestBigBangProfile:
     def test_star_family_counts_grow(self):
         fam = generate_family("star", {"k": 6, "h": 1.0})
@@ -392,8 +422,7 @@ class TestBigBangProfile:
         assert prof["flagged"] == []
 
     def test_constant_family_flagged(self):
-        fam = NestedFamily([star3()] * 4)
-        prof = big_bang_profile(fam, [0.5])
+        prof = big_bang_profile([star3()] * 4, [0.5])
         assert prof["flagged"] == [0.5]
 
     def test_figure2_eventually_constant_near_root(self):

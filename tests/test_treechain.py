@@ -19,8 +19,8 @@ from rootrec.tkf91 import Tkf91Params, stationary_sample
 from rootrec import tree as tree_module
 from rootrec import treechain
 from rootrec.tree import Tree, generate_family
-from rootrec.treechain import (BLOCK, DURATION_TOL, _layout,
-                               block_leaf_likelihoods, simulated_trials)
+from rootrec.treechain import (BLOCK, DURATION_TOL, block_leaf_likelihoods,
+                               simulated_trials)
 
 
 def naive_leaf_law(tree, Q, root_state):
@@ -169,7 +169,6 @@ class TestPlans:
         return calls
 
     def test_finite_chain_plans_built_once(self, monkeypatch):
-        layouts = self.count(monkeypatch, "_layout")
         compiled = self.count(monkeypatch, "_tree_plan")
         tree = pinched2()
         Q = two_state_symmetric(1.0)
@@ -181,11 +180,11 @@ class TestPlans:
             list(simulated_trials(tree, Q, block_draw(lambda rng: 1), (0,),
                                   3, stretch=plan))
             block_leaf_likelihoods(tree, Q, [[1, 2]])
-        assert layouts == [(tree,)] and compiled == [(tree, Q)]
+        assert compiled == [(tree, Q)]
         # a second chain on the same tree compiles its own matrices
         R = two_state_symmetric(2.0)
         simulate(tree, R, 1, np.random.default_rng(0))
-        assert layouts == [(tree,)] and compiled == [(tree, Q), (tree, R)]
+        assert compiled == [(tree, Q), (tree, R)]
 
     @pytest.mark.parametrize("process, root", [
         (two_state_symmetric(1.0), 1),
@@ -238,8 +237,8 @@ class TestDescend:
             mats[ln] = np.tile(row, (n, 1))
         chain = SimpleNamespace(n=n, matrix=mats.__getitem__,
                                 matrices=lambda ts: [mats[t] for t in ts])
-        levels = _compile(_layout(tree), chain).levels
-        parents = _layout(tree).parents
+        levels = _compile(tree, chain).levels
+        parents = tree.edge_parents
         trials = 50
         roots = (np.arange(trials) % n + 1).tolist()
         u = rng.random((len(parents), trials))
@@ -416,7 +415,7 @@ class TestIdentityEdges:
     def test_chain_blocks_match_per_edge_walk(self, kind, n):
         tree, Q = self.TREES[kind](), (two_state_symmetric(1.0) if n == 2
                                        else jukes_cantor(1.0, 3))
-        compiled = _compile(_layout(tree), Q)
+        compiled = _compile(tree, Q)
         drawn = sum(len(children) for children, *_ in compiled.levels)
         assert 0 < drawn < len(tree.topo_order) - 1
         assert drawn == sum(a == v for v, a in enumerate(compiled.alias)) - 1
