@@ -105,7 +105,11 @@ def _build_family(cfg: dict) -> NestedFamily:
                           "family is the last tree of k = j")
     params = {key: _get(spec, key, t) for key, t in _FAMILY_KEYS.items()
               if key in spec}
-    return generate_family(kind, params, _get(spec, "seed", int, 0))
+    seed = _get(spec, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"family seed must be a non-negative integer, "
+                          f"got {seed}")
+    return generate_family(kind, params, seed)
 
 
 def _build_tree(cfg: dict) -> Tree:
@@ -155,6 +159,8 @@ def _estimator_setup(cfg: dict, process, trees, bounded=False):
     pickles."""
     est = _get(cfg, "estimator", dict)
     kind = _get(est, "kind", str, "frequency")
+    if bounded and kind in ("majority", "map"):
+        raise ConfigError(f"a {kind} estimator has no bound")
     row_samples = None
     if not isinstance(process, RateMatrix):
         # TKF91's rows are Monte Carlo plug-in rows: it runs the frequency
@@ -428,8 +434,10 @@ def _cmd_bounds(cfg: dict, workers: int):
         tree, process = _build_tree(cfg), _build_process(cfg)
         build = _estimator_setup(cfg, process, [tree], bounded=True)
         ((_, _, bound),) = build(None)
-        if bound is not None:
-            lines.append(f"estimator_bound,{bound:.10g}")
+        if bound is None:
+            raise ConfigError("a frequency estimator with one candidate "
+                              "has no bound")
+        lines.append(f"estimator_bound,{bound:.10g}")
     if not lines:
         raise ConfigError("nothing to bound: give recon and/or estimator")
     text = "".join(ln + "\n" for ln in lines)

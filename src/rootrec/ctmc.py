@@ -137,15 +137,11 @@ class RateMatrix:
                             f" got {root!r}")
         return partial(_draw_roots, self.n, root)
 
-    def tree_plan(self, tree) -> _Compiled:
-        return _compile(tree, self)
-
-    def block_draw(self, plan, tree, starts, ends, durations, picks):
-        """``_draw_chain`` on ``plan``, the ``_compile``d ``tree``, and a
-        last level of the edges of ``durations`` below the aliases of
-        ``starts`` to the new ``ends``; it reads ``tree.leaf_vertices`` and
-        ``picks``."""
-        _, levels, alias = plan
+    def block_draw(self, tree, starts, ends, durations, picks):
+        """``_draw_chain`` on the ``_compile``d ``tree`` and a last level
+        of the edges of ``durations`` below the aliases of ``starts`` to
+        the new ``ends``; it reads ``tree.leaf_vertices`` and ``picks``."""
+        levels, alias = _compile(tree, self)
         width = len(tree.edge_parents) + len(ends)
         levels = levels + _levels(self.n, self.matrices(durations), ends,
                                   [alias[v] for v in starts],
@@ -334,14 +330,13 @@ def _draw_roots(n: int, root, rng, size: int) -> list:
 
 
 class _Compiled(NamedTuple):
-    """A tree laid out for a finite chain: each edge's transition matrix;
-    the edges whose matrix is not the identity, as ``_levels`` by the
-    depth of their child in such edges; and each vertex's ``alias``, the
-    vertex whose drawn state it holds: itself if such an edge enters it,
-    else its parent's alias.  An identity edge's child is its parent's
-    state whatever its uniform, so it is not drawn."""
+    """A tree laid out for a finite chain: the edges whose transition
+    matrix is not the identity, as ``_levels`` by the depth of their child
+    in such edges; and each vertex's ``alias``, the vertex whose drawn
+    state it holds: itself if such an edge enters it, else its parent's
+    alias.  An identity edge's child is its parent's state whatever its
+    uniform, so it is not drawn."""
 
-    mats: list
     levels: list
     alias: list
 
@@ -365,7 +360,7 @@ def _compile(tree, Q: RateMatrix) -> _Compiled:
             depth.append(depth[p] + 1)
             moves.append(e)
     mats = Q.matrices(tree.edge_lengths)
-    return _Compiled(mats, _levels(
+    return _Compiled(_levels(
         Q.n, [mats[e] for e in moves], [e + 1 for e in moves],
         [alias[tree.edge_parents[e]] for e in moves],
         [depth[e + 1] for e in moves], len(tree.edge_parents)), alias)

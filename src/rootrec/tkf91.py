@@ -40,11 +40,11 @@ the parents themselves and draws no letter.  A lane whose law is the
 may be skipped by drawing and dropping its 2 uniforms per slot instead;
 ``edge_batches`` makes a run of depths of such edges one batch.
 
-``Tkf91Params`` is a process (README): its plan of a tree, read from the
-tree's index layout, is ``edge_batches``, its block draw ``draw_block``
-and its ``keys`` ``SequenceKeys``, so a finite chain's command never
-compiles them, and this module imports nothing of ``tree`` or
-``treechain``.
+``Tkf91Params`` is a process (README): its ``block_draw`` batches a
+tree's edges, read from the tree's index layout, by ``edge_batches`` and
+draws a block by ``draw_block``, and its ``keys`` are ``SequenceKeys``,
+so a finite chain's command never compiles them, and this module imports
+nothing of ``tree`` or ``treechain``.
 """
 
 from __future__ import annotations
@@ -178,16 +178,14 @@ class Tkf91Params(_Rates):
         sequences, whatever ``root``."""
         return functools.partial(_stationary_roots, self)
 
-    def tree_plan(self, tree) -> list:
-        return edge_batches(tree, self)
-
-    def block_draw(self, batches, tree, starts, ends, durations, picks):
-        """``draw_block`` of ``batches`` and a last batch of the edges of
-        ``durations`` from ``starts`` to ``ends``; it reads ``picks`` too."""
+    def block_draw(self, tree, starts, ends, durations, picks):
+        """``draw_block`` of the ``edge_batches`` of ``tree`` and a last
+        batch of the edges of ``durations`` from ``starts`` to ``ends``;
+        it reads ``picks`` too."""
+        batches = edge_batches(tree, self)
         if ends:
             law = lane_law(self, durations)
-            batches = batches + [(starts, ends, law,
-                                  identity(law).tolist())]
+            batches.append((starts, ends, law, identity(law).tolist()))
         return functools.partial(draw_block, self, batches,
                                  tree.leaf_vertices, picks)
 

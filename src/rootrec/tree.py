@@ -124,7 +124,7 @@ class Tree:
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
-        # caches keyed by tree compare a tree with itself on every lookup
+        # a tree equals itself without an edge-by-edge comparison
         if self is other:
             return True
         if self.root != other.root or self.parent.keys() != other.parent.keys():
@@ -135,7 +135,8 @@ class Tree:
                    for v in self.parent)
 
     def __hash__(self):
-        # identity hash: trees are immutable, caches key on the instance
+        # identity hash: a tree is immutable, and lengths that are equal
+        # within a tolerance have no common content hash
         return id(self)
 
     def __repr__(self):
@@ -186,7 +187,8 @@ class NestedFamily(Sequence):
     """Members 1..k of a family: trees sharing a root, each obtained from
     the previous by adding one leaf edge.  Member n is ``member(n)``,
     built on first access and then kept, so a command that needs one
-    member of a large family builds one."""
+    member of a large family builds one; a slice is the list of the
+    members it names, each built as indexing builds it."""
 
     def __init__(self, k: int, member):
         self._k = k
@@ -197,6 +199,8 @@ class NestedFamily(Sequence):
         return self._k
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(self._k)[i]]
         i = range(self._k)[i]
         tree = self._built.get(i)
         if tree is None:

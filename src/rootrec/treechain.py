@@ -7,18 +7,15 @@ trials at once: simulation holds a block's states as integer keys, and
 pruning passes a finite chain's message row per trial, the site-pattern
 batching of BEAGLE (Ayres et al., Syst. Biol. 2012).  Block b of
 ``BLOCK`` trials draws from the one substream keyed ``[*key, b]``.  The
-process plans its draws on a tree's index layout (``tree_plan``), draws
-a block on the plan (``block_draw``) and reads its keys (``keys``), so
-no process kind is told apart here.  Every per-tree plan is kept here,
-once per tree and process, and dropped with its tree; processes carry
-no tree state.  The one-trial calls
-``simulate`` and ``leaf_likelihoods`` are test references
-(``tests/oracles.py``).
+process builds its draw of a tree from the tree's index layout, once per
+``simulated_trials`` call (``block_draw``), and reads its keys
+(``keys``), so no process kind is told apart here; processes carry no
+tree state.  The one-trial calls ``simulate`` and ``leaf_likelihoods``
+are test references (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -40,40 +37,6 @@ __all__ = [
 BLOCK = 256
 # a stretched leaf runs forward only for a duration above this
 DURATION_TOL = 1e-12
-
-
-# the plans of each tree, dropped with it: under (build, *args), the
-# value of build(tree, *args), which holds no reference to the tree
-_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _plan(build, tree: Tree, *args):
-    """``build(tree, *args)``, built once per tree and ``(build, *args)``:
-    a process's ``_tree_plan`` and its ``_drawer`` for a stretch."""
-    plans = _PLANS.get(tree)
-    if plans is None:
-        plans = _PLANS[tree] = {}
-    key = (build, *args)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = build(tree, *args)
-    return plan
-
-
-def _tree_plan(tree: Tree, process):
-    return process.tree_plan(tree)
-
-
-def _drawer(tree: Tree, process, stretch):
-    """``process``'s ``block_draw`` on its ``tree_plan`` and ``stretch``:
-    ``draw(draw_roots, count, size, rng)`` returns the roots, leaf states
-    and ``stretch``ed states (None without a stretch) of ``count`` trials
-    drawn from ``rng`` as ``simulated_trials`` says, and their keys."""
-    if not hasattr(process, "block_draw"):
-        raise TypeError(f"no trials of {process!r}: the process must be a "
-                        "RateMatrix or Tkf91Params")
-    return process.block_draw(_plan(_tree_plan, tree, process), tree,
-                              *_stretch_edges(tree, stretch))
 
 
 class TrialBlock(NamedTuple):
@@ -110,19 +73,30 @@ def simulated_trials(tree: Tree, process, draw_roots, key, stop: int,
     ``block_draw``, its roots with one ``draw_roots(rng, size)`` call,
     which returns a list of ``size`` roots, then the block's edges, then
     the leaves of ``stretch`` (a ``StretchPlan``, or None) whose duration
-    exceeds ``DURATION_TOL``, as extra edges below their leaves.  A
-    finite chain's last, short block draws as much as a full one
-    (``ctmc._draw_chain``), so trial t is the same in every run that
-    reaches it; a TKF91 block draws for its own trials only
-    (``tkf91.draw_block``).  A process with no block draw raises
-    ``TypeError``.
+    exceeds ``DURATION_TOL``, as extra edges below their leaves; the
+    process builds that draw once per call.  A finite chain's last, short
+    block draws as much as a full one (``ctmc._draw_chain``), so trial t
+    is the same in every run that reaches it; a TKF91 block draws for its
+    own trials only (``tkf91.draw_block``).  A process with no block draw
+    raises ``TypeError``.
     """
     if start % BLOCK:
         raise ValueError(f"trials start at a multiple of {BLOCK}, "
                          f"not at {start}")
-    draw = _plan(_drawer, tree, process, stretch)
+    draw = _drawer(tree, process, stretch)
     return (_block(draw, draw_roots, key, lo, min(BLOCK, stop - lo))
             for lo in range(start, stop, BLOCK))
+
+
+def _drawer(tree: Tree, process, stretch):
+    """``process``'s ``block_draw`` of ``tree`` and ``stretch``:
+    ``draw(draw_roots, count, size, rng)`` returns the roots, leaf states
+    and ``stretch``ed states (None without a stretch) of ``count`` trials
+    drawn from ``rng`` as ``simulated_trials`` says, and their keys."""
+    if not hasattr(process, "block_draw"):
+        raise TypeError(f"no trials of {process!r}: the process must be a "
+                        "RateMatrix or Tkf91Params")
+    return process.block_draw(tree, *_stretch_edges(tree, stretch))
 
 
 def _block(draw, draw_roots, key, lo: int, count: int) -> TrialBlock:
@@ -161,7 +135,7 @@ def block_leaf_likelihoods(tree: Tree, Q: RateMatrix,
     all-zero row means its observation is impossible under every root
     state.
     """
-    mats = _plan(_tree_plan, tree, Q).mats
+    mats = Q.matrices(tree.edge_lengths)
     obs = np.asarray(leaf_states, dtype=np.int64) - 1
     vecs: list = [None] * len(tree.topo_order)
     for e in range(len(tree.edge_parents) - 1, -1, -1):

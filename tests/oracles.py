@@ -35,8 +35,8 @@ stretching them one draw at a time; the package stretches
 and tests a block of trials at once, on integer keys.
 ``evolve_lanes_reference`` draws TKF91 children from their durations,
 each lane's law (``tkf91_law_reference``) computed with its draw, as the
-package did before it kept each edge's law in the tree's plan, and in
-full even where nothing moves.
+package did before ``edge_batches`` held each edge's law, and in full
+even where nothing moves.
 ``monte_carlo_error`` counts an estimator's errors over
 ``simulated_trials`` keyed by its master seed, with a root drawn by
 ``draw_state`` or fixed; ``block_draw`` lifts such a one-root draw to
@@ -354,13 +354,11 @@ def block_draw(draw):
 
 class Delegate:
     """A process that is neither a ``RateMatrix`` nor ``Tkf91Params``: its
-    ``keys``, ``roots``, ``tree_plan`` and ``block_draw`` are those of
-    ``chain``."""
+    ``keys``, ``roots`` and ``block_draw`` are those of ``chain``."""
 
     def __init__(self, chain):
         self.keys = chain.keys
         self.roots = chain.roots
-        self.tree_plan = chain.tree_plan
         self.block_draw = chain.block_draw
 
 
@@ -966,15 +964,16 @@ def simulate(tree: Tree, process, root_state, rng) -> dict:
     """One realization of the chain on the tree; returns leaf id -> state.
 
     Sibling subtrees evolve independently given the parent state.  Each
-    call draws a whole one-trial block from ``rng`` as
-    ``simulated_trials`` says, so it pays a block's fixed cost per trial
-    (a few numpy calls per depth of the tree, counted in the edges that
-    can move a state): loops over many trials should draw them from
-    ``simulated_trials``.
+    call builds the process's draw of the tree (``treechain._drawer``)
+    and draws a whole one-trial block from ``rng`` as
+    ``simulated_trials`` says, so it pays that build and a block's fixed
+    cost per trial (a few numpy calls per depth of the tree, counted in
+    the edges that can move a state): loops over many trials should draw
+    them from ``simulated_trials``.
     """
-    block = TrialBlock(0, *treechain._plan(
-        treechain._drawer, tree, process, None)(
-        lambda rng, size: [root_state] * size, 1, 1, rng), rng)
+    draw = treechain._drawer(tree, process, None)
+    block = TrialBlock(0, *draw(lambda rng, size: [root_state] * size,
+                                1, 1, rng), rng)
     return next(block.trials(tree))[2]
 
 

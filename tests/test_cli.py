@@ -58,12 +58,12 @@ def experiment_cfg(tmp_path, **overrides):
 
 
 class TestBoundsCommand:
+    RECON = {"prior": {"1": 0.5, "2": 0.5},
+             "conditionals": {"1": {"1": 0.9, "2": 0.1},
+                              "2": {"1": 0.1, "2": 0.9}}}
+
     def test_binary_symmetric_sandwich(self, tmp_path, capsys):
-        cfg = {"recon": {
-            "prior": {"1": 0.5, "2": 0.5},
-            "conditionals": {"1": {"1": 0.9, "2": 0.1},
-                             "2": {"1": 0.1, "2": 0.9}}}}
-        path = write_cfg(tmp_path, "b.json", cfg)
+        path = write_cfg(tmp_path, "b.json", {"recon": self.RECON})
         assert main(["bounds", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "recon_upper,0.9" in out
@@ -72,6 +72,25 @@ class TestBoundsCommand:
     def test_nothing_to_bound(self, tmp_path):
         path = write_cfg(tmp_path, "b.json", {})
         assert main(["bounds", path]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("recon", [False, True])
+    @pytest.mark.parametrize("estimator, reason", [
+        ({"kind": "map"}, "a map estimator has no bound"),
+        ({"kind": "majority"}, "a majority estimator has no bound"),
+        ({"s": 0.05, "h_star": 1.0, "epsilon": 1},
+         "a frequency estimator with one candidate has no bound")])
+    def test_estimator_without_bound_refused(self, tmp_path, capsys,
+                                             estimator, reason, recon):
+        # with or without recon, the estimator is not dropped in silence
+        cfg = {"family": {"kind": "star", "k": 3, "h": 1.0},
+               "process": {"kind": "two_state", "q": 1.0},
+               "estimator": estimator}
+        if recon:
+            cfg["recon"] = self.RECON
+        path = write_cfg(tmp_path, "b.json", cfg)
+        assert main(["bounds", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {reason}"]
 
 
 class TestSimulateCommand:
@@ -798,6 +817,17 @@ class TestTrialInputs:
             "seed must be a non-negative 64-bit integer"]
         assert main(["validate", write_cfg(tmp_path, "v.json", cfg)]) == \
             EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", ["random_ultrametric", "star"])
+    def test_negative_family_seed_named(self, tmp_path, capsys, kind):
+        cfg = experiment_cfg(tmp_path,
+                             family={"kind": kind, "k": 4, "seed": -1})
+        message = "family seed must be a non-negative integer, got -1"
+        assert validate_config(cfg) == [message]
+        assert main(["experiment", write_cfg(tmp_path, "e.json", cfg)]) == \
+            EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}"]
 
     def test_newick_deeper_than_recursion_limit(self, tmp_path):
         depth = 5000

@@ -402,25 +402,9 @@ class TestTrialBlocks:
             (t, *row) for t, row in enumerate(zip(
                 roots, leaves, map(tuple, stretched), after))]
 
-    def test_plan_built_once(self, monkeypatch):
-        calls = []
-        real = treechain._tree_plan
-
-        def counted(tree, process):
-            calls.append(tree)
-            return real(tree, process)
-
-        monkeypatch.setattr(treechain, "_tree_plan", counted)
-        params = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
-        tree = self.tree()
-        simulate(tree, params, "AT", np.random.default_rng(1))
-        simulate(tree, params, "AT", np.random.default_rng(2))
-        list(simulated_trials(tree, params, block_draw(lambda rng: "A"), (3,),
-                              10))
-        assert calls == [tree]
-
     def test_pickles_without_tree_state(self):
-        # the plans stay in treechain when the process goes to a worker
+        # a draw of a tree stays with its call when the process goes to a
+        # worker
         params = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
         simulate(self.tree(), params, "AT", np.random.default_rng(1))
         fresh = Tkf91Params(nu=1.0, lam=0.5, mu=1.0)
@@ -528,7 +512,7 @@ class TestPlanLaw:
         plan = StretchPlan(0.1, 100.0, len(lengths),
                            tuple(f"x{i}" for i in range(len(lengths))),
                            tuple(100.0 - 2 * t for t in lengths))
-        draw = treechain._plan(treechain._drawer, tree, STD, plan)
+        draw = STD.block_draw(tree, *treechain._stretch_edges(tree, plan))
         batches = draw.args[1]
         assert len(batches) == 3
         for parents, children, law, same in batches[:2]:

@@ -7,9 +7,9 @@ from oracles import (big_bang_profile, eager_random_ultrametric,
                      extract_well_spread_restriction, layout, restrict,
                      shared_path_length, spread, stretch_to_height,
                      to_newick, validate_family)
-from rootrec.tree import (Tree, TreeError, chosen_leaves, generate_family,
-                          parse_newick, truncate)
-from rootrec.tree import _figure1_edges
+from rootrec.tree import (NestedFamily, Tree, TreeError, chosen_leaves,
+                          generate_family, parse_newick, truncate)
+from rootrec.tree import _figure1_edges, _star
 
 
 def star3():
@@ -382,6 +382,17 @@ class TestFamilies:
         assert len(fam) == 1000
         assert fam[999] == Tree("rho", _figure1_edges(1000, 1.0))
         assert fam[-1] is fam[999]
+
+    def test_slices_build_the_members_they_name(self):
+        built = []
+        fam = NestedFamily(5, lambda n: built.append(n) or _star(1.0, n))
+        assert fam[1:3] == [_star(1.0, 2), _star(1.0, 3)]
+        assert built == [2, 3]
+        assert fam[::-2] == [fam[4], fam[2], fam[0]]
+        assert fam[2:3][0] is fam[2] and fam[3:1] == []
+        assert built == [2, 3, 5, 1]
+        star = generate_family("star", {"k": 5})
+        assert [len(t.leaves) for t in star[1:3]] == [2, 3]
 
 
 class TestLayout:

@@ -16,8 +16,6 @@ from rootrec.ctmc import (CtmcError, Distribution, RateMatrix, _compile,
                           jukes_cantor)
 from rootrec.estimators import StretchPlan
 from rootrec.tkf91 import Tkf91Params, stationary_sample
-from rootrec import tree as tree_module
-from rootrec import treechain
 from rootrec.tree import Tree, generate_family
 from rootrec.treechain import (BLOCK, DURATION_TOL, block_leaf_likelihoods,
                                simulated_trials)
@@ -43,6 +41,19 @@ def naive_leaf_law(tree, Q, root_state):
 def pinched2(s=0.5, h=1.0):
     return Tree("rho", [("rho", "v", s), ("v", "a", h - s),
                         ("v", "b", h - s)])
+
+
+def uniformize_passes(monkeypatch) -> list:
+    """The sorted durations of each ``ctmc._uniformize`` pass from now on."""
+    passes = []
+    real = ctmc._uniformize
+
+    def counted(Q, lengths, *args, **kwargs):
+        passes.append(sorted(lengths))
+        return real(Q, lengths, *args, **kwargs)
+
+    monkeypatch.setattr(ctmc, "_uniformize", counted)
+    return passes
 
 
 def fixed_root_rows(tree, Q, root, key, n):
@@ -122,14 +133,7 @@ class TestCompiledSimulate:
 
     def test_second_trial_computes_no_matrix(self, monkeypatch):
         # the first trial uniformizes every distinct length in one pass
-        passes = []
-        real = ctmc._uniformize
-
-        def counted(Q, lengths, *args, **kwargs):
-            passes.append(sorted(lengths))
-            return real(Q, lengths, *args, **kwargs)
-
-        monkeypatch.setattr(ctmc, "_uniformize", counted)
+        passes = uniformize_passes(monkeypatch)
         tree = generate_family("figure1", {"k": 30})[29]
         Q = two_state_symmetric(1.0)
         simulate(tree, Q, 1, np.random.default_rng(0))
@@ -138,65 +142,19 @@ class TestCompiledSimulate:
         simulate(tree, Q, 2, np.random.default_rng(1))
         assert passes == []
 
-    def test_cache_lookup_skips_edge_comparison(self, monkeypatch):
-        # the compiled-tree cache finds a tree by comparing it with itself
-        tree = generate_family("figure1", {"k": 30})[29]
-        Q = two_state_symmetric(1.0)
-        simulate(tree, Q, 1, np.random.default_rng(0))
-
-        def compared(*args, **kwargs):
-            raise AssertionError("edge-by-edge tree comparison")
-
-        monkeypatch.setattr(tree_module, "math",
-                            SimpleNamespace(isclose=compared))
-        simulate(tree, Q, 2, np.random.default_rng(1))
-
 
 class TestPlans:
-    """Every per-tree plan lives in treechain, built once per tree and
-    process, and never travels with the process."""
+    """A process builds its draw of a tree at each call and carries no
+    tree state; a finite chain computes each duration's matrix once."""
 
-    @staticmethod
-    def count(monkeypatch, name):
-        calls = []
-        real = getattr(treechain, name)
-
-        def counted(tree, *args):
-            calls.append((tree, *args))
-            return real(tree, *args)
-
-        monkeypatch.setattr(treechain, name, counted)
-        return calls
-
-    def test_finite_chain_plans_built_once(self, monkeypatch):
-        compiled = self.count(monkeypatch, "_tree_plan")
-        tree = pinched2()
+    def test_draws_and_pruning_share_one_uniformization(self, monkeypatch):
+        passes = uniformize_passes(monkeypatch)
+        tree = generate_family("figure1", {"k": 30})[29]
         Q = two_state_symmetric(1.0)
-        plan = StretchPlan(0.1, 2.0, 1, ("a",), (1.0,))
-        for _ in range(2):
-            simulate(tree, Q, 1, np.random.default_rng(0))
-            list(simulated_trials(tree, Q, block_draw(lambda rng: 1), (0,),
-                                  3))
-            list(simulated_trials(tree, Q, block_draw(lambda rng: 1), (0,),
-                                  3, stretch=plan))
-            block_leaf_likelihoods(tree, Q, [[1, 2]])
-        assert compiled == [(tree, Q)]
-        # a second chain on the same tree compiles its own matrices
-        R = two_state_symmetric(2.0)
-        simulate(tree, R, 1, np.random.default_rng(0))
-        assert compiled == [(tree, Q), (tree, R)]
-
-    @pytest.mark.parametrize("process, root", [
-        (two_state_symmetric(1.0), 1),
-        (Tkf91Params(nu=1.0, lam=0.5, mu=1.0), "AT")])
-    def test_plans_go_with_their_tree(self, process, root):
-        # no plan refers to its tree, so the tree's entry dies with it
-        tree = pinched2()
-        simulate(tree, process, root, np.random.default_rng(0))
-        assert tree in treechain._PLANS
-        size = len(treechain._PLANS)
-        del tree
-        assert len(treechain._PLANS) == size - 1
+        list(simulated_trials(tree, Q, block_draw(lambda rng: 1), (0,), 3))
+        block_leaf_likelihoods(tree, Q, [[1] * len(tree.leaves)])
+        list(simulated_trials(tree, Q, block_draw(lambda rng: 2), (1,), 3))
+        assert passes == [sorted(set(tree.edge_lengths))]
 
     def test_pickled_chain_carries_no_tree_state(self):
         Q = two_state_symmetric(1.0)
